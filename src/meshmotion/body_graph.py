@@ -7,9 +7,7 @@ per-part vertex ranges, standing in for a licensed full-resolution body model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -198,27 +196,6 @@ class GraphConvLayer:
         return act(ad.matmul(ad.matmul(adjacency, y), w))
 
 
-def graph_conv(layer: GraphConvLayer, graph: BodyGraph, y) -> Tensor:
-    """Graph convolution over the body graph's normalized adjacency."""
-    return layer.apply(graph.adjacency_norm, ad.as_tensor(y))
-
-
-def resample(graph: BodyGraph, y, direction: str) -> Tensor:
-    """Linear projection between fine and coarse vertex resolutions."""
-    y = ad.as_tensor(y)
-    if direction == "down":
-        m = graph.down_matrix
-        expected = graph.n_vertices
-    elif direction == "up":
-        m = graph.up_matrix
-        expected = graph.n_coarse
-    else:
-        raise GraphError(f"direction must be 'down' or 'up', got {direction!r}")
-    if y.shape[-2] != expected:
-        raise ShapeError(f"resample {direction}: got {y.shape[-2]} rows, expected {expected}")
-    return ad.matmul(m, y)
-
-
 def _part_edges(start: int, count: int) -> list[tuple[int, int]]:
     """Chain plus second-neighbor struts inside one part's index range."""
     edges = [(start + i, start + i + 1) for i in range(count - 1)]
@@ -322,7 +299,7 @@ def is_connected(graph: BodyGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON export/import (field names documented in SCHEMAS.md)
+# JSON export/import
 
 
 def graph_to_json(graph: BodyGraph) -> dict:
@@ -350,11 +327,3 @@ def graph_from_json(doc: dict) -> BodyGraph:
         down_matrix=Tensor(np.array(doc["down_matrix"])),
         up_matrix=Tensor(np.array(doc["up_matrix"])),
     )
-
-
-def save_graph(graph: BodyGraph, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(graph_to_json(graph)))
-
-
-def load_graph(path: str | Path) -> BodyGraph:
-    return graph_from_json(json.loads(Path(path).read_text()))

@@ -3,8 +3,11 @@
 Forward noising mixes Gaussian noise into the latent step by step while a
 cross-attention layer injects a learned sequence context; a graph+time
 feature stack summarizes temporal dependencies per spatial site; the reverse
-chain denoises conditioned on those dependencies. Spatial sites of the
-latent grid correspond one-to-one with coarse mesh vertices.
+chain denoises conditioned on those dependencies.
+
+Every layer works on one token layout, (B, T, S, C): frames x sites x
+channels. The S sites are the coarse mesh vertices; only the 3D convolution
+sees them as an H x W grid (S = H*W, see :func:`rearrange`).
 """
 
 from __future__ import annotations
@@ -17,12 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .body_graph import BodyGraph, GraphConvLayer, resolve_activation
-
-LAYOUT_FLAT = "(bt)chw"     # (B*T, C, H, W)
-LAYOUT_VIDEO = "btchw"      # (B, T, C, H, W)
-LAYOUT_SITES = "(bhw)tc"    # (B*H*W, T, C)
-
-_LAYOUTS = (LAYOUT_FLAT, LAYOUT_VIDEO, LAYOUT_SITES)
 
 
 class ScheduleError(ValueError):
@@ -117,16 +114,14 @@ def reverse_step(
     eps_pred,
     schedule: DiffusionSchedule,
     noise,
-    noise_term: str = "paper",
 ) -> Tensor:
     """One denoising step.
 
     Deterministic part: (z_t - (1-alpha_t)/sqrt(1-alpha_bar_t) * eps_pred)
     / sqrt(alpha_t). The additive term scales a standard Gaussian draw by
-    sqrt(1-alpha_t) * sqrt(1-alpha_bar_{t-1}) / sqrt(1-alpha_bar_t)
-    (``noise_term="posterior"`` uses the posterior standard deviation
-    sqrt(beta_t * (1-alpha_bar_{t-1}) / (1-alpha_bar_t)), which coincides
-    algebraically). The draw is forced to zero at t = 1.
+    sqrt(1-alpha_t) * sqrt(1-alpha_bar_{t-1}) / sqrt(1-alpha_bar_t), which
+    equals the posterior standard deviation. The draw is forced to zero at
+    t = 1, where ``noise`` is not read.
     """
     z_t, eps_pred = ad.as_tensor(z_t), ad.as_tensor(eps_pred)
     if eps_pred.shape != z_t.shape:
@@ -142,12 +137,7 @@ def reverse_step(
         sigma = 0.0
     else:
         eps_coef = (1.0 - a) / math.sqrt(one_m_abar)
-        if noise_term == "paper":
-            sigma = math.sqrt(1.0 - a) * math.sqrt(1.0 - abar_prev) / math.sqrt(one_m_abar)
-        elif noise_term == "posterior":
-            sigma = math.sqrt((1.0 - a) * (1.0 - abar_prev) / one_m_abar)
-        else:
-            raise ScheduleError(f"unknown noise_term {noise_term!r}")
+        sigma = math.sqrt(1.0 - a) * math.sqrt(1.0 - abar_prev) / math.sqrt(one_m_abar)
     mean = ad.mul(ad.sub(z_t, ad.mul(eps_pred, eps_coef)), 1.0 / math.sqrt(a))
     if t == 1 or sigma == 0.0:
         return mean
@@ -155,58 +145,6 @@ def reverse_step(
     if noise.shape != z_t.shape:
         raise ShapeError(f"noise shape {noise.shape} != input shape {z_t.shape}")
     return ad.add(mean, ad.mul(noise, sigma))
-
-
-# ---------------------------------------------------------------------------
-# latent video layouts
-
-
-@dataclass
-class LatentVideo:
-    """A latent tensor tagged with its axis layout and logical dimensions."""
-
-    data: Tensor
-    layout: str
-    dims: tuple[int, int, int, int, int]  # (B, T, C, H, W)
-
-    def __post_init__(self):
-        if self.layout not in _LAYOUTS:
-            raise ShapeError(f"unknown layout {self.layout!r}; expected one of {_LAYOUTS}")
-        b, t, c, h, w = self.dims
-        expected = {
-            LAYOUT_FLAT: (b * t, c, h, w),
-            LAYOUT_VIDEO: (b, t, c, h, w),
-            LAYOUT_SITES: (b * h * w, t, c),
-        }[self.layout]
-        if self.data.shape != expected:
-            raise ShapeError(
-                f"layout {self.layout} with dims {self.dims} expects shape "
-                f"{expected}, got {self.data.shape}"
-            )
-
-
-def rearrange(video: LatentVideo, target: str) -> LatentVideo:
-    """Permute/reshape between the three supported layouts; differentiable."""
-    if target not in _LAYOUTS:
-        raise ShapeError(f"unknown target layout {target!r}")
-    if target == video.layout:
-        return video
-    b, t, c, h, w = video.dims
-
-    x = video.data
-    # lift to the canonical (B, T, C, H, W) arrangement
-    if video.layout == LAYOUT_FLAT:
-        x = ad.reshape(x, (b, t, c, h, w))
-    elif video.layout == LAYOUT_SITES:
-        x = ad.reshape(x, (b, h, w, t, c))
-        x = ad.transpose(x, (0, 3, 4, 1, 2))
-    # drop into the target arrangement
-    if target == LAYOUT_FLAT:
-        x = ad.reshape(x, (b * t, c, h, w))
-    elif target == LAYOUT_SITES:
-        x = ad.transpose(x, (0, 3, 4, 1, 2))
-        x = ad.reshape(x, (b * h * w, t, c))
-    return LatentVideo(x, target, video.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -258,22 +196,6 @@ class SequenceContext:
     rows: Tensor  # (L, C)
 
 
-@dataclass
-class TemporalDependencies:
-    """Per spatial site, a summary of its feature evolution over time."""
-
-    delta: Tensor  # (B*H*W, T, C)
-    dims: tuple[int, int, int, int, int]
-
-
-def temporal_self_attention(video: LatentVideo, layer: AttentionLayer) -> TemporalDependencies:
-    """Self-attention over the T axis, independently per spatial site."""
-    if video.layout != LAYOUT_SITES:
-        raise ShapeError(f"temporal attention expects layout {LAYOUT_SITES}, got {video.layout}")
-    out = layer(video.data, video.data)
-    return TemporalDependencies(delta=out, dims=video.dims)
-
-
 def time_embedding(t: int, channels: int) -> np.ndarray:
     """Sinusoidal embedding of a diffusion step index."""
     half = (channels + 1) // 2
@@ -283,13 +205,33 @@ def time_embedding(t: int, channels: int) -> np.ndarray:
     return emb[:channels]
 
 
-class GraphTimePass:
-    """One modeling pass: 3D conv over (T,H,W), per-frame graph conv over the
-    coarse mesh, then temporal self-attention across frames."""
+def rearrange(x: Tensor, grid: tuple[int, int] | None = None) -> Tensor:
+    """Tokens (B, T, S, C) <-> the conv3d grid (B, C, T, H, W); differentiable.
 
-    def __init__(self, channels: int, kernel: int, heads: int, activation: str,
-                 rng: np.random.Generator):
+    With ``grid=(H, W)`` tokens go to the grid, site s landing in cell
+    (s // W, s % W); without it a grid goes back to tokens.
+    """
+    if grid is None:
+        if x.ndim != 5:
+            raise ShapeError(f"expected a (B, C, T, H, W) grid, got {x.shape}")
+        b, c, t, h, w = x.shape
+        return ad.transpose(ad.reshape(x, (b, c, t, h * w)), (0, 2, 3, 1))
+    h, w = grid
+    if x.ndim != 4 or x.shape[2] != h * w:
+        raise ShapeError(f"expected (B, T, {h * w}, C) tokens for grid {h}x{w}, got {x.shape}")
+    b, t, _, c = x.shape
+    return ad.reshape(ad.transpose(x, (0, 3, 1, 2)), (b, c, t, h, w))
+
+
+class GraphTimePass:
+    """One modeling pass over (B, T, S, C) tokens: 3D conv over the
+    (T, H, W) grid, per-frame graph conv over the coarse mesh, then temporal
+    self-attention across frames, independently per site."""
+
+    def __init__(self, channels: int, grid: tuple[int, int], kernel: int, heads: int,
+                 activation: str, rng: np.random.Generator):
         k3 = (channels, channels, kernel, kernel, kernel)
+        self.grid = grid
         self.activation = activation
         self.conv_kernel = _init(rng, k3, scale=1.0 / math.sqrt(channels * kernel**3))
         self.graph = GraphConvLayer(channels, channels, activation=activation, rng=rng)
@@ -299,31 +241,20 @@ class GraphTimePass:
     def layers(self):
         return [self, self.graph, self.time_attn]
 
-    def __call__(self, video: LatentVideo, coarse_adj: Tensor) -> tuple[LatentVideo, TemporalDependencies]:
+    def __call__(self, x: Tensor, coarse_adj: Tensor) -> Tensor:
         act = resolve_activation(self.activation)
-        v = rearrange(video, LAYOUT_VIDEO)
-        b, t, c, h, w = v.dims
-        x = ad.transpose(v.data, (0, 2, 1, 3, 4))             # (B, C, T, H, W)
-        x = act(ad.conv3d(x, self.p["conv_kernel"]))
-        x = ad.transpose(x, (0, 2, 1, 3, 4))                  # back to (B, T, C, H, W)
-        # per-frame graph conv: spatial sites are coarse vertices
-        x = ad.reshape(x, (b * t, c, h * w))
-        x = ad.transpose(x, (0, 2, 1))                        # (B*T, HW, C)
+        x = rearrange(act(ad.conv3d(rearrange(x, self.grid), self.p["conv_kernel"])))
         x = self.graph.apply(coarse_adj, x)
-        x = ad.transpose(x, (0, 2, 1))
-        x = ad.reshape(x, (b, t, c, h, w))
-        sites = rearrange(LatentVideo(x, LAYOUT_VIDEO, v.dims), LAYOUT_SITES)
-        deps = temporal_self_attention(sites, self.time_attn)
-        out = rearrange(LatentVideo(deps.delta, LAYOUT_SITES, v.dims), LAYOUT_FLAT)
-        return out, deps
+        x = ad.transpose(x, (0, 2, 1, 3))                     # (B, S, T, C)
+        return ad.transpose(self.time_attn(x, x), (0, 2, 1, 3))
 
 
 class FeatureStack:
     """Two graph+time passes applied back to back (independent weights)."""
 
-    def __init__(self, channels: int, kernel: int, heads: int, activation: str,
-                 rng: np.random.Generator, n_passes: int = 2):
-        self.passes = [GraphTimePass(channels, kernel, heads, activation, rng)
+    def __init__(self, channels: int, grid: tuple[int, int], kernel: int, heads: int,
+                 activation: str, rng: np.random.Generator, n_passes: int = 2):
+        self.passes = [GraphTimePass(channels, grid, kernel, heads, activation, rng)
                        for _ in range(n_passes)]
 
     def layers(self):
@@ -332,11 +263,10 @@ class FeatureStack:
             out += p.layers()
         return out
 
-    def __call__(self, video: LatentVideo, coarse_adj: Tensor) -> tuple[LatentVideo, TemporalDependencies]:
-        deps = None
+    def __call__(self, x: Tensor, coarse_adj: Tensor) -> Tensor:
         for p in self.passes:
-            video, deps = p(video, coarse_adj)
-        return video, deps
+            x = p(x, coarse_adj)
+        return x
 
 
 class NoisePredictor:
@@ -347,11 +277,11 @@ class NoisePredictor:
     embedding added to the channel axis.
     """
 
-    def __init__(self, channels: int, kernel: int, heads: int, activation: str,
-                 rng: np.random.Generator):
+    def __init__(self, channels: int, grid: tuple[int, int], kernel: int, heads: int,
+                 activation: str, rng: np.random.Generator):
         self.channels = channels
         self.activation = activation
-        self.pass_ = GraphTimePass(channels, kernel, heads, activation, rng)
+        self.pass_ = GraphTimePass(channels, grid, kernel, heads, activation, rng)
         self.p = {
             "ln_gamma": Tensor(np.ones(channels), requires_grad=True),
             "ln_beta": Tensor(np.zeros(channels), requires_grad=True),
@@ -361,88 +291,65 @@ class NoisePredictor:
     def layers(self):
         return [self] + self.pass_.layers()
 
-    def __call__(self, video: LatentVideo, t: int, coarse_adj: Tensor) -> Tensor:
-        b, tt, c, h, w = video.dims
-        v = rearrange(video, LAYOUT_FLAT)
-        x = ad.transpose(v.data, (0, 2, 3, 1))                # (B*T, H, W, C)
+    def __call__(self, x: Tensor, t: int, coarse_adj: Tensor) -> Tensor:
         x = ad.layer_norm(x, self.p["ln_gamma"], self.p["ln_beta"])
-        emb = time_embedding(t, c)
-        x = ad.add(x, ad.constant(emb))
-        x = ad.transpose(x, (0, 3, 1, 2))
-        feats, _ = self.pass_(LatentVideo(x, LAYOUT_FLAT, video.dims), coarse_adj)
-        y = ad.transpose(feats.data, (0, 2, 3, 1))
-        y = ad.matmul(y, self.p["head"])
-        y = ad.transpose(y, (0, 3, 1, 2))
-        return y
+        x = ad.add(x, ad.constant(time_embedding(t, self.channels)))
+        return ad.matmul(self.pass_(x, coarse_adj), self.p["head"])
 
 
 class DiffusionBlock:
-    """Full noising/denoising block over a latent video.
+    """Full noising/denoising block over (B, T, S, C) latent tokens.
 
     Forward: per-step noise mixing, each step followed by cross-attention
     against the learned sequence context. A two-pass graph+time stack then
     summarizes temporal dependencies, which condition every reverse step
     through cross-attention before the denoising update. Deterministic given
-    the seed; returns the denoised video plus the mean squared error between
+    the seed; returns the denoised tokens plus the mean squared error between
     predicted and injected noise (training signal for the predictor).
     """
 
-    def __init__(self, graph: BodyGraph, channels: int, schedule: DiffusionSchedule,
-                 kernel: int = 3, heads: int = 1, activation: str = "relu",
-                 rng: np.random.Generator | None = None, noise_term: str = "paper"):
+    def __init__(self, graph: BodyGraph, channels: int, grid: tuple[int, int],
+                 schedule: DiffusionSchedule, kernel: int = 3, heads: int = 1,
+                 activation: str = "relu", rng: np.random.Generator | None = None):
         if rng is None:
             rng = np.random.default_rng(0)
+        h, w = grid
+        if h * w != graph.n_coarse:
+            raise ShapeError(
+                f"latent grid {h}x{w} must match coarse vertex count {graph.n_coarse}"
+            )
         self.schedule = schedule
-        self.noise_term = noise_term
         self.coarse_adj = graph.coarse_adjacency()
         self.n_sites = graph.n_coarse
         self.context_attn = AttentionLayer(channels, heads=heads, rng=rng)
-        self.stack = FeatureStack(channels, kernel, heads, activation, rng)
+        self.stack = FeatureStack(channels, grid, kernel, heads, activation, rng)
         self.cond_attn = AttentionLayer(channels, heads=heads, rng=rng)
-        self.predictor = NoisePredictor(channels, kernel, heads, activation, rng)
+        self.predictor = NoisePredictor(channels, grid, kernel, heads, activation, rng)
 
     def layers(self):
         return ([self.context_attn, self.cond_attn]
                 + self.stack.layers() + self.predictor.layers())
 
-    def _to_tokens(self, video: LatentVideo) -> Tensor:
-        b, t, c, h, w = video.dims
-        x = rearrange(video, LAYOUT_FLAT).data
-        x = ad.transpose(x, (0, 2, 3, 1))
-        return ad.reshape(x, (b * t, h * w, c))
-
-    def _from_tokens(self, tokens: Tensor, dims) -> LatentVideo:
-        b, t, c, h, w = dims
-        x = ad.reshape(tokens, (b * t, h, w, c))
-        x = ad.transpose(x, (0, 3, 1, 2))
-        return LatentVideo(x, LAYOUT_FLAT, dims)
-
-    def __call__(self, x0: LatentVideo, ctx: SequenceContext, seed: int) -> tuple[LatentVideo, Tensor]:
-        if x0.layout != LAYOUT_FLAT:
-            raise ShapeError(f"block input must be {LAYOUT_FLAT}, got {x0.layout}")
-        b, t, c, h, w = x0.dims
-        if h * w != self.n_sites:
+    def __call__(self, x0: Tensor, ctx: SequenceContext, seed: int) -> tuple[Tensor, Tensor]:
+        if x0.ndim != 4 or x0.shape[2] != self.n_sites:
             raise ShapeError(
-                f"latent grid {h}x{w} must match coarse vertex count {self.n_sites}"
+                f"block input must be (B, T, {self.n_sites}, C) tokens, got {x0.shape}"
             )
+        b, t, s, c = x0.shape
         rng = np.random.default_rng(seed)
         sched = self.schedule
-        x0_data = x0.data.data
+
+        def draw() -> Tensor:
+            # a channels-first draw keeps each seed's noise on the same elements
+            return ad.constant(np.swapaxes(rng.standard_normal((b, t, c, s)), 2, 3))
 
         # forward noising with context cross-attention after every step
         x = x0
         for step in range(1, sched.n_steps + 1):
-            eps = rng.standard_normal(x.data.shape)
-            noised = forward_noise_step(x.data, step, sched, ad.constant(eps))
-            tokens = self._to_tokens(LatentVideo(noised, LAYOUT_FLAT, x0.dims))
-            tokens = self.context_attn(tokens, ctx.rows)
-            x = self._from_tokens(tokens, x0.dims)
+            x = self.context_attn(forward_noise_step(x, step, sched, draw()), ctx.rows)
 
         # temporal dependency summary from the noised latent
-        _, deps = self.stack(x, self.coarse_adj)
-        delta_tokens = self._to_tokens(
-            rearrange(LatentVideo(deps.delta, LAYOUT_SITES, x0.dims), LAYOUT_FLAT)
-        )
+        deps = self.stack(x, self.coarse_adj)
 
         # conditioned reverse chain; the predictor trains toward the noise
         # component of the live state, (z_t - sqrt(abar_t) x0)/sqrt(1-abar_t),
@@ -450,20 +357,16 @@ class DiffusionBlock:
         z = x
         eps_losses = []
         for step in range(sched.n_steps, 0, -1):
-            tokens = self.cond_attn(self._to_tokens(z), delta_tokens)
-            z = self._from_tokens(tokens, x0.dims)
+            z = self.cond_attn(z, deps)
             eps_hat = self.predictor(z, step, self.coarse_adj)
             abar = float(sched.alpha_bar[step - 1])
             if 1.0 - abar > 0.0:
-                target = (z.data.data - math.sqrt(abar) * x0_data) / math.sqrt(1.0 - abar)
+                target = (z.data - math.sqrt(abar) * x0.data) / math.sqrt(1.0 - abar)
             else:
-                target = np.zeros_like(x0_data)
+                target = np.zeros_like(x0.data)
             diff = ad.sub(eps_hat, ad.constant(target))
             eps_losses.append(ad.mean(ad.mul(diff, diff)))
-            draw = rng.standard_normal(z.data.shape) if step > 1 else np.zeros(z.data.shape)
-            z_data = reverse_step(z.data, step, eps_hat, sched, ad.constant(draw),
-                                  noise_term=self.noise_term)
-            z = LatentVideo(z_data, LAYOUT_FLAT, x0.dims)
+            z = reverse_step(z, step, eps_hat, sched, draw() if step > 1 else None)
 
         eps_loss = ad.mul(sum(eps_losses[1:], eps_losses[0]), 1.0 / len(eps_losses))
         return z, eps_loss

@@ -29,14 +29,7 @@ from .body_graph import (
     generate_toy_body,
     resolve_activation,
 )
-from .diffusion import (
-    LAYOUT_FLAT,
-    DiffusionBlock,
-    FeatureStack,
-    LatentVideo,
-    SequenceContext,
-    make_schedule,
-)
+from .diffusion import DiffusionBlock, FeatureStack, SequenceContext, make_schedule
 from .metrics import JointRegressor, PoseError, build_joint_regressor, compute_metrics
 from .part_loss import PartLabelMap, hh_loss, part_map_from_ranges, part_weights_from_variance
 from .synth import MotionSequence
@@ -78,7 +71,6 @@ class ModelConfig:
     context_rows: int = 4
     encoder_hidden: int = 64
     conv_kernel: int = 3
-    noise_term: str = "paper"
     learning_rate: float = 3e-3
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -176,9 +168,8 @@ class Model:
         if config.diffusion_on:
             self.schedule = make_schedule(config.diffusion_steps, config.schedule)
             self.core = DiffusionBlock(
-                self.graph, c, self.schedule, kernel=config.conv_kernel,
+                self.graph, c, (h, w), self.schedule, kernel=config.conv_kernel,
                 heads=config.heads, activation=config.activation, rng=rng,
-                noise_term=config.noise_term,
             )
             self.context_p = {
                 "rows": Tensor(rng.standard_normal((config.context_rows, c)) * 0.3,
@@ -186,7 +177,7 @@ class Model:
             }
         else:
             self.schedule = None
-            self.core = FeatureStack(c, config.conv_kernel, config.heads,
+            self.core = FeatureStack(c, (h, w), config.conv_kernel, config.heads,
                                      config.activation, rng)
             self.context_p = None
             self.coarse_adj = self.graph.coarse_adjacency()
@@ -219,17 +210,17 @@ class Model:
         ], axis=1)
         act = resolve_activation(cfg.activation)
         x = self.enc2(act(self.enc1(ad.constant(frame_in))))
-        latent = LatentVideo(ad.reshape(x, (B * T, c, h, w)), LAYOUT_FLAT, (B, T, c, h, w))
+        # enc2's columns are channel-major: read them as (B, T, C, S)
+        tokens = ad.transpose(ad.reshape(x, (B, T, c, h * w)), (0, 1, 3, 2))
 
         if cfg.diffusion_on:
             ctx = SequenceContext(rows=self.context_p["rows"])
-            out_video, eps_loss = self.core(latent, ctx, seed)
+            tokens, eps_loss = self.core(tokens, ctx, seed)
         else:
-            out_video, _ = self.core(latent, self.coarse_adj)
+            tokens = self.core(tokens, self.coarse_adj)
             eps_loss = None
 
-        feats = ad.transpose(out_video.data, (0, 2, 3, 1))        # (B*T, H, W, C)
-        coarse_feats = ad.reshape(feats, (B * T, h * w, c))
+        coarse_feats = ad.reshape(tokens, (B * T, h * w, c))
         fine_feats = ad.matmul(self.graph.up_matrix, coarse_feats)  # (B*T, n, C)
         pred_scaled = self.head(fine_feats)                         # model units
         pred_mm = ad.reshape(ad.mul(pred_scaled, 1.0 / MM_SCALE), (B, T, n, 3))
@@ -400,7 +391,7 @@ class MeanPosePredictor:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container (layout documented in SCHEMAS.md)
+# checkpoint container
 
 
 def save_model(model: Model, path: str | Path) -> None:

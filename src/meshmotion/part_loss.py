@@ -2,8 +2,8 @@
 
 Vertex features pool into per-part probability distributions via softmax over
 per-vertex scores; prediction/target distributions compare through a KL term
-weighted by variance-derived part weights, gated by label interval membership,
-and summed across resolution levels.
+weighted by variance-derived part weights, summed over the parts of one
+resolution level (``model.Model.loss`` sums the levels).
 """
 
 from __future__ import annotations
@@ -54,16 +54,6 @@ class PartLabelMap:
     def n_vertices(self) -> int:
         return self.ranges[-1][1] + 1
 
-    def gate(self, part: int) -> bool:
-        """Interval membership test: the part's vertex range must fall inside
-        one of the labeled ranges."""
-        s, e = self.ranges[part]
-        return any(s >= sl and e <= el for sl, el in self.ranges)
-
-    def gate_count(self, part: int) -> int:
-        s, e = self.ranges[part]
-        return sum(1 for sl, el in self.ranges if s >= sl and e <= el)
-
 
 def part_map_from_ranges(ranges) -> PartLabelMap:
     return PartLabelMap(ranges=[(int(s), int(e)) for s, e in ranges])
@@ -82,14 +72,6 @@ class PartDistribution:
             sums = p.data.sum(axis=-1)
             if np.any(np.abs(sums - 1.0) > atol):
                 raise ValueError("probability rows must sum to 1")
-
-
-def log_softmax_stable(x, axis: int) -> Tensor:
-    """(x - c) - log(sum_k exp(x - c)) with c the max along ``axis``."""
-    x = ad.as_tensor(x)
-    if x.shape[axis] < 1:
-        raise ShapeError("empty reduction axis")
-    return ad.log_softmax(x, axis)
 
 
 def part_kl(y_pred: Tensor | np.ndarray, y_true: Tensor | np.ndarray) -> Tensor:
@@ -157,7 +139,7 @@ def part_weights_from_variance(gtm_features, part_map: PartLabelMap) -> np.ndarr
 
 def hh_loss(pred_features, true_features, part_map: PartLabelMap,
             gtm_features=None) -> Tensor:
-    """Weighted sum of gated per-part KL terms at one resolution level.
+    """Weighted sum of per-part KL terms at one resolution level.
 
     Both feature sets pool with the same softmax pooling; the target side is
     detached. Weights come from ``gtm_features`` variance when given,
@@ -172,25 +154,6 @@ def hh_loss(pred_features, true_features, part_map: PartLabelMap,
         lam = np.asarray(part_map.weights, dtype=np.float64)
     total = None
     for p in range(part_map.m):
-        if not part_map.gate(p):
-            continue
         term = ad.mul(part_kl(pred.probs[p], true.probs[p]), float(lam[p]))
         total = term if total is None else ad.add(total, term)
-    if total is None:
-        raise PartMapError("no part passes the interval gate")
-    return total
-
-
-def hierarchical_loss(levels) -> Tensor:
-    """Sum of per-level losses across resolution levels.
-
-    ``levels`` is an iterable of (pred_features, true_features, part_map,
-    gtm_features) tuples, finest level last.
-    """
-    total = None
-    for pred, true, part_map, gtm in levels:
-        term = hh_loss(pred, true, part_map, gtm)
-        total = term if total is None else ad.add(total, term)
-    if total is None:
-        raise PartMapError("no levels given")
     return total

@@ -356,7 +356,7 @@ def corrupt_sequence(seq: MotionSequence, graph: BodyGraph,
 
 
 # ---------------------------------------------------------------------------
-# file container (layout documented in SCHEMAS.md)
+# file container
 
 
 def save_sequence(seq: MotionSequence, path: str | Path) -> None:

@@ -7,21 +7,16 @@ from meshmotion import autodiff as ad
 from meshmotion.autodiff import ShapeError, Tape, Tensor, gradcheck
 from meshmotion.body_graph import ToyBodyConfig, generate_toy_body
 from meshmotion.diffusion import (
-    LAYOUT_FLAT,
-    LAYOUT_SITES,
-    LAYOUT_VIDEO,
     AttentionLayer,
     DiffusionBlock,
     DiffusionSchedule,
-    FeatureStack,
-    LatentVideo,
+    GraphTimePass,
     ScheduleError,
     SequenceContext,
     forward_noise_step,
     make_schedule,
     rearrange,
     reverse_step,
-    temporal_self_attention,
 )
 
 
@@ -120,18 +115,6 @@ def test_reverse_step_matches_scalar_oracle():
         assert abs(got.data[0] - want) < 1e-12
 
 
-def test_reverse_step_posterior_term_matches_paper_term():
-    sched = make_schedule(20, "linear")
-    rng = np.random.default_rng(8)
-    z = rng.standard_normal(4)
-    eps = rng.standard_normal(4)
-    draw = rng.standard_normal(4)
-    for t in (2, 7, 20):
-        a = reverse_step(z, t, eps, sched, draw, noise_term="paper").data
-        b = reverse_step(z, t, eps, sched, draw, noise_term="posterior").data
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-
 def test_reverse_recovers_x0_from_single_step():
     # with the exact injected noise, one reverse step undoes one forward step
     sched = make_schedule(5)
@@ -150,59 +133,59 @@ def test_reverse_step_range_error():
 
 
 # ---------------------------------------------------------------------------
-# layouts
+# tokens <-> conv3d grid
 
 
-def _video(dims, rng):
-    b, t, c, h, w = dims
-    return LatentVideo(Tensor(rng.standard_normal((b * t, c, h, w))), LAYOUT_FLAT, dims)
+def _tokens(shape, rng):
+    return Tensor(rng.standard_normal(shape))
 
 
 def test_rearrange_roundtrip_identity():
     rng = np.random.default_rng(10)
-    v = _video((2, 3, 4, 2, 3), rng)
-    for middle in (LAYOUT_VIDEO, LAYOUT_SITES):
-        there = rearrange(v, middle)
-        back = rearrange(there, LAYOUT_FLAT)
-        np.testing.assert_array_equal(back.data.data, v.data.data)
+    x = _tokens((2, 3, 6, 4), rng)
+    grid = rearrange(x, (2, 3))
+    assert grid.shape == (2, 4, 3, 2, 3)
+    np.testing.assert_array_equal(rearrange(grid).data, x.data)
+    np.testing.assert_array_equal(rearrange(rearrange(grid), (2, 3)).data, grid.data)
 
 
 def test_rearrange_index_arithmetic():
-    # B=1,T=2,C=1,H=1,W=2 with data [a,b,c,d] laid out as (B*T, C, H, W):
-    # frame 0 holds [a, b], frame 1 holds [c, d]. In (B*H*W) T C the row for
-    # spatial site w=1 must carry [b, d] over time.
-    data = np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 1, 1, 2)
-    v = LatentVideo(Tensor(data), LAYOUT_FLAT, (1, 2, 1, 1, 2))
-    sites = rearrange(v, LAYOUT_SITES)
-    assert sites.data.shape == (2, 2, 1)
-    np.testing.assert_array_equal(sites.data.data[0, :, 0], [1.0, 3.0])  # site w=0
-    np.testing.assert_array_equal(sites.data.data[1, :, 0], [2.0, 4.0])  # site w=1
-    assert sites.data.data[1, 0, 0] == 2.0  # (t=0, w=1) lives at row 1, time 0
-
-
-def test_rearrange_conserves_element_count():
+    # B=1, T=2, S=2, C=1 with sites [a, b] in frame 0 and [c, d] in frame 1:
+    # on a 1x2 grid, cell w=1 must carry [b, d] over time
+    x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 2, 2, 1))
+    grid = rearrange(x, (1, 2)).data
+    assert grid.shape == (1, 1, 2, 1, 2)
+    np.testing.assert_array_equal(grid[0, 0, :, 0, 0], [1.0, 3.0])  # site 0
+    np.testing.assert_array_equal(grid[0, 0, :, 0, 1], [2.0, 4.0])  # site 1
+    # in general the token at (b, t, s) is grid cell (t, s // W, s % W)
     rng = np.random.default_rng(11)
-    v = _video((2, 2, 3, 2, 2), rng)
-    for layout in (LAYOUT_VIDEO, LAYOUT_SITES, LAYOUT_FLAT):
-        assert rearrange(v, layout).data.size == v.data.size
+    x = _tokens((2, 3, 6, 4), rng)
+    grid = rearrange(x, (2, 3)).data
+    for b in range(2):
+        for t in range(3):
+            for site in range(6):
+                np.testing.assert_array_equal(grid[b, :, t, site // 3, site % 3],
+                                              x.data[b, t, site])
 
 
-def test_latent_video_layout_shape_check():
+def test_rearrange_rejects_mismatched_grid():
+    rng = np.random.default_rng(12)
+    x = _tokens((1, 2, 6, 4), rng)
     with pytest.raises(ShapeError):
-        LatentVideo(Tensor(np.zeros((4, 2, 2))), LAYOUT_FLAT, (1, 2, 2, 2, 2))
+        rearrange(x, (2, 2))
+    with pytest.raises(ShapeError):
+        rearrange(x)
 
 
 # ---------------------------------------------------------------------------
-# temporal attention
+# temporal attention: AttentionLayer over the T axis of (B, S, T, C)
 
 
 def test_temporal_attention_single_step_is_linear_map():
     rng = np.random.default_rng(12)
     layer = AttentionLayer(4, rng=rng)
-    dims = (1, 1, 4, 2, 3)
-    x = rng.standard_normal((6, 1, 4))
-    v = LatentVideo(Tensor(x), LAYOUT_SITES, dims)
-    out = temporal_self_attention(v, layer).delta.data
+    x = rng.standard_normal((1, 6, 1, 4))
+    out = layer(Tensor(x), Tensor(x)).data
     # attention over one time step weights its single value by 1
     wv, wo = layer.p["wv"].data, layer.p["wo"].data
     np.testing.assert_allclose(out, x + (x @ wv) @ wo, atol=1e-12)
@@ -212,43 +195,57 @@ def test_temporal_attention_identical_steps_identical_rows():
     rng = np.random.default_rng(13)
     layer = AttentionLayer(3, rng=rng)
     layer.p["wo"] = Tensor(rng.standard_normal((3, 3)) * 0.3, requires_grad=True)
-    row = rng.standard_normal((5, 1, 3))
-    x = np.repeat(row, 2, axis=1)
-    v = LatentVideo(Tensor(x), LAYOUT_SITES, (1, 2, 3, 1, 5))
-    out = temporal_self_attention(v, layer).delta.data
-    np.testing.assert_allclose(out[:, 0, :], out[:, 1, :], atol=1e-12)
+    row = rng.standard_normal((1, 5, 1, 3))
+    x = np.repeat(row, 2, axis=2)
+    out = layer(Tensor(x), Tensor(x)).data
+    np.testing.assert_allclose(out[:, :, 0, :], out[:, :, 1, :], atol=1e-12)
 
 
 def test_temporal_attention_matches_per_site_loop():
     rng = np.random.default_rng(14)
     layer = AttentionLayer(3, rng=rng)
     layer.p["wo"] = Tensor(rng.standard_normal((3, 3)) * 0.3, requires_grad=True)
-    x = rng.standard_normal((4, 3, 3))
-    v = LatentVideo(Tensor(x), LAYOUT_SITES, (1, 3, 3, 1, 4))
-    out = temporal_self_attention(v, layer).delta.data
+    x = rng.standard_normal((1, 4, 3, 3))
+    out = layer(Tensor(x), Tensor(x)).data
     for site in range(4):
-        per_site = layer(Tensor(x[site]), Tensor(x[site])).data
-        np.testing.assert_allclose(out[site], per_site, atol=1e-12)
+        per_site = layer(Tensor(x[0, site]), Tensor(x[0, site])).data
+        np.testing.assert_allclose(out[0, site], per_site, atol=1e-12)
 
 
-def test_temporal_attention_rejects_wrong_layout():
+def test_graph_time_pass_matches_per_site_replay():
+    # conv over the (T, H, W) grid, graph conv within each frame, then
+    # attention over frames within each site, replayed step by step
     rng = np.random.default_rng(15)
-    layer = AttentionLayer(4, rng=rng)
-    v = _video((1, 2, 4, 1, 2), rng)
-    with pytest.raises(ShapeError):
-        temporal_self_attention(v, layer)
+    graph = generate_toy_body(ToyBodyConfig(parts=("a", "b", "c", "d"), vertices_per_part=2,
+                                            coarse_per_part=1))
+    adj = graph.coarse_adjacency()
+    layer = GraphTimePass(3, (2, 2), 3, 1, "relu", rng)
+    layer.time_attn.p["wo"] = Tensor(rng.standard_normal((3, 3)) * 0.3, requires_grad=True)
+    x = rng.standard_normal((2, 3, 4, 3))
+    out = layer(Tensor(x), adj).data
+
+    grid = x.reshape(2, 3, 2, 2, 3).transpose(0, 4, 1, 2, 3)
+    conv = np.maximum(ad.conv3d(grid, layer.p["conv_kernel"]).data, 0.0)
+    feats = conv.transpose(0, 2, 3, 4, 1).reshape(2, 3, 4, 3)
+    feats = np.maximum(adj.data @ feats @ layer.graph.p["weight"].data, 0.0)
+    for b in range(2):
+        for site in range(4):
+            frames = Tensor(feats[b, :, site])
+            want = layer.time_attn(frames, frames).data
+            np.testing.assert_allclose(out[b, :, site], want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # the full block
 
 
-def _block_setup(seed=0, channels=4, n_steps=2, parts=("a", "b", "c", "d"), vpp=2):
+def _block_setup(seed=0, channels=4, n_steps=2, parts=("a", "b", "c", "d"), vpp=2,
+                 grid=(1, 4)):
     graph = generate_toy_body(ToyBodyConfig(parts=parts, vertices_per_part=vpp,
                                             coarse_per_part=1))
     sched = make_schedule(n_steps)
     rng = np.random.default_rng(seed)
-    block = DiffusionBlock(graph, channels, sched, rng=rng)
+    block = DiffusionBlock(graph, channels, grid, sched, rng=rng)
     ctx = SequenceContext(rows=Tensor(rng.standard_normal((3, channels)) * 0.3,
                                       requires_grad=True))
     return graph, block, ctx
@@ -257,29 +254,29 @@ def _block_setup(seed=0, channels=4, n_steps=2, parts=("a", "b", "c", "d"), vpp=
 def test_block_same_seed_bitwise_identical():
     _, block, ctx = _block_setup()
     rng = np.random.default_rng(20)
-    dims = (1, 2, 4, 1, 4)
-    x = _video(dims, rng)
+    x = _tokens((1, 2, 4, 4), rng)
     out1, loss1 = block(x, ctx, seed=5)
     out2, loss2 = block(x, ctx, seed=5)
-    np.testing.assert_array_equal(out1.data.data, out2.data.data)
+    np.testing.assert_array_equal(out1.data, out2.data)
     assert loss1.item() == loss2.item()
 
 
 def test_block_shape_preserved():
-    _, block, ctx = _block_setup()
+    _, block, ctx = _block_setup(grid=(2, 2))
     rng = np.random.default_rng(21)
-    dims = (2, 3, 4, 2, 2)
-    x = _video(dims, rng)
-    out, _ = block(x, ctx, seed=1)
-    assert out.data.shape == x.data.shape
-    assert out.layout == LAYOUT_FLAT
+    x = _tokens((2, 3, 4, 4), rng)
+    out, eps_loss = block(x, ctx, seed=1)
+    assert out.shape == x.shape
+    assert eps_loss.shape == ()
 
 
 def test_block_rejects_grid_vertex_mismatch():
-    _, block, ctx = _block_setup()
+    graph, block, ctx = _block_setup()
+    with pytest.raises(ShapeError):
+        DiffusionBlock(graph, 4, (1, 3), make_schedule(2))
     rng = np.random.default_rng(22)
     with pytest.raises(ShapeError):
-        block(_video((1, 2, 4, 1, 3), rng), ctx, seed=0)
+        block(_tokens((1, 2, 3, 4), rng), ctx, seed=0)
 
 
 def test_block_alpha_one_equals_deterministic_path():
@@ -288,30 +285,24 @@ def test_block_alpha_one_equals_deterministic_path():
     graph, block, ctx = _block_setup()
     block.schedule = DiffusionSchedule(alpha=np.ones(2), alpha_bar=np.ones(2))
     rng = np.random.default_rng(23)
-    dims = (1, 2, 4, 1, 4)
-    x = _video(dims, rng)
+    x = _tokens((1, 2, 4, 4), rng)
     out, _ = block(x, ctx, seed=3)
 
     # manual replay without any noise arithmetic
     v = x
     for _ in range(2):
-        tokens = block.context_attn(block._to_tokens(v), ctx.rows)
-        v = block._from_tokens(tokens, dims)
-    _, deps = block.stack(v, block.coarse_adj)
-    delta_tokens = block._to_tokens(
-        rearrange(LatentVideo(deps.delta, LAYOUT_SITES, dims), LAYOUT_FLAT))
+        v = block.context_attn(v, ctx.rows)
+    deps = block.stack(v, block.coarse_adj)
     z = v
     for _ in range(2):
-        tokens = block.cond_attn(block._to_tokens(z), delta_tokens)
-        z = block._from_tokens(tokens, dims)
-    np.testing.assert_allclose(out.data.data, z.data.data, atol=1e-12)
+        z = block.cond_attn(z, deps)
+    np.testing.assert_allclose(out.data, z.data, atol=1e-12)
 
 
 def test_block_gradcheck_miniature():
     graph, block, ctx = _block_setup(channels=2)
     rng = np.random.default_rng(24)
-    dims = (1, 2, 2, 1, 4)
-    x0 = rng.standard_normal((2, 2, 1, 4))
+    x0 = rng.standard_normal((1, 2, 4, 2))
 
     wq = block.cond_attn.p["wq"].data
     head = np.zeros_like(block.predictor.p["head"].data)
@@ -319,9 +310,8 @@ def test_block_gradcheck_miniature():
     def run(x, wq_t, head_t):
         block.cond_attn.p["wq"] = wq_t
         block.predictor.p["head"] = head_t
-        video = LatentVideo(x, LAYOUT_FLAT, dims)
-        out, eps_loss = block(video, ctx, seed=11)
-        return ad.add(ad.sum_(out.data), eps_loss)
+        out, eps_loss = block(x, ctx, seed=11)
+        return ad.add(ad.sum_(out), eps_loss)
 
     err = gradcheck(run, [x0, wq, head], max_coords=10)
     assert err < 1e-4
@@ -333,13 +323,12 @@ def test_block_trains_on_sinusoid_latents():
     from meshmotion.model import Adam
 
     graph, block, ctx = _block_setup(channels=4, n_steps=4)
-    dims = (2, 4, 4, 1, 4)
-    b, t, c, h, w = dims
-    phases = np.arange(b * t)[:, None, None, None]
-    grid = np.arange(w)[None, None, None, :]
-    chan = np.arange(c)[None, :, None, None]
-    x0 = np.sin(0.7 * phases + 0.9 * grid + 0.5 * chan)
-    video = LatentVideo(Tensor(x0), LAYOUT_FLAT, dims)
+    b, t, s, c = 2, 4, 4, 4
+    phases = np.arange(b * t).reshape(b, t, 1, 1)
+    sites = np.arange(s)[None, None, :, None]
+    chan = np.arange(c)[None, None, None, :]
+    x0 = np.sin(0.7 * phases + 0.9 * sites + 0.5 * chan)
+    tokens = Tensor(x0)
 
     slots = {}
     for i, layer in enumerate(block.layers()):
@@ -354,20 +343,21 @@ def test_block_trains_on_sinusoid_latents():
     target = Tensor(x0)
     for step in range(200):
         with Tape() as tape:
-            out, eps_loss = block(video, ctx_current(), seed=100 + step)
-            diff = ad.sub(out.data, target)
+            out, eps_loss = block(tokens, ctx_current(), seed=100 + step)
+            diff = ad.sub(out, target)
             loss = ad.add(ad.mean(ad.mul(diff, diff)), ad.mul(eps_loss, 0.1))
         tape.backward(loss)
         opt.step()
 
-    out, _ = block(video, ctx_current(), seed=999)
-    final_mse = float(((out.data.data - x0) ** 2).mean())
+    out, _ = block(tokens, ctx_current(), seed=999)
+    final_mse = float(((out.data - x0) ** 2).mean())
 
     # raw noised input at the last step (no denoising at all)
+    # (noise drawn in the block's (B, T, C, S) order)
     rng = np.random.default_rng(999)
     noised = x0.copy()
     for tt in range(1, block.schedule.n_steps + 1):
-        noised = forward_noise_step(noised, tt, block.schedule,
-                                    rng.standard_normal(noised.shape)).data
+        eps = np.swapaxes(rng.standard_normal((b, t, c, s)), 2, 3)
+        noised = forward_noise_step(noised, tt, block.schedule, eps).data
     noised_mse = float(((noised - x0) ** 2).mean())
     assert final_mse < 0.25 * noised_mse

@@ -6,12 +6,11 @@ import pytest
 from meshmotion import autodiff as ad
 from meshmotion.autodiff import ShapeError, Tensor, gradcheck
 from meshmotion.body_graph import generate_toy_body
+from meshmotion.model import MM_SCALE, ModelConfig, build_model
 from meshmotion.part_loss import (
     PartLabelMap,
     PartMapError,
     hh_loss,
-    hierarchical_loss,
-    log_softmax_stable,
     part_kl,
     part_map_from_ranges,
     part_weights_from_variance,
@@ -25,33 +24,33 @@ def default_map():
 
 
 def test_log_softmax_symmetric_pair():
-    out = log_softmax_stable(np.array([0.0, 0.0]), axis=0)
+    out = ad.log_softmax(np.array([0.0, 0.0]), axis=0)
     np.testing.assert_allclose(out.data, [-math.log(2)] * 2, atol=1e-15)
 
 
 def test_log_softmax_huge_values_finite():
-    out = log_softmax_stable(np.array([1e6, 1e6]), axis=0)
+    out = ad.log_softmax(np.array([1e6, 1e6]), axis=0)
     np.testing.assert_allclose(out.data, [-math.log(2)] * 2, atol=1e-12)
 
 
 def test_log_softmax_closed_form():
-    out = log_softmax_stable(np.array([0.0, math.log(3.0)]), axis=0)
+    out = ad.log_softmax(np.array([0.0, math.log(3.0)]), axis=0)
     np.testing.assert_allclose(out.data, [math.log(0.25), math.log(0.75)], atol=1e-12)
 
 
 def test_log_softmax_exp_sums_to_one():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 7)) * 50
-    out = log_softmax_stable(x, axis=1)
+    out = ad.log_softmax(x, axis=1)
     np.testing.assert_allclose(np.exp(out.data).sum(axis=1), np.ones(4), atol=1e-12)
 
 
 def test_log_softmax_shift_invariance():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 5))
-    base = log_softmax_stable(x, axis=1).data
+    base = ad.log_softmax(x, axis=1).data
     for c in (-1e3, -2.5, 0.1, 7.0, 1e4):
-        shifted = log_softmax_stable(x + c, axis=1).data
+        shifted = ad.log_softmax(x + c, axis=1).data
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
@@ -165,12 +164,6 @@ def test_part_weights_sum_to_m():
         assert abs(lam.sum() - pm.m) < 1e-9
 
 
-def test_gate_covers_every_part_exactly_once():
-    pm = default_map()
-    for p in range(pm.m):
-        assert pm.gate_count(p) == 1
-
-
 def test_hh_loss_zero_at_identity():
     rng = np.random.default_rng(7)
     pm = default_map()
@@ -212,19 +205,28 @@ def test_hh_loss_gradient():
 
 
 def test_hierarchical_loss_sums_levels():
+    # Model.loss with only the part term switched on: one hh_loss per level,
+    # coarse then fine, each weighted by its own feature variance (two coarse
+    # vertices per part, so the coarse term is not trivially zero)
+    model = build_model(ModelConfig(vertices_per_part=4, coarse_per_part=2, height=4,
+                                    width=4, channels=4, diffusion_on=False,
+                                    vertex_loss_weight=0.0, part_loss_weight=1.0))
+    graph = model.graph
     rng = np.random.default_rng(11)
-    graph = generate_toy_body()
-    fine = part_map_from_ranges(graph.part_ranges())
-    coarse = part_map_from_ranges(graph.coarse_part_ranges())
-    pf = rng.standard_normal((graph.n_vertices, 3))
-    tf = rng.standard_normal((graph.n_vertices, 3))
-    pc = graph.down_matrix.data @ pf
-    tc = graph.down_matrix.data @ tf
-    total = hierarchical_loss([
-        (pc, tc, coarse, pc),
-        (pf, tf, fine, pf),
-    ]).item()
-    want = hh_loss(pc, tc, coarse, pc).item() + hh_loss(pf, tf, fine, pf).item()
+    out = {
+        "pred_scaled": Tensor(rng.standard_normal((2, graph.n_vertices, 3))),
+        "coarse_feats": Tensor(rng.standard_normal((2, graph.n_coarse, 4))),
+        "fine_feats": Tensor(rng.standard_normal((2, graph.n_vertices, 4))),
+        "eps_loss": None,
+    }
+    gt = rng.standard_normal((1, 2, graph.n_vertices, 3)) * 100.0
+    total = model.loss(out, gt).item()
+
+    gt_fine = gt.reshape(2, graph.n_vertices, 3) * MM_SCALE
+    gt_coarse = graph.down_matrix.data @ gt_fine
+    pc, pf = out["coarse_feats"], out["pred_scaled"]
+    want = (hh_loss(pc, gt_coarse, model.coarse_map, pc.data).item()
+            + hh_loss(pf, gt_fine, model.fine_map, out["fine_feats"].data).item())
     assert abs(total - want) < 1e-12
 
 
