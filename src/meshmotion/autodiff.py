@@ -2,8 +2,12 @@
 
 Every differentiable operation records itself on the active :class:`Tape`;
 ``Tape.backward`` replays the records in exact reverse execution order and
-accumulates gradients additively. Any op that produces a non-finite value
-raises :class:`NumericsError` immediately instead of letting NaN/Inf spread.
+accumulates gradients additively. ``softmax``, ``log_softmax``,
+``layer_norm`` and ``conv3d`` are one record each with an analytic backward;
+``attention`` is a scores record, a ``softmax`` and a ``matmul``. Any op that
+produces a non-finite value raises :class:`NumericsError` immediately instead
+of letting NaN/Inf spread; callers that want that error as the only signal run
+a whole step under ``np.errstate`` (see ``model.train``).
 """
 
 from __future__ import annotations
@@ -233,6 +237,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
+
+
+def _broadcast_shape(*shapes) -> tuple[int, ...] | None:
+    """The numpy broadcast of ``shapes``, or None where they do not broadcast."""
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        return None
 
 
 def _check_axis(axis: int, ndim: int) -> int:
@@ -483,41 +495,101 @@ def matmul(a, b) -> Tensor:
 
 
 def softmax(a, axis: int) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max-subtraction)."""
+    """Numerically stable softmax along ``axis`` (max-subtraction); one record."""
     a = as_tensor(a)
     axis = _check_axis(axis, a.ndim)
-    shift = constant(a.data.max(axis=axis, keepdims=True))
-    e = exp(sub(a, shift))
-    return div(e, sum_(e, axis=axis, keepdims=True))
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
+
+    return _result("softmax", (a,), out, backward)
 
 
 def log_softmax(a, axis: int) -> Tensor:
-    """log(softmax(a)) computed as (a - c) - log(sum(exp(a - c))), c = max."""
+    """log(softmax(a)) computed as (a - c) - log(sum(exp(a - c))), c = max; one record."""
     a = as_tensor(a)
     axis = _check_axis(axis, a.ndim)
-    shift = constant(a.data.max(axis=axis, keepdims=True))
-    z = sub(a, shift)
-    return sub(z, log(sum_(exp(z), axis=axis, keepdims=True)))
+    z = a.data - a.data.max(axis=axis, keepdims=True)
+    out = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+
+    def backward(g):
+        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+
+    return _result("log_softmax", (a,), out, backward)
 
 
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    a = as_tensor(a)
+    """Normalize the last axis to zero mean / unit variance, then affine; one record.
+
+    ``gamma`` and ``beta`` must broadcast against ``a`` without growing it.
+    """
+    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
+    if a.ndim < 1 or _broadcast_shape(a.shape, gamma.shape, beta.shape) != a.shape:
+        raise ShapeError(f"layer_norm: gamma {gamma.shape} / beta {beta.shape} "
+                         f"do not broadcast onto input {a.shape}")
     ax = a.ndim - 1
-    m = mean(a, axis=ax, keepdims=True)
-    d = sub(a, m)
-    v = mean(mul(d, d), axis=ax, keepdims=True)
-    normed = div(d, sqrt(add(v, eps)))
-    return add(mul(normed, gamma), beta)
+    d = a.data - a.data.mean(axis=ax, keepdims=True)
+    std = np.sqrt((d * d).mean(axis=ax, keepdims=True) + eps)
+    if not np.all(np.isfinite(std)):
+        # d * d overflowed: the output would be beta alone, silently
+        raise NumericsError("op 'layer_norm' produced a non-finite standard deviation")
+    normed = d / std
+    out = normed * gamma.data + beta.data
+
+    def backward(g):
+        gn = g * gamma.data
+        ga = (gn - gn.mean(axis=ax, keepdims=True)
+              - normed * (gn * normed).mean(axis=ax, keepdims=True)) / std
+        return ga, _unbroadcast(g * normed, gamma.shape), _unbroadcast(g, beta.shape)
+
+    return _result("layer_norm", (a, gamma, beta), out, backward)
+
+
+def _split_heads(t: Tensor, heads: int) -> Tensor:
+    """(..., L, d) -> (..., heads, L, d // heads) by reshape and transpose;
+    head h holds features [h·d_h, (h+1)·d_h)."""
+    *lead, n, d = t.shape
+    split = reshape(t, (*lead, n, heads, d // heads))
+    r = split.ndim
+    return transpose(split, (*range(r - 3), r - 2, r - 3, r - 1))
+
+
+def _merge_heads(t: Tensor) -> Tensor:
+    """(..., heads, L, d_h) -> (..., L, heads·d_h); inverse of :func:`_split_heads`."""
+    r = t.ndim
+    t = transpose(t, (*range(r - 3), r - 2, r - 3, r - 1))
+    return reshape(t, (*t.shape[:-2], t.shape[-2] * t.shape[-1]))
+
+
+def _scaled_scores(q: Tensor, k: Tensor, scale: float) -> Tensor:
+    """scale · Q K^T over the last two axes as one record; leading axes broadcast."""
+    out = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+
+    def backward(g):
+        gs = g * scale
+        gq = np.matmul(gs, k.data)
+        gk = np.matmul(np.swapaxes(gs, -1, -2), q.data)
+        return _unbroadcast(gq, q.shape), _unbroadcast(gk, k.shape)
+
+    return _result("attention_scores", (q, k), out, backward)
 
 
 def attention(query, key, value, heads: int = 1) -> Tensor:
-    """Scaled dot-product attention softmax(QK^T/sqrt(d))V.
+    """Scaled dot-product attention softmax(QK^T/sqrt(d_h))V in three records.
 
     Operates on the last two axes (sequence, features); leading axes
-    broadcast, so key/value may be shared across a batched query. With
-    ``heads`` > 1 the feature axes split into independent slices whose
-    outputs concatenate.
+    broadcast, so key/value may be shared across a batched query. The tape
+    gets the scores S = QK^T/sqrt(d_h) as one record (backward
+    gQ = gS K / sqrt(d_h), gK = gS^T Q / sqrt(d_h)), then one
+    :func:`softmax` record for the weights W, then one :func:`matmul` record
+    for W V; each gradient is summed over the leading axes its operand was
+    broadcast along, so a shared (L, C) key/value table gets its gradient.
+    With ``heads`` > 1, reshape and transpose records split the feature axes
+    to (..., heads, L, d_h) before the scores and merge them after W V: head
+    h attends with features [h·d_h, (h+1)·d_h) and the head outputs sit side
+    by side in the result.
     """
     q, k, v = as_tensor(query), as_tensor(key), as_tensor(value)
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
@@ -528,60 +600,69 @@ def attention(query, key, value, heads: int = 1) -> Tensor:
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key/value lengths disagree: {k.shape[-2]} vs {v.shape[-2]}")
     dv = v.shape[-1]
-    if d % heads or dv % heads:
+    if heads < 1 or d % heads or dv % heads:
         raise ShapeError(f"head count {heads} must divide feature widths {d} and {dv}")
+    if _broadcast_shape(q.shape[:-2], k.shape[:-2], v.shape[:-2]) is None:
+        raise ShapeError(f"attention leading axes do not broadcast: "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    if heads > 1:
+        q, k, v = (_split_heads(t, heads) for t in (q, k, v))
+    scores = _scaled_scores(q, k, 1.0 / math.sqrt(d // heads))
+    out = matmul(softmax(scores, axis=scores.ndim - 1), v)
+    return _merge_heads(out) if heads > 1 else out
 
-    def one_head(qh, kh, vh):
-        dh = qh.shape[-1]
-        kt = transpose(kh, (*range(kh.ndim - 2), kh.ndim - 1, kh.ndim - 2))
-        scores = mul(matmul(qh, kt), 1.0 / math.sqrt(dh))
-        w = softmax(scores, axis=scores.ndim - 1)
-        return matmul(w, vh)
 
-    if heads == 1:
-        return one_head(q, k, v)
-    hd, hdv = d // heads, dv // heads
-    outs = []
-    for h in range(heads):
-        qh = take_slice(q, q.ndim - 1, h * hd, (h + 1) * hd)
-        kh = take_slice(k, k.ndim - 1, h * hd, (h + 1) * hd)
-        vh = take_slice(v, v.ndim - 1, h * hdv, (h + 1) * hdv)
-        outs.append(one_head(qh, kh, vh))
-    return concat(outs, axis=outs[0].ndim - 1)
+def _patches(x: np.ndarray, kt: int, kh: int, kw: int) -> np.ndarray:
+    """Patch matrix (im2col) of a channels-last grid under 'same' zero padding.
+
+    ``x`` is (B, T, H, W, C); row (b, t, h, w) of the (B·T·H·W, kT·kH·kW·C)
+    result holds the padded window starting at (t, h, w), in (kT, kH, kW, C)
+    order, so each row's innermost kW·C values are one contiguous run of the
+    padded grid.
+    """
+    b, t, h, w, c = x.shape
+    pt, ph, pw = kt // 2, kh // 2, kw // 2
+    xp = np.zeros((b, t + 2 * pt, h + 2 * ph, w + 2 * pw, c))
+    xp[:, pt:pt + t, ph:ph + h, pw:pw + w] = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(1, 2, 3))
+    # win: (B, T, H, W, C, kT, kH, kW)
+    return win.transpose(0, 1, 2, 3, 5, 6, 7, 4).reshape(b * t * h * w, kt * kh * kw * c)
 
 
 def conv3d(x, kernel) -> Tensor:
-    """3D convolution over (T, H, W) with 'same' zero padding, stride 1.
+    """3D convolution over (T, H, W) with 'same' zero padding, stride 1; one record.
 
     ``x`` is (B, C_in, T, H, W); ``kernel`` is (C_out, C_in, kT, kH, kW) with
-    odd kernel extents.
+    odd kernel extents. Inside the op the grid is channels-last: the forward
+    is one GEMM of the input's patch matrix (im2col, see :func:`_patches`)
+    against the kernel. The backward rebuilds that patch matrix, rather than
+    holding it for the life of the tape, for the kernel gradient
+    g2^T @ patches (g2: the output gradient as (B·T·H·W, C_out)). The input
+    gradient is the same-padded correlation of g with the flipped kernel,
+    C_in and C_out swapped, through the same patch helper.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 5 or kernel.ndim != 5:
         raise ShapeError(f"conv3d expects 5-D input/kernel, got {x.shape}, {kernel.shape}")
     if x.shape[1] != kernel.shape[1]:
         raise ShapeError(f"channel mismatch: input {x.shape[1]} vs kernel {kernel.shape[1]}")
-    kt, kh, kw = kernel.shape[2:]
+    c_out, c_in, kt, kh, kw = kernel.shape
     if kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv3d kernel extents must be odd, got {(kt, kh, kw)}")
-    pt, ph, pw = kt // 2, kh // 2, kw // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(2, 3, 4))
-    # win: (B, C_in, T, H, W, kT, kH, kW)
-    out = np.einsum("bcthwijk,ocijk->bothw", win, kernel.data, optimize=True)
     B, _, T, H, W = x.shape
+    x_last = np.transpose(x.data, (0, 2, 3, 4, 1))                 # (B, T, H, W, C_in)
+    k_last = np.transpose(kernel.data, (0, 2, 3, 4, 1)).reshape(c_out, -1)
+    out = np.matmul(_patches(x_last, kt, kh, kw), k_last.T)        # (B·T·H·W, C_out)
+    out = np.transpose(out.reshape(B, T, H, W, c_out), (0, 4, 1, 2, 3))
 
     def backward(g):
-        gk = np.einsum("bcthwijk,bothw->ocijk", win, g, optimize=True)
-        gxp = np.zeros_like(xp)
-        for i in range(kt):
-            for j in range(kh):
-                for k in range(kw):
-                    gxp[:, :, i:i + T, j:j + H, k:k + W] += np.einsum(
-                        "bothw,oc->bcthw", g, kernel.data[:, :, i, j, k], optimize=True
-                    )
-        gx = gxp[:, :, pt:pt + T, ph:ph + H, pw:pw + W]
-        return gx, gk
+        g_last = np.transpose(g, (0, 2, 3, 4, 1))                  # (B, T, H, W, C_out)
+        gk = np.matmul(g_last.reshape(-1, c_out).T, _patches(x_last, kt, kh, kw))
+        gk = np.transpose(gk.reshape(c_out, kt, kh, kw, c_in), (0, 4, 1, 2, 3))
+        flipped = kernel.data[:, :, ::-1, ::-1, ::-1]
+        k_back = np.transpose(flipped, (1, 2, 3, 4, 0)).reshape(c_in, -1)
+        gx = np.matmul(_patches(g_last, kt, kh, kw), k_back.T)     # (B·T·H·W, C_in)
+        return np.transpose(gx.reshape(B, T, H, W, c_in), (0, 4, 1, 2, 3)), gk
 
     return _result("conv3d", (x, kernel), out, backward)
 

@@ -39,6 +39,12 @@ _CKPT_VERSION = 1
 
 MM_SCALE = 1e-3  # mm -> model units
 
+# numpy floating-point errors stay silent over a whole training step or
+# prediction: the NumericsError that autodiff raises on a non-finite result or
+# gradient is the one signal, so a caller who turns warnings into errors still
+# gets the typed error (and TrainingDivergence out of train)
+_FP_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
 
 class ConfigError(ValueError):
     """Inconsistent model configuration."""
@@ -277,7 +283,8 @@ class Model:
 
     def predict(self, seq: MotionSequence, seed: int = 0) -> np.ndarray:
         """(T, n, 3) mm prediction for one sequence; no tape, no mutation."""
-        out = self.forward(seq.observations[None], seq.occlusion_mask[None], seed=seed)
+        with np.errstate(**_FP_QUIET):
+            out = self.forward(seq.observations[None], seq.occlusion_mask[None], seed=seed)
         return out["pred_mm"].data[0]
 
 
@@ -346,14 +353,15 @@ def train(config: ModelConfig, dataset: list[MotionSequence]) -> tuple[Model, li
         # fixed realization (so zero lr gives a flat curve), minibatches vary
         noise_seed = config.seed * 1_000_003 + int(zlib.crc32(idx.astype("<i8").tobytes()))
         try:
-            with Tape() as tape:
-                out = model.forward(obs, mask, seed=noise_seed)
-                loss = model.loss(out, gt)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingDivergence(step)
-            tape.backward(loss)
-            opt.step()
+            with np.errstate(**_FP_QUIET):
+                with Tape() as tape:
+                    out = model.forward(obs, mask, seed=noise_seed)
+                    loss = model.loss(out, gt)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise TrainingDivergence(step)
+                tape.backward(loss)
+                opt.step()
         except ad.NumericsError as exc:
             raise TrainingDivergence(step, str(exc)) from exc
         losses.append(value)

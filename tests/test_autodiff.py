@@ -264,6 +264,231 @@ def test_conv3d_rejects_even_kernel():
         conv3d(np.zeros((1, 1, 4, 4, 4)), np.zeros((1, 1, 2, 3, 3)))
 
 
+# ---------------------------------------------------------------------------
+# fused kernels: gradchecks, and value/gradient agreement with the same
+# functions composed from primitive ops
+
+
+def _softmax_composite(a, axis):
+    e = ad.exp(ad.sub(a, ad.constant(a.data.max(axis=axis, keepdims=True))))
+    return ad.div(e, ad.sum_(e, axis=axis, keepdims=True))
+
+
+def _log_softmax_composite(a, axis):
+    z = ad.sub(a, ad.constant(a.data.max(axis=axis, keepdims=True)))
+    return ad.sub(z, ad.log(ad.sum_(ad.exp(z), axis=axis, keepdims=True)))
+
+
+def _layer_norm_composite(a, gamma, beta, eps=1e-5):
+    ax = a.ndim - 1
+    d = ad.sub(a, ad.mean(a, axis=ax, keepdims=True))
+    v = ad.mean(ad.mul(d, d), axis=ax, keepdims=True)
+    return ad.add(ad.mul(ad.div(d, ad.sqrt(ad.add(v, eps))), gamma), beta)
+
+
+def _attention_composite(q, k, v, heads):
+    dh, dvh = q.shape[-1] // heads, v.shape[-1] // heads
+    outs = []
+    for h in range(heads):
+        qh = take_slice(q, q.ndim - 1, h * dh, (h + 1) * dh)
+        kh = take_slice(k, k.ndim - 1, h * dh, (h + 1) * dh)
+        vh = take_slice(v, v.ndim - 1, h * dvh, (h + 1) * dvh)
+        kt = ad.transpose(kh, (*range(kh.ndim - 2), kh.ndim - 1, kh.ndim - 2))
+        scores = ad.mul(ad.matmul(qh, kt), 1.0 / math.sqrt(dh))
+        outs.append(ad.matmul(_softmax_composite(scores, scores.ndim - 1), vh))
+    return concat(outs, axis=outs[0].ndim - 1)
+
+
+def _conv3d_composite(x, kernel):
+    # one constant 0/1 shift matrix per kernel tap moves every input cell to
+    # the output cell it feeds (zero padding = no entry), then the tap's
+    # (C_out, C_in) slice mixes channels
+    b, c, t, h, w = x.shape
+    o, _, kt, kh, kw = kernel.shape
+    n = t * h * w
+    flat = ad.reshape(x, (b, c, n))
+    taps = ad.reshape(kernel, (o, c, kt * kh * kw))
+    cells = list(np.ndindex(t, h, w))
+    out = None
+    for tap, (i, j, l) in enumerate(np.ndindex(kt, kh, kw)):
+        shift = np.zeros((n, n))
+        for dst, (tt, hh, ww) in enumerate(cells):
+            src = (tt + i - kt // 2, hh + j - kh // 2, ww + l - kw // 2)
+            if 0 <= src[0] < t and 0 <= src[1] < h and 0 <= src[2] < w:
+                shift[np.ravel_multi_index(src, (t, h, w)), dst] = 1.0
+        k_tap = ad.reshape(take_slice(taps, 2, tap, tap + 1), (o, c))
+        term = ad.matmul(k_tap, ad.matmul(flat, ad.constant(shift)))
+        out = term if out is None else ad.add(out, term)
+    return ad.reshape(out, (b, o, t, h, w))
+
+
+def _value_and_grads(op, arrays, upstream):
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*tensors)
+    tape.backward(out, seed=upstream)
+    return out.data, [t.grad for t in tensors]
+
+
+def _assert_matches_composite(fused, composite, arrays, seed):
+    # rtol 1e-12, with an absolute floor of 1e-12 of each array's largest
+    # entry for elements that cancel to about zero
+    upstream = np.random.default_rng(seed).standard_normal(fused(*arrays).shape)
+    got = _value_and_grads(fused, arrays, upstream)
+    ref = _value_and_grads(composite, arrays, upstream)
+    for g, r in zip([got[0], *got[1]], [ref[0], *ref[1]]):
+        np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.abs(r).max())
+
+
+ATTENTION_CASES = [
+    # (query, key, value, heads)
+    ((2, 3, 4), (2, 5, 4), (2, 5, 6), 1),
+    ((2, 3, 4), (2, 5, 4), (2, 5, 6), 2),
+    ((2, 3, 4, 4), (5, 4), (5, 4), 1),    # one (L, C) table shared by a 4-D query
+    ((2, 3, 4, 4), (5, 4), (5, 4), 2),
+]
+
+
+@pytest.mark.parametrize("q_shape,k_shape,v_shape,heads", ATTENTION_CASES)
+def test_attention_gradcheck(q_shape, k_shape, v_shape, heads):
+    rng = np.random.default_rng(21)
+    args = [rng.standard_normal(s) for s in (q_shape, k_shape, v_shape)]
+    assert gradcheck(lambda q, k, v: attention(q, k, v, heads=heads), args) < 1e-5
+
+
+@pytest.mark.parametrize("q_shape,k_shape,v_shape,heads", ATTENTION_CASES)
+def test_attention_matches_composite(q_shape, k_shape, v_shape, heads):
+    rng = np.random.default_rng(22)
+    args = [rng.standard_normal(s) for s in (q_shape, k_shape, v_shape)]
+    _assert_matches_composite(lambda q, k, v: attention(q, k, v, heads=heads),
+                              lambda q, k, v: _attention_composite(q, k, v, heads), args, 1)
+
+
+def test_attention_rejects_leading_axes_that_do_not_broadcast():
+    with pytest.raises(ShapeError):
+        attention(np.zeros((2, 3, 4)), np.zeros((3, 5, 4)), np.zeros((3, 5, 4)))
+
+
+@pytest.mark.parametrize("fn", [softmax, log_softmax])
+def test_softmax_non_last_axis_gradcheck(fn):
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((3, 4, 5))
+    w = rng.standard_normal((3, 4, 5))
+    assert gradcheck(lambda a: ad.mul(fn(a, axis=1), w), [x]) < 1e-5
+
+
+@pytest.mark.parametrize("fused,composite", [(softmax, _softmax_composite),
+                                             (log_softmax, _log_softmax_composite)])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_softmax_matches_composite(fused, composite, axis):
+    x = np.random.default_rng(24).standard_normal((3, 4, 5)) * 4
+    _assert_matches_composite(lambda a: fused(a, axis), lambda a: composite(a, axis), [x], 2)
+
+
+def test_layer_norm_4d_tokens_gradcheck():
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((2, 3, 4, 5)) * 2 + 1
+    gamma = rng.standard_normal(5)
+    beta = rng.standard_normal(5)
+    w = rng.standard_normal((2, 3, 4, 5))
+
+    def op(a, g, b):
+        return ad.mul(layer_norm(a, g, b), w)
+
+    assert gradcheck(op, [x, gamma, beta]) < 1e-5
+    # the gamma/beta gradients in closed form: sum over tokens of w * xhat and w
+    xhat = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    g_t, b_t = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+    with Tape() as tape:
+        out = op(ad.constant(x), g_t, b_t)
+    tape.backward(out)
+    np.testing.assert_allclose(g_t.grad, (w * xhat).sum(axis=(0, 1, 2)), rtol=1e-12)
+    np.testing.assert_allclose(b_t.grad, w.sum(axis=(0, 1, 2)), rtol=1e-12)
+
+
+def test_layer_norm_matches_composite():
+    rng = np.random.default_rng(26)
+    args = [rng.standard_normal((2, 3, 4, 5)) * 3, rng.standard_normal(5), rng.standard_normal(5)]
+    _assert_matches_composite(layer_norm, _layer_norm_composite, args, 3)
+
+
+def test_layer_norm_rejects_affine_that_grows_the_input():
+    with pytest.raises(ShapeError):
+        layer_norm(np.zeros((3, 4)), np.ones((2, 3, 4)), np.zeros(4))
+
+
+CONV_CASE = ((2, 2, 3, 4, 5), (3, 2, 3, 3, 3))   # B=2, C_in=2 -> C_out=3, grid 3x4x5
+
+
+def test_conv3d_cubic_kernel_gradcheck():
+    rng = np.random.default_rng(27)
+    x, k = (rng.standard_normal(s) for s in CONV_CASE)
+    assert gradcheck(conv3d, [x, k]) < 1e-5
+
+
+def test_conv3d_matches_composite():
+    rng = np.random.default_rng(28)
+    x, k = (rng.standard_normal(s) for s in CONV_CASE)
+    _assert_matches_composite(conv3d, _conv3d_composite, [x, k], 4)
+
+
+def test_conv3d_composite_oracle_matches_tap_loop():
+    # the shift-matrix oracle itself against a direct tap loop on a small case
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal((1, 2, 2, 3, 2))
+    k = rng.standard_normal((2, 2, 3, 1, 3))
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (0, 0), (1, 1)))
+    expected = np.zeros((1, 2, 2, 3, 2))
+    for i, j, l in np.ndindex(3, 1, 3):
+        expected += np.einsum("oc,bcthw->bothw", k[:, :, i, j, l],
+                              xp[:, :, i:i + 2, j:j + 3, l:l + 2])
+    got = _conv3d_composite(ad.constant(x), ad.constant(k)).data
+    np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("name,op,shapes", [
+    ("conv3d", conv3d, CONV_CASE),
+    ("softmax", lambda a: softmax(a, axis=1), ((3, 4, 5),)),
+    ("log_softmax", lambda a: log_softmax(a, axis=1), ((3, 4, 5),)),
+    ("layer_norm", layer_norm, ((2, 3, 4, 5), (5,), (5,))),
+])
+def test_fused_kernel_records_once(name, op, shapes):
+    rng = np.random.default_rng(30)
+    tensors = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    with Tape() as tape:
+        op(*tensors)
+    assert [r.name for r in tape.records] == [name]
+
+
+
+@pytest.mark.parametrize("heads,names", [
+    (1, ["attention_scores", "softmax", "matmul"]),
+    (2, ["reshape", "transpose"] * 3 + ["attention_scores", "softmax", "matmul",
+                                        "transpose", "reshape"]),
+])
+def test_attention_records_scores_softmax_matmul(heads, names):
+    rng = np.random.default_rng(31)
+    q, k, v = (Tensor(rng.standard_normal(s), requires_grad=True)
+               for s in ((2, 3, 4, 4), (5, 4), (5, 4)))
+    with Tape() as tape:
+        attention(q, k, v, heads=heads)
+    assert [r.name for r in tape.records] == names
+
+
+def test_layer_norm_raises_when_the_variance_overflows():
+    # (x - mean)^2 overflows; the output would otherwise be beta alone
+    x = np.random.default_rng(32).standard_normal((3, 4)) * 1e160
+    with np.errstate(over="ignore"), pytest.raises(NumericsError):
+        layer_norm(x, np.ones(4), np.zeros(4))
+
+
+def test_attention_raises_when_a_score_overflows():
+    # one score overflows to -inf next to a finite one; softmax would give it weight 0
+    q = np.array([[1e160, 0.0]])
+    k = np.array([[-1e160, 0.0], [1.0, 0.0]])
+    with np.errstate(over="ignore"), pytest.raises(NumericsError):
+        attention(q, k, np.ones((2, 2)))
+
 def test_reshape_roundtrip_identity():
     rng = np.random.default_rng(16)
     x = rng.standard_normal((3, 4, 5))

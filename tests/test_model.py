@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -145,8 +146,11 @@ def test_train_reduces_loss_and_beats_mean_pose():
 def test_train_divergence_reports_step():
     cfg = tiny_config(learning_rate=1e150, train_steps=10)
     _, seqs = make_dataset(cfg, 4)
-    with pytest.raises(TrainingDivergence) as exc:
-        train(cfg, seqs)
+    # numpy's overflow warning must not pre-empt the typed error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrainingDivergence) as exc:
+            train(cfg, seqs)
     assert exc.value.step >= 0
 
 
