@@ -41,9 +41,7 @@ __all__ = [
     "transpose",
     "sum_",
     "mean",
-    "variance",
     "take_slice",
-    "concat",
     "softmax",
     "log_softmax",
     "layer_norm",
@@ -99,9 +97,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
@@ -406,25 +401,6 @@ def take_slice(a, axis: int, start: int, stop: int) -> Tensor:
     return _result("slice", (a,), a.data[idx], backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    tensors = tuple(as_tensor(t) for t in tensors)
-    if not tensors:
-        raise ShapeError("concat of zero tensors")
-    axis = _check_axis(axis, tensors[0].ndim)
-    sizes = [t.shape[axis] for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        return tuple(
-            g[tuple(slice(None) if i != axis else slice(offsets[j], offsets[j + 1])
-                    for i in range(g.ndim))]
-            for j in range(len(tensors))
-        )
-
-    return _result("concat", tensors, out, backward)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -462,15 +438,6 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g / count, a.shape).copy(),)
 
     return _result("mean", (a,), out, backward)
-
-
-def variance(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Population variance, built from differentiable primitives."""
-    a = as_tensor(a)
-    m = mean(a, axis=axis, keepdims=True)
-    d = sub(a, m)
-    v = mean(mul(d, d), axis=axis, keepdims=keepdims)
-    return v
 
 
 # ---------------------------------------------------------------------------

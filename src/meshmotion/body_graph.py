@@ -7,7 +7,7 @@ per-part vertex ranges, standing in for a licensed full-resolution body model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +25,6 @@ DEFAULT_PARTS = (
     "feet",
 )
 
-_GRAPH_JSON_VERSION = 1
-
-
 class GraphError(ValueError):
     """Invalid graph construction input."""
 
@@ -37,7 +34,6 @@ class ToyBodyConfig:
     parts: tuple[str, ...] = DEFAULT_PARTS
     vertices_per_part: int = 12
     coarse_per_part: int = 3
-    normalization: str = "sym"  # "sym" -> D^-1/2 (A+I) D^-1/2, "row" -> D^-1 (A+I)
 
     @property
     def n_vertices(self) -> int:
@@ -102,7 +98,7 @@ class BodyGraph:
         """Normalized adjacency over coarse vertices, projected from fine edges.
 
         Coarse vertices i, j connect when any fine edge links their pooled
-        groups; normalization matches the fine graph's convention.
+        groups.
         """
         down = self.down_matrix.data
         owner = np.full(self.n_vertices, -1, dtype=np.int64)
@@ -113,16 +109,11 @@ class BodyGraph:
             ci, cj = owner[i], owner[j]
             if ci != cj:
                 coarse_edges.add((min(ci, cj), max(ci, cj)))
-        mode = "sym" if _is_symmetric(self.adjacency_norm.data) else "row"
-        return build_adjacency(sorted(coarse_edges), down.shape[0], mode=mode)
+        return build_adjacency(sorted(coarse_edges), down.shape[0])
 
 
-def _is_symmetric(a: np.ndarray) -> bool:
-    return np.allclose(a, a.T, atol=1e-12)
-
-
-def build_adjacency(edges, n_vertices: int, mode: str = "sym") -> Tensor:
-    """Normalized adjacency D^-1/2 (A+I) D^-1/2 (or D^-1 (A+I) for mode="row").
+def build_adjacency(edges, n_vertices: int) -> Tensor:
+    """Symmetrically normalized adjacency D^-1/2 (A+I) D^-1/2.
 
     ``edges`` are undirected vertex index pairs; self-loops are added
     internally and must not appear in the input.
@@ -144,15 +135,8 @@ def build_adjacency(edges, n_vertices: int, mode: str = "sym") -> Tensor:
         a[i, j] = 1.0
         a[j, i] = 1.0
     a += np.eye(n_vertices)
-    deg = a.sum(axis=1)
-    if mode == "sym":
-        d = 1.0 / np.sqrt(deg)
-        norm = d[:, None] * a * d[None, :]
-    elif mode == "row":
-        norm = a / deg[:, None]
-    else:
-        raise GraphError(f"unknown normalization mode {mode!r}")
-    return Tensor(norm)
+    d = 1.0 / np.sqrt(a.sum(axis=1))
+    return Tensor(d[:, None] * a * d[None, :])
 
 
 _ACTIVATIONS = {
@@ -178,7 +162,6 @@ class GraphConvLayer:
             rng = np.random.default_rng(0)
         scale = 1.0 / np.sqrt(c_in)
         self.c_in = c_in
-        self.c_out = c_out
         self.activation = activation
         self.p = {"weight": Tensor(rng.standard_normal((c_in, c_out)) * scale,
                                    requires_grad=True)}
@@ -256,7 +239,7 @@ def generate_toy_body(config: ToyBodyConfig | None = None) -> BodyGraph:
         ]
     edges += [(a, b) for a, b in attach if a != b]
 
-    adjacency = build_adjacency(edges, n, mode=config.normalization)
+    adjacency = build_adjacency(edges, n)
 
     # coarse pooling: consecutive uniform groups inside each part
     groups: list[np.ndarray] = []
@@ -276,54 +259,4 @@ def generate_toy_body(config: ToyBodyConfig | None = None) -> BodyGraph:
         part_names=tuple(parts),
         down_matrix=Tensor(down),
         up_matrix=Tensor(up),
-    )
-
-
-def is_connected(graph: BodyGraph) -> bool:
-    """Breadth-first reachability from vertex 0."""
-    adj: list[list[int]] = [[] for _ in range(graph.n_vertices)]
-    for i, j in graph.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return len(seen) == graph.n_vertices
-
-
-# ---------------------------------------------------------------------------
-# JSON export/import
-
-
-def graph_to_json(graph: BodyGraph) -> dict:
-    return {
-        "version": _GRAPH_JSON_VERSION,
-        "n_vertices": graph.n_vertices,
-        "edges": [list(e) for e in graph.edges],
-        "part_labels": graph.part_labels.tolist(),
-        "part_names": list(graph.part_names),
-        "adjacency_norm": graph.adjacency_norm.data.tolist(),
-        "down_matrix": graph.down_matrix.data.tolist(),
-        "up_matrix": graph.up_matrix.data.tolist(),
-    }
-
-
-def graph_from_json(doc: dict) -> BodyGraph:
-    if doc.get("version") != _GRAPH_JSON_VERSION:
-        raise GraphError(f"unsupported graph document version {doc.get('version')!r}")
-    return BodyGraph(
-        n_vertices=int(doc["n_vertices"]),
-        edges=tuple((int(i), int(j)) for i, j in doc["edges"]),
-        adjacency_norm=Tensor(np.array(doc["adjacency_norm"])),
-        part_labels=np.array(doc["part_labels"], dtype=np.int64),
-        part_names=tuple(doc["part_names"]),
-        down_matrix=Tensor(np.array(doc["down_matrix"])),
-        up_matrix=Tensor(np.array(doc["up_matrix"])),
     )

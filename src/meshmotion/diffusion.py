@@ -46,9 +46,8 @@ class DiffusionSchedule:
             raise ScheduleError(f"need at least 2 steps, got {self.n_steps}")
         if np.any(self.alpha <= 0.0) or np.any(self.alpha > 1.0):
             raise ScheduleError("alpha values must lie in (0, 1]")
-        np.testing.assert_allclose(self.alpha_bar, np.cumprod(self.alpha), rtol=0, atol=0)
-        if np.any(np.diff(self.alpha_bar) > 0):
-            raise ScheduleError("alpha_bar must be non-increasing")
+        if not np.array_equal(self.alpha_bar, np.cumprod(self.alpha)):
+            raise ScheduleError("alpha_bar must be the running product of alpha")
 
 
 def _linear_betas(n_steps: int, target_tail: float = 0.05) -> np.ndarray:
@@ -189,13 +188,6 @@ class AttentionLayer:
         return ad.add(query, ad.matmul(out, self.p["wo"]))
 
 
-@dataclass
-class SequenceContext:
-    """Learned conditioning rows injected during noising (one shared table)."""
-
-    rows: Tensor  # (L, C)
-
-
 def time_embedding(t: int, channels: int) -> np.ndarray:
     """Sinusoidal embedding of a diffusion step index."""
     half = (channels + 1) // 2
@@ -233,10 +225,9 @@ class GraphTimePass:
         k3 = (channels, channels, kernel, kernel, kernel)
         self.grid = grid
         self.activation = activation
-        self.conv_kernel = _init(rng, k3, scale=1.0 / math.sqrt(channels * kernel**3))
+        self.p = {"conv_kernel": _init(rng, k3, scale=1.0 / math.sqrt(channels * kernel**3))}
         self.graph = GraphConvLayer(channels, channels, activation=activation, rng=rng)
         self.time_attn = AttentionLayer(channels, heads=heads, rng=rng)
-        self.p = {"conv_kernel": self.conv_kernel}
 
     def layers(self):
         return [self, self.graph, self.time_attn]
@@ -280,7 +271,6 @@ class NoisePredictor:
     def __init__(self, channels: int, grid: tuple[int, int], kernel: int, heads: int,
                  activation: str, rng: np.random.Generator):
         self.channels = channels
-        self.activation = activation
         self.pass_ = GraphTimePass(channels, grid, kernel, heads, activation, rng)
         self.p = {
             "ln_gamma": Tensor(np.ones(channels), requires_grad=True),
@@ -301,11 +291,12 @@ class DiffusionBlock:
     """Full noising/denoising block over (B, T, S, C) latent tokens.
 
     Forward: per-step noise mixing, each step followed by cross-attention
-    against the learned sequence context. A two-pass graph+time stack then
-    summarizes temporal dependencies, which condition every reverse step
-    through cross-attention before the denoising update. Deterministic given
-    the seed; returns the denoised tokens plus the mean squared error between
-    predicted and injected noise (training signal for the predictor).
+    against the learned sequence context, an (L, C) table of rows. A two-pass
+    graph+time stack then summarizes temporal dependencies, which condition
+    every reverse step through cross-attention before the denoising update.
+    Deterministic given the seed; returns the denoised tokens plus the mean
+    squared error between predicted and injected noise (training signal for
+    the predictor).
     """
 
     def __init__(self, graph: BodyGraph, channels: int, grid: tuple[int, int],
@@ -330,7 +321,7 @@ class DiffusionBlock:
         return ([self.context_attn, self.cond_attn]
                 + self.stack.layers() + self.predictor.layers())
 
-    def __call__(self, x0: Tensor, ctx: SequenceContext, seed: int) -> tuple[Tensor, Tensor]:
+    def __call__(self, x0: Tensor, context: Tensor, seed: int) -> tuple[Tensor, Tensor]:
         if x0.ndim != 4 or x0.shape[2] != self.n_sites:
             raise ShapeError(
                 f"block input must be (B, T, {self.n_sites}, C) tokens, got {x0.shape}"
@@ -346,7 +337,7 @@ class DiffusionBlock:
         # forward noising with context cross-attention after every step
         x = x0
         for step in range(1, sched.n_steps + 1):
-            x = self.context_attn(forward_noise_step(x, step, sched, draw()), ctx.rows)
+            x = self.context_attn(forward_noise_step(x, step, sched, draw()), context)
 
         # temporal dependency summary from the noised latent
         deps = self.stack(x, self.coarse_adj)

@@ -8,9 +8,7 @@ motion keeps designated bone lengths constant.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -189,27 +187,3 @@ def compute_metrics(pred_vertices, gt_vertices, regressor: JointRegressor) -> Po
     vals = np.array([_frame_errors(pred[t], gt[t], regressor) for t in range(pred.shape[0])])
     means = vals.mean(axis=0)
     return PoseError(mpvpe=means[0], mpjpe=means[1], pa_mpjpe=means[2])
-
-
-CSV_HEADER = ("sequence_id", "mpvpe_mm", "mpjpe_mm", "pa_mpjpe_mm")
-
-
-def write_metrics_csv(path: str | Path, rows) -> None:
-    """Rows of (sequence_id, PoseError) as delimited output."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for seq_id, err in rows:
-            writer.writerow([seq_id, repr(err.mpvpe), repr(err.mpjpe), repr(err.pa_mpjpe)])
-
-
-def read_metrics_csv(path: str | Path) -> list[tuple[str, PoseError]]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_HEADER:
-            raise MetricsError(f"unexpected CSV header {header}")
-        for row in reader:
-            out.append((row[0], PoseError(float(row[1]), float(row[2]), float(row[3]))))
-    return out

@@ -9,14 +9,9 @@ error plus optional part-distribution and noise-prediction terms with Adam.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import math
-import struct
 import zlib
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,18 +19,14 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .body_graph import (
     DEFAULT_PARTS,
-    BodyGraph,
     ToyBodyConfig,
     generate_toy_body,
     resolve_activation,
 )
-from .diffusion import DiffusionBlock, FeatureStack, SequenceContext, make_schedule
+from .diffusion import DiffusionBlock, FeatureStack, make_schedule
 from .metrics import JointRegressor, PoseError, build_joint_regressor, compute_metrics
 from .part_loss import PartLabelMap, hh_loss, part_map_from_ranges, part_weights_from_variance
 from .synth import MotionSequence
-
-_CKPT_MAGIC = b"MMCK"
-_CKPT_VERSION = 1
 
 MM_SCALE = 1e-3  # mm -> model units
 
@@ -63,7 +54,6 @@ class ModelConfig:
     parts: tuple[str, ...] = DEFAULT_PARTS
     vertices_per_part: int = 12
     coarse_per_part: int = 3
-    adjacency_norm: str = "sym"
     channels: int = 8
     height: int = 4
     width: int = 6
@@ -78,9 +68,6 @@ class ModelConfig:
     encoder_hidden: int = 64
     conv_kernel: int = 3
     learning_rate: float = 3e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     train_steps: int = 200
     batch_size: int = 4
     vertex_loss_weight: float = 1.0
@@ -108,37 +95,19 @@ class ModelConfig:
             raise ConfigError("diffusion needs at least 2 steps")
         if min(self.channels, self.encoder_hidden, self.batch_size) < 1:
             raise ConfigError("channels, encoder_hidden and batch_size must be positive")
+        if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:
+            raise ConfigError(f"conv_kernel must be odd and positive, got {self.conv_kernel}")
+        if self.heads < 1 or self.channels % self.heads:
+            raise ConfigError(f"heads {self.heads} must divide channels {self.channels}")
+        if self.diffusion_on and self.context_rows < 1:
+            raise ConfigError(f"diffusion needs context_rows >= 1, got {self.context_rows}")
 
     def body_config(self) -> ToyBodyConfig:
         return ToyBodyConfig(
             parts=self.parts,
             vertices_per_part=self.vertices_per_part,
             coarse_per_part=self.coarse_per_part,
-            normalization=self.adjacency_norm,
         )
-
-    def to_json(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["parts"] = list(self.parts)
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        doc = dict(doc)
-        if "parts" in doc:
-            doc["parts"] = tuple(doc["parts"])
-        cfg = cls(**doc)
-        cfg.validate()
-        return cfg
-
-
-def config_hash(config: ModelConfig) -> str:
-    canon = json.dumps(config.to_json(), sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
 class Linear:
@@ -220,8 +189,7 @@ class Model:
         tokens = ad.transpose(ad.reshape(x, (B, T, c, h * w)), (0, 1, 3, 2))
 
         if cfg.diffusion_on:
-            ctx = SequenceContext(rows=self.context_p["rows"])
-            tokens, eps_loss = self.core(tokens, ctx, seed)
+            tokens, eps_loss = self.core(tokens, self.context_p["rows"], seed)
         else:
             tokens = self.core(tokens, self.coarse_adj)
             eps_loss = None
@@ -296,23 +264,22 @@ class Adam:
     """Adaptive first-order optimizer over named parameter slots.
 
     Parameters are replaced with fresh tensors each step (tensors themselves
-    stay immutable); optimizer moments are keyed by slot name.
+    stay immutable); optimizer moments are keyed by slot name. The moment
+    decays and the denominator floor are the usual 0.9, 0.999 and 1e-8.
     """
 
-    def __init__(self, slots: dict[str, tuple[dict, str]], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, slots: dict[str, tuple[dict, str]], lr: float = 1e-3):
         self.slots = slots
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros(holder[key].shape) for k, (holder, key) in slots.items()}
         self.v = {k: np.zeros(holder[key].shape) for k, (holder, key) in slots.items()}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for name, (holder, key) in self.slots.items():
             t = holder[key]
             g = t.grad
@@ -322,7 +289,7 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1**self.t)
             v_hat = self.v[name] / (1 - b2**self.t)
-            new = t.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            new = t.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
             holder[key] = Tensor(new, requires_grad=True)
 
 
@@ -339,8 +306,7 @@ def train(config: ModelConfig, dataset: list[MotionSequence]) -> tuple[Model, li
         raise ConfigError("empty training dataset")
     model = build_model(config)
     slots = model.param_slots()
-    opt = Adam(slots, lr=config.learning_rate, beta1=config.adam_beta1,
-               beta2=config.adam_beta2, eps=config.adam_eps)
+    opt = Adam(slots, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     losses: list[float] = []
     for step in range(config.train_steps):
@@ -396,59 +362,3 @@ class MeanPosePredictor:
 
     def predict(self, seq: MotionSequence, seed: int = 0) -> np.ndarray:
         return np.tile(self.mean_pose[None], (seq.frames, 1, 1))
-
-
-# ---------------------------------------------------------------------------
-# checkpoint container
-
-
-def save_model(model: Model, path: str | Path) -> None:
-    slots = model.param_slots()
-    cfg_blob = json.dumps(model.config.to_json(), sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(cfg_blob)))
-        fh.write(cfg_blob)
-        fh.write(struct.pack("<I", len(slots)))
-        for name in sorted(slots):
-            holder, key = slots[name]
-            arr = np.ascontiguousarray(holder[key].data, dtype="<f8")
-            nb = name.encode()
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
-
-
-def load_model(path: str | Path) -> Model:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _CKPT_MAGIC:
-        raise ConfigError(f"'{path}': bad checkpoint magic {raw[:4]!r}")
-    version, cfg_len = struct.unpack("<II", raw[4:12])
-    if version != _CKPT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version}")
-    offset = 12
-    config = ModelConfig.from_json(json.loads(raw[offset:offset + cfg_len].decode()))
-    offset += cfg_len
-    (count,) = struct.unpack("<I", raw[offset:offset + 4])
-    offset += 4
-    model = build_model(config)
-    slots = model.param_slots()
-    for _ in range(count):
-        (nlen,) = struct.unpack("<I", raw[offset:offset + 4])
-        offset += 4
-        name = raw[offset:offset + nlen].decode()
-        offset += nlen
-        (ndim,) = struct.unpack("<I", raw[offset:offset + 4])
-        offset += 4
-        shape = struct.unpack(f"<{ndim}I", raw[offset:offset + 4 * ndim])
-        offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset).reshape(shape)
-        offset += size * 8
-        if name not in slots:
-            raise ConfigError(f"checkpoint parameter {name!r} unknown to this config")
-        holder, key = slots[name]
-        holder[key] = Tensor(arr.copy(), requires_grad=True)
-    return model

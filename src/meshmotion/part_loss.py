@@ -8,7 +8,7 @@ resolution level (``model.Model.loss`` sums the levels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,21 +59,6 @@ def part_map_from_ranges(ranges) -> PartLabelMap:
     return PartLabelMap(ranges=[(int(s), int(e)) for s, e in ranges])
 
 
-@dataclass
-class PartDistribution:
-    """Per-part probability vectors over that part's vertices."""
-
-    probs: list[Tensor]  # each (S, k_p); rows sum to 1
-
-    def check(self, atol: float = 1e-9) -> None:
-        for p in self.probs:
-            if np.any(p.data < 0):
-                raise ValueError("negative probability entry")
-            sums = p.data.sum(axis=-1)
-            if np.any(np.abs(sums - 1.0) > atol):
-                raise ValueError("probability rows must sum to 1")
-
-
 def part_kl(y_pred: Tensor | np.ndarray, y_true: Tensor | np.ndarray) -> Tensor:
     """sum(y_true * (log y_true - log y_pred)) with 0*log 0 = 0.
 
@@ -96,11 +81,12 @@ def _vertex_scores(features: Tensor) -> Tensor:
     return ad.sqrt(ad.add(sq, 1e-12))
 
 
-def softmax_pool(vertex_features, part_map: PartLabelMap) -> PartDistribution:
+def softmax_pool(vertex_features, part_map: PartLabelMap) -> list[Tensor]:
     """Per part, softmax over that part's vertex scores.
 
     ``vertex_features`` is (n, F) or (S, n, F); rows must cover every vertex
-    in the map.
+    in the map. Returns one (S, k_p) probability tensor per part, rows
+    summing to 1.
     """
     feats = ad.as_tensor(vertex_features)
     if feats.ndim == 2:
@@ -114,7 +100,7 @@ def softmax_pool(vertex_features, part_map: PartLabelMap) -> PartDistribution:
     for s, e in part_map.ranges:
         sl = ad.take_slice(scores, 1, s, e + 1)
         probs.append(ad.softmax(sl, axis=1))
-    return PartDistribution(probs=probs)
+    return probs
 
 
 def part_weights_from_variance(gtm_features, part_map: PartLabelMap) -> np.ndarray:
@@ -154,6 +140,6 @@ def hh_loss(pred_features, true_features, part_map: PartLabelMap,
         lam = np.asarray(part_map.weights, dtype=np.float64)
     total = None
     for p in range(part_map.m):
-        term = ad.mul(part_kl(pred.probs[p], true.probs[p]), float(lam[p]))
+        term = ad.mul(part_kl(pred[p], true[p]), float(lam[p]))
         total = term if total is None else ad.add(total, term)
     return total

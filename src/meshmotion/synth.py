@@ -10,18 +10,12 @@ along time. Ground truth is never touched by corruption.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .body_graph import BodyGraph, DEFAULT_PARTS
 from .metrics import JointRegressor, build_joint_regressor
-
-_MAGIC = b"MMSQ"
-_VERSION = 1
 
 
 class SynthError(ValueError):
@@ -351,51 +345,5 @@ def corrupt_sequence(seq: MotionSequence, graph: BodyGraph,
         gt_joints=seq.gt_joints,
         observations=obs,
         occlusion_mask=mask,
-        corruption_log=log,
-    )
-
-
-# ---------------------------------------------------------------------------
-# file container
-
-
-def save_sequence(seq: MotionSequence, path: str | Path) -> None:
-    path = Path(path)
-    T, n, nj = seq.frames, seq.n_vertices, seq.n_joints
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIII", _VERSION, T, n, nj))
-        for arr in (seq.gt_vertices, seq.gt_joints, seq.observations, seq.occlusion_mask):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    sidecar = path.with_suffix(path.suffix + ".json")
-    sidecar.write_text(json.dumps({
-        "corruption_log": [[[p, k, s] for p, k, s in frame] for frame in seq.corruption_log],
-    }))
-
-
-def load_sequence(path: str | Path) -> MotionSequence:
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != _MAGIC:
-        raise SynthError(f"{path}: bad magic {raw[:4]!r}")
-    version, T, n, nj = struct.unpack("<IIII", raw[4:20])
-    if version != _VERSION:
-        raise SynthError(f"{path}: unsupported version {version}")
-    sizes = [(T, n, 3), (T, nj, 3), (T, n, 3), (T, n)]
-    offset = 20
-    arrays = []
-    for shape in sizes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape)
-        arrays.append(arr.copy())
-        offset += count * 8
-    sidecar = path.with_suffix(path.suffix + ".json")
-    log_doc = json.loads(sidecar.read_text())["corruption_log"]
-    log = [[(int(p), str(k), float(s)) for p, k, s in frame] for frame in log_doc]
-    return MotionSequence(
-        gt_vertices=arrays[0],
-        gt_joints=arrays[1],
-        observations=arrays[2],
-        occlusion_mask=arrays[3],
         corruption_log=log,
     )

@@ -11,7 +11,6 @@ from meshmotion.autodiff import (
     Tape,
     Tensor,
     attention,
-    concat,
     conv3d,
     gradcheck,
     layer_norm,
@@ -19,6 +18,12 @@ from meshmotion.autodiff import (
     softmax,
     take_slice,
 )
+
+
+def test_every_all_entry_resolves():
+    # perfbench's tracer wraps every name in __all__ by getattr, so a stale
+    # entry would break each traced run while the rest of this suite passes
+    assert [name for name in ad.__all__ if not hasattr(ad, name)] == []
 
 
 def test_matmul_identity():
@@ -196,11 +201,9 @@ def test_primitive_gradients_random_shapes(seed):
         (lambda a: ad.transpose(a, (1, 0)), [x]),
         (lambda a: ad.sum_(a, axis=0), [x]),
         (lambda a: ad.mean(a, axis=1), [x]),
-        (lambda a: ad.variance(a, axis=1), [x]),
         (lambda a: ad.mul(softmax(a, axis=1), y), [x]),
         (lambda a: ad.mul(log_softmax(a, axis=1), y), [x]),
         (lambda a: take_slice(a, 1, 0, max(1, m - 1)), [x]),
-        (lambda a, b: concat([a, b], axis=0), [x, y]),
     ]
     for op, args in checks:
         assert gradcheck(op, args) < 1e-4
@@ -287,16 +290,21 @@ def _layer_norm_composite(a, gamma, beta, eps=1e-5):
 
 
 def _attention_composite(q, k, v, heads):
+    # head h's output lands in columns [h·dvh, (h+1)·dvh) through a 0/1
+    # embedding matrix; the other heads add exact zeros there
     dh, dvh = q.shape[-1] // heads, v.shape[-1] // heads
-    outs = []
+    out = None
     for h in range(heads):
         qh = take_slice(q, q.ndim - 1, h * dh, (h + 1) * dh)
         kh = take_slice(k, k.ndim - 1, h * dh, (h + 1) * dh)
         vh = take_slice(v, v.ndim - 1, h * dvh, (h + 1) * dvh)
         kt = ad.transpose(kh, (*range(kh.ndim - 2), kh.ndim - 1, kh.ndim - 2))
         scores = ad.mul(ad.matmul(qh, kt), 1.0 / math.sqrt(dh))
-        outs.append(ad.matmul(_softmax_composite(scores, scores.ndim - 1), vh))
-    return concat(outs, axis=outs[0].ndim - 1)
+        embed = np.zeros((dvh, v.shape[-1]))
+        embed[:, h * dvh:(h + 1) * dvh] = np.eye(dvh)
+        term = ad.matmul(ad.matmul(_softmax_composite(scores, scores.ndim - 1), vh), embed)
+        out = term if out is None else ad.add(out, term)
+    return out
 
 
 def _conv3d_composite(x, kernel):

@@ -10,9 +10,6 @@ from meshmotion.body_graph import (
     ToyBodyConfig,
     build_adjacency,
     generate_toy_body,
-    graph_from_json,
-    graph_to_json,
-    is_connected,
 )
 
 
@@ -58,13 +55,6 @@ def test_adjacency_input_errors():
         build_adjacency([(1, 1)], 3)
     with pytest.raises(GraphError):
         build_adjacency([(0, 1), (1, 0)], 3)
-
-
-def test_adjacency_row_mode():
-    out = build_adjacency([(0, 1)], 2, mode="row").data
-    np.testing.assert_allclose(out, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
-    out3 = build_adjacency([(0, 1)], 3, mode="row").data
-    np.testing.assert_allclose(out3.sum(axis=1), np.ones(3), atol=1e-15)
 
 
 def _tiny_graph(edges, n):
@@ -218,10 +208,20 @@ def test_toy_body_deterministic():
     np.testing.assert_array_equal(a.part_labels, b.part_labels)
 
 
+def _component_count(edges, n):
+    """Connected components = zero eigenvalues of the edge Laplacian D - A."""
+    lap = np.zeros((n, n))
+    for i, j in edges:
+        lap[i, j] = lap[j, i] = -1.0
+    lap -= np.diag(lap.sum(axis=1))
+    return int((np.linalg.eigvalsh(lap) < 1e-9).sum())
+
+
 def test_toy_body_connected():
-    assert is_connected(generate_toy_body())
-    assert is_connected(generate_toy_body(ToyBodyConfig(
-        parts=("a", "b", "c", "d"), vertices_per_part=2, coarse_per_part=1)))
+    assert _component_count([(0, 1)], 3) == 2  # the oracle sees a split
+    for graph in (generate_toy_body(), generate_toy_body(ToyBodyConfig(
+            parts=("a", "b", "c", "d"), vertices_per_part=2, coarse_per_part=1))):
+        assert _component_count(graph.edges, graph.n_vertices) == 1
 
 
 def test_toy_body_config_errors():
@@ -237,14 +237,3 @@ def test_coarse_adjacency_structure():
     assert coarse.shape == (24, 24)
     np.testing.assert_allclose(coarse, coarse.T, atol=1e-12)
     assert (coarse.diagonal() > 0).all()
-
-
-def test_graph_json_roundtrip(tmp_path):
-    graph = generate_toy_body()
-    doc = graph_to_json(graph)
-    back = graph_from_json(doc)
-    assert back.edges == graph.edges
-    np.testing.assert_array_equal(back.adjacency_norm.data, graph.adjacency_norm.data)
-    np.testing.assert_array_equal(back.up_matrix.data, graph.up_matrix.data)
-    np.testing.assert_array_equal(back.part_labels, graph.part_labels)
-    assert back.part_names == graph.part_names

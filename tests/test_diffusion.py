@@ -12,7 +12,6 @@ from meshmotion.diffusion import (
     DiffusionSchedule,
     GraphTimePass,
     ScheduleError,
-    SequenceContext,
     forward_noise_step,
     make_schedule,
     rearrange,
@@ -36,6 +35,20 @@ def test_schedule_invariants(kind, n_steps):
 def test_schedule_rejects_tiny():
     with pytest.raises(ScheduleError):
         make_schedule(1)
+
+
+@pytest.mark.parametrize("alpha, alpha_bar", [
+    ([0.9], [0.9]),                          # one step
+    ([0.9, 0.0], [0.9, 0.0]),                # alpha outside (0, 1]
+    ([0.9, 1.5], [0.9, 1.35]),
+    ([0.9, 0.8], [0.9, 0.72 + 1e-12]),       # not the running product
+    ([0.9, 0.8], [0.9]),                     # lengths differ
+    ([0.9, 0.8], [0.9, 0.9 * 0.8, 0.5]),
+])
+def test_schedule_validate_raises_schedule_error(alpha, alpha_bar):
+    sched = DiffusionSchedule(alpha=np.array(alpha), alpha_bar=np.array(alpha_bar))
+    with pytest.raises(ScheduleError):
+        sched.validate()
 
 
 def test_forward_noise_alpha_one_is_identity():
@@ -246,8 +259,7 @@ def _block_setup(seed=0, channels=4, n_steps=2, parts=("a", "b", "c", "d"), vpp=
     sched = make_schedule(n_steps)
     rng = np.random.default_rng(seed)
     block = DiffusionBlock(graph, channels, grid, sched, rng=rng)
-    ctx = SequenceContext(rows=Tensor(rng.standard_normal((3, channels)) * 0.3,
-                                      requires_grad=True))
+    ctx = Tensor(rng.standard_normal((3, channels)) * 0.3, requires_grad=True)
     return graph, block, ctx
 
 
@@ -291,7 +303,7 @@ def test_block_alpha_one_equals_deterministic_path():
     # manual replay without any noise arithmetic
     v = x
     for _ in range(2):
-        v = block.context_attn(v, ctx.rows)
+        v = block.context_attn(v, ctx)
     deps = block.stack(v, block.coarse_adj)
     z = v
     for _ in range(2):
@@ -334,22 +346,20 @@ def test_block_trains_on_sinusoid_latents():
     for i, layer in enumerate(block.layers()):
         for k in layer.p:
             slots[f"l{i}.{k}"] = (layer.p, k)
-    slots["ctx.rows"] = ({"rows": ctx.rows}, "rows")
-
-    def ctx_current():
-        return SequenceContext(rows=slots["ctx.rows"][0]["rows"])
+    holder = {"rows": ctx}
+    slots["ctx.rows"] = (holder, "rows")
 
     opt = Adam(slots, lr=3e-3)
     target = Tensor(x0)
     for step in range(200):
         with Tape() as tape:
-            out, eps_loss = block(tokens, ctx_current(), seed=100 + step)
+            out, eps_loss = block(tokens, holder["rows"], seed=100 + step)
             diff = ad.sub(out, target)
             loss = ad.add(ad.mean(ad.mul(diff, diff)), ad.mul(eps_loss, 0.1))
         tape.backward(loss)
         opt.step()
 
-    out, _ = block(tokens, ctx_current(), seed=999)
+    out, _ = block(tokens, holder["rows"], seed=999)
     final_mse = float(((out.data - x0) ** 2).mean())
 
     # raw noised input at the last step (no denoising at all)

@@ -13,8 +13,6 @@ from meshmotion.metrics import (
     build_joint_regressor,
     compute_metrics,
     procrustes_align,
-    read_metrics_csv,
-    write_metrics_csv,
 )
 
 
@@ -221,13 +219,3 @@ def test_metrics_input_validation():
     bad[0, 0] = np.nan
     with pytest.raises(MetricsError):
         compute_metrics(bad, np.zeros_like(bad), reg)
-
-
-def test_metrics_csv_roundtrip(tmp_path):
-    rows = [("seq0", PoseError(12.5, 10.0, 8.0)), ("seq1", PoseError(3.0, 2.0, 1.0))]
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, rows)
-    back = read_metrics_csv(path)
-    assert [r[0] for r in back] == ["seq0", "seq1"]
-    for (_, a), (_, b) in zip(rows, back):
-        assert a.as_tuple() == b.as_tuple()

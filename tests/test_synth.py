@@ -10,9 +10,7 @@ from meshmotion.synth import (
     apply_corruption_log,
     corrupt_sequence,
     generate_sequence,
-    load_sequence,
     sample_corruption_events,
-    save_sequence,
 )
 
 
@@ -158,24 +156,3 @@ def test_blur_width_must_fit(graph):
         CorruptionConfig(blur_width=2).validate()
     with pytest.raises(SynthError):
         CorruptionConfig(occlusion_prob=1.5).validate()
-
-
-def test_sequence_file_roundtrip(graph, tmp_path):
-    seq = generate_sequence(MotionConfig(graph=graph, frames=5), seed=9)
-    out = corrupt_sequence(seq, graph, CorruptionConfig(occlusion_prob=0.7, blur_width=3), seed=10)
-    path = tmp_path / "seq0.mmsq"
-    save_sequence(out, path)
-    assert path.exists() and path.with_suffix(".mmsq.json").exists()
-    back = load_sequence(path)
-    np.testing.assert_array_equal(back.gt_vertices, out.gt_vertices)
-    np.testing.assert_array_equal(back.gt_joints, out.gt_joints)
-    np.testing.assert_array_equal(back.observations, out.observations)
-    np.testing.assert_array_equal(back.occlusion_mask, out.occlusion_mask)
-    assert back.corruption_log == out.corruption_log
-
-
-def test_sequence_file_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.mmsq"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(SynthError):
-        load_sequence(path)
