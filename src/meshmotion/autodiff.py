@@ -2,9 +2,9 @@
 
 Every differentiable operation records itself on the active :class:`Tape`;
 ``Tape.backward`` replays the records in exact reverse execution order and
-accumulates gradients additively. ``softmax``, ``log_softmax``,
-``layer_norm`` and ``conv3d`` are one record each with an analytic backward;
-``attention`` is a scores record, a ``softmax`` and a ``matmul``. Any op that
+accumulates gradients additively. ``softmax``, ``layer_norm`` and ``conv3d``
+are one record each with an analytic backward; ``attention`` is a scores
+record, a ``softmax`` and a ``matmul``. Any op that
 produces a non-finite value raises :class:`NumericsError` immediately instead
 of letting NaN/Inf spread; callers that want that error as the only signal run
 a whole step under ``np.errstate`` (see ``model.train``).
@@ -29,7 +29,6 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
     "matmul",
     "relu",
     "gelu",
@@ -43,7 +42,6 @@ __all__ = [
     "mean",
     "take_slice",
     "softmax",
-    "log_softmax",
     "layer_norm",
     "conv3d",
     "attention",
@@ -110,34 +108,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x, requires_grad: bool = False) -> Tensor:
@@ -293,11 +263,6 @@ def div(a, b) -> Tensor:
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
     return _result("div", (a, b), out, backward)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _result("neg", (a,), -a.data, lambda g: (-g,))
 
 
 def relu(a) -> Tensor:
@@ -474,19 +439,6 @@ def softmax(a, axis: int) -> Tensor:
     return _result("softmax", (a,), out, backward)
 
 
-def log_softmax(a, axis: int) -> Tensor:
-    """log(softmax(a)) computed as (a - c) - log(sum(exp(a - c))), c = max; one record."""
-    a = as_tensor(a)
-    axis = _check_axis(axis, a.ndim)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    out = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-    def backward(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
-
-    return _result("log_softmax", (a,), out, backward)
-
-
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine; one record.
 
@@ -514,22 +466,6 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _result("layer_norm", (a, gamma, beta), out, backward)
 
 
-def _split_heads(t: Tensor, heads: int) -> Tensor:
-    """(..., L, d) -> (..., heads, L, d // heads) by reshape and transpose;
-    head h holds features [h·d_h, (h+1)·d_h)."""
-    *lead, n, d = t.shape
-    split = reshape(t, (*lead, n, heads, d // heads))
-    r = split.ndim
-    return transpose(split, (*range(r - 3), r - 2, r - 3, r - 1))
-
-
-def _merge_heads(t: Tensor) -> Tensor:
-    """(..., heads, L, d_h) -> (..., L, heads·d_h); inverse of :func:`_split_heads`."""
-    r = t.ndim
-    t = transpose(t, (*range(r - 3), r - 2, r - 3, r - 1))
-    return reshape(t, (*t.shape[:-2], t.shape[-2] * t.shape[-1]))
-
-
 def _scaled_scores(q: Tensor, k: Tensor, scale: float) -> Tensor:
     """scale · Q K^T over the last two axes as one record; leading axes broadcast."""
     out = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
@@ -543,20 +479,16 @@ def _scaled_scores(q: Tensor, k: Tensor, scale: float) -> Tensor:
     return _result("attention_scores", (q, k), out, backward)
 
 
-def attention(query, key, value, heads: int = 1) -> Tensor:
-    """Scaled dot-product attention softmax(QK^T/sqrt(d_h))V in three records.
+def attention(query, key, value) -> Tensor:
+    """Scaled dot-product attention softmax(QK^T/sqrt(d))V in three records.
 
     Operates on the last two axes (sequence, features); leading axes
     broadcast, so key/value may be shared across a batched query. The tape
-    gets the scores S = QK^T/sqrt(d_h) as one record (backward
-    gQ = gS K / sqrt(d_h), gK = gS^T Q / sqrt(d_h)), then one
-    :func:`softmax` record for the weights W, then one :func:`matmul` record
-    for W V; each gradient is summed over the leading axes its operand was
-    broadcast along, so a shared (L, C) key/value table gets its gradient.
-    With ``heads`` > 1, reshape and transpose records split the feature axes
-    to (..., heads, L, d_h) before the scores and merge them after W V: head
-    h attends with features [h·d_h, (h+1)·d_h) and the head outputs sit side
-    by side in the result.
+    gets the scores S = QK^T/sqrt(d) as one record (backward
+    gQ = gS K / sqrt(d), gK = gS^T Q / sqrt(d)), then one :func:`softmax`
+    record for the weights W, then one :func:`matmul` record for W V; each
+    gradient is summed over the leading axes its operand was broadcast along,
+    so a shared (L, C) key/value table gets its gradient.
     """
     q, k, v = as_tensor(query), as_tensor(key), as_tensor(value)
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
@@ -566,17 +498,11 @@ def attention(query, key, value, heads: int = 1) -> Tensor:
         raise ShapeError(f"query/key feature widths disagree: {d} vs {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key/value lengths disagree: {k.shape[-2]} vs {v.shape[-2]}")
-    dv = v.shape[-1]
-    if heads < 1 or d % heads or dv % heads:
-        raise ShapeError(f"head count {heads} must divide feature widths {d} and {dv}")
     if _broadcast_shape(q.shape[:-2], k.shape[:-2], v.shape[:-2]) is None:
         raise ShapeError(f"attention leading axes do not broadcast: "
                          f"{q.shape}, {k.shape}, {v.shape}")
-    if heads > 1:
-        q, k, v = (_split_heads(t, heads) for t in (q, k, v))
-    scores = _scaled_scores(q, k, 1.0 / math.sqrt(d // heads))
-    out = matmul(softmax(scores, axis=scores.ndim - 1), v)
-    return _merge_heads(out) if heads > 1 else out
+    scores = _scaled_scores(q, k, 1.0 / math.sqrt(d))
+    return matmul(softmax(scores, axis=scores.ndim - 1), v)
 
 
 def _patches(x: np.ndarray, kt: int, kh: int, kw: int) -> np.ndarray:

@@ -142,7 +142,6 @@ def build_adjacency(edges, n_vertices: int) -> Tensor:
 _ACTIVATIONS = {
     "relu": ad.relu,
     "gelu": ad.gelu,
-    "none": lambda t: t,
 }
 
 

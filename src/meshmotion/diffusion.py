@@ -12,6 +12,7 @@ sees them as an H x W grid (S = H*W, see :func:`rearrange`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,19 +74,10 @@ def _linear_betas(n_steps: int, target_tail: float = 0.05) -> np.ndarray:
     return np.clip(base * hi, 1e-8, 0.999)
 
 
-def make_schedule(n_steps: int, kind: str = "linear") -> DiffusionSchedule:
+def make_schedule(n_steps: int) -> DiffusionSchedule:
     if n_steps < 2:
         raise ScheduleError(f"need at least 2 steps, got {n_steps}")
-    if kind == "linear":
-        alpha = 1.0 - _linear_betas(n_steps)
-    elif kind == "cosine":
-        s = 0.008
-        grid = np.arange(n_steps + 1) / n_steps
-        f = np.cos((grid + s) / (1.0 + s) * math.pi / 2.0) ** 2
-        bar = f / f[0]
-        alpha = np.clip(bar[1:] / bar[:-1], 1e-3, 1.0 - 1e-12)
-    else:
-        raise ScheduleError(f"unknown schedule kind {kind!r}")
+    alpha = 1.0 - _linear_betas(n_steps)
     sched = DiffusionSchedule(alpha=alpha, alpha_bar=np.cumprod(alpha))
     sched.validate()
     return sched
@@ -162,13 +154,10 @@ class AttentionLayer:
     Output projection starts at zero so a fresh layer is the identity map.
     """
 
-    def __init__(self, width: int, heads: int = 1, rng: np.random.Generator | None = None):
+    def __init__(self, width: int, rng: np.random.Generator | None = None):
         if rng is None:
             rng = np.random.default_rng(0)
-        if width % heads:
-            raise ShapeError(f"heads {heads} must divide width {width}")
         self.width = width
-        self.heads = heads
         self.p = {
             "wq": _init(rng, (width, width)),
             "wk": _init(rng, (width, width)),
@@ -184,7 +173,7 @@ class AttentionLayer:
         q = ad.matmul(query, self.p["wq"])
         k = ad.matmul(context, self.p["wk"])
         v = ad.matmul(context, self.p["wv"])
-        out = ad.attention(q, k, v, heads=self.heads)
+        out = ad.attention(q, k, v)
         return ad.add(query, ad.matmul(out, self.p["wo"]))
 
 
@@ -220,14 +209,14 @@ class GraphTimePass:
     (T, H, W) grid, per-frame graph conv over the coarse mesh, then temporal
     self-attention across frames, independently per site."""
 
-    def __init__(self, channels: int, grid: tuple[int, int], kernel: int, heads: int,
+    def __init__(self, channels: int, grid: tuple[int, int], kernel: int,
                  activation: str, rng: np.random.Generator):
         k3 = (channels, channels, kernel, kernel, kernel)
         self.grid = grid
         self.activation = activation
         self.p = {"conv_kernel": _init(rng, k3, scale=1.0 / math.sqrt(channels * kernel**3))}
         self.graph = GraphConvLayer(channels, channels, activation=activation, rng=rng)
-        self.time_attn = AttentionLayer(channels, heads=heads, rng=rng)
+        self.time_attn = AttentionLayer(channels, rng=rng)
 
     def layers(self):
         return [self, self.graph, self.time_attn]
@@ -243,10 +232,10 @@ class GraphTimePass:
 class FeatureStack:
     """Two graph+time passes applied back to back (independent weights)."""
 
-    def __init__(self, channels: int, grid: tuple[int, int], kernel: int, heads: int,
-                 activation: str, rng: np.random.Generator, n_passes: int = 2):
-        self.passes = [GraphTimePass(channels, grid, kernel, heads, activation, rng)
-                       for _ in range(n_passes)]
+    def __init__(self, channels: int, grid: tuple[int, int], kernel: int,
+                 activation: str, rng: np.random.Generator):
+        self.passes = [GraphTimePass(channels, grid, kernel, activation, rng)
+                       for _ in range(2)]
 
     def layers(self):
         out = []
@@ -268,10 +257,10 @@ class NoisePredictor:
     embedding added to the channel axis.
     """
 
-    def __init__(self, channels: int, grid: tuple[int, int], kernel: int, heads: int,
+    def __init__(self, channels: int, grid: tuple[int, int], kernel: int,
                  activation: str, rng: np.random.Generator):
         self.channels = channels
-        self.pass_ = GraphTimePass(channels, grid, kernel, heads, activation, rng)
+        self.pass_ = GraphTimePass(channels, grid, kernel, activation, rng)
         self.p = {
             "ln_gamma": Tensor(np.ones(channels), requires_grad=True),
             "ln_beta": Tensor(np.zeros(channels), requires_grad=True),
@@ -295,13 +284,14 @@ class DiffusionBlock:
     graph+time stack then summarizes temporal dependencies, which condition
     every reverse step through cross-attention before the denoising update.
     Deterministic given the seed; returns the denoised tokens plus the mean
-    squared error between predicted and injected noise (training signal for
-    the predictor).
+    squared error between the predicted noise and the noise component of the
+    live state, (z_t - sqrt(alpha_bar_t) x0) / sqrt(1 - alpha_bar_t), averaged
+    over the reverse steps (training signal for the predictor).
     """
 
     def __init__(self, graph: BodyGraph, channels: int, grid: tuple[int, int],
-                 schedule: DiffusionSchedule, kernel: int = 3, heads: int = 1,
-                 activation: str = "relu", rng: np.random.Generator | None = None):
+                 schedule: DiffusionSchedule, kernel: int = 3, activation: str = "relu",
+                 rng: np.random.Generator | None = None):
         if rng is None:
             rng = np.random.default_rng(0)
         h, w = grid
@@ -312,10 +302,10 @@ class DiffusionBlock:
         self.schedule = schedule
         self.coarse_adj = graph.coarse_adjacency()
         self.n_sites = graph.n_coarse
-        self.context_attn = AttentionLayer(channels, heads=heads, rng=rng)
-        self.stack = FeatureStack(channels, grid, kernel, heads, activation, rng)
-        self.cond_attn = AttentionLayer(channels, heads=heads, rng=rng)
-        self.predictor = NoisePredictor(channels, grid, kernel, heads, activation, rng)
+        self.context_attn = AttentionLayer(channels, rng=rng)
+        self.stack = FeatureStack(channels, grid, kernel, activation, rng)
+        self.cond_attn = AttentionLayer(channels, rng=rng)
+        self.predictor = NoisePredictor(channels, grid, kernel, activation, rng)
 
     def layers(self):
         return ([self.context_attn, self.cond_attn]
@@ -359,5 +349,5 @@ class DiffusionBlock:
             eps_losses.append(ad.mean(ad.mul(diff, diff)))
             z = reverse_step(z, step, eps_hat, sched, draw() if step > 1 else None)
 
-        eps_loss = ad.mul(sum(eps_losses[1:], eps_losses[0]), 1.0 / len(eps_losses))
+        eps_loss = ad.mul(functools.reduce(ad.add, eps_losses), 1.0 / len(eps_losses))
         return z, eps_loss

@@ -34,10 +34,6 @@ class PoseError:
     def __post_init__(self):
         if min(self.mpvpe, self.mpjpe, self.pa_mpjpe) < 0:
             raise MetricsError("errors must be nonnegative")
-        if self.pa_mpjpe > self.mpjpe + 1e-9:
-            raise MetricsError(
-                f"pa_mpjpe {self.pa_mpjpe} exceeds mpjpe {self.mpjpe}; alignment can only reduce error"
-            )
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.mpvpe, self.mpjpe, self.pa_mpjpe)
@@ -123,7 +119,7 @@ def build_joint_regressor(graph: BodyGraph) -> JointRegressor:
                           bone_pairs=bones, root_joint=name_idx["pelvis"])
 
 
-def procrustes_align(p: np.ndarray, q: np.ndarray, allow_scale: bool = True):
+def procrustes_align(p: np.ndarray, q: np.ndarray):
     """Similarity transform (s, R, t) minimizing ||s R p_i + t - q_i||^2.
 
     R is a proper rotation (det = +1, reflections corrected by flipping the
@@ -150,7 +146,7 @@ def procrustes_align(p: np.ndarray, q: np.ndarray, allow_scale: bool = True):
     if np.linalg.det(vt.T @ u.T) < 0:
         d[-1] = -1.0
     rot = vt.T @ np.diag(d) @ u.T
-    scale = float((s * d).sum() / var_p) if allow_scale else 1.0
+    scale = float((s * d).sum() / var_p)
     t = mu_q - scale * rot @ mu_p
     return scale, rot, t
 

@@ -19,6 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .body_graph import (
     DEFAULT_PARTS,
+    GraphError,
     ToyBodyConfig,
     generate_toy_body,
     resolve_activation,
@@ -51,15 +52,12 @@ class TrainingDivergence(RuntimeError):
 
 @dataclass
 class ModelConfig:
-    parts: tuple[str, ...] = DEFAULT_PARTS
     vertices_per_part: int = 12
     coarse_per_part: int = 3
     channels: int = 8
     height: int = 4
     width: int = 6
     diffusion_steps: int = 50
-    schedule: str = "linear"
-    heads: int = 1
     hierarchy_depth: int = 2
     diffusion_on: bool = True
     part_loss_on: bool = True
@@ -77,13 +75,22 @@ class ModelConfig:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.parts) * self.vertices_per_part
+        return len(DEFAULT_PARTS) * self.vertices_per_part
 
     @property
     def n_coarse(self) -> int:
-        return len(self.parts) * self.coarse_per_part
+        return len(DEFAULT_PARTS) * self.coarse_per_part
 
     def validate(self) -> None:
+        try:
+            resolve_activation(self.activation)
+        except GraphError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.vertices_per_part < 2:
+            raise ConfigError(f"need at least 2 vertices per part, got {self.vertices_per_part}")
+        if not (1 <= self.coarse_per_part <= self.vertices_per_part):
+            raise ConfigError(f"coarse_per_part {self.coarse_per_part} outside "
+                              f"[1, {self.vertices_per_part}]")
         if self.height * self.width != self.n_coarse:
             raise ConfigError(
                 f"latent grid {self.height}x{self.width} must equal the coarse "
@@ -97,14 +104,11 @@ class ModelConfig:
             raise ConfigError("channels, encoder_hidden and batch_size must be positive")
         if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:
             raise ConfigError(f"conv_kernel must be odd and positive, got {self.conv_kernel}")
-        if self.heads < 1 or self.channels % self.heads:
-            raise ConfigError(f"heads {self.heads} must divide channels {self.channels}")
         if self.diffusion_on and self.context_rows < 1:
             raise ConfigError(f"diffusion needs context_rows >= 1, got {self.context_rows}")
 
     def body_config(self) -> ToyBodyConfig:
         return ToyBodyConfig(
-            parts=self.parts,
             vertices_per_part=self.vertices_per_part,
             coarse_per_part=self.coarse_per_part,
         )
@@ -141,10 +145,10 @@ class Model:
         self.head = Linear(c, 3, rng)
 
         if config.diffusion_on:
-            self.schedule = make_schedule(config.diffusion_steps, config.schedule)
+            self.schedule = make_schedule(config.diffusion_steps)
             self.core = DiffusionBlock(
                 self.graph, c, (h, w), self.schedule, kernel=config.conv_kernel,
-                heads=config.heads, activation=config.activation, rng=rng,
+                activation=config.activation, rng=rng,
             )
             self.context_p = {
                 "rows": Tensor(rng.standard_normal((config.context_rows, c)) * 0.3,
@@ -152,8 +156,7 @@ class Model:
             }
         else:
             self.schedule = None
-            self.core = FeatureStack(c, (h, w), config.conv_kernel, config.heads,
-                                     config.activation, rng)
+            self.core = FeatureStack(c, (h, w), config.conv_kernel, config.activation, rng)
             self.context_p = None
             self.coarse_adj = self.graph.coarse_adjacency()
 

@@ -71,7 +71,6 @@ class MotionSequence:
     gt_joints: np.ndarray             # (T, n_joints, 3) mm
     observations: np.ndarray          # (T, n, 3) mm, corrupted copy
     occlusion_mask: np.ndarray        # (T, n) 1.0 where occluded
-    corruption_log: list[list[tuple[int, str, float]]]  # per frame: (part, kind, severity)
 
     @property
     def frames(self) -> int:
@@ -116,7 +115,7 @@ def _chain(rest: np.ndarray, ids: np.ndarray, start, direction, length, wobble=1
 
 def _body_plan(graph: BodyGraph) -> tuple[np.ndarray, list[_Group]]:
     """Rest-pose vertex positions (mm) and the rigid group tree."""
-    if set(DEFAULT_PARTS) - set(graph.part_names):
+    if set(graph.part_names) != set(DEFAULT_PARTS):
         raise SynthError(
             "motion generation needs the default humanoid part set "
             f"{DEFAULT_PARTS}; got {graph.part_names}"
@@ -270,7 +269,6 @@ def generate_sequence(config: MotionConfig, seed: int,
         gt_joints=joints,
         observations=verts.copy(),
         occlusion_mask=np.zeros((T, graph.n_vertices)),
-        corruption_log=[[] for _ in range(T)],
     )
 
 
@@ -278,18 +276,33 @@ def generate_sequence(config: MotionConfig, seed: int,
 # corruption
 
 
-def sample_corruption_events(seq: MotionSequence, graph: BodyGraph,
-                             config: CorruptionConfig, seed: int):
-    """Per-frame (part, kind, severity) event lists, deterministic per seed."""
+def corrupt_sequence(seq: MotionSequence, graph: BodyGraph,
+                     config: CorruptionConfig, seed: int) -> MotionSequence:
+    """New sequence with corrupted observations; ground truth untouched.
+
+    The clean vertices are box-blurred along time (edge frames repeated),
+    then each frame starts an occlusion event with ``occlusion_prob``: one
+    part, a severity and a span of frames, drawn in that order. An event
+    zeroes the first ceil(severity · part size) vertices of its part and
+    sets their mask entries to 1 over the span. Deterministic per seed.
+    """
     config.validate()
     rng = np.random.default_rng(seed)
-    T = seq.frames
-    log: list[list[tuple[int, str, float]]] = [[] for _ in range(T)]
-    if config.blur_width > 1:
-        if config.blur_width >= T:
-            raise SynthError(f"blur width {config.blur_width} must be < {T} frames")
+    obs = seq.gt_vertices.copy()
+    T, n, _ = obs.shape
+    width = config.blur_width
+    if width > 1:
+        if width >= T:
+            raise SynthError(f"blur width {width} must be < {T} frames")
+        half = width // 2
+        padded = np.concatenate([
+            np.repeat(obs[:1], half, axis=0), obs, np.repeat(obs[-1:], half, axis=0)
+        ])
+        kernel = np.ones(width) / width
         for f in range(T):
-            log[f].append((-1, "blur", float(config.blur_width)))
+            obs[f] = np.tensordot(kernel, padded[f:f + width], axes=(0, 0))
+    mask = np.zeros((T, n))
+    ranges = graph.part_ranges()
     for f in range(T):
         if rng.random() < config.occlusion_prob:
             if config.part_rule == "uniform":
@@ -298,52 +311,13 @@ def sample_corruption_events(seq: MotionSequence, graph: BodyGraph,
                 part = config.fixed_part
             severity = float(rng.uniform(*config.severity_range))
             span = int(rng.integers(1, config.max_span + 1))
-            for g in range(f, min(f + span, T)):
-                log[g].append((part, "occlusion", severity))
-    return log
-
-
-def apply_corruption_log(observations: np.ndarray, log, graph: BodyGraph):
-    """Replay a corruption log onto clean observations; returns (obs, mask)."""
-    obs = observations.copy()
-    T, n, _ = obs.shape
-    mask = np.zeros((T, n))
-    widths = {int(sev) for frame in log for part, kind, sev in frame if kind == "blur"}
-    if widths:
-        if len(widths) != 1:
-            raise SynthError(f"inconsistent blur widths in log: {sorted(widths)}")
-        width = widths.pop()
-        half = width // 2
-        padded = np.concatenate([
-            np.repeat(obs[:1], half, axis=0), obs, np.repeat(obs[-1:], half, axis=0)
-        ])
-        kernel = np.ones(width) / width
-        blurred = np.empty_like(obs)
-        for f in range(T):
-            blurred[f] = np.tensordot(kernel, padded[f:f + width], axes=(0, 0))
-        obs = blurred
-    ranges = graph.part_ranges()
-    for f, frame in enumerate(log):
-        for part, kind, severity in frame:
-            if kind != "occlusion":
-                continue
             s, e = ranges[part]
             count = int(np.ceil(severity * (e - s + 1)))
-            obs[f, s:s + count] = 0.0
-            mask[f, s:s + count] = 1.0
-    return obs, mask
-
-
-def corrupt_sequence(seq: MotionSequence, graph: BodyGraph,
-                     config: CorruptionConfig, seed: int) -> MotionSequence:
-    """New sequence with corrupted observations; ground truth untouched."""
-    log = sample_corruption_events(seq, graph, config, seed)
-    clean = seq.gt_vertices.copy()
-    obs, mask = apply_corruption_log(clean, log, graph)
+            obs[f:f + span, s:s + count] = 0.0
+            mask[f:f + span, s:s + count] = 1.0
     return MotionSequence(
         gt_vertices=seq.gt_vertices,
         gt_joints=seq.gt_joints,
         observations=obs,
         occlusion_mask=mask,
-        corruption_log=log,
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meshmotion import autodiff as ad
-from meshmotion.autodiff import ShapeError, Tape, Tensor, gradcheck
+from meshmotion.autodiff import ShapeError, Tensor, gradcheck
 from meshmotion.body_graph import (
     BodyGraph,
     GraphConvLayer,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from meshmotion.body_graph import generate_toy_body
+from meshmotion.synth import MotionConfig, generate_sequence
 from meshmotion.metrics import (
     AlignmentError,
-    JointRegressor,
     MetricsError,
     PoseError,
     apply_similarity,
@@ -114,9 +114,20 @@ def test_procrustes_degenerate_inputs():
 
 def test_pose_error_invariants():
     with pytest.raises(MetricsError):
-        PoseError(mpvpe=1.0, mpjpe=1.0, pa_mpjpe=2.0)
-    with pytest.raises(MetricsError):
         PoseError(mpvpe=-1.0, mpjpe=1.0, pa_mpjpe=0.5)
+
+
+def test_displaced_limb_evaluates():
+    # Procrustes minimizes the squared joint error, not the mean joint
+    # distance, so one displaced limb can leave PA-MPJPE above MPJPE
+    graph = generate_toy_body()
+    reg = build_joint_regressor(graph)
+    gt = generate_sequence(MotionConfig(graph=graph), seed=0).gt_vertices
+    s, e = graph.part_ranges()[graph.part_names.index("left_arm")]
+    pred = gt.copy()
+    pred[0, s:e + 1, 0] += 100.0
+    err = compute_metrics(pred, gt, reg)
+    assert err.pa_mpjpe > err.mpjpe > 0.0
 
 
 def test_regressor_rows_convex():

@@ -1,17 +1,13 @@
-import dataclasses
-import math
 import warnings
 
 import numpy as np
 import pytest
 
-from meshmotion import autodiff as ad
-from meshmotion.autodiff import Tape, Tensor, gradcheck
+from meshmotion.autodiff import Tensor, gradcheck
 from meshmotion.model import (
     Adam,
     ConfigError,
     MeanPosePredictor,
-    Model,
     ModelConfig,
     TrainingDivergence,
     build_model,
@@ -61,12 +57,14 @@ def test_config_grid_invariant():
 
 
 @pytest.mark.parametrize("over", [
-    dict(conv_kernel=2),     # even: conv3d has no centre tap
+    dict(conv_kernel=2),                           # even: conv3d has no centre tap
     dict(conv_kernel=0),
     dict(conv_kernel=-1),
-    dict(heads=3),           # does not divide the 8 channels
-    dict(heads=0),
-    dict(context_rows=0),    # attention over an empty context table
+    dict(activation="tanh"),                       # not an activation
+    dict(vertices_per_part=1),                     # a part chain needs 2 vertices
+    dict(context_rows=0),                          # attention over an empty context table
+    dict(coarse_per_part=0, height=0),             # the grid matches the 0 coarse sites
+    dict(coarse_per_part=13, height=8, width=13),  # more coarse than fine per part
 ])
 def test_config_rejects_unbuildable_settings(over):
     cfg = ModelConfig(**over)

@@ -23,37 +23,6 @@ def default_map():
     return part_map_from_ranges(graph.part_ranges())
 
 
-def test_log_softmax_symmetric_pair():
-    out = ad.log_softmax(np.array([0.0, 0.0]), axis=0)
-    np.testing.assert_allclose(out.data, [-math.log(2)] * 2, atol=1e-15)
-
-
-def test_log_softmax_huge_values_finite():
-    out = ad.log_softmax(np.array([1e6, 1e6]), axis=0)
-    np.testing.assert_allclose(out.data, [-math.log(2)] * 2, atol=1e-12)
-
-
-def test_log_softmax_closed_form():
-    out = ad.log_softmax(np.array([0.0, math.log(3.0)]), axis=0)
-    np.testing.assert_allclose(out.data, [math.log(0.25), math.log(0.75)], atol=1e-12)
-
-
-def test_log_softmax_exp_sums_to_one():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((4, 7)) * 50
-    out = ad.log_softmax(x, axis=1)
-    np.testing.assert_allclose(np.exp(out.data).sum(axis=1), np.ones(4), atol=1e-12)
-
-
-def test_log_softmax_shift_invariance():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((3, 5))
-    base = ad.log_softmax(x, axis=1).data
-    for c in (-1e3, -2.5, 0.1, 7.0, 1e4):
-        shifted = ad.log_softmax(x + c, axis=1).data
-        np.testing.assert_allclose(shifted, base, atol=1e-12)
-
-
 def test_part_kl_identity_is_zero():
     p = np.array([0.2, 0.3, 0.5])
     assert abs(part_kl(p, p).item()) < 1e-15
