@@ -2,7 +2,10 @@
 
 Every differentiable operation records itself on the active :class:`Tape`;
 ``Tape.backward`` replays the records in exact reverse execution order and
-accumulates gradients additively. ``softmax``, ``layer_norm`` and ``conv3d``
+accumulates gradients additively. Only leaves keep ``.grad`` after backward:
+tensors no record produced, such as parameters. A record output's gradient is
+freed once that record's backward has run, so backward holds the gradients
+still to be used, not one per record. ``softmax``, ``layer_norm`` and ``conv3d``
 are one record each with an analytic backward; ``attention`` is a scores
 record, a ``softmax`` and a ``matmul``. Any op that
 produces a non-finite value raises :class:`NumericsError` immediately instead
@@ -65,7 +68,8 @@ class Tensor:
     """Immutable dense float64 array, optionally tracked for gradients.
 
     ``data`` is a row-major, read-only numpy array. ``grad`` is populated by
-    ``Tape.backward`` and is the only mutable state.
+    ``Tape.backward`` and is the only mutable state; after backward only
+    leaves (tensors no record produced) keep it.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -142,6 +146,7 @@ class Tape:
 
     def __init__(self):
         self.records: list[_Record] = []
+        self._backward_ran = False
 
     def __enter__(self) -> "Tape":
         Tape._stack.append(self)
@@ -156,7 +161,18 @@ class Tape:
         return cls._stack[-1] if cls._stack else None
 
     def backward(self, root: Tensor, seed: np.ndarray | None = None) -> None:
-        """Propagate gradients from ``root`` back through all records."""
+        """Propagate gradients from ``root`` back through all records.
+
+        Accumulates into the ``.grad`` of every leaf. Each record output's
+        gradient is released once its record's backward has run (every
+        consumer of that output was recorded later and so has already run),
+        so after backward only leaves keep ``.grad``. A tape runs backward
+        once: a second call raises ``RuntimeError`` instead of adding the
+        gradient to every leaf again.
+        """
+        if self._backward_ran:
+            raise RuntimeError("backward already ran on this tape")
+        self._backward_ran = True
         if seed is None:
             seed = np.ones(root.shape, dtype=np.float64)
         root.accumulate_grad(np.asarray(seed, dtype=np.float64))
@@ -165,6 +181,7 @@ class Tape:
             if g is None:
                 continue
             grads = rec.backward(g)
+            rec.output.grad = None
             for t, gi in zip(rec.inputs, grads):
                 if gi is None or not t.requires_grad:
                     continue

@@ -151,7 +151,10 @@ def _init(rng: np.random.Generator, shape, scale=None) -> Tensor:
 class AttentionLayer:
     """Residual scaled dot-product attention with learned projections.
 
-    Output projection starts at zero so a fresh layer is the identity map.
+    ``keys_values`` projects a context to keys and values; the call attends a
+    query to them. A caller that attends to the same context many times
+    projects it once and passes the pair to every call. Output projection
+    starts at zero so a fresh layer is the identity map.
     """
 
     def __init__(self, width: int, rng: np.random.Generator | None = None):
@@ -165,15 +168,15 @@ class AttentionLayer:
             "wo": Tensor(np.zeros((width, width)), requires_grad=True),
         }
 
-    def __call__(self, query: Tensor, context: Tensor) -> Tensor:
-        if query.shape[-1] != self.width or context.shape[-1] != self.width:
-            raise ShapeError(
-                f"token width {query.shape[-1]}/{context.shape[-1]} != layer width {self.width}"
-            )
-        q = ad.matmul(query, self.p["wq"])
-        k = ad.matmul(context, self.p["wk"])
-        v = ad.matmul(context, self.p["wv"])
-        out = ad.attention(q, k, v)
+    def keys_values(self, context: Tensor) -> tuple[Tensor, Tensor]:
+        if context.shape[-1] != self.width:
+            raise ShapeError(f"context width {context.shape[-1]} != layer width {self.width}")
+        return ad.matmul(context, self.p["wk"]), ad.matmul(context, self.p["wv"])
+
+    def __call__(self, query: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        if query.shape[-1] != self.width:
+            raise ShapeError(f"query width {query.shape[-1]} != layer width {self.width}")
+        out = ad.attention(ad.matmul(query, self.p["wq"]), k, v)
         return ad.add(query, ad.matmul(out, self.p["wo"]))
 
 
@@ -226,7 +229,7 @@ class GraphTimePass:
         x = rearrange(act(ad.conv3d(rearrange(x, self.grid), self.p["conv_kernel"])))
         x = self.graph.apply(coarse_adj, x)
         x = ad.transpose(x, (0, 2, 1, 3))                     # (B, S, T, C)
-        return ad.transpose(self.time_attn(x, x), (0, 2, 1, 3))
+        return ad.transpose(self.time_attn(x, *self.time_attn.keys_values(x)), (0, 2, 1, 3))
 
 
 class FeatureStack:
@@ -283,6 +286,8 @@ class DiffusionBlock:
     against the learned sequence context, an (L, C) table of rows. A two-pass
     graph+time stack then summarizes temporal dependencies, which condition
     every reverse step through cross-attention before the denoising update.
+    Each call projects the context and the dependencies to keys and values
+    once, before the chain that attends to them.
     Deterministic given the seed; returns the denoised tokens plus the mean
     squared error between the predicted noise and the noise component of the
     live state, (z_t - sqrt(alpha_bar_t) x0) / sqrt(1 - alpha_bar_t), averaged
@@ -325,12 +330,13 @@ class DiffusionBlock:
             return ad.constant(np.swapaxes(rng.standard_normal((b, t, c, s)), 2, 3))
 
         # forward noising with context cross-attention after every step
+        ctx_kv = self.context_attn.keys_values(context)
         x = x0
         for step in range(1, sched.n_steps + 1):
-            x = self.context_attn(forward_noise_step(x, step, sched, draw()), context)
+            x = self.context_attn(forward_noise_step(x, step, sched, draw()), *ctx_kv)
 
         # temporal dependency summary from the noised latent
-        deps = self.stack(x, self.coarse_adj)
+        deps_kv = self.cond_attn.keys_values(self.stack(x, self.coarse_adj))
 
         # conditioned reverse chain; the predictor trains toward the noise
         # component of the live state, (z_t - sqrt(abar_t) x0)/sqrt(1-abar_t),
@@ -338,7 +344,7 @@ class DiffusionBlock:
         z = x
         eps_losses = []
         for step in range(sched.n_steps, 0, -1):
-            z = self.cond_attn(z, deps)
+            z = self.cond_attn(z, *deps_kv)
             eps_hat = self.predictor(z, step, self.coarse_adj)
             abar = float(sched.alpha_bar[step - 1])
             if 1.0 - abar > 0.0:

@@ -287,6 +287,10 @@ def corrupt_sequence(seq: MotionSequence, graph: BodyGraph,
     sets their mask entries to 1 over the span. Deterministic per seed.
     """
     config.validate()
+    if config.part_rule == "fixed" and not (0 <= config.fixed_part < graph.n_parts):
+        raise SynthError(
+            f"fixed part {config.fixed_part} outside [0, {graph.n_parts}) for this graph"
+        )
     rng = np.random.default_rng(seed)
     obs = seq.gt_vertices.copy()
     T, n, _ = obs.shape

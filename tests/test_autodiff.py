@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -498,6 +499,35 @@ def test_tape_reverse_order_and_additivity():
     tape.backward(c)
     np.testing.assert_allclose(x.grad, [8.0])
     assert [r.name for r in tape.records] == ["mul", "mul", "add"]
+
+
+def test_backward_frees_intermediate_gradients():
+    # a 100-mul chain: at most a few gradient-sized arrays are alive at once,
+    # not one per record, and only the leaf keeps its gradient
+    x = Tensor(np.linspace(-1.0, 1.0, 10_000), requires_grad=True)
+    with Tape() as tape:
+        y = x
+        for _ in range(100):
+            y = ad.mul(y, 0.99)
+    tracemalloc.start()
+    try:
+        tape.backward(y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * x.data.nbytes
+    assert all(rec.output.grad is None for rec in tape.records)
+    np.testing.assert_allclose(x.grad, np.full(x.shape, 0.99**100), rtol=1e-12)
+
+
+def test_second_backward_raises_and_leaves_gradients_alone():
+    x = Tensor([2.0, -1.0], requires_grad=True)
+    with Tape() as tape:
+        y = ad.sum_(ad.mul(x, x))
+    tape.backward(y)
+    with pytest.raises(RuntimeError, match="already"):
+        tape.backward(y)
+    np.testing.assert_array_equal(x.grad, [4.0, -2.0])
 
 
 def test_no_recording_outside_tape():

@@ -196,11 +196,11 @@ def test_rearrange_rejects_mismatched_grid():
 def test_temporal_attention_single_step_is_linear_map():
     rng = np.random.default_rng(12)
     layer = AttentionLayer(4, rng=rng)
-    x = rng.standard_normal((1, 6, 1, 4))
-    out = layer(Tensor(x), Tensor(x)).data
+    x = Tensor(rng.standard_normal((1, 6, 1, 4)))
+    out = layer(x, *layer.keys_values(x)).data
     # attention over one time step weights its single value by 1
     wv, wo = layer.p["wv"].data, layer.p["wo"].data
-    np.testing.assert_allclose(out, x + (x @ wv) @ wo, atol=1e-12)
+    np.testing.assert_allclose(out, x.data + (x.data @ wv) @ wo, atol=1e-12)
 
 
 def test_temporal_attention_identical_steps_identical_rows():
@@ -208,8 +208,8 @@ def test_temporal_attention_identical_steps_identical_rows():
     layer = AttentionLayer(3, rng=rng)
     layer.p["wo"] = Tensor(rng.standard_normal((3, 3)) * 0.3, requires_grad=True)
     row = rng.standard_normal((1, 5, 1, 3))
-    x = np.repeat(row, 2, axis=2)
-    out = layer(Tensor(x), Tensor(x)).data
+    x = Tensor(np.repeat(row, 2, axis=2))
+    out = layer(x, *layer.keys_values(x)).data
     np.testing.assert_allclose(out[:, :, 0, :], out[:, :, 1, :], atol=1e-12)
 
 
@@ -217,10 +217,11 @@ def test_temporal_attention_matches_per_site_loop():
     rng = np.random.default_rng(14)
     layer = AttentionLayer(3, rng=rng)
     layer.p["wo"] = Tensor(rng.standard_normal((3, 3)) * 0.3, requires_grad=True)
-    x = rng.standard_normal((1, 4, 3, 3))
-    out = layer(Tensor(x), Tensor(x)).data
+    x = Tensor(rng.standard_normal((1, 4, 3, 3)))
+    out = layer(x, *layer.keys_values(x)).data
     for site in range(4):
-        per_site = layer(Tensor(x[0, site]), Tensor(x[0, site])).data
+        frames = Tensor(x.data[0, site])
+        per_site = layer(frames, *layer.keys_values(frames)).data
         np.testing.assert_allclose(out[0, site], per_site, atol=1e-12)
 
 
@@ -243,7 +244,7 @@ def test_graph_time_pass_matches_per_site_replay():
     for b in range(2):
         for site in range(4):
             frames = Tensor(feats[b, :, site])
-            want = layer.time_attn(frames, frames).data
+            want = layer.time_attn(frames, *layer.time_attn.keys_values(frames)).data
             np.testing.assert_allclose(out[b, :, site], want, atol=1e-12)
 
 
@@ -290,6 +291,20 @@ def test_block_rejects_grid_vertex_mismatch():
         block(_tokens((1, 2, 3, 4), rng), ctx, seed=0)
 
 
+def test_block_projects_each_context_once_per_call():
+    # the context and the dependency summary are projected to keys and values
+    # once per call, not once per chain step
+    _, block, ctx = _block_setup(n_steps=3)
+    x = _tokens((1, 2, 4, 4), np.random.default_rng(25))
+    with Tape() as tape:
+        block(x, ctx, seed=4)
+    for layer in (block.context_attn, block.cond_attn):
+        for key in ("wk", "wv"):
+            w = layer.p[key]
+            assert sum(any(t is w for t in rec.inputs) for rec in tape.records) == 1
+        assert sum(any(t is layer.p["wq"] for t in rec.inputs) for rec in tape.records) == 3
+
+
 def test_block_alpha_one_equals_deterministic_path():
     # an all-ones schedule and a zero-init predictor collapse the noising and
     # denoising arithmetic, leaving only the attention/feature path
@@ -302,11 +317,11 @@ def test_block_alpha_one_equals_deterministic_path():
     # manual replay without any noise arithmetic
     v = x
     for _ in range(2):
-        v = block.context_attn(v, ctx)
+        v = block.context_attn(v, *block.context_attn.keys_values(ctx))
     deps = block.stack(v, block.coarse_adj)
     z = v
     for _ in range(2):
-        z = block.cond_attn(z, deps)
+        z = block.cond_attn(z, *block.cond_attn.keys_values(deps))
     np.testing.assert_allclose(out.data, z.data, atol=1e-12)
 
 

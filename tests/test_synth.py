@@ -98,6 +98,15 @@ def test_full_occlusion_of_one_part(graph):
                                   seq.gt_vertices[:, untouched])
 
 
+@pytest.mark.parametrize("fixed_part", [99, -1])
+def test_fixed_part_outside_the_graph_raises(graph, fixed_part):
+    # -1 would otherwise occlude the last part by Python's negative indexing
+    seq = generate_sequence(MotionConfig(graph=graph, frames=4), seed=0)
+    cfg = CorruptionConfig(occlusion_prob=1.0, part_rule="fixed", fixed_part=fixed_part)
+    with pytest.raises(SynthError, match="fixed part"):
+        corrupt_sequence(seq, graph, cfg, seed=0)
+
+
 def test_blur_preserves_linear_ramp_interior(graph):
     # box filters reproduce linear-in-time signals away from the edges
     seq = generate_sequence(MotionConfig(graph=graph, frames=8), seed=3)
