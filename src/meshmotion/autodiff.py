@@ -5,7 +5,9 @@ Every differentiable operation records itself on the active :class:`Tape`;
 accumulates gradients additively. Only leaves keep ``.grad`` after backward:
 tensors no record produced, such as parameters. A record output's gradient is
 freed once that record's backward has run, so backward holds the gradients
-still to be used, not one per record. ``softmax``, ``layer_norm`` and ``conv3d``
+still to be used, not one per record. A backward returns None for an input
+that does not require a gradient (noise draws, targets, scalars), so
+constants cost no gradient arithmetic. ``softmax``, ``layer_norm`` and ``conv3d``
 are one record each with an analytic backward; ``attention`` is a scores
 record, a ``softmax`` and a ``matmul``. Any op that
 produces a non-finite value raises :class:`NumericsError` immediately instead
@@ -76,7 +78,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericsError("tensor constructed with non-finite values")
         arr.flags.writeable = False
         self.data = arr
@@ -185,16 +187,18 @@ class Tape:
             for t, gi in zip(rec.inputs, grads):
                 if gi is None or not t.requires_grad:
                     continue
-                if not np.all(np.isfinite(gi)):
+                if not np.isfinite(gi).all():
                     raise NumericsError(f"non-finite gradient out of op '{rec.name}'")
                 t.accumulate_grad(gi)
 
 
 def _result(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward) -> Tensor:
-    if not np.all(np.isfinite(out_data)):
+    arr = out_data
+    if type(arr) is not np.ndarray or arr.dtype != np.float64:
+        arr = np.asarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
         raise NumericsError(f"op '{name}' produced non-finite values")
     out = Tensor.__new__(Tensor)
-    arr = np.asarray(out_data, dtype=np.float64)
     if arr.ndim > 0 and not arr.flags.c_contiguous:
         arr = np.ascontiguousarray(arr)
     if arr.base is not None and arr.base.flags.writeable:
@@ -203,10 +207,10 @@ def _result(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backwar
         arr.flags.writeable = False
     out.data = arr
     out.grad = None
-    tape = Tape.active()
-    out.requires_grad = tape is not None and any(t.requires_grad for t in inputs)
+    stack = Tape._stack
+    out.requires_grad = bool(stack) and any(t.requires_grad for t in inputs)
     if out.requires_grad:
-        tape.records.append(_Record(name, inputs, out, backward))
+        stack[-1].records.append(_Record(name, inputs, out, backward))
     return out
 
 
@@ -244,7 +248,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _result("add", (a, b), out, backward)
 
@@ -254,7 +259,8 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return _result("sub", (a, b), out, backward)
 
@@ -264,7 +270,8 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _result("mul", (a, b), out, backward)
 
@@ -275,9 +282,9 @@ def div(a, b) -> Tensor:
         out = a.data / b.data
 
     def backward(g):
-        ga = g / b.data
-        gb = -g * a.data / (b.data * b.data)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _result("div", (a, b), out, backward)
 
@@ -436,9 +443,12 @@ def matmul(a, b) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return ga, gb
 
     return _result("matmul", (a, b), out, backward)
 
@@ -468,7 +478,7 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     ax = a.ndim - 1
     d = a.data - a.data.mean(axis=ax, keepdims=True)
     std = np.sqrt((d * d).mean(axis=ax, keepdims=True) + eps)
-    if not np.all(np.isfinite(std)):
+    if not np.isfinite(std).all():
         # d * d overflowed: the output would be beta alone, silently
         raise NumericsError("op 'layer_norm' produced a non-finite standard deviation")
     normed = d / std
@@ -489,9 +499,12 @@ def _scaled_scores(q: Tensor, k: Tensor, scale: float) -> Tensor:
 
     def backward(g):
         gs = g * scale
-        gq = np.matmul(gs, k.data)
-        gk = np.matmul(np.swapaxes(gs, -1, -2), q.data)
-        return _unbroadcast(gq, q.shape), _unbroadcast(gk, k.shape)
+        gq = gk = None
+        if q.requires_grad:
+            gq = _unbroadcast(np.matmul(gs, k.data), q.shape)
+        if k.requires_grad:
+            gk = _unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), q.data), k.shape)
+        return gq, gk
 
     return _result("attention_scores", (q, k), out, backward)
 
@@ -567,12 +580,16 @@ def conv3d(x, kernel) -> Tensor:
 
     def backward(g):
         g_last = np.transpose(g, (0, 2, 3, 4, 1))                  # (B, T, H, W, C_out)
-        gk = np.matmul(g_last.reshape(-1, c_out).T, _patches(x_last, kt, kh, kw))
-        gk = np.transpose(gk.reshape(c_out, kt, kh, kw, c_in), (0, 4, 1, 2, 3))
-        flipped = kernel.data[:, :, ::-1, ::-1, ::-1]
-        k_back = np.transpose(flipped, (1, 2, 3, 4, 0)).reshape(c_in, -1)
-        gx = np.matmul(_patches(g_last, kt, kh, kw), k_back.T)     # (B·T·H·W, C_in)
-        return np.transpose(gx.reshape(B, T, H, W, c_in), (0, 4, 1, 2, 3)), gk
+        gx = gk = None
+        if kernel.requires_grad:
+            gk = np.matmul(g_last.reshape(-1, c_out).T, _patches(x_last, kt, kh, kw))
+            gk = np.transpose(gk.reshape(c_out, kt, kh, kw, c_in), (0, 4, 1, 2, 3))
+        if x.requires_grad:
+            flipped = kernel.data[:, :, ::-1, ::-1, ::-1]
+            k_back = np.transpose(flipped, (1, 2, 3, 4, 0)).reshape(c_in, -1)
+            gx = np.matmul(_patches(g_last, kt, kh, kw), k_back.T)  # (B·T·H·W, C_in)
+            gx = np.transpose(gx.reshape(B, T, H, W, c_in), (0, 4, 1, 2, 3))
+        return gx, gk
 
     return _result("conv3d", (x, kernel), out, backward)
 

@@ -4,10 +4,18 @@ Procrustes-aligned joint error, all in millimeters.
 Joints regress from mesh vertices through a sparse convex-weight matrix; the
 toy regressor places 14 joints on single-part vertex groups so rigid part
 motion keeps designated bone lengths constant.
+
+``compute_metrics`` scores every frame of a sequence in one vectorized pass:
+one batched joint regression, one batched Procrustes alignment (its SVDs
+stacked over the frames, so their count does not grow with T) and per-frame
+errors averaged at the end. Errors are typed: every failure is a
+``MetricsError``; ``AlignmentError``, its subclass, marks a degenerate
+frame, and both name the first failing frame.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,12 +23,12 @@ import numpy as np
 from .body_graph import BodyGraph
 
 
-class AlignmentError(ValueError):
-    """Degenerate input to Procrustes alignment."""
-
-
 class MetricsError(ValueError):
     """Invalid metric computation input."""
+
+
+class AlignmentError(MetricsError):
+    """Degenerate input to Procrustes alignment."""
 
 
 @dataclass
@@ -32,7 +40,10 @@ class PoseError:
     pa_mpjpe: float
 
     def __post_init__(self):
-        if min(self.mpvpe, self.mpjpe, self.pa_mpjpe) < 0:
+        values = self.as_tuple()
+        if not all(math.isfinite(v) for v in values):
+            raise MetricsError(f"errors must be finite, got {values}")
+        if min(values) < 0:
             raise MetricsError("errors must be nonnegative")
 
     def as_tuple(self) -> tuple[float, float, float]:
@@ -60,7 +71,7 @@ class JointRegressor:
 
     def __call__(self, vertices: np.ndarray) -> np.ndarray:
         """(..., n, 3) vertices -> (..., n_joints, 3) joints."""
-        return np.einsum("jn,...nk->...jk", self.matrix, vertices)
+        return np.matmul(self.matrix, vertices)
 
 
 _JOINT_SPECS = (
@@ -119,67 +130,97 @@ def build_joint_regressor(graph: BodyGraph) -> JointRegressor:
                           bone_pairs=bones, root_joint=name_idx["pelvis"])
 
 
+def _first(mask) -> tuple[tuple[int, ...], str]:
+    """Leading index of the first set where ``mask`` holds, and an error
+    prefix naming it ("frame 7: "; empty for a single set)."""
+    i = np.unravel_index(np.argmax(mask), np.shape(mask))
+    return i, (f"frame {', '.join(str(int(j)) for j in i)}: " if i else "")
+
+
 def procrustes_align(p: np.ndarray, q: np.ndarray):
     """Similarity transform (s, R, t) minimizing ||s R p_i + t - q_i||^2.
 
-    R is a proper rotation (det = +1, reflections corrected by flipping the
-    smallest singular direction). Points are rows (k, 3), k >= 3.
+    Points are rows: one pair of (k, 3) sets, k >= 3, or stacks (..., k, 3)
+    aligned set by set in one batched pass, with s, R and t carrying the
+    leading axes (a single pair gives a float s). R is a proper rotation
+    (det = +1, reflections corrected by flipping the smallest singular
+    direction). ``AlignmentError`` names the first set whose source points
+    coincide or are collinear; moments or a transform that overflow raise
+    ``MetricsError``.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 2 or p.shape[1] != 3:
-        raise MetricsError(f"point sets must be matching (k, 3) arrays, got {p.shape}, {q.shape}")
-    if p.shape[0] < 3:
-        raise MetricsError(f"need at least 3 points, got {p.shape[0]}")
-    mu_p = p.mean(axis=0)
-    mu_q = q.mean(axis=0)
-    x = p - mu_p
-    y = q - mu_q
-    var_p = (x**2).sum()
-    if var_p < 1e-18:
-        raise AlignmentError("all source points coincident; alignment undefined")
-    h = x.T @ y  # (3, 3)
-    u, s, vt = np.linalg.svd(h)
-    if np.linalg.matrix_rank(x, tol=1e-12) < 2:
-        raise AlignmentError("source points are collinear; rotation not identifiable")
-    d = np.ones(3)
-    if np.linalg.det(vt.T @ u.T) < 0:
-        d[-1] = -1.0
-    rot = vt.T @ np.diag(d) @ u.T
-    scale = float((s * d).sum() / var_p)
-    t = mu_q - scale * rot @ mu_p
-    return scale, rot, t
+    if p.shape != q.shape or p.ndim < 2 or p.shape[-1] != 3:
+        raise MetricsError(f"point sets must be matching (..., k, 3) arrays, "
+                           f"got {p.shape}, {q.shape}")
+    if p.shape[-2] < 3:
+        raise MetricsError(f"need at least 3 points, got {p.shape[-2]}")
+    with np.errstate(all="ignore"):
+        mu_p = p.mean(axis=-2, keepdims=True)
+        mu_q = q.mean(axis=-2, keepdims=True)
+        x = p - mu_p
+        y = q - mu_q
+        var_p = (x**2).sum(axis=(-2, -1))
+        h = np.swapaxes(x, -1, -2) @ y  # (..., 3, 3)
+        finite = np.isfinite(var_p) & np.isfinite(h).all(axis=(-2, -1))
+        if not finite.all():
+            raise MetricsError(_first(~finite)[1] + "point moments are not finite")
+        coincident = var_p < 1e-18
+        degenerate = coincident | (np.linalg.matrix_rank(x, tol=1e-12) < 2)
+        if degenerate.any():
+            i, at = _first(degenerate)
+            raise AlignmentError(at + ("all source points coincident; alignment undefined"
+                                       if coincident[i] else
+                                       "source points are collinear; rotation not identifiable"))
+        u, s, vt = np.linalg.svd(h)
+        v, ut = np.swapaxes(vt, -1, -2), np.swapaxes(u, -1, -2)
+        d = np.ones(s.shape)
+        d[..., -1] = np.where(np.linalg.det(v @ ut) < 0, -1.0, 1.0)
+        rot = (v * d[..., None, :]) @ ut
+        scale = (s * d).sum(axis=-1) / var_p
+        t = mu_q[..., 0, :] - ((scale[..., None, None] * rot) @ np.swapaxes(mu_p, -1, -2))[..., 0]
+        finite = np.isfinite(scale) & np.isfinite(t).all(axis=-1)
+        if not finite.all():
+            raise MetricsError(_first(~finite)[1] + "similarity transform is not finite")
+    return (float(scale) if p.ndim == 2 else scale), rot, t
 
 
-def apply_similarity(p: np.ndarray, scale: float, rot: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return scale * p @ rot.T + t
-
-
-def _frame_errors(pred: np.ndarray, gt: np.ndarray, regressor: JointRegressor):
-    mpvpe = float(np.linalg.norm(pred - gt, axis=1).mean())
-    pj = regressor(pred)
-    gj = regressor(gt)
-    root = regressor.root_joint
-    pj_rooted = pj - pj[root]
-    gj_rooted = gj - gj[root]
-    mpjpe = float(np.linalg.norm(pj_rooted - gj_rooted, axis=1).mean())
-    s, r, t = procrustes_align(pj, gj)
-    pa = float(np.linalg.norm(apply_similarity(pj, s, r, t) - gj, axis=1).mean())
-    return mpvpe, mpjpe, pa
+def apply_similarity(p: np.ndarray, scale, rot: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """s R p_i + t for (..., k, 3) points; (s, R, t) carry the leading axes."""
+    scale = np.asarray(scale)[..., None, None]
+    return scale * p @ np.swapaxes(rot, -1, -2) + np.asarray(t)[..., None, :]
 
 
 def compute_metrics(pred_vertices, gt_vertices, regressor: JointRegressor) -> PoseError:
-    """Frame-averaged vertex/joint errors; inputs are (T, n, 3) or (n, 3) mm."""
+    """Frame-averaged vertex/joint errors; inputs are (T, n, 3) or (n, 3) mm.
+
+    All T frames are scored in one vectorized pass. A frame whose error is
+    not finite (coordinates so large that their squares overflow) raises
+    ``MetricsError`` naming it, as does a degenerate alignment.
+    """
     pred = np.asarray(pred_vertices, dtype=np.float64)
     gt = np.asarray(gt_vertices, dtype=np.float64)
     if pred.shape != gt.shape:
         raise MetricsError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    if not (np.all(np.isfinite(pred)) and np.all(np.isfinite(gt))):
+    if not (np.isfinite(pred).all() and np.isfinite(gt).all()):
         raise MetricsError("non-finite coordinates")
     if pred.ndim == 2:
         pred, gt = pred[None], gt[None]
     if pred.ndim != 3 or pred.shape[2] != 3:
         raise MetricsError(f"expected (T, n, 3) vertices, got {pred.shape}")
-    vals = np.array([_frame_errors(pred[t], gt[t], regressor) for t in range(pred.shape[0])])
-    means = vals.mean(axis=0)
+    with np.errstate(all="ignore"):
+        mpvpe = np.linalg.norm(pred - gt, axis=2).mean(axis=1)
+        pj = regressor(pred)
+        gj = regressor(gt)
+        root = regressor.root_joint
+        pj_rooted = pj - pj[:, root:root + 1]
+        gj_rooted = gj - gj[:, root:root + 1]
+        mpjpe = np.linalg.norm(pj_rooted - gj_rooted, axis=2).mean(axis=1)
+        s, r, t = procrustes_align(pj, gj)
+        pa = np.linalg.norm(apply_similarity(pj, s, r, t) - gj, axis=2).mean(axis=1)
+        vals = np.stack([mpvpe, mpjpe, pa], axis=1)  # (T, 3)
+        finite = np.isfinite(vals).all(axis=1)
+        if not finite.all():
+            raise MetricsError(_first(~finite)[1] + "pose error is not finite")
+        means = vals.mean(axis=0)
     return PoseError(mpvpe=means[0], mpjpe=means[1], pa_mpjpe=means[2])

@@ -18,6 +18,8 @@ from meshmotion.autodiff import (
     softmax,
     take_slice,
 )
+from meshmotion.model import ModelConfig, build_model
+from meshmotion.synth import MotionConfig, generate_sequence
 
 
 def test_every_all_entry_resolves():
@@ -540,3 +542,52 @@ def test_tensor_data_read_only():
     t = Tensor([1.0, 2.0])
     with pytest.raises(ValueError):
         t.data[0] = 5.0
+
+
+def test_backward_returns_none_for_constant_inputs():
+    # a scalar operand, a constant matrix or a constant conv input gets no
+    # gradient computed
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    kernel = Tensor(np.ones((1, 1, 1, 1, 3)), requires_grad=True)
+    with Tape() as tape:
+        ad.mul(2.0, x)
+        ad.matmul(x, np.ones((3, 3)))
+        ad.add(x, 1.0)
+        ad.sub(1.0, x)
+        ad.div(x, 4.0)
+        ad.conv3d(np.ones((1, 1, 1, 1, 2)), kernel)
+    g = {rec.name: rec.backward(np.ones(rec.output.shape)) for rec in tape.records}
+    assert g["mul"][0] is None and g["mul"][1] is not None
+    assert g["matmul"][0] is not None and g["matmul"][1] is None
+    assert g["add"][1] is None and g["sub"][0] is None and g["div"][1] is None
+    assert g["conv3d"][0] is None and g["conv3d"][1] is not None
+
+
+def test_skipping_constant_gradients_keeps_a_default_step_bit_identical():
+    # reference: flag every constant record input as needing a gradient
+    # after the forward, so every backward computes every gradient again
+    config = ModelConfig()
+    grads = []
+    for flag_constants in (False, True):
+        model = build_model(config)
+        seqs = [generate_sequence(MotionConfig(graph=model.graph, frames=16), seed=i)
+                for i in range(config.batch_size)]
+        obs, gt = np.stack([s.observations for s in seqs]), np.stack([s.gt_vertices for s in seqs])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with Tape() as tape:
+                loss = model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=3), gt)
+            constants = {id(t): t for rec in tape.records for t in rec.inputs
+                         if not t.requires_grad}
+            if flag_constants:
+                for t in constants.values():
+                    t.requires_grad = True
+            tape.backward(loss)
+        assert len(constants) > 100
+        slots = model.param_slots()
+        grads.append({k: holder[key].grad for k, (holder, key) in slots.items()})
+    skipped, full = grads
+    assert skipped.keys() == full.keys()
+    for k in skipped:
+        assert (skipped[k] is None) == (full[k] is None), k
+        if skipped[k] is not None:
+            np.testing.assert_array_equal(skipped[k], full[k], err_msg=k)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,33 @@ def _random_rotation(rng):
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ])
+
+
+def _oracle_procrustes(p, q):
+    # the per-frame alignment compute_metrics ran before it was batched
+    mu_p, mu_q = p.mean(axis=0), q.mean(axis=0)
+    x, y = p - mu_p, q - mu_q
+    u, s, vt = np.linalg.svd(x.T @ y)
+    d = np.ones(3)
+    if np.linalg.det(vt.T @ u.T) < 0:
+        d[-1] = -1.0
+    rot = vt.T @ np.diag(d) @ u.T
+    scale = float((s * d).sum() / (x**2).sum())
+    return scale, rot, mu_q - scale * rot @ mu_p
+
+
+def _oracle_metrics(pred, gt, regressor):
+    # frame-by-frame loop: mean over frames of (MPVPE, MPJPE, PA-MPJPE)
+    vals = []
+    for p, g in zip(pred, gt):
+        pj = np.einsum("jn,nk->jk", regressor.matrix, p)
+        gj = np.einsum("jn,nk->jk", regressor.matrix, g)
+        root = regressor.root_joint
+        s, r, t = _oracle_procrustes(pj, gj)
+        vals.append((np.linalg.norm(p - g, axis=1).mean(),
+                     np.linalg.norm((pj - pj[root]) - (gj - gj[root]), axis=1).mean(),
+                     np.linalg.norm(s * pj @ r.T + t - gj, axis=1).mean()))
+    return np.mean(vals, axis=0)
 
 
 def test_procrustes_identity():
@@ -230,3 +258,109 @@ def test_metrics_input_validation():
     bad[0, 0] = np.nan
     with pytest.raises(MetricsError):
         compute_metrics(bad, np.zeros_like(bad), reg)
+
+
+def test_batched_metrics_match_per_frame_oracle():
+    # noisy similarity transforms of real motion, some frames mirrored
+    graph = generate_toy_body()
+    reg = build_joint_regressor(graph)
+    rng = np.random.default_rng(12)
+    for seed in range(60):
+        gt = generate_sequence(MotionConfig(graph=graph, frames=16), seed=seed).gt_vertices
+        pred = gt + rng.standard_normal(gt.shape) * rng.uniform(1, 60)
+        for f in range(len(pred)):
+            scale, rot = rng.uniform(0.7, 1.4), _random_rotation(rng)
+            pred[f] = scale * pred[f] @ rot.T + rng.standard_normal(3) * 80
+        mirrored = rng.random(len(pred)) < 0.3
+        pred[mirrored, :, 0] *= -1.0
+        got = compute_metrics(pred, gt, reg).as_tuple()
+        np.testing.assert_allclose(got, _oracle_metrics(pred, gt, reg), rtol=1e-12)
+
+
+def test_stacked_procrustes_equals_per_set_calls():
+    rng = np.random.default_rng(13)
+    p = rng.standard_normal((3, 5, 8, 3))
+    q = 1.7 * p @ _random_rotation(rng).T + rng.standard_normal(p.shape) * 0.3
+    q[1, 2, :, 1] *= -1.0  # one mirrored set
+    s, r, t = procrustes_align(p, q)
+    assert s.shape == (3, 5) and r.shape == (3, 5, 3, 3) and t.shape == (3, 5, 3)
+    aligned = apply_similarity(p, s, r, t)
+    for i in np.ndindex(3, 5):
+        si, ri, ti = procrustes_align(p[i], q[i])
+        assert isinstance(si, float)
+        np.testing.assert_allclose(s[i], si, rtol=1e-12)
+        np.testing.assert_allclose(r[i], ri, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(t[i], ti, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(aligned[i], apply_similarity(p[i], si, ri, ti),
+                                   rtol=1e-12, atol=1e-12)
+        assert np.linalg.det(ri) > 0.99
+
+
+def test_svd_count_does_not_grow_with_frames(monkeypatch):
+    # one batched alignment per sequence: a per-frame loop would call the
+    # SVD once per frame
+    graph = generate_toy_body()
+    reg = build_joint_regressor(graph)
+    gt = generate_sequence(MotionConfig(graph=graph, frames=16), seed=1).gt_vertices
+    pred = gt + np.random.default_rng(14).standard_normal(gt.shape) * 10
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    counts = []
+    for frames in (1, 16):
+        calls.clear()
+        compute_metrics(pred[:frames], gt[:frames], reg)
+        counts.append(len(calls))
+    assert counts[0] >= 1
+    assert counts[0] == counts[1]
+
+
+def test_alignment_error_names_the_degenerate_frame():
+    graph = generate_toy_body()
+    reg = build_joint_regressor(graph)
+    gt = generate_sequence(MotionConfig(graph=graph, frames=16), seed=2).gt_vertices
+    pred = gt + np.random.default_rng(15).standard_normal(gt.shape) * 10
+    collapsed = pred.copy()
+    collapsed[7] = 5.0  # every vertex, hence every joint, at one point
+    with pytest.raises(MetricsError, match="^frame 7: all source points coincident"):
+        compute_metrics(collapsed, gt, reg)
+    line = pred.copy()
+    line[7] = np.outer(np.arange(graph.n_vertices, dtype=float), [1.0, 2.0, -1.0])
+    with pytest.raises(AlignmentError, match="^frame 7: source points are collinear"):
+        compute_metrics(line, gt, reg)
+    assert issubclass(AlignmentError, MetricsError)
+
+
+def test_overflowing_errors_raise_metrics_error():
+    graph = generate_toy_body()
+    reg = build_joint_regressor(graph)
+    gt = generate_sequence(MotionConfig(graph=graph, frames=4), seed=3).gt_vertices
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(MetricsError, match="not finite"):
+            compute_metrics(gt * 1e160, gt, reg)
+        with pytest.raises(MetricsError, match="^frame 2: point moments"):
+            procrustes_align(gt[:, :5] * np.array([1, 1, 1e160, 1])[:, None, None], gt[:, :5])
+        # finite moments, but the scale from a tight set onto a huge one overflows
+        rng = np.random.default_rng(16)
+        with pytest.raises(MetricsError, match="^similarity transform is not finite"):
+            procrustes_align(rng.standard_normal((6, 3)) * 1e-8,
+                             rng.standard_normal((6, 3)) * 1e301)
+    # the square of one vertex error overflows; the regressor ignores that
+    # vertex, so the joints align finely
+    off_joint = int(np.flatnonzero(reg.matrix.sum(axis=0) == 0)[0])
+    pred = gt.copy()
+    pred[2, off_joint, 0] = 1e200
+    with pytest.raises(MetricsError, match="^frame 2: pose error is not finite"):
+        compute_metrics(pred, gt, reg)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_pose_error_rejects_non_finite(bad):
+    with pytest.raises(MetricsError, match="finite"):
+        PoseError(mpvpe=1.0, mpjpe=bad, pa_mpjpe=0.5)
