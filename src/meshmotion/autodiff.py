@@ -7,9 +7,10 @@ tensors no record produced, such as parameters. A record output's gradient is
 freed once that record's backward has run, so backward holds the gradients
 still to be used, not one per record. A backward returns None for an input
 that does not require a gradient (noise draws, targets, scalars), so
-constants cost no gradient arithmetic. ``softmax``, ``layer_norm`` and ``conv3d``
-are one record each with an analytic backward; ``attention`` is a scores
-record, a ``softmax`` and a ``matmul``. Any op that
+constants cost no gradient arithmetic. ``softmax``, ``layer_norm``, ``conv3d`` and
+``segment_softmax_kl`` (the weighted KL between segment-wise softmaxes, the
+part loss of one level) are one record each with an analytic backward;
+``attention`` is a scores record, a ``softmax`` and a ``matmul``. Any op that
 produces a non-finite value raises :class:`NumericsError` immediately instead
 of letting NaN/Inf spread; callers that want that error as the only signal run
 a whole step under ``np.errstate`` (see ``model.train``).
@@ -47,6 +48,7 @@ __all__ = [
     "mean",
     "take_slice",
     "softmax",
+    "segment_softmax_kl",
     "layer_norm",
     "conv3d",
     "attention",
@@ -464,6 +466,52 @@ def softmax(a, axis: int) -> Tensor:
         return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
 
     return _result("softmax", (a,), out, backward)
+
+
+def _segment_softmax(x: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Stable softmax over each contiguous column segment of the (S, n) ``x``."""
+    e = np.exp(x - np.maximum.reduceat(x, starts, axis=1)[:, seg])
+    return e / np.add.reduceat(e, starts, axis=1)[:, seg]
+
+
+def segment_softmax_kl(logits, target_logits, starts, weights, floor: float) -> Tensor:
+    """Σ_p w_p · mean over rows of KL(softmax_p(target) ‖ softmax_p(logits)); one record.
+
+    ``logits`` and ``target_logits`` are (S, n). Their columns split into
+    contiguous segments p that begin at ``starts`` (increasing, the first 0),
+    and each row takes a softmax q (target) and p (prediction) over each
+    segment. ``weights`` holds one w_p per segment. Both sides are floored at
+    ``floor`` inside the log, so the target's 0·log 0 counts as 0. The target
+    is detached: its gradient is None. With keep = p > floor and c each
+    column's segment weight over S, the logits gradient is
+    g·(−q·keep·c + p·Σ_seg q·keep·c), so it flows only where the prediction
+    is above the floor.
+    """
+    x, t = as_tensor(logits), as_tensor(target_logits)
+    if x.ndim != 2 or x.shape != t.shape:
+        raise ShapeError(f"segment_softmax_kl needs two equal (S, n) operands, "
+                         f"got {x.shape} and {t.shape}")
+    n = x.shape[1]
+    starts = np.asarray(starts, dtype=np.intp)
+    if (starts.ndim != 1 or starts.size == 0 or starts[0] != 0
+            or np.any(np.diff(starts) <= 0) or starts[-1] >= n):
+        raise ShapeError(f"segment starts {starts.tolist()} do not split {n} columns")
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != starts.shape:
+        raise ShapeError(f"{w.size} weights for {starts.size} segments")
+    seg = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
+    p = _segment_softmax(x.data, starts, seg)
+    q = _segment_softmax(t.data, starts, seg)
+    per_entry = q * (np.log(np.maximum(q, floor)) - np.log(np.maximum(p, floor)))
+    out = np.add.reduceat(per_entry, starts, axis=1).mean(axis=0) @ w
+
+    def backward(g):
+        if not x.requires_grad:
+            return None, None
+        qk = q * (p > floor) * (w / x.shape[0])[seg]
+        return g * (p * np.add.reduceat(qk, starts, axis=1)[:, seg] - qk), None
+
+    return _result("segment_softmax_kl", (x, t), out, backward)
 
 
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:

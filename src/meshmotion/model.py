@@ -225,7 +225,7 @@ class Model:
         if cfg.part_loss_on:
             levels = []
             if cfg.hierarchy_depth >= 2:
-                gt_coarse = np.einsum("cn,bnk->bck", self.graph.down_matrix.data, gt_scaled)
+                gt_coarse = np.matmul(self.graph.down_matrix.data, gt_scaled)
                 levels.append((out["coarse_feats"], gt_coarse, self.coarse_map,
                                out["coarse_feats"].data))
             levels.append((out["pred_scaled"], gt_scaled, self.fine_map,

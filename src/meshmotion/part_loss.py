@@ -3,7 +3,10 @@
 Vertex features pool into per-part probability distributions via softmax over
 per-vertex scores; prediction/target distributions compare through a KL term
 weighted by variance-derived part weights, summed over the parts of one
-resolution level (``model.Model.loss`` sums the levels).
+resolution level (``model.Model.loss`` sums the levels). The parts are
+contiguous vertex ranges, so one level's pooling and KL terms over all parts
+are one segmented ``autodiff.segment_softmax_kl`` tape record; with the
+prediction's vertex scores a level adds five records, whatever its part count.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
+from .autodiff import Tensor
 
 PROB_FLOOR = 1e-12
 
@@ -54,25 +57,17 @@ class PartLabelMap:
     def n_vertices(self) -> int:
         return self.ranges[-1][1] + 1
 
+    @property
+    def starts(self) -> np.ndarray:
+        return np.array([s for s, _ in self.ranges])
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.array([e - s + 1 for s, e in self.ranges])
+
 
 def part_map_from_ranges(ranges) -> PartLabelMap:
     return PartLabelMap(ranges=[(int(s), int(e)) for s, e in ranges])
-
-
-def part_kl(y_pred: Tensor | np.ndarray, y_true: Tensor | np.ndarray) -> Tensor:
-    """sum(y_true * (log y_true - log y_pred)) with 0*log 0 = 0.
-
-    Predictions are floored at 1e-12 inside the log. Batched rows average.
-    """
-    y_pred, y_true = ad.as_tensor(y_pred), ad.as_tensor(y_true)
-    if y_pred.shape != y_true.shape:
-        raise ShapeError(f"support mismatch: {y_pred.shape} vs {y_true.shape}")
-    log_pred = ad.log(ad.clip_min(y_pred, PROB_FLOOR))
-    # 0*log 0 = 0 on the target side: floor inside the log, zero outside
-    log_true = ad.constant(np.log(np.maximum(y_true.data, PROB_FLOOR)))
-    per_entry = ad.mul(y_true, ad.sub(log_true, log_pred))
-    summed = ad.sum_(per_entry, axis=per_entry.ndim - 1)
-    return ad.mean(summed) if summed.ndim > 0 else summed
 
 
 def _vertex_scores(features: Tensor) -> Tensor:
@@ -81,26 +76,11 @@ def _vertex_scores(features: Tensor) -> Tensor:
     return ad.sqrt(ad.add(sq, 1e-12))
 
 
-def softmax_pool(vertex_features, part_map: PartLabelMap) -> list[Tensor]:
-    """Per part, softmax over that part's vertex scores.
-
-    ``vertex_features`` is (n, F) or (S, n, F); rows must cover every vertex
-    in the map. Returns one (S, k_p) probability tensor per part, rows
-    summing to 1.
-    """
-    feats = ad.as_tensor(vertex_features)
-    if feats.ndim == 2:
-        feats = ad.reshape(feats, (1, *feats.shape))
-    if feats.shape[1] != part_map.n_vertices:
+def _check_cover(n_vertices: int, part_map: PartLabelMap) -> None:
+    if n_vertices != part_map.n_vertices:
         raise PartMapError(
-            f"features cover {feats.shape[1]} vertices, map expects {part_map.n_vertices}"
+            f"features cover {n_vertices} vertices, map expects {part_map.n_vertices}"
         )
-    scores = _vertex_scores(feats)  # (S, n)
-    probs = []
-    for s, e in part_map.ranges:
-        sl = ad.take_slice(scores, 1, s, e + 1)
-        probs.append(ad.softmax(sl, axis=1))
-    return probs
 
 
 def part_weights_from_variance(gtm_features, part_map: PartLabelMap) -> np.ndarray:
@@ -110,13 +90,14 @@ def part_weights_from_variance(gtm_features, part_map: PartLabelMap) -> np.ndarr
     batch falls back to uniform weights.
     """
     feats = ad.as_tensor(gtm_features).data
-    if feats.ndim == 2:
-        feats = feats[None]
-    if feats.shape[1] != part_map.n_vertices:
-        raise PartMapError(
-            f"features cover {feats.shape[1]} vertices, map expects {part_map.n_vertices}"
-        )
-    variances = np.array([feats[:, s:e + 1, :].var() for s, e in part_map.ranges])
+    _check_cover(feats.shape[-2], part_map)
+    feats = feats.reshape(-1, *feats.shape[-2:])
+    starts = part_map.starts
+    seg = np.repeat(np.arange(part_map.m), part_map.sizes)
+    counts = part_map.sizes * (feats.shape[0] * feats.shape[2])
+    means = np.add.reduceat(feats.sum(axis=(0, 2)), starts) / counts
+    centred = feats - means[seg][:, None]
+    variances = np.add.reduceat((centred * centred).sum(axis=(0, 2)), starts) / counts
     total = variances.sum()
     if total <= 1e-30:
         return np.ones(part_map.m)
@@ -127,19 +108,26 @@ def hh_loss(pred_features, true_features, part_map: PartLabelMap,
             gtm_features=None) -> Tensor:
     """Weighted sum of per-part KL terms at one resolution level.
 
-    Both feature sets pool with the same softmax pooling; the target side is
-    detached. Weights come from ``gtm_features`` variance when given,
+    ``pred_features`` and ``true_features`` are (n, F) or (S, n, F) and must
+    cover every vertex in the map. Each part's vertex scores (feature row L2
+    norms) softmax into a distribution per row; the KL of the target's from
+    the prediction's, averaged over rows and weighted per part, sums over the
+    parts in one :func:`autodiff.segment_softmax_kl` record. The target side
+    is detached. Weights come from ``gtm_features`` variance when given,
     otherwise from the map's stored weights.
     """
-    pred = softmax_pool(pred_features, part_map)
-    true_feats = ad.constant(ad.as_tensor(true_features).data)
-    true = softmax_pool(true_feats, part_map)
+    feats = ad.as_tensor(pred_features)
+    true = ad.as_tensor(true_features).data
+    n = part_map.n_vertices
+    _check_cover(feats.shape[-2], part_map)
+    _check_cover(true.shape[-2], part_map)
+    scores = _vertex_scores(feats)
+    if scores.ndim == 1:
+        scores = ad.reshape(scores, (1, n))
+    # the same score as _vertex_scores, off the tape
+    true_scores = np.sqrt((true * true).sum(axis=-1) + 1e-12).reshape(-1, n)
     if gtm_features is not None:
         lam = part_weights_from_variance(gtm_features, part_map)
     else:
         lam = np.asarray(part_map.weights, dtype=np.float64)
-    total = None
-    for p in range(part_map.m):
-        term = ad.mul(part_kl(pred[p], true[p]), float(lam[p]))
-        total = term if total is None else ad.add(total, term)
-    return total
+    return ad.segment_softmax_kl(scores, true_scores, part_map.starts, lam, PROB_FLOOR)

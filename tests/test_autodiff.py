@@ -15,6 +15,7 @@ from meshmotion.autodiff import (
     conv3d,
     gradcheck,
     layer_norm,
+    segment_softmax_kl,
     softmax,
     take_slice,
 )
@@ -426,15 +427,66 @@ def test_conv3d_composite_oracle_matches_tap_loop():
     ("conv3d", conv3d, CONV_CASE),
     ("softmax", lambda a: softmax(a, axis=1), ((3, 4, 5),)),
     ("layer_norm", layer_norm, ((2, 3, 4, 5), (5,), (5,))),
+    ("segment_softmax_kl",
+     lambda a, b: segment_softmax_kl(a, b, [0, 2, 3], [1.0, 0.5, 2.0], 1e-12),
+     ((3, 5), (3, 5))),
 ], ids=["conv3d-conv3d-shapes0", "softmax-<lambda>-shapes1",
         # the id is kept from when a log_softmax case came before it
-        "layer_norm-layer_norm-shapes3"])
+        "layer_norm-layer_norm-shapes3", "segment_softmax_kl-<lambda>-shapes4"])
 def test_fused_kernel_records_once(name, op, shapes):
     rng = np.random.default_rng(30)
     tensors = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
     with Tape() as tape:
         op(*tensors)
     assert [r.name for r in tape.records] == [name]
+
+
+def test_segment_softmax_kl_gradcheck_with_floored_prediction():
+    # segments of 3, 1 and 4 columns; in row 1 the last segment's prediction
+    # puts ~1e-30 on three columns, below the floor, so the keep mask matters
+    rng = np.random.default_rng(33)
+    logits = rng.standard_normal((3, 8))
+    logits[1, 4:] = [35.0, -35.0, -30.0, -32.0]
+    target = rng.standard_normal((3, 8))
+    floor = 1e-12
+    starts, weights = [0, 3, 4], [0.7, 1.3, 2.0]
+    p_last = np.exp(logits[1, 4:] - logits[1, 4:].max())
+    assert np.sum(p_last / p_last.sum() < floor) == 3
+    err = gradcheck(lambda x: segment_softmax_kl(x, target, starts, weights, floor), [logits])
+    assert err < 1e-4
+
+
+def test_segment_softmax_kl_target_gradient_is_none():
+    rng = np.random.default_rng(34)
+    x, t = (Tensor(rng.standard_normal((2, 4)), requires_grad=True) for _ in range(2))
+    with Tape() as tape:
+        out = segment_softmax_kl(x, t, [0, 1], [1.0, 1.0], 1e-12)
+    assert tape.records[0].backward(np.ones(()))[1] is None
+    tape.backward(out)
+    assert x.grad is not None and t.grad is None
+
+
+@pytest.mark.parametrize("shapes,starts,weights", [
+    (((2, 5), (2, 4)), [0, 2], [1.0, 1.0]),   # operands disagree
+    (((5,), (5,)), [0, 2], [1.0, 1.0]),       # not (S, n)
+    (((2, 5), (2, 5)), [1, 3], [1.0, 1.0]),   # first segment does not start at 0
+    (((2, 5), (2, 5)), [0, 3, 3], [1.0] * 3), # empty segment
+    (((2, 5), (2, 5)), [0, 5], [1.0, 1.0]),   # segment past the last column
+    (((2, 5), (2, 5)), [0, 2], [1.0]),        # one weight short
+])
+def test_segment_softmax_kl_rejects_bad_shapes(shapes, starts, weights):
+    rng = np.random.default_rng(35)
+    x, t = (rng.standard_normal(s) for s in shapes)
+    with pytest.raises(ShapeError):
+        segment_softmax_kl(x, t, starts, weights, 1e-12)
+
+
+@pytest.mark.parametrize("weight", [np.inf, np.nan])
+def test_segment_softmax_kl_raises_on_non_finite_result(weight):
+    rng = np.random.default_rng(36)
+    x, t = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
+    with pytest.raises(NumericsError):
+        segment_softmax_kl(x, t, [0, 2], [weight, 1.0], 1e-12)
 
 
 # the id is kept from when a two-head case followed this one

@@ -8,14 +8,69 @@ from meshmotion.autodiff import ShapeError, Tensor, gradcheck
 from meshmotion.body_graph import generate_toy_body
 from meshmotion.model import MM_SCALE, ModelConfig, build_model
 from meshmotion.part_loss import (
+    PROB_FLOOR,
     PartLabelMap,
     PartMapError,
     hh_loss,
-    part_kl,
     part_map_from_ranges,
     part_weights_from_variance,
-    softmax_pool,
 )
+
+
+# Reference: the part loss built op by op, one softmax and one KL term per
+# part in a Python loop. hh_loss computes the same sum as one segmented record.
+
+def part_kl(y_pred: Tensor | np.ndarray, y_true: Tensor | np.ndarray) -> Tensor:
+    """sum(y_true * (log y_true - log y_pred)) with 0*log 0 = 0.
+
+    Predictions are floored at 1e-12 inside the log. Batched rows average.
+    """
+    y_pred, y_true = ad.as_tensor(y_pred), ad.as_tensor(y_true)
+    if y_pred.shape != y_true.shape:
+        raise ShapeError(f"support mismatch: {y_pred.shape} vs {y_true.shape}")
+    log_pred = ad.log(ad.clip_min(y_pred, PROB_FLOOR))
+    # 0*log 0 = 0 on the target side: floor inside the log, zero outside
+    log_true = ad.constant(np.log(np.maximum(y_true.data, PROB_FLOOR)))
+    per_entry = ad.mul(y_true, ad.sub(log_true, log_pred))
+    summed = ad.sum_(per_entry, axis=per_entry.ndim - 1)
+    return ad.mean(summed) if summed.ndim > 0 else summed
+
+
+def softmax_pool(vertex_features, part_map: PartLabelMap) -> list[Tensor]:
+    """Per part, softmax over that part's vertex scores (feature row L2 norms).
+
+    ``vertex_features`` is (n, F) or (S, n, F); rows must cover every vertex
+    in the map. Returns one (S, k_p) probability tensor per part.
+    """
+    feats = ad.as_tensor(vertex_features)
+    if feats.ndim == 2:
+        feats = ad.reshape(feats, (1, *feats.shape))
+    if feats.shape[1] != part_map.n_vertices:
+        raise PartMapError(
+            f"features cover {feats.shape[1]} vertices, map expects {part_map.n_vertices}"
+        )
+    sq = ad.sum_(ad.mul(feats, feats), axis=2)
+    scores = ad.sqrt(ad.add(sq, 1e-12))  # (S, n)
+    probs = []
+    for s, e in part_map.ranges:
+        sl = ad.take_slice(scores, 1, s, e + 1)
+        probs.append(ad.softmax(sl, axis=1))
+    return probs
+
+
+def hh_loss_loop(pred_features, true_features, part_map: PartLabelMap,
+                 gtm_features=None) -> Tensor:
+    pred = softmax_pool(pred_features, part_map)
+    true = softmax_pool(ad.constant(ad.as_tensor(true_features).data), part_map)
+    if gtm_features is not None:
+        lam = part_weights_from_variance(gtm_features, part_map)
+    else:
+        lam = np.asarray(part_map.weights, dtype=np.float64)
+    total = None
+    for p in range(part_map.m):
+        term = ad.mul(part_kl(pred[p], true[p]), float(lam[p]))
+        total = term if total is None else ad.add(total, term)
+    return total
 
 
 def default_map():
@@ -177,6 +232,58 @@ def test_hh_loss_gradient():
     gtm = rng.standard_normal((6, 3))
     err = gradcheck(lambda p: hh_loss(p, ad.constant(true), pm, gtm), [pred])
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("weighting", ["variance", "fixed"])
+def test_hh_loss_matches_loop_oracle(rows, weighting):
+    rng = np.random.default_rng(12)
+    pm = default_map()
+    shape = (pm.n_vertices, 4) if rows is None else (rows, pm.n_vertices, 4)
+    pred, true, gtm = (rng.standard_normal(shape) for _ in range(3))
+    if weighting == "fixed":
+        pm = PartLabelMap(ranges=pm.ranges, weights=rng.random(pm.m) * 2.0)
+        gtm = None
+    got = hh_loss(pred, true, pm, gtm).item()
+    want = hh_loss_loop(pred, true, pm, gtm).item()
+    assert want > 0.0
+    assert abs(got - want) < 1e-12
+
+
+def test_hh_loss_gradient_matches_loop_oracle():
+    rng = np.random.default_rng(13)
+    pm = default_map()
+    pred, true, gtm = (rng.standard_normal((2, pm.n_vertices, 3)) for _ in range(3))
+    grads = []
+    for fn in (hh_loss, hh_loss_loop):
+        x = Tensor(pred, requires_grad=True)
+        with ad.Tape() as tape:
+            loss = fn(x, true, pm, gtm)
+        tape.backward(loss)
+        grads.append(x.grad)
+    np.testing.assert_allclose(grads[0], grads[1], rtol=0, atol=1e-12)
+
+
+def test_hh_loss_records_do_not_grow_with_parts():
+    # one segmented record per level: a per-part loop would add records per part
+    rng = np.random.default_rng(14)
+    feats = rng.standard_normal((2, 16, 3))
+    counts = []
+    for ranges in ([(0, 7), (8, 15)], [(2 * i, 2 * i + 1) for i in range(8)]):
+        pm = part_map_from_ranges(ranges)
+        with ad.Tape() as tape:
+            hh_loss(Tensor(feats, requires_grad=True), feats[::-1], pm, feats)
+        counts.append(len(tape.records))
+    assert counts[0] >= 1
+    assert counts[0] == counts[1]
+
+
+def test_hh_loss_uncovered_vertex_errors():
+    pm = part_map_from_ranges([(0, 3)])
+    with pytest.raises(PartMapError):
+        hh_loss(np.ones((6, 2)), np.ones((4, 2)), pm)
+    with pytest.raises(PartMapError):
+        hh_loss(np.ones((4, 2)), np.ones((6, 2)), pm)
 
 
 def test_hierarchical_loss_sums_levels():
