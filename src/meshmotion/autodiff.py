@@ -10,10 +10,13 @@ that does not require a gradient (noise draws, targets, scalars), so
 constants cost no gradient arithmetic. ``softmax``, ``layer_norm``, ``conv3d`` and
 ``segment_softmax_kl`` (the weighted KL between segment-wise softmaxes, the
 part loss of one level) are one record each with an analytic backward;
-``attention`` is a scores record, a ``softmax`` and a ``matmul``. Any op that
-produces a non-finite value raises :class:`NumericsError` immediately instead
-of letting NaN/Inf spread; callers that want that error as the only signal run
-a whole step under ``np.errstate`` (see ``model.train``).
+``attention`` is a scores record, a ``softmax`` and a ``matmul``. ``conv3d``
+takes and returns a channels-last (B, T, H, W, C) grid and lowers to GEMMs on
+a spatial-only patch matrix, one GEMM per temporal tap, with no transpose of
+the grid on either side. Any op that produces a non-finite value raises
+:class:`NumericsError` immediately instead of letting NaN/Inf spread; callers
+that want that error as the only signal run a whole step under
+``np.errstate`` (see ``model.train``).
 """
 
 from __future__ import annotations
@@ -583,60 +586,83 @@ def attention(query, key, value) -> Tensor:
     return matmul(softmax(scores, axis=scores.ndim - 1), v)
 
 
-def _patches(x: np.ndarray, kt: int, kh: int, kw: int) -> np.ndarray:
-    """Patch matrix (im2col) of a channels-last grid under 'same' zero padding.
+def _spatial_patches(x: np.ndarray, kt: int, kh: int, kw: int) -> np.ndarray:
+    """Spatial patch matrix of a channels-last grid under 'same' zero padding.
 
-    ``x`` is (B, T, H, W, C); row (b, t, h, w) of the (B·T·H·W, kT·kH·kW·C)
-    result holds the padded window starting at (t, h, w), in (kT, kH, kW, C)
-    order, so each row's innermost kW·C values are one contiguous run of the
-    padded grid.
+    ``x`` is (B, T, H, W, C). The grid is padded once on all three axes; then
+    every padded frame gives one row per cell (h, w), holding the (kH, kW)
+    window that starts there in (kH, kW, C) order. The result is
+    (B, T+kT-1, H·W, kH·kW·C): kH·kW·C columns, not kT·kH·kW·C, because
+    temporal tap i reads frames i..i+T-1 of it as a view.
     """
     b, t, h, w, c = x.shape
     pt, ph, pw = kt // 2, kh // 2, kw // 2
     xp = np.zeros((b, t + 2 * pt, h + 2 * ph, w + 2 * pw, c))
     xp[:, pt:pt + t, ph:ph + h, pw:pw + w] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(1, 2, 3))
-    # win: (B, T, H, W, C, kT, kH, kW)
-    return win.transpose(0, 1, 2, 3, 5, 6, 7, 4).reshape(b * t * h * w, kt * kh * kw * c)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    # win: (B, T+kT-1, H, W, C, kH, kW)
+    return win.transpose(0, 1, 2, 3, 5, 6, 4).reshape(b, t + 2 * pt, h * w, kh * kw * c)
+
+
+def _tap_rows(p: np.ndarray, i: int, t: int) -> np.ndarray:
+    """Frames i..i+t-1 of a spatial patch matrix as (B, t·H·W, columns); a view."""
+    return p[:, i:i + t].reshape(p.shape[0], -1, p.shape[3])
+
+
+def _correlate(x: np.ndarray, taps: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Same-padded correlation of the (B, T, H, W, C) grid ``x`` with ``taps``,
+    a kernel laid out as (kT, kH·kW·C, C_out): one GEMM per temporal tap,
+    summed into one (B, T, H, W, C_out) output."""
+    b, t, h, w, _ = x.shape
+    p = _spatial_patches(x, taps.shape[0], kh, kw)
+    out = np.empty((b, t, h, w, taps.shape[2]))
+    rows = out.reshape(b, t * h * w, taps.shape[2])    # a view: writes land in out
+    np.matmul(_tap_rows(p, 0, t), taps[0], out=rows)
+    for i in range(1, taps.shape[0]):
+        rows += np.matmul(_tap_rows(p, i, t), taps[i])
+    return out
 
 
 def conv3d(x, kernel) -> Tensor:
     """3D convolution over (T, H, W) with 'same' zero padding, stride 1; one record.
 
-    ``x`` is (B, C_in, T, H, W); ``kernel`` is (C_out, C_in, kT, kH, kW) with
-    odd kernel extents. Inside the op the grid is channels-last: the forward
-    is one GEMM of the input's patch matrix (im2col, see :func:`_patches`)
-    against the kernel. The backward rebuilds that patch matrix, rather than
-    holding it for the life of the tape, for the kernel gradient
-    g2^T @ patches (g2: the output gradient as (B·T·H·W, C_out)). The input
-    gradient is the same-padded correlation of g with the flipped kernel,
-    C_in and C_out swapped, through the same patch helper.
+    ``x`` is a channels-last grid (B, T, H, W, C_in) and the result is
+    (B, T, H, W, C_out); ``kernel`` is (C_out, C_in, kT, kH, kW) with odd
+    extents. The forward builds the input's spatial patch matrix (see
+    :func:`_spatial_patches`) and runs one GEMM per temporal tap against that
+    tap's (kH·kW·C_in, C_out) slice of the kernel. The backward rebuilds the
+    patch matrix, rather than holding it for the life of the tape, for the
+    kernel gradient: per tap, the same views transposed times the output
+    gradient g, summed over B. The input gradient is the same correlation
+    applied to g with the flipped kernel, C_in and C_out swapped.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 5 or kernel.ndim != 5:
         raise ShapeError(f"conv3d expects 5-D input/kernel, got {x.shape}, {kernel.shape}")
-    if x.shape[1] != kernel.shape[1]:
-        raise ShapeError(f"channel mismatch: input {x.shape[1]} vs kernel {kernel.shape[1]}")
     c_out, c_in, kt, kh, kw = kernel.shape
     if kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv3d kernel extents must be odd, got {(kt, kh, kw)}")
-    B, _, T, H, W = x.shape
-    x_last = np.transpose(x.data, (0, 2, 3, 4, 1))                 # (B, T, H, W, C_in)
-    k_last = np.transpose(kernel.data, (0, 2, 3, 4, 1)).reshape(c_out, -1)
-    out = np.matmul(_patches(x_last, kt, kh, kw), k_last.T)        # (B·T·H·W, C_out)
-    out = np.transpose(out.reshape(B, T, H, W, c_out), (0, 4, 1, 2, 3))
+    if x.shape[4] != c_in:
+        raise ShapeError(f"channel mismatch: input {x.shape[4]} vs kernel {c_in}")
+    t = x.shape[1]
+    taps = np.transpose(kernel.data, (2, 3, 4, 1, 0)).reshape(kt, kh * kw * c_in, c_out)
+    out = _correlate(x.data, taps, kh, kw)
 
     def backward(g):
-        g_last = np.transpose(g, (0, 2, 3, 4, 1))                  # (B, T, H, W, C_out)
+        # the input gradient goes first, so that only one patch matrix is
+        # alive at a time: with two, glibc's malloc trimmed and refaulted
+        # about 100 MB of heap per default diffusion step
         gx = gk = None
-        if kernel.requires_grad:
-            gk = np.matmul(g_last.reshape(-1, c_out).T, _patches(x_last, kt, kh, kw))
-            gk = np.transpose(gk.reshape(c_out, kt, kh, kw, c_in), (0, 4, 1, 2, 3))
         if x.requires_grad:
             flipped = kernel.data[:, :, ::-1, ::-1, ::-1]
-            k_back = np.transpose(flipped, (1, 2, 3, 4, 0)).reshape(c_in, -1)
-            gx = np.matmul(_patches(g_last, kt, kh, kw), k_back.T)  # (B·T·H·W, C_in)
-            gx = np.transpose(gx.reshape(B, T, H, W, c_in), (0, 4, 1, 2, 3))
+            back = np.transpose(flipped, (2, 3, 4, 0, 1)).reshape(kt, kh * kw * c_out, c_in)
+            gx = _correlate(g, back, kh, kw)
+        if kernel.requires_grad:
+            p = _spatial_patches(x.data, kt, kh, kw)
+            g_rows = g.reshape(g.shape[0], -1, c_out)
+            gk = np.stack([np.matmul(np.swapaxes(_tap_rows(p, i, t), 1, 2), g_rows).sum(axis=0)
+                           for i in range(kt)])
+            gk = np.transpose(gk.reshape(kt, kh, kw, c_in, c_out), (4, 3, 0, 1, 2))
         return gx, gk
 
     return _result("conv3d", (x, kernel), out, backward)

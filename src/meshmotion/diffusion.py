@@ -7,7 +7,9 @@ chain denoises conditioned on those dependencies.
 
 Every layer works on one token layout, (B, T, S, C): frames x sites x
 channels. The S sites are the coarse mesh vertices; only the 3D convolution
-sees them as an H x W grid (S = H*W, see :func:`rearrange`).
+sees them as an H x W grid, and it takes that grid channels-last,
+(B, T, H, W, C), so the tokens reach it through a reshape alone (S = H*W, see
+:func:`rearrange`).
 """
 
 from __future__ import annotations
@@ -190,21 +192,22 @@ def time_embedding(t: int, channels: int) -> np.ndarray:
 
 
 def rearrange(x: Tensor, grid: tuple[int, int] | None = None) -> Tensor:
-    """Tokens (B, T, S, C) <-> the conv3d grid (B, C, T, H, W); differentiable.
+    """Tokens (B, T, S, C) <-> the channels-last conv3d grid (B, T, H, W, C).
 
-    With ``grid=(H, W)`` tokens go to the grid, site s landing in cell
+    One differentiable reshape each way, with no transpose. With
+    ``grid=(H, W)`` tokens go to the grid, site s landing in cell
     (s // W, s % W); without it a grid goes back to tokens.
     """
     if grid is None:
         if x.ndim != 5:
-            raise ShapeError(f"expected a (B, C, T, H, W) grid, got {x.shape}")
-        b, c, t, h, w = x.shape
-        return ad.transpose(ad.reshape(x, (b, c, t, h * w)), (0, 2, 3, 1))
+            raise ShapeError(f"expected a (B, T, H, W, C) grid, got {x.shape}")
+        b, t, h, w, c = x.shape
+        return ad.reshape(x, (b, t, h * w, c))
     h, w = grid
     if x.ndim != 4 or x.shape[2] != h * w:
         raise ShapeError(f"expected (B, T, {h * w}, C) tokens for grid {h}x{w}, got {x.shape}")
     b, t, _, c = x.shape
-    return ad.reshape(ad.transpose(x, (0, 3, 1, 2)), (b, c, t, h, w))
+    return ad.reshape(x, (b, t, h, w, c))
 
 
 class GraphTimePass:

@@ -106,6 +106,13 @@ class ModelConfig:
             raise ConfigError(f"conv_kernel must be odd and positive, got {self.conv_kernel}")
         if self.diffusion_on and self.context_rows < 1:
             raise ConfigError(f"diffusion needs context_rows >= 1, got {self.context_rows}")
+        for name in ("learning_rate", "vertex_loss_weight", "part_loss_weight",
+                     "eps_loss_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
+        if self.train_steps < 0:
+            raise ConfigError(f"train_steps must be non-negative, got {self.train_steps}")
 
     def body_config(self) -> ToyBodyConfig:
         return ToyBodyConfig(

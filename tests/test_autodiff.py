@@ -224,7 +224,7 @@ def test_conv3d_matches_loop_oracle():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((2, 3, 4, 3, 3))
     k = rng.standard_normal((2, 3, 3, 1, 3))
-    out = conv3d(x, k).data
+    out = _channels_first(conv3d(_channels_last(x), k).data)
 
     # direct loop transcription of same-padded correlation
     B, Ci, T, H, W = x.shape
@@ -243,6 +243,16 @@ def test_conv3d_matches_loop_oracle():
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
+def _channels_last(x):
+    # (B, C, T, H, W), the layout of the loop and shift-matrix oracles, to the
+    # (B, T, H, W, C) grid conv3d takes
+    return np.transpose(x, (0, 2, 3, 4, 1))
+
+
+def _channels_first(x):
+    return np.transpose(x, (0, 4, 1, 2, 3))
+
+
 def test_conv3d_gradients():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((1, 2, 3, 2, 2))
@@ -253,6 +263,12 @@ def test_conv3d_gradients():
 def test_conv3d_rejects_even_kernel():
     with pytest.raises(ShapeError):
         conv3d(np.zeros((1, 1, 4, 4, 4)), np.zeros((1, 1, 2, 3, 3)))
+
+
+def test_conv3d_reads_input_channels_on_the_last_axis():
+    # a (B, C, T, H, W) input whose axis 1 matches C_in is rejected
+    with pytest.raises(ShapeError, match="channel mismatch"):
+        conv3d(np.zeros((1, 2, 3, 3, 4)), np.zeros((1, 2, 3, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +410,69 @@ def test_layer_norm_rejects_affine_that_grows_the_input():
         layer_norm(np.zeros((3, 4)), np.ones((2, 3, 4)), np.zeros(4))
 
 
-CONV_CASE = ((2, 2, 3, 4, 5), (3, 2, 3, 3, 3))   # B=2, C_in=2 -> C_out=3, grid 3x4x5
+CONV_CASE = ((2, 3, 4, 5, 2), (3, 2, 3, 3, 3))   # B=2, grid 3x4x5, C_in=2 -> C_out=3
+DEFAULT_CONV_CASE = ((4, 16, 4, 6, 8), (8, 8, 3, 3, 3))   # the default ModelConfig's
+
+
+def _draw_conv_case(rng, case):
+    # the input is drawn in the oracles' (B, C, T, H, W) layout, then moved
+    # channels-last
+    b, t, h, w, c = case[0]
+    x = _channels_last(rng.standard_normal((b, c, t, h, w)))
+    return x, rng.standard_normal(case[1])
+
+
+def _conv3d_composite_last(x, kernel):
+    # the shift-matrix oracle with the layout moved at its boundary
+    x = ad.transpose(x, (0, 4, 1, 2, 3))
+    return ad.transpose(_conv3d_composite(x, kernel), (0, 2, 3, 4, 1))
 
 
 def test_conv3d_cubic_kernel_gradcheck():
     rng = np.random.default_rng(27)
-    x, k = (rng.standard_normal(s) for s in CONV_CASE)
+    x, k = _draw_conv_case(rng, CONV_CASE)
     assert gradcheck(conv3d, [x, k]) < 1e-5
 
 
 def test_conv3d_matches_composite():
     rng = np.random.default_rng(28)
-    x, k = (rng.standard_normal(s) for s in CONV_CASE)
-    _assert_matches_composite(conv3d, _conv3d_composite, [x, k], 4)
+    x, k = _draw_conv_case(rng, CONV_CASE)
+    _assert_matches_composite(conv3d, _conv3d_composite_last, [x, k], 4)
+
+
+def test_conv3d_matches_composite_at_the_default_model_shape():
+    # T = 16 >> kT, so every temporal tap reads its frames at a row offset of
+    # many whole frames into the patch matrix
+    rng = np.random.default_rng(32)
+    x, k = _draw_conv_case(rng, DEFAULT_CONV_CASE)
+    _assert_matches_composite(conv3d, _conv3d_composite_last, [x, k], 5)
+
+
+@pytest.mark.parametrize("x_shape,k_shape", [
+    ((2, 3, 3, 5, 2), (2, 2, 1, 3, 5)),
+    ((2, 4, 3, 2, 2), (3, 2, 5, 1, 3)),
+    ((1, 2, 3, 4, 2), (2, 2, 5, 1, 3)),   # kT = 5 > T = 2: two taps see only padding
+])
+def test_conv3d_asymmetric_kernel_gradcheck(x_shape, k_shape):
+    rng = np.random.default_rng(33)
+    x, k = _draw_conv_case(rng, (x_shape, k_shape))
+    assert gradcheck(conv3d, [x, k]) < 1e-5
+
+
+def test_conv3d_holds_no_patch_matrix_on_the_tape():
+    # after a taped call only the output (and the record) stays allocated:
+    # the backward rebuilds the patch matrix instead of keeping it
+    rng = np.random.default_rng(34)
+    x, k = (Tensor(a, requires_grad=True) for a in _draw_conv_case(rng, DEFAULT_CONV_CASE))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = conv3d(x, k)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tape.records) == 1
+    assert held <= 1.1 * out.data.nbytes
 
 
 def test_conv3d_composite_oracle_matches_tap_loop():
@@ -607,7 +673,7 @@ def test_backward_returns_none_for_constant_inputs():
         ad.add(x, 1.0)
         ad.sub(1.0, x)
         ad.div(x, 4.0)
-        ad.conv3d(np.ones((1, 1, 1, 1, 2)), kernel)
+        ad.conv3d(np.ones((1, 1, 1, 2, 1)), kernel)
     g = {rec.name: rec.backward(np.ones(rec.output.shape)) for rec in tape.records}
     assert g["mul"][0] is None and g["mul"][1] is not None
     assert g["matmul"][0] is not None and g["matmul"][1] is None

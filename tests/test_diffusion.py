@@ -156,7 +156,7 @@ def test_rearrange_roundtrip_identity():
     rng = np.random.default_rng(10)
     x = _tokens((2, 3, 6, 4), rng)
     grid = rearrange(x, (2, 3))
-    assert grid.shape == (2, 4, 3, 2, 3)
+    assert grid.shape == (2, 3, 2, 3, 4)
     np.testing.assert_array_equal(rearrange(grid).data, x.data)
     np.testing.assert_array_equal(rearrange(rearrange(grid), (2, 3)).data, grid.data)
 
@@ -166,9 +166,9 @@ def test_rearrange_index_arithmetic():
     # on a 1x2 grid, cell w=1 must carry [b, d] over time
     x = Tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 2, 2, 1))
     grid = rearrange(x, (1, 2)).data
-    assert grid.shape == (1, 1, 2, 1, 2)
-    np.testing.assert_array_equal(grid[0, 0, :, 0, 0], [1.0, 3.0])  # site 0
-    np.testing.assert_array_equal(grid[0, 0, :, 0, 1], [2.0, 4.0])  # site 1
+    assert grid.shape == (1, 2, 1, 2, 1)
+    np.testing.assert_array_equal(grid[0, :, 0, 0, 0], [1.0, 3.0])  # site 0
+    np.testing.assert_array_equal(grid[0, :, 0, 1, 0], [2.0, 4.0])  # site 1
     # in general the token at (b, t, s) is grid cell (t, s // W, s % W)
     rng = np.random.default_rng(11)
     x = _tokens((2, 3, 6, 4), rng)
@@ -176,7 +176,7 @@ def test_rearrange_index_arithmetic():
     for b in range(2):
         for t in range(3):
             for site in range(6):
-                np.testing.assert_array_equal(grid[b, :, t, site // 3, site % 3],
+                np.testing.assert_array_equal(grid[b, t, site // 3, site % 3],
                                               x.data[b, t, site])
 
 
@@ -237,15 +237,31 @@ def test_graph_time_pass_matches_per_site_replay():
     x = rng.standard_normal((2, 3, 4, 3))
     out = layer(Tensor(x), adj).data
 
-    grid = x.reshape(2, 3, 2, 2, 3).transpose(0, 4, 1, 2, 3)
+    grid = x.reshape(2, 3, 2, 2, 3)                      # (B, T, H, W, C)
     conv = np.maximum(ad.conv3d(grid, layer.p["conv_kernel"]).data, 0.0)
-    feats = conv.transpose(0, 2, 3, 4, 1).reshape(2, 3, 4, 3)
+    feats = conv.reshape(2, 3, 4, 3)
     feats = np.maximum(adj.data @ feats @ layer.graph.p["weight"].data, 0.0)
     for b in range(2):
         for site in range(4):
             frames = Tensor(feats[b, :, site])
             want = layer.time_attn(frames, *layer.time_attn.keys_values(frames)).data
             np.testing.assert_allclose(out[b, :, site], want, atol=1e-12)
+
+
+def test_graph_time_pass_transposes_only_around_the_time_attention():
+    # the tokens reach the channels-last conv3d grid by reshape alone, so the
+    # pass records exactly the two transposes around the time attention
+    rng = np.random.default_rng(16)
+    graph = generate_toy_body(ToyBodyConfig(parts=("a", "b", "c", "d"), vertices_per_part=2,
+                                            coarse_per_part=1))
+    layer = GraphTimePass(3, (2, 2), 3, "relu", rng)
+    x = Tensor(rng.standard_normal((2, 3, 4, 3)), requires_grad=True)
+    with Tape() as tape:
+        layer(x, graph.coarse_adjacency())
+    assert [r.name for r in tape.records].count("transpose") == 2
+    with Tape() as tape:
+        rearrange(rearrange(x, (2, 2)))
+    assert [r.name for r in tape.records] == ["reshape", "reshape"]
 
 
 # ---------------------------------------------------------------------------

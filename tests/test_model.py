@@ -65,6 +65,15 @@ def test_config_grid_invariant():
     dict(context_rows=0),                          # attention over an empty context table
     dict(coarse_per_part=0, height=0),             # the grid matches the 0 coarse sites
     dict(coarse_per_part=13, height=8, width=13),  # more coarse than fine per part
+    dict(learning_rate=float("nan")),              # non-finite at step 0
+    dict(learning_rate=float("inf")),
+    dict(learning_rate=-1.0),                      # trains uphill
+    dict(vertex_loss_weight=float("nan")),
+    dict(part_loss_weight=float("nan")),
+    dict(part_loss_weight=-0.1),
+    dict(eps_loss_weight=float("inf")),
+    dict(eps_loss_weight=-1.0),
+    dict(train_steps=-5),                          # would train for no step at all
 ])
 def test_config_rejects_unbuildable_settings(over):
     cfg = ModelConfig(**over)
@@ -72,6 +81,16 @@ def test_config_rejects_unbuildable_settings(over):
         cfg.validate()
     with pytest.raises(ConfigError):
         build_model(cfg)
+
+
+def test_config_accepts_zero_training_settings():
+    # zero is a valid rate, weight and step count: only NaN, Inf and
+    # negatives are rejected
+    cfg = tiny_config(learning_rate=0.0, vertex_loss_weight=0.0, part_loss_weight=0.0,
+                      eps_loss_weight=0.0, train_steps=0)
+    _, data = make_dataset(cfg, 2)
+    _, losses = train(cfg, data)
+    assert losses == []
 
 
 def test_config_context_rows_unused_without_diffusion():
