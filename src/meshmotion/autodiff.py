@@ -76,7 +76,10 @@ class Tensor:
 
     ``data`` is a row-major, read-only numpy array. ``grad`` is populated by
     ``Tape.backward`` and is the only mutable state; after backward only
-    leaves (tensors no record produced) keep it.
+    leaves (tensors no record produced) keep it. A leaf's ``grad`` may share
+    memory with an array a record's backward returned, so it is read-only by
+    convention: accumulation builds a new array rather than adding in place,
+    and no reader writes into it.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -113,7 +116,7 @@ class Tensor:
                 f"gradient shape {g.shape} does not match tensor shape {self.shape}"
             )
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g
         else:
             self.grad = self.grad + g
 
@@ -162,10 +165,6 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         popped = Tape._stack.pop()
         assert popped is self
-
-    @classmethod
-    def active(cls) -> "Tape | None":
-        return cls._stack[-1] if cls._stack else None
 
     def backward(self, root: Tensor, seed: np.ndarray | None = None) -> None:
         """Propagate gradients from ``root`` back through all records.

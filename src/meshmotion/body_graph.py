@@ -76,15 +76,6 @@ class BodyGraph:
             ranges.append((int(idx[0]), int(idx[-1])))
         return ranges
 
-    def coarse_part_ranges(self) -> list[tuple[int, int]]:
-        """Inclusive per-part ranges in coarse vertex index space."""
-        labels = self.coarse_labels()
-        ranges = []
-        for label in range(self.n_parts):
-            idx = np.flatnonzero(labels == label)
-            ranges.append((int(idx[0]), int(idx[-1])))
-        return ranges
-
     def coarse_labels(self) -> np.ndarray:
         """Part label of each coarse vertex (label of its pooled group)."""
         down = self.down_matrix.data

@@ -26,7 +26,7 @@ from .body_graph import (
 )
 from .diffusion import DiffusionBlock, FeatureStack, make_schedule
 from .metrics import JointRegressor, PoseError, build_joint_regressor, compute_metrics
-from .part_loss import PartLabelMap, hh_loss, part_map_from_ranges, part_weights_from_variance
+from .part_loss import hh_loss, part_weights_from_variance
 from .synth import MotionSequence
 
 MM_SCALE = 1e-3  # mm -> model units
@@ -91,10 +91,10 @@ class ModelConfig:
         if not (1 <= self.coarse_per_part <= self.vertices_per_part):
             raise ConfigError(f"coarse_per_part {self.coarse_per_part} outside "
                               f"[1, {self.vertices_per_part}]")
-        if self.height * self.width != self.n_coarse:
+        if min(self.height, self.width) < 1 or self.height * self.width != self.n_coarse:
             raise ConfigError(
-                f"latent grid {self.height}x{self.width} must equal the coarse "
-                f"vertex count {self.n_coarse}"
+                f"latent grid {self.height}x{self.width} must be positive and equal "
+                f"the coarse vertex count {self.n_coarse}"
             )
         if self.hierarchy_depth not in (1, 2):
             raise ConfigError(f"hierarchy depth must be 1 or 2, got {self.hierarchy_depth}")
@@ -111,8 +111,9 @@ class ModelConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
-        if self.train_steps < 0:
-            raise ConfigError(f"train_steps must be non-negative, got {self.train_steps}")
+        for name in ("train_steps", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     def body_config(self) -> ToyBodyConfig:
         return ToyBodyConfig(
@@ -141,8 +142,11 @@ class Model:
         self.config = config
         self.graph = generate_toy_body(config.body_config())
         self.regressor = build_joint_regressor(self.graph)
-        self.fine_map = part_map_from_ranges(self.graph.part_ranges())
-        self.coarse_map = part_map_from_ranges(self.graph.coarse_part_ranges())
+        # each part-loss level's parts as the starts of their vertex segments:
+        # coarse then fine, the last hierarchy_depth of them
+        labels = (self.graph.coarse_labels(), self.graph.part_labels)
+        self.part_starts = [np.flatnonzero(np.diff(level, prepend=-1))
+                            for level in labels[2 - config.hierarchy_depth:]]
         rng = np.random.default_rng(config.seed)
 
         n = self.graph.n_vertices
@@ -217,12 +221,14 @@ class Model:
         }
 
     def loss(self, out: dict, gt_vertices: np.ndarray,
-             fixed_part_weights: list[np.ndarray] | None = None) -> Tensor:
+             part_weights: list[np.ndarray] | None = None) -> Tensor:
         """Composite training objective on one batch.
 
-        ``fixed_part_weights`` pins the per-level part weights instead of
-        deriving them from the current features (the weights carry no
-        gradient either way; pinning lets finite differencing match).
+        The part term sums one :func:`hh_loss` per level of ``part_starts``,
+        coarse then fine. ``part_weights`` gives each level's part weights;
+        by default they derive from the current features through
+        :meth:`part_weight_levels`. The weights carry no gradient either way;
+        passing them in lets finite differencing match.
         """
         cfg = self.config
         B, T, n, _ = gt_vertices.shape
@@ -230,34 +236,27 @@ class Model:
         diff = ad.sub(out["pred_scaled"], ad.constant(gt_scaled))
         total = ad.mul(ad.mean(ad.mul(diff, diff)), cfg.vertex_loss_weight)
         if cfg.part_loss_on:
-            levels = []
-            if cfg.hierarchy_depth >= 2:
+            if part_weights is None:
+                part_weights = self.part_weight_levels(out)
+            levels = [(out["pred_scaled"], gt_scaled)]
+            if cfg.hierarchy_depth == 2:
                 gt_coarse = np.matmul(self.graph.down_matrix.data, gt_scaled)
-                levels.append((out["coarse_feats"], gt_coarse, self.coarse_map,
-                               out["coarse_feats"].data))
-            levels.append((out["pred_scaled"], gt_scaled, self.fine_map,
-                           out["fine_feats"].data))
+                levels.insert(0, (out["coarse_feats"], gt_coarse))
             part_term = None
-            for li, (pred, true, pmap, gtm) in enumerate(levels):
-                if fixed_part_weights is not None:
-                    pmap = PartLabelMap(ranges=pmap.ranges,
-                                        weights=np.asarray(fixed_part_weights[li]))
-                    term = hh_loss(pred, true, pmap, gtm_features=None)
-                else:
-                    term = hh_loss(pred, true, pmap, gtm)
+            for (pred, true), starts, lam in zip(levels, self.part_starts, part_weights,
+                                                 strict=True):
+                term = hh_loss(pred, true, starts, lam)
                 part_term = term if part_term is None else ad.add(part_term, term)
             total = ad.add(total, ad.mul(part_term, cfg.part_loss_weight))
-        if cfg.diffusion_on and out["eps_loss"] is not None:
+        if out["eps_loss"] is not None:
             total = ad.add(total, ad.mul(out["eps_loss"], cfg.eps_loss_weight))
         return total
 
     def part_weight_levels(self, out: dict) -> list[np.ndarray]:
-        """Variance-derived part weights per hierarchy level at this output."""
-        levels = []
-        if self.config.hierarchy_depth >= 2:
-            levels.append(part_weights_from_variance(out["coarse_feats"].data, self.coarse_map))
-        levels.append(part_weights_from_variance(out["fine_feats"].data, self.fine_map))
-        return levels
+        """Variance-derived part weights per level of ``part_starts`` at this output."""
+        feats = (out["coarse_feats"].data, out["fine_feats"].data)[-len(self.part_starts):]
+        return [part_weights_from_variance(f, starts)
+                for f, starts in zip(feats, self.part_starts)]
 
     def predict(self, seq: MotionSequence, seed: int = 0) -> np.ndarray:
         """(T, n, 3) mm prediction for one sequence; no tape, no mutation."""

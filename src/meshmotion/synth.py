@@ -45,8 +45,6 @@ class MotionConfig:
 @dataclass
 class CorruptionConfig:
     occlusion_prob: float = 0.3       # per frame
-    part_rule: str = "uniform"        # "uniform" | "fixed"
-    fixed_part: int = 0
     blur_width: int = 1               # odd, frames
     severity_range: tuple[float, float] = (0.5, 1.0)
     max_span: int = 4                 # contiguous frames per occlusion event
@@ -59,8 +57,6 @@ class CorruptionConfig:
         lo, hi = self.severity_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise SynthError(f"severity range {self.severity_range} invalid")
-        if self.part_rule not in ("uniform", "fixed"):
-            raise SynthError(f"unknown part rule {self.part_rule!r}")
         if self.max_span < 1:
             raise SynthError("max_span must be >= 1")
 
@@ -287,10 +283,6 @@ def corrupt_sequence(seq: MotionSequence, graph: BodyGraph,
     sets their mask entries to 1 over the span. Deterministic per seed.
     """
     config.validate()
-    if config.part_rule == "fixed" and not (0 <= config.fixed_part < graph.n_parts):
-        raise SynthError(
-            f"fixed part {config.fixed_part} outside [0, {graph.n_parts}) for this graph"
-        )
     rng = np.random.default_rng(seed)
     obs = seq.gt_vertices.copy()
     T, n, _ = obs.shape
@@ -309,10 +301,7 @@ def corrupt_sequence(seq: MotionSequence, graph: BodyGraph,
     ranges = graph.part_ranges()
     for f in range(T):
         if rng.random() < config.occlusion_prob:
-            if config.part_rule == "uniform":
-                part = int(rng.integers(graph.n_parts))
-            else:
-                part = config.fixed_part
+            part = int(rng.integers(graph.n_parts))
             severity = float(rng.uniform(*config.severity_range))
             span = int(rng.integers(1, config.max_span + 1))
             s, e = ranges[part]

@@ -681,31 +681,40 @@ def test_backward_returns_none_for_constant_inputs():
     assert g["conv3d"][0] is None and g["conv3d"][1] is not None
 
 
-def test_skipping_constant_gradients_keeps_a_default_step_bit_identical():
+def test_skipping_constant_gradients_keeps_a_default_step_bit_identical(monkeypatch):
     # reference: flag every constant record input as needing a gradient
-    # after the forward, so every backward computes every gradient again
+    # after the forward, so every backward computes every gradient again; a
+    # third run copies every gradient a leaf takes, so no leaf gradient
+    # shares memory with an array a backward returned
     config = ModelConfig()
     grads = []
-    for flag_constants in (False, True):
-        model = build_model(config)
-        seqs = [generate_sequence(MotionConfig(graph=model.graph, frames=16), seed=i)
-                for i in range(config.batch_size)]
-        obs, gt = np.stack([s.observations for s in seqs]), np.stack([s.gt_vertices for s in seqs])
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            with Tape() as tape:
-                loss = model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=3), gt)
-            constants = {id(t): t for rec in tape.records for t in rec.inputs
-                         if not t.requires_grad}
-            if flag_constants:
-                for t in constants.values():
-                    t.requires_grad = True
-            tape.backward(loss)
+    accumulate = Tensor.accumulate_grad
+    for mode in ("skip", "flag", "copy"):
+        with monkeypatch.context() as patch:
+            if mode == "copy":
+                patch.setattr(Tensor, "accumulate_grad",
+                              lambda self, g: accumulate(self, g.copy()))
+            model = build_model(config)
+            seqs = [generate_sequence(MotionConfig(graph=model.graph, frames=16), seed=i)
+                    for i in range(config.batch_size)]
+            obs = np.stack([s.observations for s in seqs])
+            gt = np.stack([s.gt_vertices for s in seqs])
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                with Tape() as tape:
+                    loss = model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=3), gt)
+                constants = {id(t): t for rec in tape.records for t in rec.inputs
+                             if not t.requires_grad}
+                if mode == "flag":
+                    for t in constants.values():
+                        t.requires_grad = True
+                tape.backward(loss)
         assert len(constants) > 100
         slots = model.param_slots()
         grads.append({k: holder[key].grad for k, (holder, key) in slots.items()})
-    skipped, full = grads
-    assert skipped.keys() == full.keys()
+    skipped, full, copied = grads
+    assert skipped.keys() == full.keys() == copied.keys()
     for k in skipped:
-        assert (skipped[k] is None) == (full[k] is None), k
+        assert (skipped[k] is None) == (full[k] is None) == (copied[k] is None), k
         if skipped[k] is not None:
             np.testing.assert_array_equal(skipped[k], full[k], err_msg=k)
+            np.testing.assert_array_equal(skipped[k], copied[k], err_msg=k)

@@ -1,10 +1,14 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and every function,
+class and method the package defines is named somewhere else."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*ROOT.glob("src/meshmotion/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/meshmotion/*.py"))
+SOURCES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
+READERS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/**/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +39,51 @@ def test_every_import_is_used():
     found = [f"{path.relative_to(ROOT)}: {name}"
              for path in SOURCES for name in unused_imports(path.read_text())]
     assert found == []
+
+
+def _names(tree: ast.AST) -> Counter:
+    """Every Name id, Attribute attr and str constant under ``tree``."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names[node.value] += 1
+    return names
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the non-dunder methods of the classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def unused_definitions(checked: list[str], readers: list[str]) -> list[str]:
+    """Definitions in the ``checked`` sources that no source, ``readers``
+    included, names outside the definition itself."""
+    trees = [ast.parse(source) for source in checked]
+    names = sum((_names(t) for t in [*trees, *map(ast.parse, readers)]), Counter())
+    return sorted(d.name for t in trees for d in _definitions(t)
+                  if names[d.name] <= _names(d)[d.name])
+
+
+def test_unused_definitions_finds_only_unnamed_ones():
+    checked = ("def f():\n    return f()\n"
+               "def g():\n    pass\n"
+               "def h():\n    pass\n"
+               "class C:\n"
+               "    def m(self):\n        pass\n"
+               "    def __init__(self):\n        self.n()\n"
+               "    def n(self):\n        pass\n")
+    assert unused_definitions([checked], ["g()\nx = 'h'\nC\n"]) == ["f", "m"]
+
+
+def test_every_definition_is_named():
+    assert unused_definitions([p.read_text() for p in PACKAGE],
+                              [p.read_text() for p in READERS]) == []

@@ -74,6 +74,8 @@ def test_config_grid_invariant():
     dict(eps_loss_weight=float("inf")),
     dict(eps_loss_weight=-1.0),
     dict(train_steps=-5),                          # would train for no step at all
+    dict(height=-4, width=-6),                     # negative, though the product is 24
+    dict(seed=-1),                                 # numpy seeds are non-negative
 ])
 def test_config_rejects_unbuildable_settings(over):
     cfg = ModelConfig(**over)
@@ -200,7 +202,7 @@ def test_end_to_end_gradcheck_miniature():
             holder, key = slots[name]
             holder[key] = p
         out = model.forward(obs, mask, seed=7)
-        return model.loss(out, gt, fixed_part_weights=lam)
+        return model.loss(out, gt, part_weights=lam)
 
     inputs = [slots[n][0][slots[n][1]].data for n in names]
     err = gradcheck(run, inputs, max_coords=4, rng=np.random.default_rng(0))

@@ -7,14 +7,7 @@ from meshmotion import autodiff as ad
 from meshmotion.autodiff import ShapeError, Tensor, gradcheck
 from meshmotion.body_graph import generate_toy_body
 from meshmotion.model import MM_SCALE, ModelConfig, build_model
-from meshmotion.part_loss import (
-    PROB_FLOOR,
-    PartLabelMap,
-    PartMapError,
-    hh_loss,
-    part_map_from_ranges,
-    part_weights_from_variance,
-)
+from meshmotion.part_loss import PROB_FLOOR, hh_loss, part_weights_from_variance
 
 
 # Reference: the part loss built op by op, one softmax and one KL term per
@@ -36,46 +29,33 @@ def part_kl(y_pred: Tensor | np.ndarray, y_true: Tensor | np.ndarray) -> Tensor:
     return ad.mean(summed) if summed.ndim > 0 else summed
 
 
-def softmax_pool(vertex_features, part_map: PartLabelMap) -> list[Tensor]:
+def softmax_pool(vertex_features, starts) -> list[Tensor]:
     """Per part, softmax over that part's vertex scores (feature row L2 norms).
 
-    ``vertex_features`` is (n, F) or (S, n, F); rows must cover every vertex
-    in the map. Returns one (S, k_p) probability tensor per part.
+    ``vertex_features`` is (S, n, F); the parts are the vertex segments that
+    begin at ``starts``. Returns one (S, k_p) probability tensor per part.
     """
     feats = ad.as_tensor(vertex_features)
-    if feats.ndim == 2:
-        feats = ad.reshape(feats, (1, *feats.shape))
-    if feats.shape[1] != part_map.n_vertices:
-        raise PartMapError(
-            f"features cover {feats.shape[1]} vertices, map expects {part_map.n_vertices}"
-        )
     sq = ad.sum_(ad.mul(feats, feats), axis=2)
     scores = ad.sqrt(ad.add(sq, 1e-12))  # (S, n)
-    probs = []
-    for s, e in part_map.ranges:
-        sl = ad.take_slice(scores, 1, s, e + 1)
-        probs.append(ad.softmax(sl, axis=1))
-    return probs
+    ends = [*starts[1:], feats.shape[1]]
+    return [ad.softmax(ad.take_slice(scores, 1, s, e), axis=1) for s, e in zip(starts, ends)]
 
 
-def hh_loss_loop(pred_features, true_features, part_map: PartLabelMap,
-                 gtm_features=None) -> Tensor:
-    pred = softmax_pool(pred_features, part_map)
-    true = softmax_pool(ad.constant(ad.as_tensor(true_features).data), part_map)
-    if gtm_features is not None:
-        lam = part_weights_from_variance(gtm_features, part_map)
-    else:
-        lam = np.asarray(part_map.weights, dtype=np.float64)
+def hh_loss_loop(pred_features, true_features, starts, weights) -> Tensor:
+    pred = softmax_pool(pred_features, starts)
+    true = softmax_pool(ad.constant(ad.as_tensor(true_features).data), starts)
     total = None
-    for p in range(part_map.m):
-        term = ad.mul(part_kl(pred[p], true[p]), float(lam[p]))
+    for p in range(len(starts)):
+        term = ad.mul(part_kl(pred[p], true[p]), float(weights[p]))
         total = term if total is None else ad.add(total, term)
     return total
 
 
-def default_map():
+def default_level():
+    """The default body's part starts and vertex count."""
     graph = generate_toy_body()
-    return part_map_from_ranges(graph.part_ranges())
+    return np.array([s for s, _ in graph.part_ranges()]), graph.n_vertices
 
 
 def test_part_kl_identity_is_zero():
@@ -133,27 +113,24 @@ def _assert_probability_rows(dist):
 
 
 def test_softmax_pool_constant_features_uniform():
-    pm = part_map_from_ranges([(0, 3), (4, 9)])
-    feats = np.ones((10, 2)) * 3.0
-    dist = softmax_pool(feats, pm)
+    feats = np.ones((1, 10, 2)) * 3.0
+    dist = softmax_pool(feats, [0, 4])
     _assert_probability_rows(dist)
     np.testing.assert_allclose(dist[0].data, np.full((1, 4), 0.25), atol=1e-12)
     np.testing.assert_allclose(dist[1].data, np.full((1, 6), 1 / 6), atol=1e-12)
 
 
 def test_softmax_pool_single_vertex_part():
-    pm = part_map_from_ranges([(0, 0), (1, 2)])
-    dist = softmax_pool(np.random.default_rng(4).standard_normal((3, 2)), pm)
+    dist = softmax_pool(np.random.default_rng(4).standard_normal((1, 3, 2)), [0, 1])
     np.testing.assert_allclose(dist[0].data, [[1.0]], atol=1e-15)
 
 
 def test_softmax_pool_matches_loop_oracle():
     rng = np.random.default_rng(5)
-    pm = part_map_from_ranges([(0, 2), (3, 6), (7, 7)])
     feats = rng.standard_normal((2, 8, 3))
-    dist = softmax_pool(feats, pm)
+    dist = softmax_pool(feats, [0, 3, 7])
     _assert_probability_rows(dist)
-    for pi, (s, e) in enumerate(pm.ranges):
+    for pi, (s, e) in enumerate([(0, 2), (3, 6), (7, 7)]):
         for b in range(2):
             scores = np.sqrt((feats[b, s:e + 1] ** 2).sum(axis=1) + 1e-12)
             ex = np.exp(scores - scores.max())
@@ -161,64 +138,61 @@ def test_softmax_pool_matches_loop_oracle():
 
 
 def test_softmax_pool_uncovered_vertex_errors():
-    pm = part_map_from_ranges([(0, 3)])
-    with pytest.raises(PartMapError):
-        softmax_pool(np.zeros((6, 2)), pm)
+    # a part that starts past the features' last vertex
+    with pytest.raises(ShapeError):
+        softmax_pool(np.zeros((1, 4, 2)), [0, 6])
 
 
 def test_part_weights_zero_variance_fallback():
-    pm = part_map_from_ranges([(0, 1), (2, 3)])
-    lam = part_weights_from_variance(np.ones((4, 3)), pm)
+    lam = part_weights_from_variance(np.ones((1, 4, 3)), [0, 2])
     np.testing.assert_allclose(lam, [1.0, 1.0], atol=1e-15)
 
 
 def test_part_weights_normalization_arithmetic():
     # one part with variance 3v, three parts with v -> [2, 2/3, 2/3, 2/3]
-    pm = part_map_from_ranges([(0, 1), (2, 3), (4, 5), (6, 7)])
     feats = np.zeros((1, 8, 1))
     feats[0, 0:2, 0] = [-math.sqrt(3), math.sqrt(3)]  # variance 3
     feats[0, 2:4, 0] = [-1, 1]                        # variance 1
     feats[0, 4:6, 0] = [-1, 1]
     feats[0, 6:8, 0] = [-1, 1]
-    lam = part_weights_from_variance(feats, pm)
+    lam = part_weights_from_variance(feats, [0, 2, 4, 6])
     np.testing.assert_allclose(lam, [2.0, 2 / 3, 2 / 3, 2 / 3], atol=1e-12)
 
 
 def test_part_weights_sum_to_m():
     rng = np.random.default_rng(6)
-    pm = default_map()
+    starts, n = default_level()
     for _ in range(10):
-        feats = rng.standard_normal((3, pm.n_vertices, 4))
-        lam = part_weights_from_variance(feats, pm)
+        feats = rng.standard_normal((3, n, 4))
+        lam = part_weights_from_variance(feats, starts)
         assert np.all(lam >= 0)
-        assert abs(lam.sum() - pm.m) < 1e-9
+        assert abs(lam.sum() - len(starts)) < 1e-9
 
 
 def test_hh_loss_zero_at_identity():
     rng = np.random.default_rng(7)
-    pm = default_map()
-    feats = rng.standard_normal((2, pm.n_vertices, 3))
-    assert abs(hh_loss(feats, feats, pm, feats).item()) < 1e-12
+    starts, n = default_level()
+    feats = rng.standard_normal((2, n, 3))
+    lam = part_weights_from_variance(feats, starts)
+    assert abs(hh_loss(feats, feats, starts, lam).item()) < 1e-12
 
 
 def test_hh_loss_single_part_equals_part_kl():
     rng = np.random.default_rng(8)
-    pm = part_map_from_ranges([(0, 5)])
-    pred = rng.standard_normal((6, 2))
-    true = rng.standard_normal((6, 2))
-    got = hh_loss(pred, true, pm).item()
-    want = part_kl(softmax_pool(pred, pm)[0],
-                   softmax_pool(true, pm)[0]).item()
+    pred = rng.standard_normal((1, 6, 2))
+    true = rng.standard_normal((1, 6, 2))
+    got = hh_loss(pred, true, [0], np.ones(1)).item()
+    want = part_kl(softmax_pool(pred, [0])[0],
+                   softmax_pool(true, [0])[0]).item()
     assert abs(got - want) < 1e-12
 
 
 def test_hh_loss_two_part_weighted_oracle():
     rng = np.random.default_rng(9)
-    pm = PartLabelMap(ranges=[(0, 2), (3, 5)], weights=np.array([2.0, 0.5]))
-    pred = rng.standard_normal((6, 2))
-    true = rng.standard_normal((6, 2))
-    got = hh_loss(pred, true, pm).item()
-    pd, td = softmax_pool(pred, pm), softmax_pool(true, pm)
+    pred = rng.standard_normal((1, 6, 2))
+    true = rng.standard_normal((1, 6, 2))
+    got = hh_loss(pred, true, [0, 3], np.array([2.0, 0.5])).item()
+    pd, td = softmax_pool(pred, [0, 3]), softmax_pool(true, [0, 3])
     want = 2.0 * part_kl(pd[0], td[0]).item() \
         + 0.5 * part_kl(pd[1], td[1]).item()
     assert abs(got - want) < 1e-12
@@ -226,39 +200,39 @@ def test_hh_loss_two_part_weighted_oracle():
 
 def test_hh_loss_gradient():
     rng = np.random.default_rng(10)
-    pm = part_map_from_ranges([(0, 2), (3, 5)])
-    pred = rng.standard_normal((6, 3))
-    true = rng.standard_normal((6, 3))
-    gtm = rng.standard_normal((6, 3))
-    err = gradcheck(lambda p: hh_loss(p, ad.constant(true), pm, gtm), [pred])
+    pred = rng.standard_normal((1, 6, 3))
+    true = rng.standard_normal((1, 6, 3))
+    lam = part_weights_from_variance(rng.standard_normal((1, 6, 3)), [0, 3])
+    err = gradcheck(lambda p: hh_loss(p, ad.constant(true), [0, 3], lam), [pred])
     assert err < 1e-4
 
 
-@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("weighting", ["variance", "fixed"])
 def test_hh_loss_matches_loop_oracle(rows, weighting):
     rng = np.random.default_rng(12)
-    pm = default_map()
-    shape = (pm.n_vertices, 4) if rows is None else (rows, pm.n_vertices, 4)
-    pred, true, gtm = (rng.standard_normal(shape) for _ in range(3))
+    starts, n = default_level()
+    pred, true, gtm = (rng.standard_normal((rows, n, 4)) for _ in range(3))
     if weighting == "fixed":
-        pm = PartLabelMap(ranges=pm.ranges, weights=rng.random(pm.m) * 2.0)
-        gtm = None
-    got = hh_loss(pred, true, pm, gtm).item()
-    want = hh_loss_loop(pred, true, pm, gtm).item()
+        lam = rng.random(len(starts)) * 2.0
+    else:
+        lam = part_weights_from_variance(gtm, starts)
+    got = hh_loss(pred, true, starts, lam).item()
+    want = hh_loss_loop(pred, true, starts, lam).item()
     assert want > 0.0
     assert abs(got - want) < 1e-12
 
 
 def test_hh_loss_gradient_matches_loop_oracle():
     rng = np.random.default_rng(13)
-    pm = default_map()
-    pred, true, gtm = (rng.standard_normal((2, pm.n_vertices, 3)) for _ in range(3))
+    starts, n = default_level()
+    pred, true, gtm = (rng.standard_normal((2, n, 3)) for _ in range(3))
+    lam = part_weights_from_variance(gtm, starts)
     grads = []
     for fn in (hh_loss, hh_loss_loop):
         x = Tensor(pred, requires_grad=True)
         with ad.Tape() as tape:
-            loss = fn(x, true, pm, gtm)
+            loss = fn(x, true, starts, lam)
         tape.backward(loss)
         grads.append(x.grad)
     np.testing.assert_allclose(grads[0], grads[1], rtol=0, atol=1e-12)
@@ -269,29 +243,32 @@ def test_hh_loss_records_do_not_grow_with_parts():
     rng = np.random.default_rng(14)
     feats = rng.standard_normal((2, 16, 3))
     counts = []
-    for ranges in ([(0, 7), (8, 15)], [(2 * i, 2 * i + 1) for i in range(8)]):
-        pm = part_map_from_ranges(ranges)
+    for starts in (np.array([0, 8]), np.arange(0, 16, 2)):
+        lam = part_weights_from_variance(feats, starts)
         with ad.Tape() as tape:
-            hh_loss(Tensor(feats, requires_grad=True), feats[::-1], pm, feats)
+            hh_loss(Tensor(feats, requires_grad=True), feats[::-1], starts, lam)
         counts.append(len(tape.records))
     assert counts[0] >= 1
     assert counts[0] == counts[1]
 
 
 def test_hh_loss_uncovered_vertex_errors():
-    pm = part_map_from_ranges([(0, 3)])
-    with pytest.raises(PartMapError):
-        hh_loss(np.ones((6, 2)), np.ones((4, 2)), pm)
-    with pytest.raises(PartMapError):
-        hh_loss(np.ones((4, 2)), np.ones((6, 2)), pm)
+    # prediction and target must cover the same vertices
+    with pytest.raises(ShapeError):
+        hh_loss(np.ones((1, 6, 2)), np.ones((1, 4, 2)), [0], np.ones(1))
+    with pytest.raises(ShapeError):
+        hh_loss(np.ones((1, 4, 2)), np.ones((1, 6, 2)), [0], np.ones(1))
 
 
-def test_hierarchical_loss_sums_levels():
+@pytest.mark.parametrize("depth", [1, 2])
+def test_hierarchical_loss_sums_levels(depth):
     # Model.loss with only the part term switched on: one hh_loss per level,
     # coarse then fine, each weighted by its own feature variance (two coarse
-    # vertices per part, so the coarse term is not trivially zero)
+    # vertices per part, so the coarse term is not trivially zero); depth 1
+    # keeps the fine level only
     model = build_model(ModelConfig(vertices_per_part=4, coarse_per_part=2, height=4,
                                     width=4, channels=4, diffusion_on=False,
+                                    hierarchy_depth=depth,
                                     vertex_loss_weight=0.0, part_loss_weight=1.0))
     graph = model.graph
     rng = np.random.default_rng(11)
@@ -303,19 +280,17 @@ def test_hierarchical_loss_sums_levels():
     }
     gt = rng.standard_normal((1, 2, graph.n_vertices, 3)) * 100.0
     total = model.loss(out, gt).item()
+    pinned = model.loss(out, gt, part_weights=model.part_weight_levels(out)).item()
+    assert pinned == total
 
+    fine_starts = np.array([s for s, _ in graph.part_ranges()])
+    coarse_starts = np.arange(0, graph.n_coarse, 2)
     gt_fine = gt.reshape(2, graph.n_vertices, 3) * MM_SCALE
-    gt_coarse = graph.down_matrix.data @ gt_fine
-    pc, pf = out["coarse_feats"], out["pred_scaled"]
-    want = (hh_loss(pc, gt_coarse, model.coarse_map, pc.data).item()
-            + hh_loss(pf, gt_fine, model.fine_map, out["fine_feats"].data).item())
+    pf, ff = out["pred_scaled"], out["fine_feats"].data
+    want = hh_loss(pf, gt_fine, fine_starts, part_weights_from_variance(ff, fine_starts)).item()
+    if depth == 2:
+        gt_coarse = graph.down_matrix.data @ gt_fine
+        pc = out["coarse_feats"]
+        want = (hh_loss(pc, gt_coarse, coarse_starts,
+                        part_weights_from_variance(pc.data, coarse_starts)).item() + want)
     assert abs(total - want) < 1e-12
-
-
-def test_part_map_validation():
-    with pytest.raises(PartMapError):
-        part_map_from_ranges([(0, 2), (4, 5)])  # gap
-    with pytest.raises(PartMapError):
-        part_map_from_ranges([(0, 2), (2, 5)])  # overlap
-    with pytest.raises(PartMapError):
-        part_map_from_ranges([(1, 2)])          # does not start at 0

@@ -85,26 +85,21 @@ def test_noop_corruption_is_identity(graph):
 
 
 def test_full_occlusion_of_one_part(graph):
+    # every frame starts a one-frame event that zeroes one whole part
     seq = generate_sequence(MotionConfig(graph=graph, frames=5), seed=2)
-    cfg = CorruptionConfig(occlusion_prob=1.0, part_rule="fixed", fixed_part=2,
-                           severity_range=(1.0, 1.0), max_span=1, blur_width=1)
+    cfg = CorruptionConfig(occlusion_prob=1.0, severity_range=(1.0, 1.0), max_span=1,
+                           blur_width=1)
     out = corrupt_sequence(seq, graph, cfg, seed=3)
-    s, e = graph.part_ranges()[2]
-    assert np.all(out.observations[:, s:e + 1] == 0.0)
-    assert np.all(out.occlusion_mask[:, s:e + 1] == 1.0)
-    untouched = np.ones(graph.n_vertices, dtype=bool)
-    untouched[s:e + 1] = False
-    np.testing.assert_array_equal(out.observations[:, untouched],
-                                  seq.gt_vertices[:, untouched])
-
-
-@pytest.mark.parametrize("fixed_part", [99, -1])
-def test_fixed_part_outside_the_graph_raises(graph, fixed_part):
-    # -1 would otherwise occlude the last part by Python's negative indexing
-    seq = generate_sequence(MotionConfig(graph=graph, frames=4), seed=0)
-    cfg = CorruptionConfig(occlusion_prob=1.0, part_rule="fixed", fixed_part=fixed_part)
-    with pytest.raises(SynthError, match="fixed part"):
-        corrupt_sequence(seq, graph, cfg, seed=0)
+    for f in range(seq.frames):
+        masked = out.occlusion_mask[f] == 1.0
+        assert np.all((out.occlusion_mask[f] == 0.0) | masked)
+        hit = [(s, e) for s, e in graph.part_ranges() if masked[s:e + 1].any()]
+        assert len(hit) == 1
+        s, e = hit[0]
+        assert np.all(masked[s:e + 1]) and masked.sum() == e - s + 1
+        assert np.all(out.observations[f, s:e + 1] == 0.0)
+        np.testing.assert_array_equal(out.observations[f, ~masked],
+                                      seq.gt_vertices[f, ~masked])
 
 
 def test_blur_preserves_linear_ramp_interior(graph):
