@@ -1,8 +1,10 @@
 """Articulated body mesh as an explicit graph: normalized adjacency,
 graph convolution, and coarse/fine linear resampling.
 
-The toy body generator builds a deterministic connected mesh with contiguous
-per-part vertex ranges, standing in for a licensed full-resolution body model.
+The toy body generator builds a deterministic connected mesh whose parts are
+contiguous vertex segments (given by their starts, ``part_starts``) and whose
+vertices pool into coarse vertices that never cross a part (``coarse_of``),
+standing in for a licensed full-resolution body model.
 """
 
 from __future__ import annotations
@@ -29,30 +31,21 @@ class GraphError(ValueError):
     """Invalid graph construction input."""
 
 
-@dataclass(frozen=True)
-class ToyBodyConfig:
-    parts: tuple[str, ...] = DEFAULT_PARTS
-    vertices_per_part: int = 12
-    coarse_per_part: int = 3
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.parts) * self.vertices_per_part
-
-    @property
-    def n_coarse(self) -> int:
-        return len(self.parts) * self.coarse_per_part
-
-
 @dataclass
 class BodyGraph:
-    """Vertex/edge structure with normalized adjacency and resampling matrices."""
+    """Vertex/edge structure, part layout and coarse/fine resampling matrices.
+
+    Each part is one contiguous segment of vertex ids: ``part_starts`` holds
+    the first vertex of each part, increasing from 0. Each vertex pools into
+    the coarse vertex ``coarse_of`` names; a coarse group never crosses a
+    part, so the coarse parts start at ``coarse_of[part_starts]``.
+    """
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
-    adjacency_norm: Tensor               # (n, n)
-    part_labels: np.ndarray              # (n,) int label ids
     part_names: tuple[str, ...]
+    part_starts: np.ndarray              # (n_parts,) first vertex of each part
+    coarse_of: np.ndarray                # (n,) coarse vertex each vertex pools into
     down_matrix: Tensor                  # (n_coarse, n)
     up_matrix: Tensor                    # (n, n_coarse)
 
@@ -60,30 +53,9 @@ class BodyGraph:
     def n_coarse(self) -> int:
         return self.down_matrix.shape[0]
 
-    @property
-    def n_parts(self) -> int:
-        return len(self.part_names)
-
-    def part_ranges(self) -> list[tuple[int, int]]:
-        """Inclusive (start, end) vertex index range per part label."""
-        ranges = []
-        for label in range(self.n_parts):
-            idx = np.flatnonzero(self.part_labels == label)
-            if idx.size == 0:
-                raise GraphError(f"part label {label} has no vertices")
-            if not np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)):
-                raise GraphError(f"part label {label} is not contiguous")
-            ranges.append((int(idx[0]), int(idx[-1])))
-        return ranges
-
-    def coarse_labels(self) -> np.ndarray:
-        """Part label of each coarse vertex (label of its pooled group)."""
-        down = self.down_matrix.data
-        labels = np.empty(down.shape[0], dtype=np.int64)
-        for c in range(down.shape[0]):
-            members = np.flatnonzero(down[c] > 0)
-            labels[c] = self.part_labels[members[0]]
-        return labels
+    def part_vertices(self) -> list[np.ndarray]:
+        """Vertex ids of each part, in ``part_names`` order."""
+        return np.split(np.arange(self.n_vertices), self.part_starts[1:])
 
     def coarse_adjacency(self) -> Tensor:
         """Normalized adjacency over coarse vertices, projected from fine edges.
@@ -91,16 +63,12 @@ class BodyGraph:
         Coarse vertices i, j connect when any fine edge links their pooled
         groups.
         """
-        down = self.down_matrix.data
-        owner = np.full(self.n_vertices, -1, dtype=np.int64)
-        for c in range(down.shape[0]):
-            owner[np.flatnonzero(down[c] > 0)] = c
         coarse_edges = set()
         for i, j in self.edges:
-            ci, cj = owner[i], owner[j]
+            ci, cj = self.coarse_of[i], self.coarse_of[j]
             if ci != cj:
                 coarse_edges.add((min(ci, cj), max(ci, cj)))
-        return build_adjacency(sorted(coarse_edges), down.shape[0])
+        return build_adjacency(sorted(coarse_edges), self.n_coarse)
 
 
 def build_adjacency(edges, n_vertices: int) -> Tensor:
@@ -176,41 +144,40 @@ def _part_edges(start: int, count: int) -> list[tuple[int, int]]:
     return edges
 
 
-def generate_toy_body(config: ToyBodyConfig | None = None) -> BodyGraph:
-    """Deterministic articulated mesh graph with contiguous part ranges.
+def generate_toy_body(vertices_per_part: int = 12, coarse_per_part: int = 3,
+                      parts: tuple[str, ...] = DEFAULT_PARTS) -> BodyGraph:
+    """Deterministic articulated mesh graph of ``vertices_per_part`` per part.
 
-    Parts are chains attached to the root part (the second entry, 'torso', in
-    the default list; the first part when only generic names are given), with
-    terminal parts ('hands'/'feet') split across both arms/legs when present.
+    Part k is the vertex segment starting at k · vertices_per_part. Parts are
+    chains attached to the root part ('torso' when present, else the first
+    part). With the default names present, the humanoid parts attach at their
+    joints, with terminal parts ('hands'/'feet') split across both arms/legs;
+    every other part fans out along the root. Each part pools into
+    ``coarse_per_part`` consecutive coarse vertices (``coarse_of``).
     """
-    if config is None:
-        config = ToyBodyConfig()
-    parts = config.parts
-    vpp = config.vertices_per_part
+    vpp = vertices_per_part
     if len(parts) < 2:
         raise GraphError(f"need at least 2 parts, got {len(parts)}")
+    if len(set(parts)) != len(parts):
+        raise GraphError(f"part names must be distinct, got {parts}")
     if vpp < 2:
         raise GraphError(f"need at least 2 vertices per part, got {vpp}")
-    if not (1 <= config.coarse_per_part <= vpp):
-        raise GraphError(
-            f"coarse_per_part {config.coarse_per_part} outside [1, {vpp}]"
-        )
+    if not (1 <= coarse_per_part <= vpp):
+        raise GraphError(f"coarse_per_part {coarse_per_part} outside [1, {vpp}]")
 
-    n = config.n_vertices
+    n = len(parts) * vpp
     starts = {name: i * vpp for i, name in enumerate(parts)}
-    labels = np.repeat(np.arange(len(parts)), vpp)
 
     edges: list[tuple[int, int]] = []
     for name in parts:
         edges += _part_edges(starts[name], vpp)
 
-    # attach non-root parts to the root chain; use humanoid attachments when
-    # the default names are present, otherwise fan out along the root
     root = "torso" if "torso" in parts else parts[0]
     rs = starts[root]
-    if set(DEFAULT_PARTS) <= set(parts):
+    humanoid = set(DEFAULT_PARTS) <= set(parts)
+    if humanoid:
         half = vpp // 2
-        attach = [
+        edges += [
             (starts["head"], rs),
             (starts["left_arm"], rs + 1),
             (starts["right_arm"], rs + 2),
@@ -221,32 +188,25 @@ def generate_toy_body(config: ToyBodyConfig | None = None) -> BodyGraph:
             (starts["feet"], starts["left_leg"] + vpp - 1),
             (starts["feet"] + half, starts["right_leg"] + vpp - 1),
         ]
-    else:
-        others = [p for p in parts if p != root]
-        attach = [
-            (starts[p], rs + (k * (vpp - 1)) // max(1, len(others) - 1) if len(others) > 1 else rs)
-            for k, p in enumerate(others)
-        ]
-    edges += [(a, b) for a, b in attach if a != b]
+    # every part without a humanoid joint fans out along the root
+    others = [p for p in parts if p != root and not (humanoid and p in DEFAULT_PARTS)]
+    edges += [(starts[p], rs + k * (vpp - 1) // max(1, len(others) - 1))
+              for k, p in enumerate(others)]
 
-    adjacency = build_adjacency(edges, n)
-
-    # coarse pooling: consecutive uniform groups inside each part
-    groups: list[np.ndarray] = []
-    for label in range(len(parts)):
-        vertex_ids = np.arange(label * vpp, (label + 1) * vpp)
-        groups += [g for g in np.array_split(vertex_ids, config.coarse_per_part)]
-    down = np.zeros((len(groups), n), dtype=np.float64)
-    for c, g in enumerate(groups):
-        down[c, g] = 1.0 / len(g)
+    # coarse pooling: consecutive near-uniform groups inside each part
+    sizes = np.tile([len(g) for g in np.array_split(np.arange(vpp), coarse_per_part)],
+                    len(parts))
+    coarse_of = np.repeat(np.arange(sizes.size), sizes)
+    down = np.zeros((sizes.size, n), dtype=np.float64)
+    down[coarse_of, np.arange(n)] = 1.0 / sizes[coarse_of]
     up = np.linalg.pinv(down)
 
     return BodyGraph(
         n_vertices=n,
         edges=tuple(sorted((min(i, j), max(i, j)) for i, j in edges)),
-        adjacency_norm=adjacency,
-        part_labels=labels,
         part_names=tuple(parts),
+        part_starts=np.arange(len(parts)) * vpp,
+        coarse_of=coarse_of,
         down_matrix=Tensor(down),
         up_matrix=Tensor(up),
     )

@@ -106,22 +106,20 @@ _BONES = (
 
 def build_joint_regressor(graph: BodyGraph) -> JointRegressor:
     """14 joints averaged over small single-part vertex groups."""
-    ranges = dict(zip(graph.part_names, graph.part_ranges()))
-    missing = [part for _, part, _ in _JOINT_SPECS if part not in ranges]
+    parts = dict(zip(graph.part_names, graph.part_vertices()))
+    missing = [part for _, part, _ in _JOINT_SPECS if part not in parts]
     if missing:
         raise MetricsError(f"graph lacks parts required for joints: {sorted(set(missing))}")
     n = graph.n_vertices
     rows = []
     names = []
     for name, part, frac in _JOINT_SPECS:
-        s, e = ranges[part]
-        count = e - s + 1
-        group = max(1, count // 4)
-        center = s + round(frac * (count - 1))
-        lo = max(s, center - (group - 1) // 2)
-        hi = min(e, lo + group - 1)
+        ids = parts[part]
+        group = max(1, len(ids) // 4)
+        lo = max(0, round(frac * (len(ids) - 1)) - (group - 1) // 2)
+        members = ids[lo:lo + group]
         row = np.zeros(n)
-        row[lo:hi + 1] = 1.0 / (hi - lo + 1)
+        row[members] = 1.0 / len(members)
         rows.append(row)
         names.append(name)
     name_idx = {nm: i for i, nm in enumerate(names)}

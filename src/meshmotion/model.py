@@ -20,7 +20,6 @@ from .autodiff import Tape, Tensor
 from .body_graph import (
     DEFAULT_PARTS,
     GraphError,
-    ToyBodyConfig,
     generate_toy_body,
     resolve_activation,
 )
@@ -115,12 +114,6 @@ class ModelConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
 
-    def body_config(self) -> ToyBodyConfig:
-        return ToyBodyConfig(
-            vertices_per_part=self.vertices_per_part,
-            coarse_per_part=self.coarse_per_part,
-        )
-
 
 class Linear:
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
@@ -140,16 +133,15 @@ class Model:
     def __init__(self, config: ModelConfig):
         config.validate()
         self.config = config
-        self.graph = generate_toy_body(config.body_config())
-        self.regressor = build_joint_regressor(self.graph)
+        graph = self.graph = generate_toy_body(config.vertices_per_part, config.coarse_per_part)
+        self.regressor = build_joint_regressor(graph)
         # each part-loss level's parts as the starts of their vertex segments:
         # coarse then fine, the last hierarchy_depth of them
-        labels = (self.graph.coarse_labels(), self.graph.part_labels)
-        self.part_starts = [np.flatnonzero(np.diff(level, prepend=-1))
-                            for level in labels[2 - config.hierarchy_depth:]]
+        self.part_starts = [graph.coarse_of[graph.part_starts],
+                            graph.part_starts][2 - config.hierarchy_depth:]
         rng = np.random.default_rng(config.seed)
 
-        n = self.graph.n_vertices
+        n = graph.n_vertices
         c, h, w = config.channels, config.height, config.width
         self.enc1 = Linear(4 * n, config.encoder_hidden, rng)
         self.enc2 = Linear(config.encoder_hidden, c * h * w, rng)
@@ -184,13 +176,18 @@ class Model:
         return slots
 
     def forward(self, observations: np.ndarray, mask: np.ndarray, seed: int) -> dict:
-        """observations (B, T, n, 3) mm and mask (B, T, n) -> prediction dict."""
+        """observations (B, T, n, 3) mm and mask (B, T, n) -> prediction dict.
+
+        Any other shape raises ``ConfigError``.
+        """
         cfg = self.config
         obs = np.asarray(observations, dtype=np.float64)
         msk = np.asarray(mask, dtype=np.float64)
-        B, T, n, _ = obs.shape
-        if n != self.graph.n_vertices:
-            raise ConfigError(f"sequence has {n} vertices, model expects {self.graph.n_vertices}")
+        n = self.graph.n_vertices
+        if obs.ndim != 4 or obs.shape[2:] != (n, 3) or msk.shape != obs.shape[:3]:
+            raise ConfigError(f"observations {obs.shape} and mask {msk.shape} must be "
+                              f"(B, T, {n}, 3) and (B, T, {n})")
+        B, T = obs.shape[:2]
         c, h, w = cfg.channels, cfg.height, cfg.width
 
         frame_in = np.concatenate([
@@ -313,6 +310,10 @@ def train(config: ModelConfig, dataset: list[MotionSequence]) -> tuple[Model, li
     """Fixed-step Adam training; deterministic per config seed."""
     if not dataset:
         raise ConfigError("empty training dataset")
+    shapes = {(s.observations.shape, s.occlusion_mask.shape, s.gt_vertices.shape)
+              for s in dataset}
+    if len(shapes) > 1:
+        raise ConfigError(f"training sequences differ in shape: {sorted(shapes)}")
     model = build_model(config)
     slots = model.param_slots()
     opt = Adam(slots, lr=config.learning_rate)

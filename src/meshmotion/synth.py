@@ -116,18 +116,13 @@ def _body_plan(graph: BodyGraph) -> tuple[np.ndarray, list[_Group]]:
             "motion generation needs the default humanoid part set "
             f"{DEFAULT_PARTS}; got {graph.part_names}"
         )
-    ranges = dict(zip(graph.part_names, graph.part_ranges()))
-
-    def ids(part):
-        s, e = ranges[part]
-        return np.arange(s, e + 1)
-
+    ids = dict(zip(graph.part_names, graph.part_vertices()))
     rest = np.zeros((graph.n_vertices, 3))
-    torso = ids("torso")
-    head = ids("head")
-    larm, rarm = ids("left_arm"), ids("right_arm")
-    lleg, rleg = ids("left_leg"), ids("right_leg")
-    hands, feet = ids("hands"), ids("feet")
+    torso = ids["torso"]
+    head = ids["head"]
+    larm, rarm = ids["left_arm"], ids["right_arm"]
+    lleg, rleg = ids["left_leg"], ids["right_leg"]
+    hands, feet = ids["hands"], ids["feet"]
     half_h = len(hands) // 2
     half_f = len(feet) // 2
     lhand, rhand = hands[:half_h], hands[half_h:]
@@ -205,7 +200,9 @@ def generate_sequence(config: MotionConfig, seed: int,
     T = config.frames
     ts = np.linspace(0.0, 1.0, T)
 
-    # seeded per-group axes (slightly perturbed defaults) and angle splines
+    # seeded per-group axes (slightly perturbed defaults) and unit spline
+    # curves, solved once: one angle curve per group then the root's yaw, and
+    # the root's travel per axis; each velocity-cap pass only scales them
     axes = []
     controls = []
     for g in groups:
@@ -213,19 +210,9 @@ def generate_sequence(config: MotionConfig, seed: int,
         axes.append(axis / np.linalg.norm(axis))
         controls.append(rng.uniform(-1.0, 1.0, size=config.spline_controls))
     root_controls = rng.uniform(-1.0, 1.0, size=(3, config.spline_controls))
-    yaw_controls = rng.uniform(-1.0, 1.0, size=config.spline_controls)
-
-    def trajectories(angle_scale: float, travel_scale: float):
-        angles = np.stack([
-            angle_scale * config.angle_amplitude * _natural_cubic_spline(c, ts)
-            for c in controls
-        ])
-        root = np.stack([
-            travel_scale * config.root_travel * _natural_cubic_spline(c, ts)
-            for c in root_controls
-        ], axis=1)
-        yaw = angle_scale * config.angle_amplitude * _natural_cubic_spline(yaw_controls, ts)
-        return angles, root, yaw
+    controls.append(rng.uniform(-1.0, 1.0, size=config.spline_controls))
+    angle_curves = np.stack([_natural_cubic_spline(c, ts) for c in controls])
+    travel_curves = np.stack([_natural_cubic_spline(c, ts) for c in root_controls], axis=1)
 
     def pose(angles, root, yaw):
         verts = np.empty((T, graph.n_vertices, 3))
@@ -250,8 +237,8 @@ def generate_sequence(config: MotionConfig, seed: int,
     # realized max per-frame joint displacement fits
     scale = 1.0
     for _ in range(12):
-        angles, root, yaw = trajectories(scale, scale)
-        verts = pose(angles, root, yaw)
+        angles = (scale * config.angle_amplitude) * angle_curves
+        verts = pose(angles, (scale * config.root_travel) * travel_curves, angles[-1])
         joints = regressor(verts)
         step = np.linalg.norm(np.diff(joints, axis=0), axis=2).max() if T > 1 else 0.0
         if step <= config.max_joint_step:
@@ -281,8 +268,12 @@ def corrupt_sequence(seq: MotionSequence, graph: BodyGraph,
     part, a severity and a span of frames, drawn in that order. An event
     zeroes the first ceil(severity · part size) vertices of its part and
     sets their mask entries to 1 over the span. Deterministic per seed.
+    A sequence whose vertex count differs from the graph's raises
+    ``SynthError``.
     """
     config.validate()
+    if seq.n_vertices != graph.n_vertices:
+        raise SynthError(f"sequence has {seq.n_vertices} vertices, graph has {graph.n_vertices}")
     rng = np.random.default_rng(seed)
     obs = seq.gt_vertices.copy()
     T, n, _ = obs.shape
@@ -298,16 +289,15 @@ def corrupt_sequence(seq: MotionSequence, graph: BodyGraph,
         for f in range(T):
             obs[f] = np.tensordot(kernel, padded[f:f + width], axes=(0, 0))
     mask = np.zeros((T, n))
-    ranges = graph.part_ranges()
+    parts = graph.part_vertices()
     for f in range(T):
         if rng.random() < config.occlusion_prob:
-            part = int(rng.integers(graph.n_parts))
+            ids = parts[int(rng.integers(len(parts)))]
             severity = float(rng.uniform(*config.severity_range))
             span = int(rng.integers(1, config.max_span + 1))
-            s, e = ranges[part]
-            count = int(np.ceil(severity * (e - s + 1)))
-            obs[f:f + span, s:s + count] = 0.0
-            mask[f:f + span, s:s + count] = 1.0
+            hidden = ids[:int(np.ceil(severity * len(ids)))]
+            obs[f:f + span, hidden] = 0.0
+            mask[f:f + span, hidden] = 1.0
     return MotionSequence(
         gt_vertices=seq.gt_vertices,
         gt_joints=seq.gt_joints,

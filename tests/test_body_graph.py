@@ -4,10 +4,9 @@ import pytest
 from meshmotion import autodiff as ad
 from meshmotion.autodiff import ShapeError, Tensor, gradcheck
 from meshmotion.body_graph import (
-    BodyGraph,
+    DEFAULT_PARTS,
     GraphConvLayer,
     GraphError,
-    ToyBodyConfig,
     build_adjacency,
     generate_toy_body,
 )
@@ -57,34 +56,20 @@ def test_adjacency_input_errors():
         build_adjacency([(0, 1), (1, 0)], 3)
 
 
-def _tiny_graph(edges, n):
-    adjacency = build_adjacency(edges, n)
-    down = np.eye(n)
-    return BodyGraph(
-        n_vertices=n,
-        edges=tuple(edges),
-        adjacency_norm=adjacency,
-        part_labels=np.zeros(n, dtype=np.int64),
-        part_names=("all",),
-        down_matrix=Tensor(down),
-        up_matrix=Tensor(down),
-    )
-
-
 def test_graph_conv_identity_composition():
-    g = _tiny_graph([], 3)
+    adjacency = build_adjacency([], 3)
     layer = GraphConvLayer(1, 1, activation="relu")
     layer.p["weight"] = Tensor(np.eye(1), requires_grad=True)
     y = np.array([[1.0], [2.0], [3.0]])
-    out = layer.apply(g.adjacency_norm, Tensor(y))
+    out = layer.apply(adjacency, Tensor(y))
     np.testing.assert_allclose(out.data, y, atol=1e-15)
 
 
 def test_graph_conv_two_vertex_example():
-    g = _tiny_graph([(0, 1)], 2)
+    adjacency = build_adjacency([(0, 1)], 2)
     layer = GraphConvLayer(1, 1, activation="relu")
     layer.p["weight"] = Tensor([[1.0]], requires_grad=True)
-    out = layer.apply(g.adjacency_norm, Tensor([[2.0], [4.0]]))
+    out = layer.apply(adjacency, Tensor([[2.0], [4.0]]))
     np.testing.assert_allclose(out.data, [[3.0], [3.0]], atol=1e-15)
 
 
@@ -108,7 +93,7 @@ def test_graph_conv_permutation_equivariance():
 
 
 def test_graph_conv_weight_gradient():
-    g = _tiny_graph([(0, 1), (1, 2)], 3)
+    adjacency = build_adjacency([(0, 1), (1, 2)], 3)
     rng = np.random.default_rng(2)
     y = rng.standard_normal((3, 4))
     w0 = rng.standard_normal((4, 2))
@@ -116,25 +101,25 @@ def test_graph_conv_weight_gradient():
 
     def op(w):
         layer.p["weight"] = w
-        return layer.apply(g.adjacency_norm, ad.constant(y))
+        return layer.apply(adjacency, ad.constant(y))
 
     assert gradcheck(op, [w0]) < 1e-4
 
 
 def test_graph_conv_shape_errors():
-    g = _tiny_graph([(0, 1)], 2)
+    adjacency = build_adjacency([(0, 1)], 2)
     layer = GraphConvLayer(3, 2)
     with pytest.raises(ShapeError):
-        layer.apply(g.adjacency_norm, Tensor(np.zeros((2, 4))))
+        layer.apply(adjacency, Tensor(np.zeros((2, 4))))
     with pytest.raises(ShapeError):
-        layer.apply(g.adjacency_norm, Tensor(np.zeros((5, 3))))
+        layer.apply(adjacency, Tensor(np.zeros((5, 3))))
 
 
 def test_spectral_boundedness():
     # repeated application never exceeds input sup-norm times max row sum
     rng = np.random.default_rng(3)
     graph = generate_toy_body()
-    a = graph.adjacency_norm.data
+    a = build_adjacency(graph.edges, graph.n_vertices).data
     row_max = a.sum(axis=1).max()
     x = rng.standard_normal(graph.n_vertices)
     bound = np.abs(x).max()
@@ -155,10 +140,11 @@ def test_resample_down_up_reproduces_coarse_signal():
 
 def test_resample_constant_per_part():
     graph = generate_toy_body()
-    consts = np.arange(graph.n_parts, dtype=float) + 1.0
-    y = consts[graph.part_labels][:, None]
-    down = ad.matmul(graph.down_matrix, y).data
-    np.testing.assert_allclose(down, consts[graph.coarse_labels()][:, None], atol=1e-12)
+    consts = np.arange(len(graph.part_names), dtype=float) + 1.0
+    y = np.concatenate([np.full(len(ids), c) for c, ids in zip(consts, graph.part_vertices())])
+    down = ad.matmul(graph.down_matrix, y[:, None]).data
+    coarse_sizes = np.diff(graph.coarse_of[graph.part_starts], append=graph.n_coarse)
+    np.testing.assert_allclose(down, np.repeat(consts, coarse_sizes)[:, None], atol=1e-12)
 
 
 def test_resample_matches_dense_oracle():
@@ -181,7 +167,7 @@ def test_resample_errors():
 
 
 def test_resample_is_differentiable():
-    graph = generate_toy_body(ToyBodyConfig(vertices_per_part=2, coarse_per_part=1))
+    graph = generate_toy_body(2, 1)
     rng = np.random.default_rng(6)
     y = rng.standard_normal((graph.n_vertices, 2))
     assert gradcheck(lambda t: ad.matmul(graph.down_matrix, t), [y]) < 1e-4
@@ -191,21 +177,18 @@ def test_toy_body_default_dimensions():
     graph = generate_toy_body()
     assert graph.n_vertices == 96
     assert graph.n_coarse == 24
-    ranges = graph.part_ranges()
-    assert len(ranges) == 8
-    covered = []
-    for s, e in ranges:
-        covered.extend(range(s, e + 1))
-    assert covered == list(range(96))
+    parts = graph.part_vertices()
+    assert len(parts) == 8
+    assert np.concatenate(parts).tolist() == list(range(96))
 
 
 def test_toy_body_deterministic():
     a = generate_toy_body()
     b = generate_toy_body()
     assert a.edges == b.edges
-    np.testing.assert_array_equal(a.adjacency_norm.data, b.adjacency_norm.data)
     np.testing.assert_array_equal(a.down_matrix.data, b.down_matrix.data)
-    np.testing.assert_array_equal(a.part_labels, b.part_labels)
+    np.testing.assert_array_equal(a.part_starts, b.part_starts)
+    np.testing.assert_array_equal(a.coarse_of, b.coarse_of)
 
 
 def _component_count(edges, n):
@@ -219,16 +202,23 @@ def _component_count(edges, n):
 
 def test_toy_body_connected():
     assert _component_count([(0, 1)], 3) == 2  # the oracle sees a split
-    for graph in (generate_toy_body(), generate_toy_body(ToyBodyConfig(
-            parts=("a", "b", "c", "d"), vertices_per_part=2, coarse_per_part=1))):
+    default = generate_toy_body()
+    tail = generate_toy_body(parts=DEFAULT_PARTS + ("tail",))
+    for graph in (default, tail, generate_toy_body(2, 1, parts=("a", "b", "c", "d"))):
         assert _component_count(graph.edges, graph.n_vertices) == 1
+    # an extra part adds its own chain, struts and one attaching edge, and
+    # leaves the humanoid edges as they were
+    assert set(default.edges) < set(tail.edges)
+    assert len(tail.edges) - len(default.edges) == 11 + 10 + 1
 
 
 def test_toy_body_config_errors():
     with pytest.raises(GraphError):
-        generate_toy_body(ToyBodyConfig(parts=("solo",)))
+        generate_toy_body(parts=("solo",))
     with pytest.raises(GraphError):
-        generate_toy_body(ToyBodyConfig(vertices_per_part=1))
+        generate_toy_body(vertices_per_part=1)
+    with pytest.raises(GraphError, match="distinct"):
+        generate_toy_body(parts=("a", "a", "b"))
 
 
 def test_coarse_adjacency_structure():
@@ -237,3 +227,19 @@ def test_coarse_adjacency_structure():
     assert coarse.shape == (24, 24)
     np.testing.assert_allclose(coarse, coarse.T, atol=1e-12)
     assert (coarse.diagonal() > 0).all()
+
+
+@pytest.mark.parametrize("vpp, cpp, parts", [
+    (12, 3, DEFAULT_PARTS),
+    (2, 1, ("a", "b", "c", "d")),
+])
+def test_part_layout(vpp, cpp, parts):
+    graph = generate_toy_body(vpp, cpp, parts=parts)
+    n = graph.n_vertices
+    np.testing.assert_array_equal(graph.part_starts, np.arange(len(parts)) * vpp)
+    np.testing.assert_array_equal(np.concatenate(graph.part_vertices()), np.arange(n))
+    assert np.all(np.diff(graph.coarse_of) >= 0)
+    down = graph.down_matrix.data
+    for c in range(graph.n_coarse):
+        np.testing.assert_array_equal(np.flatnonzero(down[c]), np.flatnonzero(graph.coarse_of == c))
+    assert np.all(np.diff(graph.coarse_of[graph.part_starts]) > 0)

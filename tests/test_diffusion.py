@@ -5,7 +5,7 @@ import pytest
 
 from meshmotion import autodiff as ad
 from meshmotion.autodiff import ShapeError, Tape, Tensor, gradcheck
-from meshmotion.body_graph import ToyBodyConfig, generate_toy_body
+from meshmotion.body_graph import generate_toy_body
 from meshmotion.diffusion import (
     AttentionLayer,
     DiffusionBlock,
@@ -229,8 +229,7 @@ def test_graph_time_pass_matches_per_site_replay():
     # conv over the (T, H, W) grid, graph conv within each frame, then
     # attention over frames within each site, replayed step by step
     rng = np.random.default_rng(15)
-    graph = generate_toy_body(ToyBodyConfig(parts=("a", "b", "c", "d"), vertices_per_part=2,
-                                            coarse_per_part=1))
+    graph = generate_toy_body(2, 1, parts=("a", "b", "c", "d"))
     adj = graph.coarse_adjacency()
     layer = GraphTimePass(3, (2, 2), 3, "relu", rng)
     layer.time_attn.p["wo"] = Tensor(rng.standard_normal((3, 3)) * 0.3, requires_grad=True)
@@ -252,8 +251,7 @@ def test_graph_time_pass_transposes_only_around_the_time_attention():
     # the tokens reach the channels-last conv3d grid by reshape alone, so the
     # pass records exactly the two transposes around the time attention
     rng = np.random.default_rng(16)
-    graph = generate_toy_body(ToyBodyConfig(parts=("a", "b", "c", "d"), vertices_per_part=2,
-                                            coarse_per_part=1))
+    graph = generate_toy_body(2, 1, parts=("a", "b", "c", "d"))
     layer = GraphTimePass(3, (2, 2), 3, "relu", rng)
     x = Tensor(rng.standard_normal((2, 3, 4, 3)), requires_grad=True)
     with Tape() as tape:
@@ -270,8 +268,7 @@ def test_graph_time_pass_transposes_only_around_the_time_attention():
 
 def _block_setup(seed=0, channels=4, n_steps=2, parts=("a", "b", "c", "d"), vpp=2,
                  grid=(1, 4)):
-    graph = generate_toy_body(ToyBodyConfig(parts=parts, vertices_per_part=vpp,
-                                            coarse_per_part=1))
+    graph = generate_toy_body(vpp, 1, parts=parts)
     sched = make_schedule(n_steps)
     rng = np.random.default_rng(seed)
     block = DiffusionBlock(graph, channels, grid, sched, rng=rng)

@@ -126,6 +126,42 @@ def test_forward_shape_contract():
     assert pred.shape == (4, 96, 3)
 
 
+@pytest.mark.parametrize("obs_shape, mask_shape", [
+    ((1, 3, 16, 2), (1, 3, 16)),    # two coordinates per vertex
+    ((1, 3, 16, 3), (1, 3, 15)),    # mask one vertex short
+    ((3, 16, 3), (3, 16)),          # no batch axis
+    ((1, 3, 12, 3), (1, 3, 12)),    # another vertex count
+])
+def test_forward_rejects_malformed_sequences(obs_shape, mask_shape):
+    model = build_model(tiny_config())
+    with pytest.raises(ConfigError, match="must be"):
+        model.forward(np.zeros(obs_shape), np.zeros(mask_shape), seed=0)
+
+
+def test_train_rejects_sequences_of_different_shapes():
+    cfg = tiny_config(train_steps=1)
+    _, short = make_dataset(cfg, 1, frames=3)
+    _, longer = make_dataset(cfg, 1, frames=4)
+    with pytest.raises(ConfigError, match="differ in shape"):
+        train(cfg, short + longer)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_part_starts_match_the_label_oracle(depth):
+    # oracle: label each vertex with its part and each coarse vertex with the
+    # part of its pooled group (read off the down matrix), then start a
+    # segment wherever a level's label changes
+    model = build_model(ModelConfig(hierarchy_depth=depth))
+    graph = model.graph
+    part_labels = np.repeat(np.arange(len(graph.part_names)), model.config.vertices_per_part)
+    coarse_labels = part_labels[np.argmax(graph.down_matrix.data > 0, axis=1)]
+    labels = (coarse_labels, part_labels)
+    want = [np.flatnonzero(np.diff(level, prepend=-1)) for level in labels[2 - depth:]]
+    assert len(model.part_starts) == depth
+    for got, expected in zip(model.part_starts, want):
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_toggle_isolation_part_loss():
     # flipping the part-loss toggle must not change the untrained forward pass
     cfg_on = tiny_config(part_loss_on=True)

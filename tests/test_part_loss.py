@@ -55,7 +55,7 @@ def hh_loss_loop(pred_features, true_features, starts, weights) -> Tensor:
 def default_level():
     """The default body's part starts and vertex count."""
     graph = generate_toy_body()
-    return np.array([s for s, _ in graph.part_ranges()]), graph.n_vertices
+    return graph.part_starts, graph.n_vertices
 
 
 def test_part_kl_identity_is_zero():
@@ -283,7 +283,7 @@ def test_hierarchical_loss_sums_levels(depth):
     pinned = model.loss(out, gt, part_weights=model.part_weight_levels(out)).item()
     assert pinned == total
 
-    fine_starts = np.array([s for s, _ in graph.part_ranges()])
+    fine_starts = graph.part_starts
     coarse_starts = np.arange(0, graph.n_coarse, 2)
     gt_fine = gt.reshape(2, graph.n_vertices, 3) * MM_SCALE
     pf, ff = out["pred_scaled"], out["fine_feats"].data

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meshmotion.body_graph import DEFAULT_PARTS, ToyBodyConfig, generate_toy_body
+from meshmotion.body_graph import DEFAULT_PARTS, generate_toy_body
 from meshmotion.metrics import build_joint_regressor
 from meshmotion.synth import (
     CorruptionConfig,
@@ -67,12 +67,11 @@ def test_generation_config_errors(graph):
         generate_sequence(MotionConfig(graph=graph, frames=1), seed=0)
     with pytest.raises(SynthError):
         generate_sequence(MotionConfig(graph=graph, max_joint_step=0.0), seed=0)
-    custom = generate_toy_body(ToyBodyConfig(parts=("a", "b"), vertices_per_part=4,
-                                             coarse_per_part=2))
+    custom = generate_toy_body(4, 2, parts=("a", "b"))
     with pytest.raises(SynthError):
         generate_sequence(MotionConfig(graph=custom), seed=0)
     # a part the motion plan does not pose would have no ground truth
-    extra = generate_toy_body(ToyBodyConfig(parts=DEFAULT_PARTS + ("tail",)))
+    extra = generate_toy_body(parts=DEFAULT_PARTS + ("tail",))
     with pytest.raises(SynthError):
         generate_sequence(MotionConfig(graph=extra), seed=0)
 
@@ -84,6 +83,14 @@ def test_noop_corruption_is_identity(graph):
     assert out.occlusion_mask.sum() == 0
 
 
+def test_corruption_rejects_a_sequence_of_another_vertex_count(graph):
+    # parts past the sequence's last vertex would slice to nothing, leaving
+    # most of every event unapplied
+    small = generate_sequence(MotionConfig(graph=generate_toy_body(2, 1), frames=4), seed=0)
+    with pytest.raises(SynthError, match="16 vertices"):
+        corrupt_sequence(small, graph, CorruptionConfig(occlusion_prob=1.0), seed=0)
+
+
 def test_full_occlusion_of_one_part(graph):
     # every frame starts a one-frame event that zeroes one whole part
     seq = generate_sequence(MotionConfig(graph=graph, frames=5), seed=2)
@@ -93,11 +100,11 @@ def test_full_occlusion_of_one_part(graph):
     for f in range(seq.frames):
         masked = out.occlusion_mask[f] == 1.0
         assert np.all((out.occlusion_mask[f] == 0.0) | masked)
-        hit = [(s, e) for s, e in graph.part_ranges() if masked[s:e + 1].any()]
+        hit = [ids for ids in graph.part_vertices() if masked[ids].any()]
         assert len(hit) == 1
-        s, e = hit[0]
-        assert np.all(masked[s:e + 1]) and masked.sum() == e - s + 1
-        assert np.all(out.observations[f, s:e + 1] == 0.0)
+        ids = hit[0]
+        assert np.all(masked[ids]) and masked.sum() == len(ids)
+        assert np.all(out.observations[f, ids] == 0.0)
         np.testing.assert_array_equal(out.observations[f, ~masked],
                                       seq.gt_vertices[f, ~masked])
 
@@ -141,8 +148,8 @@ def test_log_replay_audit(graph):
         assert np.all(occluded | (out.occlusion_mask == 0.0))
         np.testing.assert_array_equal(out.observations[~occluded], seq.gt_vertices[~occluded])
         assert np.all(out.observations[occluded] == 0.0)
-        for s, e in graph.part_ranges():
-            assert np.all(np.diff(out.occlusion_mask[:, s:e + 1], axis=1) <= 0.0)
+        for ids in graph.part_vertices():
+            assert np.all(np.diff(out.occlusion_mask[:, ids], axis=1) <= 0.0)
 
 
 def test_blur_width_must_fit(graph):
