@@ -24,6 +24,8 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .body_graph import BodyGraph, GraphConvLayer, resolve_activation
 
+_KERNEL = 3  # every 3D convolution's extent along T, H and W
+
 
 class ScheduleError(ValueError):
     """Invalid diffusion schedule parameters."""
@@ -215,12 +217,12 @@ class GraphTimePass:
     (T, H, W) grid, per-frame graph conv over the coarse mesh, then temporal
     self-attention across frames, independently per site."""
 
-    def __init__(self, channels: int, grid: tuple[int, int], kernel: int,
-                 activation: str, rng: np.random.Generator):
-        k3 = (channels, channels, kernel, kernel, kernel)
+    def __init__(self, channels: int, grid: tuple[int, int], activation: str,
+                 rng: np.random.Generator):
+        k3 = (channels, channels, _KERNEL, _KERNEL, _KERNEL)
         self.grid = grid
         self.activation = activation
-        self.p = {"conv_kernel": _init(rng, k3, scale=1.0 / math.sqrt(channels * kernel**3))}
+        self.p = {"conv_kernel": _init(rng, k3, scale=1.0 / math.sqrt(channels * _KERNEL**3))}
         self.graph = GraphConvLayer(channels, channels, activation=activation, rng=rng)
         self.time_attn = AttentionLayer(channels, rng=rng)
 
@@ -238,9 +240,9 @@ class GraphTimePass:
 class FeatureStack:
     """Two graph+time passes applied back to back (independent weights)."""
 
-    def __init__(self, channels: int, grid: tuple[int, int], kernel: int,
-                 activation: str, rng: np.random.Generator):
-        self.passes = [GraphTimePass(channels, grid, kernel, activation, rng)
+    def __init__(self, channels: int, grid: tuple[int, int], activation: str,
+                 rng: np.random.Generator):
+        self.passes = [GraphTimePass(channels, grid, activation, rng)
                        for _ in range(2)]
 
     def layers(self):
@@ -263,10 +265,10 @@ class NoisePredictor:
     embedding added to the channel axis.
     """
 
-    def __init__(self, channels: int, grid: tuple[int, int], kernel: int,
-                 activation: str, rng: np.random.Generator):
+    def __init__(self, channels: int, grid: tuple[int, int], activation: str,
+                 rng: np.random.Generator):
         self.channels = channels
-        self.pass_ = GraphTimePass(channels, grid, kernel, activation, rng)
+        self.pass_ = GraphTimePass(channels, grid, activation, rng)
         self.p = {
             "ln_gamma": Tensor(np.ones(channels), requires_grad=True),
             "ln_beta": Tensor(np.zeros(channels), requires_grad=True),
@@ -298,7 +300,7 @@ class DiffusionBlock:
     """
 
     def __init__(self, graph: BodyGraph, channels: int, grid: tuple[int, int],
-                 schedule: DiffusionSchedule, kernel: int = 3, activation: str = "relu",
+                 schedule: DiffusionSchedule, activation: str = "relu",
                  rng: np.random.Generator | None = None):
         if rng is None:
             rng = np.random.default_rng(0)
@@ -311,9 +313,9 @@ class DiffusionBlock:
         self.coarse_adj = graph.coarse_adjacency()
         self.n_sites = graph.n_coarse
         self.context_attn = AttentionLayer(channels, rng=rng)
-        self.stack = FeatureStack(channels, grid, kernel, activation, rng)
+        self.stack = FeatureStack(channels, grid, activation, rng)
         self.cond_attn = AttentionLayer(channels, rng=rng)
-        self.predictor = NoisePredictor(channels, grid, kernel, activation, rng)
+        self.predictor = NoisePredictor(channels, grid, activation, rng)
 
     def layers(self):
         return ([self.context_attn, self.cond_attn]

@@ -55,7 +55,6 @@ class JointRegressor:
     """Sparse convex mapping from mesh vertices to joints."""
 
     matrix: np.ndarray  # (n_joints, n_vertices), rows nonnegative, sum to 1
-    joint_names: tuple[str, ...]
     bone_pairs: tuple[tuple[int, int], ...]  # rigid (same body part) joint pairs
     root_joint: int = 0
 
@@ -112,8 +111,7 @@ def build_joint_regressor(graph: BodyGraph) -> JointRegressor:
         raise MetricsError(f"graph lacks parts required for joints: {sorted(set(missing))}")
     n = graph.n_vertices
     rows = []
-    names = []
-    for name, part, frac in _JOINT_SPECS:
+    for _, part, frac in _JOINT_SPECS:
         ids = parts[part]
         group = max(1, len(ids) // 4)
         lo = max(0, round(frac * (len(ids) - 1)) - (group - 1) // 2)
@@ -121,11 +119,10 @@ def build_joint_regressor(graph: BodyGraph) -> JointRegressor:
         row = np.zeros(n)
         row[members] = 1.0 / len(members)
         rows.append(row)
-        names.append(name)
-    name_idx = {nm: i for i, nm in enumerate(names)}
+    name_idx = {spec[0]: i for i, spec in enumerate(_JOINT_SPECS)}
     bones = tuple((name_idx[a], name_idx[b]) for a, b in _BONES)
-    return JointRegressor(matrix=np.array(rows), joint_names=tuple(names),
-                          bone_pairs=bones, root_joint=name_idx["pelvis"])
+    return JointRegressor(matrix=np.array(rows), bone_pairs=bones,
+                          root_joint=name_idx["pelvis"])
 
 
 def _first(mask) -> tuple[tuple[int, ...], str]:
@@ -194,7 +191,8 @@ def compute_metrics(pred_vertices, gt_vertices, regressor: JointRegressor) -> Po
 
     All T frames are scored in one vectorized pass. A frame whose error is
     not finite (coordinates so large that their squares overflow) raises
-    ``MetricsError`` naming it, as does a degenerate alignment.
+    ``MetricsError`` naming it, as does a degenerate alignment or a
+    regressor built for another vertex count.
     """
     pred = np.asarray(pred_vertices, dtype=np.float64)
     gt = np.asarray(gt_vertices, dtype=np.float64)
@@ -206,6 +204,9 @@ def compute_metrics(pred_vertices, gt_vertices, regressor: JointRegressor) -> Po
         pred, gt = pred[None], gt[None]
     if pred.ndim != 3 or pred.shape[2] != 3:
         raise MetricsError(f"expected (T, n, 3) vertices, got {pred.shape}")
+    if regressor.matrix.shape[1] != pred.shape[1]:
+        raise MetricsError(f"regressor expects {regressor.matrix.shape[1]} vertices, "
+                           f"got {pred.shape[1]}")
     with np.errstate(all="ignore"):
         mpvpe = np.linalg.norm(pred - gt, axis=2).mean(axis=1)
         pj = regressor(pred)

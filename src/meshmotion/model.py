@@ -63,7 +63,6 @@ class ModelConfig:
     activation: str = "relu"
     context_rows: int = 4
     encoder_hidden: int = 64
-    conv_kernel: int = 3
     learning_rate: float = 3e-3
     train_steps: int = 200
     batch_size: int = 4
@@ -101,8 +100,6 @@ class ModelConfig:
             raise ConfigError("diffusion needs at least 2 steps")
         if min(self.channels, self.encoder_hidden, self.batch_size) < 1:
             raise ConfigError("channels, encoder_hidden and batch_size must be positive")
-        if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:
-            raise ConfigError(f"conv_kernel must be odd and positive, got {self.conv_kernel}")
         if self.diffusion_on and self.context_rows < 1:
             raise ConfigError(f"diffusion needs context_rows >= 1, got {self.context_rows}")
         for name in ("learning_rate", "vertex_loss_weight", "part_loss_weight",
@@ -150,8 +147,7 @@ class Model:
         if config.diffusion_on:
             self.schedule = make_schedule(config.diffusion_steps)
             self.core = DiffusionBlock(
-                self.graph, c, (h, w), self.schedule, kernel=config.conv_kernel,
-                activation=config.activation, rng=rng,
+                self.graph, c, (h, w), self.schedule, activation=config.activation, rng=rng,
             )
             self.context_p = {
                 "rows": Tensor(rng.standard_normal((config.context_rows, c)) * 0.3,
@@ -159,7 +155,7 @@ class Model:
             }
         else:
             self.schedule = None
-            self.core = FeatureStack(c, (h, w), config.conv_kernel, config.activation, rng)
+            self.core = FeatureStack(c, (h, w), config.activation, rng)
             self.context_p = None
             self.coarse_adj = self.graph.coarse_adjacency()
 

@@ -3,19 +3,23 @@ observations.
 
 A rigid-group kinematic tree (torso root; head, arms, legs; hands/feet split
 left/right onto their parent limbs) moves along smooth cubic-spline angle
-trajectories. Observations start as the clean vertex coordinates; corruption
-zeroes occluded part entries behind a sentinel mask channel and box-blurs
-along time. Ground truth is never touched by corruption.
+trajectories, posed for the whole sequence at once: a group's T rotations are
+one (T, 3, 3) stack. Observations start as the clean vertex coordinates;
+corruption zeroes occluded part entries behind a sentinel mask channel and
+box-blurs along time. Ground truth is never touched by corruption.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .body_graph import BodyGraph, DEFAULT_PARTS
-from .metrics import JointRegressor, build_joint_regressor
+from .metrics import build_joint_regressor
+
+_SPLINE_CONTROLS = 4  # control values per angle or travel curve
 
 
 class SynthError(ValueError):
@@ -29,17 +33,17 @@ class MotionConfig:
     angle_amplitude: float = 0.5      # radians
     root_travel: float = 250.0        # mm over the whole sequence
     max_joint_step: float = 40.0      # mm per frame velocity cap
-    spline_controls: int = 4
 
     def validate(self) -> None:
         if self.frames < 2:
             raise SynthError(f"need at least 2 frames, got {self.frames}")
+        for name in ("angle_amplitude", "root_travel", "max_joint_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise SynthError(f"{name} must be finite, got {getattr(self, name)}")
         if self.angle_amplitude < 0 or self.root_travel < 0:
             raise SynthError("amplitudes must be nonnegative")
         if self.max_joint_step <= 0:
             raise SynthError("velocity cap must be positive")
-        if self.spline_controls < 2:
-            raise SynthError("need at least 2 spline control points")
 
 
 @dataclass
@@ -64,7 +68,6 @@ class CorruptionConfig:
 @dataclass
 class MotionSequence:
     gt_vertices: np.ndarray           # (T, n, 3) mm
-    gt_joints: np.ndarray             # (T, n_joints, 3) mm
     observations: np.ndarray          # (T, n, 3) mm, corrupted copy
     occlusion_mask: np.ndarray        # (T, n) 1.0 where occluded
 
@@ -76,10 +79,6 @@ class MotionSequence:
     def n_vertices(self) -> int:
         return self.gt_vertices.shape[1]
 
-    @property
-    def n_joints(self) -> int:
-        return self.gt_joints.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # rest pose and rigid groups
@@ -87,7 +86,6 @@ class MotionSequence:
 
 @dataclass
 class _Group:
-    name: str
     vertices: np.ndarray      # global vertex ids
     parent: int | None        # index into the group list
     pivot: np.ndarray         # rest-space rotation center
@@ -98,15 +96,14 @@ def _chain(rest: np.ndarray, ids: np.ndarray, start, direction, length, wobble=1
     direction = np.asarray(direction, dtype=np.float64)
     direction = direction / np.linalg.norm(direction)
     k = len(ids)
-    ts = np.linspace(0.0, 1.0, k)
+    ts = np.linspace(0.0, 1.0, k)[:, None]
     side = np.cross(direction, [0.0, 0.0, 1.0])
     if np.linalg.norm(side) < 1e-9:
         side = np.cross(direction, [0.0, 1.0, 0.0])
     side = side / np.linalg.norm(side)
-    for i, (vid, t) in enumerate(zip(ids, ts)):
-        # deterministic skinning offsets give the chain a little body
-        off = wobble * np.sin(2.1 * i + 0.7) * side
-        rest[vid] = np.asarray(start, dtype=np.float64) + t * length * direction + off
+    # deterministic skinning offsets give the chain a little body
+    off = (wobble * np.sin(2.1 * np.arange(k) + 0.7))[:, None] * side
+    rest[ids] = np.asarray(start, dtype=np.float64) + ts * length * direction + off
 
 
 def _body_plan(graph: BodyGraph) -> tuple[np.ndarray, list[_Group]]:
@@ -139,63 +136,63 @@ def _body_plan(graph: BodyGraph) -> tuple[np.ndarray, list[_Group]]:
     _chain(rest, lfoot, rest[lleg[-1]] + [0, -20, 0], (0, -0.2, 1), 220, wobble=5)
     _chain(rest, rfoot, rest[rleg[-1]] + [0, -20, 0], (0, -0.2, 1), 220, wobble=5)
 
-    groups = [
-        _Group("torso", torso, None, rest[torso[0]].copy(), np.array([0.0, 1.0, 0.0])),
-        _Group("head", head, 0, rest[head[0]].copy(), np.array([1.0, 0.0, 0.0])),
-        _Group("left_arm", larm, 0, rest[larm[0]].copy(), np.array([0.0, 0.0, 1.0])),
-        _Group("right_arm", rarm, 0, rest[rarm[0]].copy(), np.array([0.0, 0.0, 1.0])),
-        _Group("left_leg", lleg, 0, rest[lleg[0]].copy(), np.array([1.0, 0.0, 0.0])),
-        _Group("right_leg", rleg, 0, rest[rleg[0]].copy(), np.array([1.0, 0.0, 0.0])),
-    ]
-    groups.append(_Group("left_hand", lhand, 2, rest[larm[-1]].copy(), np.array([1.0, 0.0, 0.0])))
-    groups.append(_Group("right_hand", rhand, 3, rest[rarm[-1]].copy(), np.array([1.0, 0.0, 0.0])))
-    groups.append(_Group("left_foot", lfoot, 4, rest[lleg[-1]].copy(), np.array([1.0, 0.0, 0.0])))
-    groups.append(_Group("right_foot", rfoot, 5, rest[rleg[-1]].copy(), np.array([1.0, 0.0, 0.0])))
-    return rest, groups
+    # (vertices, parent group, pivot vertex, default axis): limbs turn about
+    # their first vertex, hands and feet about their limb's last
+    x, y, z = np.eye(3)
+    plan = [(torso, None, torso[0], y), (head, 0, head[0], x),
+            (larm, 0, larm[0], z), (rarm, 0, rarm[0], z),
+            (lleg, 0, lleg[0], x), (rleg, 0, rleg[0], x),
+            (lhand, 2, larm[-1], x), (rhand, 3, rarm[-1], x),
+            (lfoot, 4, lleg[-1], x), (rfoot, 5, rleg[-1], x)]
+    return rest, [_Group(v, parent, rest[pivot], axis) for v, parent, pivot, axis in plan]
 
 
 def _natural_cubic_spline(values: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Evaluate the natural cubic spline through equally spaced control values."""
-    n = len(values) - 1
+    """Natural cubic splines through equally spaced control values: a (C, n+1)
+    stack of control rows gives the (C, len(ts)) curves, one solve per row."""
+    n = values.shape[1] - 1
     xs = np.linspace(0.0, 1.0, n + 1)
     h = xs[1] - xs[0]
     # solve for second derivatives (natural boundary conditions)
     a = np.zeros((n + 1, n + 1))
-    rhs = np.zeros(n + 1)
+    rhs = np.zeros(values.shape)
     a[0, 0] = a[n, n] = 1.0
     for i in range(1, n):
         a[i, i - 1] = h
         a[i, i] = 4.0 * h
         a[i, i + 1] = h
-        rhs[i] = 6.0 * ((values[i + 1] - values[i]) / h - (values[i] - values[i - 1]) / h)
-    m = np.linalg.solve(a, rhs)
+        rhs[:, i] = 6.0 * ((values[:, i + 1] - values[:, i]) / h
+                           - (values[:, i] - values[:, i - 1]) / h)
+    m = np.linalg.solve(a, rhs[..., None])[..., 0]
     idx = np.clip(np.searchsorted(xs, ts, side="right") - 1, 0, n - 1)
     x0 = xs[idx]
     d = ts - x0
-    y0, y1 = values[idx], values[idx + 1]
-    m0, m1 = m[idx], m[idx + 1]
+    y0, y1 = values[:, idx], values[:, idx + 1]
+    m0, m1 = m[:, idx], m[:, idx + 1]
     return (y0
             + d * ((y1 - y0) / h - h * (2 * m0 + m1) / 6.0)
             + d**2 * m0 / 2.0
             + d**3 * (m1 - m0) / (6.0 * h))
 
 
-def _axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
+def _axis_angle(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """(T, 3, 3) Rodrigues rotations about ``axis`` by each of the (T,) angles."""
     axis = axis / np.linalg.norm(axis)
     k = np.array([[0, -axis[2], axis[1]],
                   [axis[2], 0, -axis[0]],
                   [-axis[1], axis[0], 0]])
-    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+    s, c = np.sin(angles)[:, None, None], np.cos(angles)[:, None, None]
+    return np.eye(3) + s * k + (1 - c) * (k @ k)
 
 
-def generate_sequence(config: MotionConfig, seed: int,
-                      regressor: JointRegressor | None = None) -> MotionSequence:
-    """Deterministic kinematic-tree motion with clean observations."""
+def generate_sequence(config: MotionConfig, seed: int) -> MotionSequence:
+    """Deterministic kinematic-tree motion with clean observations: (T, n, 3)
+    vertices posed for all T frames at once, their motion shrunk until the
+    default regressor's joints move at most ``max_joint_step`` mm per frame."""
     config.validate()
     graph = config.graph
     rest, groups = _body_plan(graph)
-    if regressor is None:
-        regressor = build_joint_regressor(graph)
+    regressor = build_joint_regressor(graph)
     rng = np.random.default_rng(seed)
     T = config.frames
     ts = np.linspace(0.0, 1.0, T)
@@ -208,29 +205,27 @@ def generate_sequence(config: MotionConfig, seed: int,
     for g in groups:
         axis = g.axis + 0.15 * rng.standard_normal(3)
         axes.append(axis / np.linalg.norm(axis))
-        controls.append(rng.uniform(-1.0, 1.0, size=config.spline_controls))
-    root_controls = rng.uniform(-1.0, 1.0, size=(3, config.spline_controls))
-    controls.append(rng.uniform(-1.0, 1.0, size=config.spline_controls))
-    angle_curves = np.stack([_natural_cubic_spline(c, ts) for c in controls])
-    travel_curves = np.stack([_natural_cubic_spline(c, ts) for c in root_controls], axis=1)
+        controls.append(rng.uniform(-1.0, 1.0, size=_SPLINE_CONTROLS))
+    root_controls = rng.uniform(-1.0, 1.0, size=(3, _SPLINE_CONTROLS))
+    controls.append(rng.uniform(-1.0, 1.0, size=_SPLINE_CONTROLS))
+    angle_curves = _natural_cubic_spline(np.stack(controls), ts)
+    travel_curves = _natural_cubic_spline(root_controls, ts).T
 
     def pose(angles, root, yaw):
         verts = np.empty((T, graph.n_vertices, 3))
-        for f in range(T):
-            rots: list[np.ndarray] = []
-            orgs: list[np.ndarray] = []
-            for gi, g in enumerate(groups):
-                local_r = _axis_angle(axes[gi], angles[gi, f])
-                if g.parent is None:
-                    r = _axis_angle(np.array([0.0, 1.0, 0.0]), yaw[f]) @ local_r
-                    pivot_world = g.pivot + root[f]
-                else:
-                    pr, porg = rots[g.parent], orgs[g.parent]
-                    r = pr @ local_r
-                    pivot_world = pr @ (g.pivot - groups[g.parent].pivot) + porg
-                rots.append(r)
-                orgs.append(pivot_world)
-                verts[f, g.vertices] = (rest[g.vertices] - g.pivot) @ r.T + pivot_world
+        world = []  # per group: (T, 3, 3) rotations and (T, 3) pivot positions
+        for g, axis, angle in zip(groups, axes, angles):
+            local_r = _axis_angle(axis, angle)
+            if g.parent is None:
+                r = _axis_angle(np.array([0.0, 1.0, 0.0]), yaw) @ local_r
+                pivot_world = g.pivot + root
+            else:
+                pr, porg = world[g.parent]
+                r = pr @ local_r
+                pivot_world = pr @ (g.pivot - groups[g.parent].pivot) + porg
+            world.append((r, pivot_world))
+            verts[:, g.vertices] = ((rest[g.vertices] - g.pivot) @ r.transpose(0, 2, 1)
+                                    + pivot_world[:, None])
         return verts
 
     # conservative velocity-cap enforcement: shrink motion amplitude until the
@@ -240,7 +235,7 @@ def generate_sequence(config: MotionConfig, seed: int,
         angles = (scale * config.angle_amplitude) * angle_curves
         verts = pose(angles, (scale * config.root_travel) * travel_curves, angles[-1])
         joints = regressor(verts)
-        step = np.linalg.norm(np.diff(joints, axis=0), axis=2).max() if T > 1 else 0.0
+        step = np.linalg.norm(np.diff(joints, axis=0), axis=2).max()
         if step <= config.max_joint_step:
             break
         scale *= 0.95 * config.max_joint_step / step
@@ -249,7 +244,6 @@ def generate_sequence(config: MotionConfig, seed: int,
 
     return MotionSequence(
         gt_vertices=verts,
-        gt_joints=joints,
         observations=verts.copy(),
         occlusion_mask=np.zeros((T, graph.n_vertices)),
     )
@@ -300,7 +294,6 @@ def corrupt_sequence(seq: MotionSequence, graph: BodyGraph,
             mask[f:f + span, hidden] = 1.0
     return MotionSequence(
         gt_vertices=seq.gt_vertices,
-        gt_joints=seq.gt_joints,
         observations=obs,
         occlusion_mask=mask,
     )

@@ -231,7 +231,7 @@ def test_graph_time_pass_matches_per_site_replay():
     rng = np.random.default_rng(15)
     graph = generate_toy_body(2, 1, parts=("a", "b", "c", "d"))
     adj = graph.coarse_adjacency()
-    layer = GraphTimePass(3, (2, 2), 3, "relu", rng)
+    layer = GraphTimePass(3, (2, 2), "relu", rng)
     layer.time_attn.p["wo"] = Tensor(rng.standard_normal((3, 3)) * 0.3, requires_grad=True)
     x = rng.standard_normal((2, 3, 4, 3))
     out = layer(Tensor(x), adj).data
@@ -252,7 +252,7 @@ def test_graph_time_pass_transposes_only_around_the_time_attention():
     # pass records exactly the two transposes around the time attention
     rng = np.random.default_rng(16)
     graph = generate_toy_body(2, 1, parts=("a", "b", "c", "d"))
-    layer = GraphTimePass(3, (2, 2), 3, "relu", rng)
+    layer = GraphTimePass(3, (2, 2), "relu", rng)
     x = Tensor(rng.standard_normal((2, 3, 4, 3)), requires_grad=True)
     with Tape() as tape:
         layer(x, graph.coarse_adjacency())

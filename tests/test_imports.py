@@ -1,5 +1,6 @@
 """Every name a module imports is used in that module, and every function,
-class and method the package defines is named somewhere else."""
+class, method and dataclass field the package defines is named somewhere
+else."""
 
 import ast
 from collections import Counter
@@ -87,3 +88,37 @@ def test_unused_definitions_finds_only_unnamed_ones():
 def test_every_definition_is_named():
     assert unused_definitions([p.read_text() for p in PACKAGE],
                               [p.read_text() for p in READERS]) == []
+
+
+def _fields(tree: ast.Module):
+    """(class, field) for the annotated fields of ``@dataclass`` classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in _names(d) for d in node.decorator_list):
+            yield from ((node, f) for f in node.body
+                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name))
+
+
+def unused_fields(checked: list[str], readers: list[str]) -> list[str]:
+    """Dataclass fields in the ``checked`` sources that no source, ``readers``
+    included, names outside the field's own declaration; a keyword argument
+    that sets a field does not count as naming it."""
+    trees = [ast.parse(source) for source in checked]
+    names = sum((_names(t) for t in [*trees, *map(ast.parse, readers)]), Counter())
+    return sorted(f"{c.name}.{f.target.id}" for t in trees for c, f in _fields(t)
+                  if names[f.target.id] <= _names(f)[f.target.id])
+
+
+def test_unused_fields_finds_only_unnamed_ones():
+    checked = ("from dataclasses import dataclass\n"
+               "@dataclass\nclass A:\n"
+               "    x: int\n    y: int = 0\n    z: str = 'z'\n    s: int = 1\n"
+               "    def f(self):\n        return self.y\n"
+               "@dataclass(frozen=True)\nclass B:\n    w: int\n"
+               "class C:\n    v: int\n")
+    assert unused_fields([checked], ["B(1).w\nA(x=1)\nprint('s')\n"]) == ["A.x", "A.z"]
+
+
+def test_every_dataclass_field_is_named():
+    assert unused_fields([p.read_text() for p in PACKAGE],
+                         [p.read_text() for p in READERS]) == []

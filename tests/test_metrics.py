@@ -165,6 +165,16 @@ def test_regressor_rows_convex():
     np.testing.assert_allclose(reg.matrix.sum(axis=1), np.ones(14), atol=1e-12)
 
 
+def test_regressor_of_another_vertex_count_raises():
+    # a 96-vertex regressor on 16-vertex frames would otherwise fail inside
+    # numpy's matmul
+    reg = build_joint_regressor(generate_toy_body())
+    small = generate_sequence(MotionConfig(graph=generate_toy_body(2, 1), frames=3), seed=0)
+    for verts in (small.gt_vertices, small.gt_vertices[0]):
+        with pytest.raises(MetricsError, match="expects 96 vertices, got 16"):
+            compute_metrics(verts, verts, reg)
+
+
 def test_metrics_identity():
     graph = generate_toy_body()
     reg = build_joint_regressor(graph)

@@ -22,7 +22,6 @@ def test_same_seed_bitwise_identical(graph):
     a = generate_sequence(cfg, seed=42)
     b = generate_sequence(cfg, seed=42)
     np.testing.assert_array_equal(a.gt_vertices, b.gt_vertices)
-    np.testing.assert_array_equal(a.gt_joints, b.gt_joints)
     c = generate_sequence(cfg, seed=43)
     assert not np.array_equal(a.gt_vertices, c.gt_vertices)
 
@@ -40,25 +39,47 @@ def test_bone_lengths_constant(graph):
     cfg = MotionConfig(graph=graph, frames=10)
     worst = 0.0
     for seed in range(100):
-        seq = generate_sequence(cfg, seed=seed, regressor=reg)
+        joints = reg(generate_sequence(cfg, seed=seed).gt_vertices)
         for a, b in reg.bone_pairs:
-            lengths = np.linalg.norm(seq.gt_joints[:, a] - seq.gt_joints[:, b], axis=1)
+            lengths = np.linalg.norm(joints[:, a] - joints[:, b], axis=1)
             worst = max(worst, float(lengths.max() - lengths.min()))
     assert worst < 1e-6
 
 
-def test_joints_consistent_with_regressor(graph):
-    reg = build_joint_regressor(graph)
-    seq = generate_sequence(MotionConfig(graph=graph, frames=4), seed=7)
-    np.testing.assert_allclose(seq.gt_joints, reg(seq.gt_vertices), atol=1e-9)
+def _distances(points):
+    """(T, k, 3) points -> (T, k, k) pairwise distances per frame."""
+    return np.linalg.norm(points[:, :, None] - points[:, None], axis=-1)
+
+
+def test_rigid_groups_keep_their_shape(graph):
+    # every rigid group moves as one body over all frames, and each hand or
+    # foot half keeps its distances to its pivot, the last vertex of its arm
+    # or leg: every frame composes a child with its own parent frame
+    parts = dict(zip(graph.part_names, graph.part_vertices()))
+    hands, feet = parts.pop("hands"), parts.pop("feet")
+    halves = {"left_arm": hands[:len(hands) // 2], "right_arm": hands[len(hands) // 2:],
+              "left_leg": feet[:len(feet) // 2], "right_leg": feet[len(feet) // 2:]}
+    groups = [*parts.values(), *halves.values()]
+    cfg = MotionConfig(graph=graph, frames=9)
+    worst = 0.0
+    for seed in range(10):
+        verts = generate_sequence(cfg, seed=seed).gt_vertices
+        for ids in groups:
+            d = _distances(verts[:, ids])
+            worst = max(worst, float(np.abs(d - d[0]).max()))
+        for limb, ids in halves.items():
+            to_pivot = np.linalg.norm(verts[:, ids] - verts[:, parts[limb][-1:]], axis=-1)
+            worst = max(worst, float(np.abs(to_pivot - to_pivot[0]).max()))
+    assert worst < 1e-6
 
 
 def test_velocity_cap(graph):
     cfg = MotionConfig(graph=graph, frames=12, angle_amplitude=2.5,
                        root_travel=2000.0, max_joint_step=25.0)
+    reg = build_joint_regressor(graph)
     for seed in range(10):
-        seq = generate_sequence(cfg, seed=seed)
-        steps = np.linalg.norm(np.diff(seq.gt_joints, axis=0), axis=2)
+        joints = reg(generate_sequence(cfg, seed=seed).gt_vertices)
+        steps = np.linalg.norm(np.diff(joints, axis=0), axis=2)
         assert steps.max() <= cfg.max_joint_step + 1e-9
 
 
@@ -67,6 +88,11 @@ def test_generation_config_errors(graph):
         generate_sequence(MotionConfig(graph=graph, frames=1), seed=0)
     with pytest.raises(SynthError):
         generate_sequence(MotionConfig(graph=graph, max_joint_step=0.0), seed=0)
+    # a non-finite setting is named before any pose is tried
+    for name in ("angle_amplitude", "root_travel", "max_joint_step"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(SynthError, match=f"^{name} must be finite"):
+                generate_sequence(MotionConfig(graph=graph, **{name: value}), seed=0)
     custom = generate_toy_body(4, 2, parts=("a", "b"))
     with pytest.raises(SynthError):
         generate_sequence(MotionConfig(graph=custom), seed=0)
