@@ -17,6 +17,16 @@ the grid on either side. Any op that produces a non-finite value raises
 :class:`NumericsError` immediately instead of letting NaN/Inf spread; callers
 that want that error as the only signal run a whole step under
 ``np.errstate`` (see ``model.train``).
+
+Layout rule for the kernels on the training step's hot path (``matmul``,
+the attention scores, ``softmax`` and ``layer_norm``): no numpy reduction
+over a short last axis, and one GEMM for a shared operand's gradient.
+numpy reduces a 4- to 24-wide last axis row by row, several times slower
+than the same sum as a GEMV against a ones or 1/C vector, or a reduction
+over the leading axis of a copy with the reduced axis first. A 2-D matrix
+that every leading index shares (a weight, a shared key or value table)
+gets its gradient as one GEMM over the flattened rows, not as a batch of
+small products summed afterwards.
 """
 
 from __future__ import annotations
@@ -403,7 +413,10 @@ def _norm_axes(axis, ndim) -> tuple[int, ...]:
         return tuple(range(ndim))
     if isinstance(axis, (int, np.integer)):
         return (_check_axis(int(axis), ndim),)
-    return tuple(_check_axis(int(x), ndim) for x in axis)
+    axes = tuple(_check_axis(int(x), ndim) for x in axis)
+    if len(set(axes)) != len(axes):
+        raise ShapeError(f"axes {axes} name an axis more than once")
+    return axes
 
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -437,8 +450,20 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 # matmul / softmax / attention / normalization / convolution
 
 
+def _row_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The last axis of ``x`` against the vector ``v``, kept as length 1: one GEMV
+    over the flattened rows, where a numpy reduction would walk each short row."""
+    return (x.reshape(-1, v.size) @ v).reshape(x.shape[:-1] + (1,))
+
+
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
+    """Matrix product over the last two axes; leading axes broadcast.
+
+    When ``b`` is a 2-D matrix shared by every leading index of ``a`` (a
+    weight, or a shared table of values), each backward gradient is one GEMM
+    over the flattened rows of ``a`` and ``g``: the ``b`` gradient sums over
+    those rows inside the GEMM instead of summing a batch of products after.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
@@ -448,6 +473,14 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         ga = gb = None
+        if b.ndim == 2:
+            rows = math.prod(a.shape[:-1])
+            g_rows = g.reshape(rows, b.shape[1])
+            if a.requires_grad:
+                ga = (g_rows @ b.data.T).reshape(a.shape)
+            if b.requires_grad:
+                gb = a.data.reshape(rows, b.shape[0]).T @ g_rows
+            return ga, gb
         if a.requires_grad:
             ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
         if b.requires_grad:
@@ -458,14 +491,41 @@ def matmul(a, b) -> Tensor:
 
 
 def softmax(a, axis: int) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max-subtraction); one record."""
+    """Numerically stable softmax along ``axis`` (max-subtraction); one record.
+
+    The input, viewed as (pre, n, post) around the softmax axis of length n,
+    is copied to an (n, pre·post) array with that axis first. The max, the
+    subtraction, exp and the sum then run over axis 0, on whole contiguous
+    rows and in place, for every ``axis``; the result is written back in the
+    input's layout. The backward's sum Σ g·out over the last axis is one
+    GEMV against a ones vector (:func:`_row_dot`).
+    """
     a = as_tensor(a)
     axis = _check_axis(axis, a.ndim)
-    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
-    out = e / e.sum(axis=axis, keepdims=True)
+    n = a.shape[axis]
+    if n == 0:
+        raise ShapeError(f"softmax over the empty axis {axis} of {a.shape}")
+    blocks = (math.prod(a.shape[:axis]), n, math.prod(a.shape[axis + 1:]))
+    # the output is allocated before the scratch copy: with the copy under
+    # it, each freed copy left a hole that glibc's malloc did not reuse,
+    # about 8 MB of extra heap per default diffusion step
+    out = np.empty(a.shape)
+    w = a.data.reshape(blocks).transpose(1, 0, 2).copy().reshape(n, -1)
+    w -= w.max(axis=0)
+    np.exp(w, out=w)
+    w /= w.sum(axis=0)
+    out.reshape(blocks)[...] = w.reshape(n, blocks[0], blocks[2]).transpose(1, 0, 2)
 
     def backward(g):
-        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
+        # g may be a leaf's .grad: it is read, never written
+        go = g * out
+        if axis == out.ndim - 1:
+            s = _row_dot(go, np.ones(n))
+        else:
+            s = go.sum(axis=axis, keepdims=True)
+        gi = g - s
+        gi *= out
+        return (gi,)
 
     return _result("softmax", (a,), out, backward)
 
@@ -520,36 +580,56 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine; one record.
 
     ``gamma`` and ``beta`` must broadcast against ``a`` without growing it.
+    The two channel means of the forward, and the two of the backward, are
+    each one GEMV of the flattened rows against a 1/C vector
+    (:func:`_row_dot`), not a reduction over the short channel axis.
     """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     if a.ndim < 1 or _broadcast_shape(a.shape, gamma.shape, beta.shape) != a.shape:
         raise ShapeError(f"layer_norm: gamma {gamma.shape} / beta {beta.shape} "
                          f"do not broadcast onto input {a.shape}")
-    ax = a.ndim - 1
-    d = a.data - a.data.mean(axis=ax, keepdims=True)
-    std = np.sqrt((d * d).mean(axis=ax, keepdims=True) + eps)
+    c = a.shape[-1]
+    if c == 0:
+        raise ShapeError(f"layer_norm over the empty channel axis of {a.shape}")
+    inv_c = np.full(c, 1.0 / c)
+    normed = a.data - _row_dot(a.data, inv_c)
+    std = np.sqrt(_row_dot(normed * normed, inv_c) + eps)
     if not np.isfinite(std).all():
-        # d * d overflowed: the output would be beta alone, silently
+        # the squared deviation overflowed: the output would be beta alone, silently
         raise NumericsError("op 'layer_norm' produced a non-finite standard deviation")
-    normed = d / std
-    out = normed * gamma.data + beta.data
+    normed /= std
+    out = normed * gamma.data
+    out += beta.data
 
     def backward(g):
         gn = g * gamma.data
-        ga = (gn - gn.mean(axis=ax, keepdims=True)
-              - normed * (gn * normed).mean(axis=ax, keepdims=True)) / std
+        ga = gn - _row_dot(gn, inv_c)
+        ga -= normed * _row_dot(gn * normed, inv_c)
+        ga /= std
         return ga, _unbroadcast(g * normed, gamma.shape), _unbroadcast(g, beta.shape)
 
     return _result("layer_norm", (a, gamma, beta), out, backward)
 
 
 def _scaled_scores(q: Tensor, k: Tensor, scale: float) -> Tensor:
-    """scale · Q K^T over the last two axes as one record; leading axes broadcast."""
+    """scale · Q K^T over the last two axes as one record; leading axes broadcast.
+
+    With a 2-D key table shared by every query row, each backward gradient
+    is one GEMM over the flattened query rows, as in :func:`matmul`.
+    """
     out = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
 
     def backward(g):
         gs = g * scale
         gq = gk = None
+        if k.ndim == 2:
+            rows = math.prod(q.shape[:-1])
+            gs_rows = gs.reshape(rows, k.shape[0])
+            if q.requires_grad:
+                gq = (gs_rows @ k.data).reshape(q.shape)
+            if k.requires_grad:
+                gk = gs_rows.T @ q.data.reshape(rows, k.shape[1])
+            return gq, gk
         if q.requires_grad:
             gq = _unbroadcast(np.matmul(gs, k.data), q.shape)
         if k.requires_grad:
@@ -568,7 +648,8 @@ def attention(query, key, value) -> Tensor:
     gQ = gS K / sqrt(d), gK = gS^T Q / sqrt(d)), then one :func:`softmax`
     record for the weights W, then one :func:`matmul` record for W V; each
     gradient is summed over the leading axes its operand was broadcast along,
-    so a shared (L, C) key/value table gets its gradient.
+    so a shared (L, C) key/value table gets its gradient, as one GEMM over
+    all query rows.
     """
     q, k, v = as_tensor(query), as_tensor(key), as_tensor(value)
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
@@ -578,6 +659,8 @@ def attention(query, key, value) -> Tensor:
         raise ShapeError(f"query/key feature widths disagree: {d} vs {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"key/value lengths disagree: {k.shape[-2]} vs {v.shape[-2]}")
+    if k.shape[-2] == 0 or d == 0:
+        raise ShapeError(f"attention needs at least one key and one feature, got keys {k.shape}")
     if _broadcast_shape(q.shape[:-2], k.shape[:-2], v.shape[:-2]) is None:
         raise ShapeError(f"attention leading axes do not broadcast: "
                          f"{q.shape}, {k.shape}, {v.shape}")

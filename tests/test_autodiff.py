@@ -53,6 +53,32 @@ def test_matmul_backward_matches_finite_differences():
     assert err < 1e-6
 
 
+@pytest.mark.parametrize("needs", [(True, False), (False, True), (True, True)],
+                         ids=["a", "b", "both"])
+def test_matmul_gradients_with_a_shared_matrix(needs):
+    # a (2, 3, 4, 5) batch times one (5, 6) matrix: the matrix's gradient sums
+    # over all 24 rows of the batch
+    rng = np.random.default_rng(8)
+    a_t, b_t = (Tensor(rng.standard_normal(s), requires_grad=r)
+                for s, r in zip(((2, 3, 4, 5), (5, 6)), needs))
+    g = rng.standard_normal((2, 3, 4, 6))
+    with Tape() as tape:
+        ad.matmul(a_t, b_t)
+    ga, gb = tape.records[0].backward(g)
+    for got, needed, ref in ((ga, needs[0], np.einsum("ijmn,kn->ijmk", g, b_t.data)),
+                             (gb, needs[1], np.einsum("ijmk,ijmn->kn", a_t.data, g))):
+        if needed:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        else:
+            assert got is None
+
+
+def test_matmul_with_a_shared_matrix_gradcheck():
+    rng = np.random.default_rng(9)
+    assert gradcheck(ad.matmul, [rng.standard_normal((2, 3, 4, 5)),
+                                 rng.standard_normal((5, 6))]) < 1e-6
+
+
 def test_matmul_shape_error_reports_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         ad.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
@@ -89,6 +115,18 @@ def test_softmax_rows_sum_to_one():
 def test_softmax_rejects_negative_axis():
     with pytest.raises(ShapeError):
         softmax(ad.constant([[1.0, 2.0]]), axis=-1)
+
+
+def test_softmax_rejects_an_empty_axis():
+    with pytest.raises(ShapeError, match="empty axis 1"):
+        softmax(np.zeros((3, 0, 2)), axis=1)
+
+
+@pytest.mark.parametrize("op", [ad.sum_, ad.mean])
+@pytest.mark.parametrize("axis", [(0, 0), (1, 2, 1)])
+def test_reductions_reject_a_repeated_axis(op, axis):
+    with pytest.raises(ShapeError, match=r"axes \(%s\)" % ", ".join(map(str, axis))):
+        op(np.ones((2, 3, 4)), axis=axis)
 
 
 def test_attention_single_key_returns_value_row():
@@ -142,6 +180,15 @@ def test_attention_output_in_value_hull():
 def test_attention_width_mismatch():
     with pytest.raises(ShapeError):
         attention(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("q_shape,k_shape,v_shape", [
+    ((2, 4), (0, 4), (0, 3)),   # no keys
+    ((2, 0), (3, 0), (3, 3)),   # no features: the 1/sqrt(d) scale is undefined
+])
+def test_attention_rejects_zero_keys_or_features(q_shape, k_shape, v_shape):
+    with pytest.raises(ShapeError, match="at least one key and one feature"):
+        attention(np.zeros(q_shape), np.zeros(k_shape), np.zeros(v_shape))
 
 
 def test_gradcheck_flags_sign_flipped_backward():
@@ -378,6 +425,33 @@ def test_softmax_matches_composite(fused, composite, axis):
     _assert_matches_composite(lambda a: fused(a, axis), lambda a: composite(a, axis), [x], 2)
 
 
+# the default ModelConfig's (B=4) and predict's (B=1) shapes: context
+# attention scores (B, T, S, L=4), dependency attention (B, T, S, S=24) and
+# temporal attention (B, S, T, T=16); then two non-last axes
+@pytest.mark.parametrize("shape,axis", [
+    ((4, 16, 24, 24), 3), ((1, 24, 16, 16), 3), ((4, 16, 24, 4), 3),
+    ((4, 16, 24, 4), 0), ((4, 16, 24, 4), 1),
+])
+def test_softmax_matches_composite_at_model_shapes(shape, axis):
+    x = np.random.default_rng(37).standard_normal(shape) * 4
+    _assert_matches_composite(lambda a: softmax(a, axis), lambda a: _softmax_composite(a, axis),
+                              [x], 6)
+
+
+@pytest.mark.parametrize("batch", [4, 1])
+def test_layer_norm_matches_composite_at_model_shapes(batch):
+    rng = np.random.default_rng(38)
+    args = [rng.standard_normal((batch, 16, 24, 8)) * 3, rng.standard_normal(8),
+            rng.standard_normal(8)]
+    _assert_matches_composite(layer_norm, _layer_norm_composite, args, 7)
+
+
+def test_attention_matches_composite_with_a_shared_key_table_at_the_model_shape():
+    rng = np.random.default_rng(39)
+    args = [rng.standard_normal(s) for s in ((4, 16, 24, 8), (4, 8), (4, 8))]
+    _assert_matches_composite(attention, _attention_composite, args, 8)
+
+
 def test_layer_norm_4d_tokens_gradcheck():
     rng = np.random.default_rng(25)
     x = rng.standard_normal((2, 3, 4, 5)) * 2 + 1
@@ -408,6 +482,11 @@ def test_layer_norm_matches_composite():
 def test_layer_norm_rejects_affine_that_grows_the_input():
     with pytest.raises(ShapeError):
         layer_norm(np.zeros((3, 4)), np.ones((2, 3, 4)), np.zeros(4))
+
+
+def test_layer_norm_rejects_zero_channels():
+    with pytest.raises(ShapeError, match="empty channel axis"):
+        layer_norm(np.zeros((3, 0)), np.ones(0), np.zeros(0))
 
 
 CONV_CASE = ((2, 3, 4, 5, 2), (3, 2, 3, 3, 3))   # B=2, grid 3x4x5, C_in=2 -> C_out=3
@@ -473,6 +552,28 @@ def test_conv3d_holds_no_patch_matrix_on_the_tape():
         tracemalloc.stop()
     assert len(tape.records) == 1
     assert held <= 1.1 * out.data.nbytes
+
+
+@pytest.mark.parametrize("op,shapes,held_outputs", [
+    (lambda a: softmax(a, axis=3), ((4, 16, 24, 24),), 1.0),
+    # the output, plus the normalized input and the (B, T, S, 1) standard
+    # deviations that the backward reads
+    (layer_norm, ((4, 16, 24, 8), (8,), (8,)), 2.125),
+], ids=["softmax", "layer_norm"])
+def test_kernel_holds_no_scratch_array_on_the_tape(op, shapes, held_outputs):
+    # softmax works on a transposed scratch copy of its input; after the
+    # call only what the backward reads stays allocated
+    rng = np.random.default_rng(40)
+    tensors = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = op(*tensors)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tape.records) == 1
+    assert held <= 1.05 * held_outputs * out.data.nbytes
 
 
 def test_conv3d_composite_oracle_matches_tap_loop():
