@@ -7,16 +7,24 @@ tensors no record produced, such as parameters. A record output's gradient is
 freed once that record's backward has run, so backward holds the gradients
 still to be used, not one per record. A backward returns None for an input
 that does not require a gradient (noise draws, targets, scalars), so
-constants cost no gradient arithmetic. ``softmax``, ``layer_norm``, ``conv3d`` and
-``segment_softmax_kl`` (the weighted KL between segment-wise softmaxes, the
-part loss of one level) are one record each with an analytic backward;
-``attention`` is a scores record, a ``softmax`` and a ``matmul``. ``conv3d``
-takes and returns a channels-last (B, T, H, W, C) grid and lowers to GEMMs on
-a spatial-only patch matrix, one GEMM per temporal tap, with no transpose of
-the grid on either side. Any op that produces a non-finite value raises
-:class:`NumericsError` immediately instead of letting NaN/Inf spread; callers
-that want that error as the only signal run a whole step under
-``np.errstate`` (see ``model.train``).
+constants cost no gradient arithmetic.
+
+Each record's output, and whatever its backward reads, stays allocated until
+the step's backward ends, even an intermediate that no backward reads. So the
+model's hot composites are one record each, with an analytic backward that
+runs the same numpy expressions in the same order as the primitives they
+replace: ``lincomb`` (a·alpha + b·beta, a diffusion chain step), ``mse`` (the
+mean squared error against a constant target), ``affine`` (x @ w + c, a
+linear layer or a projection plus its residual), ``softmax``, ``layer_norm``,
+``conv3d`` and ``segment_softmax_kl`` (the weighted KL between segment-wise
+softmaxes, the part loss of one level). ``attention`` is a scores record, a
+``softmax`` and a ``matmul``. ``conv3d`` takes and returns a channels-last
+(B, T, H, W, C) grid and lowers to GEMMs on a spatial-only patch matrix, one
+GEMM per temporal tap, with no transpose of the grid on either side. Any op
+that produces a non-finite value raises :class:`NumericsError` immediately
+instead of letting NaN/Inf spread; callers that want that error as the only
+signal run a whole step under ``np.errstate`` (see ``model.train``). Operands
+that do not fit the op raise :class:`ShapeError` naming their shapes.
 
 Layout rule for the kernels on the training step's hot path (``matmul``,
 the attention scores, ``softmax`` and ``layer_norm``): no numpy reduction
@@ -48,7 +56,10 @@ __all__ = [
     "sub",
     "mul",
     "div",
+    "lincomb",
+    "mse",
     "matmul",
+    "affine",
     "relu",
     "gelu",
     "exp",
@@ -257,9 +268,20 @@ def _check_axis(axis: int, ndim: int) -> int:
 # elementwise ops
 
 
+def _no_broadcast(name: str, a: Tensor, b: Tensor) -> ShapeError:
+    return ShapeError(f"{name}: operand shapes {a.shape} and {b.shape} do not broadcast")
+
+
+# the binary ops let numpy find a broadcast mismatch and translate its
+# ValueError, so the happy path pays for no shape check
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise _no_broadcast("add", a, b) from None
 
     def backward(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -270,7 +292,10 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
+    try:
+        out = a.data - b.data
+    except ValueError:
+        raise _no_broadcast("sub", a, b) from None
 
     def backward(g):
         return (_unbroadcast(g, a.shape) if a.requires_grad else None,
@@ -281,7 +306,10 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise _no_broadcast("mul", a, b) from None
 
     def backward(g):
         return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
@@ -292,8 +320,11 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.data / b.data
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = a.data / b.data
+    except ValueError:
+        raise _no_broadcast("div", a, b) from None
 
     def backward(g):
         ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
@@ -301,6 +332,51 @@ def div(a, b) -> Tensor:
         return ga, gb
 
     return _result("div", (a, b), out, backward)
+
+
+def lincomb(a, alpha: float, b, beta: float) -> Tensor:
+    """a·alpha + b·beta for scalar coefficients; one record.
+
+    The value and each gradient are bit-identical to
+    ``add(mul(a, alpha), mul(b, beta))``: the backward reduces a broadcast
+    operand's gradient first and then scales it, as that composite does. With
+    alpha = 1 and beta = -c it also equals ``sub(a, mul(b, c))`` bit for bit,
+    since a·1 = a and negation is exact.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    alpha, beta = float(alpha), float(beta)
+    try:
+        out = a.data * alpha + b.data * beta
+    except ValueError:
+        raise _no_broadcast("lincomb", a, b) from None
+
+    def backward(g):
+        return (_unbroadcast(g, a.shape) * alpha if a.requires_grad else None,
+                _unbroadcast(g, b.shape) * beta if b.requires_grad else None)
+
+    return _result("lincomb", (a, b), out, backward)
+
+
+def mse(pred, target) -> Tensor:
+    """mean((pred - target)²) over every element against a constant target; one record.
+
+    ``target`` has ``pred``'s shape and is not a record input: it carries no
+    gradient, and the tape keeps only the difference the backward reads. The
+    value and gradient are bit-identical to ``mean(mul(d, d))`` with
+    ``d = sub(pred, constant(target))``.
+    """
+    p, target = as_tensor(pred), as_tensor(target).data
+    if target.shape != p.shape:
+        raise ShapeError(f"mse: prediction {p.shape} and target {target.shape} differ in shape")
+    d = p.data - target
+    count = d.size
+    out = (d * d).mean(axis=tuple(range(d.ndim)))
+
+    def backward(g):
+        half = g / count * d
+        return (half + half,)
+
+    return _result("mse", (p,), out, backward)
 
 
 def relu(a) -> Tensor:
@@ -488,6 +564,35 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _result("matmul", (a, b), out, backward)
+
+
+def affine(x, w, c) -> Tensor:
+    """x @ w + c for a 2-D ``w``; one record.
+
+    ``c`` is a bias or a residual: it broadcasts onto the product without
+    growing it. The value and each gradient are bit-identical to
+    ``add(matmul(x, w), c)``; the product's own output, which no backward
+    reads, is not kept on the tape.
+    """
+    x, w, c = as_tensor(x), as_tensor(w), as_tensor(c)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"affine needs x (..., k) of rank >= 2 and w (k, m), "
+                         f"got {x.shape} @ {w.shape}")
+    out = np.matmul(x.data, w.data)
+    try:
+        out += c.data
+    except ValueError:
+        raise ShapeError(f"affine: c {c.shape} does not broadcast onto x @ w "
+                         f"{out.shape} without growing it") from None
+    rows = math.prod(x.shape[:-1])
+
+    def backward(g):
+        g_rows = g.reshape(rows, w.shape[1])
+        gx = (g_rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x.data.reshape(rows, w.shape[0]).T @ g_rows if w.requires_grad else None
+        return gx, gw, _unbroadcast(g, c.shape) if c.requires_grad else None
+
+    return _result("affine", (x, w, c), out, backward)
 
 
 def softmax(a, axis: int) -> Tensor:

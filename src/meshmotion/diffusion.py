@@ -94,13 +94,16 @@ def _check_step(t: int, schedule: DiffusionSchedule) -> int:
 
 
 def forward_noise_step(x_prev, t: int, schedule: DiffusionSchedule, noise) -> Tensor:
-    """One noising step: sqrt(1-alpha_t) * noise + sqrt(alpha_t) * x_prev."""
+    """One noising step: sqrt(1-alpha_t) * noise + sqrt(alpha_t) * x_prev.
+
+    One ``lincomb`` record; the noise draw is a constant input.
+    """
     x_prev, noise = ad.as_tensor(x_prev), ad.as_tensor(noise)
     if noise.shape != x_prev.shape:
         raise ShapeError(f"noise shape {noise.shape} != input shape {x_prev.shape}")
     t = _check_step(t, schedule)
     a = float(schedule.alpha[t - 1])
-    return ad.add(ad.mul(noise, math.sqrt(1.0 - a)), ad.mul(x_prev, math.sqrt(a)))
+    return ad.lincomb(noise, math.sqrt(1.0 - a), x_prev, math.sqrt(a))
 
 
 def reverse_step(
@@ -117,6 +120,10 @@ def reverse_step(
     sqrt(1-alpha_t) * sqrt(1-alpha_bar_{t-1}) / sqrt(1-alpha_bar_t), which
     equals the posterior standard deviation. The draw is forced to zero at
     t = 1, where ``noise`` is not read.
+
+    Two records: ``lincomb(z_t, 1, eps_pred, -coef)`` for the corrected
+    state, then ``lincomb`` with the scaled draw, or a ``mul`` by
+    1/sqrt(alpha_t) where there is no draw.
     """
     z_t, eps_pred = ad.as_tensor(z_t), ad.as_tensor(eps_pred)
     if eps_pred.shape != z_t.shape:
@@ -133,13 +140,13 @@ def reverse_step(
     else:
         eps_coef = (1.0 - a) / math.sqrt(one_m_abar)
         sigma = math.sqrt(1.0 - a) * math.sqrt(1.0 - abar_prev) / math.sqrt(one_m_abar)
-    mean = ad.mul(ad.sub(z_t, ad.mul(eps_pred, eps_coef)), 1.0 / math.sqrt(a))
+    corrected = ad.lincomb(z_t, 1.0, eps_pred, -eps_coef)
     if t == 1 or sigma == 0.0:
-        return mean
+        return ad.mul(corrected, 1.0 / math.sqrt(a))
     noise = ad.as_tensor(noise)
     if noise.shape != z_t.shape:
         raise ShapeError(f"noise shape {noise.shape} != input shape {z_t.shape}")
-    return ad.add(mean, ad.mul(noise, sigma))
+    return ad.lincomb(corrected, 1.0 / math.sqrt(a), noise, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +165,9 @@ class AttentionLayer:
     ``keys_values`` projects a context to keys and values; the call attends a
     query to them. A caller that attends to the same context many times
     projects it once and passes the pair to every call. Output projection
-    starts at zero so a fresh layer is the identity map.
+    starts at zero so a fresh layer is the identity map. The output
+    projection and the residual are one ``affine`` record, so the tape keeps
+    no projection that only the residual sum reads.
     """
 
     def __init__(self, width: int, rng: np.random.Generator | None = None):
@@ -181,7 +190,7 @@ class AttentionLayer:
         if query.shape[-1] != self.width:
             raise ShapeError(f"query width {query.shape[-1]} != layer width {self.width}")
         out = ad.attention(ad.matmul(query, self.p["wq"]), k, v)
-        return ad.add(query, ad.matmul(out, self.p["wo"]))
+        return ad.affine(out, self.p["wo"], query)
 
 
 def time_embedding(t: int, channels: int) -> np.ndarray:
@@ -356,8 +365,7 @@ class DiffusionBlock:
                 target = (z.data - math.sqrt(abar) * x0.data) / math.sqrt(1.0 - abar)
             else:
                 target = np.zeros_like(x0.data)
-            diff = ad.sub(eps_hat, ad.constant(target))
-            eps_losses.append(ad.mean(ad.mul(diff, diff)))
+            eps_losses.append(ad.mse(eps_hat, target))
             z = reverse_step(z, step, eps_hat, sched, draw() if step > 1 else None)
 
         eps_loss = ad.mul(functools.reduce(ad.add, eps_losses), 1.0 / len(eps_losses))

@@ -113,6 +113,9 @@ class ModelConfig:
 
 
 class Linear:
+    """x @ w + b as one ``affine`` record, with w drawn at 1/sqrt(n_in) scale
+    and b zero."""
+
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.p = {
             "w": Tensor(rng.standard_normal((n_in, n_out)) / math.sqrt(n_in),
@@ -121,7 +124,7 @@ class Linear:
         }
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.p["w"]), self.p["b"])
+        return ad.affine(x, self.p["w"], self.p["b"])
 
 
 class Model:
@@ -221,13 +224,18 @@ class Model:
         coarse then fine. ``part_weights`` gives each level's part weights;
         by default they derive from the current features through
         :meth:`part_weight_levels`. The weights carry no gradient either way;
-        passing them in lets finite differencing match.
+        passing them in lets finite differencing match. ``gt_vertices`` must
+        be the prediction's (B, T, n, 3) in mm; any other shape raises
+        ``ConfigError``.
         """
         cfg = self.config
-        B, T, n, _ = gt_vertices.shape
-        gt_scaled = np.asarray(gt_vertices, dtype=np.float64).reshape(B * T, n, 3) * MM_SCALE
-        diff = ad.sub(out["pred_scaled"], ad.constant(gt_scaled))
-        total = ad.mul(ad.mean(ad.mul(diff, diff)), cfg.vertex_loss_weight)
+        gt = np.asarray(gt_vertices, dtype=np.float64)
+        rows, n, _ = out["pred_scaled"].shape
+        if gt.ndim != 4 or gt.shape[2:] != (n, 3) or gt.shape[0] * gt.shape[1] != rows:
+            raise ConfigError(f"gt_vertices {gt.shape} must be the prediction's (B, T, n, 3), "
+                              f"with B*T = {rows} and n = {n}")
+        gt_scaled = gt.reshape(rows, n, 3) * MM_SCALE
+        total = ad.mul(ad.mse(out["pred_scaled"], gt_scaled), cfg.vertex_loss_weight)
         if cfg.part_loss_on:
             if part_weights is None:
                 part_weights = self.part_weight_levels(out)

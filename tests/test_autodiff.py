@@ -213,35 +213,63 @@ def test_gradcheck_reports_nonfinite():
         gradcheck(exploding, [np.ones(2)])
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_primitive_gradients_random_shapes(seed):
-    rng = np.random.default_rng(seed)
+# public autodiff names that are not differentiable ops
+NOT_OPS = {"as_tensor", "constant", "gradcheck"}
+
+
+def _gradcheck_table(rng):
+    """One gradcheck case (op, inputs) per differentiable op of ``ad.__all__``."""
     n = int(rng.integers(2, 5))
     m = int(rng.integers(2, 5))
     x = rng.standard_normal((n, m))
     y = rng.standard_normal((n, m))
     pos = np.abs(x) + 0.5
+    away_from_zero = x + 0.1 * np.sign(x)
+    w, bias = rng.standard_normal((m, 3)), rng.standard_normal(3)
+    wide, ln_weight = rng.standard_normal((n, 5)) * 2 + 1, rng.standard_normal((n, 5))
+    value = rng.standard_normal((n + 1, 3))
+    conv_x, conv_k = rng.standard_normal((1, 2, 3, 2, 2)), rng.standard_normal((2, 2, 3, 1, 1))
+    return {
+        "add": (ad.add, [x, y]),
+        "mul": (ad.mul, [x, y]),
+        "sub": (ad.sub, [x, y]),
+        "div": (ad.div, [x, pos]),
+        "lincomb": (lambda a, b: ad.lincomb(a, 0.7, b, -1.3), [x, y]),
+        "mse": (lambda a: ad.mse(a, y), [x]),
+        "matmul": (lambda a, b: ad.matmul(a, ad.transpose(b, (1, 0))), [x, y]),
+        "affine": (ad.affine, [x, w, bias]),
+        "relu": (ad.relu, [away_from_zero]),
+        "gelu": (ad.gelu, [x]),
+        "exp": (ad.exp, [x]),
+        "log": (ad.log, [pos]),
+        "sqrt": (ad.sqrt, [pos]),
+        "clip_min": (lambda a: ad.clip_min(a, 0.0), [away_from_zero]),
+        "reshape": (lambda a: ad.reshape(a, (m, n)), [x]),
+        "transpose": (lambda a: ad.transpose(a, (1, 0)), [x]),
+        "sum_": (lambda a: ad.sum_(a, axis=0), [x]),
+        "mean": (lambda a: ad.mean(a, axis=1), [x]),
+        "softmax": (lambda a: ad.mul(softmax(a, axis=1), y), [x]),
+        "take_slice": (lambda a: take_slice(a, 1, 0, max(1, m - 1)), [x]),
+        "layer_norm": (lambda a, g, b: ad.mul(layer_norm(a, g, b), ln_weight),
+                       [wide, rng.standard_normal(5), rng.standard_normal(5)]),
+        "segment_softmax_kl": (lambda a: segment_softmax_kl(a, y, [0, 1], [0.7, 1.3], 1e-12),
+                               [x]),
+        "conv3d": (conv3d, [conv_x, conv_k]),
+        "attention": (attention, [x, rng.standard_normal((n + 1, m)), value]),
+    }
 
-    checks = [
-        (lambda a, b: ad.add(a, b), [x, y]),
-        (lambda a, b: ad.mul(a, b), [x, y]),
-        (lambda a, b: ad.sub(a, b), [x, y]),
-        (lambda a, b: ad.div(a, b), [x, pos]),
-        (lambda a, b: ad.matmul(a, ad.transpose(b, (1, 0))), [x, y]),
-        (lambda a: ad.relu(a), [x + 0.1 * np.sign(x)]),
-        (lambda a: ad.gelu(a), [x]),
-        (lambda a: ad.exp(a), [x]),
-        (lambda a: ad.log(a), [pos]),
-        (lambda a: ad.sqrt(a), [pos]),
-        (lambda a: ad.reshape(a, (m, n)), [x]),
-        (lambda a: ad.transpose(a, (1, 0)), [x]),
-        (lambda a: ad.sum_(a, axis=0), [x]),
-        (lambda a: ad.mean(a, axis=1), [x]),
-        (lambda a: ad.mul(softmax(a, axis=1), y), [x]),
-        (lambda a: take_slice(a, 1, 0, max(1, m - 1)), [x]),
-    ]
-    for op, args in checks:
-        assert gradcheck(op, args) < 1e-4
+
+def test_every_differentiable_op_has_a_gradcheck_entry():
+    ops = {name for name in ad.__all__ if not isinstance(getattr(ad, name), type)} - NOT_OPS
+    table = _gradcheck_table(np.random.default_rng(0))
+    assert sorted(ops - table.keys()) == []
+    assert sorted(table.keys() - ops) == []
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_primitive_gradients_random_shapes(seed):
+    for name, (op, args) in _gradcheck_table(np.random.default_rng(seed)).items():
+        assert gradcheck(op, args) < 1e-4, name
 
 
 def test_softmax_sum_composition_gradient():
@@ -576,6 +604,90 @@ def test_kernel_holds_no_scratch_array_on_the_tape(op, shapes, held_outputs):
     assert held <= 1.05 * held_outputs * out.data.nbytes
 
 
+def _assert_bit_identical(fused, composite, arrays, seed):
+    upstream = np.random.default_rng(seed).standard_normal(fused(*arrays).shape)
+    got = _value_and_grads(fused, arrays, upstream)
+    ref = _value_and_grads(composite, arrays, upstream)
+    for g, r in zip([got[0], *got[1]], [ref[0], *ref[1]]):
+        np.testing.assert_array_equal(g, r)
+
+
+TOKENS = (4, 16, 24, 8)   # the default ModelConfig's (B, T, S, C) latent tokens
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.3, 0.95), (1.0, -0.02)],
+                         ids=["noise_step", "reverse_step"])
+def test_lincomb_is_bit_identical_to_its_composites(alpha, beta):
+    rng = np.random.default_rng(41)
+    args = [rng.standard_normal(TOKENS) for _ in range(2)]
+
+    def fused(a, b):
+        return ad.lincomb(a, alpha, b, beta)
+
+    _assert_bit_identical(fused, lambda a, b: ad.add(ad.mul(a, alpha), ad.mul(b, beta)),
+                          args, 9)
+    if alpha == 1.0:
+        # the reverse step's form: z - eps·c
+        _assert_bit_identical(fused, lambda a, b: ad.sub(a, ad.mul(b, -beta)), args, 9)
+
+
+@pytest.mark.parametrize("shape", [TOKENS, (64, 96, 3)], ids=["eps_term", "vertex_term"])
+def test_mse_is_bit_identical_to_its_composite(shape):
+    rng = np.random.default_rng(42)
+    target = rng.standard_normal(shape)
+
+    def composite(p):
+        d = ad.sub(p, ad.constant(target))
+        return ad.mean(ad.mul(d, d))
+
+    _assert_bit_identical(lambda p: ad.mse(p, target), composite,
+                          [rng.standard_normal(shape)], 10)
+
+
+# the default model's Linear layers (encoder, head) and attention output
+# projections plus their residual, over (B, T, S, C) and (B, S, T, C) tokens
+@pytest.mark.parametrize("shapes", [
+    ((64, 384), (384, 64), (64,)), ((64, 64), (64, 192), (192,)), ((64, 96, 8), (8, 3), (3,)),
+    (TOKENS, (8, 8), TOKENS), ((4, 24, 16, 8), (8, 8), (4, 24, 16, 8)),
+], ids=["enc1", "enc2", "head", "attention", "time_attention"])
+def test_affine_is_bit_identical_to_its_composite(shapes):
+    rng = np.random.default_rng(43)
+    args = [rng.standard_normal(s) for s in shapes]
+    _assert_bit_identical(ad.affine, lambda x, w, c: ad.add(ad.matmul(x, w), c), args, 11)
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div,
+                                lambda a, b: ad.lincomb(a, 0.5, b, 2.0)],
+                         ids=["add", "sub", "mul", "div", "lincomb"])
+def test_elementwise_ops_name_both_shapes_when_operands_do_not_broadcast(op):
+    with pytest.raises(ShapeError, match=r"\(2, 3\) and \(4,\) do not broadcast"):
+        op(np.ones((2, 3)), np.ones(4))
+
+
+@pytest.mark.parametrize("op,shapes", [
+    (ad.mse, ((2, 3), (3,))),                 # no broadcasting against the target
+    (ad.mse, ((2, 3), (2, 4))),
+    (ad.affine, ((2, 3), (4, 5), (5,))),      # inner dimensions disagree
+    (ad.affine, ((2, 3), (2, 3, 5), (5,))),   # w is not a matrix
+    (ad.affine, ((3,), (3, 5), (5,))),        # x has no row axis
+    (ad.affine, ((2, 3), (3, 5), (4,))),      # c does not broadcast
+    (ad.affine, ((2, 3), (3, 5), (7, 2, 5))), # c would grow the product
+])
+def test_fused_ops_reject_bad_shapes(op, shapes):
+    with pytest.raises(ShapeError):
+        op(*(np.ones(s) for s in shapes))
+
+
+@pytest.mark.parametrize("op,args", [
+    (lambda a, b: ad.lincomb(a, 10.0, b, 1.0), ([1e308], [1.0])),
+    (ad.mse, ([1e200], [0.0])),
+    (ad.affine, ([[1e200]], [[1e200]], [0.0])),
+], ids=["lincomb", "mse", "affine"])
+def test_fused_ops_raise_on_overflow(op, args):
+    with np.errstate(over="ignore"), pytest.raises(NumericsError):
+        op(*(np.array(a) for a in args))
+
+
 def test_conv3d_composite_oracle_matches_tap_loop():
     # the shift-matrix oracle itself against a direct tap loop on a small case
     rng = np.random.default_rng(29)
@@ -597,9 +709,13 @@ def test_conv3d_composite_oracle_matches_tap_loop():
     ("segment_softmax_kl",
      lambda a, b: segment_softmax_kl(a, b, [0, 2, 3], [1.0, 0.5, 2.0], 1e-12),
      ((3, 5), (3, 5))),
+    ("lincomb", lambda a, b: ad.lincomb(a, 0.5, b, -2.0), ((3, 4), (3, 4))),
+    ("mse", lambda a: ad.mse(a, np.ones((3, 4))), ((3, 4),)),
+    ("affine", ad.affine, ((2, 3, 4), (4, 5), (2, 3, 5))),
 ], ids=["conv3d-conv3d-shapes0", "softmax-<lambda>-shapes1",
         # the id is kept from when a log_softmax case came before it
-        "layer_norm-layer_norm-shapes3", "segment_softmax_kl-<lambda>-shapes4"])
+        "layer_norm-layer_norm-shapes3", "segment_softmax_kl-<lambda>-shapes4",
+        "lincomb", "mse", "affine"])
 def test_fused_kernel_records_once(name, op, shapes):
     rng = np.random.default_rng(30)
     tensors = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
@@ -775,11 +891,18 @@ def test_backward_returns_none_for_constant_inputs():
         ad.sub(1.0, x)
         ad.div(x, 4.0)
         ad.conv3d(np.ones((1, 1, 1, 2, 1)), kernel)
+        ad.lincomb(np.ones((2, 3)), 0.5, x, 2.0)
+        ad.affine(np.ones((4, 2)), x, np.ones(3))
+        ad.mse(x, np.zeros((2, 3)))
     g = {rec.name: rec.backward(np.ones(rec.output.shape)) for rec in tape.records}
     assert g["mul"][0] is None and g["mul"][1] is not None
     assert g["matmul"][0] is not None and g["matmul"][1] is None
     assert g["add"][1] is None and g["sub"][0] is None and g["div"][1] is None
     assert g["conv3d"][0] is None and g["conv3d"][1] is not None
+    assert g["lincomb"][0] is None and g["lincomb"][1] is not None
+    assert g["affine"][0] is None and g["affine"][1] is not None and g["affine"][2] is None
+    # the mse target is no record input at all
+    assert [rec.inputs for rec in tape.records if rec.name == "mse"] == [(x,)]
 
 
 def test_skipping_constant_gradients_keeps_a_default_step_bit_identical(monkeypatch):

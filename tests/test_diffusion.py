@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meshmotion import autodiff as ad
+from meshmotion import diffusion
 from meshmotion.autodiff import ShapeError, Tape, Tensor, gradcheck
 from meshmotion.body_graph import generate_toy_body
 from meshmotion.diffusion import (
@@ -316,6 +317,31 @@ def test_block_projects_each_context_once_per_call():
             w = layer.p[key]
             assert sum(any(t is w for t in rec.inputs) for rec in tape.records) == 1
         assert sum(any(t is layer.p["wq"] for t in rec.inputs) for rec in tape.records) == 3
+
+
+def test_chain_records_one_per_noise_step_and_two_per_reverse_step(monkeypatch):
+    # every chain step's records, read off the tape around each step call
+    _, block, ctx = _block_setup(n_steps=3)
+    x = Tensor(np.random.default_rng(26).standard_normal((1, 2, 4, 4)), requires_grad=True)
+    steps = {"forward_noise_step": [], "reverse_step": []}
+
+    def recording(fn, calls):
+        def wrapper(*args, **kwargs):
+            n0 = len(tape.records)
+            out = fn(*args, **kwargs)
+            calls.append([r.name for r in tape.records[n0:]])
+            return out
+        return wrapper
+
+    for name, calls in steps.items():
+        monkeypatch.setattr(diffusion, name, recording(getattr(diffusion, name), calls))
+    with Tape() as tape:
+        block(x, ctx, seed=4)
+    assert steps["forward_noise_step"] == [["lincomb"]] * 3
+    # t = 3, 2 add the scaled draw; t = 1 has none
+    assert steps["reverse_step"] == [["lincomb", "lincomb"]] * 2 + [["lincomb", "mul"]]
+    # one eps term per reverse step
+    assert [r.name for r in tape.records].count("mse") == 3
 
 
 def test_block_alpha_one_equals_deterministic_path():

@@ -135,6 +135,15 @@ def test_forward_rejects_malformed_sequences(obs_shape, mask_shape):
         model.forward(np.zeros(obs_shape), np.zeros(mask_shape), seed=0)
 
 
+@pytest.mark.parametrize("gt_shape", [(1, 3, 16, 3), (2, 3, 17, 3)],
+                         ids=["batch_of_one", "one_vertex_more"])
+def test_loss_rejects_ground_truth_of_another_shape(gt_shape):
+    model = build_model(tiny_config())
+    out = model.forward(np.zeros((2, 3, 16, 3)), np.zeros((2, 3, 16)), seed=0)
+    with pytest.raises(ConfigError, match="must be the prediction's"):
+        model.loss(out, np.zeros(gt_shape))
+
+
 def test_train_rejects_sequences_of_different_shapes():
     cfg = tiny_config(train_steps=1)
     _, short = make_dataset(cfg, 1, frames=3)
