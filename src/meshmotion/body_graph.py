@@ -1,10 +1,16 @@
 """Articulated body mesh as an explicit graph: normalized adjacency,
-graph convolution, and coarse/fine linear resampling.
+graph convolution, coarse/fine linear resampling, and the humanoid rig that
+poses it.
 
-The toy body generator builds a deterministic connected mesh whose parts are
-contiguous vertex segments (given by their starts, ``part_starts``) and whose
-vertices pool into coarse vertices that never cross a part (``coarse_of``),
-standing in for a licensed full-resolution body model.
+The toy body generator builds a deterministic connected mesh of the
+``DEFAULT_PARTS``, standing in for a licensed full-resolution body model. Its
+parts are contiguous vertex segments (given by their starts,
+``part_starts``) whose vertices pool into coarse vertices that never cross a
+part (``coarse_of``). One table, ``_RIG``, states the humanoid once: ten
+rigid groups (the parts, with the hands and feet each split into a left and
+a right half), how each joins its parent group in the mesh, and its
+rest-pose chain. The graph carries the rest pose and the rigid-group tree
+built from it, as a template and a kinematic tree ship with a body model.
 """
 
 from __future__ import annotations
@@ -27,34 +33,80 @@ DEFAULT_PARTS = (
     "feet",
 )
 
+_X, _Y, _Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+# The rigid groups, parents first, one row each: the part, or which half of
+# it (0 left, 1 right, split at vertices_per_part // 2); the parent group; the
+# parent's vertex that the group's first vertex joins in the mesh (an index
+# into the parent's vertices, clamped to them); the default rotation axis; and
+# the rest chain's start, direction, length (mm) and wobble. A whole part's
+# chain starts at ``start`` and turns about its first vertex; a half's starts
+# at its join vertex plus ``start`` and turns about the join vertex.
+_RIG = (
+    ("torso", None, None, None, _Y, (0, 0, 0), (0, 1, 0), 550, 12.0),  # pelvis up to neck
+    ("head", None, 0, 0, _X, (0, 570, 0), (0, 1, 0), 240, 12.0),
+    ("left_arm", None, 0, 1, _Z, (-90, 520, 0), (-1, -0.25, 0.1), 540, 12.0),
+    ("right_arm", None, 0, 2, _Z, (90, 520, 0), (1, -0.25, 0.1), 540, 12.0),
+    ("left_leg", None, 0, -2, _X, (-70, -20, 0), (-0.08, -1, 0.05), 800, 12.0),
+    ("right_leg", None, 0, -1, _X, (70, -20, 0), (0.08, -1, 0.05), 800, 12.0),
+    ("hands", 0, 2, -1, _X, (0, -20, 0), (-0.6, -1, 0.2), 150, 5.0),
+    ("hands", 1, 3, -1, _X, (0, -20, 0), (0.6, -1, 0.2), 150, 5.0),
+    ("feet", 0, 4, -1, _X, (0, -20, 0), (0, -0.2, 1), 220, 5.0),
+    ("feet", 1, 5, -1, _X, (0, -20, 0), (0, -0.2, 1), 220, 5.0),
+)
+
+
 class GraphError(ValueError):
     """Invalid graph construction input."""
 
 
+@dataclass(frozen=True)
+class RigidGroup:
+    """One rigid piece of the rig; its arrays are read-only.
+
+    The group turns about ``pivot`` (rest-space mm) with its own rotation
+    composed onto its ``parent``'s (an index into ``BodyGraph.rigid_groups``;
+    None for the root).
+    """
+
+    vertices: np.ndarray                 # vertex ids
+    parent: int | None
+    pivot: np.ndarray                    # (3,)
+    axis: np.ndarray                     # (3,) default rotation axis
+
+    def __post_init__(self):
+        for a in (self.vertices, self.pivot, self.axis):
+            a.setflags(write=False)
+
+
 @dataclass
 class BodyGraph:
-    """Vertex/edge structure, part layout and coarse/fine resampling matrices.
+    """Vertex/edge structure, part layout, resampling matrices and rig.
 
-    Each part is one contiguous segment of vertex ids: ``part_starts`` holds
-    the first vertex of each part, increasing from 0. Each vertex pools into
-    the coarse vertex ``coarse_of`` names; a coarse group never crosses a
-    part, so the coarse parts start at ``coarse_of[part_starts]``.
+    Each part of ``DEFAULT_PARTS`` is one contiguous segment of vertex ids:
+    ``part_starts`` holds the first vertex of each part, increasing from 0.
+    Each vertex pools into the coarse vertex ``coarse_of`` names; a coarse
+    group never crosses a part, so the coarse parts start at
+    ``coarse_of[part_starts]``. ``rest_pose`` and ``rigid_groups`` (parents
+    first) are built once with the graph and shared, read-only, by every
+    sequence posed on it.
     """
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
-    part_names: tuple[str, ...]
     part_starts: np.ndarray              # (n_parts,) first vertex of each part
     coarse_of: np.ndarray                # (n,) coarse vertex each vertex pools into
     down_matrix: Tensor                  # (n_coarse, n)
     up_matrix: Tensor                    # (n, n_coarse)
+    rest_pose: np.ndarray                # (n, 3) mm
+    rigid_groups: tuple[RigidGroup, ...]
 
     @property
     def n_coarse(self) -> int:
         return self.down_matrix.shape[0]
 
     def part_vertices(self) -> list[np.ndarray]:
-        """Vertex ids of each part, in ``part_names`` order."""
+        """Vertex ids of each part, in ``DEFAULT_PARTS`` order."""
         return np.split(np.arange(self.n_vertices), self.part_starts[1:])
 
     def coarse_adjacency(self) -> Tensor:
@@ -144,58 +196,60 @@ def _part_edges(start: int, count: int) -> list[tuple[int, int]]:
     return edges
 
 
-def generate_toy_body(vertices_per_part: int = 12, coarse_per_part: int = 3,
-                      parts: tuple[str, ...] = DEFAULT_PARTS) -> BodyGraph:
-    """Deterministic articulated mesh graph of ``vertices_per_part`` per part.
+def _chain(rest: np.ndarray, ids: np.ndarray, start, direction, length, wobble):
+    """Lay vertices ``ids`` of ``rest`` along a straight chain from ``start``."""
+    direction = np.asarray(direction, dtype=np.float64)
+    direction = direction / np.linalg.norm(direction)
+    k = len(ids)
+    ts = np.linspace(0.0, 1.0, k)[:, None]
+    side = np.cross(direction, [0.0, 0.0, 1.0])
+    if np.linalg.norm(side) < 1e-9:
+        side = np.cross(direction, [0.0, 1.0, 0.0])
+    side = side / np.linalg.norm(side)
+    # deterministic skinning offsets give the chain a little body
+    off = (wobble * np.sin(2.1 * np.arange(k) + 0.7))[:, None] * side
+    rest[ids] = np.asarray(start, dtype=np.float64) + ts * length * direction + off
 
-    Part k is the vertex segment starting at k · vertices_per_part. Parts are
-    chains attached to the root part ('torso' when present, else the first
-    part). With the default names present, the humanoid parts attach at their
-    joints, with terminal parts ('hands'/'feet') split across both arms/legs;
-    every other part fans out along the root. Each part pools into
-    ``coarse_per_part`` consecutive coarse vertices (``coarse_of``).
+
+def generate_toy_body(vertices_per_part: int = 12, coarse_per_part: int = 3) -> BodyGraph:
+    """Deterministic humanoid mesh graph of ``vertices_per_part`` per part.
+
+    Part k of ``DEFAULT_PARTS`` is the vertex segment starting at
+    k · vertices_per_part, a chain with second-neighbor struts. One pass over
+    ``_RIG`` then joins each rigid group's first vertex to its parent group
+    (the nine attachment edges), lays out the rest pose and builds the
+    rigid-group tree. Each part pools into ``coarse_per_part`` consecutive
+    coarse vertices (``coarse_of``).
     """
     vpp = vertices_per_part
-    if len(parts) < 2:
-        raise GraphError(f"need at least 2 parts, got {len(parts)}")
-    if len(set(parts)) != len(parts):
-        raise GraphError(f"part names must be distinct, got {parts}")
     if vpp < 2:
         raise GraphError(f"need at least 2 vertices per part, got {vpp}")
     if not (1 <= coarse_per_part <= vpp):
         raise GraphError(f"coarse_per_part {coarse_per_part} outside [1, {vpp}]")
 
-    n = len(parts) * vpp
-    starts = {name: i * vpp for i, name in enumerate(parts)}
+    n = len(DEFAULT_PARTS) * vpp
+    part_starts = np.arange(len(DEFAULT_PARTS)) * vpp
+    ids = dict(zip(DEFAULT_PARTS, np.split(np.arange(n), part_starts[1:])))
+    edges = [e for s in part_starts for e in _part_edges(int(s), vpp)]
 
-    edges: list[tuple[int, int]] = []
-    for name in parts:
-        edges += _part_edges(starts[name], vpp)
-
-    root = "torso" if "torso" in parts else parts[0]
-    rs = starts[root]
-    humanoid = set(DEFAULT_PARTS) <= set(parts)
-    if humanoid:
-        half = vpp // 2
-        edges += [
-            (starts["head"], rs),
-            (starts["left_arm"], rs + 1),
-            (starts["right_arm"], rs + 2),
-            (starts["left_leg"], rs + vpp - 2),
-            (starts["right_leg"], rs + vpp - 1),
-            (starts["hands"], starts["left_arm"] + vpp - 1),
-            (starts["hands"] + half, starts["right_arm"] + vpp - 1),
-            (starts["feet"], starts["left_leg"] + vpp - 1),
-            (starts["feet"] + half, starts["right_leg"] + vpp - 1),
-        ]
-    # every part without a humanoid joint fans out along the root
-    others = [p for p in parts if p != root and not (humanoid and p in DEFAULT_PARTS)]
-    edges += [(starts[p], rs + k * (vpp - 1) // max(1, len(others) - 1))
-              for k, p in enumerate(others)]
+    rest = np.zeros((n, 3))
+    groups: list[RigidGroup] = []
+    for part, half, parent, join, axis, start, direction, length, wobble in _RIG:
+        vs = ids[part] if half is None else np.split(ids[part], [vpp // 2])[half]
+        pivot = vs[0]
+        if parent is not None:
+            joinable = groups[parent].vertices
+            at = joinable[min(join, len(joinable) - 1)]
+            edges.append((int(vs[0]), int(at)))
+            if half is not None:
+                start, pivot = rest[at] + start, at
+        _chain(rest, vs, start, direction, length, wobble)
+        groups.append(RigidGroup(vs, parent, rest[pivot], np.array(axis, dtype=np.float64)))
+    rest.setflags(write=False)
 
     # coarse pooling: consecutive near-uniform groups inside each part
     sizes = np.tile([len(g) for g in np.array_split(np.arange(vpp), coarse_per_part)],
-                    len(parts))
+                    len(DEFAULT_PARTS))
     coarse_of = np.repeat(np.arange(sizes.size), sizes)
     down = np.zeros((sizes.size, n), dtype=np.float64)
     down[coarse_of, np.arange(n)] = 1.0 / sizes[coarse_of]
@@ -204,9 +258,10 @@ def generate_toy_body(vertices_per_part: int = 12, coarse_per_part: int = 3,
     return BodyGraph(
         n_vertices=n,
         edges=tuple(sorted((min(i, j), max(i, j)) for i, j in edges)),
-        part_names=tuple(parts),
-        part_starts=np.arange(len(parts)) * vpp,
+        part_starts=part_starts,
         coarse_of=coarse_of,
         down_matrix=Tensor(down),
         up_matrix=Tensor(up),
+        rest_pose=rest,
+        rigid_groups=tuple(groups),
     )

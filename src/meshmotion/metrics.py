@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body_graph import BodyGraph
+from .body_graph import DEFAULT_PARTS, BodyGraph
 
 
 class MetricsError(ValueError):
@@ -105,10 +105,7 @@ _BONES = (
 
 def build_joint_regressor(graph: BodyGraph) -> JointRegressor:
     """14 joints averaged over small single-part vertex groups."""
-    parts = dict(zip(graph.part_names, graph.part_vertices()))
-    missing = [part for _, part, _ in _JOINT_SPECS if part not in parts]
-    if missing:
-        raise MetricsError(f"graph lacks parts required for joints: {sorted(set(missing))}")
+    parts = dict(zip(DEFAULT_PARTS, graph.part_vertices()))
     n = graph.n_vertices
     rows = []
     for _, part, frac in _JOINT_SPECS:

@@ -207,9 +207,7 @@ class Model:
         coarse_feats = ad.reshape(tokens, (B * T, h * w, c))
         fine_feats = ad.matmul(self.graph.up_matrix, coarse_feats)  # (B*T, n, C)
         pred_scaled = self.head(fine_feats)                         # model units
-        pred_mm = ad.reshape(ad.mul(pred_scaled, 1.0 / MM_SCALE), (B, T, n, 3))
         return {
-            "pred_mm": pred_mm,
             "pred_scaled": pred_scaled,
             "coarse_feats": coarse_feats,
             "fine_feats": fine_feats,
@@ -263,7 +261,7 @@ class Model:
         """(T, n, 3) mm prediction for one sequence; no tape, no mutation."""
         with np.errstate(**_FP_QUIET):
             out = self.forward(seq.observations[None], seq.occlusion_mask[None], seed=seed)
-        return out["pred_mm"].data[0]
+        return (out["pred_scaled"].data * (1.0 / MM_SCALE)).reshape(seq.observations.shape)
 
 
 def build_model(config: ModelConfig) -> Model:

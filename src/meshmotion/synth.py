@@ -1,12 +1,13 @@
 """Synthetic articulated motion sequences with ground truth and corrupted
 observations.
 
-A rigid-group kinematic tree (torso root; head, arms, legs; hands/feet split
-left/right onto their parent limbs) moves along smooth cubic-spline angle
-trajectories, posed for the whole sequence at once: a group's T rotations are
-one (T, 3, 3) stack. Observations start as the clean vertex coordinates;
-corruption zeroes occluded part entries behind a sentinel mask channel and
-box-blurs along time. Ground truth is never touched by corruption.
+The body graph's rigid-group tree (``BodyGraph.rigid_groups`` over its
+``rest_pose``, both built once with the graph) moves along smooth
+cubic-spline angle trajectories, posed for the whole sequence at once: a
+group's T rotations are one (T, 3, 3) stack. Observations start as the clean
+vertex coordinates; corruption zeroes occluded part entries behind a sentinel
+mask channel and box-blurs along time. Ground truth is never touched by
+corruption.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body_graph import BodyGraph, DEFAULT_PARTS
+from .body_graph import BodyGraph
 from .metrics import build_joint_regressor
 
 _SPLINE_CONTROLS = 4  # control values per angle or travel curve
@@ -80,73 +81,6 @@ class MotionSequence:
         return self.gt_vertices.shape[1]
 
 
-# ---------------------------------------------------------------------------
-# rest pose and rigid groups
-
-
-@dataclass
-class _Group:
-    vertices: np.ndarray      # global vertex ids
-    parent: int | None        # index into the group list
-    pivot: np.ndarray         # rest-space rotation center
-    axis: np.ndarray          # default rotation axis
-
-
-def _chain(rest: np.ndarray, ids: np.ndarray, start, direction, length, wobble=12.0):
-    direction = np.asarray(direction, dtype=np.float64)
-    direction = direction / np.linalg.norm(direction)
-    k = len(ids)
-    ts = np.linspace(0.0, 1.0, k)[:, None]
-    side = np.cross(direction, [0.0, 0.0, 1.0])
-    if np.linalg.norm(side) < 1e-9:
-        side = np.cross(direction, [0.0, 1.0, 0.0])
-    side = side / np.linalg.norm(side)
-    # deterministic skinning offsets give the chain a little body
-    off = (wobble * np.sin(2.1 * np.arange(k) + 0.7))[:, None] * side
-    rest[ids] = np.asarray(start, dtype=np.float64) + ts * length * direction + off
-
-
-def _body_plan(graph: BodyGraph) -> tuple[np.ndarray, list[_Group]]:
-    """Rest-pose vertex positions (mm) and the rigid group tree."""
-    if set(graph.part_names) != set(DEFAULT_PARTS):
-        raise SynthError(
-            "motion generation needs the default humanoid part set "
-            f"{DEFAULT_PARTS}; got {graph.part_names}"
-        )
-    ids = dict(zip(graph.part_names, graph.part_vertices()))
-    rest = np.zeros((graph.n_vertices, 3))
-    torso = ids["torso"]
-    head = ids["head"]
-    larm, rarm = ids["left_arm"], ids["right_arm"]
-    lleg, rleg = ids["left_leg"], ids["right_leg"]
-    hands, feet = ids["hands"], ids["feet"]
-    half_h = len(hands) // 2
-    half_f = len(feet) // 2
-    lhand, rhand = hands[:half_h], hands[half_h:]
-    lfoot, rfoot = feet[:half_f], feet[half_f:]
-
-    _chain(rest, torso, (0, 0, 0), (0, 1, 0), 550)            # pelvis up to neck
-    _chain(rest, head, (0, 570, 0), (0, 1, 0), 240)
-    _chain(rest, larm, (-90, 520, 0), (-1, -0.25, 0.1), 540)
-    _chain(rest, rarm, (90, 520, 0), (1, -0.25, 0.1), 540)
-    _chain(rest, lleg, (-70, -20, 0), (-0.08, -1, 0.05), 800)
-    _chain(rest, rleg, (70, -20, 0), (0.08, -1, 0.05), 800)
-    _chain(rest, lhand, rest[larm[-1]] + [0, -20, 0], (-0.6, -1, 0.2), 150, wobble=5)
-    _chain(rest, rhand, rest[rarm[-1]] + [0, -20, 0], (0.6, -1, 0.2), 150, wobble=5)
-    _chain(rest, lfoot, rest[lleg[-1]] + [0, -20, 0], (0, -0.2, 1), 220, wobble=5)
-    _chain(rest, rfoot, rest[rleg[-1]] + [0, -20, 0], (0, -0.2, 1), 220, wobble=5)
-
-    # (vertices, parent group, pivot vertex, default axis): limbs turn about
-    # their first vertex, hands and feet about their limb's last
-    x, y, z = np.eye(3)
-    plan = [(torso, None, torso[0], y), (head, 0, head[0], x),
-            (larm, 0, larm[0], z), (rarm, 0, rarm[0], z),
-            (lleg, 0, lleg[0], x), (rleg, 0, rleg[0], x),
-            (lhand, 2, larm[-1], x), (rhand, 3, rarm[-1], x),
-            (lfoot, 4, lleg[-1], x), (rfoot, 5, rleg[-1], x)]
-    return rest, [_Group(v, parent, rest[pivot], axis) for v, parent, pivot, axis in plan]
-
-
 def _natural_cubic_spline(values: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Natural cubic splines through equally spaced control values: a (C, n+1)
     stack of control rows gives the (C, len(ts)) curves, one solve per row."""
@@ -191,7 +125,7 @@ def generate_sequence(config: MotionConfig, seed: int) -> MotionSequence:
     default regressor's joints move at most ``max_joint_step`` mm per frame."""
     config.validate()
     graph = config.graph
-    rest, groups = _body_plan(graph)
+    rest, groups = graph.rest_pose, graph.rigid_groups
     regressor = build_joint_regressor(graph)
     rng = np.random.default_rng(seed)
     T = config.frames

@@ -140,7 +140,7 @@ def test_resample_down_up_reproduces_coarse_signal():
 
 def test_resample_constant_per_part():
     graph = generate_toy_body()
-    consts = np.arange(len(graph.part_names), dtype=float) + 1.0
+    consts = np.arange(len(DEFAULT_PARTS), dtype=float) + 1.0
     y = np.concatenate([np.full(len(ids), c) for c, ids in zip(consts, graph.part_vertices())])
     down = ad.matmul(graph.down_matrix, y[:, None]).data
     coarse_sizes = np.diff(graph.coarse_of[graph.part_starts], append=graph.n_coarse)
@@ -202,23 +202,48 @@ def _component_count(edges, n):
 
 def test_toy_body_connected():
     assert _component_count([(0, 1)], 3) == 2  # the oracle sees a split
-    default = generate_toy_body()
-    tail = generate_toy_body(parts=DEFAULT_PARTS + ("tail",))
-    for graph in (default, tail, generate_toy_body(2, 1, parts=("a", "b", "c", "d"))):
+    for vpp in (2, 3, 12):
+        graph = generate_toy_body(vpp, 1)
         assert _component_count(graph.edges, graph.n_vertices) == 1
-    # an extra part adds its own chain, struts and one attaching edge, and
-    # leaves the humanoid edges as they were
-    assert set(default.edges) < set(tail.edges)
-    assert len(tail.edges) - len(default.edges) == 11 + 10 + 1
+
+
+@pytest.mark.parametrize("vpp", [2, 3, 12])
+def test_inter_part_edges_join_a_group_to_its_rig_parent(vpp):
+    # the rigid groups partition the vertices, parents first; every edge
+    # between two parts runs from some group's first vertex to a vertex of
+    # that group's parent, one edge per non-root group. With 2 vertices per
+    # part the right arm's join must stay inside the torso.
+    graph = generate_toy_body(vpp, 1)
+    groups = graph.rigid_groups
+    owner = np.full(graph.n_vertices, -1)
+    for k, group in enumerate(groups):
+        assert (owner[group.vertices] == -1).all()
+        assert group.parent is None if k == 0 else 0 <= group.parent < k
+        owner[group.vertices] = k
+    assert (owner >= 0).all()
+    part_of = np.arange(graph.n_vertices) // vpp
+    inter = [(i, j) for i, j in graph.edges if part_of[i] != part_of[j]]
+    joined = sorted(int(owner[a]) for i, j in inter for a, b in ((i, j), (j, i))
+                    if groups[owner[a]].vertices[0] == a and groups[owner[a]].parent == owner[b])
+    assert len(inter) == 9
+    assert joined == list(range(1, len(groups)))
+
+
+def test_rig_arrays_are_read_only():
+    graph = generate_toy_body()
+    with pytest.raises(ValueError, match="read-only"):
+        graph.rest_pose[0, 0] = 1.0
+    for group in graph.rigid_groups:
+        for name in ("vertices", "pivot", "axis"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(group, name)[0] = 0
 
 
 def test_toy_body_config_errors():
     with pytest.raises(GraphError):
-        generate_toy_body(parts=("solo",))
-    with pytest.raises(GraphError):
         generate_toy_body(vertices_per_part=1)
-    with pytest.raises(GraphError, match="distinct"):
-        generate_toy_body(parts=("a", "a", "b"))
+    with pytest.raises(GraphError):
+        generate_toy_body(4, 5)
 
 
 def test_coarse_adjacency_structure():
@@ -229,14 +254,11 @@ def test_coarse_adjacency_structure():
     assert (coarse.diagonal() > 0).all()
 
 
-@pytest.mark.parametrize("vpp, cpp, parts", [
-    (12, 3, DEFAULT_PARTS),
-    (2, 1, ("a", "b", "c", "d")),
-])
-def test_part_layout(vpp, cpp, parts):
-    graph = generate_toy_body(vpp, cpp, parts=parts)
+@pytest.mark.parametrize("vpp, cpp", [(12, 3), (2, 1)])
+def test_part_layout(vpp, cpp):
+    graph = generate_toy_body(vpp, cpp)
     n = graph.n_vertices
-    np.testing.assert_array_equal(graph.part_starts, np.arange(len(parts)) * vpp)
+    np.testing.assert_array_equal(graph.part_starts, np.arange(len(DEFAULT_PARTS)) * vpp)
     np.testing.assert_array_equal(np.concatenate(graph.part_vertices()), np.arange(n))
     assert np.all(np.diff(graph.coarse_of) >= 0)
     down = graph.down_matrix.data

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from meshmotion.body_graph import generate_toy_body
+from meshmotion.body_graph import DEFAULT_PARTS, generate_toy_body
 from meshmotion.synth import MotionConfig, generate_sequence
 from meshmotion.metrics import (
     AlignmentError,
@@ -151,7 +151,7 @@ def test_displaced_limb_evaluates():
     graph = generate_toy_body()
     reg = build_joint_regressor(graph)
     gt = generate_sequence(MotionConfig(graph=graph), seed=0).gt_vertices
-    arm = graph.part_vertices()[graph.part_names.index("left_arm")]
+    arm = graph.part_vertices()[DEFAULT_PARTS.index("left_arm")]
     pred = gt.copy()
     pred[0, arm, 0] += 100.0
     err = compute_metrics(pred, gt, reg)

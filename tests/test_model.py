@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from meshmotion.autodiff import Tensor, gradcheck
+from meshmotion.body_graph import DEFAULT_PARTS
 from meshmotion.model import (
     Adam,
     ConfigError,
@@ -159,7 +160,7 @@ def test_part_starts_match_the_label_oracle(depth):
     # segment wherever a level's label changes
     model = build_model(ModelConfig(hierarchy_depth=depth))
     graph = model.graph
-    part_labels = np.repeat(np.arange(len(graph.part_names)), model.config.vertices_per_part)
+    part_labels = np.repeat(np.arange(len(DEFAULT_PARTS)), model.config.vertices_per_part)
     coarse_labels = part_labels[np.argmax(graph.down_matrix.data > 0, axis=1)]
     labels = (coarse_labels, part_labels)
     want = [np.flatnonzero(np.diff(level, prepend=-1)) for level in labels[2 - depth:]]

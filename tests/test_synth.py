@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from meshmotion import body_graph
 from meshmotion.body_graph import DEFAULT_PARTS, generate_toy_body
 from meshmotion.metrics import build_joint_regressor
 from meshmotion.synth import (
@@ -55,7 +56,7 @@ def test_rigid_groups_keep_their_shape(graph):
     # every rigid group moves as one body over all frames, and each hand or
     # foot half keeps its distances to its pivot, the last vertex of its arm
     # or leg: every frame composes a child with its own parent frame
-    parts = dict(zip(graph.part_names, graph.part_vertices()))
+    parts = dict(zip(DEFAULT_PARTS, graph.part_vertices()))
     hands, feet = parts.pop("hands"), parts.pop("feet")
     halves = {"left_arm": hands[:len(hands) // 2], "right_arm": hands[len(hands) // 2:],
               "left_leg": feet[:len(feet) // 2], "right_leg": feet[len(feet) // 2:]}
@@ -93,13 +94,29 @@ def test_generation_config_errors(graph):
         for value in (float("nan"), float("inf")):
             with pytest.raises(SynthError, match=f"^{name} must be finite"):
                 generate_sequence(MotionConfig(graph=graph, **{name: value}), seed=0)
-    custom = generate_toy_body(4, 2, parts=("a", "b"))
-    with pytest.raises(SynthError):
-        generate_sequence(MotionConfig(graph=custom), seed=0)
-    # a part the motion plan does not pose would have no ground truth
-    extra = generate_toy_body(parts=DEFAULT_PARTS + ("tail",))
-    with pytest.raises(SynthError):
-        generate_sequence(MotionConfig(graph=extra), seed=0)
+
+
+def test_a_reused_graph_poses_as_a_fresh_one(graph):
+    # every sequence shares the graph's rig, so posing must leave it as built
+    cfg = MotionConfig(graph=graph, frames=7)
+    for seed in range(3):
+        fresh = generate_sequence(MotionConfig(graph=generate_toy_body(), frames=7), seed=seed)
+        np.testing.assert_array_equal(generate_sequence(cfg, seed=seed).gt_vertices,
+                                      fresh.gt_vertices)
+
+
+def test_generation_builds_no_rig(graph, monkeypatch):
+    # the rest pose and the group tree are built with the graph, not per call
+    want = generate_sequence(MotionConfig(graph=graph, frames=5), seed=8).gt_vertices
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rig rebuilt during generation")
+
+    monkeypatch.setattr(body_graph, "_chain", refuse)
+    monkeypatch.setattr(body_graph, "RigidGroup", refuse)
+    monkeypatch.setattr(body_graph, "generate_toy_body", refuse)
+    got = generate_sequence(MotionConfig(graph=graph, frames=5), seed=8).gt_vertices
+    np.testing.assert_array_equal(got, want)
 
 
 def test_noop_corruption_is_identity(graph):
