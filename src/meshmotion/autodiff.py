@@ -27,14 +27,15 @@ signal run a whole step under ``np.errstate`` (see ``model.train``). Operands
 that do not fit the op raise :class:`ShapeError` naming their shapes.
 
 Layout rule for the kernels on the training step's hot path (``matmul``,
-the attention scores, ``softmax`` and ``layer_norm``): no numpy reduction
-over a short last axis, and one GEMM for a shared operand's gradient.
-numpy reduces a 4- to 24-wide last axis row by row, several times slower
-than the same sum as a GEMV against a ones or 1/C vector, or a reduction
-over the leading axis of a copy with the reduced axis first. A 2-D matrix
-that every leading index shares (a weight, a shared key or value table)
-gets its gradient as one GEMM over the flattened rows, not as a batch of
-small products summed afterwards.
+the attention scores, ``softmax``, ``layer_norm``, ``sum_`` over the last
+axis, and ``_unbroadcast``, which sums every bias and shift gradient over the
+axes broadcasting added): no numpy reduction over a short last axis, and one
+GEMM for a shared operand's gradient. numpy reduces a 3- to 24-wide last
+axis row by row, several times slower than the same sum as a GEMV against a
+ones or 1/C vector, or a reduction over the leading axis of a copy with the
+reduced axis first. A 2-D matrix that every leading index shares (a weight,
+a shared key or value table) gets its gradient as one GEMM over the
+flattened rows, not as a batch of small products summed afterwards.
 """
 
 from __future__ import annotations
@@ -240,11 +241,25 @@ def _result(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backwar
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient over axes that numpy broadcasting expanded."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
+    """Sum gradient over axes that numpy broadcasting expanded.
+
+    The leading run of expanded axes (the axes broadcasting added, and any
+    length-1 axes of ``shape`` right after them) sums as one GEMV of a ones
+    vector against the flattened rows. Only a length-1 axis of ``shape``
+    after one it keeps takes a numpy reduction.
+    """
+    if g.shape == shape:
+        return g
+    padded = (1,) * (g.ndim - len(shape)) + tuple(shape)
+    k = 0
+    while k < g.ndim and padded[k] == 1:
+        k += 1
+    if k:
+        lead, rest = math.prod(g.shape[:k]), g.shape[k:]
+        # the row width is explicit: reshape(0, -1) of a zero-size g raises
+        g = (np.ones(lead) @ g.reshape(lead, math.prod(rest))).reshape(rest)
+    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, padded[k:]))
+                 if ss == 1 and gs != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
@@ -495,10 +510,24 @@ def _norm_axes(axis, ndim) -> tuple[int, ...]:
     return axes
 
 
+def _row_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The last axis of ``x`` against the vector ``v``, kept as length 1: one GEMV
+    over the flattened rows, where a numpy reduction would walk each short row."""
+    rows = math.prod(x.shape[:-1])
+    return (x.reshape(rows, v.size) @ v).reshape(x.shape[:-1] + (1,))
+
+
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
+    """Sum over ``axis`` (all axes for None). A sum over the last axis alone
+    is one GEMV against a ones vector (:func:`_row_dot`)."""
     a = as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
-    out = a.data.sum(axis=axes, keepdims=keepdims)
+    if axes == (a.ndim - 1,):
+        out = _row_dot(a.data, np.ones(a.shape[-1]))
+        if not keepdims:
+            out = out.reshape(a.shape[:-1])
+    else:
+        out = a.data.sum(axis=axes, keepdims=keepdims)
 
     def backward(g):
         if not keepdims:
@@ -524,12 +553,6 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # matmul / softmax / attention / normalization / convolution
-
-
-def _row_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The last axis of ``x`` against the vector ``v``, kept as length 1: one GEMV
-    over the flattened rows, where a numpy reduction would walk each short row."""
-    return (x.reshape(-1, v.size) @ v).reshape(x.shape[:-1] + (1,))
 
 
 def matmul(a, b) -> Tensor:
@@ -641,6 +664,16 @@ def _segment_softmax(x: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.n
     return e / np.add.reduceat(e, starts, axis=1)[:, seg]
 
 
+def _segment_starts(starts, n: int) -> np.ndarray:
+    """``starts`` as an index array, checked to split ``n`` columns into
+    contiguous segments: one-dimensional, increasing, first 0, last below n."""
+    starts = np.asarray(starts, dtype=np.intp)
+    if (starts.ndim != 1 or starts.size == 0 or starts[0] != 0
+            or np.any(np.diff(starts) <= 0) or starts[-1] >= n):
+        raise ShapeError(f"segment starts {starts.tolist()} do not split {n} columns")
+    return starts
+
+
 def segment_softmax_kl(logits, target_logits, starts, weights, floor: float) -> Tensor:
     """Σ_p w_p · mean over rows of KL(softmax_p(target) ‖ softmax_p(logits)); one record.
 
@@ -659,10 +692,7 @@ def segment_softmax_kl(logits, target_logits, starts, weights, floor: float) -> 
         raise ShapeError(f"segment_softmax_kl needs two equal (S, n) operands, "
                          f"got {x.shape} and {t.shape}")
     n = x.shape[1]
-    starts = np.asarray(starts, dtype=np.intp)
-    if (starts.ndim != 1 or starts.size == 0 or starts[0] != 0
-            or np.any(np.diff(starts) <= 0) or starts[-1] >= n):
-        raise ShapeError(f"segment starts {starts.tolist()} do not split {n} columns")
+    starts = _segment_starts(starts, n)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != starts.shape:
         raise ShapeError(f"{w.size} weights for {starts.size} segments")

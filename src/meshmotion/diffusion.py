@@ -193,13 +193,15 @@ class AttentionLayer:
         return ad.affine(out, self.p["wo"], query)
 
 
-def time_embedding(t: int, channels: int) -> np.ndarray:
-    """Sinusoidal embedding of a diffusion step index."""
+def step_embeddings(n_steps: int, channels: int) -> np.ndarray:
+    """Sinusoidal embeddings of the diffusion steps 1..n_steps, read-only;
+    row t - 1 embeds step t."""
     half = (channels + 1) // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(1, half))
-    ang = t * freqs
-    emb = np.concatenate([np.sin(ang), np.cos(ang)])
-    return emb[:channels]
+    ang = np.arange(1, n_steps + 1)[:, None] * freqs
+    table = np.ascontiguousarray(np.concatenate([np.sin(ang), np.cos(ang)], axis=1)[:, :channels])
+    table.flags.writeable = False
+    return table
 
 
 def rearrange(x: Tensor, grid: tuple[int, int] | None = None) -> Tensor:
@@ -270,13 +272,14 @@ class NoisePredictor:
     """Estimates the noise component of a latent at a given diffusion step.
 
     Input normalization -> 3D conv -> per-frame graph conv -> temporal
-    self-attention -> linear head (zero-init), with a sinusoidal step
-    embedding added to the channel axis.
+    self-attention -> linear head (zero-init). The step's sinusoidal
+    embedding (a row of :func:`step_embeddings`) joins the normalization's
+    shift, so it adds to the channel axis through a (C,) record rather than
+    a full-size one.
     """
 
     def __init__(self, channels: int, grid: tuple[int, int], activation: str,
                  rng: np.random.Generator):
-        self.channels = channels
         self.pass_ = GraphTimePass(channels, grid, activation, rng)
         self.p = {
             "ln_gamma": Tensor(np.ones(channels), requires_grad=True),
@@ -287,9 +290,9 @@ class NoisePredictor:
     def layers(self):
         return [self] + self.pass_.layers()
 
-    def __call__(self, x: Tensor, t: int, coarse_adj: Tensor) -> Tensor:
-        x = ad.layer_norm(x, self.p["ln_gamma"], self.p["ln_beta"])
-        x = ad.add(x, ad.constant(time_embedding(t, self.channels)))
+    def __call__(self, x: Tensor, embedding: np.ndarray, coarse_adj: Tensor) -> Tensor:
+        shift = ad.add(self.p["ln_beta"], ad.constant(embedding))
+        x = ad.layer_norm(x, self.p["ln_gamma"], shift)
         return ad.matmul(self.pass_(x, coarse_adj), self.p["head"])
 
 
@@ -325,6 +328,7 @@ class DiffusionBlock:
         self.stack = FeatureStack(channels, grid, activation, rng)
         self.cond_attn = AttentionLayer(channels, rng=rng)
         self.predictor = NoisePredictor(channels, grid, activation, rng)
+        self.step_embedding = step_embeddings(schedule.n_steps, channels)
 
     def layers(self):
         return ([self.context_attn, self.cond_attn]
@@ -359,7 +363,7 @@ class DiffusionBlock:
         eps_losses = []
         for step in range(sched.n_steps, 0, -1):
             z = self.cond_attn(z, *deps_kv)
-            eps_hat = self.predictor(z, step, self.coarse_adj)
+            eps_hat = self.predictor(z, self.step_embedding[step - 1], self.coarse_adj)
             abar = float(sched.alpha_bar[step - 1])
             if 1.0 - abar > 0.0:
                 target = (z.data - math.sqrt(abar) * x0.data) / math.sqrt(1.0 - abar)

@@ -7,7 +7,9 @@ prediction/target distributions compare through a KL term weighted per part,
 summed over the parts of one level (``model.Model.loss`` sums the levels).
 One level's pooling and KL terms over all parts are one segmented
 ``autodiff.segment_softmax_kl`` tape record; with the prediction's vertex
-scores a level adds five records, whatever its part count.
+scores a level adds five records, whatever its part count. Like the autodiff
+kernels, the vertex scores and part weights sum each short feature row as a
+GEMV against a ones vector, never as a numpy reduction over the short axis.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeError, Tensor, _row_dot, _segment_starts
 
 PROB_FLOOR = 1e-12
 
 
 def _vertex_scores(features: Tensor) -> Tensor:
-    """Scalar score per vertex: L2 norm of its feature row."""
+    """Scalar score per vertex: L2 norm of its feature row, summed by one GEMV
+    (``sum_`` over the last axis); four records."""
     sq = ad.sum_(ad.mul(features, features), axis=features.ndim - 1)
     return ad.sqrt(ad.add(sq, 1e-12))
 
@@ -30,16 +33,29 @@ def part_weights_from_variance(features: np.ndarray, starts) -> np.ndarray:
     """Per-part variance of (S, n, F) features, normalized to mean 1 (sums to m).
 
     Treated as a constant: no gradient flows into the weights. A zero-variance
-    batch falls back to uniform weights.
+    batch falls back to uniform weights. Each vertex's sum over the rows and
+    channels is two GEMVs against ones vectors, not a numpy reduction over
+    the short channel axis. ``starts`` that do not split the n vertices raise
+    ``ShapeError``, as in :func:`autodiff.segment_softmax_kl`.
     """
-    feats = np.asarray(features)
-    sizes = np.diff(starts, append=feats.shape[1])
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 3:
+        raise ShapeError(f"part weights need (S, n, F) features, got {feats.shape}")
+    rows, n, channels = feats.shape
+    starts = _segment_starts(starts, n)
+    sizes = np.diff(starts, append=n)
     m = sizes.size
-    seg = np.repeat(np.arange(m), sizes)
-    counts = sizes * (feats.shape[0] * feats.shape[2])
-    means = np.add.reduceat(feats.sum(axis=(0, 2)), starts) / counts
-    centred = feats - means[seg][:, None]
-    variances = np.add.reduceat((centred * centred).sum(axis=(0, 2)), starts) / counts
+    counts = sizes * (rows * channels)
+    ones_rows, ones_channels = np.ones(rows), np.ones(channels)
+    flat = feats.reshape(rows, n * channels)
+
+    def vertex_sums(x: np.ndarray) -> np.ndarray:
+        return (ones_rows @ x).reshape(n, channels) @ ones_channels
+
+    means = np.add.reduceat(vertex_sums(flat), starts) / counts
+    centred = flat - np.repeat(means, sizes * channels)
+    centred *= centred
+    variances = np.add.reduceat(vertex_sums(centred), starts) / counts
     total = variances.sum()
     if total <= 1e-30:
         return np.ones(m)
@@ -55,10 +71,11 @@ def hh_loss(pred_features, true_features, starts, weights) -> Tensor:
     distribution per row; the KL of the target's from the prediction's,
     averaged over rows and weighted per part, sums over the parts in one
     :func:`autodiff.segment_softmax_kl` record, five records in all. The
-    target side is detached.
+    target side is detached: its scores run the same kernels off the tape,
+    so identical features give a loss of exactly 0.
     """
     true = ad.as_tensor(true_features).data
     scores = _vertex_scores(ad.as_tensor(pred_features))
-    # the same score as _vertex_scores, off the tape
-    true_scores = np.sqrt((true * true).sum(axis=-1) + 1e-12)
+    # _vertex_scores off the tape: its last-axis sum_ is this _row_dot
+    true_scores = np.sqrt(_row_dot(true * true, np.ones(true.shape[-1]))[..., 0] + 1e-12)
     return ad.segment_softmax_kl(scores, true_scores, starts, weights, PROB_FLOOR)

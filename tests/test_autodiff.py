@@ -129,6 +129,52 @@ def test_reductions_reject_a_repeated_axis(op, axis):
         op(np.ones((2, 3, 4)), axis=axis)
 
 
+def _unbroadcast_reference(g, shape):
+    # the numpy reductions _unbroadcast replaced: sum the added leading axes,
+    # then every length-1 axis of the target that g does not share
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
+    return g.sum(axis=axes, keepdims=True).reshape(shape)
+
+
+def _random(shape):
+    return np.random.default_rng(30).standard_normal(shape)
+
+
+def _transposed(shape):
+    # a non-contiguous g of the given shape
+    return _random(shape[::-1]).T
+
+
+@pytest.mark.parametrize("g,shape", [
+    (_random((4, 16, 24, 8)), (8,)),     # layer_norm gamma/beta of the diffusion block
+    (_random((64, 96, 3)), (3,)),        # the head's bias
+    (np.arange(12.0).reshape(3, 4), ()),
+    (np.ones((0, 4, 3)), (4, 3)),
+    (np.ones((0, 4, 3)), (3,)),
+    (np.ones((2, 0, 3)), (1, 3)),
+    (np.arange(120.0).reshape(2, 3, 4, 5), (1, 4, 1)),
+    (np.arange(120.0).reshape(2, 3, 4, 5), (3, 1, 5)),
+    (np.arange(24.0).reshape(2, 3, 4), (1, 1, 4)),
+    (_transposed((6, 8, 5)), (5,)),
+    (_transposed((6, 8, 5)), (1, 8, 1)),
+    (np.arange(6.0).reshape(2, 3), (2, 3)),
+], ids=["layer-norm", "head-bias", "scalar", "zero-lead", "zero-lead-extra", "zero-middle",
+        "ones-after-lead", "one-inside", "ones-lead", "non-contiguous", "non-contiguous-ones",
+        "same"])
+def test_unbroadcast_matches_numpy_sums(g, shape):
+    got = ad._unbroadcast(g, shape)
+    assert got.shape == shape
+    np.testing.assert_allclose(got, _unbroadcast_reference(g, shape), rtol=1e-12)
+
+
+def test_sum_over_the_last_axis_matches_numpy_at_the_head_shape():
+    x = np.random.default_rng(32).standard_normal((64, 96, 3))
+    for keepdims in (False, True):
+        out = ad.sum_(x, axis=2, keepdims=keepdims).data
+        np.testing.assert_allclose(out, x.sum(axis=2, keepdims=keepdims), rtol=1e-12)
+
+
 def test_attention_single_key_returns_value_row():
     rng = np.random.default_rng(3)
     q = rng.standard_normal((4, 5))
@@ -218,7 +264,8 @@ NOT_OPS = {"as_tensor", "constant", "gradcheck"}
 
 
 def _gradcheck_table(rng):
-    """One gradcheck case (op, inputs) per differentiable op of ``ad.__all__``."""
+    """Gradcheck cases (op, inputs) keyed by the differentiable op of
+    ``ad.__all__`` they check; a second case of an op is keyed ``name[case]``."""
     n = int(rng.integers(2, 5))
     m = int(rng.integers(2, 5))
     x = rng.standard_normal((n, m))
@@ -247,6 +294,7 @@ def _gradcheck_table(rng):
         "reshape": (lambda a: ad.reshape(a, (m, n)), [x]),
         "transpose": (lambda a: ad.transpose(a, (1, 0)), [x]),
         "sum_": (lambda a: ad.sum_(a, axis=0), [x]),
+        "sum_[last axis]": (lambda a: ad.mul(ad.sum_(a, axis=1), y[:, 0]), [x]),
         "mean": (lambda a: ad.mean(a, axis=1), [x]),
         "softmax": (lambda a: ad.mul(softmax(a, axis=1), y), [x]),
         "take_slice": (lambda a: take_slice(a, 1, 0, max(1, m - 1)), [x]),
@@ -261,9 +309,9 @@ def _gradcheck_table(rng):
 
 def test_every_differentiable_op_has_a_gradcheck_entry():
     ops = {name for name in ad.__all__ if not isinstance(getattr(ad, name), type)} - NOT_OPS
-    table = _gradcheck_table(np.random.default_rng(0))
-    assert sorted(ops - table.keys()) == []
-    assert sorted(table.keys() - ops) == []
+    named = {key.split("[")[0] for key in _gradcheck_table(np.random.default_rng(0))}
+    assert sorted(ops - named) == []
+    assert sorted(named - ops) == []
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -17,7 +17,9 @@ from meshmotion.diffusion import (
     make_schedule,
     rearrange,
     reverse_step,
+    step_embeddings,
 )
+from meshmotion.model import ModelConfig, build_model
 
 
 @pytest.mark.parametrize("n_steps", [2, 5, 10, 50, 100], ids=lambda n: f"{n}-linear")
@@ -341,6 +343,30 @@ def test_chain_records_one_per_noise_step_and_two_per_reverse_step(monkeypatch):
     assert steps["reverse_step"] == [["lincomb", "lincomb"]] * 2 + [["lincomb", "mul"]]
     # one eps term per reverse step
     assert [r.name for r in tape.records].count("mse") == 3
+
+
+def test_step_embeddings_are_one_read_only_row_per_step():
+    table = step_embeddings(5, 3)
+    assert table.shape == (5, 3) and not table.flags.writeable
+    # step t's sines and cosines at the two frequencies 1 and 10000^(-1/2)
+    freqs = np.array([1.0, 0.01])
+    np.testing.assert_allclose(table[3], [math.sin(4 * freqs[0]), math.sin(4 * freqs[1]),
+                                          math.cos(4 * freqs[0])], rtol=1e-15)
+
+
+def test_a_default_forward_adds_the_step_embedding_to_the_norm_shift():
+    # the embedding joins ln_beta in a (C,) add, one per reverse step, so no
+    # add record of the default diffusion forward grows to the latent's size
+    config = ModelConfig()
+    model = build_model(config)
+    obs = np.random.default_rng(27).standard_normal((config.batch_size, 16,
+                                                     config.n_vertices, 3)) * 100.0
+    with Tape() as tape:
+        model.forward(obs, np.zeros(obs.shape[:3]), seed=0)
+    adds = [rec for rec in tape.records if rec.name == "add"]
+    beta = model.core.predictor.p["ln_beta"]
+    assert sum(any(t is beta for t in rec.inputs) for rec in adds) == config.diffusion_steps
+    assert max(rec.output.size for rec in adds) <= config.channels
 
 
 def test_block_alpha_one_equals_deterministic_path():

@@ -169,12 +169,57 @@ def test_part_weights_sum_to_m():
         assert abs(lam.sum() - len(starts)) < 1e-9
 
 
+def _part_weights_reference(feats, starts):
+    # the numpy reductions part_weights_from_variance replaced: per-vertex
+    # sums over rows and channels as one reduction over axes (0, 2)
+    sizes = np.diff(starts, append=feats.shape[1])
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    counts = sizes * (feats.shape[0] * feats.shape[2])
+    means = np.add.reduceat(feats.sum(axis=(0, 2)), starts) / counts
+    centred = feats - means[seg][:, None]
+    variances = np.add.reduceat((centred * centred).sum(axis=(0, 2)), starts) / counts
+    return variances * (sizes.size / variances.sum())
+
+
+@pytest.mark.parametrize("level", ["coarse", "fine"])
+def test_part_weights_match_numpy_sums_at_the_model_shapes(level):
+    # the default model's levels: (64, 24, 8) coarse and (64, 96, 8) fine features
+    graph = generate_toy_body()
+    starts = graph.coarse_of[graph.part_starts] if level == "coarse" else graph.part_starts
+    n = graph.n_coarse if level == "coarse" else graph.n_vertices
+    feats = np.random.default_rng(15).standard_normal((64, n, 8)) * 2.0 + 1.0
+    np.testing.assert_allclose(part_weights_from_variance(feats, starts),
+                               _part_weights_reference(feats, starts), rtol=1e-12)
+
+
+def test_part_weights_need_rows_by_vertices_by_channels():
+    with pytest.raises(ShapeError, match=r"\(S, n, F\) features, got \(96, 3\)"):
+        part_weights_from_variance(np.ones((96, 3)), [0, 48])
+
+
+@pytest.mark.parametrize("starts", [[5, 50], [0, 50, 40], [0, 96]],
+                         ids=["first-not-0", "decreasing", "past-the-end"])
+def test_malformed_part_starts_raise_one_shape_error(starts):
+    # part weights and the segmented KL share one starts check and message
+    feats = np.ones((2, 96, 3))
+    with pytest.raises(ShapeError) as weights_error:
+        part_weights_from_variance(feats, starts)
+    with pytest.raises(ShapeError) as kl_error:
+        ad.segment_softmax_kl(feats[..., 0], feats[..., 0], starts, np.ones(len(starts)),
+                              PROB_FLOOR)
+    assert str(weights_error.value) == str(kl_error.value)
+    assert "do not split 96 columns" in str(weights_error.value)
+
+
 def test_hh_loss_zero_at_identity():
+    # the target's scores run the prediction's kernels, so identical features
+    # give identical distributions and a loss of exactly 0
     rng = np.random.default_rng(7)
     starts, n = default_level()
-    feats = rng.standard_normal((2, n, 3))
-    lam = part_weights_from_variance(feats, starts)
-    assert abs(hh_loss(feats, feats, starts, lam).item()) < 1e-12
+    for rows, channels in ((2, 3), (64, 3), (64, 8)):
+        feats = rng.standard_normal((rows, n, channels))
+        lam = part_weights_from_variance(feats, starts)
+        assert hh_loss(feats, feats, starts, lam).item() == 0.0
 
 
 def test_hh_loss_single_part_equals_part_kl():
