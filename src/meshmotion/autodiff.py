@@ -9,11 +9,18 @@ still to be used, not one per record. A backward returns None for an input
 that does not require a gradient (noise draws, targets, scalars), so
 constants cost no gradient arithmetic.
 
-Each record's output, and whatever its backward reads, stays allocated until
-the step's backward ends, even an intermediate that no backward reads. So the
-model's hot composites are one record each, with an analytic backward that
-runs the same numpy expressions in the same order as the primitives they
-replace: ``lincomb`` (a·alpha + b·beta, a diffusion chain step), ``mse`` (the
+Each record's output, and whatever its backward closure holds, stays
+allocated until the step's backward ends. So a record keeps only what its
+backward reads. An input that takes no gradient is stored as None, and
+``add``, ``sub`` and ``lincomb`` close over shapes and flags, not operands,
+so a constant such as a noise draw is freed once the forward has used it.
+``layer_norm``, ``relu`` and ``gelu`` recompute their full-size
+intermediates from the input in backward, with the forward's expressions in
+the same order, instead of holding them. And the model's hot composites are
+one record each, so an intermediate that no backward reads is no record
+output. Each has an analytic backward that runs the same numpy expressions
+in the same order as the primitives it replaces: ``lincomb``
+((a·alpha + b·beta)·scale + shift, a diffusion chain step), ``mse`` (the
 mean squared error against a constant target), ``affine`` (x @ w + c, a
 linear layer or a projection plus its residual), ``softmax``, ``layer_norm``,
 ``conv3d`` and ``segment_softmax_kl`` (the weighted KL between segment-wise
@@ -194,7 +201,8 @@ class Tape:
         Accumulates into the ``.grad`` of every leaf. Each record output's
         gradient is released once its record's backward has run (every
         consumer of that output was recorded later and so has already run),
-        so after backward only leaves keep ``.grad``. A tape runs backward
+        so after backward only leaves keep ``.grad``. A record input that
+        took no gradient is None and gets nothing. A tape runs backward
         once: a second call raises ``RuntimeError`` instead of adding the
         gradient to every leaf again.
         """
@@ -211,7 +219,7 @@ class Tape:
             grads = rec.backward(g)
             rec.output.grad = None
             for t, gi in zip(rec.inputs, grads):
-                if gi is None or not t.requires_grad:
+                if t is None or gi is None:
                     continue
                 if not np.isfinite(gi).all():
                     raise NumericsError(f"non-finite gradient out of op '{rec.name}'")
@@ -236,8 +244,16 @@ def _result(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backwar
     stack = Tape._stack
     out.requires_grad = bool(stack) and any(t.requires_grad for t in inputs)
     if out.requires_grad:
+        # a constant input is not kept: no gradient goes to it
+        inputs = tuple(t if t.requires_grad else None for t in inputs)
         stack[-1].records.append(_Record(name, inputs, out, backward))
     return out
+
+
+def _grad_shape(t: Tensor) -> tuple[int, ...] | None:
+    """``t``'s shape if it takes a gradient, else None: what a backward that
+    only unbroadcasts ``g`` onto ``t`` needs to keep of it."""
+    return t.shape if t.requires_grad else None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -298,9 +314,11 @@ def add(a, b) -> Tensor:
     except ValueError:
         raise _no_broadcast("add", a, b) from None
 
+    sa, sb = _grad_shape(a), _grad_shape(b)
+
     def backward(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(g, sa),
+                None if sb is None else _unbroadcast(g, sb))
 
     return _result("add", (a, b), out, backward)
 
@@ -312,9 +330,11 @@ def sub(a, b) -> Tensor:
     except ValueError:
         raise _no_broadcast("sub", a, b) from None
 
+    sa, sb = _grad_shape(a), _grad_shape(b)
+
     def backward(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(g, sa),
+                None if sb is None else _unbroadcast(-g, sb))
 
     return _result("sub", (a, b), out, backward)
 
@@ -349,25 +369,44 @@ def div(a, b) -> Tensor:
     return _result("div", (a, b), out, backward)
 
 
-def lincomb(a, alpha: float, b, beta: float) -> Tensor:
-    """a·alpha + b·beta for scalar coefficients; one record.
+def lincomb(a, alpha: float, b, beta: float, *, scale: float = 1.0, shift=None) -> Tensor:
+    """(a·alpha + b·beta)·scale + shift for scalar coefficients; one record.
+
+    ``shift`` is a constant array that broadcasts onto a·alpha + b·beta
+    without growing it. Like ``mse``'s target it is not a record input, and
+    the backward keeps the operands' shapes, not the operands, so a constant
+    operand or shift is freed once the forward has used it.
 
     The value and each gradient are bit-identical to
     ``add(mul(a, alpha), mul(b, beta))``: the backward reduces a broadcast
     operand's gradient first and then scales it, as that composite does. With
     alpha = 1 and beta = -c it also equals ``sub(a, mul(b, c))`` bit for bit,
-    since a·1 = a and negation is exact.
+    since a·1 = a and negation is exact. A ``scale`` and ``shift`` = n·s
+    give what ``lincomb(lincomb(a, alpha, b, beta), scale, n, s)`` gives, and
+    a ``scale`` alone what ``mul(lincomb(a, alpha, b, beta), scale)`` gives.
     """
     a, b = as_tensor(a), as_tensor(b)
-    alpha, beta = float(alpha), float(beta)
+    alpha, beta, scale = float(alpha), float(beta), float(scale)
     try:
         out = a.data * alpha + b.data * beta
     except ValueError:
         raise _no_broadcast("lincomb", a, b) from None
+    # a product by 1 is exact, so skipping it changes no value
+    if scale != 1.0:
+        out *= scale
+    if shift is not None:
+        shift = np.asarray(shift, dtype=np.float64)
+        if _broadcast_shape(out.shape, shift.shape) != out.shape:
+            raise ShapeError(f"lincomb: shift {shift.shape} does not broadcast onto "
+                             f"a·alpha + b·beta {out.shape} without growing it")
+        out += shift
+    sa, sb = _grad_shape(a), _grad_shape(b)
 
     def backward(g):
-        return (_unbroadcast(g, a.shape) * alpha if a.requires_grad else None,
-                _unbroadcast(g, b.shape) * beta if b.requires_grad else None)
+        if scale != 1.0:
+            g = g * scale
+        return (None if sa is None else _unbroadcast(g, sa) * alpha,
+                None if sb is None else _unbroadcast(g, sb) * beta)
 
     return _result("lincomb", (a, b), out, backward)
 
@@ -395,23 +434,29 @@ def mse(pred, target) -> Tensor:
 
 
 def relu(a) -> Tensor:
+    """max(a, 0). The backward recomputes the mask from the input rather
+    than holding it."""
     a = as_tensor(a)
-    mask = a.data > 0.0
-    return _result("relu", (a,), a.data * mask, lambda g: (g * mask,))
+    return _result("relu", (a,), a.data * (a.data > 0.0), lambda g: (g * (a.data > 0.0),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    return np.tanh(_GELU_C * (x + 0.044715 * x**3))
+
+
 def gelu(a) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
+    """Gaussian error linear unit (tanh approximation). The backward
+    recomputes the tanh term from the input rather than holding it."""
     a = as_tensor(a)
     x = a.data
-    u = _GELU_C * (x + 0.044715 * x**3)
-    th = np.tanh(u)
-    out = 0.5 * x * (1.0 + th)
+    out = 0.5 * x * (1.0 + _gelu_tanh(x))
 
     def backward(g):
+        x = a.data
+        th = _gelu_tanh(x)
         du = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
         return (g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du),)
 
@@ -717,7 +762,10 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     ``gamma`` and ``beta`` must broadcast against ``a`` without growing it.
     The two channel means of the forward, and the two of the backward, are
     each one GEMV of the flattened rows against a 1/C vector
-    (:func:`_row_dot`), not a reduction over the short channel axis.
+    (:func:`_row_dot`), not a reduction over the short channel axis. The
+    record keeps only the (..., 1) standard deviation: the backward
+    recomputes the normalized input from ``a`` with the forward's own
+    operations, so it holds no full-size copy.
     """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     if a.ndim < 1 or _broadcast_shape(a.shape, gamma.shape, beta.shape) != a.shape:
@@ -727,7 +775,11 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     if c == 0:
         raise ShapeError(f"layer_norm over the empty channel axis of {a.shape}")
     inv_c = np.full(c, 1.0 / c)
-    normed = a.data - _row_dot(a.data, inv_c)
+
+    def centered() -> np.ndarray:
+        return a.data - _row_dot(a.data, inv_c)
+
+    normed = centered()
     std = np.sqrt(_row_dot(normed * normed, inv_c) + eps)
     if not np.isfinite(std).all():
         # the squared deviation overflowed: the output would be beta alone, silently
@@ -737,6 +789,8 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     out += beta.data
 
     def backward(g):
+        normed = centered()
+        normed /= std
         gn = g * gamma.data
         ga = gn - _row_dot(gn, inv_c)
         ga -= normed * _row_dot(gn * normed, inv_c)

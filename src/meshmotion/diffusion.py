@@ -96,7 +96,8 @@ def _check_step(t: int, schedule: DiffusionSchedule) -> int:
 def forward_noise_step(x_prev, t: int, schedule: DiffusionSchedule, noise) -> Tensor:
     """One noising step: sqrt(1-alpha_t) * noise + sqrt(alpha_t) * x_prev.
 
-    One ``lincomb`` record; the noise draw is a constant input.
+    One ``lincomb`` record. The noise draw is a constant operand: the record
+    does not keep it, so it is freed once this step has used it.
     """
     x_prev, noise = ad.as_tensor(x_prev), ad.as_tensor(noise)
     if noise.shape != x_prev.shape:
@@ -121,9 +122,11 @@ def reverse_step(
     equals the posterior standard deviation. The draw is forced to zero at
     t = 1, where ``noise`` is not read.
 
-    Two records: ``lincomb(z_t, 1, eps_pred, -coef)`` for the corrected
-    state, then ``lincomb`` with the scaled draw, or a ``mul`` by
-    1/sqrt(alpha_t) where there is no draw.
+    One record: ``lincomb(z_t, 1, eps_pred, -coef, scale=1/sqrt(alpha_t),
+    shift=sigma * draw)``, with no shift where there is no draw. It evaluates
+    the same expressions in the same order as a ``lincomb`` for the corrected
+    state followed by one that scales it and adds the scaled draw, without
+    keeping the corrected state or the draw on the tape.
     """
     z_t, eps_pred = ad.as_tensor(z_t), ad.as_tensor(eps_pred)
     if eps_pred.shape != z_t.shape:
@@ -140,13 +143,13 @@ def reverse_step(
     else:
         eps_coef = (1.0 - a) / math.sqrt(one_m_abar)
         sigma = math.sqrt(1.0 - a) * math.sqrt(1.0 - abar_prev) / math.sqrt(one_m_abar)
-    corrected = ad.lincomb(z_t, 1.0, eps_pred, -eps_coef)
-    if t == 1 or sigma == 0.0:
-        return ad.mul(corrected, 1.0 / math.sqrt(a))
-    noise = ad.as_tensor(noise)
-    if noise.shape != z_t.shape:
-        raise ShapeError(f"noise shape {noise.shape} != input shape {z_t.shape}")
-    return ad.lincomb(corrected, 1.0 / math.sqrt(a), noise, sigma)
+    shift = None
+    if t > 1 and sigma != 0.0:
+        noise = ad.as_tensor(noise)
+        if noise.shape != z_t.shape:
+            raise ShapeError(f"noise shape {noise.shape} != input shape {z_t.shape}")
+        shift = noise.data * sigma
+    return ad.lincomb(z_t, 1.0, eps_pred, -eps_coef, scale=1.0 / math.sqrt(a), shift=shift)
 
 
 # ---------------------------------------------------------------------------

@@ -632,9 +632,9 @@ def test_conv3d_holds_no_patch_matrix_on_the_tape():
 
 @pytest.mark.parametrize("op,shapes,held_outputs", [
     (lambda a: softmax(a, axis=3), ((4, 16, 24, 24),), 1.0),
-    # the output, plus the normalized input and the (B, T, S, 1) standard
-    # deviations that the backward reads
-    (layer_norm, ((4, 16, 24, 8), (8,), (8,)), 2.125),
+    # the output, plus the (B, T, S, 1) standard deviations that the
+    # backward reads
+    (layer_norm, ((4, 16, 24, 8), (8,), (8,)), 1.125),
 ], ids=["softmax", "layer_norm"])
 def test_kernel_holds_no_scratch_array_on_the_tape(op, shapes, held_outputs):
     # softmax works on a transposed scratch copy of its input; after the
@@ -692,6 +692,50 @@ def test_mse_is_bit_identical_to_its_composite(shape):
                           [rng.standard_normal(shape)], 10)
 
 
+def _stored_layer_norm(x, gamma, beta, g, eps=1e-5):
+    # layer_norm with its normalized input held for the backward
+    inv_c = np.full(x.shape[-1], 1.0 / x.shape[-1])
+    normed = x - ad._row_dot(x, inv_c)
+    std = np.sqrt(ad._row_dot(normed * normed, inv_c) + eps)
+    normed /= std
+    out = normed * gamma
+    out += beta
+    gn = g * gamma
+    ga = gn - ad._row_dot(gn, inv_c)
+    ga -= normed * ad._row_dot(gn * normed, inv_c)
+    ga /= std
+    return out, [ga, ad._unbroadcast(g * normed, gamma.shape), ad._unbroadcast(g, beta.shape)]
+
+
+def _stored_relu(x, g):
+    mask = x > 0.0
+    return x * mask, [g * mask]
+
+
+def _stored_gelu(x, g):
+    th = np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3))
+    du = math.sqrt(2.0 / math.pi) * (1.0 + 3 * 0.044715 * x**2)
+    return 0.5 * x * (1.0 + th), [g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du)]
+
+
+# the latent tokens and the encoder's hidden rows of the default model
+@pytest.mark.parametrize("op,stored,shapes", [
+    (layer_norm, _stored_layer_norm, (TOKENS, (8,), (8,))),
+    (ad.relu, _stored_relu, (TOKENS,)),
+    (ad.relu, _stored_relu, ((64, 64),)),
+    (ad.gelu, _stored_gelu, (TOKENS,)),
+    (ad.gelu, _stored_gelu, ((64, 64),)),
+], ids=["layer_norm", "relu_tokens", "relu_encoder", "gelu_tokens", "gelu_encoder"])
+def test_recomputing_backward_is_bit_identical_to_the_stored_one(op, stored, shapes):
+    rng = np.random.default_rng(44)
+    arrays = [rng.standard_normal(s) * 3 for s in shapes]
+    upstream = rng.standard_normal(shapes[0])
+    out, grads = _value_and_grads(op, arrays, upstream)
+    want_out, want_grads = stored(*arrays, upstream)
+    for got, want in zip([out, *grads], [want_out, *want_grads]):
+        np.testing.assert_array_equal(got, want)
+
+
 # the default model's Linear layers (encoder, head) and attention output
 # projections plus their residual, over (B, T, S, C) and (B, S, T, C) tokens
 @pytest.mark.parametrize("shapes", [
@@ -720,6 +764,8 @@ def test_elementwise_ops_name_both_shapes_when_operands_do_not_broadcast(op):
     (ad.affine, ((3,), (3, 5), (5,))),        # x has no row axis
     (ad.affine, ((2, 3), (3, 5), (4,))),      # c does not broadcast
     (ad.affine, ((2, 3), (3, 5), (7, 2, 5))), # c would grow the product
+    (lambda a, b, s: ad.lincomb(a, 1.0, b, 1.0, shift=s),
+     ((2, 3), (2, 3), (4, 2, 3))),            # the shift would grow the sum
 ])
 def test_fused_ops_reject_bad_shapes(op, shapes):
     with pytest.raises(ShapeError):
@@ -954,15 +1000,24 @@ def test_backward_returns_none_for_constant_inputs():
 
 
 def test_skipping_constant_gradients_keeps_a_default_step_bit_identical(monkeypatch):
-    # reference: flag every constant record input as needing a gradient
-    # after the forward, so every backward computes every gradient again; a
-    # third run copies every gradient a leaf takes, so no leaf gradient
-    # shares memory with an array a backward returned
+    # reference: every ad.constant returns a tensor that takes a gradient, so
+    # the records keep the noise draws, step embeddings and encoder input
+    # they take as operands, and every backward computes their gradients
+    # too; a third run copies every gradient a leaf takes, so no leaf
+    # gradient shares memory with an array a backward returned
     config = ModelConfig()
     grads = []
     accumulate = Tensor.accumulate_grad
     for mode in ("skip", "flag", "copy"):
+        constants = []
+        flag = mode == "flag"
+
+        def counted(x):
+            constants.append(Tensor(x, requires_grad=flag))
+            return constants[-1]
+
         with monkeypatch.context() as patch:
+            patch.setattr(ad, "constant", counted)
             if mode == "copy":
                 patch.setattr(Tensor, "accumulate_grad",
                               lambda self, g: accumulate(self, g.copy()))
@@ -974,13 +1029,11 @@ def test_skipping_constant_gradients_keeps_a_default_step_bit_identical(monkeypa
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 with Tape() as tape:
                     loss = model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=3), gt)
-                constants = {id(t): t for rec in tape.records for t in rec.inputs
-                             if not t.requires_grad}
-                if mode == "flag":
-                    for t in constants.values():
-                        t.requires_grad = True
                 tape.backward(loss)
         assert len(constants) > 100
+        if mode == "flag":
+            # the forward draws, the embeddings and the encoder input took one
+            assert sum(t.grad is not None for t in constants) > 100
         slots = model.param_slots()
         grads.append({k: holder[key].grad for k, (holder, key) in slots.items()})
     skipped, full, copied = grads

@@ -1,4 +1,6 @@
 import math
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -320,7 +322,7 @@ def test_block_projects_each_context_once_per_call():
         assert sum(any(t is layer.p["wq"] for t in rec.inputs) for rec in tape.records) == 3
 
 
-def test_chain_records_one_per_noise_step_and_two_per_reverse_step(monkeypatch):
+def test_chain_records_one_per_noise_step_and_one_per_reverse_step(monkeypatch):
     # every chain step's records, read off the tape around each step call
     _, block, ctx = _block_setup(n_steps=3)
     x = Tensor(np.random.default_rng(26).standard_normal((1, 2, 8, 4)), requires_grad=True)
@@ -339,10 +341,93 @@ def test_chain_records_one_per_noise_step_and_two_per_reverse_step(monkeypatch):
     with Tape() as tape:
         block(x, ctx, seed=4)
     assert steps["forward_noise_step"] == [["lincomb"]] * 3
-    # t = 3, 2 add the scaled draw; t = 1 has none
-    assert steps["reverse_step"] == [["lincomb", "lincomb"]] * 2 + [["lincomb", "mul"]]
+    # t = 3, 2 add the scaled draw as the shift; t = 1 has none
+    assert steps["reverse_step"] == [["lincomb"]] * 3
     # one eps term per reverse step
     assert [r.name for r in tape.records].count("mse") == 3
+
+
+def _two_record_reverse_step(z_t, t, eps_pred, schedule, noise):
+    # the reverse step as two records: the corrected state, then its scaling
+    # plus the scaled draw (a mul where there is no draw)
+    a = float(schedule.alpha[t - 1])
+    abar = float(schedule.alpha_bar[t - 1])
+    abar_prev = float(schedule.alpha_bar[t - 2]) if t > 1 else 1.0
+    eps_coef = (1.0 - a) / math.sqrt(1.0 - abar)
+    sigma = math.sqrt(1.0 - a) * math.sqrt(1.0 - abar_prev) / math.sqrt(1.0 - abar)
+    corrected = ad.lincomb(z_t, 1.0, eps_pred, -eps_coef)
+    if t == 1:
+        return ad.mul(corrected, 1.0 / math.sqrt(a))
+    return ad.lincomb(corrected, 1.0 / math.sqrt(a), ad.constant(noise), sigma)
+
+
+@pytest.mark.parametrize("t", [50, 2, 1])
+def test_one_record_reverse_step_is_bit_identical_to_two_records(t):
+    # the default schedule at the default model's (B, T, S, C) tokens
+    sched = make_schedule(50)
+    rng = np.random.default_rng(28)
+    shape = (4, 16, 24, 8)
+    arrays = [rng.standard_normal(shape) for _ in range(2)]
+    draw, upstream = rng.standard_normal(shape), rng.standard_normal(shape)
+    results = []
+    for step in (reverse_step, _two_record_reverse_step):
+        z, eps = (Tensor(a, requires_grad=True) for a in arrays)
+        with Tape() as tape:
+            out = step(z, t, eps, sched, draw)
+        tape.backward(out, seed=upstream)
+        results.append((len(tape.records), out.data, z.grad, eps.grad))
+    (n_one, *got), (n_two, *want) = results
+    assert (n_one, n_two) == (1, 2)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def _closure_arrays(fn):
+    # every array a backward closure holds, through nested closures
+    for cell in fn.__closure__ or ():
+        v = cell.cell_contents
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, types.FunctionType):
+            yield from _closure_arrays(v)
+
+
+@pytest.mark.parametrize("which", ["miniature", "default"])
+def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
+    constants = []
+    constant = ad.constant
+
+    def tracked(x):
+        t = constant(x)
+        constants.append((t.ndim, weakref.ref(t.data)))
+        return t
+
+    monkeypatch.setattr(ad, "constant", tracked)
+    if which == "miniature":
+        _, block, ctx = _block_setup(n_steps=3)
+        x = Tensor(np.random.default_rng(29).standard_normal((1, 2, 8, 4)), requires_grad=True)
+        n_steps = 3
+        with Tape() as tape:
+            block(x, ctx, seed=4)
+    else:
+        config = ModelConfig()
+        model = build_model(config)
+        obs = np.random.default_rng(30).standard_normal((config.batch_size, 16,
+                                                         config.n_vertices, 3)) * 100.0
+        n_steps = config.diffusion_steps
+        with Tape() as tape:
+            model.forward(obs, np.zeros(obs.shape[:3]), seed=0)
+    # a record keeps an input only where a gradient goes to it
+    assert all(t is None or t.requires_grad for rec in tape.records for t in rec.inputs)
+    # the noise draws, the only 4-D constants, are freed before backward
+    draws = [ref for ndim, ref in constants if ndim == 4]
+    assert len(draws) == 2 * n_steps - 1
+    assert all(ref() is None for ref in draws)
+    # layer_norm and relu recompute their full-size intermediates in backward
+    recs = [rec for rec in tape.records if rec.name in ("layer_norm", "relu")]
+    assert {rec.name for rec in recs} == {"layer_norm", "relu"}
+    for rec in recs:
+        assert all(a.size < rec.output.size for a in _closure_arrays(rec.backward)), rec.name
 
 
 def test_step_embeddings_are_one_read_only_row_per_step():
