@@ -9,12 +9,21 @@ still to be used, not one per record. A backward returns None for an input
 that does not require a gradient (noise draws, targets, scalars), so
 constants cost no gradient arithmetic.
 
-Each record's output, and whatever its backward closure holds, stays
-allocated until the step's backward ends. So a record keeps only what its
-backward reads. An input that takes no gradient is stored as None, and
-``add``, ``sub`` and ``lincomb`` close over shapes and flags, not operands,
-so a constant such as a noise draw is freed once the forward has used it.
-``layer_norm``, ``relu`` and ``gelu`` recompute their full-size
+The tape holds gradient slots, not values. A record's output tensor points
+at its slot (:class:`_Slot`: the gradient, the shape and a weak reference to
+the value), and a record's inputs and output are slots; a leaf is its own
+slot. So a value lives only as long as the model code or a backward closure
+holds it, and each closure keeps only what its backward reads, as each op's
+docstring states: ``matmul``, ``affine``, ``mul`` and the attention scores
+keep an operand only when the other operand takes a gradient, ``add``,
+``sub``, ``lincomb``, ``sum_`` and ``mean`` keep shapes, ``softmax``, ``exp``
+and ``sqrt`` their output. A value the model code has dropped is freed
+during the forward unless a backward reads it: the attention scores (the
+softmax backward reads its output), the predicted noise (``mse`` keeps the
+difference, ``lincomb`` the shapes), and a ``relu`` output that feeds a
+product with a constant (the graph convolution's adjacency). An input that
+takes no gradient is stored as None, so a constant such as a noise draw is
+freed once the forward has used it. ``layer_norm``, ``relu`` and ``gelu`` recompute their full-size
 intermediates from the input in backward, with the forward's expressions in
 the same order, instead of holding them. And the model's hot composites are
 one record each, so an intermediate that no backward reads is no record
@@ -48,6 +57,7 @@ flattened rows, not as a batch of small products summed afterwards.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,15 +113,18 @@ class GradcheckError(AssertionError):
 class Tensor:
     """Immutable dense float64 array, optionally tracked for gradients.
 
-    ``data`` is a row-major, read-only numpy array. ``grad`` is populated by
-    ``Tape.backward`` and is the only mutable state; after backward only
-    leaves (tensors no record produced) keep it. A leaf's ``grad`` may share
-    memory with an array a record's backward returned, so it is read-only by
-    convention: accumulation builds a new array rather than adding in place,
-    and no reader writes into it.
+    ``data`` is a row-major, read-only numpy array. A leaf (a tensor no
+    record produced, such as a parameter) is its own gradient slot: the tape
+    holds the leaf itself and ``Tape.backward`` accumulates into its
+    ``grad``, the only mutable state. A leaf's ``grad`` may share memory with
+    an array a record's backward returned, so it is read-only by convention:
+    accumulation builds a new array rather than adding in place, and no
+    reader writes into it. A record's output points at its :class:`_Slot`
+    instead, which takes its gradients during backward; its own ``grad``
+    stays None.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
@@ -121,6 +134,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self._slot: _Slot | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -140,7 +154,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if g.shape != self.data.shape:
+        if g.shape != self.shape:
             raise ShapeError(
                 f"gradient shape {g.shape} does not match tensor shape {self.shape}"
             )
@@ -151,6 +165,39 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+_FREED = np.empty(0)
+_FREED.flags.writeable = False
+
+
+class _Slot:
+    """Where a record's output takes its gradient: ``grad``, ``shape`` and a
+    weak reference to the value.
+
+    The tape holds slots, not values, so a value lives only as long as the
+    model code or some backward closure holds it. ``data`` is the value while
+    it is alive and a zero-size array once it has been freed.
+    """
+
+    __slots__ = ("grad", "shape", "_value")
+
+    def __init__(self, value: np.ndarray):
+        self.grad: np.ndarray | None = None
+        self.shape = value.shape
+        self._value = weakref.ref(value)
+
+    @property
+    def data(self) -> np.ndarray:
+        value = self._value()
+        return _FREED if value is None else value
+
+    accumulate_grad = Tensor.accumulate_grad
+
+
+def _slot_of(t: Tensor) -> Tensor | _Slot:
+    """Where ``t``'s gradient goes: its record's slot, or the leaf itself."""
+    return t if t._slot is None else t._slot
 
 
 def as_tensor(x, requires_grad: bool = False) -> Tensor:
@@ -165,6 +212,9 @@ def constant(x) -> Tensor:
 
 
 class _Record:
+    """One executed op: ``inputs`` and ``output`` are gradient slots (a leaf
+    is its own), with None for an input that takes no gradient."""
+
     __slots__ = ("name", "inputs", "output", "backward")
 
     def __init__(self, name, inputs, output, backward):
@@ -198,20 +248,23 @@ class Tape:
     def backward(self, root: Tensor, seed: np.ndarray | None = None) -> None:
         """Propagate gradients from ``root`` back through all records.
 
-        Accumulates into the ``.grad`` of every leaf. Each record output's
-        gradient is released once its record's backward has run (every
-        consumer of that output was recorded later and so has already run),
-        so after backward only leaves keep ``.grad``. A record input that
-        took no gradient is None and gets nothing. A tape runs backward
-        once: a second call raises ``RuntimeError`` instead of adding the
-        gradient to every leaf again.
+        ``root`` is a record's output or a leaf; ``seed`` (ones by default)
+        goes into its slot. Accumulates into the ``.grad`` of every leaf.
+        Each record's slot releases its gradient once that record's backward
+        has run (every consumer of that output was recorded later and so has
+        already run), so after backward only leaves keep ``.grad``. A record
+        input that took no gradient is None and gets nothing. Backward reads
+        no record's value, only what each closure kept, so values freed
+        during the forward change no number. A tape runs backward once: a
+        second call raises ``RuntimeError`` instead of adding the gradient to
+        every leaf again.
         """
         if self._backward_ran:
             raise RuntimeError("backward already ran on this tape")
         self._backward_ran = True
         if seed is None:
             seed = np.ones(root.shape, dtype=np.float64)
-        root.accumulate_grad(np.asarray(seed, dtype=np.float64))
+        _slot_of(root).accumulate_grad(np.asarray(seed, dtype=np.float64))
         for rec in reversed(self.records):
             g = rec.output.grad
             if g is None:
@@ -243,10 +296,13 @@ def _result(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backwar
     out.grad = None
     stack = Tape._stack
     out.requires_grad = bool(stack) and any(t.requires_grad for t in inputs)
+    out._slot = None
     if out.requires_grad:
-        # a constant input is not kept: no gradient goes to it
-        inputs = tuple(t if t.requires_grad else None for t in inputs)
-        stack[-1].records.append(_Record(name, inputs, out, backward))
+        # the record holds slots, not values; a constant input is not kept
+        # at all: no gradient goes to it
+        out._slot = _Slot(arr)
+        inputs = tuple(_slot_of(t) if t.requires_grad else None for t in inputs)
+        stack[-1].records.append(_Record(name, inputs, out._slot, backward))
     return out
 
 
@@ -308,6 +364,7 @@ def _no_broadcast(name: str, a: Tensor, b: Tensor) -> ShapeError:
 
 
 def add(a, b) -> Tensor:
+    """a + b, broadcasting; the backward keeps the operands' shapes."""
     a, b = as_tensor(a), as_tensor(b)
     try:
         out = a.data + b.data
@@ -324,6 +381,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
+    """a - b, broadcasting; the backward keeps the operands' shapes."""
     a, b = as_tensor(a), as_tensor(b)
     try:
         out = a.data - b.data
@@ -340,30 +398,39 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
+    """a · b, broadcasting; the backward keeps each operand only when the
+    other takes a gradient."""
     a, b = as_tensor(a), as_tensor(b)
     try:
         out = a.data * b.data
     except ValueError:
         raise _no_broadcast("mul", a, b) from None
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    ax = a.data if sb is not None else None
+    bx = b.data if sa is not None else None
 
     def backward(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(g * bx, sa),
+                None if sb is None else _unbroadcast(g * ax, sb))
 
     return _result("mul", (a, b), out, backward)
 
 
 def div(a, b) -> Tensor:
+    """a / b, broadcasting; the backward keeps ``b``, and ``a`` only when
+    ``b`` takes a gradient."""
     a, b = as_tensor(a), as_tensor(b)
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = a.data / b.data
     except ValueError:
         raise _no_broadcast("div", a, b) from None
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    ax, bx = (a.data if sb is not None else None), b.data
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape) if b.requires_grad else None
+        ga = None if sa is None else _unbroadcast(g / bx, sa)
+        gb = None if sb is None else _unbroadcast(-g * ax / (bx * bx), sb)
         return ga, gb
 
     return _result("div", (a, b), out, backward)
@@ -434,10 +501,11 @@ def mse(pred, target) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    """max(a, 0). The backward recomputes the mask from the input rather
-    than holding it."""
+    """max(a, 0). The backward keeps the input and recomputes the mask from
+    it rather than holding it."""
     a = as_tensor(a)
-    return _result("relu", (a,), a.data * (a.data > 0.0), lambda g: (g * (a.data > 0.0),))
+    x = a.data
+    return _result("relu", (a,), x * (x > 0.0), lambda g: (g * (x > 0.0),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -448,14 +516,13 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(a) -> Tensor:
-    """Gaussian error linear unit (tanh approximation). The backward
-    recomputes the tanh term from the input rather than holding it."""
+    """Gaussian error linear unit (tanh approximation). The backward keeps
+    the input and recomputes the tanh term from it rather than holding it."""
     a = as_tensor(a)
     x = a.data
     out = 0.5 * x * (1.0 + _gelu_tanh(x))
 
     def backward(g):
-        x = a.data
         th = _gelu_tanh(x)
         du = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
         return (g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du),)
@@ -464,6 +531,7 @@ def gelu(a) -> Tensor:
 
 
 def exp(a) -> Tensor:
+    """Elementwise e^a; the backward keeps the output."""
     a = as_tensor(a)
     with np.errstate(over="ignore"):
         out = np.exp(a.data)
@@ -471,17 +539,16 @@ def exp(a) -> Tensor:
 
 
 def log(a) -> Tensor:
+    """Elementwise natural log; the backward keeps the input."""
     a = as_tensor(a)
+    x = a.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return _result("log", (a,), out, backward)
+        out = np.log(x)
+    return _result("log", (a,), out, lambda g: (g / x,))
 
 
 def sqrt(a) -> Tensor:
+    """Elementwise square root; the backward keeps the output."""
     a = as_tensor(a)
     with np.errstate(invalid="ignore"):
         out = np.sqrt(a.data)
@@ -493,7 +560,8 @@ def sqrt(a) -> Tensor:
 
 
 def clip_min(a, floor: float) -> Tensor:
-    """Elementwise max(a, floor); gradient flows only where a > floor."""
+    """Elementwise max(a, floor); gradient flows only where a > floor. The
+    backward keeps that mask."""
     a = as_tensor(a)
     mask = a.data > floor
     out = np.where(mask, a.data, floor)
@@ -505,6 +573,7 @@ def clip_min(a, floor: float) -> Tensor:
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
+    """A view of ``a`` in ``shape``; the backward keeps the old shape."""
     a = as_tensor(a)
     shape = tuple(int(s) for s in shape)
     if any(s <= 0 for s in shape):
@@ -516,6 +585,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
 
 
 def transpose(a, axes: Sequence[int]) -> Tensor:
+    """``a`` with its axes permuted; the backward keeps the inverse permutation."""
     a = as_tensor(a)
     axes = tuple(int(x) for x in axes)
     if sorted(axes) != list(range(a.ndim)):
@@ -525,15 +595,17 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
 
 
 def take_slice(a, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start, stop) along one axis."""
+    """Contiguous slice [start, stop) along one axis; the backward keeps the
+    input's shape."""
     a = as_tensor(a)
     axis = _check_axis(axis, a.ndim)
     if not (0 <= start < stop <= a.shape[axis]):
         raise ShapeError(f"slice [{start}:{stop}) out of bounds for axis {axis} of {a.shape}")
     idx = tuple(slice(None) if i != axis else slice(start, stop) for i in range(a.ndim))
+    shape = a.shape
 
     def backward(g):
-        full = np.zeros(a.shape, dtype=np.float64)
+        full = np.zeros(shape, dtype=np.float64)
         full[idx] = g
         return (full,)
 
@@ -564,9 +636,11 @@ def _row_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     """Sum over ``axis`` (all axes for None). A sum over the last axis alone
-    is one GEMV against a ones vector (:func:`_row_dot`)."""
+    is one GEMV against a ones vector (:func:`_row_dot`). The backward keeps
+    the input's shape."""
     a = as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
+    shape = a.shape
     if axes == (a.ndim - 1,):
         out = _row_dot(a.data, np.ones(a.shape[-1]))
         if not keepdims:
@@ -577,21 +651,24 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _result("sum", (a,), out, backward)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+    """Mean over ``axis`` (all axes for None); the backward keeps the
+    input's shape."""
     a = as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
-    count = math.prod(a.shape[i] for i in axes)
+    shape = a.shape
+    count = math.prod(shape[i] for i in axes)
     out = a.data.mean(axis=axes, keepdims=keepdims)
 
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / count, a.shape).copy(),)
+        return (np.broadcast_to(g / count, shape).copy(),)
 
     return _result("mean", (a,), out, backward)
 
@@ -607,6 +684,8 @@ def matmul(a, b) -> Tensor:
     weight, or a shared table of values), each backward gradient is one GEMM
     over the flattened rows of ``a`` and ``g``: the ``b`` gradient sums over
     those rows inside the GEMM instead of summing a batch of products after.
+    The backward keeps each operand only for the other's gradient: a
+    constant ``a`` such as an adjacency matrix keeps ``a`` and frees ``b``.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -614,21 +693,26 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     out = np.matmul(a.data, b.data)
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    ax = a.data if sb is not None else None
+    bx = b.data if sa is not None else None
+    shared = b.ndim == 2
 
     def backward(g):
         ga = gb = None
-        if b.ndim == 2:
-            rows = math.prod(a.shape[:-1])
-            g_rows = g.reshape(rows, b.shape[1])
-            if a.requires_grad:
-                ga = (g_rows @ b.data.T).reshape(a.shape)
-            if b.requires_grad:
-                gb = a.data.reshape(rows, b.shape[0]).T @ g_rows
+        if shared:
+            # g is a's leading axes by b's columns
+            rows = math.prod(g.shape[:-1])
+            g_rows = g.reshape(rows, g.shape[-1])
+            if sa is not None:
+                ga = (g_rows @ bx.T).reshape(sa)
+            if sb is not None:
+                gb = ax.reshape(rows, sb[0]).T @ g_rows
             return ga, gb
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        if sa is not None:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bx, -1, -2)), sa)
+        if sb is not None:
+            gb = _unbroadcast(np.matmul(np.swapaxes(ax, -1, -2), g), sb)
         return ga, gb
 
     return _result("matmul", (a, b), out, backward)
@@ -640,7 +724,9 @@ def affine(x, w, c) -> Tensor:
     ``c`` is a bias or a residual: it broadcasts onto the product without
     growing it. The value and each gradient are bit-identical to
     ``add(matmul(x, w), c)``; the product's own output, which no backward
-    reads, is not kept on the tape.
+    reads, is not kept on the tape. The backward keeps ``x`` only for the
+    ``w`` gradient and ``w`` only for the ``x`` gradient, and of ``c`` its
+    shape.
     """
     x, w, c = as_tensor(x), as_tensor(w), as_tensor(c)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
@@ -653,12 +739,15 @@ def affine(x, w, c) -> Tensor:
         raise ShapeError(f"affine: c {c.shape} does not broadcast onto x @ w "
                          f"{out.shape} without growing it") from None
     rows = math.prod(x.shape[:-1])
+    sx, sw, sc = _grad_shape(x), _grad_shape(w), _grad_shape(c)
+    xx = x.data if sw is not None else None
+    wx = w.data if sx is not None else None
 
     def backward(g):
-        g_rows = g.reshape(rows, w.shape[1])
-        gx = (g_rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        gw = x.data.reshape(rows, w.shape[0]).T @ g_rows if w.requires_grad else None
-        return gx, gw, _unbroadcast(g, c.shape) if c.requires_grad else None
+        g_rows = g.reshape(rows, g.shape[-1])
+        gx = None if sx is None else (g_rows @ wx.T).reshape(sx)
+        gw = None if sw is None else xx.reshape(rows, sw[0]).T @ g_rows
+        return gx, gw, None if sc is None else _unbroadcast(g, sc)
 
     return _result("affine", (x, w, c), out, backward)
 
@@ -670,8 +759,9 @@ def softmax(a, axis: int) -> Tensor:
     is copied to an (n, pre·post) array with that axis first. The max, the
     subtraction, exp and the sum then run over axis 0, on whole contiguous
     rows and in place, for every ``axis``; the result is written back in the
-    input's layout. The backward's sum Σ g·out over the last axis is one
-    GEMV against a ones vector (:func:`_row_dot`).
+    input's layout. The backward keeps the output, not the input; its sum
+    Σ g·out over the last axis is one GEMV against a ones vector
+    (:func:`_row_dot`).
     """
     a = as_tensor(a)
     axis = _check_axis(axis, a.ndim)
@@ -730,7 +820,8 @@ def segment_softmax_kl(logits, target_logits, starts, weights, floor: float) -> 
     is detached: its gradient is None. With keep = p > floor and c each
     column's segment weight over S, the logits gradient is
     g·(−q·keep·c + p·Σ_seg q·keep·c), so it flows only where the prediction
-    is above the floor.
+    is above the floor. The backward keeps both softmaxes and the weights,
+    and of the logits only whether they take a gradient.
     """
     x, t = as_tensor(logits), as_tensor(target_logits)
     if x.ndim != 2 or x.shape != t.shape:
@@ -746,11 +837,12 @@ def segment_softmax_kl(logits, target_logits, starts, weights, floor: float) -> 
     q = _segment_softmax(t.data, starts, seg)
     per_entry = q * (np.log(np.maximum(q, floor)) - np.log(np.maximum(p, floor)))
     out = np.add.reduceat(per_entry, starts, axis=1).mean(axis=0) @ w
+    wants, rows = x.requires_grad, x.shape[0]
 
     def backward(g):
-        if not x.requires_grad:
+        if not wants:
             return None, None
-        qk = q * (p > floor) * (w / x.shape[0])[seg]
+        qk = q * (p > floor) * (w / rows)[seg]
         return g * (p * np.add.reduceat(qk, starts, axis=1)[:, seg] - qk), None
 
     return _result("segment_softmax_kl", (x, t), out, backward)
@@ -763,9 +855,10 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     The two channel means of the forward, and the two of the backward, are
     each one GEMV of the flattened rows against a 1/C vector
     (:func:`_row_dot`), not a reduction over the short channel axis. The
-    record keeps only the (..., 1) standard deviation: the backward
-    recomputes the normalized input from ``a`` with the forward's own
-    operations, so it holds no full-size copy.
+    record keeps the input, ``gamma`` and the (..., 1) standard deviation,
+    and of ``beta`` its shape: the backward recomputes the normalized input
+    from ``a`` with the forward's own operations, so it holds no full-size
+    copy.
     """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     if a.ndim < 1 or _broadcast_shape(a.shape, gamma.shape, beta.shape) != a.shape:
@@ -775,9 +868,10 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     if c == 0:
         raise ShapeError(f"layer_norm over the empty channel axis of {a.shape}")
     inv_c = np.full(c, 1.0 / c)
+    x, gd, sg, sb = a.data, gamma.data, gamma.shape, beta.shape
 
     def centered() -> np.ndarray:
-        return a.data - _row_dot(a.data, inv_c)
+        return x - _row_dot(x, inv_c)
 
     normed = centered()
     std = np.sqrt(_row_dot(normed * normed, inv_c) + eps)
@@ -785,17 +879,17 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
         # the squared deviation overflowed: the output would be beta alone, silently
         raise NumericsError("op 'layer_norm' produced a non-finite standard deviation")
     normed /= std
-    out = normed * gamma.data
+    out = normed * gd
     out += beta.data
 
     def backward(g):
         normed = centered()
         normed /= std
-        gn = g * gamma.data
+        gn = g * gd
         ga = gn - _row_dot(gn, inv_c)
         ga -= normed * _row_dot(gn * normed, inv_c)
         ga /= std
-        return ga, _unbroadcast(g * normed, gamma.shape), _unbroadcast(g, beta.shape)
+        return ga, _unbroadcast(g * normed, sg), _unbroadcast(g, sb)
 
     return _result("layer_norm", (a, gamma, beta), out, backward)
 
@@ -804,25 +898,30 @@ def _scaled_scores(q: Tensor, k: Tensor, scale: float) -> Tensor:
     """scale · Q K^T over the last two axes as one record; leading axes broadcast.
 
     With a 2-D key table shared by every query row, each backward gradient
-    is one GEMM over the flattened query rows, as in :func:`matmul`.
+    is one GEMM over the flattened query rows, as in :func:`matmul`. As
+    there, the backward keeps each operand only for the other's gradient.
     """
     out = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+    sq, sk = _grad_shape(q), _grad_shape(k)
+    qx = q.data if sk is not None else None
+    kx = k.data if sq is not None else None
+    shared = k.ndim == 2
 
     def backward(g):
         gs = g * scale
         gq = gk = None
-        if k.ndim == 2:
-            rows = math.prod(q.shape[:-1])
-            gs_rows = gs.reshape(rows, k.shape[0])
-            if q.requires_grad:
-                gq = (gs_rows @ k.data).reshape(q.shape)
-            if k.requires_grad:
-                gk = gs_rows.T @ q.data.reshape(rows, k.shape[1])
+        if shared:
+            rows = math.prod(g.shape[:-1])
+            gs_rows = gs.reshape(rows, g.shape[-1])
+            if sq is not None:
+                gq = (gs_rows @ kx).reshape(sq)
+            if sk is not None:
+                gk = gs_rows.T @ qx.reshape(rows, sk[1])
             return gq, gk
-        if q.requires_grad:
-            gq = _unbroadcast(np.matmul(gs, k.data), q.shape)
-        if k.requires_grad:
-            gk = _unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), q.data), k.shape)
+        if sq is not None:
+            gq = _unbroadcast(np.matmul(gs, kx), sq)
+        if sk is not None:
+            gk = _unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), qx), sk)
         return gq, gk
 
     return _result("attention_scores", (q, k), out, backward)
@@ -838,7 +937,8 @@ def attention(query, key, value) -> Tensor:
     record for the weights W, then one :func:`matmul` record for W V; each
     gradient is summed over the leading axes its operand was broadcast along,
     so a shared (L, C) key/value table gets its gradient, as one GEMM over
-    all query rows.
+    all query rows. No backward reads the scores (the softmax keeps its
+    output), so they are freed once the softmax has run.
     """
     q, k, v = as_tensor(query), as_tensor(key), as_tensor(value)
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
@@ -880,14 +980,14 @@ def _tap_rows(p: np.ndarray, i: int, t: int) -> np.ndarray:
     return p[:, i:i + t].reshape(p.shape[0], -1, p.shape[3])
 
 
-def _correlate(x: np.ndarray, taps: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Same-padded correlation of the (B, T, H, W, C) grid ``x`` with ``taps``,
-    a kernel laid out as (kT, kH·kW·C, C_out): one GEMM per temporal tap,
-    summed into one (B, T, H, W, C_out) output."""
-    b, t, h, w, _ = x.shape
-    p = _spatial_patches(x, taps.shape[0], kh, kw)
-    out = np.empty((b, t, h, w, taps.shape[2]))
-    rows = out.reshape(b, t * h * w, taps.shape[2])    # a view: writes land in out
+def _correlate(p: np.ndarray, taps: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Same-padded correlation of a (B, T, H, W, C) grid, given as its spatial
+    patch matrix ``p``, with ``taps``, a kernel laid out as
+    (kT, kH·kW·C, C_out): one GEMM per temporal tap, summed into one
+    (B, T, H, W, C_out) output. ``shape`` is the grid's (B, T, H, W)."""
+    b, t = shape[:2]
+    out = np.empty(tuple(shape) + (taps.shape[2],))
+    rows = out.reshape(b, math.prod(shape[1:]), taps.shape[2])    # a view: writes land in out
     np.matmul(_tap_rows(p, 0, t), taps[0], out=rows)
     for i in range(1, taps.shape[0]):
         rows += np.matmul(_tap_rows(p, i, t), taps[i])
@@ -901,11 +1001,12 @@ def conv3d(x, kernel) -> Tensor:
     (B, T, H, W, C_out); ``kernel`` is (C_out, C_in, kT, kH, kW) with odd
     extents. The forward builds the input's spatial patch matrix (see
     :func:`_spatial_patches`) and runs one GEMM per temporal tap against that
-    tap's (kH·kW·C_in, C_out) slice of the kernel. The backward rebuilds the
-    patch matrix, rather than holding it for the life of the tape, for the
-    kernel gradient: per tap, the same views transposed times the output
-    gradient g, summed over B. The input gradient is the same correlation
-    applied to g with the flipped kernel, C_in and C_out swapped.
+    tap's (kH·kW·C_in, C_out) slice of the kernel. The backward builds one
+    patch matrix, of the output gradient g. The input gradient correlates it
+    with the flipped kernel, C_in and C_out swapped. The kernel gradient of
+    tap i is x's rows transposed times tap kT-1-i of it, summed over B; its
+    columns run over the spatial offsets flipped. The record keeps ``x``
+    only for the kernel gradient and the kernel only for the input gradient.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 5 or kernel.ndim != 5:
@@ -915,25 +1016,25 @@ def conv3d(x, kernel) -> Tensor:
         raise ShapeError(f"conv3d kernel extents must be odd, got {(kt, kh, kw)}")
     if x.shape[4] != c_in:
         raise ShapeError(f"channel mismatch: input {x.shape[4]} vs kernel {c_in}")
-    t = x.shape[1]
+    grid = x.shape[:4]
     taps = np.transpose(kernel.data, (2, 3, 4, 1, 0)).reshape(kt, kh * kw * c_in, c_out)
-    out = _correlate(x.data, taps, kh, kw)
+    out = _correlate(_spatial_patches(x.data, kt, kh, kw), taps, grid)
+    xx = x.data if kernel.requires_grad else None
+    kx = kernel.data if x.requires_grad else None
 
     def backward(g):
-        # the input gradient goes first, so that only one patch matrix is
-        # alive at a time: with two, glibc's malloc trimmed and refaulted
-        # about 100 MB of heap per default diffusion step
+        pg = _spatial_patches(g, kt, kh, kw)
         gx = gk = None
-        if x.requires_grad:
-            flipped = kernel.data[:, :, ::-1, ::-1, ::-1]
+        if kx is not None:
+            flipped = kx[:, :, ::-1, ::-1, ::-1]
             back = np.transpose(flipped, (2, 3, 4, 0, 1)).reshape(kt, kh * kw * c_out, c_in)
-            gx = _correlate(g, back, kh, kw)
-        if kernel.requires_grad:
-            p = _spatial_patches(x.data, kt, kh, kw)
-            g_rows = g.reshape(g.shape[0], -1, c_out)
-            gk = np.stack([np.matmul(np.swapaxes(_tap_rows(p, i, t), 1, 2), g_rows).sum(axis=0)
+            gx = _correlate(pg, back, grid)
+        if xx is not None:
+            x_cols = np.swapaxes(xx.reshape(grid[0], math.prod(grid[1:]), c_in), 1, 2)
+            gk = np.stack([np.matmul(x_cols, _tap_rows(pg, kt - 1 - i, grid[1])).sum(axis=0)
                            for i in range(kt)])
-            gk = np.transpose(gk.reshape(kt, kh, kw, c_in, c_out), (4, 3, 0, 1, 2))
+            gk = gk.reshape(kt, c_in, kh, kw, c_out)[:, :, ::-1, ::-1]
+            gk = np.transpose(gk, (4, 1, 0, 2, 3))
         return gx, gk
 
     return _result("conv3d", (x, kernel), out, backward)

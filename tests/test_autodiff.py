@@ -614,9 +614,60 @@ def test_conv3d_asymmetric_kernel_gradcheck(x_shape, k_shape):
     assert gradcheck(conv3d, [x, k]) < 1e-5
 
 
+def _conv3d_backward_oracle(x, k, g):
+    # per kernel tap (i, j, l): the tap's window of the padded input against
+    # g gives the tap's kernel gradient, and g times the tap's (C_out, C_in)
+    # slice lands on the same window of the padded input gradient
+    kt, kh, kw = k.shape[2:]
+    _, t, h, w, _ = x.shape
+    xp = np.pad(x, ((0, 0), (kt // 2,) * 2, (kh // 2,) * 2, (kw // 2,) * 2, (0, 0)))
+    gxp, gk = np.zeros(xp.shape), np.zeros(k.shape)
+    for i, j, l in np.ndindex(kt, kh, kw):
+        win = (slice(None), slice(i, i + t), slice(j, j + h), slice(l, l + w))
+        gk[:, :, i, j, l] = np.einsum("bthwo,bthwc->oc", g, xp[win])
+        gxp[win] += np.einsum("bthwo,oc->bthwc", g, k[:, :, i, j, l])
+    return gxp[:, kt // 2:kt // 2 + t, kh // 2:kh // 2 + h, kw // 2:kw // 2 + w], gk
+
+
+@pytest.mark.parametrize("case", [
+    CONV_CASE,
+    ((2, 4, 3, 2, 2), (3, 2, 5, 1, 3)),   # kT = 5 > T = 4, a 1x3 spatial kernel
+    DEFAULT_CONV_CASE,
+], ids=["cubic", "asymmetric", "default"])
+def test_conv3d_backward_matches_the_tap_loop_oracle(case):
+    rng = np.random.default_rng(36)
+    x, k = _draw_conv_case(rng, case)
+    g = rng.standard_normal(case[0][:4] + (case[1][0],))
+    _, (gx, gk) = _value_and_grads(conv3d, [x, k], g)
+    for got, want in zip((gx, gk), _conv3d_backward_oracle(x, k, g)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("grads", ["both", "input", "kernel"])
+def test_conv3d_backward_builds_one_patch_matrix(monkeypatch, grads):
+    # the forward builds x's patch matrix; the backward builds g's alone and
+    # reads both gradients off it
+    shapes = []
+    patches = ad._spatial_patches
+
+    def counted(a, *extents):
+        shapes.append(a.shape)
+        return patches(a, *extents)
+
+    monkeypatch.setattr(ad, "_spatial_patches", counted)
+    x, k = _draw_conv_case(np.random.default_rng(37), CONV_CASE)
+    x = Tensor(x, requires_grad=grads != "kernel")
+    k = Tensor(k, requires_grad=grads != "input")
+    with Tape() as tape:
+        out = conv3d(x, k)
+    tape.backward(out)
+    assert shapes == [x.shape, out.shape]
+    assert (x.grad is not None, k.grad is not None) == (grads != "kernel", grads != "input")
+
+
 def test_conv3d_holds_no_patch_matrix_on_the_tape():
     # after a taped call only the output (and the record) stays allocated:
-    # the backward rebuilds the patch matrix instead of keeping it
+    # the backward builds its own patch matrix instead of keeping one
     rng = np.random.default_rng(34)
     x, k = (Tensor(a, requires_grad=True) for a in _draw_conv_case(rng, DEFAULT_CONV_CASE))
     tracemalloc.start()
@@ -951,6 +1002,24 @@ def test_backward_frees_intermediate_gradients():
     np.testing.assert_allclose(x.grad, np.full(x.shape, 0.99**100), rtol=1e-12)
 
 
+@pytest.mark.parametrize("root", ["leaf", "record_output"])
+def test_backward_from_a_leaf_or_a_record_output(root):
+    # the seed goes into the root's slot: a leaf's own grad, or the slot of
+    # the record that made it; the later sum record gets no gradient
+    x = Tensor([2.0, -1.0], requires_grad=True)
+    with Tape() as tape:
+        y = ad.mul(x, x)
+        ad.sum_(y)
+    tape.backward(x if root == "leaf" else y, seed=np.array([1.0, 3.0]))
+    want = [1.0, 3.0] if root == "leaf" else [4.0, -6.0]
+    np.testing.assert_array_equal(x.grad, want)
+    assert y.grad is None
+    assert all(rec.output.grad is None for rec in tape.records)
+    with pytest.raises(RuntimeError, match="already"):
+        tape.backward(y)
+    np.testing.assert_array_equal(x.grad, want)
+
+
 def test_second_backward_raises_and_leaves_gradients_alone():
     x = Tensor([2.0, -1.0], requires_grad=True)
     with Tape() as tape:
@@ -999,6 +1068,23 @@ def test_backward_returns_none_for_constant_inputs():
     assert [rec.inputs for rec in tape.records if rec.name == "mse"] == [(x,)]
 
 
+def _default_step(model):
+    # one default training step's forward and loss on a synthetic batch;
+    # the caller runs the backward
+    seqs = [generate_sequence(MotionConfig(graph=model.graph, frames=16), seed=i)
+            for i in range(model.config.batch_size)]
+    obs = np.stack([s.observations for s in seqs])
+    gt = np.stack([s.gt_vertices for s in seqs])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with Tape() as tape:
+            loss = model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=3), gt)
+    return tape, loss
+
+
+def _leaf_grads(model):
+    return {k: holder[key].grad for k, (holder, key) in model.param_slots().items()}
+
+
 def test_skipping_constant_gradients_keeps_a_default_step_bit_identical(monkeypatch):
     # reference: every ad.constant returns a tensor that takes a gradient, so
     # the records keep the noise draws, step embeddings and encoder input
@@ -1022,20 +1108,14 @@ def test_skipping_constant_gradients_keeps_a_default_step_bit_identical(monkeypa
                 patch.setattr(Tensor, "accumulate_grad",
                               lambda self, g: accumulate(self, g.copy()))
             model = build_model(config)
-            seqs = [generate_sequence(MotionConfig(graph=model.graph, frames=16), seed=i)
-                    for i in range(config.batch_size)]
-            obs = np.stack([s.observations for s in seqs])
-            gt = np.stack([s.gt_vertices for s in seqs])
+            tape, loss = _default_step(model)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                with Tape() as tape:
-                    loss = model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=3), gt)
                 tape.backward(loss)
         assert len(constants) > 100
         if mode == "flag":
             # the forward draws, the embeddings and the encoder input took one
             assert sum(t.grad is not None for t in constants) > 100
-        slots = model.param_slots()
-        grads.append({k: holder[key].grad for k, (holder, key) in slots.items()})
+        grads.append(_leaf_grads(model))
     skipped, full, copied = grads
     assert skipped.keys() == full.keys() == copied.keys()
     for k in skipped:
@@ -1043,3 +1123,54 @@ def test_skipping_constant_gradients_keeps_a_default_step_bit_identical(monkeypa
         if skipped[k] is not None:
             np.testing.assert_array_equal(skipped[k], full[k], err_msg=k)
             np.testing.assert_array_equal(skipped[k], copied[k], err_msg=k)
+
+
+def test_freeing_values_during_the_forward_changes_no_number(monkeypatch):
+    # a default diffusion step, then the same step with every record output
+    # kept alive until backward ends: the loss and every gradient agree bit
+    # for bit
+    config = ModelConfig()
+    runs = []
+    result = ad._result
+    for keep in (False, True):
+        kept = []
+
+        def keeping(*args):
+            kept.append(result(*args))
+            return kept[-1]
+
+        with monkeypatch.context() as patch:
+            if keep:
+                patch.setattr(ad, "_result", keeping)
+            model = build_model(config)
+            tape, loss = _default_step(model)
+            freed = sum(rec.output.data.size != math.prod(rec.output.shape)
+                        for rec in tape.records)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                tape.backward(loss)
+        runs.append((freed, loss.data, _leaf_grads(model)))
+    (freed, loss, grads), (freed_kept, loss_kept, grads_kept) = runs
+    # the attention scores alone are 152 freed values
+    assert freed > 152 and freed_kept == 0
+    np.testing.assert_array_equal(loss, loss_kept)
+    assert grads.keys() == grads_kept.keys()
+    for k in grads:
+        assert (grads[k] is None) == (grads_kept[k] is None), k
+        if grads[k] is not None:
+            np.testing.assert_array_equal(grads[k], grads_kept[k], err_msg=k)
+
+
+def test_a_default_diffusion_step_peaks_under_125_mb():
+    # forward, loss and backward of one default diffusion step under
+    # tracemalloc; with every record output alive until backward ends the
+    # same step peaked at 167.6 MB
+    model = build_model(ModelConfig())
+    tracemalloc.start()
+    try:
+        tape, loss = _default_step(model)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 125 * 2**20

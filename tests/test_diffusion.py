@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from meshmotion import autodiff as ad
-from meshmotion import diffusion
+from meshmotion import body_graph, diffusion
 from meshmotion.autodiff import ShapeError, Tape, Tensor, gradcheck
 from meshmotion.body_graph import generate_toy_body
 from meshmotion.diffusion import (
@@ -383,9 +383,12 @@ def test_one_record_reverse_step_is_bit_identical_to_two_records(t):
 
 
 def _closure_arrays(fn):
-    # every array a backward closure holds, through nested closures
+    # every array a backward closure holds, through nested closures and the
+    # tensors it holds
     for cell in fn.__closure__ or ():
         v = cell.cell_contents
+        if isinstance(v, Tensor):
+            v = v.data
         if isinstance(v, np.ndarray):
             yield v
         elif isinstance(v, types.FunctionType):
@@ -395,14 +398,38 @@ def _closure_arrays(fn):
 @pytest.mark.parametrize("which", ["miniature", "default"])
 def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
     constants = []
-    constant = ad.constant
+    # values no backward reads: the attention scores, the predicted noise
+    # and the relu outputs after conv3d (a 5-D grid) and graph conv (4-D
+    # tokens); the encoder's relu output (2-D) is read by its next layer
+    dead = {"scores": [], "eps_hat": [], "relu": []}
+    constant, scores, relu = ad.constant, ad._scaled_scores, ad.relu
+    predictor = diffusion.NoisePredictor.__call__
 
     def tracked(x):
         t = constant(x)
         constants.append((t.ndim, weakref.ref(t.data)))
         return t
 
+    def tracked_scores(*args):
+        out = scores(*args)
+        dead["scores"].append(weakref.ref(out.data))
+        return out
+
+    def tracked_predictor(self, *args):
+        out = predictor(self, *args)
+        dead["eps_hat"].append(weakref.ref(out.data))
+        return out
+
+    def tracked_relu(a):
+        out = relu(a)
+        if a.ndim >= 4:
+            dead["relu"].append(weakref.ref(out.data))
+        return out
+
     monkeypatch.setattr(ad, "constant", tracked)
+    monkeypatch.setattr(ad, "_scaled_scores", tracked_scores)
+    monkeypatch.setattr(diffusion.NoisePredictor, "__call__", tracked_predictor)
+    monkeypatch.setitem(body_graph._ACTIVATIONS, "relu", tracked_relu)
     if which == "miniature":
         _, block, ctx = _block_setup(n_steps=3)
         x = Tensor(np.random.default_rng(29).standard_normal((1, 2, 8, 4)), requires_grad=True)
@@ -417,17 +444,36 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
         n_steps = config.diffusion_steps
         with Tape() as tape:
             model.forward(obs, np.zeros(obs.shape[:3]), seed=0)
-    # a record keeps an input only where a gradient goes to it
-    assert all(t is None or t.requires_grad for rec in tape.records for t in rec.inputs)
+    # the records hold gradient slots, never a value tensor: a record's
+    # output is a slot, and an input is a slot, a leaf that takes a
+    # gradient, or None where no gradient goes
+    for rec in tape.records:
+        assert isinstance(rec.output, ad._Slot)
+        for t in rec.inputs:
+            assert t is None or isinstance(t, ad._Slot) or (t.requires_grad and t._slot is None)
     # the noise draws, the only 4-D constants, are freed before backward
     draws = [ref for ndim, ref in constants if ndim == 4]
     assert len(draws) == 2 * n_steps - 1
     assert all(ref() is None for ref in draws)
-    # layer_norm and relu recompute their full-size intermediates in backward
+    # so are the values no backward reads: one attention per noise step,
+    # two per reverse step and one per stack pass; one predicted noise per
+    # reverse step; two relus per graph+time pass
+    assert [len(dead[k]) for k in dead] == [3 * n_steps + 2, n_steps, 2 * (n_steps + 2)]
+    for kind, refs in dead.items():
+        assert all(ref() is None for ref in refs), kind
+    # a product with a constant left operand (the graph conv's adjacency,
+    # the up matrix) keeps that 2-D matrix only, never the right operand
+    products = [rec for rec in tape.records if rec.name == "matmul" and rec.inputs[0] is None]
+    assert products
+    for rec in products:
+        assert all(a.ndim == 2 for a in _closure_arrays(rec.backward))
+    # layer_norm and relu keep their input and recompute their full-size
+    # intermediates from it in backward
     recs = [rec for rec in tape.records if rec.name in ("layer_norm", "relu")]
     assert {rec.name for rec in recs} == {"layer_norm", "relu"}
     for rec in recs:
-        assert all(a.size < rec.output.size for a in _closure_arrays(rec.backward)), rec.name
+        x, size = rec.inputs[0].data, math.prod(rec.output.shape)
+        assert all(a is x or a.size < size for a in _closure_arrays(rec.backward)), rec.name
 
 
 def test_step_embeddings_are_one_read_only_row_per_step():
@@ -451,7 +497,7 @@ def test_a_default_forward_adds_the_step_embedding_to_the_norm_shift():
     adds = [rec for rec in tape.records if rec.name == "add"]
     beta = model.core.predictor.p["ln_beta"]
     assert sum(any(t is beta for t in rec.inputs) for rec in adds) == config.diffusion_steps
-    assert max(rec.output.size for rec in adds) <= config.channels
+    assert max(math.prod(rec.output.shape) for rec in adds) <= config.channels
 
 
 def test_block_alpha_one_equals_deterministic_path():
