@@ -5,12 +5,18 @@ Joints regress from mesh vertices through a sparse convex-weight matrix; the
 toy regressor places 14 joints on single-part vertex groups so rigid part
 motion keeps designated bone lengths constant.
 
-``compute_metrics`` scores every frame of a sequence in one vectorized pass:
-one batched joint regression, one batched Procrustes alignment (its SVDs
-stacked over the frames, so their count does not grow with T) and per-frame
-errors averaged at the end. Errors are typed: every failure is a
-``MetricsError``; ``AlignmentError``, its subclass, marks a degenerate
-frame, and both name the first failing frame.
+``compute_metrics`` scores one sequence, or a list of them, in one batched
+pass. Each sequence gets its input checks, its per-frame vertex error and
+its two joint regressions; the vertex arrays are never stacked. The joints
+of every frame of every sequence are then concatenated, and the root-aligned
+and Procrustes joint errors run over all of them at once: one rank SVD, one
+cross-covariance SVD and one determinant, stacked over the frames, so their
+count grows neither with T nor with the number of sequences. Each
+sequence's result is the mean of its own frames' slice, so it is the same,
+bit for bit, as scoring that sequence alone. Errors are typed: every failure
+is a ``MetricsError``; ``AlignmentError``, its subclass, marks a degenerate
+frame, and both name the first failing frame ("frame 7: ", or "sequence 3,
+frame 7: " in the list form).
 """
 
 from __future__ import annotations
@@ -122,11 +128,28 @@ def build_joint_regressor(graph: BodyGraph) -> JointRegressor:
                           root_joint=name_idx["pelvis"])
 
 
-def _first(mask) -> tuple[tuple[int, ...], str]:
-    """Leading index of the first set where ``mask`` holds, and an error
-    prefix naming it ("frame 7: "; empty for a single set)."""
+def _frame_name(i: tuple[int, ...]) -> str:
+    """Error prefix for the set at leading index ``i`` ("frame 7: "; empty
+    for a single set)."""
+    return f"frame {', '.join(str(int(j)) for j in i)}: " if i else ""
+
+
+def _sequence_frame_name(lengths: list[int]):
+    """Error prefix for a frame of the concatenated frames of sequences
+    with these lengths ("sequence 3, frame 7: ")."""
+    ends = np.cumsum(lengths)
+
+    def name(i: tuple[int, ...]) -> str:
+        k = int(np.searchsorted(ends, i[0], side="right"))
+        return f"sequence {k}, frame {int(i[0] - (ends[k] - lengths[k]))}: "
+    return name
+
+
+def _first(mask, name) -> tuple[tuple[int, ...], str]:
+    """Leading index of the first set where ``mask`` holds, and the error
+    prefix ``name`` gives it."""
     i = np.unravel_index(np.argmax(mask), np.shape(mask))
-    return i, (f"frame {', '.join(str(int(j)) for j in i)}: " if i else "")
+    return i, name(i)
 
 
 def procrustes_align(p: np.ndarray, q: np.ndarray):
@@ -140,6 +163,11 @@ def procrustes_align(p: np.ndarray, q: np.ndarray):
     coincide or are collinear; moments or a transform that overflow raise
     ``MetricsError``.
     """
+    return _align(p, q, _frame_name)
+
+
+def _align(p, q, name):
+    """``procrustes_align``, with its errors prefixed by ``name``."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim < 2 or p.shape[-1] != 3:
@@ -156,11 +184,11 @@ def procrustes_align(p: np.ndarray, q: np.ndarray):
         h = np.swapaxes(x, -1, -2) @ y  # (..., 3, 3)
         finite = np.isfinite(var_p) & np.isfinite(h).all(axis=(-2, -1))
         if not finite.all():
-            raise MetricsError(_first(~finite)[1] + "point moments are not finite")
+            raise MetricsError(_first(~finite, name)[1] + "point moments are not finite")
         coincident = var_p < 1e-18
         degenerate = coincident | (np.linalg.matrix_rank(x, tol=1e-12) < 2)
         if degenerate.any():
-            i, at = _first(degenerate)
+            i, at = _first(degenerate, name)
             raise AlignmentError(at + ("all source points coincident; alignment undefined"
                                        if coincident[i] else
                                        "source points are collinear; rotation not identifiable"))
@@ -173,7 +201,7 @@ def procrustes_align(p: np.ndarray, q: np.ndarray):
         t = mu_q[..., 0, :] - ((scale[..., None, None] * rot) @ np.swapaxes(mu_p, -1, -2))[..., 0]
         finite = np.isfinite(scale) & np.isfinite(t).all(axis=-1)
         if not finite.all():
-            raise MetricsError(_first(~finite)[1] + "similarity transform is not finite")
+            raise MetricsError(_first(~finite, name)[1] + "similarity transform is not finite")
     return (float(scale) if p.ndim == 2 else scale), rot, t
 
 
@@ -183,40 +211,83 @@ def apply_similarity(p: np.ndarray, scale, rot: np.ndarray, t: np.ndarray) -> np
     return scale * p @ np.swapaxes(rot, -1, -2) + np.asarray(t)[..., None, :]
 
 
-def compute_metrics(pred_vertices, gt_vertices, regressor: JointRegressor) -> PoseError:
+def _lengths(d: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of (..., 3) rows: bit for bit
+    ``np.linalg.norm(d, axis=-1)``, without numpy's slow reduction over a
+    3-wide axis."""
+    sq = d * d
+    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+
+
+def compute_metrics(pred_vertices, gt_vertices,
+                    regressor: JointRegressor) -> PoseError | list[PoseError]:
     """Frame-averaged vertex/joint errors; inputs are (T, n, 3) or (n, 3) mm.
 
-    All T frames are scored in one vectorized pass. A frame whose error is
-    not finite (coordinates so large that their squares overflow) raises
-    ``MetricsError`` naming it, as does a degenerate alignment or a
-    regressor built for another vertex count.
+    Given lists of sequences (one prediction and one ground truth each, of
+    any lengths), returns one ``PoseError`` per sequence, each the same as
+    that sequence's own call. All frames of all sequences are scored in one
+    batched pass (see the module docstring). A frame whose error is not
+    finite (coordinates so large that their squares overflow) raises
+    ``MetricsError`` naming it, as does a degenerate alignment, a
+    non-finite coordinate or a regressor built for another vertex count; in
+    the list form the error also names the sequence.
     """
+    if not isinstance(pred_vertices, list):
+        return _score([_per_sequence(pred_vertices, gt_vertices, regressor)],
+                      regressor, _frame_name)[0]
+    if not isinstance(gt_vertices, list) or len(gt_vertices) != len(pred_vertices):
+        raise MetricsError("expected a list of ground truths as long as the "
+                           f"{len(pred_vertices)} predictions")
+    if not pred_vertices:
+        return []
+    parts = [_per_sequence(p, g, regressor, k)
+             for k, (p, g) in enumerate(zip(pred_vertices, gt_vertices))]
+    return _score(parts, regressor, _sequence_frame_name([len(m) for m, _, _ in parts]))
+
+
+def _per_sequence(pred_vertices, gt_vertices, regressor: JointRegressor, seq: int | None = None):
+    """One sequence's checked inputs -> its (T,) vertex errors and its
+    (T, J, 3) predicted and true joints. Errors name ``seq`` when given."""
+    at = "" if seq is None else f"sequence {seq}: "
     pred = np.asarray(pred_vertices, dtype=np.float64)
     gt = np.asarray(gt_vertices, dtype=np.float64)
     if pred.shape != gt.shape:
-        raise MetricsError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    if not (np.isfinite(pred).all() and np.isfinite(gt).all()):
-        raise MetricsError("non-finite coordinates")
+        raise MetricsError(f"{at}shape mismatch: {pred.shape} vs {gt.shape}")
     if pred.ndim == 2:
         pred, gt = pred[None], gt[None]
+    if not (np.isfinite(pred).all() and np.isfinite(gt).all()):
+        if seq is not None and pred.ndim == 3:
+            bad = ~(np.isfinite(pred) & np.isfinite(gt)).all(axis=(1, 2))
+            at = f"sequence {seq}, frame {int(np.argmax(bad))}: "
+        raise MetricsError(at + "non-finite coordinates")
     if pred.ndim != 3 or pred.shape[2] != 3:
-        raise MetricsError(f"expected (T, n, 3) vertices, got {pred.shape}")
+        raise MetricsError(f"{at}expected (T, n, 3) vertices, got {pred.shape}")
     if regressor.matrix.shape[1] != pred.shape[1]:
-        raise MetricsError(f"regressor expects {regressor.matrix.shape[1]} vertices, "
+        raise MetricsError(f"{at}regressor expects {regressor.matrix.shape[1]} vertices, "
                            f"got {pred.shape[1]}")
     with np.errstate(all="ignore"):
-        mpvpe = np.linalg.norm(pred - gt, axis=2).mean(axis=1)
-        pj = regressor(pred)
-        gj = regressor(gt)
+        return _lengths(pred - gt).mean(axis=1), regressor(pred), regressor(gt)
+
+
+def _score(parts, regressor: JointRegressor, name) -> list[PoseError]:
+    """Root-aligned and Procrustes joint errors over the concatenated frames
+    of ``parts`` (``_per_sequence`` results), then one ``PoseError`` per
+    part, the mean of its own frames. ``name`` prefixes frame errors."""
+    mpvpe, pj, gj = (np.concatenate(a) for a in zip(*parts))
+    with np.errstate(all="ignore"):
         root = regressor.root_joint
         pj_rooted = pj - pj[:, root:root + 1]
         gj_rooted = gj - gj[:, root:root + 1]
-        mpjpe = np.linalg.norm(pj_rooted - gj_rooted, axis=2).mean(axis=1)
-        s, r, t = procrustes_align(pj, gj)
-        pa = np.linalg.norm(apply_similarity(pj, s, r, t) - gj, axis=2).mean(axis=1)
-        vals = np.stack([mpvpe, mpjpe, pa], axis=1)  # (T, 3)
+        mpjpe = _lengths(pj_rooted - gj_rooted).mean(axis=1)
+        s, r, t = _align(pj, gj, name)
+        pa = _lengths(apply_similarity(pj, s, r, t) - gj).mean(axis=1)
+        vals = np.stack([mpvpe, mpjpe, pa], axis=1)  # (frames, 3)
         finite = np.isfinite(vals).all(axis=1)
         if not finite.all():
-            raise MetricsError(_first(~finite)[1] + "pose error is not finite")
-        means = vals.mean(axis=0)
-    return PoseError(mpvpe=means[0], mpjpe=means[1], pa_mpjpe=means[2])
+            raise MetricsError(_first(~finite, name)[1] + "pose error is not finite")
+        rows, lo = [], 0
+        for m, _, _ in parts:
+            means = vals[lo:lo + len(m)].mean(axis=0)
+            rows.append(PoseError(mpvpe=means[0], mpjpe=means[1], pa_mpjpe=means[2]))
+            lo += len(m)
+    return rows

@@ -348,17 +348,22 @@ def train(config: ModelConfig, dataset: list[MotionSequence]) -> tuple[Model, li
 
 def evaluate(model, dataset: list[MotionSequence],
              regressor: JointRegressor | None = None) -> tuple[PoseError, list[tuple[str, PoseError]]]:
-    """Mean pose error over sequences; any object with .predict works."""
+    """Mean pose error over sequences; any object with .predict works.
+
+    Sequence i is predicted with ``seed=i``, in order. The predictions are
+    then scored together in one list-form ``compute_metrics`` call: one
+    batched alignment pass over every frame of the set, with each row the
+    same as scoring its sequence alone.
+    """
     if not dataset:
         raise ConfigError("empty evaluation dataset")
     if regressor is None:
         regressor = getattr(model, "regressor", None)
     if regressor is None:
         raise ConfigError("no joint regressor: pass one or use a model that carries it")
-    rows = []
-    for i, seq in enumerate(dataset):
-        pred = model.predict(seq, seed=i)
-        rows.append((f"seq{i:04d}", compute_metrics(pred, seq.gt_vertices, regressor)))
+    preds = [model.predict(seq, seed=i) for i, seq in enumerate(dataset)]
+    errors = compute_metrics(preds, [seq.gt_vertices for seq in dataset], regressor)
+    rows = [(f"seq{i:04d}", err) for i, err in enumerate(errors)]
     vals = np.array([r.as_tuple() for _, r in rows])
     means = vals.mean(axis=0)
     agg = PoseError(mpvpe=float(means[0]), mpjpe=float(means[1]), pa_mpjpe=float(means[2]))

@@ -1,0 +1,103 @@
+"""tools/bench_pairs.py parses recorded perfbench output and summarises
+alternating pairs; no perfbench run is started."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bp = _load()
+BASE = bp.parse_run((DATA / "perfbench_base_run.txt").read_text())
+CHANGE = bp.parse_run((DATA / "perfbench_change_run.txt").read_text())
+
+
+def test_parse_run_reads_the_result_and_report_lines():
+    assert CHANGE["correct"] is True
+    assert (CHANGE["attempted"], CHANGE["failed"]) == (659, 0)
+    assert CHANGE["metrics"]["eval_seq_per_s"] == 878.9215950784392
+    assert CHANGE["metrics"]["heldout_mpvpe_mm"] == 113.19403641615263
+    assert len(CHANGE["metrics"]) == 8
+    assert CHANGE["digests"] == {"losses": "c17eef9f0a2eb9e8", "predictions": "26bc98b2dab330de"}
+    assert CHANGE["budget"]["eval_passes_per_round"] == 2
+    assert CHANGE["environment"]["seed"] == 5
+    assert BASE["digests"] == CHANGE["digests"]
+    assert BASE["metrics"]["eval_seq_per_s"] == 578.1013054309277
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    (DATA / "perfbench_change_run.txt").read_text().splitlines()[-1],
+    "setup_s 0.4 s\n{\"report\": {}}\n{\"correct\": true}\n",
+    "{\"report\": {\"digests\": {}}}\nnot json\n",
+])
+def test_parse_run_rejects_what_is_not_a_report_and_result(text):
+    with pytest.raises(ValueError):
+        bp.parse_run(text)
+
+
+def test_pairs_alternate_which_side_runs_first():
+    calls, seen = [], []
+
+    def run(side, workload, seed):
+        calls.append((workload, seed, side))
+        return {"side": side}
+
+    results = bp.run_pairs(["w1", "w2"], [7, 8, 9], run,
+                           lambda r: seen.append(sum(map(len, r.values()))))
+    assert calls[:6] == [("w1", 7, "base"), ("w1", 7, "change"), ("w1", 8, "change"),
+                         ("w1", 8, "base"), ("w1", 9, "base"), ("w1", 9, "change")]
+    assert len(calls) == 12 and calls[6] == ("w2", 7, "base")
+    assert seen == [1, 2, 3, 4, 5, 6]
+    assert [p["first"] for p in results["w2"]] == ["base", "change", "base"]
+    assert all(p["base"] == {"side": "base"} and p["change"] == {"side": "change"}
+               for pairs in results.values() for p in pairs)
+
+
+def _scaled(record, **factors):
+    out = dict(record, metrics=dict(record["metrics"]))
+    for name, f in factors.items():
+        out["metrics"][name] *= f
+    return out
+
+
+def test_summary_counts_wins_by_direction_and_reports_spreads():
+    pairs = [{"seed": s, "first": "base", "base": BASE,
+              "change": _scaled(BASE, eval_seq_per_s=f, main_step_p50_s=g)}
+             for s, f, g in ((1, 1.5, 1.1), (2, 1.2, 0.9), (3, 0.9, 0.8), (4, 1.0, 1.0))]
+    pairs[3]["change"] = dict(pairs[3]["change"], digests={"losses": "x", "predictions": "y"},
+                              correct=False)
+    better = {"eval_seq_per_s": "higher", "main_step_p50_s": "lower"}
+    summary = bp.summarize(pairs, better)
+    assert summary["pairs"] == 4
+    assert summary["digests_equal"] == 3
+    assert summary["runs_not_correct"] == 1
+    ev = summary["metrics"]["eval_seq_per_s"]
+    assert ev["better"] == "higher"
+    assert ev["change_wins"] == 2  # 1.5 and 1.2 win, 0.9 loses, 1.0 ties
+    assert ev["pairs"] == 4
+    base = BASE["metrics"]["eval_seq_per_s"]
+    assert ev["base"] == {"median": base, "q1": base, "q3": base}
+    assert ev["change"]["median"] == pytest.approx(base * 1.1)  # of 0.9, 1.0, 1.2, 1.5
+    assert ev["change"]["q1"] == pytest.approx(base * 0.975)
+    assert ev["change"]["q3"] == pytest.approx(base * 1.275)
+    assert ev["median_change_frac"] == pytest.approx(0.1)
+    assert ev["gap_exceeds_base_iqr"] is True
+    step = summary["metrics"]["main_step_p50_s"]
+    assert step["change_wins"] == 2  # 0.9 and 0.8 are faster
+    assert step["median_change_frac"] == pytest.approx(-0.05)
+
+
+def test_seed_lists_and_ranges():
+    assert bp.parse_seeds("3,5,9-11") == [3, 5, 9, 10, 11]
+    assert bp.parse_seeds("2101-2103") == [2101, 2102, 2103]

@@ -10,6 +10,7 @@ from meshmotion.metrics import (
     AlignmentError,
     MetricsError,
     PoseError,
+    _lengths,
     apply_similarity,
     build_joint_regressor,
     compute_metrics,
@@ -328,6 +329,116 @@ def test_svd_count_does_not_grow_with_frames(monkeypatch):
         counts.append(len(calls))
     assert counts[0] >= 1
     assert counts[0] == counts[1]
+
+
+def _noisy_set(graph, frames, seed):
+    # predictions: noisy similarity transforms of real motion, some mirrored
+    rng = np.random.default_rng(seed)
+    gts, preds = [], []
+    for k, t in enumerate(frames):
+        gt = generate_sequence(MotionConfig(graph=graph, frames=t), seed=seed + k).gt_vertices
+        pred = gt + rng.standard_normal(gt.shape) * rng.uniform(1, 60)
+        for f in range(t):
+            pred[f] = rng.uniform(0.7, 1.4) * pred[f] @ _random_rotation(rng).T \
+                + rng.standard_normal(3) * 80
+        pred[rng.random(t) < 0.3, :, 0] *= -1.0
+        gts.append(gt)
+        preds.append(pred)
+    return preds, gts
+
+
+def test_list_form_rows_equal_single_sequence_calls_bit_for_bit():
+    graph = generate_toy_body()
+    reg = build_joint_regressor(graph)
+    preds, gts = _noisy_set(graph, (3, 16, 2, 5, 16, 3), seed=40)
+    preds += [preds[2][:1], preds[2][1]]  # one frame, as (1, n, 3) and (n, 3)
+    gts += [gts[2][:1], gts[2][1]]
+    rows = compute_metrics(preds, gts, reg)
+    assert len(rows) == len(preds)
+    for row, pred, gt in zip(rows, preds, gts):
+        assert isinstance(row, PoseError)
+        assert row.as_tuple() == compute_metrics(pred, gt, reg).as_tuple()
+    np.testing.assert_allclose(rows[1].as_tuple(), _oracle_metrics(preds[1], gts[1], reg),
+                               rtol=1e-12)
+    assert compute_metrics([], [], reg) == []
+
+
+def test_row_lengths_equal_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(41)
+    d = rng.standard_normal((64, 14, 3)) * np.exp(rng.uniform(-30, 30, (64, 14, 1)))
+    d[0, :3] = [[0.0, -0.0, 0.0], [1e200, 1.0, 0.0], [np.inf, np.nan, 1.0]]
+    with np.errstate(all="ignore"):
+        got, want = _lengths(d), np.linalg.norm(d, axis=-1)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_svd_count_does_not_grow_with_sequences(monkeypatch):
+    # the list form aligns every frame of every sequence in one batched
+    # pass: a per-sequence loop would call the SVDs once per sequence
+    graph = generate_toy_body()
+    reg = build_joint_regressor(graph)
+    preds, gts = _noisy_set(graph, (16, 3, 5, 16, 16, 5, 3, 16), seed=42)
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    counts = []
+    for count in (1, 8):
+        calls.clear()
+        assert len(compute_metrics(preds[:count], gts[:count], reg)) == count
+        counts.append(len(calls))
+    assert counts[0] >= 1
+    assert counts[0] == counts[1]
+
+
+def test_list_form_errors_name_the_sequence_and_its_frame():
+    graph = generate_toy_body()
+    reg = build_joint_regressor(graph)
+    preds, gts = _noisy_set(graph, (16, 3, 5, 16), seed=43)
+
+    def with_frame(k, f, value):
+        bad = [p.copy() for p in preds]
+        bad[k][f] = value
+        return bad
+
+    with pytest.raises(AlignmentError, match="^sequence 2, frame 4: all source points coincident"):
+        compute_metrics(with_frame(2, 4, 5.0), gts, reg)
+    line = np.outer(np.arange(graph.n_vertices, dtype=float), [1.0, 2.0, -1.0])
+    with pytest.raises(AlignmentError, match="^sequence 3, frame 0: source points are collinear"):
+        compute_metrics(with_frame(3, 0, line), gts, reg)
+    nan_frame = preds[1][2].copy()
+    nan_frame[5, 1] = np.nan
+    with pytest.raises(MetricsError, match="^sequence 1, frame 2: non-finite coordinates$"):
+        compute_metrics(with_frame(1, 2, nan_frame), gts, reg)
+    bad_gt = [g.copy() for g in gts]
+    bad_gt[3][15, 0, 0] = np.inf
+    with pytest.raises(MetricsError, match="^sequence 3, frame 15: non-finite coordinates$"):
+        compute_metrics(preds, bad_gt, reg)
+    off_joint = int(np.flatnonzero(reg.matrix.sum(axis=0) == 0)[0])
+    huge = preds[2][1].copy()
+    huge[off_joint, 0] = 1e200
+    with pytest.raises(MetricsError, match="^sequence 2, frame 1: pose error is not finite"):
+        compute_metrics(with_frame(2, 1, huge), gts, reg)
+    with pytest.raises(MetricsError, match="^sequence 1: shape mismatch"):
+        compute_metrics(preds, [gts[0], gts[1][:2], gts[2], gts[3]], reg)
+    with pytest.raises(MetricsError, match="^sequence 0: expected"):
+        compute_metrics([np.zeros(5)], [np.zeros(5)], reg)
+    with pytest.raises(MetricsError, match="^sequence 0: regressor expects"):
+        compute_metrics([gts[0][:, :-1]], [gts[0][:, :-1]], reg)
+    with pytest.raises(MetricsError, match="as long as the 4 predictions"):
+        compute_metrics(preds, gts[:3], reg)
+    with pytest.raises(MetricsError, match="as long as the 4 predictions"):
+        compute_metrics(preds, gts[0], reg)
+    # the single-sequence messages are unchanged
+    with pytest.raises(MetricsError, match="^non-finite coordinates$"):
+        compute_metrics(with_frame(1, 2, nan_frame)[1], gts[1], reg)
+    with pytest.raises(AlignmentError, match="^frame 4: all source points coincident"):
+        compute_metrics(with_frame(2, 4, 5.0)[2], gts[2], reg)
 
 
 def test_alignment_error_names_the_degenerate_frame():

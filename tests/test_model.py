@@ -5,6 +5,7 @@ import pytest
 
 from meshmotion.autodiff import Tensor, gradcheck
 from meshmotion.body_graph import DEFAULT_PARTS
+from meshmotion.metrics import compute_metrics
 from meshmotion.model import (
     Adam,
     ConfigError,
@@ -283,6 +284,35 @@ def test_evaluate_idempotent():
     assert a1.as_tuple() == a2.as_tuple()
     for (_, x), (_, y) in zip(r1, r2):
         assert x.as_tuple() == y.as_tuple()
+
+
+def test_evaluate_rows_equal_per_sequence_metrics_bit_for_bit():
+    # one batched metrics pass over 3-, 5- and 16-frame sequences scores
+    # each row as that sequence's own compute_metrics call; predict runs
+    # once per sequence, in order, seeded with the index
+    cfg = tiny_config()
+    model, _ = make_dataset(cfg, 1)
+    seqs = [corrupt_sequence(generate_sequence(MotionConfig(graph=model.graph, frames=t),
+                                               seed=30 + i),
+                             model.graph, CorruptionConfig(occlusion_prob=0.3), seed=60 + i)
+            for i, t in enumerate((3, 16, 5, 3, 16, 5, 16))]
+    calls = []
+
+    class Recording:
+        regressor = model.regressor
+
+        def predict(self, seq, seed=0):
+            calls.append((seq, seed))
+            return model.predict(seq, seed=seed)
+
+    agg, rows = evaluate(Recording(), seqs)
+    assert [(id(seq), seed) for seq, seed in calls] == [(id(s), i) for i, s in enumerate(seqs)]
+    assert [name for name, _ in rows] == [f"seq{i:04d}" for i in range(len(seqs))]
+    for i, ((_, row), seq) in enumerate(zip(rows, seqs)):
+        alone = compute_metrics(model.predict(seq, seed=i), seq.gt_vertices, model.regressor)
+        assert row.as_tuple() == alone.as_tuple()
+    means = np.array([r.as_tuple() for _, r in rows]).mean(axis=0)
+    assert agg.as_tuple() == tuple(float(m) for m in means)
 
 
 def test_adam_skips_gradless_params():
