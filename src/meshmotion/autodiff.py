@@ -17,18 +17,19 @@ holds it, and each closure keeps only what its backward reads, as each op's
 docstring states: ``matmul``, ``affine``, ``mul`` and the attention scores
 keep an operand only when the other operand takes a gradient, ``add``,
 ``sub``, ``lincomb``, ``sum_`` and ``mean`` keep shapes, ``softmax``, ``exp``
-and ``sqrt`` their output. A value the model code has dropped is freed
-during the forward unless a backward reads it: the attention scores (the
-softmax backward reads its output), the predicted noise (``mse`` keeps the
-difference, ``lincomb`` the shapes), and a ``relu`` output that feeds a
-product with a constant (the graph convolution's adjacency). An input that
-takes no gradient is stored as None, so a constant such as a noise draw is
-freed once the forward has used it. ``layer_norm``, ``relu`` and ``gelu`` recompute their full-size
-intermediates from the input in backward, with the forward's expressions in
-the same order, instead of holding them. And the model's hot composites are
-one record each, so an intermediate that no backward reads is no record
-output. Each has an analytic backward that runs the same numpy expressions
-in the same order as the primitives it replaces: ``lincomb``
+and ``sqrt`` their output, and ``relu`` its one-byte mask. A value the model
+code has dropped is freed during the forward unless a backward reads it: the
+attention scores (the softmax backward reads its output), the predicted noise
+(``mse`` keeps the difference, ``lincomb`` the shapes), and a ``relu`` input
+and output inside the graph+time pass (the relu keeps its mask, and the graph
+convolution's product keeps its constant adjacency). An input that takes no
+gradient is stored as None, so a constant such as a noise draw is freed once
+the forward has used it. ``layer_norm`` and ``gelu`` recompute their
+full-size intermediates from the input in backward, with the forward's
+expressions in the same order, instead of holding them. And the model's hot
+composites are one record each, so an intermediate that no backward reads is
+no record output. Each has an analytic backward that runs the same numpy
+expressions in the same order as the primitives it replaces: ``lincomb``
 ((a·alpha + b·beta)·scale + shift, a diffusion chain step), ``mse`` (the
 mean squared error against a constant target), ``affine`` (x @ w + c, a
 linear layer or a projection plus its residual), ``softmax``, ``layer_norm``,
@@ -347,7 +348,7 @@ def _broadcast_shape(*shapes) -> tuple[int, ...] | None:
 
 def _check_axis(axis: int, ndim: int) -> int:
     if not isinstance(axis, (int, np.integer)) or axis < 0 or axis >= ndim:
-        raise ShapeError(f"axis {axis} out of range for rank {ndim} (negative axes unsupported)")
+        raise ShapeError(f"axis {axis} is not an int in [0, {ndim}) (negative axes unsupported)")
     return int(axis)
 
 
@@ -501,11 +502,11 @@ def mse(pred, target) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    """max(a, 0). The backward keeps the input and recomputes the mask from
-    it rather than holding it."""
+    """max(a, 0). The backward keeps the boolean mask a > 0, one byte per
+    element, not the input."""
     a = as_tensor(a)
-    x = a.data
-    return _result("relu", (a,), x * (x > 0.0), lambda g: (g * (x > 0.0),))
+    mask = a.data > 0.0
+    return _result("relu", (a,), a.data * mask, lambda g: (g * mask,))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -617,14 +618,8 @@ def take_slice(a, axis: int, start: int, stop: int) -> Tensor:
 
 
 def _norm_axes(axis, ndim) -> tuple[int, ...]:
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, (int, np.integer)):
-        return (_check_axis(int(axis), ndim),)
-    axes = tuple(_check_axis(int(x), ndim) for x in axis)
-    if len(set(axes)) != len(axes):
-        raise ShapeError(f"axes {axes} name an axis more than once")
-    return axes
+    """Every axis for None, else the one ``axis``."""
+    return tuple(range(ndim)) if axis is None else (_check_axis(axis, ndim),)
 
 
 def _row_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -634,8 +629,8 @@ def _row_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (x.reshape(rows, v.size) @ v).reshape(x.shape[:-1] + (1,))
 
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Sum over ``axis`` (all axes for None). A sum over the last axis alone
+def sum_(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    """Sum over one ``axis`` (all axes for None). A sum over the last axis alone
     is one GEMV against a ones vector (:func:`_row_dot`). The backward keeps
     the input's shape."""
     a = as_tensor(a)
@@ -656,8 +651,8 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     return _result("sum", (a,), out, backward)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Mean over ``axis`` (all axes for None); the backward keeps the
+def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    """Mean over one ``axis`` (all axes for None); the backward keeps the
     input's shape."""
     a = as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
@@ -752,41 +747,33 @@ def affine(x, w, c) -> Tensor:
     return _result("affine", (x, w, c), out, backward)
 
 
-def softmax(a, axis: int) -> Tensor:
-    """Numerically stable softmax along ``axis`` (max-subtraction); one record.
+def softmax(a) -> Tensor:
+    """Numerically stable softmax over the last axis (max-subtraction); one record.
 
-    The input, viewed as (pre, n, post) around the softmax axis of length n,
-    is copied to an (n, pre·post) array with that axis first. The max, the
-    subtraction, exp and the sum then run over axis 0, on whole contiguous
-    rows and in place, for every ``axis``; the result is written back in the
-    input's layout. The backward keeps the output, not the input; its sum
-    Σ g·out over the last axis is one GEMV against a ones vector
-    (:func:`_row_dot`).
+    The input's rows of length n are copied to an (n, rows) array with the
+    softmax axis first. The max, the subtraction, exp and the sum then run
+    over axis 0, on whole contiguous rows and in place; the result is
+    written back in the input's layout. The backward keeps the output, not
+    the input; its sum Σ g·out over the last axis is one GEMV against a ones
+    vector (:func:`_row_dot`).
     """
     a = as_tensor(a)
-    axis = _check_axis(axis, a.ndim)
-    n = a.shape[axis]
-    if n == 0:
-        raise ShapeError(f"softmax over the empty axis {axis} of {a.shape}")
-    blocks = (math.prod(a.shape[:axis]), n, math.prod(a.shape[axis + 1:]))
+    if a.ndim == 0 or a.shape[-1] == 0:
+        raise ShapeError(f"softmax needs a non-empty last axis, got {a.shape}")
+    n = a.shape[-1]
     # the output is allocated before the scratch copy: with the copy under
     # it, each freed copy left a hole that glibc's malloc did not reuse,
     # about 8 MB of extra heap per default diffusion step
     out = np.empty(a.shape)
-    w = a.data.reshape(blocks).transpose(1, 0, 2).copy().reshape(n, -1)
+    w = a.data.reshape(-1, n).T.copy()
     w -= w.max(axis=0)
     np.exp(w, out=w)
     w /= w.sum(axis=0)
-    out.reshape(blocks)[...] = w.reshape(n, blocks[0], blocks[2]).transpose(1, 0, 2)
+    out.reshape(-1, n)[...] = w.T
 
     def backward(g):
         # g may be a leaf's .grad: it is read, never written
-        go = g * out
-        if axis == out.ndim - 1:
-            s = _row_dot(go, np.ones(n))
-        else:
-            s = go.sum(axis=axis, keepdims=True)
-        gi = g - s
+        gi = g - _row_dot(g * out, np.ones(n))
         gi *= out
         return (gi,)
 
@@ -848,7 +835,10 @@ def segment_softmax_kl(logits, target_logits, starts, weights, floor: float) -> 
     return _result("segment_softmax_kl", (x, t), out, backward)
 
 
-def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5  # added to the variance under layer_norm's square root
+
+
+def layer_norm(a, gamma, beta) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine; one record.
 
     ``gamma`` and ``beta`` must broadcast against ``a`` without growing it.
@@ -874,7 +864,7 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
         return x - _row_dot(x, inv_c)
 
     normed = centered()
-    std = np.sqrt(_row_dot(normed * normed, inv_c) + eps)
+    std = np.sqrt(_row_dot(normed * normed, inv_c) + _LN_EPS)
     if not np.isfinite(std).all():
         # the squared deviation overflowed: the output would be beta alone, silently
         raise NumericsError("op 'layer_norm' produced a non-finite standard deviation")
@@ -954,7 +944,7 @@ def attention(query, key, value) -> Tensor:
         raise ShapeError(f"attention leading axes do not broadcast: "
                          f"{q.shape}, {k.shape}, {v.shape}")
     scores = _scaled_scores(q, k, 1.0 / math.sqrt(d))
-    return matmul(softmax(scores, axis=scores.ndim - 1), v)
+    return matmul(softmax(scores), v)
 
 
 def _spatial_patches(x: np.ndarray, kt: int, kh: int, kw: int) -> np.ndarray:
@@ -1044,19 +1034,21 @@ def conv3d(x, kernel) -> Tensor:
 # gradient verification
 
 
+_GRADCHECK_FLOOR = 1e-8  # gradcheck's least relative-error denominator
+
+
 def gradcheck(
     op: Callable[..., Tensor],
     inputs: Sequence,
     h: float = 1e-5,
-    floor: float = 1e-8,
     max_coords: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Compare tape gradients of sum(op(*inputs)) against central differences.
 
     Returns the worst elementwise relative error under a denominator floor.
-    ``max_coords`` limits finite differencing to a random coordinate subset
-    per input (for large parameter sets); None checks every coordinate.
+    ``max_coords`` limits finite differencing to a coordinate subset per
+    input (for large parameter sets), drawn from one generator seeded 0;
+    None checks every coordinate.
     """
     if not (1e-6 <= h <= 1e-3):
         raise ValueError(f"perturbation h={h} outside [1e-6, 1e-3]")
@@ -1070,8 +1062,7 @@ def gradcheck(
         return float(op(*(constant(a) for a in arrays)).data.sum())
 
     worst = 0.0
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     for i, t in enumerate(tensors):
         analytic = t.grad if t.grad is not None else np.zeros(t.shape)
         if not np.all(np.isfinite(analytic)):
@@ -1090,6 +1081,6 @@ def gradcheck(
             numeric = (up - down) / (2.0 * h)
             if not math.isfinite(numeric):
                 raise GradcheckError(f"non-finite numeric gradient at input {i}, coord {c}")
-            denom = max(floor, abs(flat[c]), abs(numeric))
+            denom = max(_GRADCHECK_FLOOR, abs(flat[c]), abs(numeric))
             worst = max(worst, abs(flat[c] - numeric) / denom)
     return worst

@@ -166,10 +166,8 @@ def resolve_activation(name: str):
 class GraphConvLayer:
     """One graph convolution: activation(adjacency @ Y @ weight)."""
 
-    def __init__(self, c_in: int, c_out: int, activation: str = "relu",
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, c_in: int, c_out: int, activation: str = "relu", *,
+                 rng: np.random.Generator):
         scale = 1.0 / np.sqrt(c_in)
         self.c_in = c_in
         self.activation = activation

@@ -14,9 +14,8 @@ sees them as an H x W grid, and it takes that grid channels-last,
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .autodiff import ShapeError, Tensor
 from .body_graph import BodyGraph, GraphConvLayer, resolve_activation
 
 _KERNEL = 3  # every 3D convolution's extent along T, H and W
+_TAIL = 0.05  # the cumulative signal fraction the last noising step keeps
 
 
 class ScheduleError(ValueError):
@@ -35,12 +35,16 @@ class ScheduleError(ValueError):
 class DiffusionSchedule:
     """Per-step signal-keep coefficients and their cumulative products.
 
-    ``alpha[t-1]`` is the step-t coefficient; ``alpha_bar`` stores the running
-    products. Steps are 1-indexed in the step functions.
+    ``alpha[t-1]`` is the step-t coefficient; ``alpha_bar``, the running
+    products, is computed from it at construction. Steps are 1-indexed in
+    the step functions.
     """
 
     alpha: np.ndarray
-    alpha_bar: np.ndarray
+    alpha_bar: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.alpha_bar = np.cumprod(self.alpha)
 
     @property
     def n_steps(self) -> int:
@@ -51,27 +55,25 @@ class DiffusionSchedule:
             raise ScheduleError(f"need at least 2 steps, got {self.n_steps}")
         if np.any(self.alpha <= 0.0) or np.any(self.alpha > 1.0):
             raise ScheduleError("alpha values must lie in (0, 1]")
-        if not np.array_equal(self.alpha_bar, np.cumprod(self.alpha)):
-            raise ScheduleError("alpha_bar must be the running product of alpha")
 
 
-def _linear_betas(n_steps: int, target_tail: float = 0.05) -> np.ndarray:
+def _linear_betas(n_steps: int) -> np.ndarray:
     """Linearly spaced betas in [1e-4, 0.02], rescaled so the cumulative
-    signal fraction at the last step hits ``target_tail``."""
+    signal fraction at the last step hits ``_TAIL``."""
     base = np.linspace(1e-4, 0.02, n_steps)
 
     def tail(scale: float) -> float:
         return float(np.prod(1.0 - np.clip(base * scale, 0.0, 0.999)))
 
     lo, hi = 1.0, 1.0
-    while tail(hi) > target_tail and hi < 1e6:
+    while tail(hi) > _TAIL and hi < 1e6:
         hi *= 2.0
-    if tail(lo) < target_tail:
+    if tail(lo) < _TAIL:
         hi = lo
         lo = 1e-6
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if tail(mid) > target_tail:
+        if tail(mid) > _TAIL:
             lo = mid
         else:
             hi = mid
@@ -81,8 +83,7 @@ def _linear_betas(n_steps: int, target_tail: float = 0.05) -> np.ndarray:
 def make_schedule(n_steps: int) -> DiffusionSchedule:
     if n_steps < 2:
         raise ScheduleError(f"need at least 2 steps, got {n_steps}")
-    alpha = 1.0 - _linear_betas(n_steps)
-    sched = DiffusionSchedule(alpha=alpha, alpha_bar=np.cumprod(alpha))
+    sched = DiffusionSchedule(alpha=1.0 - _linear_betas(n_steps))
     sched.validate()
     return sched
 
@@ -173,9 +174,7 @@ class AttentionLayer:
     no projection that only the residual sum reads.
     """
 
-    def __init__(self, width: int, rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, width: int, rng: np.random.Generator):
         self.width = width
         self.p = {
             "wq": _init(rng, (width, width)),
@@ -311,14 +310,13 @@ class DiffusionBlock:
     Deterministic given the seed; returns the denoised tokens plus the mean
     squared error between the predicted noise and the noise component of the
     live state, (z_t - sqrt(alpha_bar_t) x0) / sqrt(1 - alpha_bar_t), averaged
-    over the reverse steps (training signal for the predictor).
+    over the reverse steps (training signal for the predictor): each step's
+    term joins a running sum, which is scaled by 1 / n_steps at the end.
     """
 
     def __init__(self, graph: BodyGraph, channels: int, grid: tuple[int, int],
-                 schedule: DiffusionSchedule, activation: str = "relu",
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+                 schedule: DiffusionSchedule, activation: str = "relu", *,
+                 rng: np.random.Generator):
         h, w = grid
         if h * w != graph.n_coarse:
             raise ShapeError(
@@ -363,7 +361,7 @@ class DiffusionBlock:
         # component of the live state, (z_t - sqrt(abar_t) x0)/sqrt(1-abar_t),
         # whose exact prediction recovers x0 at the final step
         z = x
-        eps_losses = []
+        eps_sum = None
         for step in range(sched.n_steps, 0, -1):
             z = self.cond_attn(z, *deps_kv)
             eps_hat = self.predictor(z, self.step_embedding[step - 1], self.coarse_adj)
@@ -372,8 +370,8 @@ class DiffusionBlock:
                 target = (z.data - math.sqrt(abar) * x0.data) / math.sqrt(1.0 - abar)
             else:
                 target = np.zeros_like(x0.data)
-            eps_losses.append(ad.mse(eps_hat, target))
+            term = ad.mse(eps_hat, target)
+            eps_sum = term if eps_sum is None else ad.add(eps_sum, term)
             z = reverse_step(z, step, eps_hat, sched, draw() if step > 1 else None)
 
-        eps_loss = ad.mul(functools.reduce(ad.add, eps_losses), 1.0 / len(eps_losses))
-        return z, eps_loss
+        return z, ad.mul(eps_sum, 1.0 / sched.n_steps)

@@ -59,7 +59,6 @@ class ModelConfig:
     diffusion_steps: int = 50
     hierarchy_depth: int = 2
     diffusion_on: bool = True
-    part_loss_on: bool = True
     activation: str = "relu"
     context_rows: int = 4
     encoder_hidden: int = 64
@@ -148,16 +147,15 @@ class Model:
         self.head = Linear(c, 3, rng)
 
         if config.diffusion_on:
-            self.schedule = make_schedule(config.diffusion_steps)
             self.core = DiffusionBlock(
-                self.graph, c, (h, w), self.schedule, activation=config.activation, rng=rng,
+                self.graph, c, (h, w), make_schedule(config.diffusion_steps),
+                activation=config.activation, rng=rng,
             )
             self.context_p = {
                 "rows": Tensor(rng.standard_normal((config.context_rows, c)) * 0.3,
                                requires_grad=True),
             }
         else:
-            self.schedule = None
             self.core = FeatureStack(c, (h, w), config.activation, rng)
             self.context_p = None
             self.coarse_adj = self.graph.coarse_adjacency()
@@ -219,7 +217,7 @@ class Model:
         """Composite training objective on one batch.
 
         The part term sums one :func:`hh_loss` per level of ``part_starts``,
-        coarse then fine. ``part_weights`` gives each level's part weights;
+        coarse then fine; a ``part_loss_weight`` of 0 leaves it out. ``part_weights`` gives each level's part weights;
         by default they derive from the current features through
         :meth:`part_weight_levels`. The weights carry no gradient either way;
         passing them in lets finite differencing match. ``gt_vertices`` must
@@ -234,7 +232,7 @@ class Model:
                               f"with B*T = {rows} and n = {n}")
         gt_scaled = gt.reshape(rows, n, 3) * MM_SCALE
         total = ad.mul(ad.mse(out["pred_scaled"], gt_scaled), cfg.vertex_loss_weight)
-        if cfg.part_loss_on:
+        if cfg.part_loss_weight > 0.0:
             if part_weights is None:
                 part_weights = self.part_weight_levels(out)
             levels = [(out["pred_scaled"], gt_scaled)]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor, _row_dot, _segment_starts
+from .autodiff import ShapeError, Tensor, _segment_starts
 
 PROB_FLOOR = 1e-12
 
@@ -71,11 +71,9 @@ def hh_loss(pred_features, true_features, starts, weights) -> Tensor:
     distribution per row; the KL of the target's from the prediction's,
     averaged over rows and weighted per part, sums over the parts in one
     :func:`autodiff.segment_softmax_kl` record, five records in all. The
-    target side is detached: its scores run the same kernels off the tape,
-    so identical features give a loss of exactly 0.
+    target side is detached: its scores are the same ops on a constant, which
+    record nothing, so identical features give a loss of exactly 0.
     """
-    true = ad.as_tensor(true_features).data
     scores = _vertex_scores(ad.as_tensor(pred_features))
-    # _vertex_scores off the tape: its last-axis sum_ is this _row_dot
-    true_scores = np.sqrt(_row_dot(true * true, np.ones(true.shape[-1]))[..., 0] + 1e-12)
+    true_scores = _vertex_scores(ad.constant(ad.as_tensor(true_features).data))
     return ad.segment_softmax_kl(scores, true_scores, starts, weights, PROB_FLOOR)

@@ -12,7 +12,6 @@ corruption.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,11 @@ from .body_graph import BodyGraph
 from .metrics import build_joint_regressor
 
 _SPLINE_CONTROLS = 4  # control values per angle or travel curve
+_ANGLE_AMPLITUDE = 0.5  # radians
+_ROOT_TRAVEL = 250.0  # mm over the whole sequence
+_MAX_JOINT_STEP = 40.0  # mm per frame velocity cap
+_SEVERITY_RANGE = (0.5, 1.0)  # fraction of a part an occlusion event hides
+_MAX_SPAN = 4  # contiguous frames per occlusion event
 
 
 class SynthError(ValueError):
@@ -31,39 +35,22 @@ class SynthError(ValueError):
 class MotionConfig:
     graph: BodyGraph
     frames: int = 16
-    angle_amplitude: float = 0.5      # radians
-    root_travel: float = 250.0        # mm over the whole sequence
-    max_joint_step: float = 40.0      # mm per frame velocity cap
 
     def validate(self) -> None:
         if self.frames < 2:
             raise SynthError(f"need at least 2 frames, got {self.frames}")
-        for name in ("angle_amplitude", "root_travel", "max_joint_step"):
-            if not math.isfinite(getattr(self, name)):
-                raise SynthError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.angle_amplitude < 0 or self.root_travel < 0:
-            raise SynthError("amplitudes must be nonnegative")
-        if self.max_joint_step <= 0:
-            raise SynthError("velocity cap must be positive")
 
 
 @dataclass
 class CorruptionConfig:
     occlusion_prob: float = 0.3       # per frame
     blur_width: int = 1               # odd, frames
-    severity_range: tuple[float, float] = (0.5, 1.0)
-    max_span: int = 4                 # contiguous frames per occlusion event
 
     def validate(self) -> None:
         if not (0.0 <= self.occlusion_prob <= 1.0):
             raise SynthError(f"occlusion_prob {self.occlusion_prob} outside [0, 1]")
         if self.blur_width < 1 or self.blur_width % 2 == 0:
             raise SynthError(f"blur width must be odd and >= 1, got {self.blur_width}")
-        lo, hi = self.severity_range
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise SynthError(f"severity range {self.severity_range} invalid")
-        if self.max_span < 1:
-            raise SynthError("max_span must be >= 1")
 
 
 @dataclass
@@ -122,7 +109,7 @@ def _axis_angle(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
 def generate_sequence(config: MotionConfig, seed: int) -> MotionSequence:
     """Deterministic kinematic-tree motion with clean observations: (T, n, 3)
     vertices posed for all T frames at once, their motion shrunk until the
-    default regressor's joints move at most ``max_joint_step`` mm per frame."""
+    default regressor's joints move at most ``_MAX_JOINT_STEP`` mm per frame."""
     config.validate()
     graph = config.graph
     rest, groups = graph.rest_pose, graph.rigid_groups
@@ -166,13 +153,13 @@ def generate_sequence(config: MotionConfig, seed: int) -> MotionSequence:
     # realized max per-frame joint displacement fits
     scale = 1.0
     for _ in range(12):
-        angles = (scale * config.angle_amplitude) * angle_curves
-        verts = pose(angles, (scale * config.root_travel) * travel_curves, angles[-1])
+        angles = (scale * _ANGLE_AMPLITUDE) * angle_curves
+        verts = pose(angles, (scale * _ROOT_TRAVEL) * travel_curves, angles[-1])
         joints = regressor(verts)
         step = np.linalg.norm(np.diff(joints, axis=0), axis=2).max()
-        if step <= config.max_joint_step:
+        if step <= _MAX_JOINT_STEP:
             break
-        scale *= 0.95 * config.max_joint_step / step
+        scale *= 0.95 * _MAX_JOINT_STEP / step
     else:
         raise SynthError("could not satisfy the velocity cap")
 
@@ -193,9 +180,10 @@ def corrupt_sequence(seq: MotionSequence, graph: BodyGraph,
 
     The clean vertices are box-blurred along time (edge frames repeated),
     then each frame starts an occlusion event with ``occlusion_prob``: one
-    part, a severity and a span of frames, drawn in that order. An event
-    zeroes the first ceil(severity · part size) vertices of its part and
-    sets their mask entries to 1 over the span. Deterministic per seed.
+    part, a severity in ``_SEVERITY_RANGE`` and a span of 1 to ``_MAX_SPAN``
+    frames, drawn in that order. An event zeroes the first
+    ceil(severity · part size) vertices of its part and sets their mask
+    entries to 1 over the span. Deterministic per seed.
     A sequence whose vertex count differs from the graph's raises
     ``SynthError``.
     """
@@ -221,8 +209,8 @@ def corrupt_sequence(seq: MotionSequence, graph: BodyGraph,
     for f in range(T):
         if rng.random() < config.occlusion_prob:
             ids = parts[int(rng.integers(len(parts)))]
-            severity = float(rng.uniform(*config.severity_range))
-            span = int(rng.integers(1, config.max_span + 1))
+            severity = float(rng.uniform(*_SEVERITY_RANGE))
+            span = int(rng.integers(1, _MAX_SPAN + 1))
             hidden = ids[:int(np.ceil(severity * len(ids)))]
             obs[f:f + span, hidden] = 0.0
             mask[f:f + span, hidden] = 1.0

@@ -39,7 +39,7 @@ def softmax_pool(vertex_features, starts) -> list[Tensor]:
     sq = ad.sum_(ad.mul(feats, feats), axis=2)
     scores = ad.sqrt(ad.add(sq, 1e-12))  # (S, n)
     ends = [*starts[1:], feats.shape[1]]
-    return [ad.softmax(ad.take_slice(scores, 1, s, e), axis=1) for s, e in zip(starts, ends)]
+    return [ad.softmax(ad.take_slice(scores, 1, s, e)) for s, e in zip(starts, ends)]
 
 
 def hh_loss_loop(pred_features, true_features, starts, weights) -> Tensor:

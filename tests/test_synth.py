@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meshmotion import body_graph
+from meshmotion import body_graph, synth
 from meshmotion.body_graph import DEFAULT_PARTS, generate_toy_body
 from meshmotion.metrics import build_joint_regressor
 from meshmotion.synth import (
@@ -74,26 +74,31 @@ def test_rigid_groups_keep_their_shape(graph):
     assert worst < 1e-6
 
 
-def test_velocity_cap(graph):
-    cfg = MotionConfig(graph=graph, frames=12, angle_amplitude=2.5,
-                       root_travel=2000.0, max_joint_step=25.0)
+def test_velocity_cap(graph, monkeypatch):
+    # the cap binds at the default amplitudes: each sequence is posed more
+    # than once, its motion shrunk until its joints move at most the cap
     reg = build_joint_regressor(graph)
+    poses = []
+
+    def counting(_):
+        def regress(verts):
+            poses.append(verts)
+            return reg(verts)
+        return regress
+
+    monkeypatch.setattr(synth, "build_joint_regressor", counting)
+    cfg = MotionConfig(graph=graph, frames=12)
     for seed in range(10):
+        poses.clear()
         joints = reg(generate_sequence(cfg, seed=seed).gt_vertices)
         steps = np.linalg.norm(np.diff(joints, axis=0), axis=2)
-        assert steps.max() <= cfg.max_joint_step + 1e-9
+        assert steps.max() <= synth._MAX_JOINT_STEP + 1e-9
+        assert len(poses) > 1
 
 
 def test_generation_config_errors(graph):
     with pytest.raises(SynthError):
         generate_sequence(MotionConfig(graph=graph, frames=1), seed=0)
-    with pytest.raises(SynthError):
-        generate_sequence(MotionConfig(graph=graph, max_joint_step=0.0), seed=0)
-    # a non-finite setting is named before any pose is tried
-    for name in ("angle_amplitude", "root_travel", "max_joint_step"):
-        for value in (float("nan"), float("inf")):
-            with pytest.raises(SynthError, match=f"^{name} must be finite"):
-                generate_sequence(MotionConfig(graph=graph, **{name: value}), seed=0)
 
 
 def test_a_reused_graph_poses_as_a_fresh_one(graph):
@@ -134,11 +139,12 @@ def test_corruption_rejects_a_sequence_of_another_vertex_count(graph):
         corrupt_sequence(small, graph, CorruptionConfig(occlusion_prob=1.0), seed=0)
 
 
-def test_full_occlusion_of_one_part(graph):
+def test_full_occlusion_of_one_part(graph, monkeypatch):
     # every frame starts a one-frame event that zeroes one whole part
+    monkeypatch.setattr(synth, "_SEVERITY_RANGE", (1.0, 1.0))
+    monkeypatch.setattr(synth, "_MAX_SPAN", 1)
     seq = generate_sequence(MotionConfig(graph=graph, frames=5), seed=2)
-    cfg = CorruptionConfig(occlusion_prob=1.0, severity_range=(1.0, 1.0), max_span=1,
-                           blur_width=1)
+    cfg = CorruptionConfig(occlusion_prob=1.0, blur_width=1)
     out = corrupt_sequence(seq, graph, cfg, seed=3)
     for f in range(seq.frames):
         masked = out.occlusion_mask[f] == 1.0
@@ -180,12 +186,7 @@ def test_log_replay_audit(graph):
     for trial in range(50):
         frames = int(rng.integers(4, 12))
         seq = generate_sequence(MotionConfig(graph=graph, frames=frames), seed=trial)
-        cfg = CorruptionConfig(
-            occlusion_prob=float(rng.uniform(0, 1)),
-            blur_width=1,
-            severity_range=(0.3, 1.0),
-            max_span=int(rng.integers(1, 4)),
-        )
+        cfg = CorruptionConfig(occlusion_prob=float(rng.uniform(0, 1)), blur_width=1)
         out = corrupt_sequence(seq, graph, cfg, seed=trial + 100)
         occluded = out.occlusion_mask == 1.0
         assert np.all(occluded | (out.occlusion_mask == 0.0))
