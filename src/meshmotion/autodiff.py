@@ -19,23 +19,25 @@ keep an operand only when the other operand takes a gradient, ``add``,
 ``sub``, ``lincomb``, ``sum_`` and ``mean`` keep shapes, ``softmax``, ``exp``
 and ``sqrt`` their output, and ``relu`` its one-byte mask. A value the model
 code has dropped is freed during the forward unless a backward reads it: the
-attention scores (the softmax backward reads its output), the predicted noise
-(``mse`` keeps the difference, ``lincomb`` the shapes), and a ``relu`` input
-and output inside the graph+time pass (the relu keeps its mask, and the graph
-convolution's product keeps its constant adjacency). An input that takes no
-gradient is stored as None, so a constant such as a noise draw is freed once
-the forward has used it. ``layer_norm`` and ``gelu`` recompute their
-full-size intermediates from the input in backward, with the forward's
+predicted noise (``mse`` keeps the difference, ``lincomb`` the shapes), and a
+``relu`` input and output inside the graph+time pass (the relu keeps its
+mask, and the graph convolution's product keeps its constant adjacency). An
+input that takes no gradient is stored as None, so a constant such as a noise
+draw is freed once the forward has used it. ``layer_norm`` and ``gelu``
+recompute their full-size intermediates from the input in backward, and
+``attention_layer`` its query projection and W v, with the forward's
 expressions in the same order, instead of holding them. And the model's hot
 composites are one record each, so an intermediate that no backward reads is
 no record output. Each has an analytic backward that runs the same numpy
 expressions in the same order as the primitives it replaces: ``lincomb``
 ((a·alpha + b·beta)·scale + shift, a diffusion chain step), ``mse`` (the
 mean squared error against a constant target), ``affine`` (x @ w + c, a
-linear layer or a projection plus its residual), ``softmax``, ``layer_norm``,
-``conv3d`` and ``segment_softmax_kl`` (the weighted KL between segment-wise
-softmaxes, the part loss of one level). ``attention`` is a scores record, a
-``softmax`` and a ``matmul``. ``conv3d`` takes and returns a channels-last
+linear layer), ``softmax``, ``layer_norm``, ``conv3d``,
+``segment_softmax_kl`` (the weighted KL between segment-wise softmaxes, the
+part loss of one level) and ``attention_layer`` (x + softmax((x @ wq) kᵀ/√d)
+v @ wo, a residual attention layer, which keeps only the softmax weights W
+beside its operands). ``attention``, its reference composite, is a scores
+record, a ``softmax`` and a ``matmul``. ``conv3d`` takes and returns a channels-last
 (B, T, H, W, C) grid and lowers to GEMMs on a spatial-only patch matrix, one
 GEMM per temporal tap, with no transpose of the grid on either side. Any op
 that produces a non-finite value raises :class:`NumericsError` immediately
@@ -95,6 +97,7 @@ __all__ = [
     "layer_norm",
     "conv3d",
     "attention",
+    "attention_layer",
     "gradcheck",
 ]
 
@@ -280,12 +283,18 @@ class Tape:
                 t.accumulate_grad(gi)
 
 
+def _check_finite(name: str, what: str, arr: np.ndarray) -> None:
+    """Raise :class:`NumericsError`, naming op ``name`` and ``what`` of it
+    ``arr`` is, if ``arr`` holds a NaN or Inf."""
+    if not np.isfinite(arr).all():
+        raise NumericsError(f"op '{name}' produced a non-finite {what}")
+
+
 def _result(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward) -> Tensor:
     arr = out_data
     if type(arr) is not np.ndarray or arr.dtype != np.float64:
         arr = np.asarray(arr, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise NumericsError(f"op '{name}' produced non-finite values")
+    _check_finite(name, "output", arr)
     out = Tensor.__new__(Tensor)
     if arr.ndim > 0 and not arr.flags.c_contiguous:
         arr = np.ascontiguousarray(arr)
@@ -672,15 +681,40 @@ def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
 # matmul / softmax / attention / normalization / convolution
 
 
+def _matmul_grads(g, a, b, sa, sb, shared: bool):
+    """The gradients of a @ b for the upstream ``g``: None for an operand
+    whose shape ``sa`` or ``sb`` is None (it takes no gradient), so each
+    operand is read only for the other's gradient.
+
+    With ``shared`` (``b`` is a 2-D matrix that every leading index of ``a``
+    shares: a weight, or a shared table of values) each gradient is one GEMM
+    over the flattened rows of ``a`` and ``g``: the ``b`` gradient sums over
+    those rows inside the GEMM instead of summing a batch of products after.
+    """
+    ga = gb = None
+    if shared:
+        # g is a's leading axes by b's columns
+        rows = math.prod(g.shape[:-1])
+        g_rows = g.reshape(rows, g.shape[-1])
+        if sa is not None:
+            ga = (g_rows @ b.T).reshape(sa)
+        if sb is not None:
+            gb = a.reshape(rows, sb[0]).T @ g_rows
+        return ga, gb
+    if sa is not None:
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), sa)
+    if sb is not None:
+        gb = _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), sb)
+    return ga, gb
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast.
 
-    When ``b`` is a 2-D matrix shared by every leading index of ``a`` (a
-    weight, or a shared table of values), each backward gradient is one GEMM
-    over the flattened rows of ``a`` and ``g``: the ``b`` gradient sums over
-    those rows inside the GEMM instead of summing a batch of products after.
-    The backward keeps each operand only for the other's gradient: a
-    constant ``a`` such as an adjacency matrix keeps ``a`` and frees ``b``.
+    A 2-D ``b`` shared by every leading index of ``a`` gets its gradient as
+    one GEMM (:func:`_matmul_grads`). The backward keeps each operand only
+    for the other's gradient: a constant ``a`` such as an adjacency matrix
+    keeps ``a`` and frees ``b``.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -692,25 +726,8 @@ def matmul(a, b) -> Tensor:
     ax = a.data if sb is not None else None
     bx = b.data if sa is not None else None
     shared = b.ndim == 2
-
-    def backward(g):
-        ga = gb = None
-        if shared:
-            # g is a's leading axes by b's columns
-            rows = math.prod(g.shape[:-1])
-            g_rows = g.reshape(rows, g.shape[-1])
-            if sa is not None:
-                ga = (g_rows @ bx.T).reshape(sa)
-            if sb is not None:
-                gb = ax.reshape(rows, sb[0]).T @ g_rows
-            return ga, gb
-        if sa is not None:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bx, -1, -2)), sa)
-        if sb is not None:
-            gb = _unbroadcast(np.matmul(np.swapaxes(ax, -1, -2), g), sb)
-        return ga, gb
-
-    return _result("matmul", (a, b), out, backward)
+    return _result("matmul", (a, b), out,
+                   lambda g: _matmul_grads(g, ax, bx, sa, sb, shared))
 
 
 def affine(x, w, c) -> Tensor:
@@ -733,15 +750,12 @@ def affine(x, w, c) -> Tensor:
     except ValueError:
         raise ShapeError(f"affine: c {c.shape} does not broadcast onto x @ w "
                          f"{out.shape} without growing it") from None
-    rows = math.prod(x.shape[:-1])
     sx, sw, sc = _grad_shape(x), _grad_shape(w), _grad_shape(c)
     xx = x.data if sw is not None else None
     wx = w.data if sx is not None else None
 
     def backward(g):
-        g_rows = g.reshape(rows, g.shape[-1])
-        gx = None if sx is None else (g_rows @ wx.T).reshape(sx)
-        gw = None if sw is None else xx.reshape(rows, sw[0]).T @ g_rows
+        gx, gw = _matmul_grads(g, xx, wx, sx, sw, True)
         return gx, gw, None if sc is None else _unbroadcast(g, sc)
 
     return _result("affine", (x, w, c), out, backward)
@@ -760,24 +774,32 @@ def softmax(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim == 0 or a.shape[-1] == 0:
         raise ShapeError(f"softmax needs a non-empty last axis, got {a.shape}")
-    n = a.shape[-1]
+    out = _softmax_rows(a.data)
+    return _result("softmax", (a,), out, lambda g: (_softmax_grad(g, out),))
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis of ``x``, through a transposed
+    scratch copy (see :func:`softmax`)."""
+    n = x.shape[-1]
     # the output is allocated before the scratch copy: with the copy under
     # it, each freed copy left a hole that glibc's malloc did not reuse,
     # about 8 MB of extra heap per default diffusion step
-    out = np.empty(a.shape)
-    w = a.data.reshape(-1, n).T.copy()
+    out = np.empty(x.shape)
+    w = x.reshape(-1, n).T.copy()
     w -= w.max(axis=0)
     np.exp(w, out=w)
     w /= w.sum(axis=0)
     out.reshape(-1, n)[...] = w.T
+    return out
 
-    def backward(g):
-        # g may be a leaf's .grad: it is read, never written
-        gi = g - _row_dot(g * out, np.ones(n))
-        gi *= out
-        return (gi,)
 
-    return _result("softmax", (a,), out, backward)
+def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The softmax input's gradient from the upstream ``g`` and the output."""
+    # g may be a leaf's .grad: it is read, never written
+    gi = g - _row_dot(g * out, np.ones(out.shape[-1]))
+    gi *= out
+    return gi
 
 
 def _segment_softmax(x: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.ndarray:
@@ -865,9 +887,8 @@ def layer_norm(a, gamma, beta) -> Tensor:
 
     normed = centered()
     std = np.sqrt(_row_dot(normed * normed, inv_c) + _LN_EPS)
-    if not np.isfinite(std).all():
-        # the squared deviation overflowed: the output would be beta alone, silently
-        raise NumericsError("op 'layer_norm' produced a non-finite standard deviation")
+    # where the squared deviation overflowed, the output would be beta alone
+    _check_finite("layer_norm", "standard deviation", std)
     normed /= std
     out = normed * gd
     out += beta.data
@@ -884,43 +905,69 @@ def layer_norm(a, gamma, beta) -> Tensor:
     return _result("layer_norm", (a, gamma, beta), out, backward)
 
 
+def _scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """scale · Q K^T over the last two axes; leading axes broadcast."""
+    return np.matmul(q, np.swapaxes(k, -1, -2)) * scale
+
+
+def _scores_grads(g, q, k, scale: float, sq, sk, shared: bool):
+    """The gradients of :func:`_scores` for the upstream ``g``, with None
+    where ``sq`` or ``sk`` is None, as in :func:`_matmul_grads`. A 2-D key
+    table that every query row shares (``shared``) gets its gradient as one
+    GEMM over the flattened query rows."""
+    gs = g * scale
+    gq = gk = None
+    if shared:
+        rows = math.prod(g.shape[:-1])
+        gs_rows = gs.reshape(rows, g.shape[-1])
+        if sq is not None:
+            gq = (gs_rows @ k).reshape(sq)
+        if sk is not None:
+            gk = gs_rows.T @ q.reshape(rows, sk[1])
+        return gq, gk
+    if sq is not None:
+        gq = _unbroadcast(np.matmul(gs, k), sq)
+    if sk is not None:
+        gk = _unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), q), sk)
+    return gq, gk
+
+
 def _scaled_scores(q: Tensor, k: Tensor, scale: float) -> Tensor:
     """scale · Q K^T over the last two axes as one record; leading axes broadcast.
 
-    With a 2-D key table shared by every query row, each backward gradient
-    is one GEMM over the flattened query rows, as in :func:`matmul`. As
-    there, the backward keeps each operand only for the other's gradient.
+    As in :func:`matmul`, the backward keeps each operand only for the
+    other's gradient.
     """
-    out = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
     sq, sk = _grad_shape(q), _grad_shape(k)
     qx = q.data if sk is not None else None
     kx = k.data if sq is not None else None
     shared = k.ndim == 2
+    return _result("attention_scores", (q, k), _scores(q.data, k.data, scale),
+                   lambda g: _scores_grads(g, qx, kx, scale, sq, sk, shared))
 
-    def backward(g):
-        gs = g * scale
-        gq = gk = None
-        if shared:
-            rows = math.prod(g.shape[:-1])
-            gs_rows = gs.reshape(rows, g.shape[-1])
-            if sq is not None:
-                gq = (gs_rows @ kx).reshape(sq)
-            if sk is not None:
-                gk = gs_rows.T @ qx.reshape(rows, sk[1])
-            return gq, gk
-        if sq is not None:
-            gq = _unbroadcast(np.matmul(gs, kx), sq)
-        if sk is not None:
-            gk = _unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), qx), sk)
-        return gq, gk
 
-    return _result("attention_scores", (q, k), out, backward)
+def _check_attention(name: str, q_shape: tuple[int, ...], k: Tensor, v: Tensor) -> None:
+    """Raise :class:`ShapeError` unless a query of ``q_shape`` can attend to
+    the keys ``k`` and values ``v``."""
+    if len(q_shape) < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ShapeError(f"{name} operands need rank >= 2")
+    d = q_shape[-1]
+    if k.shape[-1] != d:
+        raise ShapeError(f"{name}: query/key feature widths disagree: {d} vs {k.shape[-1]}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"{name}: key/value lengths disagree: {k.shape[-2]} vs {v.shape[-2]}")
+    if k.shape[-2] == 0 or d == 0:
+        raise ShapeError(f"{name} needs at least one key and one feature, got keys {k.shape}")
+    if _broadcast_shape(q_shape[:-2], k.shape[:-2], v.shape[:-2]) is None:
+        raise ShapeError(f"{name} leading axes do not broadcast: "
+                         f"{q_shape}, {k.shape}, {v.shape}")
 
 
 def attention(query, key, value) -> Tensor:
     """Scaled dot-product attention softmax(QK^T/sqrt(d))V in three records.
 
-    Operates on the last two axes (sequence, features); leading axes
+    The reference composite of :func:`attention_layer`, which the model
+    calls. Operates on the last two axes (sequence, features); leading axes
     broadcast, so key/value may be shared across a batched query. The tape
     gets the scores S = QK^T/sqrt(d) as one record (backward
     gQ = gS K / sqrt(d), gK = gS^T Q / sqrt(d)), then one :func:`softmax`
@@ -931,20 +978,80 @@ def attention(query, key, value) -> Tensor:
     output), so they are freed once the softmax has run.
     """
     q, k, v = as_tensor(query), as_tensor(key), as_tensor(value)
-    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
-        raise ShapeError("attention operands need rank >= 2")
-    d = q.shape[-1]
-    if k.shape[-1] != d:
-        raise ShapeError(f"query/key feature widths disagree: {d} vs {k.shape[-1]}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key/value lengths disagree: {k.shape[-2]} vs {v.shape[-2]}")
-    if k.shape[-2] == 0 or d == 0:
-        raise ShapeError(f"attention needs at least one key and one feature, got keys {k.shape}")
-    if _broadcast_shape(q.shape[:-2], k.shape[:-2], v.shape[:-2]) is None:
-        raise ShapeError(f"attention leading axes do not broadcast: "
-                         f"{q.shape}, {k.shape}, {v.shape}")
-    scores = _scaled_scores(q, k, 1.0 / math.sqrt(d))
+    _check_attention("attention", q.shape, k, v)
+    scores = _scaled_scores(q, k, 1.0 / math.sqrt(q.shape[-1]))
     return matmul(softmax(scores), v)
+
+
+def attention_layer(x, wq, k, v, wo) -> Tensor:
+    """One residual attention layer, x + softmax((x @ wq) kᵀ / √d) v @ wo; one record.
+
+    ``x`` is the (..., n, C) query, ``wq`` its (C, d) projection and ``wo``
+    the (e, C) output projection; ``k`` (..., L, d) and ``v`` (..., L, e)
+    are keys and values whose leading axes broadcast onto ``x``'s without
+    growing them, so one (L, d) table can serve every query.
+
+    Forward and backward run the expressions of the composite
+    ``affine(attention(matmul(x, wq), k, v), wo, x)`` in its order, so the
+    value and every gradient are bit-identical to it. The ``x`` gradient is
+    the residual's plus the q projection's, the sum the tape forms for the
+    composite when this layer is the last record that reads ``x``, as in
+    the model.
+
+    The record keeps ``x``, ``wq``, ``k``, ``v``, ``wo`` and the softmax
+    output W: backward recomputes q = x @ wq and o = W v with the forward's
+    own expressions, so the scores, q and o are never held. The q
+    projection, the scores and the output are checked to be finite. W and o
+    need no check: with finite scores each row of W lies in [0, 1] and sums
+    to 1, so o, a convex combination of the rows of the finite ``v``, is
+    finite too.
+    """
+    x, wq, k, v, wo = (as_tensor(t) for t in (x, wq, k, v, wo))
+    if x.ndim < 2 or wq.ndim != 2 or wq.shape[0] != x.shape[-1]:
+        raise ShapeError(f"attention_layer needs x (..., n, C) and wq (C, d), "
+                         f"got {x.shape} and {wq.shape}")
+    q_shape = x.shape[:-1] + wq.shape[1:]
+    _check_attention("attention_layer", q_shape, k, v)
+    if wo.shape != (v.shape[-1], x.shape[-1]):
+        raise ShapeError(f"attention_layer needs wo (e, C) for values (..., L, e) "
+                         f"and x (..., n, C), got {wo.shape}, {v.shape} and {x.shape}")
+    if _broadcast_shape(x.shape[:-2], k.shape[:-2], v.shape[:-2]) != x.shape[:-2]:
+        raise ShapeError(f"attention_layer: keys {k.shape} and values {v.shape} "
+                         f"would grow the query's leading axes {x.shape[:-2]}")
+    scale = 1.0 / math.sqrt(q_shape[-1])
+    xx, wqx, kx, vx, wox = x.data, wq.data, k.data, v.data, wo.data
+    q = np.matmul(xx, wqx)
+    _check_finite("attention_layer", "query projection", q)
+    scores = _scores(q, kx, scale)
+    _check_finite("attention_layer", "score", scores)
+    w = _softmax_rows(scores)
+    o = np.matmul(w, vx)
+    out = np.matmul(o, wox)
+    out += xx
+
+    # each intermediate's shape where its gradient is needed, else None
+    sx, swq, sk, sv, swo = (_grad_shape(t) for t in (x, wq, k, v, wo))
+    sq = q_shape if sx is not None or swq is not None else None
+    sw = w.shape if sq is not None or sk is not None else None
+    so = o.shape if sw is not None or sv is not None else None
+    k_shared, v_shared = k.ndim == 2, v.ndim == 2
+
+    def backward(g):
+        o = None if swo is None else np.matmul(w, vx)
+        go, gwo = _matmul_grads(g, o, wox, so, swo, True)
+        gx = gwq = gk = gv = None
+        if so is not None:
+            gw, gv = _matmul_grads(go, w, vx, sw, sv, v_shared)
+            if sw is not None:
+                q = None if sk is None else np.matmul(xx, wqx)
+                gq, gk = _scores_grads(_softmax_grad(gw, w), q, kx, scale, sq, sk, k_shared)
+                if sq is not None:
+                    gx, gwq = _matmul_grads(gq, xx, wqx, sx, swq, True)
+        if sx is not None:
+            gx = g + gx
+        return gx, gwq, gk, gv, gwo
+
+    return _result("attention_layer", (x, wq, k, v, wo), out, backward)
 
 
 def _spatial_patches(x: np.ndarray, kt: int, kh: int, kw: int) -> np.ndarray:

@@ -169,9 +169,10 @@ class AttentionLayer:
     ``keys_values`` projects a context to keys and values; the call attends a
     query to them. A caller that attends to the same context many times
     projects it once and passes the pair to every call. Output projection
-    starts at zero so a fresh layer is the identity map. The output
-    projection and the residual are one ``affine`` record, so the tape keeps
-    no projection that only the residual sum reads.
+    starts at zero so a fresh layer is the identity map. A call is one
+    ``attention_layer`` record: the query projection, the attention, the
+    output projection and the residual, with only the softmax weights kept
+    on the tape beside the operands.
     """
 
     def __init__(self, width: int, rng: np.random.Generator):
@@ -189,10 +190,7 @@ class AttentionLayer:
         return ad.matmul(context, self.p["wk"]), ad.matmul(context, self.p["wv"])
 
     def __call__(self, query: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        if query.shape[-1] != self.width:
-            raise ShapeError(f"query width {query.shape[-1]} != layer width {self.width}")
-        out = ad.attention(ad.matmul(query, self.p["wq"]), k, v)
-        return ad.affine(out, self.p["wo"], query)
+        return ad.attention_layer(query, self.p["wq"], k, v, self.p["wo"])
 
 
 def step_embeddings(n_steps: int, channels: int) -> np.ndarray:

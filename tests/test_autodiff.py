@@ -300,6 +300,9 @@ def _gradcheck_table(rng):
                                [x]),
         "conv3d": (conv3d, [conv_x, conv_k]),
         "attention": (attention, [x, rng.standard_normal((n + 1, m)), value]),
+        "attention_layer": (ad.attention_layer,
+                            [x, w, rng.standard_normal((n + 1, 3)), value,
+                             rng.standard_normal((3, m))]),
     }
 
 
@@ -804,6 +807,13 @@ def test_elementwise_ops_name_both_shapes_when_operands_do_not_broadcast(op):
     (ad.affine, ((2, 3), (3, 5), (7, 2, 5))), # c would grow the product
     (lambda a, b, s: ad.lincomb(a, 1.0, b, 1.0, shift=s),
      ((2, 3), (2, 3), (4, 2, 3))),            # the shift would grow the sum
+    # attention_layer (x, wq, k, v, wo)
+    (ad.attention_layer, ((2, 3), (4, 3), (5, 3), (5, 3), (3, 3))),     # wq does not take x
+    (ad.attention_layer, ((2, 3), (3, 3), (5, 4), (5, 3), (3, 3))),     # keys of another width
+    (ad.attention_layer, ((2, 3), (3, 3), (5, 3), (4, 3), (3, 3))),     # 5 keys, 4 values
+    (ad.attention_layer, ((2, 3), (3, 3), (5, 3), (5, 2), (3, 3))),     # wo does not take o
+    (ad.attention_layer, ((2, 3), (3, 3), (5, 3), (5, 3), (3, 4))),     # wo would widen x
+    (ad.attention_layer, ((2, 3), (3, 3), (4, 5, 3), (4, 5, 3), (3, 3))),  # keys grow x
 ])
 def test_fused_ops_reject_bad_shapes(op, shapes):
     with pytest.raises(ShapeError):
@@ -844,10 +854,11 @@ def test_conv3d_composite_oracle_matches_tap_loop():
     ("lincomb", lambda a, b: ad.lincomb(a, 0.5, b, -2.0), ((3, 4), (3, 4))),
     ("mse", lambda a: ad.mse(a, np.ones((3, 4))), ((3, 4),)),
     ("affine", ad.affine, ((2, 3, 4), (4, 5), (2, 3, 5))),
+    ("attention_layer", ad.attention_layer, ((2, 3, 4), (4, 5), (6, 5), (6, 2), (2, 4))),
 ], ids=["conv3d-conv3d-shapes0", "softmax-<lambda>-shapes1",
         # the id is kept from when a log_softmax case came before it
         "layer_norm-layer_norm-shapes3", "segment_softmax_kl-<lambda>-shapes4",
-        "lincomb", "mse", "affine"])
+        "lincomb", "mse", "affine", "attention_layer"])
 def test_fused_kernel_records_once(name, op, shapes):
     rng = np.random.default_rng(30)
     tensors = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
@@ -928,6 +939,74 @@ def test_attention_raises_when_a_score_overflows():
     k = np.array([[-1e160, 0.0], [1.0, 0.0]])
     with np.errstate(over="ignore"), pytest.raises(NumericsError):
         attention(q, k, np.ones((2, 2)))
+
+
+def test_attention_layer_raises_when_a_score_overflows():
+    # as above, with the query projected by the identity
+    x = np.array([[1e160, 0.0]])
+    k = np.array([[-1e160, 0.0], [1.0, 0.0]])
+    with np.errstate(over="ignore"), pytest.raises(NumericsError,
+                                                   match="'attention_layer'.* score"):
+        ad.attention_layer(x, np.eye(2), k, np.ones((2, 2)), np.eye(2))
+
+
+@pytest.mark.parametrize("stage,wq,wo", [
+    ("query projection", 1e200, 1.0),
+    ("output", 1.0, 1e200),
+], ids=["query_projection", "output"])
+def test_attention_layer_names_the_stage_that_overflows(stage, wq, wo):
+    # finite scores and values make the weights and W v finite; only the q
+    # projection and the output projection can overflow
+    x = np.array([[1e200, 1.0]])
+    k, v = np.array([[0.0, 1.0], [0.0, -1.0]]), np.full((2, 2), 1e200)
+    with np.errstate(over="ignore"), pytest.raises(NumericsError,
+                                                   match=f"'attention_layer'.* {stage}"):
+        ad.attention_layer(x, np.eye(2) * wq, k, v, np.eye(2) * wo)
+
+
+def _attention_layer_composite(x, wq, k, v, wo):
+    return ad.affine(attention(ad.matmul(x, wq), k, v), wo, x)
+
+
+# the default model's three attention layouts: the context table's shared
+# (4, C) keys, the dependency keys of each frame (B, T, S, C) and temporal
+# attention over (B, S, T, C) tokens
+ATTENTION_LAYER_SHAPES = {
+    "context": ((4, 16, 24, 8), (4, 8), (4, 8)),
+    "dependency": ((4, 16, 24, 8), (4, 16, 24, 8), (4, 16, 24, 8)),
+    "temporal": ((4, 24, 16, 8), (4, 24, 16, 8), (4, 24, 16, 8)),
+}
+
+
+@pytest.mark.parametrize("layout", list(ATTENTION_LAYER_SHAPES))
+def test_attention_layer_is_bit_identical_to_its_composite(layout):
+    rng = np.random.default_rng(45)
+    x, k, v = (rng.standard_normal(s) for s in ATTENTION_LAYER_SHAPES[layout])
+    wq, wo = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
+    _assert_bit_identical(ad.attention_layer, _attention_layer_composite,
+                          [x, wq, k, v, wo], 12)
+
+
+# which of (x, wq, k, v, wo) take a gradient; the first is the sinusoid
+# test's block, whose first query is a constant
+@pytest.mark.parametrize("wants", ["-qkvo", "x----", "-q--o", "--k--", "---v-", "----o"])
+def test_attention_layer_skips_the_gradients_no_input_takes(wants):
+    rng = np.random.default_rng(46)
+    arrays = [rng.standard_normal(s) for s in ((2, 3, 4), (4, 4), (5, 4), (5, 4), (4, 4))]
+    upstream = rng.standard_normal((2, 3, 4))
+    results = []
+    for op in (ad.attention_layer, _attention_layer_composite):
+        tensors = [Tensor(a, requires_grad=c != "-") for a, c in zip(arrays, wants)]
+        with Tape() as tape:
+            out = op(*tensors)
+        tape.backward(out, seed=upstream)
+        results.append([out.data] + [t.grad for t in tensors])
+    got, want = results
+    for c, g, w in zip("o" + wants, got, want):
+        if c == "-":
+            assert g is None and w is None
+        else:
+            np.testing.assert_array_equal(g, w)
 
 def test_reshape_roundtrip_identity():
     rng = np.random.default_rng(16)
@@ -1137,7 +1216,8 @@ def test_freeing_values_during_the_forward_changes_no_number(monkeypatch):
                 tape.backward(loss)
         runs.append((freed, loss.data, _leaf_grads(model)))
     (freed, loss, grads), (freed_kept, loss_kept, grads_kept) = runs
-    # the attention scores alone are 152 freed values
+    # among the freed values are the 104 relu outputs of the graph+time
+    # passes and the 101 attention layer outputs no backward reads
     assert freed > 152 and freed_kept == 0
     np.testing.assert_array_equal(loss, loss_kept)
     assert grads.keys() == grads_kept.keys()
@@ -1147,10 +1227,11 @@ def test_freeing_values_during_the_forward_changes_no_number(monkeypatch):
             np.testing.assert_array_equal(grads[k], grads_kept[k], err_msg=k)
 
 
-def test_a_default_diffusion_step_peaks_under_125_mb():
+def test_a_default_diffusion_step_peaks_under_90_mb():
     # forward, loss and backward of one default diffusion step under
     # tracemalloc; with every record output alive until backward ends the
-    # same step peaked at 167.6 MB
+    # same step peaked at 167.6 MB, and with five records per attention
+    # layer (the scores, q and W v among their values) at 108.7 MB
     model = build_model(ModelConfig())
     tracemalloc.start()
     try:
@@ -1160,4 +1241,4 @@ def test_a_default_diffusion_step_peaks_under_125_mb():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 125 * 2**20
+    assert peak <= 90 * 2**20

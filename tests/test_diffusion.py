@@ -345,6 +345,40 @@ def test_chain_records_one_per_noise_step_and_one_per_reverse_step(monkeypatch):
     assert [r.name for r in tape.records].count("mse") == 3
 
 
+@pytest.mark.parametrize("which", ["miniature", "default"])
+def test_each_attention_layer_call_records_one_attention_layer(monkeypatch, which):
+    calls = []
+    layer_call = AttentionLayer.__call__
+
+    def recording(self, *args):
+        n0 = len(tape.records)
+        out = layer_call(self, *args)
+        calls.append([r.name for r in tape.records[n0:]])
+        return out
+
+    monkeypatch.setattr(AttentionLayer, "__call__", recording)
+    if which == "miniature":
+        _, block, ctx = _block_setup(n_steps=3)
+        x = Tensor(np.random.default_rng(31).standard_normal((1, 2, 8, 4)), requires_grad=True)
+        with Tape() as tape:
+            block(x, ctx, seed=4)
+        # one per noise step, two per reverse step, one per stack pass
+        assert calls == [["attention_layer"]] * (3 * 3 + 2)
+    else:
+        config = ModelConfig()
+        model = build_model(config)
+        obs = np.random.default_rng(32).standard_normal((config.batch_size, 16,
+                                                         config.n_vertices, 3)) * 100.0
+        with Tape() as tape:
+            model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=0),
+                       obs + 1.0)
+        # 50 context, 50 conditioning and 52 temporal attention calls; each
+        # was five records (q projection, scores, softmax, W v, output
+        # projection), so a step wrote 1,711 records
+        assert calls == [["attention_layer"]] * 152
+        assert len(tape.records) == 1103
+
+
 def _two_record_reverse_step(z_t, t, eps_pred, schedule, noise):
     # the reverse step as two records: the corrected state, then its scaling
     # plus the scaled draw (a mul where there is no draw)
@@ -396,22 +430,17 @@ def _closure_arrays(fn):
 @pytest.mark.parametrize("which", ["miniature", "default"])
 def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
     constants = []
-    # values no backward reads: the attention scores, the predicted noise
-    # and the relu outputs after conv3d (a 5-D grid) and graph conv (4-D
-    # tokens); the encoder's relu output (2-D) is read by its next layer
-    dead = {"scores": [], "eps_hat": [], "relu": []}
-    constant, scores, relu = ad.constant, ad._scaled_scores, ad.relu
+    # values no backward reads: the predicted noise and the relu outputs
+    # after conv3d (a 5-D grid) and graph conv (4-D tokens); the encoder's
+    # relu output (2-D) is read by its next layer
+    dead = {"eps_hat": [], "relu": []}
+    constant, relu = ad.constant, ad.relu
     predictor = diffusion.NoisePredictor.__call__
 
     def tracked(x):
         t = constant(x)
         constants.append((t.ndim, weakref.ref(t.data)))
         return t
-
-    def tracked_scores(*args):
-        out = scores(*args)
-        dead["scores"].append(weakref.ref(out.data))
-        return out
 
     def tracked_predictor(self, *args):
         out = predictor(self, *args)
@@ -425,7 +454,6 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
         return out
 
     monkeypatch.setattr(ad, "constant", tracked)
-    monkeypatch.setattr(ad, "_scaled_scores", tracked_scores)
     monkeypatch.setattr(diffusion.NoisePredictor, "__call__", tracked_predictor)
     monkeypatch.setitem(body_graph._ACTIVATIONS, "relu", tracked_relu)
     if which == "miniature":
@@ -453,12 +481,25 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
     draws = [ref for ndim, ref in constants if ndim == 4]
     assert len(draws) == 2 * n_steps - 1
     assert all(ref() is None for ref in draws)
-    # so are the values no backward reads: one attention per noise step,
-    # two per reverse step and one per stack pass; one predicted noise per
-    # reverse step; two relus per graph+time pass
-    assert [len(dead[k]) for k in dead] == [3 * n_steps + 2, n_steps, 2 * (n_steps + 2)]
+    # so are the values no backward reads: one predicted noise per reverse
+    # step; two relus per graph+time pass
+    assert [len(dead[k]) for k in dead] == [n_steps, 2 * (n_steps + 2)]
     for kind, refs in dead.items():
         assert all(ref() is None for ref in refs), kind
+    # an attention layer keeps its query, keys, values, both weights and the
+    # softmax weights W, whose shape is the scores': never the scores, the
+    # projected query or W v. One per noise step, two per reverse step and
+    # one per stack pass
+    layers = [rec for rec in tape.records if rec.name == "attention_layer"]
+    assert len(layers) == 3 * n_steps + 2
+    for rec in layers:
+        x, wq, k, v, wo = (t.data for t in rec.inputs)
+        held = list(_closure_arrays(rec.backward))
+        assert len(held) == 6
+        assert all(any(a is t for a in held) for t in (x, wq, k, v, wo))
+        (w,) = [a for a in held if not any(a is t for t in (x, wq, k, v, wo))]
+        lead = np.broadcast_shapes(x.shape[:-2], k.shape[:-2])
+        assert w.dtype == np.float64 and w.shape == lead + (x.shape[-2], k.shape[-2])
     # a product with a constant left operand (the graph conv's adjacency,
     # the up matrix) keeps that 2-D matrix only, never the right operand
     products = [rec for rec in tape.records if rec.name == "matmul" and rec.inputs[0] is None]
