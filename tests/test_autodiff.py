@@ -1008,6 +1008,7 @@ def test_attention_layer_skips_the_gradients_no_input_takes(wants):
         else:
             np.testing.assert_array_equal(g, w)
 
+
 def test_reshape_roundtrip_identity():
     rng = np.random.default_rng(16)
     x = rng.standard_normal((3, 4, 5))

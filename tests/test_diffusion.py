@@ -372,9 +372,7 @@ def test_each_attention_layer_call_records_one_attention_layer(monkeypatch, whic
         with Tape() as tape:
             model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=0),
                        obs + 1.0)
-        # 50 context, 50 conditioning and 52 temporal attention calls; each
-        # was five records (q projection, scores, softmax, W v, output
-        # projection), so a step wrote 1,711 records
+        # 50 context, 50 conditioning and 52 temporal attention calls
         assert calls == [["attention_layer"]] * 152
         assert len(tape.records) == 1103
 
