@@ -55,6 +55,10 @@ ones or 1/C vector, or a reduction over the leading axis of a copy with the
 reduced axis first. A 2-D matrix that every leading index shares (a weight,
 a shared key or value table) gets its gradient as one GEMM over the
 flattened rows, not as a batch of small products summed afterwards.
+
+Tolerances are module constants, not arguments: ``PROB_FLOOR`` in
+``segment_softmax_kl``'s logs, ``_LN_EPS`` in ``layer_norm``, and
+:func:`gradcheck`'s step ``_GRADCHECK_H`` and denominator ``_GRADCHECK_FLOOR``.
 """
 
 from __future__ import annotations
@@ -204,10 +208,10 @@ def _slot_of(t: Tensor) -> Tensor | _Slot:
     return t if t._slot is None else t._slot
 
 
-def as_tensor(x, requires_grad: bool = False) -> Tensor:
+def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(x, requires_grad=requires_grad)
+    return Tensor(x)
 
 
 def constant(x) -> Tensor:
@@ -818,16 +822,20 @@ def _segment_starts(starts, n: int) -> np.ndarray:
     return starts
 
 
-def segment_softmax_kl(logits, target_logits, starts, weights, floor: float) -> Tensor:
+PROB_FLOOR = 1e-12  # probabilities are floored here inside a log (segment_softmax_kl)
+_LN_EPS = 1e-5  # added to the variance under layer_norm's square root
+
+
+def segment_softmax_kl(logits, target_logits, starts, weights) -> Tensor:
     """Σ_p w_p · mean over rows of KL(softmax_p(target) ‖ softmax_p(logits)); one record.
 
     ``logits`` and ``target_logits`` are (S, n). Their columns split into
     contiguous segments p that begin at ``starts`` (increasing, the first 0),
     and each row takes a softmax q (target) and p (prediction) over each
     segment. ``weights`` holds one w_p per segment. Both sides are floored at
-    ``floor`` inside the log, so the target's 0·log 0 counts as 0. The target
-    is detached: its gradient is None. With keep = p > floor and c each
-    column's segment weight over S, the logits gradient is
+    ``PROB_FLOOR`` inside the log, so the target's 0·log 0 counts as 0. The
+    target is detached: its gradient is None. With keep = p > PROB_FLOOR and
+    c each column's segment weight over S, the logits gradient is
     g·(−q·keep·c + p·Σ_seg q·keep·c), so it flows only where the prediction
     is above the floor. The backward keeps both softmaxes and the weights,
     and of the logits only whether they take a gradient.
@@ -844,20 +852,17 @@ def segment_softmax_kl(logits, target_logits, starts, weights, floor: float) -> 
     seg = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
     p = _segment_softmax(x.data, starts, seg)
     q = _segment_softmax(t.data, starts, seg)
-    per_entry = q * (np.log(np.maximum(q, floor)) - np.log(np.maximum(p, floor)))
+    per_entry = q * (np.log(np.maximum(q, PROB_FLOOR)) - np.log(np.maximum(p, PROB_FLOOR)))
     out = np.add.reduceat(per_entry, starts, axis=1).mean(axis=0) @ w
     wants, rows = x.requires_grad, x.shape[0]
 
     def backward(g):
         if not wants:
             return None, None
-        qk = q * (p > floor) * (w / rows)[seg]
+        qk = q * (p > PROB_FLOOR) * (w / rows)[seg]
         return g * (p * np.add.reduceat(qk, starts, axis=1)[:, seg] - qk), None
 
     return _result("segment_softmax_kl", (x, t), out, backward)
-
-
-_LN_EPS = 1e-5  # added to the variance under layer_norm's square root
 
 
 def layer_norm(a, gamma, beta) -> Tensor:
@@ -1142,12 +1147,12 @@ def conv3d(x, kernel) -> Tensor:
 
 
 _GRADCHECK_FLOOR = 1e-8  # gradcheck's least relative-error denominator
+_GRADCHECK_H = 1e-5  # gradcheck's central-difference step
 
 
 def gradcheck(
     op: Callable[..., Tensor],
     inputs: Sequence,
-    h: float = 1e-5,
     max_coords: int | None = None,
 ) -> float:
     """Compare tape gradients of sum(op(*inputs)) against central differences.
@@ -1155,10 +1160,10 @@ def gradcheck(
     Returns the worst elementwise relative error under a denominator floor.
     ``max_coords`` limits finite differencing to a coordinate subset per
     input (for large parameter sets), drawn from one generator seeded 0;
-    None checks every coordinate.
+    None checks every coordinate, and a value below 1 raises ``ValueError``.
     """
-    if not (1e-6 <= h <= 1e-3):
-        raise ValueError(f"perturbation h={h} outside [1e-6, 1e-3]")
+    if max_coords is not None and max_coords < 1:
+        raise ValueError(f"max_coords={max_coords} checks no coordinate")
     tensors = tuple(Tensor(as_tensor(x).data, requires_grad=True) for x in inputs)
     with Tape() as tape:
         out = op(*tensors)
@@ -1180,12 +1185,12 @@ def gradcheck(
             coords = rng.choice(t.size, size=max_coords, replace=False)
         for c in coords:
             base = [u.data.copy() for u in tensors]
-            base[i].reshape(-1)[c] += h
+            base[i].reshape(-1)[c] += _GRADCHECK_H
             up = f(base)
             base = [u.data.copy() for u in tensors]
-            base[i].reshape(-1)[c] -= h
+            base[i].reshape(-1)[c] -= _GRADCHECK_H
             down = f(base)
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * _GRADCHECK_H)
             if not math.isfinite(numeric):
                 raise GradcheckError(f"non-finite numeric gradient at input {i}, coord {c}")
             denom = max(_GRADCHECK_FLOOR, abs(flat[c]), abs(numeric))

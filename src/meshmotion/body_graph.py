@@ -164,27 +164,28 @@ def resolve_activation(name: str):
 
 
 class GraphConvLayer:
-    """One graph convolution: activation(adjacency @ Y @ weight)."""
+    """One graph convolution over a fixed graph: activation(adjacency @ Y @ weight)."""
 
-    def __init__(self, c_in: int, c_out: int, activation: str = "relu", *,
+    def __init__(self, c_in: int, c_out: int, adjacency: Tensor, activation: str = "relu", *,
                  rng: np.random.Generator):
         scale = 1.0 / np.sqrt(c_in)
         self.c_in = c_in
+        self.adjacency = adjacency
         self.activation = activation
         self.p = {"weight": Tensor(rng.standard_normal((c_in, c_out)) * scale,
                                    requires_grad=True)}
 
-    def apply(self, adjacency: Tensor, y: Tensor) -> Tensor:
+    def apply(self, y: Tensor) -> Tensor:
         """activation(adjacency @ y @ weight); y is (..., n, c_in)."""
         w = self.p["weight"]
         if y.shape[-1] != self.c_in:
             raise ShapeError(f"feature width {y.shape[-1]} != layer c_in {self.c_in}")
-        if y.shape[-2] != adjacency.shape[0]:
+        if y.shape[-2] != self.adjacency.shape[0]:
             raise ShapeError(
-                f"row count {y.shape[-2]} != adjacency size {adjacency.shape[0]}"
+                f"row count {y.shape[-2]} != adjacency size {self.adjacency.shape[0]}"
             )
         act = resolve_activation(self.activation)
-        return act(ad.matmul(ad.matmul(adjacency, y), w))
+        return act(ad.matmul(ad.matmul(self.adjacency, y), w))
 
 
 def _part_edges(start: int, count: int) -> list[tuple[int, int]]:

@@ -121,7 +121,8 @@ def reverse_step(
     / sqrt(alpha_t). The additive term scales a standard Gaussian draw by
     sqrt(1-alpha_t) * sqrt(1-alpha_bar_{t-1}) / sqrt(1-alpha_bar_t), which
     equals the posterior standard deviation. The draw is forced to zero at
-    t = 1, where ``noise`` is not read.
+    t = 1, where ``noise`` is not read and may be None; elsewhere a missing
+    or misshapen draw raises ``ShapeError``.
 
     One record: ``lincomb(z_t, 1, eps_pred, -coef, scale=1/sqrt(alpha_t),
     shift=sigma * draw)``, with no shift where there is no draw. It evaluates
@@ -146,6 +147,8 @@ def reverse_step(
         sigma = math.sqrt(1.0 - a) * math.sqrt(1.0 - abar_prev) / math.sqrt(one_m_abar)
     shift = None
     if t > 1 and sigma != 0.0:
+        if noise is None:
+            raise ShapeError(f"step {t} needs a noise draw of shape {z_t.shape}, got None")
         noise = ad.as_tensor(noise)
         if noise.shape != z_t.shape:
             raise ShapeError(f"noise shape {noise.shape} != input shape {z_t.shape}")
@@ -225,25 +228,25 @@ def rearrange(x: Tensor, grid: tuple[int, int] | None = None) -> Tensor:
 
 class GraphTimePass:
     """One modeling pass over (B, T, S, C) tokens: 3D conv over the
-    (T, H, W) grid, per-frame graph conv over the coarse mesh, then temporal
-    self-attention across frames, independently per site."""
+    (T, H, W) grid, per-frame graph conv over ``coarse_adj`` (the coarse
+    mesh), then temporal self-attention across frames, independently per site."""
 
-    def __init__(self, channels: int, grid: tuple[int, int], activation: str,
-                 rng: np.random.Generator):
+    def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
+                 activation: str, rng: np.random.Generator):
         k3 = (channels, channels, _KERNEL, _KERNEL, _KERNEL)
         self.grid = grid
         self.activation = activation
         self.p = {"conv_kernel": _init(rng, k3, scale=1.0 / math.sqrt(channels * _KERNEL**3))}
-        self.graph = GraphConvLayer(channels, channels, activation=activation, rng=rng)
+        self.graph = GraphConvLayer(channels, channels, coarse_adj, activation, rng=rng)
         self.time_attn = AttentionLayer(channels, rng=rng)
 
     def layers(self):
         return [self, self.graph, self.time_attn]
 
-    def __call__(self, x: Tensor, coarse_adj: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         act = resolve_activation(self.activation)
         x = rearrange(act(ad.conv3d(rearrange(x, self.grid), self.p["conv_kernel"])))
-        x = self.graph.apply(coarse_adj, x)
+        x = self.graph.apply(x)
         x = ad.transpose(x, (0, 2, 1, 3))                     # (B, S, T, C)
         return ad.transpose(self.time_attn(x, *self.time_attn.keys_values(x)), (0, 2, 1, 3))
 
@@ -251,9 +254,9 @@ class GraphTimePass:
 class FeatureStack:
     """Two graph+time passes applied back to back (independent weights)."""
 
-    def __init__(self, channels: int, grid: tuple[int, int], activation: str,
-                 rng: np.random.Generator):
-        self.passes = [GraphTimePass(channels, grid, activation, rng)
+    def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
+                 activation: str, rng: np.random.Generator):
+        self.passes = [GraphTimePass(channels, grid, coarse_adj, activation, rng)
                        for _ in range(2)]
 
     def layers(self):
@@ -262,9 +265,9 @@ class FeatureStack:
             out += p.layers()
         return out
 
-    def __call__(self, x: Tensor, coarse_adj: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         for p in self.passes:
-            x = p(x, coarse_adj)
+            x = p(x)
         return x
 
 
@@ -278,9 +281,9 @@ class NoisePredictor:
     a full-size one.
     """
 
-    def __init__(self, channels: int, grid: tuple[int, int], activation: str,
-                 rng: np.random.Generator):
-        self.pass_ = GraphTimePass(channels, grid, activation, rng)
+    def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
+                 activation: str, rng: np.random.Generator):
+        self.pass_ = GraphTimePass(channels, grid, coarse_adj, activation, rng)
         self.p = {
             "ln_gamma": Tensor(np.ones(channels), requires_grad=True),
             "ln_beta": Tensor(np.zeros(channels), requires_grad=True),
@@ -290,10 +293,10 @@ class NoisePredictor:
     def layers(self):
         return [self] + self.pass_.layers()
 
-    def __call__(self, x: Tensor, embedding: np.ndarray, coarse_adj: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, embedding: np.ndarray) -> Tensor:
         shift = ad.add(self.p["ln_beta"], ad.constant(embedding))
         x = ad.layer_norm(x, self.p["ln_gamma"], shift)
-        return ad.matmul(self.pass_(x, coarse_adj), self.p["head"])
+        return ad.matmul(self.pass_(x), self.p["head"])
 
 
 class DiffusionBlock:
@@ -321,12 +324,12 @@ class DiffusionBlock:
                 f"latent grid {h}x{w} must match coarse vertex count {graph.n_coarse}"
             )
         self.schedule = schedule
-        self.coarse_adj = graph.coarse_adjacency()
+        coarse_adj = graph.coarse_adjacency()  # one constant for the stack and the predictor
         self.n_sites = graph.n_coarse
         self.context_attn = AttentionLayer(channels, rng=rng)
-        self.stack = FeatureStack(channels, grid, activation, rng)
+        self.stack = FeatureStack(channels, grid, coarse_adj, activation, rng)
         self.cond_attn = AttentionLayer(channels, rng=rng)
-        self.predictor = NoisePredictor(channels, grid, activation, rng)
+        self.predictor = NoisePredictor(channels, grid, coarse_adj, activation, rng)
         self.step_embedding = step_embeddings(schedule.n_steps, channels)
 
     def layers(self):
@@ -353,7 +356,7 @@ class DiffusionBlock:
             x = self.context_attn(forward_noise_step(x, step, sched, draw()), *ctx_kv)
 
         # temporal dependency summary from the noised latent
-        deps_kv = self.cond_attn.keys_values(self.stack(x, self.coarse_adj))
+        deps_kv = self.cond_attn.keys_values(self.stack(x))
 
         # conditioned reverse chain; the predictor trains toward the noise
         # component of the live state, (z_t - sqrt(abar_t) x0)/sqrt(1-abar_t),
@@ -362,7 +365,7 @@ class DiffusionBlock:
         eps_sum = None
         for step in range(sched.n_steps, 0, -1):
             z = self.cond_attn(z, *deps_kv)
-            eps_hat = self.predictor(z, self.step_embedding[step - 1], self.coarse_adj)
+            eps_hat = self.predictor(z, self.step_embedding[step - 1])
             abar = float(sched.alpha_bar[step - 1])
             if 1.0 - abar > 0.0:
                 target = (z.data - math.sqrt(abar) * x0.data) / math.sqrt(1.0 - abar)

@@ -5,18 +5,18 @@ Joints regress from mesh vertices through a sparse convex-weight matrix; the
 toy regressor places 14 joints on single-part vertex groups so rigid part
 motion keeps designated bone lengths constant.
 
-``compute_metrics`` scores one sequence, or a list of them, in one batched
-pass. Each sequence gets its input checks, its per-frame vertex error and
-its two joint regressions; the vertex arrays are never stacked. The joints
-of every frame of every sequence are then concatenated, and the root-aligned
-and Procrustes joint errors run over all of them at once: one rank SVD, one
+``compute_metrics`` scores a list of sequences in one batched pass. Each
+sequence gets its input checks, its per-frame vertex error and its two
+joint regressions; the vertex arrays are never stacked. The joints of every
+frame of every sequence are then concatenated, and the root-aligned and
+Procrustes joint errors run over all of them at once: one rank SVD, one
 cross-covariance SVD and one determinant, stacked over the frames, so their
 count grows neither with T nor with the number of sequences. Each
 sequence's result is the mean of its own frames' slice, so it is the same,
-bit for bit, as scoring that sequence alone. Errors are typed: every failure
-is a ``MetricsError``; ``AlignmentError``, its subclass, marks a degenerate
-frame, and both name the first failing frame ("frame 7: ", or "sequence 3,
-frame 7: " in the list form).
+bit for bit, as scoring that sequence in a list of one. Errors are typed:
+every failure is a ``MetricsError``; ``AlignmentError``, its subclass, marks
+a degenerate frame. Every error names the sequence, and the first failing
+frame where there is one ("sequence 3: ", "sequence 3, frame 7: ").
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ class JointRegressor:
             raise MetricsError("regressor rows must be nonnegative")
         if not np.allclose(self.matrix.sum(axis=1), 1.0, atol=1e-12):
             raise MetricsError("regressor rows must sum to 1")
-
-    @property
-    def n_joints(self) -> int:
-        return self.matrix.shape[0]
 
     def __call__(self, vertices: np.ndarray) -> np.ndarray:
         """(..., n, 3) vertices -> (..., n_joints, 3) joints."""
@@ -219,22 +215,20 @@ def _lengths(d: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
-def compute_metrics(pred_vertices, gt_vertices,
-                    regressor: JointRegressor) -> PoseError | list[PoseError]:
-    """Frame-averaged vertex/joint errors; inputs are (T, n, 3) or (n, 3) mm.
+def compute_metrics(pred_vertices: list, gt_vertices: list,
+                    regressor: JointRegressor) -> list[PoseError]:
+    """Frame-averaged vertex/joint errors, one ``PoseError`` per sequence.
 
-    Given lists of sequences (one prediction and one ground truth each, of
-    any lengths), returns one ``PoseError`` per sequence, each the same as
-    that sequence's own call. All frames of all sequences are scored in one
-    batched pass (see the module docstring). A frame whose error is not
-    finite (coordinates so large that their squares overflow) raises
-    ``MetricsError`` naming it, as does a degenerate alignment, a
-    non-finite coordinate or a regressor built for another vertex count; in
-    the list form the error also names the sequence.
+    Takes a list of (T, n, 3) predictions and an equally long list of
+    ground truths, in mm, one pair per sequence, of any lengths; all frames
+    are scored in one batched pass (see the module docstring). A frame whose
+    error is not finite (coordinates so large that their squares overflow),
+    a degenerate alignment or a non-finite coordinate raises
+    ``MetricsError`` naming the sequence and frame; a malformed pair or a
+    regressor built for another vertex count, naming the sequence.
     """
     if not isinstance(pred_vertices, list):
-        return _score([_per_sequence(pred_vertices, gt_vertices, regressor)],
-                      regressor, _frame_name)[0]
+        raise MetricsError(f"expected a list of predictions, got {type(pred_vertices).__name__}")
     if not isinstance(gt_vertices, list) or len(gt_vertices) != len(pred_vertices):
         raise MetricsError("expected a list of ground truths as long as the "
                            f"{len(pred_vertices)} predictions")
@@ -242,37 +236,8 @@ def compute_metrics(pred_vertices, gt_vertices,
         return []
     parts = [_per_sequence(p, g, regressor, k)
              for k, (p, g) in enumerate(zip(pred_vertices, gt_vertices))]
-    return _score(parts, regressor, _sequence_frame_name([len(m) for m, _, _ in parts]))
-
-
-def _per_sequence(pred_vertices, gt_vertices, regressor: JointRegressor, seq: int | None = None):
-    """One sequence's checked inputs -> its (T,) vertex errors and its
-    (T, J, 3) predicted and true joints. Errors name ``seq`` when given."""
-    at = "" if seq is None else f"sequence {seq}: "
-    pred = np.asarray(pred_vertices, dtype=np.float64)
-    gt = np.asarray(gt_vertices, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise MetricsError(f"{at}shape mismatch: {pred.shape} vs {gt.shape}")
-    if pred.ndim == 2:
-        pred, gt = pred[None], gt[None]
-    if not (np.isfinite(pred).all() and np.isfinite(gt).all()):
-        if seq is not None and pred.ndim == 3:
-            bad = ~(np.isfinite(pred) & np.isfinite(gt)).all(axis=(1, 2))
-            at = f"sequence {seq}, frame {int(np.argmax(bad))}: "
-        raise MetricsError(at + "non-finite coordinates")
-    if pred.ndim != 3 or pred.shape[2] != 3:
-        raise MetricsError(f"{at}expected (T, n, 3) vertices, got {pred.shape}")
-    if regressor.matrix.shape[1] != pred.shape[1]:
-        raise MetricsError(f"{at}regressor expects {regressor.matrix.shape[1]} vertices, "
-                           f"got {pred.shape[1]}")
-    with np.errstate(all="ignore"):
-        return _lengths(pred - gt).mean(axis=1), regressor(pred), regressor(gt)
-
-
-def _score(parts, regressor: JointRegressor, name) -> list[PoseError]:
-    """Root-aligned and Procrustes joint errors over the concatenated frames
-    of ``parts`` (``_per_sequence`` results), then one ``PoseError`` per
-    part, the mean of its own frames. ``name`` prefixes frame errors."""
+    lengths = [len(m) for m, _, _ in parts]
+    name = _sequence_frame_name(lengths)
     mpvpe, pj, gj = (np.concatenate(a) for a in zip(*parts))
     with np.errstate(all="ignore"):
         root = regressor.root_joint
@@ -286,8 +251,28 @@ def _score(parts, regressor: JointRegressor, name) -> list[PoseError]:
         if not finite.all():
             raise MetricsError(_first(~finite, name)[1] + "pose error is not finite")
         rows, lo = [], 0
-        for m, _, _ in parts:
-            means = vals[lo:lo + len(m)].mean(axis=0)
+        for count in lengths:
+            means = vals[lo:lo + count].mean(axis=0)
             rows.append(PoseError(mpvpe=means[0], mpjpe=means[1], pa_mpjpe=means[2]))
-            lo += len(m)
+            lo += count
     return rows
+
+
+def _per_sequence(pred_vertices, gt_vertices, regressor: JointRegressor, seq: int):
+    """Sequence ``seq``'s checked inputs -> its (T,) vertex errors and its
+    (T, J, 3) predicted and true joints."""
+    at = f"sequence {seq}: "
+    pred = np.asarray(pred_vertices, dtype=np.float64)
+    gt = np.asarray(gt_vertices, dtype=np.float64)
+    if pred.shape != gt.shape:
+        raise MetricsError(f"{at}shape mismatch: {pred.shape} vs {gt.shape}")
+    if pred.ndim != 3 or pred.shape[0] < 1 or pred.shape[2] != 3:
+        raise MetricsError(f"{at}expected (T, n, 3) vertices with T >= 1, got {pred.shape}")
+    bad = ~(np.isfinite(pred) & np.isfinite(gt)).all(axis=(1, 2))
+    if bad.any():
+        raise MetricsError(f"sequence {seq}, frame {int(np.argmax(bad))}: non-finite coordinates")
+    if regressor.matrix.shape[1] != pred.shape[1]:
+        raise MetricsError(f"{at}regressor expects {regressor.matrix.shape[1]} vertices, "
+                           f"got {pred.shape[1]}")
+    with np.errstate(all="ignore"):
+        return _lengths(pred - gt).mean(axis=1), regressor(pred), regressor(gt)

@@ -156,9 +156,8 @@ class Model:
                                requires_grad=True),
             }
         else:
-            self.core = FeatureStack(c, (h, w), config.activation, rng)
+            self.core = FeatureStack(c, (h, w), graph.coarse_adjacency(), config.activation, rng)
             self.context_p = None
-            self.coarse_adj = self.graph.coarse_adjacency()
 
     def param_slots(self) -> dict[str, tuple[dict, str]]:
         slots: dict[str, tuple[dict, str]] = {}
@@ -199,7 +198,7 @@ class Model:
         if cfg.diffusion_on:
             tokens, eps_loss = self.core(tokens, self.context_p["rows"], seed)
         else:
-            tokens = self.core(tokens, self.coarse_adj)
+            tokens = self.core(tokens)
             eps_loss = None
 
         coarse_feats = ad.reshape(tokens, (B * T, h * w, c))
@@ -344,28 +343,25 @@ def train(config: ModelConfig, dataset: list[MotionSequence]) -> tuple[Model, li
     return model, losses
 
 
-def evaluate(model, dataset: list[MotionSequence],
-             regressor: JointRegressor | None = None) -> tuple[PoseError, list[tuple[str, PoseError]]]:
-    """Mean pose error over sequences; any object with .predict works.
+def evaluate(model, dataset: list[MotionSequence]) -> tuple[PoseError, list[PoseError]]:
+    """Mean pose error over sequences and one ``PoseError`` per sequence,
+    in order; any object with ``.predict`` and ``.regressor`` works.
 
     Sequence i is predicted with ``seed=i``, in order. The predictions are
-    then scored together in one list-form ``compute_metrics`` call: one
-    batched alignment pass over every frame of the set, with each row the
-    same as scoring its sequence alone.
+    then scored together in one ``compute_metrics`` call: one batched
+    alignment pass over every frame of the set. A metrics error names the
+    sequence by its index in ``dataset``, and the frame where there is one.
     """
     if not dataset:
         raise ConfigError("empty evaluation dataset")
+    regressor = getattr(model, "regressor", None)
     if regressor is None:
-        regressor = getattr(model, "regressor", None)
-    if regressor is None:
-        raise ConfigError("no joint regressor: pass one or use a model that carries it")
+        raise ConfigError("no joint regressor: the predictor must carry .regressor")
     preds = [model.predict(seq, seed=i) for i, seq in enumerate(dataset)]
     errors = compute_metrics(preds, [seq.gt_vertices for seq in dataset], regressor)
-    rows = [(f"seq{i:04d}", err) for i, err in enumerate(errors)]
-    vals = np.array([r.as_tuple() for _, r in rows])
-    means = vals.mean(axis=0)
+    means = np.array([e.as_tuple() for e in errors]).mean(axis=0)
     agg = PoseError(mpvpe=float(means[0]), mpjpe=float(means[1]), pa_mpjpe=float(means[2]))
-    return agg, rows
+    return agg, errors
 
 
 class MeanPosePredictor:

@@ -19,8 +19,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, _segment_starts
 
-PROB_FLOOR = 1e-12
-
 
 def _vertex_scores(features: Tensor) -> Tensor:
     """Scalar score per vertex: L2 norm of its feature row, summed by one GEMV
@@ -76,4 +74,4 @@ def hh_loss(pred_features, true_features, starts, weights) -> Tensor:
     """
     scores = _vertex_scores(ad.as_tensor(pred_features))
     true_scores = _vertex_scores(ad.constant(ad.as_tensor(true_features).data))
-    return ad.segment_softmax_kl(scores, true_scores, starts, weights, PROB_FLOOR)
+    return ad.segment_softmax_kl(scores, true_scores, starts, weights)

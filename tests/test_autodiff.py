@@ -238,13 +238,13 @@ def test_gradcheck_flags_sign_flipped_backward():
         # deliberately wrong backward: sign-flipped gradient
         return ad._result("bad_scale", (x,), 2.0 * x.data, lambda g: (-2.0 * g,))
 
-    err = gradcheck(bad_scale, [np.array([1.0, -2.0, 3.0])])
-    assert abs(err - 2.0) < 1e-6
-
-
-def test_gradcheck_rejects_bad_h():
-    with pytest.raises(ValueError):
-        gradcheck(ad.relu, [np.ones(3)], h=0.1)
+    x = np.array([1.0, -2.0, 3.0])
+    assert abs(gradcheck(bad_scale, [x]) - 2.0) < 1e-6
+    assert abs(gradcheck(bad_scale, [x], max_coords=1) - 2.0) < 1e-6
+    # a subset of no coordinates would verify nothing and read 0
+    for max_coords in (0, -1):
+        with pytest.raises(ValueError, match="checks no coordinate"):
+            gradcheck(bad_scale, [x], max_coords=max_coords)
 
 
 def test_gradcheck_reports_nonfinite():
@@ -296,7 +296,7 @@ def _gradcheck_table(rng):
         "take_slice": (lambda a: take_slice(a, 1, 0, max(1, m - 1)), [x]),
         "layer_norm": (lambda a, g, b: ad.mul(layer_norm(a, g, b), ln_weight),
                        [wide, rng.standard_normal(5), rng.standard_normal(5)]),
-        "segment_softmax_kl": (lambda a: segment_softmax_kl(a, y, [0, 1], [0.7, 1.3], 1e-12),
+        "segment_softmax_kl": (lambda a: segment_softmax_kl(a, y, [0, 1], [0.7, 1.3]),
                                [x]),
         "conv3d": (conv3d, [conv_x, conv_k]),
         "attention": (attention, [x, rng.standard_normal((n + 1, m)), value]),
@@ -849,7 +849,7 @@ def test_conv3d_composite_oracle_matches_tap_loop():
     ("softmax", softmax, ((3, 4, 5),)),
     ("layer_norm", layer_norm, ((2, 3, 4, 5), (5,), (5,))),
     ("segment_softmax_kl",
-     lambda a, b: segment_softmax_kl(a, b, [0, 2, 3], [1.0, 0.5, 2.0], 1e-12),
+     lambda a, b: segment_softmax_kl(a, b, [0, 2, 3], [1.0, 0.5, 2.0]),
      ((3, 5), (3, 5))),
     ("lincomb", lambda a, b: ad.lincomb(a, 0.5, b, -2.0), ((3, 4), (3, 4))),
     ("mse", lambda a: ad.mse(a, np.ones((3, 4))), ((3, 4),)),
@@ -874,11 +874,10 @@ def test_segment_softmax_kl_gradcheck_with_floored_prediction():
     logits = rng.standard_normal((3, 8))
     logits[1, 4:] = [35.0, -35.0, -30.0, -32.0]
     target = rng.standard_normal((3, 8))
-    floor = 1e-12
     starts, weights = [0, 3, 4], [0.7, 1.3, 2.0]
     p_last = np.exp(logits[1, 4:] - logits[1, 4:].max())
-    assert np.sum(p_last / p_last.sum() < floor) == 3
-    err = gradcheck(lambda x: segment_softmax_kl(x, target, starts, weights, floor), [logits])
+    assert np.sum(p_last / p_last.sum() < ad.PROB_FLOOR) == 3
+    err = gradcheck(lambda x: segment_softmax_kl(x, target, starts, weights), [logits])
     assert err < 1e-4
 
 
@@ -886,7 +885,7 @@ def test_segment_softmax_kl_target_gradient_is_none():
     rng = np.random.default_rng(34)
     x, t = (Tensor(rng.standard_normal((2, 4)), requires_grad=True) for _ in range(2))
     with Tape() as tape:
-        out = segment_softmax_kl(x, t, [0, 1], [1.0, 1.0], 1e-12)
+        out = segment_softmax_kl(x, t, [0, 1], [1.0, 1.0])
     assert tape.records[0].backward(np.ones(()))[1] is None
     tape.backward(out)
     assert x.grad is not None and t.grad is None
@@ -904,7 +903,7 @@ def test_segment_softmax_kl_rejects_bad_shapes(shapes, starts, weights):
     rng = np.random.default_rng(35)
     x, t = (rng.standard_normal(s) for s in shapes)
     with pytest.raises(ShapeError):
-        segment_softmax_kl(x, t, starts, weights, 1e-12)
+        segment_softmax_kl(x, t, starts, weights)
 
 
 @pytest.mark.parametrize("weight", [np.inf, np.nan])
@@ -912,7 +911,7 @@ def test_segment_softmax_kl_raises_on_non_finite_result(weight):
     rng = np.random.default_rng(36)
     x, t = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
     with pytest.raises(NumericsError):
-        segment_softmax_kl(x, t, [0, 2], [weight, 1.0], 1e-12)
+        segment_softmax_kl(x, t, [0, 2], [weight, 1.0])
 
 
 # the id is kept from when a two-head case followed this one

@@ -96,6 +96,19 @@ def test_summary_counts_wins_by_direction_and_reports_spreads():
     step = summary["metrics"]["main_step_p50_s"]
     assert step["change_wins"] == 2  # 0.9 and 0.8 are faster
     assert step["median_change_frac"] == pytest.approx(-0.05)
+    assert summary["failed_share"] == {"base": 0.0, "change": 0.0}
+
+
+def test_summary_reports_each_sides_failed_share_over_all_its_runs():
+    # both recorded runs attempted 659 operations and failed none; one copy
+    # of the change run fails 33 of its 659
+    failing = dict(CHANGE, failed=33)
+    pairs = [{"seed": 1, "first": "base", "base": BASE, "change": CHANGE},
+             {"seed": 2, "first": "change", "base": BASE, "change": failing}]
+    summary = bp.summarize(pairs, {"eval_seq_per_s": "higher"})
+    assert summary["failed_share"]["base"] == 0.0
+    assert summary["failed_share"]["change"] == pytest.approx(33 / (2 * 659))
+    assert bp.summarize([], {})["failed_share"] == {"base": None, "change": None}
 
 
 def test_seed_lists_and_ranges():

@@ -58,18 +58,18 @@ def test_adjacency_input_errors():
 
 def test_graph_conv_identity_composition():
     adjacency = build_adjacency([], 3)
-    layer = GraphConvLayer(1, 1, activation="relu", rng=np.random.default_rng(0))
+    layer = GraphConvLayer(1, 1, adjacency, activation="relu", rng=np.random.default_rng(0))
     layer.p["weight"] = Tensor(np.eye(1), requires_grad=True)
     y = np.array([[1.0], [2.0], [3.0]])
-    out = layer.apply(adjacency, Tensor(y))
+    out = layer.apply(Tensor(y))
     np.testing.assert_allclose(out.data, y, atol=1e-15)
 
 
 def test_graph_conv_two_vertex_example():
     adjacency = build_adjacency([(0, 1)], 2)
-    layer = GraphConvLayer(1, 1, activation="relu", rng=np.random.default_rng(0))
+    layer = GraphConvLayer(1, 1, adjacency, activation="relu", rng=np.random.default_rng(0))
     layer.p["weight"] = Tensor([[1.0]], requires_grad=True)
-    out = layer.apply(adjacency, Tensor([[2.0], [4.0]]))
+    out = layer.apply(Tensor([[2.0], [4.0]]))
     np.testing.assert_allclose(out.data, [[3.0], [3.0]], atol=1e-15)
 
 
@@ -97,22 +97,22 @@ def test_graph_conv_weight_gradient():
     rng = np.random.default_rng(2)
     y = rng.standard_normal((3, 4))
     w0 = rng.standard_normal((4, 2))
-    layer = GraphConvLayer(4, 2, activation="relu", rng=np.random.default_rng(0))
+    layer = GraphConvLayer(4, 2, adjacency, activation="relu", rng=np.random.default_rng(0))
 
     def op(w):
         layer.p["weight"] = w
-        return layer.apply(adjacency, ad.constant(y))
+        return layer.apply(ad.constant(y))
 
     assert gradcheck(op, [w0]) < 1e-4
 
 
 def test_graph_conv_shape_errors():
     adjacency = build_adjacency([(0, 1)], 2)
-    layer = GraphConvLayer(3, 2, rng=np.random.default_rng(0))
+    layer = GraphConvLayer(3, 2, adjacency, rng=np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        layer.apply(adjacency, Tensor(np.zeros((2, 4))))
+        layer.apply(Tensor(np.zeros((2, 4))))
     with pytest.raises(ShapeError):
-        layer.apply(adjacency, Tensor(np.zeros((5, 3))))
+        layer.apply(Tensor(np.zeros((5, 3))))
 
 
 def test_spectral_boundedness():

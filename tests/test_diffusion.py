@@ -141,6 +141,16 @@ def test_reverse_recovers_x0_from_single_step():
     np.testing.assert_allclose(back.data, x0, atol=1e-9)
 
 
+def test_reverse_step_needs_a_draw_where_it_adds_noise():
+    sched = make_schedule(5)
+    z = np.array([1.0, -2.0])
+    with pytest.raises(ShapeError, match=r"^step 3 needs a noise draw of shape \(2,\), got None$"):
+        reverse_step(z, 3, np.zeros(2), sched, None)
+    # step 1 adds no noise, so it reads no draw
+    np.testing.assert_array_equal(reverse_step(z, 1, np.ones(2), sched, None).data,
+                                  reverse_step(z, 1, np.ones(2), sched, np.zeros(2)).data)
+
+
 def test_reverse_step_range_error():
     sched = make_schedule(5)
     with pytest.raises(ScheduleError):
@@ -234,10 +244,10 @@ def test_graph_time_pass_matches_per_site_replay():
     rng = np.random.default_rng(15)
     graph = generate_toy_body(2, 1)
     adj = graph.coarse_adjacency()
-    layer = GraphTimePass(3, (2, 4), "relu", rng)
+    layer = GraphTimePass(3, (2, 4), adj, "relu", rng)
     layer.time_attn.p["wo"] = Tensor(rng.standard_normal((3, 3)) * 0.3, requires_grad=True)
     x = rng.standard_normal((2, 3, 8, 3))
-    out = layer(Tensor(x), adj).data
+    out = layer(Tensor(x)).data
 
     grid = x.reshape(2, 3, 2, 4, 3)                      # (B, T, H, W, C)
     conv = np.maximum(ad.conv3d(grid, layer.p["conv_kernel"]).data, 0.0)
@@ -255,10 +265,10 @@ def test_graph_time_pass_transposes_only_around_the_time_attention():
     # pass records exactly the two transposes around the time attention
     rng = np.random.default_rng(16)
     graph = generate_toy_body(2, 1)
-    layer = GraphTimePass(3, (2, 4), "relu", rng)
+    layer = GraphTimePass(3, (2, 4), graph.coarse_adjacency(), "relu", rng)
     x = Tensor(rng.standard_normal((2, 3, 8, 3)), requires_grad=True)
     with Tape() as tape:
-        layer(x, graph.coarse_adjacency())
+        layer(x)
     assert [r.name for r in tape.records].count("transpose") == 2
     with Tape() as tape:
         rearrange(rearrange(x, (2, 4)))
@@ -556,7 +566,7 @@ def test_block_alpha_one_equals_deterministic_path():
     v = x
     for _ in range(2):
         v = block.context_attn(v, *block.context_attn.keys_values(ctx))
-    deps = block.stack(v, block.coarse_adj)
+    deps = block.stack(v)
     z = v
     for _ in range(2):
         z = block.cond_attn(z, *block.cond_attn.keys_values(deps))

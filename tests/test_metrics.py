@@ -155,13 +155,13 @@ def test_displaced_limb_evaluates():
     arm = graph.part_vertices()[DEFAULT_PARTS.index("left_arm")]
     pred = gt.copy()
     pred[0, arm, 0] += 100.0
-    err = compute_metrics(pred, gt, reg)
+    err = compute_metrics([pred], [gt], reg)[0]
     assert err.pa_mpjpe > err.mpjpe > 0.0
 
 
 def test_regressor_rows_convex():
     reg = build_joint_regressor(generate_toy_body())
-    assert reg.n_joints == 14
+    assert reg.matrix.shape[0] == 14
     assert np.all(reg.matrix >= 0)
     np.testing.assert_allclose(reg.matrix.sum(axis=1), np.ones(14), atol=1e-12)
 
@@ -171,9 +171,9 @@ def test_regressor_of_another_vertex_count_raises():
     # numpy's matmul
     reg = build_joint_regressor(generate_toy_body())
     small = generate_sequence(MotionConfig(graph=generate_toy_body(2, 1), frames=3), seed=0)
-    for verts in (small.gt_vertices, small.gt_vertices[0]):
+    for verts in (small.gt_vertices, small.gt_vertices[0][None]):
         with pytest.raises(MetricsError, match="expects 96 vertices, got 16"):
-            compute_metrics(verts, verts, reg)
+            compute_metrics([verts], [verts], reg)
 
 
 def test_metrics_identity():
@@ -181,7 +181,7 @@ def test_metrics_identity():
     reg = build_joint_regressor(graph)
     rng = np.random.default_rng(6)
     verts = rng.standard_normal((4, graph.n_vertices, 3)) * 100
-    err = compute_metrics(verts, verts, reg)
+    err = compute_metrics([verts], [verts], reg)[0]
     assert err.mpvpe == 0.0
     assert err.mpjpe == 0.0
     assert err.pa_mpjpe < 1e-9  # SVD roundoff only
@@ -194,7 +194,7 @@ def test_metrics_constant_offset():
     gt = rng.standard_normal((2, graph.n_vertices, 3)) * 100
     offset = np.zeros(3)
     offset[0] = 10.0
-    err = compute_metrics(gt + offset, gt, reg)
+    err = compute_metrics([gt + offset], [gt], reg)[0]
     assert abs(err.mpvpe - 10.0) < 1e-9
     assert err.mpjpe < 1e-9
     assert err.pa_mpjpe < 1e-9
@@ -207,7 +207,7 @@ def test_metrics_rotation_removed_only_by_procrustes():
     gt = rng.standard_normal((3, graph.n_vertices, 3)) * 100
     rot = _rotation([0.0, 1.0, 0.0], math.radians(30))
     pred = gt @ rot.T
-    err = compute_metrics(pred, gt, reg)
+    err = compute_metrics([pred], [gt], reg)[0]
     assert err.pa_mpjpe < 1e-9
     assert err.mpjpe > 1.0
 
@@ -218,13 +218,13 @@ def test_pa_invariant_under_similarity_transforms():
     rng = np.random.default_rng(9)
     gt = rng.standard_normal((2, graph.n_vertices, 3)) * 100
     pred = gt + rng.standard_normal(gt.shape) * 5
-    base = compute_metrics(pred, gt, reg).pa_mpjpe
+    base = compute_metrics([pred], [gt], reg)[0].pa_mpjpe
     for _ in range(100):
         s = float(rng.uniform(0.5, 2.0))
         r = _random_rotation(rng)
         t = rng.standard_normal(3) * 50
         transformed = s * pred @ r.T + t
-        err = compute_metrics(transformed, gt, reg).pa_mpjpe
+        err = compute_metrics([transformed], [gt], reg)[0].pa_mpjpe
         assert abs(err - base) < 1e-9
 
 
@@ -234,10 +234,10 @@ def test_mpjpe_translation_invariant_not_rotation_invariant():
     rng = np.random.default_rng(10)
     gt = rng.standard_normal((2, graph.n_vertices, 3)) * 100
     pred = gt + rng.standard_normal(gt.shape) * 5
-    base = compute_metrics(pred, gt, reg).mpjpe
-    shifted = compute_metrics(pred + np.array([30.0, -7.0, 12.0]), gt, reg).mpjpe
+    base = compute_metrics([pred], [gt], reg)[0].mpjpe
+    shifted = compute_metrics([pred + np.array([30.0, -7.0, 12.0])], [gt], reg)[0].mpjpe
     assert abs(shifted - base) < 1e-9
-    rotated = compute_metrics(pred @ _rotation([1, 0, 0], 0.5).T, gt, reg).mpjpe
+    rotated = compute_metrics([pred @ _rotation([1, 0, 0], 0.5).T], [gt], reg)[0].mpjpe
     assert abs(rotated - base) > 1e-3
 
 
@@ -256,7 +256,7 @@ def test_pa_never_exceeds_mpjpe_random_pairs():
         r = _random_rotation(rng)
         t = rng.standard_normal(3) * 50
         pred = s * (gt + noise) @ r.T + t
-        err = compute_metrics(pred, gt, reg)
+        err = compute_metrics([pred[None]], [gt[None]], reg)[0]
         assert err.pa_mpjpe <= err.mpjpe + 1e-9
 
 
@@ -264,11 +264,11 @@ def test_metrics_input_validation():
     graph = generate_toy_body()
     reg = build_joint_regressor(graph)
     with pytest.raises(MetricsError):
-        compute_metrics(np.zeros((2, 5, 3)), np.zeros((2, 6, 3)), reg)
+        compute_metrics([np.zeros((2, 5, 3))], [np.zeros((2, 6, 3))], reg)
     bad = np.zeros((graph.n_vertices, 3))
     bad[0, 0] = np.nan
     with pytest.raises(MetricsError):
-        compute_metrics(bad, np.zeros_like(bad), reg)
+        compute_metrics([bad[None]], [np.zeros_like(bad)[None]], reg)
 
 
 def test_batched_metrics_match_per_frame_oracle():
@@ -284,7 +284,7 @@ def test_batched_metrics_match_per_frame_oracle():
             pred[f] = scale * pred[f] @ rot.T + rng.standard_normal(3) * 80
         mirrored = rng.random(len(pred)) < 0.3
         pred[mirrored, :, 0] *= -1.0
-        got = compute_metrics(pred, gt, reg).as_tuple()
+        got = compute_metrics([pred], [gt], reg)[0].as_tuple()
         np.testing.assert_allclose(got, _oracle_metrics(pred, gt, reg), rtol=1e-12)
 
 
@@ -325,7 +325,7 @@ def test_svd_count_does_not_grow_with_frames(monkeypatch):
     counts = []
     for frames in (1, 16):
         calls.clear()
-        compute_metrics(pred[:frames], gt[:frames], reg)
+        compute_metrics([pred[:frames]], [gt[:frames]], reg)
         counts.append(len(calls))
     assert counts[0] >= 1
     assert counts[0] == counts[1]
@@ -351,13 +351,13 @@ def test_list_form_rows_equal_single_sequence_calls_bit_for_bit():
     graph = generate_toy_body()
     reg = build_joint_regressor(graph)
     preds, gts = _noisy_set(graph, (3, 16, 2, 5, 16, 3), seed=40)
-    preds += [preds[2][:1], preds[2][1]]  # one frame, as (1, n, 3) and (n, 3)
-    gts += [gts[2][:1], gts[2][1]]
+    preds.append(preds[2][:1])  # one frame
+    gts.append(gts[2][:1])
     rows = compute_metrics(preds, gts, reg)
     assert len(rows) == len(preds)
     for row, pred, gt in zip(rows, preds, gts):
         assert isinstance(row, PoseError)
-        assert row.as_tuple() == compute_metrics(pred, gt, reg).as_tuple()
+        assert row.as_tuple() == compute_metrics([pred], [gt], reg)[0].as_tuple()
     np.testing.assert_allclose(rows[1].as_tuple(), _oracle_metrics(preds[1], gts[1], reg),
                                rtol=1e-12)
     assert compute_metrics([], [], reg) == []
@@ -428,17 +428,21 @@ def test_list_form_errors_name_the_sequence_and_its_frame():
         compute_metrics(preds, [gts[0], gts[1][:2], gts[2], gts[3]], reg)
     with pytest.raises(MetricsError, match="^sequence 0: expected"):
         compute_metrics([np.zeros(5)], [np.zeros(5)], reg)
+    with pytest.raises(MetricsError, match=r"^sequence 1: expected .* got \(0, 96, 3\)$"):
+        compute_metrics(preds[:1] + [preds[1][:0]], gts[:1] + [gts[1][:0]], reg)
     with pytest.raises(MetricsError, match="^sequence 0: regressor expects"):
         compute_metrics([gts[0][:, :-1]], [gts[0][:, :-1]], reg)
     with pytest.raises(MetricsError, match="as long as the 4 predictions"):
         compute_metrics(preds, gts[:3], reg)
     with pytest.raises(MetricsError, match="as long as the 4 predictions"):
         compute_metrics(preds, gts[0], reg)
-    # the single-sequence messages are unchanged
-    with pytest.raises(MetricsError, match="^non-finite coordinates$"):
-        compute_metrics(with_frame(1, 2, nan_frame)[1], gts[1], reg)
-    with pytest.raises(AlignmentError, match="^frame 4: all source points coincident"):
-        compute_metrics(with_frame(2, 4, 5.0)[2], gts[2], reg)
+    with pytest.raises(MetricsError, match="^expected a list of predictions, got ndarray"):
+        compute_metrics(preds[0], gts[0], reg)
+    # a list of one names its sequence 0
+    with pytest.raises(MetricsError, match="^sequence 0, frame 2: non-finite coordinates$"):
+        compute_metrics([with_frame(1, 2, nan_frame)[1]], [gts[1]], reg)
+    with pytest.raises(AlignmentError, match="^sequence 0, frame 4: all source points coincident"):
+        compute_metrics([with_frame(2, 4, 5.0)[2]], [gts[2]], reg)
 
 
 def test_alignment_error_names_the_degenerate_frame():
@@ -448,12 +452,12 @@ def test_alignment_error_names_the_degenerate_frame():
     pred = gt + np.random.default_rng(15).standard_normal(gt.shape) * 10
     collapsed = pred.copy()
     collapsed[7] = 5.0  # every vertex, hence every joint, at one point
-    with pytest.raises(MetricsError, match="^frame 7: all source points coincident"):
-        compute_metrics(collapsed, gt, reg)
+    with pytest.raises(MetricsError, match="^sequence 0, frame 7: all source points coincident"):
+        compute_metrics([collapsed], [gt], reg)
     line = pred.copy()
     line[7] = np.outer(np.arange(graph.n_vertices, dtype=float), [1.0, 2.0, -1.0])
-    with pytest.raises(AlignmentError, match="^frame 7: source points are collinear"):
-        compute_metrics(line, gt, reg)
+    with pytest.raises(AlignmentError, match="^sequence 0, frame 7: source points are collinear"):
+        compute_metrics([line], [gt], reg)
     assert issubclass(AlignmentError, MetricsError)
 
 
@@ -464,7 +468,7 @@ def test_overflowing_errors_raise_metrics_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(MetricsError, match="not finite"):
-            compute_metrics(gt * 1e160, gt, reg)
+            compute_metrics([gt * 1e160], [gt], reg)
         with pytest.raises(MetricsError, match="^frame 2: point moments"):
             procrustes_align(gt[:, :5] * np.array([1, 1, 1e160, 1])[:, None, None], gt[:, :5])
         # finite moments, but the scale from a tight set onto a huge one overflows
@@ -477,8 +481,8 @@ def test_overflowing_errors_raise_metrics_error():
     off_joint = int(np.flatnonzero(reg.matrix.sum(axis=0) == 0)[0])
     pred = gt.copy()
     pred[2, off_joint, 0] = 1e200
-    with pytest.raises(MetricsError, match="^frame 2: pose error is not finite"):
-        compute_metrics(pred, gt, reg)
+    with pytest.raises(MetricsError, match="^sequence 0, frame 2: pose error is not finite"):
+        compute_metrics([pred], [gt], reg)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -5,7 +5,7 @@ import pytest
 
 from meshmotion.autodiff import Tape, Tensor, gradcheck
 from meshmotion.body_graph import DEFAULT_PARTS
-from meshmotion.metrics import compute_metrics
+from meshmotion.metrics import PoseError, compute_metrics
 from meshmotion.model import (
     Adam,
     ConfigError,
@@ -264,19 +264,24 @@ def test_evaluate_identity_stub_zero_error():
             for i in range(3)]
 
     class IdentityStub:
+        regressor = model.regressor
+
         def predict(self, seq, seed=0):
             return seq.observations  # clean observations equal ground truth
 
-    agg, rows = evaluate(IdentityStub(), seqs, regressor=model.regressor)
+    agg, rows = evaluate(IdentityStub(), seqs)
     assert agg.mpvpe == 0.0 and agg.mpjpe == 0.0 and agg.pa_mpjpe < 1e-9
-    assert len(rows) == 3
+    assert len(rows) == 3 and all(isinstance(r, PoseError) for r in rows)
+    del IdentityStub.regressor
+    with pytest.raises(ConfigError, match="no joint regressor"):
+        evaluate(IdentityStub(), seqs)
 
 
 def test_evaluate_aggregate_is_mean_of_rows():
     cfg = tiny_config()
     model, seqs = make_dataset(cfg, 3)
     agg, rows = evaluate(model, seqs)
-    vals = np.array([r.as_tuple() for _, r in rows])
+    vals = np.array([r.as_tuple() for r in rows])
     np.testing.assert_allclose(agg.as_tuple(), vals.mean(axis=0), atol=1e-12)
 
 
@@ -286,7 +291,7 @@ def test_evaluate_idempotent():
     a1, r1 = evaluate(model, seqs)
     a2, r2 = evaluate(model, seqs)
     assert a1.as_tuple() == a2.as_tuple()
-    for (_, x), (_, y) in zip(r1, r2):
+    for x, y in zip(r1, r2):
         assert x.as_tuple() == y.as_tuple()
 
 
@@ -311,11 +316,12 @@ def test_evaluate_rows_equal_per_sequence_metrics_bit_for_bit():
 
     agg, rows = evaluate(Recording(), seqs)
     assert [(id(seq), seed) for seq, seed in calls] == [(id(s), i) for i, s in enumerate(seqs)]
-    assert [name for name, _ in rows] == [f"seq{i:04d}" for i in range(len(seqs))]
-    for i, ((_, row), seq) in enumerate(zip(rows, seqs)):
-        alone = compute_metrics(model.predict(seq, seed=i), seq.gt_vertices, model.regressor)
+    assert len(rows) == len(seqs)
+    for i, (row, seq) in enumerate(zip(rows, seqs)):
+        alone = compute_metrics([model.predict(seq, seed=i)], [seq.gt_vertices],
+                                model.regressor)[0]
         assert row.as_tuple() == alone.as_tuple()
-    means = np.array([r.as_tuple() for _, r in rows]).mean(axis=0)
+    means = np.array([r.as_tuple() for r in rows]).mean(axis=0)
     assert agg.as_tuple() == tuple(float(m) for m in means)
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from meshmotion import autodiff as ad
-from meshmotion.autodiff import ShapeError, Tensor, gradcheck
+from meshmotion.autodiff import PROB_FLOOR, ShapeError, Tensor, gradcheck
 from meshmotion.body_graph import generate_toy_body
 from meshmotion.model import MM_SCALE, ModelConfig, build_model
-from meshmotion.part_loss import PROB_FLOOR, hh_loss, part_weights_from_variance
+from meshmotion.part_loss import hh_loss, part_weights_from_variance
 
 
 # Reference: the part loss built op by op, one softmax and one KL term per
@@ -205,8 +205,7 @@ def test_malformed_part_starts_raise_one_shape_error(starts):
     with pytest.raises(ShapeError) as weights_error:
         part_weights_from_variance(feats, starts)
     with pytest.raises(ShapeError) as kl_error:
-        ad.segment_softmax_kl(feats[..., 0], feats[..., 0], starts, np.ones(len(starts)),
-                              PROB_FLOOR)
+        ad.segment_softmax_kl(feats[..., 0], feats[..., 0], starts, np.ones(len(starts)))
     assert str(weights_error.value) == str(kl_error.value)
     assert "do not split 96 columns" in str(weights_error.value)
 

@@ -20,8 +20,9 @@ The output holds, per workload, every pair (metrics, digests, output checks
 and wall time of both runs) and a summary per end-to-end metric of
 ``BENCHMARK.json``: each side's median and quartiles, the pairs the change
 won (ties count for neither), the relative change of the medians, and whether
-the medians differ by more than the base's interquartile range. It is
-rewritten after every pair, so an interrupted series keeps what it ran.
+the medians differ by more than the base's interquartile range; and each
+side's share of failed operations over all its runs. It is rewritten after
+every pair, so an interrupted series keeps what it ran.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per metric named in ``better`` ("lower" or "higher"): each side's
     spread, the pairs the change won, the relative change of the medians and
     whether their gap exceeds the base's interquartile range. Also counts the
-    pairs whose loss and prediction digests match and the failed runs."""
+    pairs whose loss and prediction digests match and the failed runs, and
+    gives each side's summed failed operations over its summed attempted
+    ones (None when it attempted none)."""
     metrics = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "higher" else -1.0
@@ -87,8 +90,14 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         "pairs": len(pairs),
         "digests_equal": sum(p["base"]["digests"] == p["change"]["digests"] for p in pairs),
         "runs_not_correct": sum(not p[side]["correct"] for p in pairs for side in SIDES),
+        "failed_share": {side: _failed_share([p[side] for p in pairs]) for side in SIDES},
         "metrics": metrics,
     }
+
+
+def _failed_share(runs: list[dict]) -> float | None:
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else None
 
 
 def run_pairs(workloads, seeds, run, on_pair) -> dict[str, list[dict]]:
