@@ -25,19 +25,21 @@ mask, and the graph convolution's product keeps its constant adjacency). An
 input that takes no gradient is stored as None, so a constant such as a noise
 draw is freed once the forward has used it. ``layer_norm`` and ``gelu``
 recompute their full-size intermediates from the input in backward, and
-``attention_layer`` its query projection and W v, with the forward's
-expressions in the same order, instead of holding them. And the model's hot
-composites are one record each, so an intermediate that no backward reads is
-no record output. Each has an analytic backward that runs the same numpy
-expressions in the same order as the primitives it replaces: ``lincomb``
+``attention_layer`` its query projection, scores, softmax weights W and
+W v, with the forward's expressions in the same order, instead of holding
+them. And the model's hot composites are one record each, so an
+intermediate that no backward reads is no record output. Each has an
+analytic backward that runs the same numpy expressions in the same order as
+the primitives it replaces: ``lincomb``
 ((a·alpha + b·beta)·scale + shift, a diffusion chain step), ``mse`` (the
 mean squared error against a constant target), ``affine`` (x @ w + c, a
 linear layer), ``softmax``, ``layer_norm``, ``conv3d``,
 ``segment_softmax_kl`` (the weighted KL between segment-wise softmaxes, the
 part loss of one level) and ``attention_layer`` (x + softmax((x @ wq) kᵀ/√d)
-v @ wo, a residual attention layer, which keeps only the softmax weights W
-beside its operands). ``attention``, its reference composite, is a scores
-record, a ``softmax`` and a ``matmul``. ``conv3d`` takes and returns a channels-last
+v @ wo, a residual attention layer, which keeps beside its operands only
+each softmax row's max and exp-sum, from which backward rebuilds W bit for
+bit). ``attention``, its reference composite, is a scores record, a
+``softmax`` and a ``matmul``. ``conv3d`` takes and returns a channels-last
 (B, T, H, W, C) grid and lowers to GEMMs on a spatial-only patch matrix, one
 GEMM per temporal tap, with no transpose of the grid on either side. Any op
 that produces a non-finite value raises :class:`NumericsError` immediately
@@ -215,8 +217,13 @@ def as_tensor(x) -> Tensor:
 
 
 def constant(x) -> Tensor:
-    """Wrap raw data as a non-differentiable tensor."""
-    return as_tensor(x)
+    """Wrap raw data as a non-differentiable tensor. A :class:`Tensor` is
+    detached: the result shares its read-only data and takes no gradient."""
+    if not isinstance(x, Tensor):
+        return Tensor(x)
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad, out.grad, out._slot = x.data, False, None, None
+    return out
 
 
 class _Record:
@@ -778,24 +785,42 @@ def softmax(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim == 0 or a.shape[-1] == 0:
         raise ShapeError(f"softmax needs a non-empty last axis, got {a.shape}")
-    out = _softmax_rows(a.data)
+    out = np.ascontiguousarray(_softmax_rows(a.data)[0])
     return _result("softmax", (a,), out, lambda g: (_softmax_grad(g, out),))
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
+def _softmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stable softmax over the last axis of ``x``, through a transposed
-    scratch copy (see :func:`softmax`)."""
+    scratch copy (see :func:`softmax`), with each row's max and exp-sum.
+
+    Returns W, a strided view of the scratch in ``x``'s shape, and the max m
+    and sum s as (rows,) vectors, where rows is every axis of ``x`` but the
+    last, flattened. :func:`_softmax_rebuild` remakes W from the scores and
+    these two vectors bit for bit.
+    """
     n = x.shape[-1]
-    # the output is allocated before the scratch copy: with the copy under
-    # it, each freed copy left a hole that glibc's malloc did not reuse,
-    # about 8 MB of extra heap per default diffusion step
-    out = np.empty(x.shape)
     w = x.reshape(-1, n).T.copy()
-    w -= w.max(axis=0)
+    m = w.max(axis=0)
+    w -= m
     np.exp(w, out=w)
-    w /= w.sum(axis=0)
-    out.reshape(-1, n)[...] = w.T
-    return out
+    s = w.sum(axis=0)
+    w /= s
+    return w.T.reshape(x.shape), m, s
+
+
+def _softmax_rebuild(scores: np.ndarray, m: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The softmax W of ``scores`` from the row max ``m`` and exp-sum ``s`` that
+    :func:`_softmax_rows` returned for them; overwrites ``scores`` with W.
+
+    W = exp(scores − m) / s, one element at a time with the forward's own
+    subtraction, exp and division, so it equals the forward's W bit for bit:
+    the row layout changes the order of no sum, only where each element sits.
+    """
+    w = scores.reshape(-1, scores.shape[-1])
+    w -= m[:, None]
+    np.exp(w, out=w)
+    w /= s[:, None]
+    return scores
 
 
 def _softmax_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -1003,13 +1028,19 @@ def attention_layer(x, wq, k, v, wo) -> Tensor:
     composite when this layer is the last record that reads ``x``, as in
     the model.
 
-    The record keeps ``x``, ``wq``, ``k``, ``v``, ``wo`` and the softmax
-    output W: backward recomputes q = x @ wq and o = W v with the forward's
-    own expressions, so the scores, q and o are never held. The q
-    projection, the scores and the output are checked to be finite. W and o
-    need no check: with finite scores each row of W lies in [0, 1] and sums
-    to 1, so o, a convex combination of the rows of the finite ``v``, is
-    finite too.
+    The record keeps ``x``, ``wq``, ``k``, ``v``, ``wo`` and, of the
+    softmax, only each row's max m and exp-sum s: two (rows,) vectors, where
+    W and the scores grow with the square of the sequence length. Backward
+    recomputes q = x @ wq and the scores with the forward's own expressions,
+    rebuilds W = exp(scores − m) / s (:func:`_softmax_rebuild`) and
+    recomputes o = W v. The rebuild is bit-identical to the forward's W: the
+    forward's max and sum are the only reductions, and they are kept, while
+    the subtraction, exp and division act on one element at a time and give
+    the same bits in either layout. (A log-sum-exp would not:
+    exp(x − lse) is not exp(x − m) / s bit for bit.) The q projection, the
+    scores and the output are checked to be finite. W and o need no check:
+    with finite scores each row of W lies in [0, 1] and sums to 1, so o, a
+    convex combination of the rows of the finite ``v``, is finite too.
     """
     x, wq, k, v, wo = (as_tensor(t) for t in (x, wq, k, v, wo))
     if x.ndim < 2 or wq.ndim != 2 or wq.shape[0] != x.shape[-1]:
@@ -1029,7 +1060,7 @@ def attention_layer(x, wq, k, v, wo) -> Tensor:
     _check_finite("attention_layer", "query projection", q)
     scores = _scores(q, kx, scale)
     _check_finite("attention_layer", "score", scores)
-    w = _softmax_rows(scores)
+    w, m, s = _softmax_rows(scores)
     o = np.matmul(w, vx)
     out = np.matmul(o, wox)
     out += xx
@@ -1042,13 +1073,15 @@ def attention_layer(x, wq, k, v, wo) -> Tensor:
     k_shared, v_shared = k.ndim == 2, v.ndim == 2
 
     def backward(g):
+        # some input takes a gradient, and each one's gradient reads W
+        q = np.matmul(xx, wqx)
+        w = _softmax_rebuild(_scores(q, kx, scale), m, s)
         o = None if swo is None else np.matmul(w, vx)
         go, gwo = _matmul_grads(g, o, wox, so, swo, True)
         gx = gwq = gk = gv = None
         if so is not None:
             gw, gv = _matmul_grads(go, w, vx, sw, sv, v_shared)
             if sw is not None:
-                q = None if sk is None else np.matmul(xx, wqx)
                 gq, gk = _scores_grads(_softmax_grad(gw, w), q, kx, scale, sq, sk, k_shared)
                 if sq is not None:
                     gx, gwq = _matmul_grads(gq, xx, wqx, sx, swq, True)

@@ -73,5 +73,5 @@ def hh_loss(pred_features, true_features, starts, weights) -> Tensor:
     record nothing, so identical features give a loss of exactly 0.
     """
     scores = _vertex_scores(ad.as_tensor(pred_features))
-    true_scores = _vertex_scores(ad.constant(ad.as_tensor(true_features).data))
+    true_scores = _vertex_scores(ad.constant(true_features))
     return ad.segment_softmax_kl(scores, true_scores, starts, weights)

@@ -2,6 +2,7 @@
 alternating pairs; no perfbench run is started."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,39 @@ def test_summary_reports_each_sides_failed_share_over_all_its_runs():
     assert summary["failed_share"]["base"] == 0.0
     assert summary["failed_share"]["change"] == pytest.approx(33 / (2 * 659))
     assert bp.summarize([], {})["failed_share"] == {"base": None, "change": None}
+
+
+def test_summary_flags_a_median_worse_than_its_bound():
+    # BENCHMARK.json's end-to-end metrics and bounds on the two recorded
+    # runs: the change run is worse than the base by no bound (its peak RSS
+    # is 0.02% higher), so each metric is pushed in turn, once within its
+    # bound and once past it, in the direction it gets worse
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in spec}
+    bounds = {m["name"]: m["bound"] for m in spec}
+    assert bounds["peak_rss_mb"] == 0.1 and bounds["main_seq_per_s"] == 0.25
+
+    def flags(change):
+        pairs = [{"seed": 1, "first": "base", "base": BASE, "change": change}]
+        summary = bp.summarize(pairs, better, bounds)["metrics"]
+        return {name: m["worse_beyond_bound"] for name, m in summary.items()}
+
+    assert flags(CHANGE) == dict.fromkeys(better, False)
+    for name in ("peak_rss_mb", "main_step_p50_s", "main_seq_per_s", "eval_seq_per_s"):
+        worse = 1.0 + bounds[name] if better[name] == "lower" else 1.0 - bounds[name]
+        for margin, flagged in ((0.99, False), (1.01, True)):
+            # the base's value times (1 ± bound), nudged 1% of the bound
+            # inside or outside it
+            factor = 1.0 + (worse - 1.0) * margin
+            target = BASE["metrics"][name] * factor
+            pushed = _scaled(CHANGE, **{name: target / CHANGE["metrics"][name]})
+            got = flags(pushed)
+            assert got[name] is flagged, (name, margin)
+            assert not any(v for k, v in got.items() if k != name)
+    # a metric without a bound gets None
+    pairs = [{"seed": 1, "first": "base", "base": BASE, "change": CHANGE}]
+    summary = bp.summarize(pairs, {"setup_s": "lower"})
+    assert summary["metrics"]["setup_s"]["worse_beyond_bound"] is None
 
 
 def test_seed_lists_and_ranges():

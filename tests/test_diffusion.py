@@ -494,8 +494,9 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
     assert [len(dead[k]) for k in dead] == [n_steps, 2 * (n_steps + 2)]
     for kind, refs in dead.items():
         assert all(ref() is None for ref in refs), kind
-    # an attention layer keeps its query, keys, values, both weights and the
-    # softmax weights W, whose shape is the scores': never the scores, the
+    # an attention layer keeps its query, keys, values and both weights, and
+    # of its softmax only each row's max and exp-sum, two (rows,) vectors:
+    # never an array of the scores' shape (the scores or the weights W), the
     # projected query or W v. One per noise step, two per reverse step and
     # one per stack pass
     layers = [rec for rec in tape.records if rec.name == "attention_layer"]
@@ -503,11 +504,13 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
     for rec in layers:
         x, wq, k, v, wo = (t.data for t in rec.inputs)
         held = list(_closure_arrays(rec.backward))
-        assert len(held) == 6
+        assert len(held) == 7
         assert all(any(a is t for a in held) for t in (x, wq, k, v, wo))
-        (w,) = [a for a in held if not any(a is t for t in (x, wq, k, v, wo))]
+        stats = [a for a in held if not any(a is t for t in (x, wq, k, v, wo))]
         lead = np.broadcast_shapes(x.shape[:-2], k.shape[:-2])
-        assert w.dtype == np.float64 and w.shape == lead + (x.shape[-2], k.shape[-2])
+        rows = math.prod(lead) * x.shape[-2]
+        assert [(a.dtype, a.shape) for a in stats] == [(np.float64, (rows,))] * 2
+        assert all(a.shape != lead + (x.shape[-2], k.shape[-2]) for a in held)
     # a product with a constant left operand (the graph conv's adjacency,
     # the up matrix) keeps that 2-D matrix only, never the right operand
     products = [rec for rec in tape.records if rec.name == "matmul" and rec.inputs[0] is None]

@@ -19,10 +19,12 @@ its result line.
 The output holds, per workload, every pair (metrics, digests, output checks
 and wall time of both runs) and a summary per end-to-end metric of
 ``BENCHMARK.json``: each side's median and quartiles, the pairs the change
-won (ties count for neither), the relative change of the medians, and whether
-the medians differ by more than the base's interquartile range; and each
-side's share of failed operations over all its runs. It is rewritten after
-every pair, so an interrupted series keeps what it ran.
+won (ties count for neither), the relative change of the medians, whether
+the medians differ by more than the base's interquartile range, and whether
+the change's median is worse than the base's by more than the metric's
+``bound`` times the base median; and each side's share of failed operations
+over all its runs. It is rewritten after every pair, so an interrupted
+series keeps what it ran.
 """
 
 from __future__ import annotations
@@ -63,13 +65,17 @@ def spread(values) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per metric named in ``better`` ("lower" or "higher"): each side's
-    spread, the pairs the change won, the relative change of the medians and
-    whether their gap exceeds the base's interquartile range. Also counts the
-    pairs whose loss and prediction digests match and the failed runs, and
-    gives each side's summed failed operations over its summed attempted
-    ones (None when it attempted none)."""
+    spread, the pairs the change won, the relative change of the medians,
+    whether their gap exceeds the base's interquartile range, and whether the
+    change's median is worse, in that direction, by more than the metric's
+    ``bounds`` entry times the base median (None for a metric without a
+    bound). Also counts the pairs whose loss and prediction digests match
+    and the failed runs, and gives each side's summed failed operations over
+    its summed attempted ones (None when it attempted none)."""
+    bounds = bounds or {}
     metrics = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "higher" else -1.0
@@ -85,6 +91,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "median_change_frac": (c["median"] - b["median"]) / b["median"]
             if b["median"] else None,
             "gap_exceeds_base_iqr": abs(c["median"] - b["median"]) > b["q3"] - b["q1"],
+            "worse_beyond_bound": (sign * (b["median"] - c["median"])
+                                   > bounds[name] * abs(b["median"]))
+            if name in bounds else None,
         }
     return {
         "pairs": len(pairs),
@@ -175,11 +184,12 @@ def main(argv=None) -> int:
             for side, rev in (("base", args.base), ("change", args.change))}
     spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     def write(results):
         doc = {"base": revs["base"], "change": revs["change"], "seconds": args.seconds,
                "order": "pair j runs the base first when j is even",
-               "workloads": {w: {"summary": summarize(pairs, better), "pairs": pairs}
+               "workloads": {w: {"summary": summarize(pairs, better, bounds), "pairs": pairs}
                              for w, pairs in results.items() if pairs}}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
