@@ -16,8 +16,8 @@ slot. So a value lives only as long as the model code or a backward closure
 holds it, and each closure keeps only what its backward reads, as each op's
 docstring states: ``matmul``, ``affine``, ``mul`` and the attention scores
 keep an operand only when the other operand takes a gradient, ``add``,
-``sub``, ``lincomb``, ``sum_`` and ``mean`` keep shapes, ``softmax``, ``exp``
-and ``sqrt`` their output, and ``relu`` its one-byte mask. A value the model
+``lincomb`` and ``sum_`` keep shapes, ``softmax`` and ``sqrt`` their output,
+and ``relu`` its one-byte mask. A value the model
 code has dropped is freed during the forward unless a backward reads it: the
 predicted noise (``mse`` keeps the difference, ``lincomb`` the shapes), and a
 ``relu`` input and output inside the graph+time pass (the relu keeps its
@@ -80,24 +80,17 @@ __all__ = [
     "as_tensor",
     "constant",
     "add",
-    "sub",
     "mul",
-    "div",
     "lincomb",
     "mse",
     "matmul",
     "affine",
     "relu",
     "gelu",
-    "exp",
-    "log",
     "sqrt",
-    "clip_min",
     "reshape",
     "transpose",
     "sum_",
-    "mean",
-    "take_slice",
     "softmax",
     "segment_softmax_kl",
     "layer_norm",
@@ -366,12 +359,6 @@ def _broadcast_shape(*shapes) -> tuple[int, ...] | None:
         return None
 
 
-def _check_axis(axis: int, ndim: int) -> int:
-    if not isinstance(axis, (int, np.integer)) or axis < 0 or axis >= ndim:
-        raise ShapeError(f"axis {axis} is not an int in [0, {ndim}) (negative axes unsupported)")
-    return int(axis)
-
-
 # ---------------------------------------------------------------------------
 # elementwise ops
 
@@ -401,23 +388,6 @@ def add(a, b) -> Tensor:
     return _result("add", (a, b), out, backward)
 
 
-def sub(a, b) -> Tensor:
-    """a - b, broadcasting; the backward keeps the operands' shapes."""
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise _no_broadcast("sub", a, b) from None
-
-    sa, sb = _grad_shape(a), _grad_shape(b)
-
-    def backward(g):
-        return (None if sa is None else _unbroadcast(g, sa),
-                None if sb is None else _unbroadcast(-g, sb))
-
-    return _result("sub", (a, b), out, backward)
-
-
 def mul(a, b) -> Tensor:
     """a · b, broadcasting; the backward keeps each operand only when the
     other takes a gradient."""
@@ -437,26 +407,6 @@ def mul(a, b) -> Tensor:
     return _result("mul", (a, b), out, backward)
 
 
-def div(a, b) -> Tensor:
-    """a / b, broadcasting; the backward keeps ``b``, and ``a`` only when
-    ``b`` takes a gradient."""
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = a.data / b.data
-    except ValueError:
-        raise _no_broadcast("div", a, b) from None
-    sa, sb = _grad_shape(a), _grad_shape(b)
-    ax, bx = (a.data if sb is not None else None), b.data
-
-    def backward(g):
-        ga = None if sa is None else _unbroadcast(g / bx, sa)
-        gb = None if sb is None else _unbroadcast(-g * ax / (bx * bx), sb)
-        return ga, gb
-
-    return _result("div", (a, b), out, backward)
-
-
 def lincomb(a, alpha: float, b, beta: float, *, scale: float = 1.0, shift=None) -> Tensor:
     """(a·alpha + b·beta)·scale + shift for scalar coefficients; one record.
 
@@ -468,8 +418,8 @@ def lincomb(a, alpha: float, b, beta: float, *, scale: float = 1.0, shift=None) 
     The value and each gradient are bit-identical to
     ``add(mul(a, alpha), mul(b, beta))``: the backward reduces a broadcast
     operand's gradient first and then scales it, as that composite does. With
-    alpha = 1 and beta = -c it also equals ``sub(a, mul(b, c))`` bit for bit,
-    since a·1 = a and negation is exact. A ``scale`` and ``shift`` = n·s
+    alpha = 1 and beta = -c it also equals a − b·c bit for bit, since
+    a·1 = a and negation is exact. A ``scale`` and ``shift`` = n·s
     give what ``lincomb(lincomb(a, alpha, b, beta), scale, n, s)`` gives, and
     a ``scale`` alone what ``mul(lincomb(a, alpha, b, beta), scale)`` gives.
     """
@@ -504,8 +454,8 @@ def mse(pred, target) -> Tensor:
 
     ``target`` has ``pred``'s shape and is not a record input: it carries no
     gradient, and the tape keeps only the difference the backward reads. The
-    value and gradient are bit-identical to ``mean(mul(d, d))`` with
-    ``d = sub(pred, constant(target))``.
+    value and gradient are bit-identical to the mean of ``mul(d, d)``, with
+    d = pred − target, in three records.
     """
     p, target = as_tensor(pred), as_tensor(target).data
     if target.shape != p.shape:
@@ -551,23 +501,6 @@ def gelu(a) -> Tensor:
     return _result("gelu", (a,), out, backward)
 
 
-def exp(a) -> Tensor:
-    """Elementwise e^a; the backward keeps the output."""
-    a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-    return _result("exp", (a,), out, lambda g: (g * out,))
-
-
-def log(a) -> Tensor:
-    """Elementwise natural log; the backward keeps the input."""
-    a = as_tensor(a)
-    x = a.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x)
-    return _result("log", (a,), out, lambda g: (g / x,))
-
-
 def sqrt(a) -> Tensor:
     """Elementwise square root; the backward keeps the output."""
     a = as_tensor(a)
@@ -578,15 +511,6 @@ def sqrt(a) -> Tensor:
         return (g * 0.5 / out,)
 
     return _result("sqrt", (a,), out, backward)
-
-
-def clip_min(a, floor: float) -> Tensor:
-    """Elementwise max(a, floor); gradient flows only where a > floor. The
-    backward keeps that mask."""
-    a = as_tensor(a)
-    mask = a.data > floor
-    out = np.where(mask, a.data, floor)
-    return _result("clip_min", (a,), out, lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -615,31 +539,8 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
     return _result("transpose", (a,), np.transpose(a.data, axes), lambda g: (np.transpose(g, inv),))
 
 
-def take_slice(a, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start, stop) along one axis; the backward keeps the
-    input's shape."""
-    a = as_tensor(a)
-    axis = _check_axis(axis, a.ndim)
-    if not (0 <= start < stop <= a.shape[axis]):
-        raise ShapeError(f"slice [{start}:{stop}) out of bounds for axis {axis} of {a.shape}")
-    idx = tuple(slice(None) if i != axis else slice(start, stop) for i in range(a.ndim))
-    shape = a.shape
-
-    def backward(g):
-        full = np.zeros(shape, dtype=np.float64)
-        full[idx] = g
-        return (full,)
-
-    return _result("slice", (a,), a.data[idx], backward)
-
-
 # ---------------------------------------------------------------------------
 # reductions
-
-
-def _norm_axes(axis, ndim) -> tuple[int, ...]:
-    """Every axis for None, else the one ``axis``."""
-    return tuple(range(ndim)) if axis is None else (_check_axis(axis, ndim),)
 
 
 def _row_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -649,43 +550,22 @@ def _row_dot(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (x.reshape(rows, v.size) @ v).reshape(x.shape[:-1] + (1,))
 
 
-def sum_(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def sum_(a, axis: int | None = None) -> Tensor:
     """Sum over one ``axis`` (all axes for None). A sum over the last axis alone
     is one GEMV against a ones vector (:func:`_row_dot`). The backward keeps
     the input's shape."""
     a = as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
-    shape = a.shape
-    if axes == (a.ndim - 1,):
-        out = _row_dot(a.data, np.ones(a.shape[-1]))
-        if not keepdims:
-            out = out.reshape(a.shape[:-1])
+    if axis is None:
+        axes = tuple(range(a.ndim))
+    elif isinstance(axis, (int, np.integer)) and 0 <= axis < a.ndim:
+        axes = (int(axis),)
     else:
-        out = a.data.sum(axis=axes, keepdims=keepdims)
-
-    def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _result("sum", (a,), out, backward)
-
-
-def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """Mean over one ``axis`` (all axes for None); the backward keeps the
-    input's shape."""
-    a = as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
+        raise ShapeError(f"axis {axis} is not an int in [0, {a.ndim}) (negative axes unsupported)")
     shape = a.shape
-    count = math.prod(shape[i] for i in axes)
-    out = a.data.mean(axis=axes, keepdims=keepdims)
-
-    def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / count, shape).copy(),)
-
-    return _result("mean", (a,), out, backward)
+    out = (_row_dot(a.data, np.ones(shape[-1])).reshape(shape[:-1]) if axes == (a.ndim - 1,)
+           else a.data.sum(axis=axes))
+    return _result("sum", (a,), out,
+                   lambda g: (np.broadcast_to(np.expand_dims(g, axes), shape).copy(),))
 
 
 # ---------------------------------------------------------------------------

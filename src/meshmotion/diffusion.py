@@ -174,8 +174,8 @@ class AttentionLayer:
     projects it once and passes the pair to every call. Output projection
     starts at zero so a fresh layer is the identity map. A call is one
     ``attention_layer`` record: the query projection, the attention, the
-    output projection and the residual, with only the softmax weights kept
-    on the tape beside the operands.
+    output projection and the residual. Beside x, wq, k, v and wo the tape
+    keeps only each softmax row's max and exp-sum.
     """
 
     def __init__(self, width: int, rng: np.random.Generator):

@@ -42,11 +42,11 @@ class ConfigError(ValueError):
 
 
 class TrainingDivergence(RuntimeError):
-    """Loss became non-finite during training."""
+    """A training step produced a non-finite value; ``message`` names the op."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int, message: str):
         self.step = step
-        super().__init__(f"training diverged at step {step}" + (f": {message}" if message else ""))
+        super().__init__(f"training diverged at step {step}: {message}")
 
 
 @dataclass
@@ -333,8 +333,6 @@ def train(config: ModelConfig, dataset: list[MotionSequence]) -> tuple[Model, li
                     out = model.forward(obs, mask, seed=noise_seed)
                     loss = model.loss(out, gt)
                 value = loss.item()
-                if not math.isfinite(value):
-                    raise TrainingDivergence(step)
                 tape.backward(loss)
                 opt.step()
         except ad.NumericsError as exc:

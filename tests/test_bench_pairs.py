@@ -21,6 +21,9 @@ def _load():
 bp = _load()
 BASE = bp.parse_run((DATA / "perfbench_base_run.txt").read_text())
 CHANGE = bp.parse_run((DATA / "perfbench_change_run.txt").read_text())
+# traced runs (--trace 1) of train_deterministic, seed 5, --seconds 4
+TRACE_TEXT = {side: (DATA / f"perfbench_{side}_trace.txt").read_text() for side in bp.SIDES}
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def test_parse_run_reads_the_result_and_report_lines():
@@ -117,9 +120,7 @@ def test_summary_flags_a_median_worse_than_its_bound():
     # runs: the change run is worse than the base by no bound (its peak RSS
     # is 0.02% higher), so each metric is pushed in turn, once within its
     # bound and once past it, in the direction it gets worse
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    better = {m["name"]: m["better"] for m in spec}
-    bounds = {m["name"]: m["bound"] for m in spec}
+    better, bounds = bp.targets(SPEC, 0)
     assert bounds["peak_rss_mb"] == 0.1 and bounds["main_seq_per_s"] == 0.25
 
     def flags(change):
@@ -143,6 +144,33 @@ def test_summary_flags_a_median_worse_than_its_bound():
     pairs = [{"seed": 1, "first": "base", "base": BASE, "change": CHANGE}]
     summary = bp.summarize(pairs, {"setup_s": "lower"})
     assert summary["metrics"]["setup_s"]["worse_beyond_bound"] is None
+
+
+def test_traced_pairs_summarise_the_per_layer_metrics_without_bounds():
+    better, bounds = bp.targets(SPEC, 1)
+    assert list(better) == [m["name"] for m in SPEC["per_layer"]] and bounds == {}
+    pairs = [{"seed": 5, "first": "base", **{s: bp.parse_run(TRACE_TEXT[s]) for s in bp.SIDES}}]
+    summary = bp.summarize(pairs, better, bounds)
+    assert summary["digests_equal"] == 1 and summary["metrics"].keys() == better.keys()
+    assert summary["failed_share"] == {"base": 0.0, "change": 0.0}
+    assert all(m["worse_beyond_bound"] is None for m in summary["metrics"].values())
+    records = summary["metrics"]["autodiff.records_per_step"]
+    assert records["base"]["median"] == records["change"]["median"] == 47.0
+    assert records["median_change_frac"] == 0.0
+
+
+def test_runner_passes_the_trace_flag(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(cmd, cwd, **_):
+        calls.append((cmd, cwd))
+        return bp.subprocess.CompletedProcess(cmd, 0, TRACE_TEXT["change"], "")
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    record = bp.perfbench_runner({"change": tmp_path}, 20, 1)("change", "train_diffusion", 3)
+    assert calls == [([bp.sys.executable, "perfbench/run.py", "--workload", "train_diffusion",
+                       "--seed", "3", "--seconds", "20", "--trace", "1"], tmp_path)]
+    assert record["returncode"] == 0 and record["metrics"]["autodiff.records_per_step"] == 47.0
 
 
 def test_seed_lists_and_ranges():

@@ -619,8 +619,7 @@ def test_block_trains_on_sinusoid_latents():
     for step in range(200):
         with Tape() as tape:
             out, eps_loss = block(tokens, holder["rows"], seed=100 + step)
-            diff = ad.sub(out, target)
-            loss = ad.add(ad.mean(ad.mul(diff, diff)), ad.mul(eps_loss, 0.1))
+            loss = ad.add(ad.mse(out, target), ad.mul(eps_loss, 0.1))
         tape.backward(loss)
         opt.step()
 

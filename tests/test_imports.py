@@ -1,13 +1,16 @@
-"""Every name a module imports is used in that module, and every function,
+"""Every name a module imports is used in that module, every function,
 class, method and dataclass field the package defines is named somewhere
-else."""
+else, and every differentiable op runs outside the tests."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
+from meshmotion import autodiff as ad
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/meshmotion/*.py"))
+AUTODIFF = ROOT / "src" / "meshmotion" / "autodiff.py"
 SOURCES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
 READERS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/**/*.py")])
 
@@ -122,3 +125,37 @@ def test_unused_fields_finds_only_unnamed_ones():
 def test_every_dataclass_field_is_named():
     assert unused_fields([p.read_text() for p in PACKAGE],
                          [p.read_text() for p in READERS]) == []
+
+
+def autodiff_names(source: str) -> set[str]:
+    """Attributes of ``ad`` or ``autodiff``, and names imported from ``autodiff``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", "") in ("ad", "autodiff"):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def names_outside_own_def(source: str) -> set[str]:
+    """Bare names a module reads, but not those a top-level def reads of itself."""
+    return {n.id for d in ast.parse(source).body for n in ast.walk(d)
+            if isinstance(n, ast.Name) and n.id != getattr(d, "name", None)}
+
+
+def test_autodiff_names_and_names_outside_own_def_find_only_real_uses():
+    source = ("import numpy as np\nfrom meshmotion import autodiff as ad\n"
+              "from .autodiff import sqrt\nnp.exp(x.mean()) + ad.relu(x) + autodiff.add\n")
+    assert autodiff_names(source) == {"relu", "add", "sqrt"}
+    assert names_outside_own_def("def f():\n    return f(g())\ndef g():\n    return h\n") == {"g", "h"}
+
+
+def test_every_differentiable_op_runs_outside_the_tests():
+    # named by autodiff outside the op's own def, by another package module
+    # or by perfbench; an op that only tests call belongs in oracle_ops
+    ops = {n for n in ad.__all__ if not isinstance(getattr(ad, n), type)}
+    used = names_outside_own_def(AUTODIFF.read_text()).union(*(
+        autodiff_names(p.read_text()) for p in [*PACKAGE, *ROOT.glob("perfbench/**/*.py")]
+        if p != AUTODIFF))
+    assert sorted(ops - used - {"as_tensor", "constant", "gradcheck"}) == []

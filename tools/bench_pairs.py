@@ -9,20 +9,23 @@ exported with ``git archive`` into its own directory under ``--scratch``
 (an export, unlike a worktree, leaves nothing registered in the repository),
 so each side runs its own sources and its own copy of perfbench. A run is
 
-    python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds N --trace T
 
-from that directory. Pair j of a workload runs both sides on the j-th seed;
-the base goes first when j is even and the change first when j is odd. Of each run,
+from that directory, with T from ``--trace`` (0 by default). Pair j of a
+workload runs both sides on the j-th seed; the base goes first when j is
+even and the change first when j is odd. Of each run,
 the last two lines of standard output are kept: perfbench's JSON report and
 its result line.
 
 The output holds, per workload, every pair (metrics, digests, output checks
 and wall time of both runs) and a summary per end-to-end metric of
-``BENCHMARK.json``: each side's median and quartiles, the pairs the change
+``BENCHMARK.json`` (per per-layer metric with ``--trace 1``, which prints
+those instead): each side's median and quartiles, the pairs the change
 won (ties count for neither), the relative change of the medians, whether
 the medians differ by more than the base's interquartile range, and whether
 the change's median is worse than the base's by more than the metric's
-``bound`` times the base median; and each side's share of failed operations
+``bound`` times the base median (None for the per-layer metrics, which
+have no bound); and each side's share of failed operations
 over all its runs. It is rewritten after every pair, so an interrupted
 series keeps what it ran.
 """
@@ -139,10 +142,19 @@ def export(rev: str, dest: Path) -> dict:
             "src_tree": rev_parse(f"{rev}:src")}
 
 
-def perfbench_runner(dirs: dict[str, Path], seconds: int):
+def targets(spec: dict, trace: int) -> tuple[dict[str, str], dict[str, float]]:
+    """The metrics a run prints, each with its direction, and their bounds:
+    ``BENCHMARK.json``'s end-to-end metrics, or with ``trace`` its per-layer
+    metrics, which have none."""
+    metrics = spec["per_layer" if trace else "end_to_end"]
+    return ({m["name"]: m["better"] for m in metrics},
+            {m["name"]: m["bound"] for m in metrics if "bound" in m})
+
+
+def perfbench_runner(dirs: dict[str, Path], seconds: int, trace: int):
     def run(side, workload, seed):
         cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
         t0 = time.perf_counter()
         proc = subprocess.run(cmd, cwd=dirs[side], capture_output=True, text=True)
         wall = time.perf_counter() - t0
@@ -177,23 +189,26 @@ def main(argv=None) -> int:
     p.add_argument("--scratch", required=True, type=Path,
                    help="new directory for the two exported trees")
     p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                   help="1: traced runs, summarised on the per-layer metrics")
     args = p.parse_args(argv)
 
     dirs = {side: args.scratch / side for side in SIDES}
     revs = {side: export(rev, dirs[side])
             for side, rev in (("base", args.base), ("change", args.change))}
     spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    better, bounds = targets(spec, args.trace)
 
     def write(results):
         doc = {"base": revs["base"], "change": revs["change"], "seconds": args.seconds,
+               "trace": args.trace,
                "order": "pair j runs the base first when j is even",
                "workloads": {w: {"summary": summarize(pairs, better, bounds), "pairs": pairs}
                              for w, pairs in results.items() if pairs}}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
-    run_pairs(args.workload, args.seeds, perfbench_runner(dirs, args.seconds), write)
+    run_pairs(args.workload, args.seeds, perfbench_runner(dirs, args.seconds, args.trace),
+              write)
     return 0
 
 
