@@ -23,8 +23,8 @@ predicted noise (``mse`` keeps the difference, ``lincomb`` the shapes), and a
 ``relu`` input and output inside the graph+time pass (the relu keeps its
 mask, and the graph convolution's product keeps its constant adjacency). An
 input that takes no gradient is stored as None, so a constant such as a noise
-draw is freed once the forward has used it. ``layer_norm`` and ``gelu``
-recompute their full-size intermediates from the input in backward, and
+draw is freed once the forward has used it. ``layer_norm`` recomputes its
+full-size intermediates from the input in backward, and
 ``attention_layer`` its query projection, scores, softmax weights W and
 W v, with the forward's expressions in the same order, instead of holding
 them. And the model's hot composites are one record each, so an
@@ -59,15 +59,16 @@ a shared key or value table) gets its gradient as one GEMM over the
 flattened rows, not as a batch of small products summed afterwards.
 
 Tolerances are module constants, not arguments: ``PROB_FLOOR`` in
-``segment_softmax_kl``'s logs, ``_LN_EPS`` in ``layer_norm``, and
-:func:`gradcheck`'s step ``_GRADCHECK_H`` and denominator ``_GRADCHECK_FLOOR``.
+``segment_softmax_kl``'s logs and ``_LN_EPS`` in ``layer_norm``. The
+gradient checker that verifies every op against central differences lives
+with the tests (``tests/oracle_ops.py``).
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,7 +77,6 @@ __all__ = [
     "Tape",
     "NumericsError",
     "ShapeError",
-    "GradcheckError",
     "as_tensor",
     "constant",
     "add",
@@ -86,7 +86,6 @@ __all__ = [
     "matmul",
     "affine",
     "relu",
-    "gelu",
     "sqrt",
     "reshape",
     "transpose",
@@ -97,7 +96,6 @@ __all__ = [
     "conv3d",
     "attention",
     "attention_layer",
-    "gradcheck",
 ]
 
 
@@ -107,10 +105,6 @@ class NumericsError(ArithmeticError):
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
-
-
-class GradcheckError(AssertionError):
-    """Gradient verification hit non-finite values."""
 
 
 class Tensor:
@@ -477,28 +471,6 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0.0
     return _result("relu", (a,), a.data * mask, lambda g: (g * mask,))
-
-
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def _gelu_tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(_GELU_C * (x + 0.044715 * x**3))
-
-
-def gelu(a) -> Tensor:
-    """Gaussian error linear unit (tanh approximation). The backward keeps
-    the input and recomputes the tanh term from it rather than holding it."""
-    a = as_tensor(a)
-    x = a.data
-    out = 0.5 * x * (1.0 + _gelu_tanh(x))
-
-    def backward(g):
-        th = _gelu_tanh(x)
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        return (g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du),)
-
-    return _result("gelu", (a,), out, backward)
 
 
 def sqrt(a) -> Tensor:
@@ -1053,59 +1025,3 @@ def conv3d(x, kernel) -> Tensor:
         return gx, gk
 
     return _result("conv3d", (x, kernel), out, backward)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-_GRADCHECK_FLOOR = 1e-8  # gradcheck's least relative-error denominator
-_GRADCHECK_H = 1e-5  # gradcheck's central-difference step
-
-
-def gradcheck(
-    op: Callable[..., Tensor],
-    inputs: Sequence,
-    max_coords: int | None = None,
-) -> float:
-    """Compare tape gradients of sum(op(*inputs)) against central differences.
-
-    Returns the worst elementwise relative error under a denominator floor.
-    ``max_coords`` limits finite differencing to a coordinate subset per
-    input (for large parameter sets), drawn from one generator seeded 0;
-    None checks every coordinate, and a value below 1 raises ``ValueError``.
-    """
-    if max_coords is not None and max_coords < 1:
-        raise ValueError(f"max_coords={max_coords} checks no coordinate")
-    tensors = tuple(Tensor(as_tensor(x).data, requires_grad=True) for x in inputs)
-    with Tape() as tape:
-        out = op(*tensors)
-        total = sum_(out)
-    tape.backward(total)
-
-    def f(arrays) -> float:
-        return float(op(*(constant(a) for a in arrays)).data.sum())
-
-    worst = 0.0
-    rng = np.random.default_rng(0)
-    for i, t in enumerate(tensors):
-        analytic = t.grad if t.grad is not None else np.zeros(t.shape)
-        if not np.all(np.isfinite(analytic)):
-            raise GradcheckError(f"non-finite analytic gradient for input {i}")
-        flat = analytic.reshape(-1)
-        coords = np.arange(t.size)
-        if max_coords is not None and t.size > max_coords:
-            coords = rng.choice(t.size, size=max_coords, replace=False)
-        for c in coords:
-            base = [u.data.copy() for u in tensors]
-            base[i].reshape(-1)[c] += _GRADCHECK_H
-            up = f(base)
-            base = [u.data.copy() for u in tensors]
-            base[i].reshape(-1)[c] -= _GRADCHECK_H
-            down = f(base)
-            numeric = (up - down) / (2.0 * _GRADCHECK_H)
-            if not math.isfinite(numeric):
-                raise GradcheckError(f"non-finite numeric gradient at input {i}, coord {c}")
-            denom = max(_GRADCHECK_FLOOR, abs(flat[c]), abs(numeric))
-            worst = max(worst, abs(flat[c] - numeric) / denom)
-    return worst

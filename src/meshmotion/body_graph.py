@@ -150,33 +150,24 @@ def build_adjacency(edges, n_vertices: int) -> Tensor:
     return Tensor(d[:, None] * a * d[None, :])
 
 
-_ACTIVATIONS = {
-    "relu": ad.relu,
-    "gelu": ad.gelu,
-}
-
-
-def resolve_activation(name: str):
-    try:
-        return _ACTIVATIONS[name]
-    except KeyError:
-        raise GraphError(f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}")
+# Every layer calls ``ad.relu`` directly and nothing in this package reads
+# this table. It stays because the benchmark's tracer (perfbench/tracing.py)
+# wraps each entry and fails without it.
+_ACTIVATIONS = {"relu": ad.relu}
 
 
 class GraphConvLayer:
-    """One graph convolution over a fixed graph: activation(adjacency @ Y @ weight)."""
+    """One graph convolution over a fixed graph: relu(adjacency @ Y @ weight)."""
 
-    def __init__(self, c_in: int, c_out: int, adjacency: Tensor, activation: str = "relu", *,
-                 rng: np.random.Generator):
+    def __init__(self, c_in: int, c_out: int, adjacency: Tensor, *, rng: np.random.Generator):
         scale = 1.0 / np.sqrt(c_in)
         self.c_in = c_in
         self.adjacency = adjacency
-        self.activation = activation
         self.p = {"weight": Tensor(rng.standard_normal((c_in, c_out)) * scale,
                                    requires_grad=True)}
 
     def apply(self, y: Tensor) -> Tensor:
-        """activation(adjacency @ y @ weight); y is (..., n, c_in)."""
+        """relu(adjacency @ y @ weight); y is (..., n, c_in)."""
         w = self.p["weight"]
         if y.shape[-1] != self.c_in:
             raise ShapeError(f"feature width {y.shape[-1]} != layer c_in {self.c_in}")
@@ -184,8 +175,7 @@ class GraphConvLayer:
             raise ShapeError(
                 f"row count {y.shape[-2]} != adjacency size {self.adjacency.shape[0]}"
             )
-        act = resolve_activation(self.activation)
-        return act(ad.matmul(ad.matmul(self.adjacency, y), w))
+        return ad.relu(ad.matmul(ad.matmul(self.adjacency, y), w))
 
 
 def _part_edges(start: int, count: int) -> list[tuple[int, int]]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .body_graph import BodyGraph, GraphConvLayer, resolve_activation
+from .body_graph import BodyGraph, GraphConvLayer
 
 _KERNEL = 3  # every 3D convolution's extent along T, H and W
 _TAIL = 0.05  # the cumulative signal fraction the last noising step keeps
@@ -232,20 +232,18 @@ class GraphTimePass:
     mesh), then temporal self-attention across frames, independently per site."""
 
     def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
-                 activation: str, rng: np.random.Generator):
+                 rng: np.random.Generator):
         k3 = (channels, channels, _KERNEL, _KERNEL, _KERNEL)
         self.grid = grid
-        self.activation = activation
         self.p = {"conv_kernel": _init(rng, k3, scale=1.0 / math.sqrt(channels * _KERNEL**3))}
-        self.graph = GraphConvLayer(channels, channels, coarse_adj, activation, rng=rng)
+        self.graph = GraphConvLayer(channels, channels, coarse_adj, rng=rng)
         self.time_attn = AttentionLayer(channels, rng=rng)
 
     def layers(self):
         return [self, self.graph, self.time_attn]
 
     def __call__(self, x: Tensor) -> Tensor:
-        act = resolve_activation(self.activation)
-        x = rearrange(act(ad.conv3d(rearrange(x, self.grid), self.p["conv_kernel"])))
+        x = rearrange(ad.relu(ad.conv3d(rearrange(x, self.grid), self.p["conv_kernel"])))
         x = self.graph.apply(x)
         x = ad.transpose(x, (0, 2, 1, 3))                     # (B, S, T, C)
         return ad.transpose(self.time_attn(x, *self.time_attn.keys_values(x)), (0, 2, 1, 3))
@@ -255,9 +253,8 @@ class FeatureStack:
     """Two graph+time passes applied back to back (independent weights)."""
 
     def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
-                 activation: str, rng: np.random.Generator):
-        self.passes = [GraphTimePass(channels, grid, coarse_adj, activation, rng)
-                       for _ in range(2)]
+                 rng: np.random.Generator):
+        self.passes = [GraphTimePass(channels, grid, coarse_adj, rng) for _ in range(2)]
 
     def layers(self):
         out = []
@@ -282,8 +279,8 @@ class NoisePredictor:
     """
 
     def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
-                 activation: str, rng: np.random.Generator):
-        self.pass_ = GraphTimePass(channels, grid, coarse_adj, activation, rng)
+                 rng: np.random.Generator):
+        self.pass_ = GraphTimePass(channels, grid, coarse_adj, rng)
         self.p = {
             "ln_gamma": Tensor(np.ones(channels), requires_grad=True),
             "ln_beta": Tensor(np.zeros(channels), requires_grad=True),
@@ -316,8 +313,7 @@ class DiffusionBlock:
     """
 
     def __init__(self, graph: BodyGraph, channels: int, grid: tuple[int, int],
-                 schedule: DiffusionSchedule, activation: str = "relu", *,
-                 rng: np.random.Generator):
+                 schedule: DiffusionSchedule, *, rng: np.random.Generator):
         h, w = grid
         if h * w != graph.n_coarse:
             raise ShapeError(
@@ -327,9 +323,9 @@ class DiffusionBlock:
         coarse_adj = graph.coarse_adjacency()  # one constant for the stack and the predictor
         self.n_sites = graph.n_coarse
         self.context_attn = AttentionLayer(channels, rng=rng)
-        self.stack = FeatureStack(channels, grid, coarse_adj, activation, rng)
+        self.stack = FeatureStack(channels, grid, coarse_adj, rng)
         self.cond_attn = AttentionLayer(channels, rng=rng)
-        self.predictor = NoisePredictor(channels, grid, coarse_adj, activation, rng)
+        self.predictor = NoisePredictor(channels, grid, coarse_adj, rng)
         self.step_embedding = step_embeddings(schedule.n_steps, channels)
 
     def layers(self):

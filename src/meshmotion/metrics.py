@@ -77,8 +77,8 @@ class JointRegressor:
 
 _JOINT_SPECS = (
     # name, part, where along the part chain (0 start .. 1 end)
-    ("pelvis", "torso", 1.0),
-    ("chest", "torso", 0.0),
+    ("pelvis", "torso", 0.0),
+    ("chest", "torso", 1.0),
     ("neck", "head", 0.0),
     ("head_top", "head", 1.0),
     ("left_shoulder", "left_arm", 0.0),

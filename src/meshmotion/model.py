@@ -17,18 +17,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .body_graph import (
-    DEFAULT_PARTS,
-    GraphError,
-    generate_toy_body,
-    resolve_activation,
-)
+from .body_graph import DEFAULT_PARTS, generate_toy_body
 from .diffusion import DiffusionBlock, FeatureStack, make_schedule
 from .metrics import JointRegressor, PoseError, build_joint_regressor, compute_metrics
 from .part_loss import hh_loss, part_weights_from_variance
 from .synth import MotionSequence
 
 MM_SCALE = 1e-3  # mm -> model units
+# weight of the diffusion block's noise-prediction term; the vertex term is
+# the loss's unit, and Adam's step ignores a common scale of all terms
+EPS_LOSS_WEIGHT = 0.1
 
 # numpy floating-point errors stay silent over a whole training step or
 # prediction: the NumericsError that autodiff raises on a non-finite result or
@@ -59,15 +57,12 @@ class ModelConfig:
     diffusion_steps: int = 50
     hierarchy_depth: int = 2
     diffusion_on: bool = True
-    activation: str = "relu"
     context_rows: int = 4
     encoder_hidden: int = 64
     learning_rate: float = 3e-3
     train_steps: int = 200
     batch_size: int = 4
-    vertex_loss_weight: float = 1.0
     part_loss_weight: float = 0.1
-    eps_loss_weight: float = 0.1
     seed: int = 0
 
     @property
@@ -79,10 +74,6 @@ class ModelConfig:
         return len(DEFAULT_PARTS) * self.coarse_per_part
 
     def validate(self) -> None:
-        try:
-            resolve_activation(self.activation)
-        except GraphError as exc:
-            raise ConfigError(str(exc)) from None
         if self.vertices_per_part < 2:
             raise ConfigError(f"need at least 2 vertices per part, got {self.vertices_per_part}")
         if not (1 <= self.coarse_per_part <= self.vertices_per_part):
@@ -101,8 +92,7 @@ class ModelConfig:
             raise ConfigError("channels, encoder_hidden and batch_size must be positive")
         if self.diffusion_on and self.context_rows < 1:
             raise ConfigError(f"diffusion needs context_rows >= 1, got {self.context_rows}")
-        for name in ("learning_rate", "vertex_loss_weight", "part_loss_weight",
-                     "eps_loss_weight"):
+        for name in ("learning_rate", "part_loss_weight"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
@@ -148,15 +138,14 @@ class Model:
 
         if config.diffusion_on:
             self.core = DiffusionBlock(
-                self.graph, c, (h, w), make_schedule(config.diffusion_steps),
-                activation=config.activation, rng=rng,
+                self.graph, c, (h, w), make_schedule(config.diffusion_steps), rng=rng,
             )
             self.context_p = {
                 "rows": Tensor(rng.standard_normal((config.context_rows, c)) * 0.3,
                                requires_grad=True),
             }
         else:
-            self.core = FeatureStack(c, (h, w), graph.coarse_adjacency(), config.activation, rng)
+            self.core = FeatureStack(c, (h, w), graph.coarse_adjacency(), rng)
             self.context_p = None
 
     def param_slots(self) -> dict[str, tuple[dict, str]]:
@@ -190,8 +179,7 @@ class Model:
             obs.reshape(B * T, n * 3) * MM_SCALE,
             msk.reshape(B * T, n),
         ], axis=1)
-        act = resolve_activation(cfg.activation)
-        x = self.enc2(act(self.enc1(ad.constant(frame_in))))
+        x = self.enc2(ad.relu(self.enc1(ad.constant(frame_in))))
         # enc2's columns are channel-major: read them as (B, T, C, S)
         tokens = ad.transpose(ad.reshape(x, (B, T, c, h * w)), (0, 1, 3, 2))
 
@@ -213,11 +201,13 @@ class Model:
 
     def loss(self, out: dict, gt_vertices: np.ndarray,
              part_weights: list[np.ndarray] | None = None) -> Tensor:
-        """Composite training objective on one batch.
+        """Composite training objective on one batch: the vertex MSE, plus
+        ``part_loss_weight`` times the part term, plus ``EPS_LOSS_WEIGHT``
+        times the diffusion block's noise-prediction term.
 
         The part term sums one :func:`hh_loss` per level of ``part_starts``,
-        coarse then fine; a ``part_loss_weight`` of 0 leaves it out. ``part_weights`` gives each level's part weights;
-        by default they derive from the current features through
+        coarse then fine; a ``part_loss_weight`` of 0 leaves it out.
+        ``part_weights`` gives each level's part weights; by default they derive from the current features through
         :meth:`part_weight_levels`. The weights carry no gradient either way;
         passing them in lets finite differencing match. ``gt_vertices`` must
         be the prediction's (B, T, n, 3) in mm; any other shape raises
@@ -230,7 +220,7 @@ class Model:
             raise ConfigError(f"gt_vertices {gt.shape} must be the prediction's (B, T, n, 3), "
                               f"with B*T = {rows} and n = {n}")
         gt_scaled = gt.reshape(rows, n, 3) * MM_SCALE
-        total = ad.mul(ad.mse(out["pred_scaled"], gt_scaled), cfg.vertex_loss_weight)
+        total = ad.mse(out["pred_scaled"], gt_scaled)
         if cfg.part_loss_weight > 0.0:
             if part_weights is None:
                 part_weights = self.part_weight_levels(out)
@@ -245,7 +235,7 @@ class Model:
                 part_term = term if part_term is None else ad.add(part_term, term)
             total = ad.add(total, ad.mul(part_term, cfg.part_loss_weight))
         if out["eps_loss"] is not None:
-            total = ad.add(total, ad.mul(out["eps_loss"], cfg.eps_loss_weight))
+            total = ad.add(total, ad.mul(out["eps_loss"], EPS_LOSS_WEIGHT))
         return total
 
     def part_weight_levels(self, out: dict) -> list[np.ndarray]:

@@ -176,3 +176,45 @@ def test_runner_passes_the_trace_flag(monkeypatch, tmp_path):
 def test_seed_lists_and_ranges():
     assert bp.parse_seeds("3,5,9-11") == [3, 5, 9, 10, 11]
     assert bp.parse_seeds("2101-2103") == [2101, 2102, 2103]
+
+
+def test_verdict_names_equal_digests_worse_metrics_and_wrong_runs():
+    better, bounds = bp.targets(SPEC, 0)
+    pairs = [{"seed": 1, "first": "base", "base": BASE, "change": CHANGE}]
+    line = bp.verdict("train_deterministic", pairs, bp.summarize(pairs, better, bounds))
+    assert line == ("train_deterministic: equal digests in 1 of 1 pairs; "
+                    "worse beyond bound: none; not correct: none")
+    # a second pair whose change run is wrong, differs in its digests and
+    # has half the base's training throughput
+    slow = dict(_scaled(CHANGE, main_seq_per_s=0.5), correct=False,
+                digests={"losses": "x", "predictions": "y"})
+    pairs.append({"seed": 2, "first": "change", "base": BASE, "change": slow})
+    pairs.append({"seed": 3, "first": "base", "base": BASE, "change": slow})
+    line = bp.verdict("w", pairs, bp.summarize(pairs, better, bounds))
+    assert line == ("w: equal digests in 1 of 3 pairs; worse beyond bound: main_seq_per_s; "
+                    "not correct: seed 2 change, seed 3 change")
+
+
+@pytest.mark.parametrize("correct,code", [(True, 0), (False, 1)])
+def test_main_prints_a_verdict_per_workload_and_exits_1_on_a_wrong_run(
+        monkeypatch, tmp_path, capsys, correct, code):
+    def fake_export(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps(SPEC))
+        return {"rev": rev}
+
+    def fake_runner(dirs, seconds, trace):
+        return lambda side, workload, seed: (
+            BASE if side == "base" else dict(CHANGE, correct=correct or seed != 8))
+
+    monkeypatch.setattr(bp, "export", fake_export)
+    monkeypatch.setattr(bp, "perfbench_runner", fake_runner)
+    out = tmp_path / "bench.json"
+    assert bp.main(["--base", "a", "--change", "b", "--workload", "w1", "--workload", "w2",
+                    "--seeds", "7-8", "--seconds", "1", "--scratch", str(tmp_path / "s"),
+                    "--out", str(out)]) == code
+    wrong = "none" if correct else "seed 8 change"
+    assert capsys.readouterr().err.splitlines() == [
+        f"{w}: equal digests in 2 of 2 pairs; worse beyond bound: none; not correct: {wrong}"
+        for w in ("w1", "w2")]
+    assert json.loads(out.read_text())["workloads"].keys() == {"w1", "w2"}

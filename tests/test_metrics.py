@@ -10,6 +10,7 @@ from meshmotion.metrics import (
     AlignmentError,
     MetricsError,
     PoseError,
+    _JOINT_SPECS,
     _lengths,
     apply_similarity,
     build_joint_regressor,
@@ -164,6 +165,20 @@ def test_regressor_rows_convex():
     assert reg.matrix.shape[0] == 14
     assert np.all(reg.matrix >= 0)
     np.testing.assert_allclose(reg.matrix.sum(axis=1), np.ones(14), atol=1e-12)
+
+
+def test_pelvis_and_chest_sit_where_the_rest_pose_puts_them():
+    # the torso chain runs from the pelvis up to the neck: the MPJPE root is
+    # its lowest joint, and the chest is the torso joint next to the neck
+    graph = generate_toy_body()
+    reg = build_joint_regressor(graph)
+    names = [spec[0] for spec in _JOINT_SPECS]
+    joints = dict(zip(names, reg(graph.rest_pose)))
+    assert reg.root_joint == names.index("pelvis")
+    torso = [name for name, part, _ in _JOINT_SPECS if part == "torso"]
+    assert min(torso, key=lambda name: joints[name][1]) == "pelvis"
+    neck = joints["neck"]
+    assert np.linalg.norm(joints["chest"] - neck) < np.linalg.norm(joints["pelvis"] - neck)
 
 
 def test_regressor_of_another_vertex_count_raises():

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from meshmotion.autodiff import Tape, Tensor, gradcheck
+from oracle_ops import gradcheck
+from meshmotion.autodiff import Tape, Tensor
 from meshmotion.body_graph import DEFAULT_PARTS
 from meshmotion.metrics import PoseError, compute_metrics
 from meshmotion.model import (
@@ -59,7 +60,6 @@ def test_config_grid_invariant():
 
 
 @pytest.mark.parametrize("over", [
-    dict(activation="tanh"),                       # not an activation
     dict(vertices_per_part=1),                     # a part chain needs 2 vertices
     dict(context_rows=0),                          # attention over an empty context table
     dict(coarse_per_part=0, height=0),             # the grid matches the 0 coarse sites
@@ -67,15 +67,12 @@ def test_config_grid_invariant():
     dict(learning_rate=float("nan")),              # non-finite at step 0
     dict(learning_rate=float("inf")),
     dict(learning_rate=-1.0),                      # trains uphill
-    dict(vertex_loss_weight=float("nan")),
     dict(part_loss_weight=float("nan")),
     dict(part_loss_weight=-0.1),
-    dict(eps_loss_weight=float("inf")),
-    dict(eps_loss_weight=-1.0),
     dict(train_steps=-5),                          # would train for no step at all
     dict(height=-4, width=-6),                     # negative, though the product is 24
     dict(seed=-1),                                 # numpy seeds are non-negative
-], ids=[f"over{i}" for i in range(3, 19)])
+], ids=[f"over{i}" for i in (4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 17, 18)])  # a case keeps its id
 def test_config_rejects_unbuildable_settings(over):
     cfg = ModelConfig(**over)
     with pytest.raises(ConfigError):
@@ -87,8 +84,7 @@ def test_config_rejects_unbuildable_settings(over):
 def test_config_accepts_zero_training_settings():
     # zero is a valid rate, weight and step count: only NaN, Inf and
     # negatives are rejected
-    cfg = tiny_config(learning_rate=0.0, vertex_loss_weight=0.0, part_loss_weight=0.0,
-                      eps_loss_weight=0.0, train_steps=0)
+    cfg = tiny_config(learning_rate=0.0, part_loss_weight=0.0, train_steps=0)
     _, data = make_dataset(cfg, 2)
     _, losses = train(cfg, data)
     assert losses == []
@@ -229,12 +225,14 @@ def test_train_divergence_reports_step():
     assert exc.value.step >= 0
 
 
-def test_end_to_end_gradcheck_miniature():
+@pytest.mark.parametrize("diffusion_on", [False, True], ids=["deterministic", "diffusion"])
+def test_end_to_end_gradcheck_miniature(diffusion_on):
     # total training loss gradient vs central differences, n=16, T=2,
-    # diffusion_steps=2, C=4. The smooth activation avoids finite-difference
-    # artifacts at kinks, and the variance-derived part weights are pinned at
-    # their base values (they carry no gradient by construction).
-    cfg = tiny_config(activation="gelu")
+    # diffusion_steps=2, C=4. The variance-derived part weights are pinned at
+    # their base values (they carry no gradient by construction). No central
+    # difference here steps across a relu kink: the deterministic case reads
+    # about 2e-5.
+    cfg = tiny_config(diffusion_on=diffusion_on)
     model, seqs = make_dataset(cfg, 2, frames=2)
     obs = np.stack([s.observations for s in seqs])
     mask = np.stack([s.occlusion_mask for s in seqs])

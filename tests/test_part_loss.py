@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracle_ops as oracle
+from oracle_ops import gradcheck
 from meshmotion import autodiff as ad
-from meshmotion.autodiff import PROB_FLOOR, ShapeError, Tensor, gradcheck
+from meshmotion.autodiff import PROB_FLOOR, ShapeError, Tensor
 from meshmotion.body_graph import generate_toy_body
 from meshmotion.model import MM_SCALE, ModelConfig, build_model
 from meshmotion.part_loss import hh_loss, part_weights_from_variance
@@ -314,7 +315,7 @@ def test_hierarchical_loss_sums_levels(depth):
     model = build_model(ModelConfig(vertices_per_part=4, coarse_per_part=2, height=4,
                                     width=4, channels=4, diffusion_on=False,
                                     hierarchy_depth=depth,
-                                    vertex_loss_weight=0.0, part_loss_weight=1.0))
+                                    part_loss_weight=1.0))
     graph = model.graph
     rng = np.random.default_rng(11)
     out = {
@@ -338,4 +339,5 @@ def test_hierarchical_loss_sums_levels(depth):
         pc = out["coarse_feats"]
         want = (hh_loss(pc, gt_coarse, coarse_starts,
                         part_weights_from_variance(pc.data, coarse_starts)).item() + want)
+    want += ad.mse(pf, gt_fine).item()  # the vertex term, the loss's unit
     assert abs(total - want) < 1e-12

@@ -28,6 +28,10 @@ the change's median is worse than the base's by more than the metric's
 have no bound); and each side's share of failed operations
 over all its runs. It is rewritten after every pair, so an interrupted
 series keeps what it ran.
+
+When the series ends, one verdict line per workload goes to standard error:
+the pairs with equal digests, the metrics worse than their bound, and the
+runs that were not correct. The tool exits 1 when any run was not correct.
 """
 
 from __future__ import annotations
@@ -105,6 +109,17 @@ def summarize(pairs: list[dict], better: dict[str, str],
         "failed_share": {side: _failed_share([p[side] for p in pairs]) for side in SIDES},
         "metrics": metrics,
     }
+
+
+def verdict(workload: str, pairs: list[dict], summary: dict) -> str:
+    """One line on a workload's finished series, from its pairs and their
+    ``summarize`` output."""
+    worse = [name for name, m in summary["metrics"].items() if m["worse_beyond_bound"]]
+    wrong = [f"seed {p['seed']} {side}" for p in pairs for side in SIDES
+             if not p[side]["correct"]]
+    return (f"{workload}: equal digests in {summary['digests_equal']} of "
+            f"{summary['pairs']} pairs; worse beyond bound: {', '.join(worse) or 'none'}; "
+            f"not correct: {', '.join(wrong) or 'none'}")
 
 
 def _failed_share(runs: list[dict]) -> float | None:
@@ -207,9 +222,14 @@ def main(argv=None) -> int:
                              for w, pairs in results.items() if pairs}}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
-    run_pairs(args.workload, args.seeds, perfbench_runner(dirs, args.seconds, args.trace),
-              write)
-    return 0
+    results = run_pairs(args.workload, args.seeds,
+                        perfbench_runner(dirs, args.seconds, args.trace), write)
+    not_correct = 0
+    for workload, pairs in results.items():
+        summary = summarize(pairs, better, bounds)
+        print(verdict(workload, pairs, summary), file=sys.stderr)
+        not_correct += summary["runs_not_correct"]
+    return 1 if not_correct else 0
 
 
 if __name__ == "__main__":
