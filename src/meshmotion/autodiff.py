@@ -9,43 +9,42 @@ still to be used, not one per record. A backward returns None for an input
 that does not require a gradient (noise draws, targets, scalars), so
 constants cost no gradient arithmetic.
 
-The tape holds gradient slots, not values. A record's output tensor points
-at its slot (:class:`_Slot`: the gradient, the shape and a weak reference to
-the value), and a record's inputs and output are slots; a leaf is its own
-slot. So a value lives only as long as the model code or a backward closure
-holds it, and each closure keeps only what its backward reads, as each op's
+The tape holds gradient slots, not values. A record's output tensor points at
+its slot (:class:`_Slot`: the gradient, the shape and a weak reference to the
+value), and a record's inputs and output are slots; a leaf is its own slot.
+So a value lives only as long as the model code or a backward closure holds
+it, and each closure keeps only what its backward reads, as each op's
 docstring states: ``matmul``, ``affine``, ``mul`` and the attention scores
 keep an operand only when the other operand takes a gradient, ``add``,
-``lincomb`` and ``sum_`` keep shapes, ``softmax`` and ``sqrt`` their output,
-and ``relu`` its one-byte mask. A value the model
-code has dropped is freed during the forward unless a backward reads it: the
-predicted noise (``mse`` keeps the difference, ``lincomb`` the shapes), and a
-``relu`` input and output inside the graph+time pass (the relu keeps its
-mask, and the graph convolution's product keeps its constant adjacency). An
-input that takes no gradient is stored as None, so a constant such as a noise
-draw is freed once the forward has used it. ``layer_norm`` recomputes its
-full-size intermediates from the input in backward, and
-``attention_layer`` its query projection, scores, softmax weights W and
-W v, with the forward's expressions in the same order, instead of holding
-them. And the model's hot composites are one record each, so an
-intermediate that no backward reads is no record output. Each has an
+``lincomb`` and ``sum_`` keep shapes, ``softmax`` its output, and ``relu``
+its one-byte mask. A value the model code has dropped is freed during the
+forward unless a backward reads it: the predicted noise (``mse`` keeps the
+difference, ``lincomb`` the shapes), and a ``relu`` input and output inside
+the graph+time pass (the relu keeps its mask, and the graph convolution's
+product keeps its constant adjacency). An input that takes no gradient is
+stored as None, so a constant such as a noise draw is freed once the forward
+has used it. ``layer_norm`` recomputes its full-size intermediates from the
+input in backward, and ``attention_layer`` its query projection, scores,
+softmax weights W and W v, with the forward's expressions in the same order,
+instead of holding them. And the model's hot composites are one record each,
+so an intermediate that no backward reads is no record output. Each has an
 analytic backward that runs the same numpy expressions in the same order as
-the primitives it replaces: ``lincomb``
-((a·alpha + b·beta)·scale + shift, a diffusion chain step), ``mse`` (the
-mean squared error against a constant target), ``affine`` (x @ w + c, a
-linear layer), ``softmax``, ``layer_norm``, ``conv3d``,
-``segment_softmax_kl`` (the weighted KL between segment-wise softmaxes, the
-part loss of one level) and ``attention_layer`` (x + softmax((x @ wq) kᵀ/√d)
-v @ wo, a residual attention layer, which keeps beside its operands only
-each softmax row's max and exp-sum, from which backward rebuilds W bit for
-bit). ``attention``, its reference composite, is a scores record, a
-``softmax`` and a ``matmul``. ``conv3d`` takes and returns a channels-last
-(B, T, H, W, C) grid and lowers to GEMMs on a spatial-only patch matrix, one
-GEMM per temporal tap, with no transpose of the grid on either side. Any op
-that produces a non-finite value raises :class:`NumericsError` immediately
-instead of letting NaN/Inf spread; callers that want that error as the only
-signal run a whole step under ``np.errstate`` (see ``model.train``). Operands
-that do not fit the op raise :class:`ShapeError` naming their shapes.
+the primitives it replaces: ``lincomb`` ((a·alpha + b·beta)·scale + shift, a
+diffusion chain step), ``mse`` (the mean squared error against a constant
+target), ``affine`` (x @ w + c, a linear layer), ``softmax``, ``layer_norm``,
+``conv3d``, ``segment_softmax_kl`` (the weighted KL between segment-wise
+softmaxes of (S, n, F) feature-row norms, the part loss of one level) and
+``attention_layer`` (x + softmax((x @ wq) kᵀ/√d) v @ wo, a residual attention
+layer, which keeps beside its operands only each softmax row's max and
+exp-sum, from which backward rebuilds W bit for bit). ``attention``, its
+reference composite, is a scores record, a ``softmax`` and a ``matmul``.
+``conv3d`` takes and returns a channels-last (B, T, H, W, C) grid and lowers
+to GEMMs on a spatial-only patch matrix, one GEMM per temporal tap, with no
+transpose of the grid on either side. Any op that produces a non-finite value
+raises :class:`NumericsError` immediately instead of letting NaN/Inf spread;
+callers that want that error as the only signal run a whole step under
+``np.errstate`` (see ``model.train``). Operands that do not fit the op raise
+:class:`ShapeError` naming their shapes.
 
 Layout rule for the kernels on the training step's hot path (``matmul``,
 the attention scores, ``softmax``, ``layer_norm``, ``sum_`` over the last
@@ -59,9 +58,9 @@ a shared key or value table) gets its gradient as one GEMM over the
 flattened rows, not as a batch of small products summed afterwards.
 
 Tolerances are module constants, not arguments: ``PROB_FLOOR`` in
-``segment_softmax_kl``'s logs and ``_LN_EPS`` in ``layer_norm``. The
-gradient checker that verifies every op against central differences lives
-with the tests (``tests/oracle_ops.py``).
+``segment_softmax_kl``'s logs, ``_SCORE_EPS`` under its row norms and
+``_LN_EPS`` in ``layer_norm``. The gradient checker that verifies every op
+against central differences lives with the tests (``tests/oracle_ops.py``).
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ __all__ = [
     "matmul",
     "affine",
     "relu",
-    "sqrt",
     "reshape",
     "transpose",
     "sum_",
@@ -473,18 +471,6 @@ def relu(a) -> Tensor:
     return _result("relu", (a,), a.data * mask, lambda g: (g * mask,))
 
 
-def sqrt(a) -> Tensor:
-    """Elementwise square root; the backward keeps the output."""
-    a = as_tensor(a)
-    with np.errstate(invalid="ignore"):
-        out = np.sqrt(a.data)
-
-    def backward(g):
-        return (g * 0.5 / out,)
-
-    return _result("sqrt", (a,), out, backward)
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -700,26 +686,42 @@ def _segment_starts(starts, n: int) -> np.ndarray:
 
 
 PROB_FLOOR = 1e-12  # probabilities are floored here inside a log (segment_softmax_kl)
+_SCORE_EPS = 1e-12  # added to a squared feature-row norm under segment_softmax_kl's root
 _LN_EPS = 1e-5  # added to the variance under layer_norm's square root
 
 
-def segment_softmax_kl(logits, target_logits, starts, weights) -> Tensor:
-    """Σ_p w_p · mean over rows of KL(softmax_p(target) ‖ softmax_p(logits)); one record.
+def _row_norms(f: np.ndarray) -> np.ndarray:
+    """sqrt(Σ f² + ``_SCORE_EPS``) over the last axis of ``f``, the sum one GEMV
+    (:func:`_row_dot`)."""
+    return np.sqrt(_row_dot(f * f, np.ones(f.shape[-1])).reshape(f.shape[:-1]) + _SCORE_EPS)
 
-    ``logits`` and ``target_logits`` are (S, n). Their columns split into
-    contiguous segments p that begin at ``starts`` (increasing, the first 0),
-    and each row takes a softmax q (target) and p (prediction) over each
-    segment. ``weights`` holds one w_p per segment. Both sides are floored at
+
+def segment_softmax_kl(features, target_features, starts, weights) -> Tensor:
+    """Σ_p w_p · mean over rows of KL(softmax_p(target) ‖ softmax_p(scores)); one record.
+
+    ``features`` is (S, n, F) and ``target_features`` (S, n, F'); the
+    channel counts may differ. Each vertex row scores its norm
+    sqrt(Σ f² + ``_SCORE_EPS``). The n score columns split into contiguous
+    segments p that begin at ``starts`` (increasing, the first 0), and each
+    row takes a softmax q (target) and p (prediction) over each segment.
+    ``weights`` holds one w_p per segment. Both sides are floored at
     ``PROB_FLOOR`` inside the log, so the target's 0·log 0 counts as 0. The
-    target is detached: its gradient is None. With keep = p > PROB_FLOOR and
-    c each column's segment weight over S, the logits gradient is
-    g·(−q·keep·c + p·Σ_seg q·keep·c), so it flows only where the prediction
-    is above the floor. The backward keeps both softmaxes and the weights,
-    and of the logits only whether they take a gradient.
+    target is detached: its gradient is None.
+
+    With keep = p > PROB_FLOOR and c each column's segment weight over S, the
+    score gradient is gs = g·(−q·keep·c + p·Σ_seg q·keep·c), so it flows only
+    where the prediction is above the floor. The features gradient chains
+    gs·0.5/score, h = that times f, and h + h: the arithmetic of the
+    composite that scores with ``mul``, ``sum_``, ``add`` and a square root
+    before the KL, so the value and the gradient are bit-identical to it.
+    (The tape sums that composite's two h into f's gradient as h + h when
+    the op is the last record that reads f, as in the model.) The backward
+    keeps both softmaxes, the weights, the scores and, when they take a
+    gradient, the features.
     """
-    x, t = as_tensor(logits), as_tensor(target_logits)
-    if x.ndim != 2 or x.shape != t.shape:
-        raise ShapeError(f"segment_softmax_kl needs two equal (S, n) operands, "
+    x, t = as_tensor(features), as_tensor(target_features)
+    if x.ndim != 3 or t.ndim != 3 or x.shape[:2] != t.shape[:2]:
+        raise ShapeError(f"segment_softmax_kl needs (S, n, F) and (S, n, F') features, "
                          f"got {x.shape} and {t.shape}")
     n = x.shape[1]
     starts = _segment_starts(starts, n)
@@ -727,17 +729,21 @@ def segment_softmax_kl(logits, target_logits, starts, weights) -> Tensor:
     if w.shape != starts.shape:
         raise ShapeError(f"{w.size} weights for {starts.size} segments")
     seg = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
-    p = _segment_softmax(x.data, starts, seg)
-    q = _segment_softmax(t.data, starts, seg)
+    score = _row_norms(x.data)
+    p = _segment_softmax(score, starts, seg)
+    q = _segment_softmax(_row_norms(t.data), starts, seg)
     per_entry = q * (np.log(np.maximum(q, PROB_FLOOR)) - np.log(np.maximum(p, PROB_FLOOR)))
     out = np.add.reduceat(per_entry, starts, axis=1).mean(axis=0) @ w
-    wants, rows = x.requires_grad, x.shape[0]
+    f = x.data if x.requires_grad else None
+    rows = x.shape[0]
 
     def backward(g):
-        if not wants:
+        if f is None:
             return None, None
         qk = q * (p > PROB_FLOOR) * (w / rows)[seg]
-        return g * (p * np.add.reduceat(qk, starts, axis=1)[:, seg] - qk), None
+        gs = g * (p * np.add.reduceat(qk, starts, axis=1)[:, seg] - qk)
+        h = (gs * 0.5 / score)[..., None] * f
+        return h + h, None
 
     return _result("segment_softmax_kl", (x, t), out, backward)
 

@@ -2,8 +2,9 @@
 Procrustes-aligned joint error, all in millimeters.
 
 Joints regress from mesh vertices through a sparse convex-weight matrix; the
-toy regressor places 14 joints on single-part vertex groups so rigid part
-motion keeps designated bone lengths constant.
+toy regressor places 14 joints on small vertex groups, each inside one rigid
+group, so rigid motion keeps the distance between two joints of one group
+constant.
 
 ``compute_metrics`` scores a list of sequences in one batched pass. Each
 sequence gets its input checks, its per-frame vertex error and its two
@@ -61,7 +62,6 @@ class JointRegressor:
     """Sparse convex mapping from mesh vertices to joints."""
 
     matrix: np.ndarray  # (n_joints, n_vertices), rows nonnegative, sum to 1
-    bone_pairs: tuple[tuple[int, int], ...]  # rigid (same body part) joint pairs
     root_joint: int = 0
 
     def __post_init__(self):
@@ -93,18 +93,6 @@ _JOINT_SPECS = (
     ("right_ankle", "right_leg", 1.0),
 )
 
-_BONES = (
-    ("pelvis", "chest"),
-    ("neck", "head_top"),
-    ("left_shoulder", "left_elbow"),
-    ("left_elbow", "left_wrist"),
-    ("right_shoulder", "right_elbow"),
-    ("right_elbow", "right_wrist"),
-    ("left_knee", "left_ankle"),
-    ("right_knee", "right_ankle"),
-)
-
-
 def build_joint_regressor(graph: BodyGraph) -> JointRegressor:
     """14 joints averaged over small single-part vertex groups."""
     parts = dict(zip(DEFAULT_PARTS, graph.part_vertices()))
@@ -118,10 +106,8 @@ def build_joint_regressor(graph: BodyGraph) -> JointRegressor:
         row = np.zeros(n)
         row[members] = 1.0 / len(members)
         rows.append(row)
-    name_idx = {spec[0]: i for i, spec in enumerate(_JOINT_SPECS)}
-    bones = tuple((name_idx[a], name_idx[b]) for a, b in _BONES)
-    return JointRegressor(matrix=np.array(rows), bone_pairs=bones,
-                          root_joint=name_idx["pelvis"])
+    root = [name for name, _, _ in _JOINT_SPECS].index("pelvis")
+    return JointRegressor(matrix=np.array(rows), root_joint=root)
 
 
 def _frame_name(i: tuple[int, ...]) -> str:

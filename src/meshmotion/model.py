@@ -163,7 +163,7 @@ class Model:
     def forward(self, observations: np.ndarray, mask: np.ndarray, seed: int) -> dict:
         """observations (B, T, n, 3) mm and mask (B, T, n) -> prediction dict.
 
-        Any other shape raises ``ConfigError``.
+        Any other shape, or B or T of 0, raises ``ConfigError``.
         """
         cfg = self.config
         obs = np.asarray(observations, dtype=np.float64)
@@ -173,6 +173,9 @@ class Model:
             raise ConfigError(f"observations {obs.shape} and mask {msk.shape} must be "
                               f"(B, T, {n}, 3) and (B, T, {n})")
         B, T = obs.shape[:2]
+        if B == 0 or T == 0:
+            raise ConfigError(f"observations need B >= 1 sequences of T >= 1 frames, "
+                              f"got B={B} and T={T}")
         c, h, w = cfg.channels, cfg.height, cfg.width
 
         frame_in = np.concatenate([
@@ -233,9 +236,9 @@ class Model:
                                                  strict=True):
                 term = hh_loss(pred, true, starts, lam)
                 part_term = term if part_term is None else ad.add(part_term, term)
-            total = ad.add(total, ad.mul(part_term, cfg.part_loss_weight))
+            total = ad.lincomb(total, 1.0, part_term, cfg.part_loss_weight)
         if out["eps_loss"] is not None:
-            total = ad.add(total, ad.mul(out["eps_loss"], EPS_LOSS_WEIGHT))
+            total = ad.lincomb(total, 1.0, out["eps_loss"], EPS_LOSS_WEIGHT)
         return total
 
     def part_weight_levels(self, out: dict) -> list[np.ndarray]:

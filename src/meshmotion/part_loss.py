@@ -5,11 +5,11 @@ A resolution level's body parts are contiguous vertex segments, given as their
 per-part probability distributions via softmax over per-vertex scores;
 prediction/target distributions compare through a KL term weighted per part,
 summed over the parts of one level (``model.Model.loss`` sums the levels).
-One level's pooling and KL terms over all parts are one segmented
-``autodiff.segment_softmax_kl`` tape record; with the prediction's vertex
-scores a level adds five records, whatever its part count. Like the autodiff
-kernels, the vertex scores and part weights sum each short feature row as a
-GEMV against a ones vector, never as a numpy reduction over the short axis.
+One level's vertex scores, pooling and KL terms over all parts are one
+segmented ``autodiff.segment_softmax_kl`` tape record, whatever its part
+count. Like the autodiff kernels, the vertex scores and part weights sum each
+short feature row as a GEMV against a ones vector, never as a numpy reduction
+over the short axis.
 """
 
 from __future__ import annotations
@@ -18,13 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, _segment_starts
-
-
-def _vertex_scores(features: Tensor) -> Tensor:
-    """Scalar score per vertex: L2 norm of its feature row, summed by one GEMV
-    (``sum_`` over the last axis); four records."""
-    sq = ad.sum_(ad.mul(features, features), axis=features.ndim - 1)
-    return ad.sqrt(ad.add(sq, 1e-12))
 
 
 def part_weights_from_variance(features: np.ndarray, starts) -> np.ndarray:
@@ -61,17 +54,15 @@ def part_weights_from_variance(features: np.ndarray, starts) -> np.ndarray:
 
 
 def hh_loss(pred_features, true_features, starts, weights) -> Tensor:
-    """Weighted sum of per-part KL terms at one resolution level.
+    """Weighted sum of per-part KL terms at one resolution level; one record.
 
-    ``pred_features`` and ``true_features`` are (S, n, F); the parts are the
-    vertex segments that begin at ``starts``, and ``weights`` holds one weight
-    per part. Each part's vertex scores (feature row L2 norms) softmax into a
-    distribution per row; the KL of the target's from the prediction's,
-    averaged over rows and weighted per part, sums over the parts in one
-    :func:`autodiff.segment_softmax_kl` record, five records in all. The
-    target side is detached: its scores are the same ops on a constant, which
-    record nothing, so identical features give a loss of exactly 0.
+    ``pred_features`` is (S, n, F) and ``true_features`` (S, n, F'); the
+    parts are the vertex segments that begin at ``starts``, and ``weights``
+    holds one weight per part. Each part's vertex scores (feature row L2
+    norms) softmax into a distribution per row; the KL of the target's from
+    the prediction's, averaged over rows and weighted per part, sums over the
+    parts in one :func:`autodiff.segment_softmax_kl` record. The target side
+    is detached and scored by the same kernel, so identical features give a
+    loss of exactly 0.
     """
-    scores = _vertex_scores(ad.as_tensor(pred_features))
-    true_scores = _vertex_scores(ad.constant(true_features))
-    return ad.segment_softmax_kl(scores, true_scores, starts, weights)
+    return ad.segment_softmax_kl(pred_features, true_features, starts, weights)

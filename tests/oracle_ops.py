@@ -12,7 +12,7 @@ import numpy as np
 
 from meshmotion import autodiff as ad
 
-__all__ = ["sub", "div", "exp", "log", "clip_min", "take_slice", "mean"]
+__all__ = ["sub", "div", "exp", "log", "sqrt", "clip_min", "take_slice", "mean"]
 
 
 def sub(a, b):
@@ -34,6 +34,12 @@ def exp(a):
 def log(a):
     x = a.data
     return ad._result("log", (a,), np.log(x), lambda g: (g / x,))
+
+
+def sqrt(a):
+    with np.errstate(invalid="ignore"):
+        out = np.sqrt(a.data)
+    return ad._result("sqrt", (a,), out, lambda g: (g * 0.5 / out,))
 
 
 def clip_min(a, floor):

@@ -269,6 +269,7 @@ def _gradcheck_table(rng):
     wide, ln_weight = rng.standard_normal((n, 5)) * 2 + 1, rng.standard_normal((n, 5))
     value = rng.standard_normal((n + 1, 3))
     conv_x, conv_k = rng.standard_normal((1, 2, 3, 2, 2)), rng.standard_normal((2, 2, 3, 1, 1))
+    feats, target_feats = rng.standard_normal((n, m, 2)), rng.standard_normal((n, m, 3))
     return {
         "add": (ad.add, [x, y]),
         "mul": (ad.mul, [x, y]),
@@ -281,7 +282,7 @@ def _gradcheck_table(rng):
         "relu": (ad.relu, [away_from_zero]),
         "exp": (oracle.exp, [x]),
         "log": (oracle.log, [pos]),
-        "sqrt": (ad.sqrt, [pos]),
+        "sqrt": (oracle.sqrt, [pos]),
         "clip_min": (lambda a: oracle.clip_min(a, 0.0), [away_from_zero]),
         "reshape": (lambda a: ad.reshape(a, (m, n)), [x]),
         "transpose": (lambda a: ad.transpose(a, (1, 0)), [x]),
@@ -292,8 +293,9 @@ def _gradcheck_table(rng):
         "take_slice": (lambda a: oracle.take_slice(a, 1, 0, max(1, m - 1)), [x]),
         "layer_norm": (lambda a, g, b: ad.mul(layer_norm(a, g, b), ln_weight),
                        [wide, rng.standard_normal(5), rng.standard_normal(5)]),
-        "segment_softmax_kl": (lambda a: segment_softmax_kl(a, y, [0, 1], [0.7, 1.3]),
-                               [x]),
+        "segment_softmax_kl": (lambda a: segment_softmax_kl(a, target_feats, [0, 1],
+                                                            [0.7, 1.3]),
+                               [feats]),
         "conv3d": (conv3d, [conv_x, conv_k]),
         "attention": (attention, [x, rng.standard_normal((n + 1, m)), value]),
         "attention_layer": (ad.attention_layer,
@@ -405,7 +407,7 @@ def _layer_norm_composite(a, gamma, beta, eps=1e-5):
     ax = a.ndim - 1
     d = oracle.sub(a, oracle.mean(a, axis=ax, keepdims=True))
     v = oracle.mean(ad.mul(d, d), axis=ax, keepdims=True)
-    return ad.add(ad.mul(oracle.div(d, ad.sqrt(ad.add(v, eps))), gamma), beta)
+    return ad.add(ad.mul(oracle.div(d, oracle.sqrt(ad.add(v, eps))), gamma), beta)
 
 
 def _attention_composite(q, k, v):
@@ -839,7 +841,7 @@ def test_conv3d_composite_oracle_matches_tap_loop():
     ("layer_norm", layer_norm, ((2, 3, 4, 5), (5,), (5,))),
     ("segment_softmax_kl",
      lambda a, b: segment_softmax_kl(a, b, [0, 2, 3], [1.0, 0.5, 2.0]),
-     ((3, 5), (3, 5))),
+     ((3, 5, 2), (3, 5, 4))),
     ("lincomb", lambda a, b: ad.lincomb(a, 0.5, b, -2.0), ((3, 4), (3, 4))),
     ("mse", lambda a: ad.mse(a, np.ones((3, 4))), ((3, 4),)),
     ("affine", ad.affine, ((2, 3, 4), (4, 5), (2, 3, 5))),
@@ -856,23 +858,43 @@ def test_fused_kernel_records_once(name, op, shapes):
     assert [r.name for r in tape.records] == [name]
 
 
+def _row_norms(f):
+    # the op's vertex scores, written out
+    return np.sqrt((f * f).sum(axis=-1) + 1e-12)
+
+
 def test_segment_softmax_kl_gradcheck_with_floored_prediction():
-    # segments of 3, 1 and 4 columns; in row 1 the last segment's prediction
-    # puts ~1e-30 on three columns, below the floor, so the keep mask matters
+    # segments of 3, 1 and 4 vertices; in row 1 the last segment's prediction
+    # puts below 1e-14 on three vertices, below the floor, so the keep mask
+    # matters
     rng = np.random.default_rng(33)
-    logits = rng.standard_normal((3, 8))
-    logits[1, 4:] = [35.0, -35.0, -30.0, -32.0]
-    target = rng.standard_normal((3, 8))
+    feats = rng.standard_normal((3, 8, 2))
+    feats[1, 4:] = [[35.0, 0.0], [0.3, -0.4], [0.0, 1.0], [-1.2, 1.6]]
+    target = rng.standard_normal((3, 8, 2))
     starts, weights = [0, 3, 4], [0.7, 1.3, 2.0]
-    p_last = np.exp(logits[1, 4:] - logits[1, 4:].max())
+    p_last = np.exp(_row_norms(feats[1, 4:]) - 35.0)
     assert np.sum(p_last / p_last.sum() < ad.PROB_FLOOR) == 3
-    err = gradcheck(lambda x: segment_softmax_kl(x, target, starts, weights), [logits])
+    err = gradcheck(lambda x: segment_softmax_kl(x, target, starts, weights), [feats])
+    assert err < 1e-4
+
+
+def test_segment_softmax_kl_gradcheck_target_of_other_width():
+    # 5 prediction channels against 3 target channels, as the coarse level
+    # compares latents with positions; row 0's second segment is floored
+    rng = np.random.default_rng(37)
+    feats = rng.standard_normal((2, 6, 5)) * 0.5
+    feats[0, 2] = [30.0, 0.0, 0.0, 0.0, 0.0]
+    target = rng.standard_normal((2, 6, 3))
+    starts, weights = [0, 2], [1.5, 0.5]
+    p_row = np.exp(_row_norms(feats[0, 2:]) - _row_norms(feats[0, 2:]).max())
+    assert np.sum(p_row / p_row.sum() < ad.PROB_FLOOR) == 3
+    err = gradcheck(lambda x: segment_softmax_kl(x, target, starts, weights), [feats])
     assert err < 1e-4
 
 
 def test_segment_softmax_kl_target_gradient_is_none():
     rng = np.random.default_rng(34)
-    x, t = (Tensor(rng.standard_normal((2, 4)), requires_grad=True) for _ in range(2))
+    x, t = (Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True) for _ in range(2))
     with Tape() as tape:
         out = segment_softmax_kl(x, t, [0, 1], [1.0, 1.0])
     assert tape.records[0].backward(np.ones(()))[1] is None
@@ -881,12 +903,13 @@ def test_segment_softmax_kl_target_gradient_is_none():
 
 
 @pytest.mark.parametrize("shapes,starts,weights", [
-    (((2, 5), (2, 4)), [0, 2], [1.0, 1.0]),   # operands disagree
-    (((5,), (5,)), [0, 2], [1.0, 1.0]),       # not (S, n)
-    (((2, 5), (2, 5)), [1, 3], [1.0, 1.0]),   # first segment does not start at 0
-    (((2, 5), (2, 5)), [0, 3, 3], [1.0] * 3), # empty segment
-    (((2, 5), (2, 5)), [0, 5], [1.0, 1.0]),   # segment past the last column
-    (((2, 5), (2, 5)), [0, 2], [1.0]),        # one weight short
+    (((2, 5, 3), (2, 4, 3)), [0, 2], [1.0, 1.0]),    # operands disagree in vertices
+    (((2, 5), (2, 5)), [0, 2], [1.0, 1.0]),          # scores, not (S, n, F) features
+    (((2, 5, 3), (2, 5, 3)), [1, 3], [1.0, 1.0]),    # first segment does not start at 0
+    (((2, 5, 3), (2, 5, 3)), [0, 3, 3], [1.0] * 3),  # empty segment
+    (((2, 5, 3), (2, 5, 3)), [0, 5], [1.0, 1.0]),    # segment past the last vertex
+    (((2, 5, 3), (2, 5, 3)), [0, 2], [1.0]),         # one weight short
+    (((2, 5, 3), (3, 5, 3)), [0, 2], [1.0, 1.0]),    # operands disagree in rows
 ])
 def test_segment_softmax_kl_rejects_bad_shapes(shapes, starts, weights):
     rng = np.random.default_rng(35)
@@ -898,7 +921,7 @@ def test_segment_softmax_kl_rejects_bad_shapes(shapes, starts, weights):
 @pytest.mark.parametrize("weight", [np.inf, np.nan])
 def test_segment_softmax_kl_raises_on_non_finite_result(weight):
     rng = np.random.default_rng(36)
-    x, t = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
+    x, t = rng.standard_normal((2, 4, 3)), rng.standard_normal((2, 4, 3))
     with pytest.raises(NumericsError):
         segment_softmax_kl(x, t, [0, 2], [weight, 1.0])
 
@@ -1045,7 +1068,7 @@ def test_reshape_rejects_implicit_axes():
 def test_nonfinite_result_raises():
     # NaN out of sqrt (run under np.errstate), and Inf out of an overflowing product
     with pytest.raises(NumericsError):
-        ad.sqrt(ad.constant([4.0, -1.0]))
+        oracle.sqrt(ad.constant([4.0, -1.0]))
     with np.errstate(over="ignore"), pytest.raises(NumericsError):
         ad.mul(ad.constant([1e200]), 1e200)
     with pytest.raises(NumericsError):

@@ -133,6 +133,22 @@ def test_forward_rejects_malformed_sequences(obs_shape, mask_shape):
         model.forward(np.zeros(obs_shape), np.zeros(mask_shape), seed=0)
 
 
+@pytest.mark.parametrize("diffusion_on", [True, False], ids=["diffusion", "deterministic"])
+def test_empty_batch_or_sequence_raises_config_error(diffusion_on):
+    # B = 0 or T = 0 is named at the model's edge, not deep in the encoder
+    model = build_model(tiny_config(diffusion_on=diffusion_on))
+    for b, t in ((0, 3), (1, 0)):
+        with pytest.raises(ConfigError, match=f"got B={b} and T={t}$"):
+            model.forward(np.zeros((b, t, 16, 3)), np.zeros((b, t, 16)), seed=0)
+    empty = generate_sequence(MotionConfig(graph=model.graph, frames=3), seed=0)
+    empty = type(empty)(*(a[:0] for a in (empty.gt_vertices, empty.observations,
+                                          empty.occlusion_mask)))
+    with pytest.raises(ConfigError, match="got B=1 and T=0$"):
+        model.predict(empty)
+    with pytest.raises(ConfigError, match="got B=1 and T=0$"):
+        evaluate(model, [empty])
+
+
 @pytest.mark.parametrize("gt_shape", [(1, 3, 16, 3), (2, 3, 17, 3)],
                          ids=["batch_of_one", "one_vertex_more"])
 def test_loss_rejects_ground_truth_of_another_shape(gt_shape):
@@ -177,6 +193,20 @@ def test_a_zero_part_loss_weight_leaves_the_part_term_out():
         with Tape() as tape:
             model.loss(model.forward(obs, mask, seed=2), seq.gt_vertices[None])
         assert [r.name for r in tape.records].count("segment_softmax_kl") == kl_records
+
+
+def test_default_deterministic_step_records():
+    # the default step with diffusion off: encoder, graph+time stack, head,
+    # one part-loss record per level, and one lincomb for the weighted term
+    config = ModelConfig(diffusion_on=False)
+    model = build_model(config)
+    obs = np.random.default_rng(32).standard_normal((config.batch_size, 16,
+                                                     config.n_vertices, 3)) * 100.0
+    with Tape() as tape:
+        model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=0), obs + 1.0)
+    names = [r.name for r in tape.records]
+    assert names.count("segment_softmax_kl") == 2 and names.count("lincomb") == 1
+    assert len(names) == 37
 
 
 def test_predict_deterministic():

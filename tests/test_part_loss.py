@@ -39,7 +39,7 @@ def softmax_pool(vertex_features, starts) -> list[Tensor]:
     """
     feats = ad.as_tensor(vertex_features)
     sq = ad.sum_(ad.mul(feats, feats), axis=2)
-    scores = ad.sqrt(ad.add(sq, 1e-12))  # (S, n)
+    scores = oracle.sqrt(ad.add(sq, 1e-12))  # (S, n)
     ends = [*starts[1:], feats.shape[1]]
     return [ad.softmax(oracle.take_slice(scores, 1, s, e)) for s, e in zip(starts, ends)]
 
@@ -207,7 +207,7 @@ def test_malformed_part_starts_raise_one_shape_error(starts):
     with pytest.raises(ShapeError) as weights_error:
         part_weights_from_variance(feats, starts)
     with pytest.raises(ShapeError) as kl_error:
-        ad.segment_softmax_kl(feats[..., 0], feats[..., 0], starts, np.ones(len(starts)))
+        ad.segment_softmax_kl(feats, feats, starts, np.ones(len(starts)))
     assert str(weights_error.value) == str(kl_error.value)
     assert "do not split 96 columns" in str(weights_error.value)
 
@@ -282,6 +282,61 @@ def test_hh_loss_gradient_matches_loop_oracle():
         tape.backward(loss)
         grads.append(x.grad)
     np.testing.assert_allclose(grads[0], grads[1], rtol=0, atol=1e-12)
+
+
+def scores_kl(scores, target_scores, starts, weights) -> Tensor:
+    """The segmented KL on (S, n) vertex scores, one record with the op's own
+    numpy expressions."""
+    x, q_scores = scores, target_scores.data
+    n, rows = x.shape[1], x.shape[0]
+    seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+    p = ad._segment_softmax(x.data, starts, seg)
+    q = ad._segment_softmax(q_scores, starts, seg)
+    per_entry = q * (np.log(np.maximum(q, PROB_FLOOR)) - np.log(np.maximum(p, PROB_FLOOR)))
+    out = np.add.reduceat(per_entry, starts, axis=1).mean(axis=0) @ weights
+
+    def backward(g):
+        qk = q * (p > PROB_FLOOR) * (weights / rows)[seg]
+        return g * (p * np.add.reduceat(qk, starts, axis=1)[:, seg] - qk), None
+
+    return ad._result("scores_kl", (x, target_scores), out, backward)
+
+
+def hh_loss_composite(pred_features, true_features, starts, weights) -> Tensor:
+    """hh_loss as five records: each side's scores from mul, sum_, add and
+    sqrt (the target's record nothing), then the KL on the scores."""
+    def scores(f):
+        return oracle.sqrt(ad.add(ad.sum_(ad.mul(f, f), axis=2), 1e-12))
+
+    return scores_kl(scores(pred_features), scores(ad.constant(true_features)),
+                     starts, weights)
+
+
+@pytest.mark.parametrize("level", ["coarse", "fine"])
+def test_hh_loss_is_bit_identical_to_the_five_record_composite(level):
+    # the default model's levels: (64, 24, 8) latents against (64, 24, 3)
+    # positions, and (64, 96, 3) positions against positions
+    graph = generate_toy_body()
+    rng = np.random.default_rng(16)
+    if level == "coarse":
+        starts, n, channels = graph.coarse_of[graph.part_starts], graph.n_coarse, 8
+    else:
+        starts, n, channels = graph.part_starts, graph.n_vertices, 3
+    pred = rng.standard_normal((64, n, channels))
+    true = rng.standard_normal((64, n, 3)) * 0.5
+    lam = part_weights_from_variance(rng.standard_normal((64, n, 8)), starts)
+    values, grads, counts = [], [], []
+    for fn in (hh_loss, hh_loss_composite):
+        x = Tensor(pred, requires_grad=True)
+        with ad.Tape() as tape:
+            loss = fn(x, true, starts, lam)
+        counts.append(len(tape.records))
+        tape.backward(loss)
+        values.append(loss.item())
+        grads.append(x.grad)
+    assert counts == [1, 5]
+    assert values[0] == values[1] and values[0] > 0.0
+    np.testing.assert_array_equal(grads[0], grads[1])
 
 
 def test_hh_loss_records_do_not_grow_with_parts():

@@ -35,13 +35,21 @@ def test_frame_count_contract(graph):
 
 
 def test_bone_lengths_constant(graph):
-    # distance-recomputation oracle over designated within-part joint pairs
+    # distance-recomputation oracle over every pair of joints whose regressor
+    # rows lie in one rigid group: the 8 bones along the torso, head, arms
+    # and legs, and shoulder to wrist on each arm
     reg = build_joint_regressor(graph)
+    group_of = [next(i for i, g in enumerate(graph.rigid_groups)
+                     if np.isin(np.flatnonzero(row), g.vertices).all())
+                for row in reg.matrix]
+    pairs = [(a, b) for a in range(len(group_of)) for b in range(a + 1, len(group_of))
+             if group_of[a] == group_of[b]]
+    assert len(pairs) == 10
     cfg = MotionConfig(graph=graph, frames=10)
     worst = 0.0
     for seed in range(100):
         joints = reg(generate_sequence(cfg, seed=seed).gt_vertices)
-        for a, b in reg.bone_pairs:
+        for a, b in pairs:
             lengths = np.linalg.norm(joints[:, a] - joints[:, b], axis=1)
             worst = max(worst, float(lengths.max() - lengths.min()))
     assert worst < 1e-6
