@@ -14,42 +14,45 @@ its slot (:class:`_Slot`: the gradient, the shape and a weak reference to the
 value), and a record's inputs and output are slots; a leaf is its own slot.
 So a value lives only as long as the model code or a backward closure holds
 it, and each closure keeps only what its backward reads, as each op's
-docstring states: ``matmul``, ``affine``, ``mul`` and the attention scores
-keep an operand only when the other operand takes a gradient, ``add``,
-``lincomb`` and ``sum_`` keep shapes, ``softmax`` its output, and ``relu``
-its one-byte mask. A value the model code has dropped is freed during the
-forward unless a backward reads it: the predicted noise (``mse`` keeps the
-difference, ``lincomb`` the shapes), and a ``relu`` input and output inside
-the graph+time pass (the relu keeps its mask, and the graph convolution's
-product keeps its constant adjacency). An input that takes no gradient is
-stored as None, so a constant such as a noise draw is freed once the forward
-has used it. ``layer_norm`` recomputes its full-size intermediates from the
-input in backward, and ``attention_layer`` its query projection, scores,
-softmax weights W and W v, with the forward's expressions in the same order,
-instead of holding them. And the model's hot composites are one record each,
-so an intermediate that no backward reads is no record output. Each has an
-analytic backward that runs the same numpy expressions in the same order as
-the primitives it replaces: ``lincomb`` ((a·alpha + b·beta)·scale + shift, a
-diffusion chain step), ``mse`` (the mean squared error against a constant
-target), ``affine`` (x @ w + c, a linear layer), ``softmax``, ``layer_norm``,
+docstring states: ``matmul``, ``affine`` and ``mul`` keep an operand only
+when the other operand takes a gradient, ``add``, ``lincomb`` and ``sum_``
+keep shapes, ``softmax`` its output, and ``relu`` its one-byte mask. A value
+the model code has dropped is freed during the forward unless a backward
+reads it: the predicted noise (``mse`` keeps the difference, ``lincomb`` the
+shapes), and a ``relu`` input and output inside the graph+time pass (the
+relu keeps its mask, and the graph convolution's product keeps its constant
+adjacency). An input that takes no gradient is stored as None, so a constant
+such as a noise draw is freed once the forward has used it. ``layer_norm``
+recomputes its full-size intermediates from the input in backward, and
+``attention_layer`` its query projection, scores, softmax weights W and W v,
+with the forward's expressions in the same order, instead of holding them.
+And the model's hot composites are one record each, so an intermediate that
+no backward reads is no record output. Each has an analytic backward that
+runs the same numpy expressions in the same order as the primitives it
+replaces: ``lincomb`` ((a·alpha + b·beta)·scale + shift, a diffusion chain
+step), ``mse`` (the mean squared error against a constant target),
+``affine`` (x @ w + c, a linear layer), ``softmax``, ``layer_norm``,
 ``conv3d``, ``segment_softmax_kl`` (the weighted KL between segment-wise
 softmaxes of (S, n, F) feature-row norms, the part loss of one level) and
 ``attention_layer`` (x + softmax((x @ wq) kᵀ/√d) v @ wo, a residual attention
 layer, which keeps beside its operands only each softmax row's max and
 exp-sum, from which backward rebuilds W bit for bit). ``attention``, its
-reference composite, is a scores record, a ``softmax`` and a ``matmul``.
-``conv3d`` takes and returns a channels-last (B, T, H, W, C) grid and lowers
-to GEMMs on a spatial-only patch matrix, one GEMM per temporal tap, with no
-transpose of the grid on either side. Any op that produces a non-finite value
-raises :class:`NumericsError` immediately instead of letting NaN/Inf spread;
-callers that want that error as the only signal run a whole step under
-``np.errstate`` (see ``model.train``). Operands that do not fit the op raise
-:class:`ShapeError` naming their shapes.
+reference composite, is a ``transpose`` of the keys, a ``matmul``, a ``mul``
+by 1/√d, a ``softmax`` and a ``matmul``. ``matmul``, ``affine`` and the four
+products inside ``attention_layer`` take their gradients from one routine,
+:func:`_matmul_grads`. ``conv3d`` takes and returns a channels-last
+(B, T, H, W, C) grid and lowers to GEMMs on a spatial-only patch matrix, one
+GEMM per temporal tap, with no transpose of the grid on either side. Any op
+that produces a non-finite value raises :class:`NumericsError` immediately
+instead of letting NaN/Inf spread; callers that want that error as the only
+signal run a whole step under ``np.errstate`` (see ``model.train``).
+Operands that do not fit the op raise :class:`ShapeError` naming their
+shapes.
 
 Layout rule for the kernels on the training step's hot path (``matmul``,
-the attention scores, ``softmax``, ``layer_norm``, ``sum_`` over the last
-axis, and ``_unbroadcast``, which sums every bias and shift gradient over the
-axes broadcasting added): no numpy reduction over a short last axis, and one
+``softmax``, ``layer_norm``, ``sum_`` over the last axis, and
+``_unbroadcast``, which sums every bias and shift gradient over the axes
+broadcasting added): no numpy reduction over a short last axis, and one
 GEMM for a shared operand's gradient. numpy reduces a 3- to 24-wide last
 axis row by row, several times slower than the same sum as a GEMV against a
 ones or 1/C vector, or a reduction over the leading axis of a copy with the
@@ -536,9 +539,13 @@ def _matmul_grads(g, a, b, sa, sb, shared: bool):
     operand is read only for the other's gradient.
 
     With ``shared`` (``b`` is a 2-D matrix that every leading index of ``a``
-    shares: a weight, or a shared table of values) each gradient is one GEMM
-    over the flattened rows of ``a`` and ``g``: the ``b`` gradient sums over
-    those rows inside the GEMM instead of summing a batch of products after.
+    shares: a weight, or a shared table of keys or values) each gradient is
+    one GEMM over the flattened rows of ``a`` and ``g``: the ``b`` gradient
+    sums over those rows inside the GEMM instead of summing a batch of
+    products after.
+
+    It serves every product on the tape: ``matmul``, ``affine`` and the four
+    inside ``attention_layer``, whose scores pass kᵀ as ``b``.
     """
     ga = gb = None
     if shared:
@@ -676,12 +683,12 @@ def _segment_softmax(x: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.n
 
 
 def _segment_starts(starts, n: int) -> np.ndarray:
-    """``starts`` as an index array, checked to split ``n`` columns into
+    """``starts`` as an index array, checked to split ``n`` vertices into
     contiguous segments: one-dimensional, increasing, first 0, last below n."""
     starts = np.asarray(starts, dtype=np.intp)
     if (starts.ndim != 1 or starts.size == 0 or starts[0] != 0
             or np.any(np.diff(starts) <= 0) or starts[-1] >= n):
-        raise ShapeError(f"segment starts {starts.tolist()} do not split {n} columns")
+        raise ShapeError(f"segment starts {starts.tolist()} do not split {n} vertices")
     return starts
 
 
@@ -798,42 +805,6 @@ def _scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     return np.matmul(q, np.swapaxes(k, -1, -2)) * scale
 
 
-def _scores_grads(g, q, k, scale: float, sq, sk, shared: bool):
-    """The gradients of :func:`_scores` for the upstream ``g``, with None
-    where ``sq`` or ``sk`` is None, as in :func:`_matmul_grads`. A 2-D key
-    table that every query row shares (``shared``) gets its gradient as one
-    GEMM over the flattened query rows."""
-    gs = g * scale
-    gq = gk = None
-    if shared:
-        rows = math.prod(g.shape[:-1])
-        gs_rows = gs.reshape(rows, g.shape[-1])
-        if sq is not None:
-            gq = (gs_rows @ k).reshape(sq)
-        if sk is not None:
-            gk = gs_rows.T @ q.reshape(rows, sk[1])
-        return gq, gk
-    if sq is not None:
-        gq = _unbroadcast(np.matmul(gs, k), sq)
-    if sk is not None:
-        gk = _unbroadcast(np.matmul(np.swapaxes(gs, -1, -2), q), sk)
-    return gq, gk
-
-
-def _scaled_scores(q: Tensor, k: Tensor, scale: float) -> Tensor:
-    """scale · Q K^T over the last two axes as one record; leading axes broadcast.
-
-    As in :func:`matmul`, the backward keeps each operand only for the
-    other's gradient.
-    """
-    sq, sk = _grad_shape(q), _grad_shape(k)
-    qx = q.data if sk is not None else None
-    kx = k.data if sq is not None else None
-    shared = k.ndim == 2
-    return _result("attention_scores", (q, k), _scores(q.data, k.data, scale),
-                   lambda g: _scores_grads(g, qx, kx, scale, sq, sk, shared))
-
-
 def _check_attention(name: str, q_shape: tuple[int, ...], k: Tensor, v: Tensor) -> None:
     """Raise :class:`ShapeError` unless a query of ``q_shape`` can attend to
     the keys ``k`` and values ``v``."""
@@ -852,22 +823,23 @@ def _check_attention(name: str, q_shape: tuple[int, ...], k: Tensor, v: Tensor) 
 
 
 def attention(query, key, value) -> Tensor:
-    """Scaled dot-product attention softmax(QK^T/sqrt(d))V in three records.
+    """Scaled dot-product attention softmax(QK^T/sqrt(d))V in five records.
 
     The reference composite of :func:`attention_layer`, which the model
     calls. Operates on the last two axes (sequence, features); leading axes
     broadcast, so key/value may be shared across a batched query. The tape
-    gets the scores S = QK^T/sqrt(d) as one record (backward
-    gQ = gS K / sqrt(d), gK = gS^T Q / sqrt(d)), then one :func:`softmax`
-    record for the weights W, then one :func:`matmul` record for W V; each
-    gradient is summed over the leading axes its operand was broadcast along,
-    so a shared (L, C) key/value table gets its gradient, as one GEMM over
-    all query rows. No backward reads the scores (the softmax keeps its
-    output), so they are freed once the softmax has run.
+    gets K^T (a :func:`transpose`), QK^T (a :func:`matmul`), its scaling by
+    1/sqrt(d) (a :func:`mul`), the weights W (a :func:`softmax`) and W V (a
+    :func:`matmul`); each gradient is summed over the leading axes its
+    operand was broadcast along, so a shared (L, C) key/value table gets its
+    gradient as one GEMM over all query rows. No backward reads the scores
+    (the softmax keeps its output), so they are freed once the softmax has
+    run.
     """
     q, k, v = as_tensor(query), as_tensor(key), as_tensor(value)
     _check_attention("attention", q.shape, k, v)
-    scores = _scaled_scores(q, k, 1.0 / math.sqrt(q.shape[-1]))
+    k_t = transpose(k, (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
+    scores = mul(matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
     return matmul(softmax(scores), v)
 
 
@@ -928,6 +900,7 @@ def attention_layer(x, wq, k, v, wo) -> Tensor:
     sq = q_shape if sx is not None or swq is not None else None
     sw = w.shape if sq is not None or sk is not None else None
     so = o.shape if sw is not None or sv is not None else None
+    sk_t = None if sk is None else sk[:-2] + (sk[-1], sk[-2])
     k_shared, v_shared = k.ndim == 2, v.ndim == 2
 
     def backward(g):
@@ -940,7 +913,9 @@ def attention_layer(x, wq, k, v, wo) -> Tensor:
         if so is not None:
             gw, gv = _matmul_grads(go, w, vx, sw, sv, v_shared)
             if sw is not None:
-                gq, gk = _scores_grads(_softmax_grad(gw, w), q, kx, scale, sq, sk, k_shared)
+                gq, gk = _matmul_grads(_softmax_grad(gw, w) * scale, q, np.swapaxes(kx, -1, -2),
+                                       sq, sk_t, k_shared)
+                gk = None if gk is None else np.swapaxes(gk, -1, -2)
                 if sq is not None:
                     gx, gwq = _matmul_grads(gq, xx, wqx, sx, swq, True)
         if sx is not None:

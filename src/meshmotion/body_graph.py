@@ -97,7 +97,7 @@ class BodyGraph:
     part_starts: np.ndarray              # (n_parts,) first vertex of each part
     coarse_of: np.ndarray                # (n,) coarse vertex each vertex pools into
     down_matrix: Tensor                  # (n_coarse, n)
-    up_matrix: Tensor                    # (n, n_coarse)
+    up_matrix: Tensor                    # (n, n_coarse) 0/1: vertex i copies coarse_of[i]
     rest_pose: np.ndarray                # (n, 3) mm
     rigid_groups: tuple[RigidGroup, ...]
 
@@ -242,7 +242,8 @@ def generate_toy_body(vertices_per_part: int = 12, coarse_per_part: int = 3) -> 
     coarse_of = np.repeat(np.arange(sizes.size), sizes)
     down = np.zeros((sizes.size, n), dtype=np.float64)
     down[coarse_of, np.arange(n)] = 1.0 / sizes[coarse_of]
-    up = np.linalg.pinv(down)
+    up = np.zeros((n, sizes.size), dtype=np.float64)
+    up[np.arange(n), coarse_of] = 1.0
 
     return BodyGraph(
         n_vertices=n,

@@ -927,7 +927,8 @@ def test_segment_softmax_kl_raises_on_non_finite_result(weight):
 
 
 # the id is kept from when a two-head case followed this one
-@pytest.mark.parametrize("names", [["attention_scores", "softmax", "matmul"]], ids=["1-names0"])
+@pytest.mark.parametrize("names", [["transpose", "matmul", "mul", "softmax", "matmul"]],
+                         ids=["1-names0"])
 def test_attention_records_scores_softmax_matmul(names):
     rng = np.random.default_rng(31)
     q, k, v = (Tensor(rng.standard_normal(s), requires_grad=True)

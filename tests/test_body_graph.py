@@ -255,7 +255,7 @@ def test_coarse_adjacency_structure():
     assert (coarse.diagonal() > 0).all()
 
 
-@pytest.mark.parametrize("vpp, cpp", [(12, 3), (2, 1)])
+@pytest.mark.parametrize("vpp, cpp", [(12, 3), (2, 1), (4, 2)])
 def test_part_layout(vpp, cpp):
     graph = generate_toy_body(vpp, cpp)
     n = graph.n_vertices
@@ -266,3 +266,7 @@ def test_part_layout(vpp, cpp):
     for c in range(graph.n_coarse):
         np.testing.assert_array_equal(np.flatnonzero(down[c]), np.flatnonzero(graph.coarse_of == c))
     assert np.all(np.diff(graph.coarse_of[graph.part_starts]) > 0)
+    # each vertex copies its coarse vertex's value exactly: a 0/1 matrix
+    up = np.zeros((n, graph.n_coarse))
+    up[np.arange(n), graph.coarse_of] = 1.0
+    np.testing.assert_array_equal(graph.up_matrix.data, up)

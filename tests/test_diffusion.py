@@ -385,7 +385,6 @@ def test_each_attention_layer_call_records_one_attention_layer(monkeypatch, whic
                        obs + 1.0)
         # 50 context, 50 conditioning and 52 temporal attention calls
         assert calls == [["attention_layer"]] * 152
-        assert len(tape.records) == 1092
 
 
 def _two_record_reverse_step(z_t, t, eps_pred, schedule, noise):

@@ -209,7 +209,7 @@ def test_malformed_part_starts_raise_one_shape_error(starts):
     with pytest.raises(ShapeError) as kl_error:
         ad.segment_softmax_kl(feats, feats, starts, np.ones(len(starts)))
     assert str(weights_error.value) == str(kl_error.value)
-    assert "do not split 96 columns" in str(weights_error.value)
+    assert "do not split 96 vertices" in str(weights_error.value)
 
 
 def test_hh_loss_zero_at_identity():
