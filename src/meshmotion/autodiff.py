@@ -23,8 +23,8 @@ shapes), and a ``relu`` input and output inside the graph+time pass (the
 relu keeps its mask, and the graph convolution's product keeps its constant
 adjacency). An input that takes no gradient is stored as None, so a constant
 such as a noise draw is freed once the forward has used it. ``layer_norm``
-recomputes its full-size intermediates from the input in backward, and
-``attention_layer`` its query projection, scores, softmax weights W and W v,
+recomputes its full-size intermediates from the input in backward, and the
+two attention ops their query projection, scores, softmax weights W and W v,
 with the forward's expressions in the same order, instead of holding them.
 And the model's hot composites are one record each, so an intermediate that
 no backward reads is no record output. Each has an analytic backward that
@@ -33,14 +33,23 @@ replaces: ``lincomb`` ((a·alpha + b·beta)·scale + shift, a diffusion chain
 step), ``mse`` (the mean squared error against a constant target),
 ``affine`` (x @ w + c, a linear layer), ``softmax``, ``layer_norm``,
 ``conv3d``, ``segment_softmax_kl`` (the weighted KL between segment-wise
-softmaxes of (S, n, F) feature-row norms, the part loss of one level) and
-``attention_layer`` (x + softmax((x @ wq) kᵀ/√d) v @ wo, a residual attention
-layer, which keeps beside its operands only each softmax row's max and
-exp-sum, from which backward rebuilds W bit for bit). ``attention``, its
-reference composite, is a ``transpose`` of the keys, a ``matmul``, a ``mul``
-by 1/√d, a ``softmax`` and a ``matmul``. ``matmul``, ``affine`` and the four
-products inside ``attention_layer`` take their gradients from one routine,
-:func:`_matmul_grads`. ``conv3d`` takes and returns a channels-last
+softmaxes of (S, n, F) feature-row norms, the part loss of one level),
+``attention_layer`` and ``self_attention_layer``.
+
+The two attention ops are one residual layer,
+x + softmax((x @ wq) kᵀ/√d) v @ wo, and share one core
+(:func:`_attention_forward`, :func:`_attention_backward`), whose backward
+takes the keys and values as arguments. Both keep beside their operands only
+each softmax row's max and exp-sum, from which backward rebuilds W bit for
+bit. ``attention_layer`` takes k and v precomputed and keeps them: the
+model's cross-attentions, whose keys and values are projected once and
+shared by 50 calls. ``self_attention_layer`` attends x to itself, with
+k = x @ wk and v = x @ wv inside the record: it keeps x and the four
+weights and recomputes k and v in backward (the temporal attention).
+``attention``, the reference composite, is a ``transpose`` of the keys, a
+``matmul``, a ``mul`` by 1/√d, a ``softmax`` and a ``matmul``. ``matmul``,
+``affine`` and every product inside the attention ops take their gradients
+from one routine, :func:`_matmul_grads`. ``conv3d`` takes and returns a channels-last
 (B, T, H, W, C) grid and lowers to GEMMs on a spatial-only patch matrix, one
 GEMM per temporal tap, with no transpose of the grid on either side. Any op
 that produces a non-finite value raises :class:`NumericsError` immediately
@@ -97,6 +106,7 @@ __all__ = [
     "conv3d",
     "attention",
     "attention_layer",
+    "self_attention_layer",
 ]
 
 
@@ -544,8 +554,8 @@ def _matmul_grads(g, a, b, sa, sb, shared: bool):
     sums over those rows inside the GEMM instead of summing a batch of
     products after.
 
-    It serves every product on the tape: ``matmul``, ``affine`` and the four
-    inside ``attention_layer``, whose scores pass kᵀ as ``b``.
+    It serves every product on the tape: ``matmul``, ``affine`` and those
+    inside the attention ops, whose scores pass kᵀ as ``b``.
     """
     ga = gb = None
     if shared:
@@ -805,21 +815,22 @@ def _scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     return np.matmul(q, np.swapaxes(k, -1, -2)) * scale
 
 
-def _check_attention(name: str, q_shape: tuple[int, ...], k: Tensor, v: Tensor) -> None:
+def _check_attention(name: str, q_shape: tuple[int, ...], k_shape: tuple[int, ...],
+                     v_shape: tuple[int, ...]) -> None:
     """Raise :class:`ShapeError` unless a query of ``q_shape`` can attend to
-    the keys ``k`` and values ``v``."""
-    if len(q_shape) < 2 or k.ndim < 2 or v.ndim < 2:
+    keys of ``k_shape`` and values of ``v_shape``."""
+    if len(q_shape) < 2 or len(k_shape) < 2 or len(v_shape) < 2:
         raise ShapeError(f"{name} operands need rank >= 2")
     d = q_shape[-1]
-    if k.shape[-1] != d:
-        raise ShapeError(f"{name}: query/key feature widths disagree: {d} vs {k.shape[-1]}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"{name}: key/value lengths disagree: {k.shape[-2]} vs {v.shape[-2]}")
-    if k.shape[-2] == 0 or d == 0:
-        raise ShapeError(f"{name} needs at least one key and one feature, got keys {k.shape}")
-    if _broadcast_shape(q_shape[:-2], k.shape[:-2], v.shape[:-2]) is None:
+    if k_shape[-1] != d:
+        raise ShapeError(f"{name}: query/key feature widths disagree: {d} vs {k_shape[-1]}")
+    if k_shape[-2] != v_shape[-2]:
+        raise ShapeError(f"{name}: key/value lengths disagree: {k_shape[-2]} vs {v_shape[-2]}")
+    if k_shape[-2] == 0 or d == 0:
+        raise ShapeError(f"{name} needs at least one key and one feature, got keys {k_shape}")
+    if _broadcast_shape(q_shape[:-2], k_shape[:-2], v_shape[:-2]) is None:
         raise ShapeError(f"{name} leading axes do not broadcast: "
-                         f"{q_shape}, {k.shape}, {v.shape}")
+                         f"{q_shape}, {k_shape}, {v_shape}")
 
 
 def attention(query, key, value) -> Tensor:
@@ -837,10 +848,89 @@ def attention(query, key, value) -> Tensor:
     run.
     """
     q, k, v = as_tensor(query), as_tensor(key), as_tensor(value)
-    _check_attention("attention", q.shape, k, v)
+    _check_attention("attention", q.shape, k.shape, v.shape)
     k_t = transpose(k, (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2))
     scores = mul(matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
     return matmul(softmax(scores), v)
+
+
+def _check_attention_layer(name: str, x: Tensor, wq: Tensor, k_shape: tuple[int, ...],
+                           v_shape: tuple[int, ...], wo: Tensor) -> None:
+    """Raise :class:`ShapeError` unless ``x`` projected by ``wq`` can attend
+    to keys of ``k_shape`` and values of ``v_shape`` whose leading axes
+    broadcast onto ``x``'s without growing them, and ``wo`` maps the
+    attended values back to ``x``'s width."""
+    if x.ndim < 2 or wq.ndim != 2 or wq.shape[0] != x.shape[-1]:
+        raise ShapeError(f"{name} needs x (..., n, C) and wq (C, d), "
+                         f"got {x.shape} and {wq.shape}")
+    _check_attention(name, x.shape[:-1] + wq.shape[1:], k_shape, v_shape)
+    if wo.shape != (v_shape[-1], x.shape[-1]):
+        raise ShapeError(f"{name} needs wo (e, C) for values (..., L, e) "
+                         f"and x (..., n, C), got {wo.shape}, {v_shape} and {x.shape}")
+    if _broadcast_shape(x.shape[:-2], k_shape[:-2], v_shape[:-2]) != x.shape[:-2]:
+        raise ShapeError(f"{name}: keys {k_shape} and values {v_shape} "
+                         f"would grow the query's leading axes {x.shape[:-2]}")
+
+
+def _attention_forward(name: str, x: np.ndarray, wq: np.ndarray, k: np.ndarray,
+                       v: np.ndarray, wo: np.ndarray):
+    """x + softmax((x @ wq) kᵀ / √d) v @ wo, with each softmax row's max m
+    and exp-sum s (two (rows,) vectors); the forward of both attention ops.
+
+    The q projection and the scores are checked to be finite, named after
+    op ``name`` (its record checks the output). W and W v need no check:
+    with finite scores each row of W lies in [0, 1] and sums to 1, so W v, a
+    convex combination of the rows of the finite ``v``, is finite too.
+    """
+    q = np.matmul(x, wq)
+    _check_finite(name, "query projection", q)
+    scores = _scores(q, k, 1.0 / math.sqrt(wq.shape[1]))
+    _check_finite(name, "score", scores)
+    w, m, s = _softmax_rows(scores)
+    out = np.matmul(np.matmul(w, v), wo)
+    out += x
+    return out, m, s
+
+
+def _attention_backward(g, x, wq, k, v, wo, m, s, shapes):
+    """The gradients of :func:`_attention_forward`'s output for the upstream
+    ``g``, in (x, wq, k, v, wo) order: None for an operand whose entry of
+    ``shapes`` is None (it takes no gradient).
+
+    The caller passes the keys ``k`` and values ``v``: kept, or recomputed
+    from what it kept. Backward recomputes q = x @ wq and the scores with
+    the forward's own expressions, rebuilds W = exp(scores − m) / s
+    (:func:`_softmax_rebuild`) and, for the ``wo`` gradient, recomputes
+    o = W v. The rebuild is bit-identical to the forward's W: the forward's
+    max and sum are the only reductions, and they are kept, while the
+    subtraction, exp and division act on one element at a time and give the
+    same bits in either layout. (A log-sum-exp would not: exp(x − lse) is
+    not exp(x − m) / s bit for bit.) The x gradient is the residual's plus
+    the q projection's.
+    """
+    sx, swq, sk, sv, swo = shapes
+    scale = 1.0 / math.sqrt(wq.shape[1])
+    q = np.matmul(x, wq)
+    w = _softmax_rebuild(_scores(q, k, scale), m, s)
+    # each intermediate's shape where its gradient is needed, else None
+    sq = q.shape if sx is not None or swq is not None else None
+    sw = w.shape if sq is not None or sk is not None else None
+    so = x.shape[:-1] + v.shape[-1:] if sw is not None or sv is not None else None
+    sk_t = None if sk is None else sk[:-2] + (sk[-1], sk[-2])
+    o = None if swo is None else np.matmul(w, v)
+    go, gwo = _matmul_grads(g, o, wo, so, swo, True)
+    gx = gwq = gk = gv = None
+    if so is not None:
+        gw, gv = _matmul_grads(go, w, v, sw, sv, v.ndim == 2)
+        if sw is not None:
+            gq, gk = _matmul_grads(_softmax_grad(gw, w) * scale, q, np.swapaxes(k, -1, -2),
+                                   sq, sk_t, k.ndim == 2)
+            gk = None if gk is None else np.swapaxes(gk, -1, -2)
+            if sq is not None:
+                gx, gwq = _matmul_grads(gq, x, wq, sx, swq, True)
+    if sx is not None:
+        gx = g + gx
+    return gx, gwq, gk, gv, gwo
 
 
 def attention_layer(x, wq, k, v, wo) -> Tensor:
@@ -852,77 +942,75 @@ def attention_layer(x, wq, k, v, wo) -> Tensor:
     growing them, so one (L, d) table can serve every query.
 
     Forward and backward run the expressions of the composite
-    ``affine(attention(matmul(x, wq), k, v), wo, x)`` in its order, so the
-    value and every gradient are bit-identical to it. The ``x`` gradient is
-    the residual's plus the q projection's, the sum the tape forms for the
+    ``affine(attention(matmul(x, wq), k, v), wo, x)`` in its order
+    (:func:`_attention_forward`, :func:`_attention_backward`), so the value
+    and every gradient are bit-identical to it. The ``x`` gradient is the
+    residual's plus the q projection's, the sum the tape forms for the
     composite when this layer is the last record that reads ``x``, as in
     the model.
 
     The record keeps ``x``, ``wq``, ``k``, ``v``, ``wo`` and, of the
-    softmax, only each row's max m and exp-sum s: two (rows,) vectors, where
-    W and the scores grow with the square of the sequence length. Backward
-    recomputes q = x @ wq and the scores with the forward's own expressions,
-    rebuilds W = exp(scores − m) / s (:func:`_softmax_rebuild`) and
-    recomputes o = W v. The rebuild is bit-identical to the forward's W: the
-    forward's max and sum are the only reductions, and they are kept, while
-    the subtraction, exp and division act on one element at a time and give
-    the same bits in either layout. (A log-sum-exp would not:
-    exp(x − lse) is not exp(x − m) / s bit for bit.) The q projection, the
-    scores and the output are checked to be finite. W and o need no check:
-    with finite scores each row of W lies in [0, 1] and sums to 1, so o, a
-    convex combination of the rows of the finite ``v``, is finite too.
+    softmax, only each row's max and exp-sum: two (rows,) vectors, where W
+    and the scores grow with the square of the sequence length.
     """
     x, wq, k, v, wo = (as_tensor(t) for t in (x, wq, k, v, wo))
-    if x.ndim < 2 or wq.ndim != 2 or wq.shape[0] != x.shape[-1]:
-        raise ShapeError(f"attention_layer needs x (..., n, C) and wq (C, d), "
-                         f"got {x.shape} and {wq.shape}")
-    q_shape = x.shape[:-1] + wq.shape[1:]
-    _check_attention("attention_layer", q_shape, k, v)
-    if wo.shape != (v.shape[-1], x.shape[-1]):
-        raise ShapeError(f"attention_layer needs wo (e, C) for values (..., L, e) "
-                         f"and x (..., n, C), got {wo.shape}, {v.shape} and {x.shape}")
-    if _broadcast_shape(x.shape[:-2], k.shape[:-2], v.shape[:-2]) != x.shape[:-2]:
-        raise ShapeError(f"attention_layer: keys {k.shape} and values {v.shape} "
-                         f"would grow the query's leading axes {x.shape[:-2]}")
-    scale = 1.0 / math.sqrt(q_shape[-1])
+    _check_attention_layer("attention_layer", x, wq, k.shape, v.shape, wo)
     xx, wqx, kx, vx, wox = x.data, wq.data, k.data, v.data, wo.data
-    q = np.matmul(xx, wqx)
-    _check_finite("attention_layer", "query projection", q)
-    scores = _scores(q, kx, scale)
-    _check_finite("attention_layer", "score", scores)
-    w, m, s = _softmax_rows(scores)
-    o = np.matmul(w, vx)
-    out = np.matmul(o, wox)
-    out += xx
+    out, m, s = _attention_forward("attention_layer", xx, wqx, kx, vx, wox)
+    shapes = tuple(_grad_shape(t) for t in (x, wq, k, v, wo))
+    return _result("attention_layer", (x, wq, k, v, wo), out,
+                   lambda g: _attention_backward(g, xx, wqx, kx, vx, wox, m, s, shapes))
 
-    # each intermediate's shape where its gradient is needed, else None
-    sx, swq, sk, sv, swo = (_grad_shape(t) for t in (x, wq, k, v, wo))
-    sq = q_shape if sx is not None or swq is not None else None
-    sw = w.shape if sq is not None or sk is not None else None
-    so = o.shape if sw is not None or sv is not None else None
-    sk_t = None if sk is None else sk[:-2] + (sk[-1], sk[-2])
-    k_shared, v_shared = k.ndim == 2, v.ndim == 2
+
+def self_attention_layer(x, wq, wk, wv, wo) -> Tensor:
+    """One residual self-attention layer, ``attention_layer(x, wq, x @ wk,
+    x @ wv, wo)``; one record.
+
+    ``x`` is (..., n, C), ``wq`` and ``wk`` are (C, d), ``wv`` is (C, e)
+    and ``wo`` (e, C). The value and every gradient are bit-identical to the
+    three-record composite ``attention_layer(x, wq, matmul(x, wk),
+    matmul(x, wv), wo)``: the keys and values are the same products, the
+    attention runs the same core (:func:`_attention_forward`,
+    :func:`_attention_backward`), and the ``wk`` and ``wv`` gradients are
+    the products' own (:func:`_matmul_grads`). The ``x`` gradient is
+    (attention's + the values' + the keys') in that order, the order in
+    which the tape sums the composite's three records into ``x``.
+
+    The record keeps ``x`` and the four weights and, of the softmax, each
+    row's max and exp-sum; backward recomputes the keys and values from
+    ``x``, so no array of their shape is held. The key and value
+    projections are checked to be finite, as the two products' records
+    would be.
+    """
+    x, wq, wk, wv, wo = (as_tensor(t) for t in (x, wq, wk, wv, wo))
+    name = "self_attention_layer"
+    if x.ndim < 2 or any(w.ndim != 2 or w.shape[0] != x.shape[-1] for w in (wk, wv)):
+        raise ShapeError(f"{name} needs x (..., n, C) and wk, wv (C, ·), "
+                         f"got {x.shape}, {wk.shape} and {wv.shape}")
+    _check_attention_layer(name, x, wq, x.shape[:-1] + wk.shape[1:],
+                           x.shape[:-1] + wv.shape[1:], wo)
+    xx, wqx, wkx, wvx, wox = x.data, wq.data, wk.data, wv.data, wo.data
+    k = np.matmul(xx, wkx)
+    _check_finite(name, "key projection", k)
+    v = np.matmul(xx, wvx)
+    _check_finite(name, "value projection", v)
+    out, m, s = _attention_forward(name, xx, wqx, k, v, wox)
+    sx, swq, swk, swv, swo = (_grad_shape(t) for t in (x, wq, wk, wv, wo))
+    # the keys and values take a gradient where x or their weight does
+    sk = k.shape if sx is not None or swk is not None else None
+    sv = v.shape if sx is not None or swv is not None else None
 
     def backward(g):
-        # some input takes a gradient, and each one's gradient reads W
-        q = np.matmul(xx, wqx)
-        w = _softmax_rebuild(_scores(q, kx, scale), m, s)
-        o = None if swo is None else np.matmul(w, vx)
-        go, gwo = _matmul_grads(g, o, wox, so, swo, True)
-        gx = gwq = gk = gv = None
-        if so is not None:
-            gw, gv = _matmul_grads(go, w, vx, sw, sv, v_shared)
-            if sw is not None:
-                gq, gk = _matmul_grads(_softmax_grad(gw, w) * scale, q, np.swapaxes(kx, -1, -2),
-                                       sq, sk_t, k_shared)
-                gk = None if gk is None else np.swapaxes(gk, -1, -2)
-                if sq is not None:
-                    gx, gwq = _matmul_grads(gq, xx, wqx, sx, swq, True)
+        k, v = np.matmul(xx, wkx), np.matmul(xx, wvx)
+        gx, gwq, gk, gv, gwo = _attention_backward(g, xx, wqx, k, v, wox, m, s,
+                                                   (sx, swq, sk, sv, swo))
+        gx_v, gwv = (None, None) if gv is None else _matmul_grads(gv, xx, wvx, sx, swv, True)
+        gx_k, gwk = (None, None) if gk is None else _matmul_grads(gk, xx, wkx, sx, swk, True)
         if sx is not None:
-            gx = g + gx
-        return gx, gwq, gk, gv, gwo
+            gx = (gx + gx_v) + gx_k
+        return gx, gwq, gwk, gwv, gwo
 
-    return _result("attention_layer", (x, wq, k, v, wo), out, backward)
+    return _result(name, (x, wq, wk, wv, wo), out, backward)
 
 
 def _spatial_patches(x: np.ndarray, kt: int, kh: int, kw: int) -> np.ndarray:

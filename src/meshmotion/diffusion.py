@@ -169,13 +169,19 @@ def _init(rng: np.random.Generator, shape, scale=None) -> Tensor:
 class AttentionLayer:
     """Residual scaled dot-product attention with learned projections.
 
-    ``keys_values`` projects a context to keys and values; the call attends a
-    query to them. A caller that attends to the same context many times
-    projects it once and passes the pair to every call. Output projection
-    starts at zero so a fresh layer is the identity map. A call is one
+    Cross-attention: ``keys_values`` projects a context to keys and values,
+    and the call attends a query to them. A caller that attends to the same
+    context many times (the context table, the dependencies) projects it
+    once and passes the pair to every call; a call is one
     ``attention_layer`` record: the query projection, the attention, the
     output projection and the residual. Beside x, wq, k, v and wo the tape
     keeps only each softmax row's max and exp-sum.
+
+    Self-attention: ``self_attend`` attends x to itself as one
+    ``self_attention_layer`` record, which keeps x and the four weights
+    instead of keys and values and recomputes them in backward; it uses no
+    ``keys_values``. Output projection starts at zero so a fresh layer is
+    the identity map.
     """
 
     def __init__(self, width: int, rng: np.random.Generator):
@@ -194,6 +200,10 @@ class AttentionLayer:
 
     def __call__(self, query: Tensor, k: Tensor, v: Tensor) -> Tensor:
         return ad.attention_layer(query, self.p["wq"], k, v, self.p["wo"])
+
+    def self_attend(self, x: Tensor) -> Tensor:
+        p = self.p
+        return ad.self_attention_layer(x, p["wq"], p["wk"], p["wv"], p["wo"])
 
 
 def step_embeddings(n_steps: int, channels: int) -> np.ndarray:
@@ -229,7 +239,12 @@ def rearrange(x: Tensor, grid: tuple[int, int] | None = None) -> Tensor:
 class GraphTimePass:
     """One modeling pass over (B, T, S, C) tokens: 3D conv over the
     (T, H, W) grid, per-frame graph conv over ``coarse_adj`` (the coarse
-    mesh), then temporal self-attention across frames, independently per site."""
+    mesh), then temporal self-attention across frames, independently per site.
+
+    The time attention attends the tokens to themselves
+    (:meth:`AttentionLayer.self_attend`), one record that keeps its input
+    rather than its keys and values; ``keys_values`` serves only the block's
+    cross-attentions."""
 
     def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
                  rng: np.random.Generator):
@@ -246,7 +261,7 @@ class GraphTimePass:
         x = rearrange(ad.relu(ad.conv3d(rearrange(x, self.grid), self.p["conv_kernel"])))
         x = self.graph.apply(x)
         x = ad.transpose(x, (0, 2, 1, 3))                     # (B, S, T, C)
-        return ad.transpose(self.time_attn(x, *self.time_attn.keys_values(x)), (0, 2, 1, 3))
+        return ad.transpose(self.time_attn.self_attend(x), (0, 2, 1, 3))
 
 
 class FeatureStack:

@@ -301,6 +301,9 @@ def _gradcheck_table(rng):
         "attention_layer": (ad.attention_layer,
                             [x, w, rng.standard_normal((n + 1, 3)), value,
                              rng.standard_normal((3, m))]),
+        "self_attention_layer": (ad.self_attention_layer,
+                                 [x, w, rng.standard_normal((m, 3)),
+                                  rng.standard_normal((m, 2)), rng.standard_normal((2, m))]),
     }
 
 
@@ -805,6 +808,16 @@ def test_elementwise_ops_name_both_shapes_when_operands_do_not_broadcast(op):
     (ad.attention_layer, ((2, 3), (3, 3), (5, 3), (5, 2), (3, 3))),     # wo does not take o
     (ad.attention_layer, ((2, 3), (3, 3), (5, 3), (5, 3), (3, 4))),     # wo would widen x
     (ad.attention_layer, ((2, 3), (3, 3), (4, 5, 3), (4, 5, 3), (3, 3))),  # keys grow x
+    # self_attention_layer (x, wq, wk, wv, wo)
+    (ad.self_attention_layer, ((3,), (3, 3), (3, 3), (3, 3), (3, 3))),       # x has no row axis
+    (ad.self_attention_layer, ((2, 3), (4, 3), (3, 3), (3, 3), (3, 3))),     # wq does not take x
+    (ad.self_attention_layer, ((2, 3), (3, 3), (4, 3), (3, 3), (3, 3))),     # wk does not take x
+    (ad.self_attention_layer, ((2, 3), (3, 3), (3, 3), (4, 3), (3, 3))),     # wv does not take x
+    (ad.self_attention_layer, ((2, 3), (3, 3), (2, 3, 3), (3, 3), (3, 3))),  # wk is no matrix
+    (ad.self_attention_layer, ((2, 3), (3, 3), (3, 4), (3, 3), (3, 3))),     # keys of another width
+    (ad.self_attention_layer, ((2, 3), (3, 3), (3, 3), (3, 2), (3, 3))),     # wo does not take v
+    (ad.self_attention_layer, ((2, 3), (3, 3), (3, 3), (3, 3), (3, 4))),     # wo would widen x
+    (ad.self_attention_layer, ((0, 3), (3, 3), (3, 3), (3, 3), (3, 3))),     # no key to attend to
 ])
 def test_fused_ops_reject_bad_shapes(op, shapes):
     with pytest.raises(ShapeError):
@@ -846,10 +859,12 @@ def test_conv3d_composite_oracle_matches_tap_loop():
     ("mse", lambda a: ad.mse(a, np.ones((3, 4))), ((3, 4),)),
     ("affine", ad.affine, ((2, 3, 4), (4, 5), (2, 3, 5))),
     ("attention_layer", ad.attention_layer, ((2, 3, 4), (4, 5), (6, 5), (6, 2), (2, 4))),
+    ("self_attention_layer", ad.self_attention_layer,
+     ((2, 3, 4), (4, 5), (4, 5), (4, 2), (2, 4))),
 ], ids=["conv3d-conv3d-shapes0", "softmax-<lambda>-shapes1",
         # the id is kept from when a log_softmax case came before it
         "layer_norm-layer_norm-shapes3", "segment_softmax_kl-<lambda>-shapes4",
-        "lincomb", "mse", "affine", "attention_layer"])
+        "lincomb", "mse", "affine", "attention_layer", "self_attention_layer"])
 def test_fused_kernel_records_once(name, op, shapes):
     rng = np.random.default_rng(30)
     tensors = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
@@ -976,8 +991,26 @@ def test_attention_layer_names_the_stage_that_overflows(stage, wq, wo):
         ad.attention_layer(x, np.eye(2) * wq, k, v, np.eye(2) * wo)
 
 
+@pytest.mark.parametrize("stage,wq,wk,wv", [
+    ("key projection", 1.0, 1e200, 1.0),
+    ("value projection", 1.0, 1.0, 1e200),
+    ("query projection", 1e200, 1.0, 1.0),
+], ids=["key_projection", "value_projection", "query_projection"])
+def test_self_attention_layer_names_the_stage_that_overflows(stage, wq, wk, wv):
+    # the keys and values are checked as the two products' records were
+    x = np.array([[1e200, 1.0], [1.0, 1.0]])
+    with np.errstate(over="ignore"), pytest.raises(NumericsError,
+                                                   match=f"'self_attention_layer'.* {stage}"):
+        ad.self_attention_layer(x, np.eye(2) * wq, np.eye(2) * wk, np.eye(2) * wv, np.eye(2))
+
+
 def _attention_layer_composite(x, wq, k, v, wo):
     return ad.affine(attention(ad.matmul(x, wq), k, v), wo, x)
+
+
+def _self_attention_layer_composite(x, wq, wk, wv, wo):
+    # keys_values(x) and the call, as three records
+    return ad.attention_layer(x, wq, ad.matmul(x, wk), ad.matmul(x, wv), wo)
 
 
 # the default model's three attention layouts: the context table's shared
@@ -1041,6 +1074,46 @@ def test_attention_layer_skips_the_gradients_no_input_takes(wants):
     upstream = rng.standard_normal((2, 3, 4))
     results = []
     for op in (ad.attention_layer, _attention_layer_composite):
+        tensors = [Tensor(a, requires_grad=c != "-") for a, c in zip(arrays, wants)]
+        with Tape() as tape:
+            out = op(*tensors)
+        tape.backward(out, seed=upstream)
+        results.append([out.data] + [t.grad for t in tensors])
+    got, want = results
+    for c, g, w in zip("o" + wants, got, want):
+        if c == "-":
+            assert g is None and w is None
+        else:
+            np.testing.assert_array_equal(g, w)
+
+
+# (x, wq, wk, wv, wo): the default model's temporal attention over
+# (B, S, T, C) tokens, the frames of one site, and a miniature layer whose
+# query, key and value widths differ from x's
+SELF_ATTENTION_SHAPES = {
+    "temporal": ((4, 24, 16, 8), (8, 8), (8, 8), (8, 8), (8, 8)),
+    "frames": ((5, 4), (4, 3), (4, 3), (4, 2), (2, 4)),
+    "miniature": ((2, 3, 4), (4, 5), (4, 5), (4, 2), (2, 4)),
+}
+
+
+@pytest.mark.parametrize("layout", list(SELF_ATTENTION_SHAPES))
+def test_self_attention_layer_is_bit_identical_to_its_composite(layout):
+    rng = np.random.default_rng(48)
+    arrays = [rng.standard_normal(s) for s in SELF_ATTENTION_SHAPES[layout]]
+    _assert_bit_identical(ad.self_attention_layer, _self_attention_layer_composite, arrays, 13)
+
+
+# which of (x, wq, wk, wv, wo) take a gradient: a constant x, constant key
+# and value weights, constant query and output weights, and each weight alone
+@pytest.mark.parametrize("wants", ["-qkvo", "xq--o", "x-kv-", "-q---", "--k--", "---v-",
+                                   "----o", "x----"])
+def test_self_attention_layer_skips_the_gradients_no_input_takes(wants):
+    rng = np.random.default_rng(49)
+    arrays = [rng.standard_normal(s) for s in SELF_ATTENTION_SHAPES["miniature"]]
+    upstream = rng.standard_normal(arrays[0].shape)
+    results = []
+    for op in (ad.self_attention_layer, _self_attention_layer_composite):
         tensors = [Tensor(a, requires_grad=c != "-") for a, c in zip(arrays, wants)]
         with Tape() as tape:
             out = op(*tensors)
@@ -1300,16 +1373,18 @@ def _traced_step_peak(frames):
     return peak
 
 
-def test_a_default_diffusion_step_peaks_under_65_mb():
-    # it peaks at about 57.5 MB. With every record output alive until
+def test_a_default_diffusion_step_peaks_under_55_mb():
+    # it peaks at about 47.5 MB. With every record output alive until
     # backward ends the same step peaked at 167.6 MB, with five records per
     # attention layer (the scores, q and W v among their values) at 108.7 MB,
-    # and with each attention layer keeping its softmax weights W at 80 MB
-    assert _traced_step_peak(16) <= 65 * 2**20
+    # with each attention layer keeping its softmax weights W at 80 MB, and
+    # with the temporal attention keeping its keys and values at 57.4 MB
+    assert _traced_step_peak(16) <= 55 * 2**20
 
 
-def test_a_32_frame_diffusion_step_peaks_under_130_mb():
+def test_a_32_frame_diffusion_step_peaks_under_108_mb():
     # temporal attention's scores grow with the square of the frames: with
     # each attention layer keeping its softmax weights W this step peaked at
-    # 179 MB, against about 115 MB with only their row max and sum
-    assert _traced_step_peak(32) <= 130 * 2**20
+    # 179 MB, with only their row max and sum at 114.2 MB, and with the
+    # temporal attention recomputing its keys and values at about 95 MB
+    assert _traced_step_peak(32) <= 108 * 2**20

@@ -159,6 +159,52 @@ def test_traced_pairs_summarise_the_per_layer_metrics_without_bounds():
     assert records["median_change_frac"] == 0.0
 
 
+def test_census_reads_each_sides_median_records_and_calls_per_category():
+    # the recorded traced pair, and the same pair with a second change run
+    # whose matmul count is 5: the change's median is then 7
+    traced = {s: bp.parse_run(TRACE_TEXT[s]) for s in bp.SIDES}
+    pairs = [{"seed": 5, "first": "base", **traced}]
+    want = {"records_per_step": 47.0,
+            "fwd_calls": {"conv3d": 2.0, "matmul": 9.0, "attention": 0.0, "softmax": 0.0,
+                          "layer_norm": 0.0, "transpose": 5.0, "reshape": 6.0,
+                          "elementwise": 33.0}}
+    assert bp.census(pairs) == {"base": want, "change": want}
+    fewer = dict(traced["change"], metrics=dict(traced["change"]["metrics"]))
+    fewer["metrics"]["autodiff.fwd.matmul.calls"] = 5.0
+    pairs.append({"seed": 6, "first": "change", "base": traced["base"], "change": fewer})
+    got = bp.census(pairs)
+    assert got["base"] == want
+    assert got["change"]["fwd_calls"] == dict(want["fwd_calls"], matmul=7.0)
+    # in the category order of BENCHMARK.json's per-layer metrics
+    assert list(got["change"]["fwd_calls"]) == [
+        m["name"].split(".")[2] for m in SPEC["per_layer"]
+        if m["name"].startswith("autodiff.fwd.") and m["name"].endswith(".calls")]
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_main_writes_a_census_only_for_traced_runs(monkeypatch, tmp_path, trace):
+    runs = ({s: bp.parse_run(TRACE_TEXT[s]) for s in bp.SIDES} if trace
+            else {"base": BASE, "change": CHANGE})
+
+    def fake_export(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps(SPEC))
+        return {"rev": rev}
+
+    monkeypatch.setattr(bp, "export", fake_export)
+    monkeypatch.setattr(bp, "perfbench_runner",
+                        lambda dirs, seconds, trace: lambda side, workload, seed: runs[side])
+    out = tmp_path / "bench.json"
+    assert bp.main(["--base", "a", "--change", "b", "--workload", "w", "--seeds", "7",
+                    "--seconds", "1", "--scratch", str(tmp_path / "s"), "--out", str(out),
+                    "--trace", str(trace)]) == 0
+    summary = json.loads(out.read_text())["workloads"]["w"]["summary"]
+    if trace:
+        assert summary["census"] == bp.census([{"seed": 7, "first": "base", **runs}])
+    else:
+        assert "census" not in summary
+
+
 def test_runner_passes_the_trace_flag(monkeypatch, tmp_path):
     calls = []
 

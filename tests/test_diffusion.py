@@ -211,7 +211,7 @@ def test_temporal_attention_single_step_is_linear_map():
     rng = np.random.default_rng(12)
     layer = AttentionLayer(4, rng=rng)
     x = Tensor(rng.standard_normal((1, 6, 1, 4)))
-    out = layer(x, *layer.keys_values(x)).data
+    out = layer.self_attend(x).data
     # attention over one time step weights its single value by 1
     wv, wo = layer.p["wv"].data, layer.p["wo"].data
     np.testing.assert_allclose(out, x.data + (x.data @ wv) @ wo, atol=1e-12)
@@ -223,7 +223,7 @@ def test_temporal_attention_identical_steps_identical_rows():
     layer.p["wo"] = Tensor(rng.standard_normal((3, 3)) * 0.3, requires_grad=True)
     row = rng.standard_normal((1, 5, 1, 3))
     x = Tensor(np.repeat(row, 2, axis=2))
-    out = layer(x, *layer.keys_values(x)).data
+    out = layer.self_attend(x).data
     np.testing.assert_allclose(out[:, :, 0, :], out[:, :, 1, :], atol=1e-12)
 
 
@@ -232,10 +232,10 @@ def test_temporal_attention_matches_per_site_loop():
     layer = AttentionLayer(3, rng=rng)
     layer.p["wo"] = Tensor(rng.standard_normal((3, 3)) * 0.3, requires_grad=True)
     x = Tensor(rng.standard_normal((1, 4, 3, 3)))
-    out = layer(x, *layer.keys_values(x)).data
+    out = layer.self_attend(x).data
     for site in range(4):
         frames = Tensor(x.data[0, site])
-        per_site = layer(frames, *layer.keys_values(frames)).data
+        per_site = layer.self_attend(frames).data
         np.testing.assert_allclose(out[0, site], per_site, atol=1e-12)
 
 
@@ -257,7 +257,7 @@ def test_graph_time_pass_matches_per_site_replay():
     for b in range(2):
         for site in range(8):
             frames = Tensor(feats[b, :, site])
-            want = layer.time_attn(frames, *layer.time_attn.keys_values(frames)).data
+            want = layer.time_attn.self_attend(frames).data
             np.testing.assert_allclose(out[b, :, site], want, atol=1e-12)
 
 
@@ -357,34 +357,33 @@ def test_chain_records_one_per_noise_step_and_one_per_reverse_step(monkeypatch):
 
 
 @pytest.mark.parametrize("which", ["miniature", "default"])
-def test_each_attention_layer_call_records_one_attention_layer(monkeypatch, which):
+def test_each_attention_layer_call_records_one_attention_layer(monkeypatch, default_step,
+                                                               which):
+    cross, self_ = ("cross", ["attention_layer"]), ("self", ["self_attention_layer"])
+    if which == "default":
+        # 50 context, 2 stack, then 50 conditioning and 50 predictor calls
+        _, calls = default_step("diffusion")
+        assert calls == [cross] * 50 + [self_] * 2 + [cross, self_] * 50
+        return
     calls = []
-    layer_call = AttentionLayer.__call__
 
-    def recording(self, *args):
-        n0 = len(tape.records)
-        out = layer_call(self, *args)
-        calls.append([r.name for r in tape.records[n0:]])
-        return out
+    def recording(method, kind):
+        def wrapper(self, *args):
+            n0 = len(tape.records)
+            out = method(self, *args)
+            calls.append((kind, [r.name for r in tape.records[n0:]]))
+            return out
+        return wrapper
 
-    monkeypatch.setattr(AttentionLayer, "__call__", recording)
-    if which == "miniature":
-        _, block, ctx = _block_setup(n_steps=3)
-        x = Tensor(np.random.default_rng(31).standard_normal((1, 2, 8, 4)), requires_grad=True)
-        with Tape() as tape:
-            block(x, ctx, seed=4)
-        # one per noise step, two per reverse step, one per stack pass
-        assert calls == [["attention_layer"]] * (3 * 3 + 2)
-    else:
-        config = ModelConfig()
-        model = build_model(config)
-        obs = np.random.default_rng(32).standard_normal((config.batch_size, 16,
-                                                         config.n_vertices, 3)) * 100.0
-        with Tape() as tape:
-            model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=0),
-                       obs + 1.0)
-        # 50 context, 50 conditioning and 52 temporal attention calls
-        assert calls == [["attention_layer"]] * 152
+    for name, kind in (("__call__", "cross"), ("self_attend", "self")):
+        monkeypatch.setattr(AttentionLayer, name, recording(getattr(AttentionLayer, name), kind))
+    _, block, ctx = _block_setup(n_steps=3)
+    x = Tensor(np.random.default_rng(31).standard_normal((1, 2, 8, 4)), requires_grad=True)
+    with Tape() as tape:
+        block(x, ctx, seed=4)
+    # three context calls, one per stack pass, then per reverse step the
+    # conditioning call and the predictor's
+    assert calls == [cross] * 3 + [self_] * 2 + [cross, self_] * 3
 
 
 def _two_record_reverse_step(z_t, t, eps_pred, schedule, noise):
@@ -494,13 +493,13 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
     assert [len(dead[k]) for k in dead] == [n_steps, 2 * (n_steps + 2)]
     for kind, refs in dead.items():
         assert all(ref() is None for ref in refs), kind
-    # an attention layer keeps its query, keys, values and both weights, and
-    # of its softmax only each row's max and exp-sum, two (rows,) vectors:
-    # never an array of the scores' shape (the scores or the weights W), the
-    # projected query or W v. One per noise step, two per reverse step and
-    # one per stack pass
+    # a cross-attention layer keeps its query, keys, values and both
+    # weights, and of its softmax only each row's max and exp-sum, two
+    # (rows,) vectors: never an array of the scores' shape (the scores or
+    # the weights W), the projected query or W v. One per noise step and one
+    # per reverse step
     layers = [rec for rec in tape.records if rec.name == "attention_layer"]
-    assert len(layers) == 3 * n_steps + 2
+    assert len(layers) == 2 * n_steps
     for rec in layers:
         x, wq, k, v, wo = (t.data for t in rec.inputs)
         held = list(_closure_arrays(rec.backward))
@@ -511,6 +510,22 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
         rows = math.prod(lead) * x.shape[-2]
         assert [(a.dtype, a.shape) for a in stats] == [(np.float64, (rows,))] * 2
         assert all(a.shape != lead + (x.shape[-2], k.shape[-2]) for a in held)
+    # a self-attention layer keeps its input, its four weights and the two
+    # row statistics: no array of the keys', values' or scores' shape but x
+    # itself. One per stack pass and one per reverse step
+    layers = [rec for rec in tape.records if rec.name == "self_attention_layer"]
+    assert len(layers) == n_steps + 2
+    for rec in layers:
+        x, wq, wk, wv, wo = (t.data for t in rec.inputs)
+        held = list(_closure_arrays(rec.backward))
+        assert len(held) == 7
+        assert all(any(a is t for a in held) for t in (x, wq, wk, wv, wo))
+        stats = [a for a in held if not any(a is t for t in (x, wq, wk, wv, wo))]
+        rows = math.prod(x.shape[:-1])
+        assert [(a.dtype, a.shape) for a in stats] == [(np.float64, (rows,))] * 2
+        derived = {x.shape[:-1] + (wk.shape[1],), x.shape[:-1] + (wv.shape[1],),
+                   x.shape[:-1] + (x.shape[-2],)}
+        assert all(a is x or a.shape not in derived for a in held)
     # a product with a constant left operand (the graph conv's adjacency,
     # the up matrix) keeps that 2-D matrix only, never the right operand
     products = [rec for rec in tape.records if rec.name == "matmul" and rec.inputs[0] is None]

@@ -1,5 +1,4 @@
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -197,34 +196,30 @@ def test_a_zero_part_loss_weight_leaves_the_part_term_out():
 
 
 # the tape records of one default training step, counted per op; an exact
-# census also pins the step's total (1,092 with diffusion, 37 without), and a
-# change to it reads per op. Without diffusion: encoder, graph+time stack,
-# head, one part-loss record per level, and one lincomb for the weighted
-# term. With it, the 50-step noising and reverse chains add the lincombs, the
-# predictors' layers and 152 attention layers.
+# census also pins the step's total (988 with diffusion, 33 without), and a
+# change to it reads per op. Without diffusion: encoder, graph+time stack
+# (two self-attention layers), head, one part-loss record per level, and one
+# lincomb for the weighted term. With it, the 50-step noising and reverse
+# chains add the lincombs, the predictors' layers, 100 cross-attention and
+# 50 more self-attention layers.
 DEFAULT_STEP_CENSUS = {
     "diffusion": {
-        "matmul": 263, "attention_layer": 152, "reshape": 106, "relu": 105,
-        "transpose": 105, "lincomb": 102, "add": 100, "conv3d": 52, "mse": 51,
-        "layer_norm": 50, "affine": 3, "segment_softmax_kl": 2, "mul": 1,
+        "matmul": 159, "reshape": 106, "relu": 105, "transpose": 105, "lincomb": 102,
+        "add": 100, "attention_layer": 100, "self_attention_layer": 52, "conv3d": 52,
+        "mse": 51, "layer_norm": 50, "affine": 3, "segment_softmax_kl": 2, "mul": 1,
     },
     "deterministic": {
-        "matmul": 9, "reshape": 6, "relu": 5, "transpose": 5, "affine": 3,
-        "conv3d": 2, "attention_layer": 2, "segment_softmax_kl": 2, "mse": 1,
-        "add": 1, "lincomb": 1,
+        "reshape": 6, "matmul": 5, "relu": 5, "transpose": 5, "affine": 3, "conv3d": 2,
+        "self_attention_layer": 2, "segment_softmax_kl": 2, "mse": 1, "add": 1,
+        "lincomb": 1,
     },
 }
 
 
 @pytest.mark.parametrize("workload", sorted(DEFAULT_STEP_CENSUS))
-def test_default_step_census(workload):
-    config = ModelConfig(diffusion_on=workload == "diffusion")
-    model = build_model(config)
-    obs = np.random.default_rng(32).standard_normal((config.batch_size, 16,
-                                                     config.n_vertices, 3)) * 100.0
-    with Tape() as tape:
-        model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=0), obs + 1.0)
-    assert Counter(r.name for r in tape.records) == DEFAULT_STEP_CENSUS[workload]
+def test_default_step_census(default_step, workload):
+    census, _ = default_step(workload)
+    assert census == DEFAULT_STEP_CENSUS[workload]
 
 
 def test_predict_deterministic():

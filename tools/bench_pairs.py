@@ -26,8 +26,11 @@ the medians differ by more than the base's interquartile range, and whether
 the change's median is worse than the base's by more than the metric's
 ``bound`` times the base median (None for the per-layer metrics, which
 have no bound); and each side's share of failed operations
-over all its runs. It is rewritten after every pair, so an interrupted
-series keeps what it ran.
+over all its runs. With ``--trace 1`` each summary also holds a ``census``
+block: per side, the median ``autodiff.records_per_step`` and the median
+``autodiff.fwd.<category>.calls`` of every category, so a bench record reads
+beside the per-op record census the tests pin. It is rewritten after every
+pair, so an interrupted series keeps what it ran.
 
 When the series ends, one verdict line per workload goes to standard error:
 the pairs with equal digests, the metrics worse than their bound, and the
@@ -109,6 +112,22 @@ def summarize(pairs: list[dict], better: dict[str, str],
         "failed_share": {side: _failed_share([p[side] for p in pairs]) for side in SIDES},
         "metrics": metrics,
     }
+
+
+def census(pairs: list[dict]) -> dict:
+    """Per side of traced ``pairs``: the median records per step and, per
+    tape-op category, the median forward calls per step."""
+    out = {}
+    for side in SIDES:
+        runs = [p[side]["metrics"] for p in pairs]
+        categories = [name.split(".")[2] for name in runs[0]
+                      if name.startswith("autodiff.fwd.") and name.endswith(".calls")]
+        out[side] = {
+            "records_per_step": float(np.median([r["autodiff.records_per_step"] for r in runs])),
+            "fwd_calls": {c: float(np.median([r[f"autodiff.fwd.{c}.calls"] for r in runs]))
+                          for c in categories},
+        }
+    return out
 
 
 def verdict(workload: str, pairs: list[dict], summary: dict) -> str:
@@ -214,11 +233,17 @@ def main(argv=None) -> int:
     spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
     better, bounds = targets(spec, args.trace)
 
+    def workload_summary(pairs):
+        summary = summarize(pairs, better, bounds)
+        if args.trace:
+            summary["census"] = census(pairs)
+        return summary
+
     def write(results):
         doc = {"base": revs["base"], "change": revs["change"], "seconds": args.seconds,
                "trace": args.trace,
                "order": "pair j runs the base first when j is even",
-               "workloads": {w: {"summary": summarize(pairs, better, bounds), "pairs": pairs}
+               "workloads": {w: {"summary": workload_summary(pairs), "pairs": pairs}
                              for w, pairs in results.items() if pairs}}
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
