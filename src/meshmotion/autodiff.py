@@ -49,12 +49,13 @@ weights and recomputes k and v in backward (the temporal attention).
 ``attention``, the reference composite, is a ``transpose`` of the keys, a
 ``matmul``, a ``mul`` by 1/√d, a ``softmax`` and a ``matmul``. ``matmul``,
 ``affine`` and every product inside the attention ops take their gradients
-from one routine, :func:`_matmul_grads`. ``conv3d`` takes and returns a channels-last
-(B, T, H, W, C) grid and lowers to GEMMs on a spatial-only patch matrix, one
-GEMM per temporal tap, with no transpose of the grid on either side. Any op
-that produces a non-finite value raises :class:`NumericsError` immediately
-instead of letting NaN/Inf spread; callers that want that error as the only
-signal run a whole step under ``np.errstate`` (see ``model.train``).
+from one routine, :func:`_matmul_grads`. ``conv3d`` takes and returns a
+channels-last (B, T, H, W, C) grid and lowers to GEMMs on a spatial-only
+patch matrix, one GEMM per temporal tap, with no transpose of the grid on
+either side. Any op that produces a non-finite value raises
+:class:`NumericsError` immediately instead of letting NaN/Inf spread;
+callers that want that error as the only signal run a whole step under
+``np.errstate`` (see ``model.train``).
 Operands that do not fit the op raise :class:`ShapeError` naming their
 shapes.
 

@@ -11,23 +11,38 @@ from meshmotion.model import ModelConfig, build_model
 
 
 @pytest.fixture(scope="session")
-def default_step():
+def record_attention_calls():
+    """``record(patch, tape)`` wraps ``AttentionLayer``'s two calls through
+    the ``MonkeyPatch`` ``patch`` and returns the list they append to, in
+    call order: ("cross", names) per ``__call__`` and ("self", names) per
+    ``self_attend``, with the names of the records each call wrote on
+    ``tape``."""
+    def record(patch, tape):
+        calls = []
+
+        def recording(method, kind):
+            def wrapper(self, *args):
+                n0 = len(tape.records)
+                out = method(self, *args)
+                calls.append((kind, [r.name for r in tape.records[n0:]]))
+                return out
+            return wrapper
+
+        for name, kind in (("__call__", "cross"), ("self_attend", "self")):
+            patch.setattr(AttentionLayer, name, recording(getattr(AttentionLayer, name), kind))
+        return calls
+
+    return record
+
+
+@pytest.fixture(scope="session")
+def default_step(record_attention_calls):
     """``default_step(workload)`` for "diffusion" or "deterministic": one
     default training step's forward and loss, run once per workload and
     kept for the session as its per-op record census (a ``Counter`` of
-    record names) and its attention calls, in call order: ("cross", names)
-    per ``AttentionLayer.__call__`` and ("self", names) per
-    ``AttentionLayer.self_attend``, with the names of the records each call
-    wrote. The tape itself is not kept."""
+    record names) and its attention calls (see ``record_attention_calls``).
+    The tape itself is not kept."""
     steps = {}
-
-    def recording(method, kind, calls, tape):
-        def wrapper(self, *args):
-            n0 = len(tape.records)
-            out = method(self, *args)
-            calls.append((kind, [r.name for r in tape.records[n0:]]))
-            return out
-        return wrapper
 
     def run(workload):
         if workload not in steps:
@@ -35,11 +50,8 @@ def default_step():
             model = build_model(config)
             obs = np.random.default_rng(32).standard_normal((config.batch_size, 16,
                                                              config.n_vertices, 3)) * 100.0
-            calls = []
             with Tape() as tape, pytest.MonkeyPatch.context() as patch:
-                for name, kind in (("__call__", "cross"), ("self_attend", "self")):
-                    patch.setattr(AttentionLayer, name,
-                                  recording(getattr(AttentionLayer, name), kind, calls, tape))
+                calls = record_attention_calls(patch, tape)
                 model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=0), obs + 1.0)
             steps[workload] = Counter(r.name for r in tape.records), calls
         return steps[workload]

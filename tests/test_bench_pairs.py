@@ -37,6 +37,9 @@ def test_parse_run_reads_the_result_and_report_lines():
     assert CHANGE["environment"]["seed"] == 5
     assert BASE["digests"] == CHANGE["digests"]
     assert BASE["metrics"]["eval_seq_per_s"] == 578.1013054309277
+    assert CHANGE["setup_samples_s"] == [0.5184975869997288, 0.3968740799900843,
+                                         0.4019803619958111]
+    assert bp.parse_run(TRACE_TEXT["change"])["setup_samples_s"] is None
 
 
 @pytest.mark.parametrize("text", [

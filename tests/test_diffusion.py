@@ -357,29 +357,18 @@ def test_chain_records_one_per_noise_step_and_one_per_reverse_step(monkeypatch):
 
 
 @pytest.mark.parametrize("which", ["miniature", "default"])
-def test_each_attention_layer_call_records_one_attention_layer(monkeypatch, default_step,
-                                                               which):
+def test_each_attention_layer_call_records_one_attention_layer(
+        monkeypatch, record_attention_calls, default_step, which):
     cross, self_ = ("cross", ["attention_layer"]), ("self", ["self_attention_layer"])
     if which == "default":
         # 50 context, 2 stack, then 50 conditioning and 50 predictor calls
         _, calls = default_step("diffusion")
         assert calls == [cross] * 50 + [self_] * 2 + [cross, self_] * 50
         return
-    calls = []
-
-    def recording(method, kind):
-        def wrapper(self, *args):
-            n0 = len(tape.records)
-            out = method(self, *args)
-            calls.append((kind, [r.name for r in tape.records[n0:]]))
-            return out
-        return wrapper
-
-    for name, kind in (("__call__", "cross"), ("self_attend", "self")):
-        monkeypatch.setattr(AttentionLayer, name, recording(getattr(AttentionLayer, name), kind))
     _, block, ctx = _block_setup(n_steps=3)
     x = Tensor(np.random.default_rng(31).standard_normal((1, 2, 8, 4)), requires_grad=True)
     with Tape() as tape:
+        calls = record_attention_calls(monkeypatch, tape)
         block(x, ctx, seed=4)
     # three context calls, one per stack pass, then per reverse step the
     # conditioning call and the predictor's

@@ -53,7 +53,9 @@ SIDES = ("base", "change")
 
 def parse_run(stdout: str) -> dict:
     """One perfbench run from its standard output: the result line (last)
-    and the report (the line before it)."""
+    and the report (the line before it). ``setup_samples_s`` holds the
+    report's unscaled set-up samples, whose host-scaled median is
+    ``setup_s``; a traced run reports none (None)."""
     lines = [line for line in stdout.splitlines() if line.strip()]
     if len(lines) < 2:
         raise ValueError(f"expected a report and a result line, got {len(lines)} lines")
@@ -64,7 +66,8 @@ def parse_run(stdout: str) -> dict:
         return {"correct": result["correct"], "attempted": result["attempted"],
                 "failed": result["failed"], "metrics": metrics,
                 "digests": report["digests"], "budget": report["budget"],
-                "environment": report["environment"]}
+                "environment": report["environment"],
+                "setup_samples_s": report.get("setup_samples_s")}
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValueError(f"not a perfbench report and result: {exc!r}") from exc
 
