@@ -15,14 +15,16 @@ value), and a record's inputs and output are slots; a leaf is its own slot.
 So a value lives only as long as the model code or a backward closure holds
 it, and each closure keeps only what its backward reads, as each op's
 docstring states: ``matmul``, ``affine`` and ``mul`` keep an operand only
-when the other operand takes a gradient, ``add``, ``lincomb`` and ``sum_``
-keep shapes, ``softmax`` its output, and ``relu`` its one-byte mask. A value
+when the other operand takes a gradient, ``lincomb`` and ``sum_`` keep
+shapes, ``softmax`` its output, and ``relu`` its one-byte mask. A value
 the model code has dropped is freed during the forward unless a backward
 reads it: the predicted noise (``mse`` keeps the difference, ``lincomb`` the
 shapes), and a ``relu`` input and output inside the graph+time pass (the
 relu keeps its mask, and the graph convolution's product keeps its constant
 adjacency). An input that takes no gradient is stored as None, so a constant
-such as a noise draw is freed once the forward has used it. ``layer_norm``
+such as a noise draw is freed once the forward has used it. A constant needs
+no op of its own: it passes as a raw array, which each op wraps
+(:func:`as_tensor`) as a tensor that takes no gradient. ``layer_norm``
 recomputes its full-size intermediates from the input in backward, and the
 two attention ops their query projection, scores, softmax weights W and W v,
 with the forward's expressions in the same order, instead of holding them.
@@ -30,11 +32,12 @@ And the model's hot composites are one record each, so an intermediate that
 no backward reads is no record output. Each has an analytic backward that
 runs the same numpy expressions in the same order as the primitives it
 replaces: ``lincomb`` ((a·alpha + b·beta)·scale + shift, a diffusion chain
-step), ``mse`` (the mean squared error against a constant target),
-``affine`` (x @ w + c, a linear layer), ``softmax``, ``layer_norm``,
-``conv3d``, ``segment_softmax_kl`` (the weighted KL between segment-wise
-softmaxes of (S, n, F) feature-row norms, the part loss of one level),
-``attention_layer`` and ``self_attention_layer``.
+step; a + b is a unit-weight lincomb, the one sum op), ``mse`` (the mean
+squared error against a constant target), ``affine`` (x @ w + c, a linear
+layer), ``softmax``, ``layer_norm``, ``conv3d``, ``segment_softmax_kl`` (the
+weighted KL between segment-wise softmaxes of (S, n, F) feature-row norms,
+the part loss of one level), ``attention_layer`` and
+``self_attention_layer``.
 
 The two attention ops are one residual layer,
 x + softmax((x @ wq) kᵀ/√d) v @ wo, and share one core
@@ -59,14 +62,15 @@ callers that want that error as the only signal run a whole step under
 Operands that do not fit the op raise :class:`ShapeError` naming their
 shapes.
 
-Layout rule for the kernels on the training step's hot path (``matmul``,
-``softmax``, ``layer_norm``, ``sum_`` over the last axis, and
-``_unbroadcast``, which sums every bias and shift gradient over the axes
+Layout rule for the kernels a training step runs (``matmul``,
+``layer_norm``, the attention ops' :func:`_softmax_rows`, and
+:func:`_unbroadcast`, which sums every bias and shift gradient over the axes
 broadcasting added): no numpy reduction over a short last axis, and one
-GEMM for a shared operand's gradient. numpy reduces a 3- to 24-wide last
-axis row by row, several times slower than the same sum as a GEMV against a
-ones or 1/C vector, or a reduction over the leading axis of a copy with the
-reduced axis first. A 2-D matrix that every leading index shares (a weight,
+GEMM for a shared operand's gradient. ``softmax`` and ``sum_``, which no
+step calls, follow it too. numpy reduces a 3- to 24-wide last axis row by
+row, several times slower than the same sum as a GEMV against a ones or 1/C
+vector, or a reduction over the leading axis of a copy with the reduced axis
+first. A 2-D matrix that every leading index shares (a weight,
 a shared key or value table) gets its gradient as one GEMM over the
 flattened rows, not as a batch of small products summed afterwards.
 
@@ -90,8 +94,6 @@ __all__ = [
     "NumericsError",
     "ShapeError",
     "as_tensor",
-    "constant",
-    "add",
     "mul",
     "lincomb",
     "mse",
@@ -210,19 +212,13 @@ def _slot_of(t: Tensor) -> Tensor | _Slot:
 
 
 def as_tensor(x) -> Tensor:
+    """``x`` itself if it is a :class:`Tensor`, else raw data wrapped as a
+    tensor that takes no gradient. Every op takes its operands through it, so
+    a constant (a noise draw, an embedding, the encoder's input) passes as a
+    raw array."""
     if isinstance(x, Tensor):
         return x
     return Tensor(x)
-
-
-def constant(x) -> Tensor:
-    """Wrap raw data as a non-differentiable tensor. A :class:`Tensor` is
-    detached: the result shares its read-only data and takes no gradient."""
-    if not isinstance(x, Tensor):
-        return Tensor(x)
-    out = Tensor.__new__(Tensor)
-    out.data, out.requires_grad, out.grad, out._slot = x.data, False, None, None
-    return out
 
 
 class _Record:
@@ -271,14 +267,17 @@ class Tape:
         no record's value, only what each closure kept, so values freed
         during the forward change no number. A tape runs backward once: a
         second call raises ``RuntimeError`` instead of adding the gradient to
-        every leaf again.
+        every leaf again. A seed holding a NaN or Inf raises
+        :class:`NumericsError` naming the seed, not the first op it reaches.
         """
         if self._backward_ran:
             raise RuntimeError("backward already ran on this tape")
+        seed = (np.ones(root.shape, dtype=np.float64) if seed is None
+                else np.asarray(seed, dtype=np.float64))
+        if not np.isfinite(seed).all():
+            raise NumericsError("non-finite backward seed")
         self._backward_ran = True
-        if seed is None:
-            seed = np.ones(root.shape, dtype=np.float64)
-        _slot_of(root).accumulate_grad(np.asarray(seed, dtype=np.float64))
+        _slot_of(root).accumulate_grad(seed)
         for rec in reversed(self.records):
             g = rec.output.grad
             if g is None:
@@ -377,23 +376,6 @@ def _no_broadcast(name: str, a: Tensor, b: Tensor) -> ShapeError:
 # ValueError, so the happy path pays for no shape check
 
 
-def add(a, b) -> Tensor:
-    """a + b, broadcasting; the backward keeps the operands' shapes."""
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data + b.data
-    except ValueError:
-        raise _no_broadcast("add", a, b) from None
-
-    sa, sb = _grad_shape(a), _grad_shape(b)
-
-    def backward(g):
-        return (None if sa is None else _unbroadcast(g, sa),
-                None if sb is None else _unbroadcast(g, sb))
-
-    return _result("add", (a, b), out, backward)
-
-
 def mul(a, b) -> Tensor:
     """a · b, broadcasting; the backward keeps each operand only when the
     other takes a gradient."""
@@ -413,16 +395,25 @@ def mul(a, b) -> Tensor:
     return _result("mul", (a, b), out, backward)
 
 
+def _times(x: np.ndarray, c: float) -> np.ndarray:
+    """x·c; a product by 1 is exact, so it is skipped and ``x`` returned."""
+    return x if c == 1.0 else x * c
+
+
 def lincomb(a, alpha: float, b, beta: float, *, scale: float = 1.0, shift=None) -> Tensor:
     """(a·alpha + b·beta)·scale + shift for scalar coefficients; one record.
+
+    The one sum op: a + b is ``lincomb(a, 1.0, b, 1.0)``. A product by a
+    coefficient of exactly 1 is skipped in the forward and the backward, so
+    a unit-weight lincomb runs a + b's expressions at its cost.
 
     ``shift`` is a constant array that broadcasts onto a·alpha + b·beta
     without growing it. Like ``mse``'s target it is not a record input, and
     the backward keeps the operands' shapes, not the operands, so a constant
     operand or shift is freed once the forward has used it.
 
-    The value and each gradient are bit-identical to
-    ``add(mul(a, alpha), mul(b, beta))``: the backward reduces a broadcast
+    The value and each gradient are bit-identical to the sum of
+    ``mul(a, alpha)`` and ``mul(b, beta)``: the backward reduces a broadcast
     operand's gradient first and then scales it, as that composite does. With
     alpha = 1 and beta = -c it also equals a − b·c bit for bit, since
     a·1 = a and negation is exact. A ``scale`` and ``shift`` = n·s
@@ -432,10 +423,9 @@ def lincomb(a, alpha: float, b, beta: float, *, scale: float = 1.0, shift=None) 
     a, b = as_tensor(a), as_tensor(b)
     alpha, beta, scale = float(alpha), float(beta), float(scale)
     try:
-        out = a.data * alpha + b.data * beta
+        out = _times(a.data, alpha) + _times(b.data, beta)
     except ValueError:
         raise _no_broadcast("lincomb", a, b) from None
-    # a product by 1 is exact, so skipping it changes no value
     if scale != 1.0:
         out *= scale
     if shift is not None:
@@ -447,10 +437,9 @@ def lincomb(a, alpha: float, b, beta: float, *, scale: float = 1.0, shift=None) 
     sa, sb = _grad_shape(a), _grad_shape(b)
 
     def backward(g):
-        if scale != 1.0:
-            g = g * scale
-        return (None if sa is None else _unbroadcast(g, sa) * alpha,
-                None if sb is None else _unbroadcast(g, sb) * beta)
+        g = _times(g, scale)
+        return (None if sa is None else _times(_unbroadcast(g, sa), alpha),
+                None if sb is None else _times(_unbroadcast(g, sb), beta))
 
     return _result("lincomb", (a, b), out, backward)
 
@@ -602,8 +591,8 @@ def affine(x, w, c) -> Tensor:
 
     ``c`` is a bias or a residual: it broadcasts onto the product without
     growing it. The value and each gradient are bit-identical to
-    ``add(matmul(x, w), c)``; the product's own output, which no backward
-    reads, is not kept on the tape. The backward keeps ``x`` only for the
+    ``matmul(x, w)`` with ``c`` added after; the product's own output, which
+    no backward reads, is not kept on the tape. The backward keeps ``x`` only for the
     ``w`` gradient and ``w`` only for the ``x`` gradient, and of ``c`` its
     shape.
     """
@@ -730,8 +719,9 @@ def segment_softmax_kl(features, target_features, starts, weights) -> Tensor:
     score gradient is gs = g·(−q·keep·c + p·Σ_seg q·keep·c), so it flows only
     where the prediction is above the floor. The features gradient chains
     gs·0.5/score, h = that times f, and h + h: the arithmetic of the
-    composite that scores with ``mul``, ``sum_``, ``add`` and a square root
-    before the KL, so the value and the gradient are bit-identical to it.
+    composite that scores with ``mul``, ``sum_``, the tests' reference
+    ``add`` (``tests/oracle_ops.py``) and a square root before the KL, so the
+    value and the gradient are bit-identical to it.
     (The tape sums that composite's two h into f's gradient as h + h when
     the op is the last record that reads f, as in the model.) The backward
     keeps both softmaxes, the weights, the scores and, when they take a

@@ -89,8 +89,10 @@ def make_schedule(n_steps: int) -> DiffusionSchedule:
 
 
 def _check_step(t: int, schedule: DiffusionSchedule) -> int:
-    if not (1 <= t <= schedule.n_steps):
-        raise ScheduleError(f"step {t} outside [1, {schedule.n_steps}]")
+    """``t`` as an int, checked to be a whole step in [1, n_steps]: a
+    fractional step such as 1.5 raises rather than run step 1."""
+    if not (1 <= t <= schedule.n_steps) or t != int(t):
+        raise ScheduleError(f"step {t} is not a whole step in [1, {schedule.n_steps}]")
     return int(t)
 
 
@@ -306,7 +308,7 @@ class NoisePredictor:
         return [self] + self.pass_.layers()
 
     def __call__(self, x: Tensor, embedding: np.ndarray) -> Tensor:
-        shift = ad.add(self.p["ln_beta"], ad.constant(embedding))
+        shift = ad.lincomb(self.p["ln_beta"], 1.0, embedding, 1.0)
         x = ad.layer_norm(x, self.p["ln_gamma"], shift)
         return ad.matmul(self.pass_(x), self.p["head"])
 
@@ -356,9 +358,9 @@ class DiffusionBlock:
         rng = np.random.default_rng(seed)
         sched = self.schedule
 
-        def draw() -> Tensor:
+        def draw() -> np.ndarray:
             # a channels-first draw keeps each seed's noise on the same elements
-            return ad.constant(np.swapaxes(rng.standard_normal((b, t, c, s)), 2, 3))
+            return np.swapaxes(rng.standard_normal((b, t, c, s)), 2, 3)
 
         # forward noising with context cross-attention after every step
         ctx_kv = self.context_attn.keys_values(context)
@@ -383,7 +385,7 @@ class DiffusionBlock:
             else:
                 target = np.zeros_like(x0.data)
             term = ad.mse(eps_hat, target)
-            eps_sum = term if eps_sum is None else ad.add(eps_sum, term)
+            eps_sum = term if eps_sum is None else ad.lincomb(eps_sum, 1.0, term, 1.0)
             z = reverse_step(z, step, eps_hat, sched, draw() if step > 1 else None)
 
         return z, ad.mul(eps_sum, 1.0 / sched.n_steps)

@@ -182,7 +182,7 @@ class Model:
             obs.reshape(B * T, n * 3) * MM_SCALE,
             msk.reshape(B * T, n),
         ], axis=1)
-        x = self.enc2(ad.relu(self.enc1(ad.constant(frame_in))))
+        x = self.enc2(ad.relu(self.enc1(frame_in)))
         # enc2's columns are channel-major: read them as (B, T, C, S)
         tokens = ad.transpose(ad.reshape(x, (B, T, c, h * w)), (0, 1, 3, 2))
 
@@ -235,7 +235,7 @@ class Model:
             for (pred, true), starts, lam in zip(levels, self.part_starts, part_weights,
                                                  strict=True):
                 term = hh_loss(pred, true, starts, lam)
-                part_term = term if part_term is None else ad.add(part_term, term)
+                part_term = term if part_term is None else ad.lincomb(part_term, 1.0, term, 1.0)
             total = ad.lincomb(total, 1.0, part_term, cfg.part_loss_weight)
         if out["eps_loss"] is not None:
             total = ad.lincomb(total, 1.0, out["eps_loss"], EPS_LOSS_WEIGHT)

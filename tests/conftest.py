@@ -40,8 +40,9 @@ def default_step(record_attention_calls):
     """``default_step(workload)`` for "diffusion" or "deterministic": one
     default training step's forward and loss, run once per workload and
     kept for the session as its per-op record census (a ``Counter`` of
-    record names) and its attention calls (see ``record_attention_calls``).
-    The tape itself is not kept."""
+    record names), its attention calls (see ``record_attention_calls``) and,
+    per record, its name, its output shape and whether it takes the noise
+    predictor's ``ln_beta``. The tape itself is not kept."""
     steps = {}
 
     def run(workload):
@@ -53,7 +54,10 @@ def default_step(record_attention_calls):
             with Tape() as tape, pytest.MonkeyPatch.context() as patch:
                 calls = record_attention_calls(patch, tape)
                 model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=0), obs + 1.0)
-            steps[workload] = Counter(r.name for r in tape.records), calls
+            beta = model.core.predictor.p["ln_beta"] if config.diffusion_on else None
+            records = [(r.name, r.output.shape, any(t is beta for t in r.inputs))
+                       for r in tape.records]
+            steps[workload] = Counter(name for name, _, _ in records), calls, records
         return steps[workload]
 
     return run

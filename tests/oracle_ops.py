@@ -1,7 +1,9 @@
 """Ops only the tests' reference composites use, on autodiff's record API. Each
-takes Tensors and runs the numpy expressions, in the order, of the library op
-it was, so the composites stay bit-identical. It checks no operand and returns
-a gradient for every input; the tape drops those of inputs that take none.
+takes Tensors (``add`` also raw operands, since composites add scalars) and
+runs the numpy expressions, in the order, of the library op it was, so the
+composites stay bit-identical; ``add`` is the reference for a unit-weight
+``lincomb``. It checks no operand and returns a gradient for every input; the
+tape drops those of inputs that take none.
 
 Also the gradient checker, :func:`gradcheck`, which the tests run on every op
 and on the model's layers; ``__all__`` lists the ops only."""
@@ -12,7 +14,13 @@ import numpy as np
 
 from meshmotion import autodiff as ad
 
-__all__ = ["sub", "div", "exp", "log", "sqrt", "clip_min", "take_slice", "mean"]
+__all__ = ["add", "sub", "div", "exp", "log", "sqrt", "clip_min", "take_slice", "mean"]
+
+
+def add(a, b):
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    return ad._result("add", (a, b), a.data + b.data, lambda g: (
+        ad._unbroadcast(g, a.shape), ad._unbroadcast(g, b.shape)))
 
 
 def sub(a, b):
@@ -90,7 +98,7 @@ def gradcheck(op, inputs, max_coords=None):
     tape.backward(total)
 
     def f(arrays) -> float:
-        return float(op(*(ad.constant(a) for a in arrays)).data.sum())
+        return float(op(*(ad.Tensor(a) for a in arrays)).data.sum())
 
     worst = 0.0
     rng = np.random.default_rng(0)

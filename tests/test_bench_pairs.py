@@ -232,16 +232,31 @@ def test_verdict_names_equal_digests_worse_metrics_and_wrong_runs():
     pairs = [{"seed": 1, "first": "base", "base": BASE, "change": CHANGE}]
     line = bp.verdict("train_deterministic", pairs, bp.summarize(pairs, better, bounds))
     assert line == ("train_deterministic: equal digests in 1 of 1 pairs; "
-                    "worse beyond bound: none; not correct: none")
-    # a second pair whose change run is wrong, differs in its digests and
-    # has half the base's training throughput
-    slow = dict(_scaled(CHANGE, main_seq_per_s=0.5), correct=False,
+                    "worse beyond bound: none; not correct: none; "
+                    "failed share: base 0, change 0")
+    # a second pair whose change run is wrong, differs in its digests, has
+    # half the base's training throughput and failed 33 of its 659
+    # operations
+    slow = dict(_scaled(CHANGE, main_seq_per_s=0.5), correct=False, failed=33,
                 digests={"losses": "x", "predictions": "y"})
     pairs.append({"seed": 2, "first": "change", "base": BASE, "change": slow})
     pairs.append({"seed": 3, "first": "base", "base": BASE, "change": slow})
     line = bp.verdict("w", pairs, bp.summarize(pairs, better, bounds))
     assert line == ("w: equal digests in 1 of 3 pairs; worse beyond bound: main_seq_per_s; "
-                    "not correct: seed 2 change, seed 3 change")
+                    "not correct: seed 2 change, seed 3 change; "
+                    "failed share: base 0, change 0.0334 (change higher)")
+    # a lower or equal share is not flagged, and a side that attempted
+    # nothing has no share
+    for base_failed, change_failed, shares in ((33, 0, "base 0.0501, change 0"),
+                                               (33, 33, "base 0.0501, change 0.0501")):
+        pairs = [{"seed": 1, "first": "base", "base": dict(BASE, failed=base_failed),
+                  "change": dict(CHANGE, failed=change_failed)}]
+        line = bp.verdict("w", pairs, bp.summarize(pairs, better, bounds))
+        assert line.endswith(f"; failed share: {shares}")
+    pairs = [{"seed": 1, "first": "base", "base": dict(BASE, attempted=0, failed=0),
+              "change": CHANGE}]
+    line = bp.verdict("w", pairs, bp.summarize(pairs, better, bounds))
+    assert line.endswith("; failed share: base none, change 0")
 
 
 @pytest.mark.parametrize("correct,code", [(True, 0), (False, 1)])
@@ -264,6 +279,6 @@ def test_main_prints_a_verdict_per_workload_and_exits_1_on_a_wrong_run(
                     "--out", str(out)]) == code
     wrong = "none" if correct else "seed 8 change"
     assert capsys.readouterr().err.splitlines() == [
-        f"{w}: equal digests in 2 of 2 pairs; worse beyond bound: none; not correct: {wrong}"
-        for w in ("w1", "w2")]
+        f"{w}: equal digests in 2 of 2 pairs; worse beyond bound: none; not correct: {wrong}; "
+        f"failed share: base 0, change 0" for w in ("w1", "w2")]
     assert json.loads(out.read_text())["workloads"].keys() == {"w1", "w2"}

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import oracle_ops as oracle
 from oracle_ops import gradcheck
 from meshmotion import autodiff as ad
 from meshmotion import diffusion
@@ -152,10 +153,15 @@ def test_reverse_step_needs_a_draw_where_it_adds_noise():
                                   reverse_step(z, 1, np.ones(2), sched, np.zeros(2)).data)
 
 
-def test_reverse_step_range_error():
-    sched = make_schedule(5)
-    with pytest.raises(ScheduleError):
-        reverse_step(np.zeros(2), 6, np.zeros(2), sched, np.zeros(2))
+@pytest.mark.parametrize("t", [6, 1.5])
+@pytest.mark.parametrize("step", [
+    lambda t, sched: forward_noise_step(np.zeros(2), t, sched, np.zeros(2)),
+    lambda t, sched: reverse_step(np.zeros(2), t, np.zeros(2), sched, np.zeros(2)),
+], ids=["forward_noise_step", "reverse_step"])
+def test_reverse_step_range_error(step, t):
+    # a step past the schedule, or between two steps, is no step to run
+    with pytest.raises(ScheduleError, match=f"step {t} is not a whole step"):
+        step(t, make_schedule(5))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +368,7 @@ def test_each_attention_layer_call_records_one_attention_layer(
     cross, self_ = ("cross", ["attention_layer"]), ("self", ["self_attention_layer"])
     if which == "default":
         # 50 context, 2 stack, then 50 conditioning and 50 predictor calls
-        _, calls = default_step("diffusion")
+        _, calls, _ = default_step("diffusion")
         assert calls == [cross] * 50 + [self_] * 2 + [cross, self_] * 50
         return
     _, block, ctx = _block_setup(n_steps=3)
@@ -386,7 +392,7 @@ def _two_record_reverse_step(z_t, t, eps_pred, schedule, noise):
     corrected = ad.lincomb(z_t, 1.0, eps_pred, -eps_coef)
     if t == 1:
         return ad.mul(corrected, 1.0 / math.sqrt(a))
-    return ad.lincomb(corrected, 1.0 / math.sqrt(a), ad.constant(noise), sigma)
+    return ad.lincomb(corrected, 1.0 / math.sqrt(a), noise, sigma)
 
 
 @pytest.mark.parametrize("t", [50, 2, 1])
@@ -430,12 +436,14 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
     # after conv3d (a 5-D grid) and graph conv (4-D tokens); the encoder's
     # relu output (2-D) is read by its next layer
     dead = {"eps_hat": [], "relu": []}
-    constant, relu = ad.constant, ad.relu
+    as_tensor, relu = ad.as_tensor, ad.relu
     predictor = diffusion.NoisePredictor.__call__
 
     def tracked(x):
-        t = constant(x)
-        constants.append((t.ndim, weakref.ref(t.data)))
+        # the constants: every raw operand an op wraps
+        t = as_tensor(x)
+        if t is not x:
+            constants.append((t.ndim, weakref.ref(t.data)))
         return t
 
     def tracked_predictor(self, *args):
@@ -449,7 +457,7 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
             dead["relu"].append(weakref.ref(out.data))
         return out
 
-    monkeypatch.setattr(ad, "constant", tracked)
+    monkeypatch.setattr(ad, "as_tensor", tracked)
     monkeypatch.setattr(diffusion.NoisePredictor, "__call__", tracked_predictor)
     monkeypatch.setattr(ad, "relu", tracked_relu)
     if which == "miniature":
@@ -473,9 +481,10 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
         assert isinstance(rec.output, ad._Slot)
         for t in rec.inputs:
             assert t is None or isinstance(t, ad._Slot) or (t.requires_grad and t._slot is None)
-    # the noise draws, the only 4-D constants, are freed before backward
+    # the 4-D constants, the noise draws and the predictor's targets, are
+    # freed before backward
     draws = [ref for ndim, ref in constants if ndim == 4]
-    assert len(draws) == 2 * n_steps - 1
+    assert len(draws) == 3 * n_steps - 1
     assert all(ref() is None for ref in draws)
     # so are the values no backward reads: one predicted noise per reverse
     # step; two relus per graph+time pass
@@ -545,19 +554,13 @@ def test_step_embeddings_are_one_read_only_row_per_step():
                                           math.cos(4 * freqs[0])], rtol=1e-15)
 
 
-def test_a_default_forward_adds_the_step_embedding_to_the_norm_shift():
-    # the embedding joins ln_beta in a (C,) add, one per reverse step, so no
-    # add record of the default diffusion forward grows to the latent's size
+def test_a_default_forward_adds_the_step_embedding_to_the_norm_shift(default_step):
+    # the embedding joins ln_beta in a (C,) unit-weight lincomb, one per
+    # reverse step, so the sum never grows to the latent's size
     config = ModelConfig()
-    model = build_model(config)
-    obs = np.random.default_rng(27).standard_normal((config.batch_size, 16,
-                                                     config.n_vertices, 3)) * 100.0
-    with Tape() as tape:
-        model.forward(obs, np.zeros(obs.shape[:3]), seed=0)
-    adds = [rec for rec in tape.records if rec.name == "add"]
-    beta = model.core.predictor.p["ln_beta"]
-    assert sum(any(t is beta for t in rec.inputs) for rec in adds) == config.diffusion_steps
-    assert max(math.prod(rec.output.shape) for rec in adds) <= config.channels
+    _, _, records = default_step("diffusion")
+    shifts = [(name, shape) for name, shape, takes_beta in records if takes_beta]
+    assert shifts == [("lincomb", (config.channels,))] * config.diffusion_steps
 
 
 def test_block_alpha_one_equals_deterministic_path():
@@ -592,7 +595,7 @@ def test_block_gradcheck_miniature():
         block.cond_attn.p["wq"] = wq_t
         block.predictor.p["head"] = head_t
         out, eps_loss = block(x, ctx, seed=11)
-        return ad.add(ad.sum_(out), eps_loss)
+        return oracle.add(ad.sum_(out), eps_loss)
 
     err = gradcheck(run, [x0, wq, head], max_coords=10)
     assert err < 1e-4
@@ -623,7 +626,7 @@ def test_block_trains_on_sinusoid_latents():
     for step in range(200):
         with Tape() as tape:
             out, eps_loss = block(tokens, holder["rows"], seed=100 + step)
-            loss = ad.add(ad.mse(out, target), ad.mul(eps_loss, 0.1))
+            loss = oracle.add(ad.mse(out, target), ad.mul(eps_loss, 0.1))
         tape.backward(loss)
         opt.step()
 

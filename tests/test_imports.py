@@ -158,4 +158,4 @@ def test_every_differentiable_op_runs_outside_the_tests():
     used = names_outside_own_def(AUTODIFF.read_text()).union(*(
         autodiff_names(p.read_text()) for p in [*PACKAGE, *ROOT.glob("perfbench/**/*.py")]
         if p != AUTODIFF))
-    assert sorted(ops - used - {"as_tensor", "constant"}) == []
+    assert sorted(ops - used) == []

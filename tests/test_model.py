@@ -198,27 +198,27 @@ def test_a_zero_part_loss_weight_leaves_the_part_term_out():
 # the tape records of one default training step, counted per op; an exact
 # census also pins the step's total (988 with diffusion, 33 without), and a
 # change to it reads per op. Without diffusion: encoder, graph+time stack
-# (two self-attention layers), head, one part-loss record per level, and one
-# lincomb for the weighted term. With it, the 50-step noising and reverse
-# chains add the lincombs, the predictors' layers, 100 cross-attention and
-# 50 more self-attention layers.
+# (two self-attention layers), head, one part-loss record per level, and two
+# lincombs: the levels' sum and the weighted term. With it, the 50-step
+# noising and reverse chains add the lincombs (the steps, the norm shifts and
+# the eps terms' running sum), the predictors' layers, 100 cross-attention
+# and 50 more self-attention layers.
 DEFAULT_STEP_CENSUS = {
     "diffusion": {
-        "matmul": 159, "reshape": 106, "relu": 105, "transpose": 105, "lincomb": 102,
-        "add": 100, "attention_layer": 100, "self_attention_layer": 52, "conv3d": 52,
+        "lincomb": 202, "matmul": 159, "reshape": 106, "relu": 105, "transpose": 105,
+        "attention_layer": 100, "self_attention_layer": 52, "conv3d": 52,
         "mse": 51, "layer_norm": 50, "affine": 3, "segment_softmax_kl": 2, "mul": 1,
     },
     "deterministic": {
         "reshape": 6, "matmul": 5, "relu": 5, "transpose": 5, "affine": 3, "conv3d": 2,
-        "self_attention_layer": 2, "segment_softmax_kl": 2, "mse": 1, "add": 1,
-        "lincomb": 1,
+        "self_attention_layer": 2, "segment_softmax_kl": 2, "lincomb": 2, "mse": 1,
     },
 }
 
 
 @pytest.mark.parametrize("workload", sorted(DEFAULT_STEP_CENSUS))
 def test_default_step_census(default_step, workload):
-    census, _ = default_step(workload)
+    census, _, _ = default_step(workload)
     assert census == DEFAULT_STEP_CENSUS[workload]
 
 

@@ -25,7 +25,7 @@ def part_kl(y_pred: Tensor | np.ndarray, y_true: Tensor | np.ndarray) -> Tensor:
         raise ShapeError(f"support mismatch: {y_pred.shape} vs {y_true.shape}")
     log_pred = oracle.log(oracle.clip_min(y_pred, PROB_FLOOR))
     # 0*log 0 = 0 on the target side: floor inside the log, zero outside
-    log_true = ad.constant(np.log(np.maximum(y_true.data, PROB_FLOOR)))
+    log_true = Tensor(np.log(np.maximum(y_true.data, PROB_FLOOR)))
     per_entry = ad.mul(y_true, oracle.sub(log_true, log_pred))
     summed = ad.sum_(per_entry, axis=per_entry.ndim - 1)
     return oracle.mean(summed) if summed.ndim > 0 else summed
@@ -39,18 +39,18 @@ def softmax_pool(vertex_features, starts) -> list[Tensor]:
     """
     feats = ad.as_tensor(vertex_features)
     sq = ad.sum_(ad.mul(feats, feats), axis=2)
-    scores = oracle.sqrt(ad.add(sq, 1e-12))  # (S, n)
+    scores = oracle.sqrt(oracle.add(sq, 1e-12))  # (S, n)
     ends = [*starts[1:], feats.shape[1]]
     return [ad.softmax(oracle.take_slice(scores, 1, s, e)) for s, e in zip(starts, ends)]
 
 
 def hh_loss_loop(pred_features, true_features, starts, weights) -> Tensor:
     pred = softmax_pool(pred_features, starts)
-    true = softmax_pool(ad.constant(ad.as_tensor(true_features).data), starts)
+    true = softmax_pool(Tensor(ad.as_tensor(true_features).data), starts)
     total = None
     for p in range(len(starts)):
         term = ad.mul(part_kl(pred[p], true[p]), float(weights[p]))
-        total = term if total is None else ad.add(total, term)
+        total = term if total is None else oracle.add(total, term)
     return total
 
 
@@ -105,7 +105,7 @@ def test_part_kl_gradient():
     pred = pred / pred.sum()
     true = rng.random(5) + 0.1
     true = true / true.sum()
-    assert gradcheck(lambda p: part_kl(p, ad.constant(true)), [pred]) < 1e-4
+    assert gradcheck(lambda p: part_kl(p, true), [pred]) < 1e-4
 
 
 def _assert_probability_rows(dist):
@@ -249,7 +249,7 @@ def test_hh_loss_gradient():
     pred = rng.standard_normal((1, 6, 3))
     true = rng.standard_normal((1, 6, 3))
     lam = part_weights_from_variance(rng.standard_normal((1, 6, 3)), [0, 3])
-    err = gradcheck(lambda p: hh_loss(p, ad.constant(true), [0, 3], lam), [pred])
+    err = gradcheck(lambda p: hh_loss(p, true, [0, 3], lam), [pred])
     assert err < 1e-4
 
 
@@ -306,9 +306,9 @@ def hh_loss_composite(pred_features, true_features, starts, weights) -> Tensor:
     """hh_loss as five records: each side's scores from mul, sum_, add and
     sqrt (the target's record nothing), then the KL on the scores."""
     def scores(f):
-        return oracle.sqrt(ad.add(ad.sum_(ad.mul(f, f), axis=2), 1e-12))
+        return oracle.sqrt(oracle.add(ad.sum_(ad.mul(f, f), axis=2), 1e-12))
 
-    return scores_kl(scores(pred_features), scores(ad.constant(true_features)),
+    return scores_kl(scores(pred_features), scores(true_features),
                      starts, weights)
 
 

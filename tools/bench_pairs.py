@@ -33,8 +33,10 @@ beside the per-op record census the tests pin. It is rewritten after every
 pair, so an interrupted series keeps what it ran.
 
 When the series ends, one verdict line per workload goes to standard error:
-the pairs with equal digests, the metrics worse than their bound, and the
-runs that were not correct. The tool exits 1 when any run was not correct.
+the pairs with equal digests, the metrics worse than their bound, the runs
+that were not correct, and each side's failed share, flagged
+"(change higher)" when the change's is higher than the base's. The tool
+exits 1 when any run was not correct.
 """
 
 from __future__ import annotations
@@ -139,9 +141,16 @@ def verdict(workload: str, pairs: list[dict], summary: dict) -> str:
     worse = [name for name, m in summary["metrics"].items() if m["worse_beyond_bound"]]
     wrong = [f"seed {p['seed']} {side}" for p in pairs for side in SIDES
              if not p[side]["correct"]]
+    base, change = (summary["failed_share"][side] for side in SIDES)
+    higher = " (change higher)" if (change or 0.0) > (base or 0.0) else ""
     return (f"{workload}: equal digests in {summary['digests_equal']} of "
             f"{summary['pairs']} pairs; worse beyond bound: {', '.join(worse) or 'none'}; "
-            f"not correct: {', '.join(wrong) or 'none'}")
+            f"not correct: {', '.join(wrong) or 'none'}; "
+            f"failed share: base {_share(base)}, change {_share(change)}{higher}")
+
+
+def _share(x: float | None) -> str:
+    return "none" if x is None else f"{x:.3g}"
 
 
 def _failed_share(runs: list[dict]) -> float | None:
