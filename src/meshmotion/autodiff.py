@@ -213,9 +213,7 @@ def _slot_of(t: Tensor) -> Tensor | _Slot:
 
 def as_tensor(x) -> Tensor:
     """``x`` itself if it is a :class:`Tensor`, else raw data wrapped as a
-    tensor that takes no gradient. Every op takes its operands through it, so
-    a constant (a noise draw, an embedding, the encoder's input) passes as a
-    raw array."""
+    tensor that takes no gradient: how every op takes a constant operand."""
     if isinstance(x, Tensor):
         return x
     return Tensor(x)
@@ -592,9 +590,9 @@ def affine(x, w, c) -> Tensor:
     ``c`` is a bias or a residual: it broadcasts onto the product without
     growing it. The value and each gradient are bit-identical to
     ``matmul(x, w)`` with ``c`` added after; the product's own output, which
-    no backward reads, is not kept on the tape. The backward keeps ``x`` only for the
-    ``w`` gradient and ``w`` only for the ``x`` gradient, and of ``c`` its
-    shape.
+    no backward reads, is not kept on the tape. The backward keeps ``x`` only
+    for the ``w`` gradient and ``w`` only for the ``x`` gradient, and of
+    ``c`` its shape.
     """
     x, w, c = as_tensor(x), as_tensor(w), as_tensor(c)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]:
