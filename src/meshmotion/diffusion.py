@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .body_graph import BodyGraph, GraphConvLayer
+from .body_graph import GraphConvLayer
 
 _KERNEL = 3  # every 3D convolution's extent along T, H and W
 _TAIL = 0.05  # the cumulative signal fraction the last noising step keeps
@@ -51,9 +51,9 @@ class DiffusionSchedule:
         return len(self.alpha)
 
     def validate(self) -> None:
-        if self.n_steps < 2:
-            raise ScheduleError(f"need at least 2 steps, got {self.n_steps}")
-        if np.any(self.alpha <= 0.0) or np.any(self.alpha > 1.0):
+        if self.alpha.ndim != 1 or self.n_steps < 2:
+            raise ScheduleError(f"need a 1-D alpha of at least 2 steps, got {self.alpha.shape}")
+        if not np.all((self.alpha > 0.0) & (self.alpha <= 1.0)):  # NaN fails both
             raise ScheduleError("alpha values must lie in (0, 1]")
 
 
@@ -187,7 +187,6 @@ class AttentionLayer:
     """
 
     def __init__(self, width: int, rng: np.random.Generator):
-        self.width = width
         self.p = {
             "wq": _init(rng, (width, width)),
             "wk": _init(rng, (width, width)),
@@ -196,8 +195,6 @@ class AttentionLayer:
         }
 
     def keys_values(self, context: Tensor) -> tuple[Tensor, Tensor]:
-        if context.shape[-1] != self.width:
-            raise ShapeError(f"context width {context.shape[-1]} != layer width {self.width}")
         return ad.matmul(context, self.p["wk"]), ad.matmul(context, self.p["wv"])
 
     def __call__(self, query: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -274,10 +271,7 @@ class FeatureStack:
         self.passes = [GraphTimePass(channels, grid, coarse_adj, rng) for _ in range(2)]
 
     def layers(self):
-        out = []
-        for p in self.passes:
-            out += p.layers()
-        return out
+        return [layer for p in self.passes for layer in p.layers()]
 
     def __call__(self, x: Tensor) -> Tensor:
         for p in self.passes:
@@ -289,26 +283,26 @@ class NoisePredictor:
     """Estimates the noise component of a latent at a given diffusion step.
 
     Input normalization -> 3D conv -> per-frame graph conv -> temporal
-    self-attention -> linear head (zero-init). The step's sinusoidal
-    embedding (a row of :func:`step_embeddings`) joins the normalization's
-    shift, so it adds to the channel axis through a (C,) record rather than
-    a full-size one.
+    self-attention -> linear head (zero-init). It owns the step embeddings
+    (:func:`step_embeddings`); step t's row joins the normalization's shift,
+    so it adds to the channel axis through a (C,) record, not a full-size one.
     """
 
     def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
-                 rng: np.random.Generator):
+                 n_steps: int, rng: np.random.Generator):
         self.pass_ = GraphTimePass(channels, grid, coarse_adj, rng)
         self.p = {
             "ln_gamma": Tensor(np.ones(channels), requires_grad=True),
             "ln_beta": Tensor(np.zeros(channels), requires_grad=True),
             "head": Tensor(np.zeros((channels, channels)), requires_grad=True),
         }
+        self.embeddings = step_embeddings(n_steps, channels)
 
     def layers(self):
         return [self] + self.pass_.layers()
 
-    def __call__(self, x: Tensor, embedding: np.ndarray) -> Tensor:
-        shift = ad.lincomb(self.p["ln_beta"], 1.0, embedding, 1.0)
+    def __call__(self, x: Tensor, step: int) -> Tensor:
+        shift = ad.lincomb(self.p["ln_beta"], 1.0, self.embeddings[step - 1], 1.0)
         x = ad.layer_norm(x, self.p["ln_gamma"], shift)
         return ad.matmul(self.pass_(x), self.p["head"])
 
@@ -316,12 +310,15 @@ class NoisePredictor:
 class DiffusionBlock:
     """Full noising/denoising block over (B, T, S, C) latent tokens.
 
+    Built from its sublayers' inputs (channels, the (H, W) grid, the coarse
+    adjacency), the schedule and the row count of the learned sequence
+    context, a (context_rows, C) table it owns as ``p["context"]``.
+
     Forward: per-step noise mixing, each step followed by cross-attention
-    against the learned sequence context, an (L, C) table of rows. A two-pass
-    graph+time stack then summarizes temporal dependencies, which condition
-    every reverse step through cross-attention before the denoising update.
-    Each call projects the context and the dependencies to keys and values
-    once, before the chain that attends to them.
+    against the context. A two-pass graph+time stack then summarizes temporal
+    dependencies, which condition every reverse step through cross-attention
+    before the denoising update. Each call projects the context and the
+    dependencies to keys and values once, before the chain that attends to them.
     Deterministic given the seed; returns the denoised tokens plus the mean
     squared error between the predicted noise and the noise component of the
     live state, (z_t - sqrt(alpha_bar_t) x0) / sqrt(1 - alpha_bar_t), averaged
@@ -329,27 +326,24 @@ class DiffusionBlock:
     term joins a running sum, which is scaled by 1 / n_steps at the end.
     """
 
-    def __init__(self, graph: BodyGraph, channels: int, grid: tuple[int, int],
-                 schedule: DiffusionSchedule, *, rng: np.random.Generator):
+    def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
+                 schedule: DiffusionSchedule, context_rows: int, *, rng: np.random.Generator):
         h, w = grid
-        if h * w != graph.n_coarse:
-            raise ShapeError(
-                f"latent grid {h}x{w} must match coarse vertex count {graph.n_coarse}"
-            )
+        self.n_sites = coarse_adj.shape[0]
+        if h * w != self.n_sites:
+            raise ShapeError(f"latent grid {h}x{w} must match coarse vertex count {self.n_sites}")
         self.schedule = schedule
-        coarse_adj = graph.coarse_adjacency()  # one constant for the stack and the predictor
-        self.n_sites = graph.n_coarse
         self.context_attn = AttentionLayer(channels, rng=rng)
         self.stack = FeatureStack(channels, grid, coarse_adj, rng)
         self.cond_attn = AttentionLayer(channels, rng=rng)
-        self.predictor = NoisePredictor(channels, grid, coarse_adj, rng)
-        self.step_embedding = step_embeddings(schedule.n_steps, channels)
+        self.predictor = NoisePredictor(channels, grid, coarse_adj, schedule.n_steps, rng)
+        self.p = {"context": _init(rng, (context_rows, channels), scale=0.3)}
 
     def layers(self):
         return ([self.context_attn, self.cond_attn]
-                + self.stack.layers() + self.predictor.layers())
+                + self.stack.layers() + self.predictor.layers() + [self])
 
-    def __call__(self, x0: Tensor, context: Tensor, seed: int) -> tuple[Tensor, Tensor]:
+    def __call__(self, x0: Tensor, seed: int) -> tuple[Tensor, Tensor]:
         if x0.ndim != 4 or x0.shape[2] != self.n_sites:
             raise ShapeError(
                 f"block input must be (B, T, {self.n_sites}, C) tokens, got {x0.shape}"
@@ -363,7 +357,7 @@ class DiffusionBlock:
             return np.swapaxes(rng.standard_normal((b, t, c, s)), 2, 3)
 
         # forward noising with context cross-attention after every step
-        ctx_kv = self.context_attn.keys_values(context)
+        ctx_kv = self.context_attn.keys_values(self.p["context"])
         x = x0
         for step in range(1, sched.n_steps + 1):
             x = self.context_attn(forward_noise_step(x, step, sched, draw()), *ctx_kv)
@@ -378,7 +372,7 @@ class DiffusionBlock:
         eps_sum = None
         for step in range(sched.n_steps, 0, -1):
             z = self.cond_attn(z, *deps_kv)
-            eps_hat = self.predictor(z, self.step_embedding[step - 1])
+            eps_hat = self.predictor(z, step)
             abar = float(sched.alpha_bar[step - 1])
             if 1.0 - abar > 0.0:
                 target = (z.data - math.sqrt(abar) * x0.data) / math.sqrt(1.0 - abar)

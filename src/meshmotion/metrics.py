@@ -65,6 +65,9 @@ class JointRegressor:
     root_joint: int = 0
 
     def __post_init__(self):
+        if self.matrix.ndim != 2 or not 0 <= self.root_joint < self.matrix.shape[0]:
+            raise MetricsError(f"regressor needs a 2-D matrix and a root joint among its rows, "
+                               f"got {self.matrix.shape} and {self.root_joint}")
         if np.any(self.matrix < 0):
             raise MetricsError("regressor rows must be nonnegative")
         if not np.allclose(self.matrix.sum(axis=1), 1.0, atol=1e-12):

@@ -5,6 +5,8 @@ grid whose spatial sites are coarse mesh vertices -> diffusion block (or the
 deterministic graph+time stack when diffusion is off) -> linear up-projection
 to fine vertices -> per-vertex regression head. Training optimizes vertex
 error plus optional part-distribution and noise-prediction terms with Adam.
+Each layer holds the tables it reads (the block its context, the noise
+predictor its step embeddings); both cores are built from the coarse adjacency.
 """
 
 from __future__ import annotations
@@ -136,17 +138,13 @@ class Model:
         self.enc2 = Linear(config.encoder_hidden, c * h * w, rng)
         self.head = Linear(c, 3, rng)
 
+        coarse_adj = graph.coarse_adjacency()
         if config.diffusion_on:
-            self.core = DiffusionBlock(
-                self.graph, c, (h, w), make_schedule(config.diffusion_steps), rng=rng,
-            )
-            self.context_p = {
-                "rows": Tensor(rng.standard_normal((config.context_rows, c)) * 0.3,
-                               requires_grad=True),
-            }
+            schedule = make_schedule(config.diffusion_steps)
+            self.core = DiffusionBlock(c, (h, w), coarse_adj, schedule, config.context_rows,
+                                       rng=rng)
         else:
-            self.core = FeatureStack(c, (h, w), graph.coarse_adjacency(), rng)
-            self.context_p = None
+            self.core = FeatureStack(c, (h, w), coarse_adj, rng)
 
     def param_slots(self) -> dict[str, tuple[dict, str]]:
         slots: dict[str, tuple[dict, str]] = {}
@@ -156,14 +154,13 @@ class Model:
         for i, layer in enumerate(self.core.layers()):
             for k in layer.p:
                 slots[f"core.{i}.{k}"] = (layer.p, k)
-        if self.context_p is not None:
-            slots["context.rows"] = (self.context_p, "rows")
         return slots
 
     def forward(self, observations: np.ndarray, mask: np.ndarray, seed: int) -> dict:
         """observations (B, T, n, 3) mm and mask (B, T, n) -> prediction dict.
 
-        Any other shape, or B or T of 0, raises ``ConfigError``.
+        Any other shape, B or T of 0, or a seed that is not a non-negative
+        integer raises ``ConfigError``.
         """
         cfg = self.config
         obs = np.asarray(observations, dtype=np.float64)
@@ -176,6 +173,8 @@ class Model:
         if B == 0 or T == 0:
             raise ConfigError(f"observations need B >= 1 sequences of T >= 1 frames, "
                               f"got B={B} and T={T}")
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         c, h, w = cfg.channels, cfg.height, cfg.width
 
         frame_in = np.concatenate([
@@ -187,7 +186,7 @@ class Model:
         tokens = ad.transpose(ad.reshape(x, (B, T, c, h * w)), (0, 1, 3, 2))
 
         if cfg.diffusion_on:
-            tokens, eps_loss = self.core(tokens, self.context_p["rows"], seed)
+            tokens, eps_loss = self.core(tokens, seed)
         else:
             tokens = self.core(tokens)
             eps_loss = None
@@ -196,6 +195,7 @@ class Model:
         fine_feats = ad.matmul(self.graph.up_matrix, coarse_feats)  # (B*T, n, C)
         pred_scaled = self.head(fine_feats)                         # model units
         return {
+            "batch": (B, T),
             "pred_scaled": pred_scaled,
             "coarse_feats": coarse_feats,
             "fine_feats": fine_feats,
@@ -210,18 +210,19 @@ class Model:
 
         The part term sums one :func:`hh_loss` per level of ``part_starts``,
         coarse then fine; a ``part_loss_weight`` of 0 leaves it out.
-        ``part_weights`` gives each level's part weights; by default they derive from the current features through
-        :meth:`part_weight_levels`. The weights carry no gradient either way;
-        passing them in lets finite differencing match. ``gt_vertices`` must
-        be the prediction's (B, T, n, 3) in mm; any other shape raises
-        ``ConfigError``.
+        ``part_weights`` gives each level's part weights; by default they
+        derive from the current features through :meth:`part_weight_levels`.
+        The weights carry no gradient either way; passing them in lets finite
+        differencing match. ``gt_vertices`` must be the prediction's
+        (B, T, n, 3) in mm, with (B, T) the batch ``out["batch"]``; any other
+        shape raises ``ConfigError``.
         """
         cfg = self.config
         gt = np.asarray(gt_vertices, dtype=np.float64)
         rows, n, _ = out["pred_scaled"].shape
-        if gt.ndim != 4 or gt.shape[2:] != (n, 3) or gt.shape[0] * gt.shape[1] != rows:
-            raise ConfigError(f"gt_vertices {gt.shape} must be the prediction's (B, T, n, 3), "
-                              f"with B*T = {rows} and n = {n}")
+        want = (*out["batch"], n, 3)
+        if gt.shape != want:
+            raise ConfigError(f"gt_vertices {gt.shape} must be the prediction's {want}")
         gt_scaled = gt.reshape(rows, n, 3) * MM_SCALE
         total = ad.mse(out["pred_scaled"], gt_scaled)
         if cfg.part_loss_weight > 0.0:

@@ -48,7 +48,9 @@ def test_schedule_rejects_tiny():
     [0.9],                                   # one step
     [0.9, 0.0],                              # alpha outside (0, 1]
     [0.9, 1.5],
-], ids=["alpha0-alpha_bar0", "alpha1-alpha_bar1", "alpha2-alpha_bar2"])
+    [float("nan"), 0.5],                     # NaN passes neither bound test
+    [[0.9, 0.9], [0.9, 0.9]],                # 2 steps, but 4 alpha_bar entries
+], ids=["alpha0-alpha_bar0", "alpha1-alpha_bar1", "alpha2-alpha_bar2", "nan", "two_d"])
 def test_schedule_validate_raises_schedule_error(alpha):
     sched = DiffusionSchedule(alpha=np.array(alpha))
     with pytest.raises(ScheduleError):
@@ -290,17 +292,16 @@ def _block_setup(seed=0, channels=4, n_steps=2, grid=(1, 8)):
     graph = generate_toy_body(2, 1)
     sched = make_schedule(n_steps)
     rng = np.random.default_rng(seed)
-    block = DiffusionBlock(graph, channels, grid, sched, rng=rng)
-    ctx = Tensor(rng.standard_normal((3, channels)) * 0.3, requires_grad=True)
-    return graph, block, ctx
+    block = DiffusionBlock(channels, grid, graph.coarse_adjacency(), sched, 3, rng=rng)
+    return graph, block, block.p["context"]
 
 
 def test_block_same_seed_bitwise_identical():
     _, block, ctx = _block_setup()
     rng = np.random.default_rng(20)
     x = _tokens((1, 2, 8, 4), rng)
-    out1, loss1 = block(x, ctx, seed=5)
-    out2, loss2 = block(x, ctx, seed=5)
+    out1, loss1 = block(x, seed=5)
+    out2, loss2 = block(x, seed=5)
     np.testing.assert_array_equal(out1.data, out2.data)
     assert loss1.item() == loss2.item()
 
@@ -309,7 +310,7 @@ def test_block_shape_preserved():
     _, block, ctx = _block_setup(grid=(2, 4))
     rng = np.random.default_rng(21)
     x = _tokens((2, 3, 8, 4), rng)
-    out, eps_loss = block(x, ctx, seed=1)
+    out, eps_loss = block(x, seed=1)
     assert out.shape == x.shape
     assert eps_loss.shape == ()
 
@@ -317,10 +318,11 @@ def test_block_shape_preserved():
 def test_block_rejects_grid_vertex_mismatch():
     graph, block, ctx = _block_setup()
     with pytest.raises(ShapeError):
-        DiffusionBlock(graph, 4, (1, 7), make_schedule(2), rng=np.random.default_rng(0))
+        DiffusionBlock(4, (1, 7), graph.coarse_adjacency(), make_schedule(2), 3,
+                       rng=np.random.default_rng(0))
     rng = np.random.default_rng(22)
     with pytest.raises(ShapeError):
-        block(_tokens((1, 2, 7, 4), rng), ctx, seed=0)
+        block(_tokens((1, 2, 7, 4), rng), seed=0)
 
 
 def test_block_projects_each_context_once_per_call():
@@ -329,7 +331,7 @@ def test_block_projects_each_context_once_per_call():
     _, block, ctx = _block_setup(n_steps=3)
     x = _tokens((1, 2, 8, 4), np.random.default_rng(25))
     with Tape() as tape:
-        block(x, ctx, seed=4)
+        block(x, seed=4)
     for layer in (block.context_attn, block.cond_attn):
         for key in ("wk", "wv"):
             w = layer.p[key]
@@ -354,7 +356,7 @@ def test_chain_records_one_per_noise_step_and_one_per_reverse_step(monkeypatch):
     for name, calls in steps.items():
         monkeypatch.setattr(diffusion, name, recording(getattr(diffusion, name), calls))
     with Tape() as tape:
-        block(x, ctx, seed=4)
+        block(x, seed=4)
     assert steps["forward_noise_step"] == [["lincomb"]] * 3
     # t = 3, 2 add the scaled draw as the shift; t = 1 has none
     assert steps["reverse_step"] == [["lincomb"]] * 3
@@ -375,7 +377,7 @@ def test_each_attention_layer_call_records_one_attention_layer(
     x = Tensor(np.random.default_rng(31).standard_normal((1, 2, 8, 4)), requires_grad=True)
     with Tape() as tape:
         calls = record_attention_calls(monkeypatch, tape)
-        block(x, ctx, seed=4)
+        block(x, seed=4)
     # three context calls, one per stack pass, then per reverse step the
     # conditioning call and the predictor's
     assert calls == [cross] * 3 + [self_] * 2 + [cross, self_] * 3
@@ -465,7 +467,7 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
         x = Tensor(np.random.default_rng(29).standard_normal((1, 2, 8, 4)), requires_grad=True)
         n_steps = 3
         with Tape() as tape:
-            block(x, ctx, seed=4)
+            block(x, seed=4)
     else:
         config = ModelConfig()
         model = build_model(config)
@@ -570,7 +572,7 @@ def test_block_alpha_one_equals_deterministic_path():
     block.schedule = DiffusionSchedule(alpha=np.ones(2))
     rng = np.random.default_rng(23)
     x = _tokens((1, 2, 8, 4), rng)
-    out, _ = block(x, ctx, seed=3)
+    out, _ = block(x, seed=3)
 
     # manual replay without any noise arithmetic
     v = x
@@ -594,7 +596,7 @@ def test_block_gradcheck_miniature():
     def run(x, wq_t, head_t):
         block.cond_attn.p["wq"] = wq_t
         block.predictor.p["head"] = head_t
-        out, eps_loss = block(x, ctx, seed=11)
+        out, eps_loss = block(x, seed=11)
         return oracle.add(ad.sum_(out), eps_loss)
 
     err = gradcheck(run, [x0, wq, head], max_coords=10)
@@ -618,19 +620,17 @@ def test_block_trains_on_sinusoid_latents():
     for i, layer in enumerate(block.layers()):
         for k in layer.p:
             slots[f"l{i}.{k}"] = (layer.p, k)
-    holder = {"rows": ctx}
-    slots["ctx.rows"] = (holder, "rows")
 
     opt = Adam(slots, lr=3e-3)
     target = Tensor(x0)
     for step in range(200):
         with Tape() as tape:
-            out, eps_loss = block(tokens, holder["rows"], seed=100 + step)
+            out, eps_loss = block(tokens, seed=100 + step)
             loss = oracle.add(ad.mse(out, target), ad.mul(eps_loss, 0.1))
         tape.backward(loss)
         opt.step()
 
-    out, _ = block(tokens, holder["rows"], seed=999)
+    out, _ = block(tokens, seed=999)
     final_mse = float(((out.data - x0) ** 2).mean())
 
     # raw noised input at the last step (no denoising at all)

@@ -8,6 +8,7 @@ from meshmotion.body_graph import DEFAULT_PARTS, generate_toy_body
 from meshmotion.synth import MotionConfig, generate_sequence
 from meshmotion.metrics import (
     AlignmentError,
+    JointRegressor,
     MetricsError,
     PoseError,
     _JOINT_SPECS,
@@ -165,6 +166,19 @@ def test_regressor_rows_convex():
     assert reg.matrix.shape[0] == 14
     assert np.all(reg.matrix >= 0)
     np.testing.assert_allclose(reg.matrix.sum(axis=1), np.ones(14), atol=1e-12)
+
+
+@pytest.mark.parametrize("matrix, root", [
+    (np.full((14, 4), 0.25), 14),     # one past the last joint
+    (np.full((14, 4), 0.25), -1),
+    (np.full((14, 4), 0.25), 99),
+    (np.full(4, 0.25), 0),            # one joint's row without its joint axis
+], ids=["root_14", "root_minus_1", "root_99", "one_d"])
+def test_regressor_rejects_a_bad_root_or_rank(matrix, root):
+    # either would fail inside compute_metrics with a numpy error rather
+    # than the MetricsError a caller counts
+    with pytest.raises(MetricsError, match="2-D matrix and a root joint"):
+        JointRegressor(matrix, root_joint=root)
 
 
 def test_pelvis_and_chest_sit_where_the_rest_pose_puts_them():

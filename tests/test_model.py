@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -109,7 +110,7 @@ def test_build_determinism():
 def test_no_schedule_allocated_when_diffusion_off():
     model = build_model(tiny_config(diffusion_on=False))
     assert not hasattr(model.core, "schedule")
-    assert model.context_p is None
+    assert not hasattr(model.core, "p")  # no context table either
 
 
 def test_forward_shape_contract():
@@ -149,13 +150,26 @@ def test_empty_batch_or_sequence_raises_config_error(diffusion_on):
         evaluate(model, [empty])
 
 
-@pytest.mark.parametrize("gt_shape", [(1, 3, 16, 3), (2, 3, 17, 3)],
-                         ids=["batch_of_one", "one_vertex_more"])
+# (3, 2) and (1, 6) hold the batch's 6 frames, grouped into other sequences
+@pytest.mark.parametrize("gt_shape", [(1, 3, 16, 3), (2, 3, 17, 3), (3, 2, 16, 3), (1, 6, 16, 3)],
+                         ids=["batch_of_one", "one_vertex_more", "regrouped", "one_sequence"])
 def test_loss_rejects_ground_truth_of_another_shape(gt_shape):
     model = build_model(tiny_config())
     out = model.forward(np.zeros((2, 3, 16, 3)), np.zeros((2, 3, 16)), seed=0)
     with pytest.raises(ConfigError, match="must be the prediction's"):
         model.loss(out, np.zeros(gt_shape))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("diffusion_on", [True, False], ids=["diffusion", "deterministic"])
+def test_forward_rejects_a_seed_that_is_not_a_non_negative_integer(diffusion_on, seed):
+    # the deterministic core reads no seed, yet rejects the same ones
+    model = build_model(tiny_config(diffusion_on=diffusion_on))
+    seq = generate_sequence(MotionConfig(graph=model.graph, frames=3), seed=0)
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        model.forward(seq.observations[None], seq.occlusion_mask[None], seed=seed)
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        model.predict(seq, seed=seed)
 
 
 def test_train_rejects_sequences_of_different_shapes():
@@ -220,6 +234,24 @@ DEFAULT_STEP_CENSUS = {
 def test_default_step_census(default_step, workload):
     census, _, _ = default_step(workload)
     assert census == DEFAULT_STEP_CENSUS[workload]
+
+
+# the default initial parameters: the sha256 of the sorted per-slot digests
+# (each of a slot's shape and bytes), so slot names and order do not count,
+# but a refactor that moves a draw does
+DEFAULT_PARAMS_SHA256 = {
+    "diffusion": "7f9695ba2efb1d57dbfff78f642ca6b34e0c7c62f7ed6f859abb8ace7b1df6e9",
+    "deterministic": "914e09d4c8fa3892aa38724764eca9c785d8416e4389b49fe21d326c83e81d28",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(DEFAULT_PARAMS_SHA256))
+def test_default_initial_parameters_are_pinned(workload):
+    model = build_model(ModelConfig(diffusion_on=workload == "diffusion"))
+    digests = sorted(
+        hashlib.sha256(repr(h[k].shape).encode() + h[k].data.tobytes()).hexdigest()
+        for h, k in model.param_slots().values())
+    assert hashlib.sha256("".join(digests).encode()).hexdigest() == DEFAULT_PARAMS_SHA256[workload]
 
 
 def test_predict_deterministic():

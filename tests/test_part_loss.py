@@ -374,6 +374,7 @@ def test_hierarchical_loss_sums_levels(depth):
     graph = model.graph
     rng = np.random.default_rng(11)
     out = {
+        "batch": (1, 2),
         "pred_scaled": Tensor(rng.standard_normal((2, graph.n_vertices, 3))),
         "coarse_feats": Tensor(rng.standard_normal((2, graph.n_coarse, 4))),
         "fine_feats": Tensor(rng.standard_normal((2, graph.n_vertices, 4))),
