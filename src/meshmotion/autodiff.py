@@ -9,6 +9,15 @@ still to be used, not one per record. A backward returns None for an input
 that does not require a gradient (noise draws, targets, scalars), so
 constants cost no gradient arithmetic.
 
+An op run with no tape active (``Model.predict``, ``evaluate``, a gradient
+check's finite differences) keeps its value only: it returns through
+:func:`_result` before it builds its backward closure or computes what only
+that closure reads (gradient shapes, kept operands), so untaped ops run the
+same value expressions at less fixed cost. The shape checks that are pure
+functions of shapes (:func:`_broadcast_shape`, :func:`_check_attention`,
+:func:`_check_attention_layer`) are cached once per shape signature; a check
+that fails caches nothing and raises again on every bad call.
+
 The tape holds gradient slots, not values. A record's output tensor points at
 its slot (:class:`_Slot`: the gradient, the shape and a weak reference to the
 value), and a record's inputs and output are slots; a leaf is its own slot.
@@ -82,6 +91,7 @@ against central differences lives with the tests (``tests/oracle_ops.py``).
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from typing import Sequence
@@ -298,6 +308,13 @@ def _check_finite(name: str, what: str, arr: np.ndarray) -> None:
 
 
 def _result(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward) -> Tensor:
+    """``out_data`` as op ``name``'s read-only output, recorded with
+    ``backward`` when a tape is active and some input takes a gradient.
+
+    With no tape active an op passes None for ``backward``: it returns its
+    value here before it builds its closure or computes what only the
+    closure reads, so an untaped op keeps nothing but its value.
+    """
     arr = out_data
     if type(arr) is not np.ndarray or arr.dtype != np.float64:
         arr = np.asarray(arr, dtype=np.float64)
@@ -354,6 +371,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
+_SHAPE_CACHE = 256  # shape signatures each cached shape check keeps
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
 def _broadcast_shape(*shapes) -> tuple[int, ...] | None:
     """The numpy broadcast of ``shapes``, or None where they do not broadcast."""
     try:
@@ -382,6 +403,8 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise _no_broadcast("mul", a, b) from None
+    if not Tape._stack:
+        return _result("mul", (a, b), out, None)
     sa, sb = _grad_shape(a), _grad_shape(b)
     ax = a.data if sb is not None else None
     bx = b.data if sa is not None else None
@@ -432,6 +455,8 @@ def lincomb(a, alpha: float, b, beta: float, *, scale: float = 1.0, shift=None) 
             raise ShapeError(f"lincomb: shift {shift.shape} does not broadcast onto "
                              f"a·alpha + b·beta {out.shape} without growing it")
         out += shift
+    if not Tape._stack:
+        return _result("lincomb", (a, b), out, None)
     sa, sb = _grad_shape(a), _grad_shape(b)
 
     def backward(g):
@@ -454,8 +479,10 @@ def mse(pred, target) -> Tensor:
     if target.shape != p.shape:
         raise ShapeError(f"mse: prediction {p.shape} and target {target.shape} differ in shape")
     d = p.data - target
-    count = d.size
     out = (d * d).mean(axis=tuple(range(d.ndim)))
+    if not Tape._stack:
+        return _result("mse", (p,), out, None)
+    count = d.size
 
     def backward(g):
         half = g / count * d
@@ -469,7 +496,8 @@ def relu(a) -> Tensor:
     element, not the input."""
     a = as_tensor(a)
     mask = a.data > 0.0
-    return _result("relu", (a,), a.data * mask, lambda g: (g * mask,))
+    return _result("relu", (a,), a.data * mask,
+                   (lambda g: (g * mask,)) if Tape._stack else None)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +513,8 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     if math.prod(shape) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} (size {a.size}) to {shape}")
     old = a.shape
-    return _result("reshape", (a,), a.data.reshape(shape), lambda g: (g.reshape(old),))
+    return _result("reshape", (a,), a.data.reshape(shape),
+                   (lambda g: (g.reshape(old),)) if Tape._stack else None)
 
 
 def transpose(a, axes: Sequence[int]) -> Tensor:
@@ -494,8 +523,11 @@ def transpose(a, axes: Sequence[int]) -> Tensor:
     axes = tuple(int(x) for x in axes)
     if sorted(axes) != list(range(a.ndim)):
         raise ShapeError(f"axes {axes} is not a permutation of rank {a.ndim}")
+    out = np.transpose(a.data, axes)
+    if not Tape._stack:
+        return _result("transpose", (a,), out, None)
     inv = np.argsort(axes)
-    return _result("transpose", (a,), np.transpose(a.data, axes), lambda g: (np.transpose(g, inv),))
+    return _result("transpose", (a,), out, lambda g: (np.transpose(g, inv),))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +556,8 @@ def sum_(a, axis: int | None = None) -> Tensor:
     out = (_row_dot(a.data, np.ones(shape[-1])).reshape(shape[:-1]) if axes == (a.ndim - 1,)
            else a.data.sum(axis=axes))
     return _result("sum", (a,), out,
-                   lambda g: (np.broadcast_to(np.expand_dims(g, axes), shape).copy(),))
+                   (lambda g: (np.broadcast_to(np.expand_dims(g, axes), shape).copy(),))
+                   if Tape._stack else None)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +609,8 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     out = np.matmul(a.data, b.data)
+    if not Tape._stack:
+        return _result("matmul", (a, b), out, None)
     sa, sb = _grad_shape(a), _grad_shape(b)
     ax = a.data if sb is not None else None
     bx = b.data if sa is not None else None
@@ -604,6 +639,8 @@ def affine(x, w, c) -> Tensor:
     except ValueError:
         raise ShapeError(f"affine: c {c.shape} does not broadcast onto x @ w "
                          f"{out.shape} without growing it") from None
+    if not Tape._stack:
+        return _result("affine", (x, w, c), out, None)
     sx, sw, sc = _grad_shape(x), _grad_shape(w), _grad_shape(c)
     xx = x.data if sw is not None else None
     wx = w.data if sx is not None else None
@@ -629,7 +666,8 @@ def softmax(a) -> Tensor:
     if a.ndim == 0 or a.shape[-1] == 0:
         raise ShapeError(f"softmax needs a non-empty last axis, got {a.shape}")
     out = np.ascontiguousarray(_softmax_rows(a.data)[0])
-    return _result("softmax", (a,), out, lambda g: (_softmax_grad(g, out),))
+    return _result("softmax", (a,), out,
+                   (lambda g: (_softmax_grad(g, out),)) if Tape._stack else None)
 
 
 def _softmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -740,6 +778,8 @@ def segment_softmax_kl(features, target_features, starts, weights) -> Tensor:
     q = _segment_softmax(_row_norms(t.data), starts, seg)
     per_entry = q * (np.log(np.maximum(q, PROB_FLOOR)) - np.log(np.maximum(p, PROB_FLOOR)))
     out = np.add.reduceat(per_entry, starts, axis=1).mean(axis=0) @ w
+    if not Tape._stack:
+        return _result("segment_softmax_kl", (x, t), out, None)
     f = x.data if x.requires_grad else None
     rows = x.shape[0]
 
@@ -774,7 +814,7 @@ def layer_norm(a, gamma, beta) -> Tensor:
     if c == 0:
         raise ShapeError(f"layer_norm over the empty channel axis of {a.shape}")
     inv_c = np.full(c, 1.0 / c)
-    x, gd, sg, sb = a.data, gamma.data, gamma.shape, beta.shape
+    x, gd = a.data, gamma.data
 
     def centered() -> np.ndarray:
         return x - _row_dot(x, inv_c)
@@ -786,6 +826,9 @@ def layer_norm(a, gamma, beta) -> Tensor:
     normed /= std
     out = normed * gd
     out += beta.data
+    if not Tape._stack:
+        return _result("layer_norm", (a, gamma, beta), out, None)
+    sg, sb = gamma.shape, beta.shape
 
     def backward(g):
         normed = centered()
@@ -804,6 +847,7 @@ def _scores(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     return np.matmul(q, np.swapaxes(k, -1, -2)) * scale
 
 
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
 def _check_attention(name: str, q_shape: tuple[int, ...], k_shape: tuple[int, ...],
                      v_shape: tuple[int, ...]) -> None:
     """Raise :class:`ShapeError` unless a query of ``q_shape`` can attend to
@@ -843,22 +887,25 @@ def attention(query, key, value) -> Tensor:
     return matmul(softmax(scores), v)
 
 
-def _check_attention_layer(name: str, x: Tensor, wq: Tensor, k_shape: tuple[int, ...],
-                           v_shape: tuple[int, ...], wo: Tensor) -> None:
-    """Raise :class:`ShapeError` unless ``x`` projected by ``wq`` can attend
-    to keys of ``k_shape`` and values of ``v_shape`` whose leading axes
-    broadcast onto ``x``'s without growing them, and ``wo`` maps the
-    attended values back to ``x``'s width."""
-    if x.ndim < 2 or wq.ndim != 2 or wq.shape[0] != x.shape[-1]:
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _check_attention_layer(name: str, x_shape: tuple[int, ...], wq_shape: tuple[int, ...],
+                           k_shape: tuple[int, ...], v_shape: tuple[int, ...],
+                           wo_shape: tuple[int, ...]) -> None:
+    """Raise :class:`ShapeError` unless an ``x_shape`` input projected by a
+    ``wq_shape`` weight can attend to keys of ``k_shape`` and values of
+    ``v_shape`` whose leading axes broadcast onto ``x_shape``'s without
+    growing them, and a ``wo_shape`` weight maps the attended values back to
+    ``x_shape``'s width."""
+    if len(x_shape) < 2 or len(wq_shape) != 2 or wq_shape[0] != x_shape[-1]:
         raise ShapeError(f"{name} needs x (..., n, C) and wq (C, d), "
-                         f"got {x.shape} and {wq.shape}")
-    _check_attention(name, x.shape[:-1] + wq.shape[1:], k_shape, v_shape)
-    if wo.shape != (v_shape[-1], x.shape[-1]):
+                         f"got {x_shape} and {wq_shape}")
+    _check_attention(name, x_shape[:-1] + wq_shape[1:], k_shape, v_shape)
+    if wo_shape != (v_shape[-1], x_shape[-1]):
         raise ShapeError(f"{name} needs wo (e, C) for values (..., L, e) "
-                         f"and x (..., n, C), got {wo.shape}, {v_shape} and {x.shape}")
-    if _broadcast_shape(x.shape[:-2], k_shape[:-2], v_shape[:-2]) != x.shape[:-2]:
+                         f"and x (..., n, C), got {wo_shape}, {v_shape} and {x_shape}")
+    if _broadcast_shape(x_shape[:-2], k_shape[:-2], v_shape[:-2]) != x_shape[:-2]:
         raise ShapeError(f"{name}: keys {k_shape} and values {v_shape} "
-                         f"would grow the query's leading axes {x.shape[:-2]}")
+                         f"would grow the query's leading axes {x_shape[:-2]}")
 
 
 def _attention_forward(name: str, x: np.ndarray, wq: np.ndarray, k: np.ndarray,
@@ -943,9 +990,11 @@ def attention_layer(x, wq, k, v, wo) -> Tensor:
     and the scores grow with the square of the sequence length.
     """
     x, wq, k, v, wo = (as_tensor(t) for t in (x, wq, k, v, wo))
-    _check_attention_layer("attention_layer", x, wq, k.shape, v.shape, wo)
+    _check_attention_layer("attention_layer", x.shape, wq.shape, k.shape, v.shape, wo.shape)
     xx, wqx, kx, vx, wox = x.data, wq.data, k.data, v.data, wo.data
     out, m, s = _attention_forward("attention_layer", xx, wqx, kx, vx, wox)
+    if not Tape._stack:
+        return _result("attention_layer", (x, wq, k, v, wo), out, None)
     shapes = tuple(_grad_shape(t) for t in (x, wq, k, v, wo))
     return _result("attention_layer", (x, wq, k, v, wo), out,
                    lambda g: _attention_backward(g, xx, wqx, kx, vx, wox, m, s, shapes))
@@ -976,14 +1025,16 @@ def self_attention_layer(x, wq, wk, wv, wo) -> Tensor:
     if x.ndim < 2 or any(w.ndim != 2 or w.shape[0] != x.shape[-1] for w in (wk, wv)):
         raise ShapeError(f"{name} needs x (..., n, C) and wk, wv (C, ·), "
                          f"got {x.shape}, {wk.shape} and {wv.shape}")
-    _check_attention_layer(name, x, wq, x.shape[:-1] + wk.shape[1:],
-                           x.shape[:-1] + wv.shape[1:], wo)
+    _check_attention_layer(name, x.shape, wq.shape, x.shape[:-1] + wk.shape[1:],
+                           x.shape[:-1] + wv.shape[1:], wo.shape)
     xx, wqx, wkx, wvx, wox = x.data, wq.data, wk.data, wv.data, wo.data
     k = np.matmul(xx, wkx)
     _check_finite(name, "key projection", k)
     v = np.matmul(xx, wvx)
     _check_finite(name, "value projection", v)
     out, m, s = _attention_forward(name, xx, wqx, k, v, wox)
+    if not Tape._stack:
+        return _result(name, (x, wq, wk, wv, wo), out, None)
     sx, swq, swk, swv, swo = (_grad_shape(t) for t in (x, wq, wk, wv, wo))
     # the keys and values take a gradient where x or their weight does
     sk = k.shape if sx is not None or swk is not None else None
@@ -1064,6 +1115,8 @@ def conv3d(x, kernel) -> Tensor:
     grid = x.shape[:4]
     taps = np.transpose(kernel.data, (2, 3, 4, 1, 0)).reshape(kt, kh * kw * c_in, c_out)
     out = _correlate(_spatial_patches(x.data, kt, kh, kw), taps, grid)
+    if not Tape._stack:
+        return _result("conv3d", (x, kernel), out, None)
     xx = x.data if kernel.requires_grad else None
     kx = kernel.data if x.requires_grad else None
 

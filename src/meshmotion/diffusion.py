@@ -324,6 +324,9 @@ class DiffusionBlock:
     live state, (z_t - sqrt(alpha_bar_t) x0) / sqrt(1 - alpha_bar_t), averaged
     over the reverse steps (training signal for the predictor): each step's
     term joins a running sum, which is scaled by 1 / n_steps at the end.
+    With ``block_loss=False`` (``Model.predict``) the loss is None: no eps
+    target, ``mse`` or running sum is built, and the denoised tokens, which
+    no loss term feeds, are the same bits.
     """
 
     def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
@@ -343,7 +346,8 @@ class DiffusionBlock:
         return ([self.context_attn, self.cond_attn]
                 + self.stack.layers() + self.predictor.layers() + [self])
 
-    def __call__(self, x0: Tensor, seed: int) -> tuple[Tensor, Tensor]:
+    def __call__(self, x0: Tensor, seed: int, *,
+                 block_loss: bool = True) -> tuple[Tensor, Tensor | None]:
         if x0.ndim != 4 or x0.shape[2] != self.n_sites:
             raise ShapeError(
                 f"block input must be (B, T, {self.n_sites}, C) tokens, got {x0.shape}"
@@ -373,13 +377,14 @@ class DiffusionBlock:
         for step in range(sched.n_steps, 0, -1):
             z = self.cond_attn(z, *deps_kv)
             eps_hat = self.predictor(z, step)
-            abar = float(sched.alpha_bar[step - 1])
-            if 1.0 - abar > 0.0:
-                target = (z.data - math.sqrt(abar) * x0.data) / math.sqrt(1.0 - abar)
-            else:
-                target = np.zeros_like(x0.data)
-            term = ad.mse(eps_hat, target)
-            eps_sum = term if eps_sum is None else ad.lincomb(eps_sum, 1.0, term, 1.0)
+            if block_loss:
+                abar = float(sched.alpha_bar[step - 1])
+                if 1.0 - abar > 0.0:
+                    target = (z.data - math.sqrt(abar) * x0.data) / math.sqrt(1.0 - abar)
+                else:
+                    target = np.zeros_like(x0.data)
+                term = ad.mse(eps_hat, target)
+                eps_sum = term if eps_sum is None else ad.lincomb(eps_sum, 1.0, term, 1.0)
             z = reverse_step(z, step, eps_hat, sched, draw() if step > 1 else None)
 
-        return z, ad.mul(eps_sum, 1.0 / sched.n_steps)
+        return z, None if eps_sum is None else ad.mul(eps_sum, 1.0 / sched.n_steps)

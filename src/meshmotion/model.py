@@ -37,6 +37,12 @@ EPS_LOSS_WEIGHT = 0.1
 _FP_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
+# the ModelConfig fields that count something or seed a generator
+_INT_FIELDS = ("vertices_per_part", "coarse_per_part", "channels", "height", "width",
+               "diffusion_steps", "hierarchy_depth", "context_rows", "encoder_hidden",
+               "train_steps", "batch_size", "seed")
+
+
 class ConfigError(ValueError):
     """Inconsistent model configuration."""
 
@@ -76,6 +82,10 @@ class ModelConfig:
         return len(DEFAULT_PARTS) * self.coarse_per_part
 
     def validate(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.vertices_per_part < 2:
             raise ConfigError(f"need at least 2 vertices per part, got {self.vertices_per_part}")
         if not (1 <= self.coarse_per_part <= self.vertices_per_part):
@@ -156,11 +166,14 @@ class Model:
                 slots[f"core.{i}.{k}"] = (layer.p, k)
         return slots
 
-    def forward(self, observations: np.ndarray, mask: np.ndarray, seed: int) -> dict:
+    def forward(self, observations: np.ndarray, mask: np.ndarray, seed: int, *,
+                block_loss: bool = True) -> dict:
         """observations (B, T, n, 3) mm and mask (B, T, n) -> prediction dict.
 
         Any other shape, B or T of 0, or a seed that is not a non-negative
-        integer raises ``ConfigError``.
+        integer raises ``ConfigError``. ``block_loss=False`` builds no
+        diffusion block loss (``eps_loss`` is None), which :meth:`loss` then
+        rejects; the prediction is the same bits either way.
         """
         cfg = self.config
         obs = np.asarray(observations, dtype=np.float64)
@@ -186,7 +199,7 @@ class Model:
         tokens = ad.transpose(ad.reshape(x, (B, T, c, h * w)), (0, 1, 3, 2))
 
         if cfg.diffusion_on:
-            tokens, eps_loss = self.core(tokens, seed)
+            tokens, eps_loss = self.core(tokens, seed, block_loss=block_loss)
         else:
             tokens = self.core(tokens)
             eps_loss = None
@@ -215,9 +228,13 @@ class Model:
         The weights carry no gradient either way; passing them in lets finite
         differencing match. ``gt_vertices`` must be the prediction's
         (B, T, n, 3) in mm, with (B, T) the batch ``out["batch"]``; any other
-        shape raises ``ConfigError``.
+        shape raises ``ConfigError``, as does a diffusion forward built
+        without its block loss.
         """
         cfg = self.config
+        if cfg.diffusion_on and out["eps_loss"] is None:
+            raise ConfigError("this forward built no diffusion block loss "
+                              "(block_loss=False); the loss needs its eps term")
         gt = np.asarray(gt_vertices, dtype=np.float64)
         rows, n, _ = out["pred_scaled"].shape
         want = (*out["batch"], n, 3)
@@ -249,9 +266,14 @@ class Model:
                 for f, starts in zip(feats, self.part_starts)]
 
     def predict(self, seq: MotionSequence, seed: int = 0) -> np.ndarray:
-        """(T, n, 3) mm prediction for one sequence; no tape, no mutation."""
+        """(T, n, 3) mm prediction for one sequence; no tape, no mutation.
+
+        The forward builds no diffusion block loss, and with no tape active
+        each op keeps only its value.
+        """
         with np.errstate(**_FP_QUIET):
-            out = self.forward(seq.observations[None], seq.occlusion_mask[None], seed=seed)
+            out = self.forward(seq.observations[None], seq.occlusion_mask[None], seed=seed,
+                               block_loss=False)
         return (out["pred_scaled"].data * (1.0 / MM_SCALE)).reshape(seq.observations.shape)
 
 

@@ -812,8 +812,26 @@ def test_elementwise_ops_name_both_shapes_when_operands_do_not_broadcast(op):
     (ad.self_attention_layer, ((0, 3), (3, 3), (3, 3), (3, 3), (3, 3))),     # no key to attend to
 ])
 def test_fused_ops_reject_bad_shapes(op, shapes):
-    with pytest.raises(ShapeError):
-        op(*(np.ones(s) for s in shapes))
+    # the shape checks are cached per shape signature and a failed check is
+    # not, so the same bad call raises again, with the same message
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ShapeError) as exc:
+            op(*(np.ones(s) for s in shapes))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_shape_checks_run_once_per_shape_signature():
+    rng = np.random.default_rng(44)
+    x, w = rng.standard_normal((2, 5, 3)), rng.standard_normal((3, 3))
+    check = ad._check_attention_layer
+    before = check.cache_info()
+    for _ in range(3):
+        ad.self_attention_layer(x, w, w, w, w)
+    after = check.cache_info()
+    assert after.hits - before.hits >= 2
+    assert after.misses - before.misses <= 1
 
 
 @pytest.mark.parametrize("op,args", [

@@ -99,11 +99,28 @@ def test_summary_counts_wins_by_direction_and_reports_spreads():
     assert ev["change"]["q1"] == pytest.approx(base * 0.975)
     assert ev["change"]["q3"] == pytest.approx(base * 1.275)
     assert ev["median_change_frac"] == pytest.approx(0.1)
+    assert ev["median_pair_ratio"] == pytest.approx(1.1)
     assert ev["gap_exceeds_base_iqr"] is True
     step = summary["metrics"]["main_step_p50_s"]
     assert step["change_wins"] == 2  # 0.9 and 0.8 are faster
     assert step["median_change_frac"] == pytest.approx(-0.05)
+    assert step["median_pair_ratio"] == pytest.approx(0.95)  # of 0.8, 0.9, 1.0, 1.1
     assert summary["failed_share"] == {"base": 0.0, "change": 0.0}
+
+
+def test_pair_ratios_cancel_drift_between_pairs():
+    # the host slows by 2x from pair to pair while the change is 10% faster
+    # in each: the medians overlap, the median pair ratio reads 0.9
+    pairs = [{"seed": s, "first": "base", "base": _scaled(BASE, main_step_p50_s=f),
+              "change": _scaled(BASE, main_step_p50_s=0.9 * f)}
+             for s, f in ((1, 1.0), (2, 2.0), (3, 4.0))]
+    step = bp.summarize(pairs, {"main_step_p50_s": "lower"})["metrics"]["main_step_p50_s"]
+    assert step["median_pair_ratio"] == pytest.approx(0.9)
+    assert step["gap_exceeds_base_iqr"] is False
+    # a ratio over a base value of 0 is undefined
+    pairs[1]["base"] = _scaled(BASE, main_step_p50_s=0.0)
+    step = bp.summarize(pairs, {"main_step_p50_s": "lower"})["metrics"]["main_step_p50_s"]
+    assert step["median_pair_ratio"] is None
 
 
 def test_summary_reports_each_sides_failed_share_over_all_its_runs():

@@ -306,6 +306,16 @@ def test_block_same_seed_bitwise_identical():
     assert loss1.item() == loss2.item()
 
 
+def test_block_without_its_loss_denoises_to_the_same_bits():
+    _, block, _ = _block_setup(n_steps=3)
+    x = _tokens((1, 2, 8, 4), np.random.default_rng(22))
+    with Tape():
+        out, loss = block(x, seed=6)
+    bare, no_loss = block(x, seed=6, block_loss=False)
+    assert loss.shape == () and no_loss is None
+    np.testing.assert_array_equal(bare.data, out.data)
+
+
 def test_block_shape_preserved():
     _, block, ctx = _block_setup(grid=(2, 4))
     rng = np.random.default_rng(21)

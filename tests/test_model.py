@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from oracle_ops import gradcheck
+from meshmotion import autodiff as ad
 from meshmotion.autodiff import Tape, Tensor
 from meshmotion.body_graph import DEFAULT_PARTS
 from meshmotion.metrics import PoseError, compute_metrics
 from meshmotion.model import (
+    MM_SCALE,
     Adam,
     ConfigError,
     MeanPosePredictor,
@@ -80,6 +82,21 @@ def test_config_rejects_unbuildable_settings(over):
         cfg.validate()
     with pytest.raises(ConfigError):
         build_model(cfg)
+
+
+@pytest.mark.parametrize("over", [
+    dict(seed=1.5), dict(channels=2.5), dict(encoder_hidden=3.5), dict(context_rows=1.5),
+    dict(diffusion_steps=2.5),   # each failed inside numpy while building
+    dict(train_steps=1.5), dict(batch_size=2.5),   # each built and failed inside train
+], ids=lambda over: next(iter(over)))
+def test_config_rejects_a_count_that_is_not_an_integer(over):
+    cfg = ModelConfig(**over)
+    with pytest.raises(ConfigError, match=f"{next(iter(over))} must be an integer"):
+        cfg.validate()
+    with pytest.raises(ConfigError):
+        build_model(cfg)
+    # numpy integers are integers
+    ModelConfig(**{name: np.int64(round(v + 0.5)) for name, v in over.items()}).validate()
 
 
 def test_config_accepts_zero_training_settings():
@@ -252,6 +269,65 @@ def test_default_initial_parameters_are_pinned(workload):
         hashlib.sha256(repr(h[k].shape).encode() + h[k].data.tobytes()).hexdigest()
         for h, k in model.param_slots().values())
     assert hashlib.sha256("".join(digests).encode()).hexdigest() == DEFAULT_PARAMS_SHA256[workload]
+
+
+def test_predict_builds_no_block_loss(monkeypatch):
+    # the forward of a training step takes one mse per reverse step; a
+    # default predict takes none
+    model = build_model(ModelConfig())
+    seq = generate_sequence(MotionConfig(graph=model.graph, frames=4), seed=8)
+    calls = []
+    mse = ad.mse
+    monkeypatch.setattr(ad, "mse", lambda *args: calls.append(1) or mse(*args))
+    model.predict(seq, seed=1)
+    assert calls == []
+    model.forward(seq.observations[None], seq.occlusion_mask[None], seed=1)
+    assert len(calls) == model.config.diffusion_steps
+
+
+@pytest.mark.parametrize("diffusion_on", [False, True], ids=["deterministic", "diffusion"])
+def test_untaped_ops_pass_no_backward(monkeypatch, diffusion_on):
+    model = build_model(tiny_config(diffusion_on=diffusion_on))
+    seq = generate_sequence(MotionConfig(graph=model.graph, frames=3), seed=4)
+    backwards = []
+    result = ad._result
+
+    def recording(name, inputs, out, backward):
+        backwards.append((name, backward))
+        return result(name, inputs, out, backward)
+
+    monkeypatch.setattr(ad, "_result", recording)
+    model.predict(seq, seed=2)
+    assert len(backwards) > 10
+    assert [name for name, backward in backwards if backward is not None] == []
+
+
+@pytest.mark.parametrize("config", [ModelConfig(), tiny_config()], ids=["default", "tiny"])
+def test_predict_equals_the_taped_loss_building_forward(config):
+    # no block loss and no backward closures change no bit of the prediction
+    model = build_model(config)
+    seq = generate_sequence(MotionConfig(graph=model.graph, frames=5), seed=9)
+    with Tape() as tape:
+        out = model.forward(seq.observations[None], seq.occlusion_mask[None], seed=4)
+        model.loss(out, seq.gt_vertices[None])
+    assert len(tape.records) > 30
+    want = (out["pred_scaled"].data * (1.0 / MM_SCALE)).reshape(seq.observations.shape)
+    np.testing.assert_array_equal(model.predict(seq, seed=4), want)
+
+
+@pytest.mark.parametrize("diffusion_on", [False, True], ids=["deterministic", "diffusion"])
+def test_loss_rejects_a_diffusion_forward_without_its_block_loss(diffusion_on):
+    model = build_model(tiny_config(diffusion_on=diffusion_on))
+    seq = generate_sequence(MotionConfig(graph=model.graph, frames=3), seed=3)
+    out = model.forward(seq.observations[None], seq.occlusion_mask[None], seed=0,
+                        block_loss=False)
+    assert out["eps_loss"] is None
+    if diffusion_on:
+        with pytest.raises(ConfigError, match="block loss"):
+            model.loss(out, seq.gt_vertices[None])
+    else:
+        # the deterministic core has no block loss to leave out
+        assert model.loss(out, seq.gt_vertices[None]).item() > 0.0
 
 
 def test_predict_deterministic():

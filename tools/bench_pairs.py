@@ -21,7 +21,9 @@ The output holds, per workload, every pair (metrics, digests, output checks
 and wall time of both runs) and a summary per end-to-end metric of
 ``BENCHMARK.json`` (per per-layer metric with ``--trace 1``, which prints
 those instead): each side's median and quartiles, the pairs the change
-won (ties count for neither), the relative change of the medians, whether
+won (ties count for neither), the relative change of the medians, the
+median over pairs of the change's value over the base's (a ratio within
+each pair cancels the host's drift between pairs), whether
 the medians differ by more than the base's interquartile range, and whether
 the change's median is worse than the base's by more than the metric's
 ``bound`` times the base median (None for the per-layer metrics, which
@@ -84,6 +86,7 @@ def summarize(pairs: list[dict], better: dict[str, str],
               bounds: dict[str, float] | None = None) -> dict:
     """Per metric named in ``better`` ("lower" or "higher"): each side's
     spread, the pairs the change won, the relative change of the medians,
+    the median over pairs of change / base (None where a base value is 0),
     whether their gap exceeds the base's interquartile range, and whether the
     change's median is worse, in that direction, by more than the metric's
     ``bounds`` entry times the base median (None for a metric without a
@@ -105,6 +108,8 @@ def summarize(pairs: list[dict], better: dict[str, str],
             "pairs": len(pairs),
             "median_change_frac": (c["median"] - b["median"]) / b["median"]
             if b["median"] else None,
+            "median_pair_ratio": float(np.median([y / x for x, y in zip(base, change)]))
+            if all(base) else None,
             "gap_exceeds_base_iqr": abs(c["median"] - b["median"]) > b["q3"] - b["q1"],
             "worse_beyond_bound": (sign * (b["median"] - c["median"])
                                    > bounds[name] * abs(b["median"]))
