@@ -15,8 +15,12 @@ check's finite differences) keeps its value only: it returns through
 that closure reads (gradient shapes, kept operands), so untaped ops run the
 same value expressions at less fixed cost. The shape checks that are pure
 functions of shapes (:func:`_broadcast_shape`, :func:`_check_attention`,
-:func:`_check_attention_layer`) are cached once per shape signature; a check
-that fails caches nothing and raises again on every bad call.
+:func:`_check_attention_layer`, :func:`_check_self_attention_layer`) are
+cached once per shape signature, and the segment tables that
+``segment_softmax_kl`` and ``part_loss.part_weights_from_variance`` read
+(the checked starts, the segment sizes and each column's segment) once per
+(starts, n) (:func:`_segment_tables`); a check that fails caches nothing and
+raises again on every bad call.
 
 The tape holds gradient slots, not values. A record's output tensor points at
 its slot (:class:`_Slot`: the gradient, the shape and a weak reference to the
@@ -227,6 +231,19 @@ def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(x)
+
+
+def _leaf_view(arr: np.ndarray) -> Tensor:
+    """A leaf that takes a gradient, over ``arr`` itself: no copy and no
+    check. The caller hands in a finite, C-contiguous float64 view whose
+    base is read-only, so no one can write it again (``model.Adam`` gives
+    each parameter slot such a view of its flat parameter vector)."""
+    out = Tensor.__new__(Tensor)
+    out.data = arr
+    out.requires_grad = True
+    out.grad = None
+    out._slot = None
+    return out
 
 
 class _Record:
@@ -718,14 +735,30 @@ def _segment_softmax(x: np.ndarray, starts: np.ndarray, seg: np.ndarray) -> np.n
     return e / np.add.reduceat(e, starts, axis=1)[:, seg]
 
 
-def _segment_starts(starts, n: int) -> np.ndarray:
-    """``starts`` as an index array, checked to split ``n`` vertices into
-    contiguous segments: one-dimensional, increasing, first 0, last below n."""
-    starts = np.asarray(starts, dtype=np.intp)
-    if (starts.ndim != 1 or starts.size == 0 or starts[0] != 0
-            or np.any(np.diff(starts) <= 0) or starts[-1] >= n):
-        raise ShapeError(f"segment starts {starts.tolist()} do not split {n} vertices")
-    return starts
+def _segment_tables(starts, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``starts`` checked to split ``n`` vertices into contiguous segments
+    (one-dimensional, increasing, first 0, last below n), as read-only index
+    arrays: the starts, the segment sizes and each column's segment.
+
+    Built once per (starts, n) (:func:`_checked_segments`); starts that fail
+    the check cache nothing and raise again on every call.
+    """
+    arr = np.asarray(starts, dtype=np.intp)
+    if arr.ndim != 1:
+        raise ShapeError(f"segment starts {arr.tolist()} do not split {n} vertices")
+    return _checked_segments(tuple(arr.tolist()), n)
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _checked_segments(starts: tuple[int, ...], n: int):
+    arr = np.array(starts, dtype=np.intp)
+    if arr.size == 0 or arr[0] != 0 or np.any(np.diff(arr) <= 0) or arr[-1] >= n:
+        raise ShapeError(f"segment starts {list(starts)} do not split {n} vertices")
+    sizes = np.diff(arr, append=n)
+    seg = np.repeat(np.arange(arr.size), sizes)
+    for table in (arr, sizes, seg):
+        table.flags.writeable = False
+    return arr, sizes, seg
 
 
 PROB_FLOOR = 1e-12  # probabilities are floored here inside a log (segment_softmax_kl)
@@ -733,10 +766,11 @@ _SCORE_EPS = 1e-12  # added to a squared feature-row norm under segment_softmax_
 _LN_EPS = 1e-5  # added to the variance under layer_norm's square root
 
 
-def _row_norms(f: np.ndarray) -> np.ndarray:
+def _row_norms(f: np.ndarray, out: np.ndarray) -> np.ndarray:
     """sqrt(Σ f² + ``_SCORE_EPS``) over the last axis of ``f``, the sum one GEMV
-    (:func:`_row_dot`)."""
-    return np.sqrt(_row_dot(f * f, np.ones(f.shape[-1])).reshape(f.shape[:-1]) + _SCORE_EPS)
+    (:func:`_row_dot`), written into ``out``."""
+    return np.sqrt(_row_dot(f * f, np.ones(f.shape[-1])).reshape(f.shape[:-1]) + _SCORE_EPS,
+                   out=out)
 
 
 def segment_softmax_kl(features, target_features, starts, weights) -> Tensor:
@@ -767,21 +801,21 @@ def segment_softmax_kl(features, target_features, starts, weights) -> Tensor:
     if x.ndim != 3 or t.ndim != 3 or x.shape[:2] != t.shape[:2]:
         raise ShapeError(f"segment_softmax_kl needs (S, n, F) and (S, n, F') features, "
                          f"got {x.shape} and {t.shape}")
-    n = x.shape[1]
-    starts = _segment_starts(starts, n)
+    rows, n = x.shape[:2]
+    starts, _, seg = _segment_tables(starts, n)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != starts.shape:
         raise ShapeError(f"{w.size} weights for {starts.size} segments")
-    seg = np.repeat(np.arange(starts.size), np.diff(starts, append=n))
-    score = _row_norms(x.data)
-    p = _segment_softmax(score, starts, seg)
-    q = _segment_softmax(_row_norms(t.data), starts, seg)
+    # the prediction's and the target's scores, softmaxed in one stacked pass
+    scores = np.empty((2, rows, n))
+    score = _row_norms(x.data, scores[0])
+    _row_norms(t.data, scores[1])
+    p, q = _segment_softmax(scores.reshape(2 * rows, n), starts, seg).reshape(2, rows, n)
     per_entry = q * (np.log(np.maximum(q, PROB_FLOOR)) - np.log(np.maximum(p, PROB_FLOOR)))
     out = np.add.reduceat(per_entry, starts, axis=1).mean(axis=0) @ w
     if not Tape._stack:
         return _result("segment_softmax_kl", (x, t), out, None)
     f = x.data if x.requires_grad else None
-    rows = x.shape[0]
 
     def backward(g):
         if f is None:
@@ -908,6 +942,21 @@ def _check_attention_layer(name: str, x_shape: tuple[int, ...], wq_shape: tuple[
                          f"would grow the query's leading axes {x_shape[:-2]}")
 
 
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _check_self_attention_layer(x_shape: tuple[int, ...], wq_shape: tuple[int, ...],
+                                wk_shape: tuple[int, ...], wv_shape: tuple[int, ...],
+                                wo_shape: tuple[int, ...]) -> None:
+    """Raise :class:`ShapeError` unless ``wk_shape`` and ``wv_shape`` weights
+    project an ``x_shape`` input to keys and values that the attention layer
+    of :func:`_check_attention_layer` takes."""
+    name = "self_attention_layer"
+    if len(x_shape) < 2 or any(len(w) != 2 or w[0] != x_shape[-1] for w in (wk_shape, wv_shape)):
+        raise ShapeError(f"{name} needs x (..., n, C) and wk, wv (C, ·), "
+                         f"got {x_shape}, {wk_shape} and {wv_shape}")
+    _check_attention_layer(name, x_shape, wq_shape, x_shape[:-1] + wk_shape[1:],
+                           x_shape[:-1] + wv_shape[1:], wo_shape)
+
+
 def _attention_forward(name: str, x: np.ndarray, wq: np.ndarray, k: np.ndarray,
                        v: np.ndarray, wo: np.ndarray):
     """x + softmax((x @ wq) kᵀ / √d) v @ wo, with each softmax row's max m
@@ -1022,11 +1071,7 @@ def self_attention_layer(x, wq, wk, wv, wo) -> Tensor:
     """
     x, wq, wk, wv, wo = (as_tensor(t) for t in (x, wq, wk, wv, wo))
     name = "self_attention_layer"
-    if x.ndim < 2 or any(w.ndim != 2 or w.shape[0] != x.shape[-1] for w in (wk, wv)):
-        raise ShapeError(f"{name} needs x (..., n, C) and wk, wv (C, ·), "
-                         f"got {x.shape}, {wk.shape} and {wv.shape}")
-    _check_attention_layer(name, x.shape, wq.shape, x.shape[:-1] + wk.shape[1:],
-                           x.shape[:-1] + wv.shape[1:], wo.shape)
+    _check_self_attention_layer(x.shape, wq.shape, wk.shape, wv.shape, wo.shape)
     xx, wqx, wkx, wvx, wox = x.data, wq.data, wk.data, wv.data, wo.data
     k = np.matmul(xx, wkx)
     _check_finite(name, "key projection", k)

@@ -7,6 +7,11 @@ to fine vertices -> per-vertex regression head. Training optimizes vertex
 error plus optional part-distribution and noise-prediction terms with Adam.
 Each layer holds the tables it reads (the block its context, the noise
 predictor its step embeddings); both cores are built from the coarse adjacency.
+
+A training step's fixed costs are kept to one pass each: ``train`` writes its
+batch straight into the encoder's input rows and runs the same forward as
+``Model.forward`` from there, and ``Adam`` updates every parameter slot in
+one pass over flat vectors, bit for bit the per-slot update.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import ShapeError, Tape, Tensor
 from .body_graph import DEFAULT_PARTS, generate_toy_body
 from .diffusion import DiffusionBlock, FeatureStack, make_schedule
 from .metrics import JointRegressor, PoseError, build_joint_regressor, compute_metrics
@@ -175,25 +180,34 @@ class Model:
         diffusion block loss (``eps_loss`` is None), which :meth:`loss` then
         rejects; the prediction is the same bits either way.
         """
-        cfg = self.config
         obs = np.asarray(observations, dtype=np.float64)
-        msk = np.asarray(mask, dtype=np.float64)
+        msk = np.asarray(mask)
+        batch = self._batch_dims(obs.shape, msk.shape)
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+        return self._forward_rows(_encoder_rows(obs, msk), batch, seed, block_loss)
+
+    def _batch_dims(self, obs_shape: tuple[int, ...], mask_shape: tuple[int, ...]):
+        """(B, T) of (B, T, n, 3) observations and a (B, T, n) mask; any other
+        shapes, or B or T of 0, raise ``ConfigError``."""
         n = self.graph.n_vertices
-        if obs.ndim != 4 or obs.shape[2:] != (n, 3) or msk.shape != obs.shape[:3]:
-            raise ConfigError(f"observations {obs.shape} and mask {msk.shape} must be "
+        if len(obs_shape) != 4 or obs_shape[2:] != (n, 3) or mask_shape != obs_shape[:3]:
+            raise ConfigError(f"observations {obs_shape} and mask {mask_shape} must be "
                               f"(B, T, {n}, 3) and (B, T, {n})")
-        B, T = obs.shape[:2]
+        B, T = obs_shape[:2]
         if B == 0 or T == 0:
             raise ConfigError(f"observations need B >= 1 sequences of T >= 1 frames, "
                               f"got B={B} and T={T}")
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-        c, h, w = cfg.channels, cfg.height, cfg.width
+        return B, T
 
-        frame_in = np.concatenate([
-            obs.reshape(B * T, n * 3) * MM_SCALE,
-            msk.reshape(B * T, n),
-        ], axis=1)
+    def _forward_rows(self, frame_in: np.ndarray, batch: tuple[int, int], seed: int,
+                      block_loss: bool) -> dict:
+        """The forward from the encoder's (B·T, 4n) input rows
+        (:func:`_encoder_rows`) of the (B, T) ``batch``; what :meth:`forward`
+        and :func:`train` run once they have checked and assembled them."""
+        cfg = self.config
+        B, T = batch
+        c, h, w = cfg.channels, cfg.height, cfg.width
         x = self.enc2(ad.relu(self.enc1(frame_in)))
         # enc2's columns are channel-major: read them as (B, T, C, S)
         tokens = ad.transpose(ad.reshape(x, (B, T, c, h * w)), (0, 1, 3, 2))
@@ -281,11 +295,35 @@ def build_model(config: ModelConfig) -> Model:
     return Model(config)
 
 
-class Adam:
-    """Adaptive first-order optimizer over named parameter slots.
+def _encoder_rows(observations, masks) -> np.ndarray:
+    """The encoder's (B·T, 4n) input rows of B sequences, written in place:
+    per frame, its (n, 3) mm observations times ``MM_SCALE``, flattened,
+    then its n mask values. ``observations`` and ``masks`` hold the B
+    sequences' (T, n, 3) and (T, n) arrays, stacked or as lists."""
+    T, n = np.shape(masks[0])
+    rows = np.empty((len(masks) * T, 4 * n))
+    for j, (obs, msk) in enumerate(zip(observations, masks, strict=True)):
+        frames = rows[j * T:(j + 1) * T]
+        np.multiply(np.asarray(obs, dtype=np.float64).reshape(T, 3 * n), MM_SCALE,
+                    out=frames[:, :3 * n])
+        frames[:, 3 * n:] = msk
+    return rows
 
-    Parameters are replaced with fresh tensors each step (tensors themselves
-    stay immutable); optimizer moments are keyed by slot name. The moment
+
+class Adam:
+    """Adam (arXiv 1412.6980) over named parameter slots, in one flat pass.
+
+    The parameters and the two moments ``m`` and ``v`` are flat vectors laid
+    out slot after slot, in slot order. A step gathers the gradients of the
+    slots that have one into a flat vector, once, and updates the moments in
+    place with the per-slot update's per-element expressions, in its order,
+    so each value is the same bits as a per-slot loop's. A slot without a
+    gradient keeps its value and its moments. The new parameters are a fresh
+    flat vector, checked once for finiteness (``NumericsError``, before any
+    slot changes) and made read-only; each slot with a gradient then gets a
+    new tensor over its reshaped view, so a tensor once handed out is never
+    written. A slot whose tensor was replaced from outside counts with its
+    new value, or raises ``ShapeError`` if its shape changed. The moment
     decays and the denominator floor are the usual 0.9, 0.999 and 1e-8.
     """
 
@@ -295,34 +333,83 @@ class Adam:
         self.slots = slots
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros(holder[key].shape) for k, (holder, key) in slots.items()}
-        self.v = {k: np.zeros(holder[key].shape) for k, (holder, key) in slots.items()}
+        # the tensor each slot held when ``flat`` last took its value
+        self._tensors = [holder[key] for holder, key in slots.values()]
+        self._bounds = [0, *np.cumsum([t.size for t in self._tensors]).tolist()]
+        # (the leading zeros(0) gives no slots an empty vector)
+        self.flat = np.concatenate([np.zeros(0), *(t.data.reshape(-1) for t in self._tensors)])
+        self.flat.flags.writeable = False
+        self.m = np.zeros(self.flat.size)
+        self.v = np.zeros(self.flat.size)
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
-        for name, (holder, key) in self.slots.items():
-            t = holder[key]
-            g = t.grad
-            if g is None:
-                continue
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1**self.t)
-            v_hat = self.v[name] / (1 - b2**self.t)
-            new = t.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
-            holder[key] = Tensor(new, requires_grad=True)
-
-
-def _batch_arrays(dataset: list[MotionSequence], idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    obs = np.stack([dataset[i].observations for i in idx])
-    mask = np.stack([dataset[i].occlusion_mask for i in idx])
-    gt = np.stack([dataset[i].gt_vertices for i in idx])
-    return obs, mask, gt
+        bounds = self._bounds
+        grads = np.empty(self.flat.size)
+        live = []  # (index, holder, key) of each slot with a gradient
+        runs = []  # [lo, hi) of each run of adjacent slots with a gradient
+        for i, (name, (holder, key)) in enumerate(self.slots.items()):
+            t, lo, hi = holder[key], bounds[i], bounds[i + 1]
+            if t is not self._tensors[i]:
+                if t.shape != self._tensors[i].shape:
+                    raise ShapeError(f"parameter slot {name!r} changed shape from "
+                                     f"{self._tensors[i].shape} to {t.shape}")
+                if not self.flat.flags.writeable:
+                    self.flat = self.flat.copy()
+                self.flat[lo:hi] = t.data.reshape(-1)
+                self._tensors[i] = t
+            if t.grad is not None:
+                grads[lo:hi] = t.grad.reshape(-1)
+                live.append((i, holder, key))
+                if runs and runs[-1][1] == lo:
+                    runs[-1][1] = hi
+                else:
+                    runs.append([lo, hi])
+        if not live:
+            return
+        flat, new = self.flat, np.empty(self.flat.size)
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
+        done = 0
+        for lo, hi in runs:
+            new[done:lo] = flat[done:lo]
+            g, m, v, out = grads[lo:hi], self.m[lo:hi], self.v[lo:hi], new[lo:hi]
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, with out as scratch
+            np.multiply(g, 1 - b1, out=out)
+            m *= b1
+            m += out
+            np.multiply(g, 1 - b2, out=out)
+            out *= g
+            v *= b2
+            v += out
+            # flat - lr (m / c1) / (sqrt(v / c2) + EPS), the step formed in g
+            np.divide(m, c1, out=g)
+            g *= self.lr
+            np.divide(v, c2, out=out)
+            np.sqrt(out, out=out)
+            out += self.EPS
+            g /= out
+            np.subtract(flat[lo:hi], g, out=out)
+            done = hi
+        new[done:] = flat[done:]
+        if not np.isfinite(new).all():
+            raise ad.NumericsError("tensor constructed with non-finite values")
+        new.flags.writeable = False
+        for i, holder, key in live:
+            view = new[bounds[i]:bounds[i + 1]].reshape(self._tensors[i].shape)
+            holder[key] = self._tensors[i] = ad._leaf_view(view)
+        self.flat = new
 
 
 def train(config: ModelConfig, dataset: list[MotionSequence]) -> tuple[Model, list[float]]:
-    """Fixed-step Adam training; deterministic per config seed."""
+    """Fixed-step Adam training; deterministic per config seed.
+
+    Each step writes its batch's sequences straight into the encoder's input
+    rows (:func:`_encoder_rows`) and runs the forward that
+    :meth:`Model.forward` runs on the stacked batch, then :meth:`Model.loss`,
+    the tape's backward and one :class:`Adam` step. The sequences must share
+    one shape, which the model's forward takes (``ConfigError`` otherwise).
+    """
     if not dataset:
         raise ConfigError("empty training dataset")
     shapes = {(s.observations.shape, s.occlusion_mask.shape, s.gt_vertices.shape)
@@ -330,6 +417,8 @@ def train(config: ModelConfig, dataset: list[MotionSequence]) -> tuple[Model, li
     if len(shapes) > 1:
         raise ConfigError(f"training sequences differ in shape: {sorted(shapes)}")
     model = build_model(config)
+    (obs_shape, mask_shape, _), = shapes
+    model._batch_dims((1, *obs_shape), (1, *mask_shape))
     slots = model.param_slots()
     opt = Adam(slots, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
@@ -339,14 +428,17 @@ def train(config: ModelConfig, dataset: list[MotionSequence]) -> tuple[Model, li
             idx = np.arange(len(dataset))  # full batch, no sampling state
         else:
             idx = rng.choice(len(dataset), size=config.batch_size, replace=False)
-        obs, mask, gt = _batch_arrays(dataset, idx)
+        batch = [dataset[i] for i in idx]
+        rows = _encoder_rows([s.observations for s in batch], [s.occlusion_mask for s in batch])
+        gt = np.stack([s.gt_vertices for s in batch])
         # noise keyed to the batch composition: full-batch training sees a
         # fixed realization (so zero lr gives a flat curve), minibatches vary
         noise_seed = config.seed * 1_000_003 + int(zlib.crc32(idx.astype("<i8").tobytes()))
         try:
             with np.errstate(**_FP_QUIET):
                 with Tape() as tape:
-                    out = model.forward(obs, mask, seed=noise_seed)
+                    out = model._forward_rows(rows, (len(batch), obs_shape[0]), noise_seed,
+                                              True)
                     loss = model.loss(out, gt)
                 value = loss.item()
                 tape.backward(loss)

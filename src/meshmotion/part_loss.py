@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor, _segment_starts
+from .autodiff import ShapeError, Tensor, _segment_tables
 
 
 def part_weights_from_variance(features: np.ndarray, starts) -> np.ndarray:
@@ -27,14 +27,14 @@ def part_weights_from_variance(features: np.ndarray, starts) -> np.ndarray:
     batch falls back to uniform weights. Each vertex's sum over the rows and
     channels is two GEMVs against ones vectors, not a numpy reduction over
     the short channel axis. ``starts`` that do not split the n vertices raise
-    ``ShapeError``, as in :func:`autodiff.segment_softmax_kl`.
+    ``ShapeError``, as in :func:`autodiff.segment_softmax_kl`, whose checked
+    segment tables it shares.
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 3:
         raise ShapeError(f"part weights need (S, n, F) features, got {feats.shape}")
     rows, n, channels = feats.shape
-    starts = _segment_starts(starts, n)
-    sizes = np.diff(starts, append=n)
+    starts, sizes, _ = _segment_tables(starts, n)
     m = sizes.size
     counts = sizes * (rows * channels)
     ones_rows, ones_channels = np.ones(rows), np.ones(channels)

@@ -6,7 +6,9 @@ composites stay bit-identical; ``add`` is the reference for a unit-weight
 tape drops those of inputs that take none.
 
 Also the gradient checker, :func:`gradcheck`, which the tests run on every op
-and on the model's layers; ``__all__`` lists the ops only."""
+and on the model's layers, and :class:`SlotAdam`, the per-slot Adam step that
+``model.Adam``'s one flat pass must match bit for bit; ``__all__`` lists the
+ops only."""
 
 import math
 
@@ -123,3 +125,34 @@ def gradcheck(op, inputs, max_coords=None):
             denom = max(_GRADCHECK_FLOOR, abs(flat[c]), abs(numeric))
             worst = max(worst, abs(flat[c] - numeric) / denom)
     return worst
+
+
+class SlotAdam:
+    """Adam one parameter slot at a time: moments keyed by slot name, and
+    each slot with a gradient replaced by a fresh tensor of its new value.
+    The textbook per-element expressions, in the order ``model.Adam`` must
+    reproduce."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, slots, lr=1e-3):
+        self.slots = slots
+        self.lr = lr
+        self.t = 0
+        self.m = {k: np.zeros(holder[key].shape) for k, (holder, key) in slots.items()}
+        self.v = {k: np.zeros(holder[key].shape) for k, (holder, key) in slots.items()}
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.BETA1, self.BETA2
+        for name, (holder, key) in self.slots.items():
+            t = holder[key]
+            g = t.grad
+            if g is None:
+                continue
+            self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            m_hat = self.m[name] / (1 - b1**self.t)
+            v_hat = self.v[name] / (1 - b2**self.t)
+            new = t.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+            holder[key] = ad.Tensor(new, requires_grad=True)

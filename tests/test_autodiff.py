@@ -822,16 +822,36 @@ def test_fused_ops_reject_bad_shapes(op, shapes):
     assert messages[0] == messages[1]
 
 
+def test_a_failed_self_attention_check_caches_nothing():
+    # a wk that does not take x fails the one cached check, which keeps
+    # nothing of it and raises the same message again
+    check = ad._check_self_attention_layer
+    size = check.cache_info().currsize
+    x, w = np.ones((2, 3)), np.ones((3, 3))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ShapeError) as exc:
+            ad.self_attention_layer(x, w, np.ones((4, 3)), w, w)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "wk, wv (C, ·), got (2, 3), (4, 3) and (3, 3)" in messages[0]
+    assert check.cache_info().currsize == size
+
+
 def test_shape_checks_run_once_per_shape_signature():
+    # each attention op runs one cached check: its wk and wv too, for the
+    # self-attention layer
     rng = np.random.default_rng(44)
     x, w = rng.standard_normal((2, 5, 3)), rng.standard_normal((3, 3))
-    check = ad._check_attention_layer
-    before = check.cache_info()
-    for _ in range(3):
-        ad.self_attention_layer(x, w, w, w, w)
-    after = check.cache_info()
-    assert after.hits - before.hits >= 2
-    assert after.misses - before.misses <= 1
+    for op, check in ((lambda: ad.self_attention_layer(x, w, w, w, w),
+                       ad._check_self_attention_layer),
+                      (lambda: ad.attention_layer(x, w, x, x, w), ad._check_attention_layer)):
+        before = check.cache_info()
+        for _ in range(3):
+            op()
+        after = check.cache_info()
+        assert after.hits - before.hits >= 2
+        assert after.misses - before.misses <= 1
 
 
 @pytest.mark.parametrize("op,args", [

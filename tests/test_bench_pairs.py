@@ -179,6 +179,22 @@ def test_traced_pairs_summarise_the_per_layer_metrics_without_bounds():
     assert records["median_change_frac"] == 0.0
 
 
+def test_no_pairs_summarise_to_zero_pairs_and_an_empty_census():
+    better, bounds = bp.targets(SPEC, 0)
+    summary = bp.summarize([], better, bounds)
+    assert (summary["pairs"], summary["digests_equal"], summary["runs_not_correct"]) == (0, 0, 0)
+    assert summary["failed_share"] == {"base": None, "change": None}
+    assert set(summary["metrics"]) == set(better)
+    for name, m in summary["metrics"].items():
+        assert m == {"better": better[name], "base": None, "change": None, "change_wins": 0,
+                     "pairs": 0, "median_change_frac": None, "median_pair_ratio": None,
+                     "gap_exceeds_base_iqr": None, "worse_beyond_bound": None}
+    assert bp.census([]) == {}
+    assert bp.verdict("w", [], summary) == ("w: equal digests in 0 of 0 pairs; worse beyond "
+                                            "bound: none; not correct: none; failed share: "
+                                            "base none, change none")
+
+
 def test_census_reads_each_sides_median_records_and_calls_per_category():
     # the recorded traced pair, and the same pair with a second change run
     # whose matmul count is 5: the change's median is then 7

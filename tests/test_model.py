@@ -1,12 +1,14 @@
 import hashlib
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 
-from oracle_ops import gradcheck
+from oracle_ops import SlotAdam, gradcheck
 from meshmotion import autodiff as ad
-from meshmotion.autodiff import Tape, Tensor
+from meshmotion import model as model_module
+from meshmotion.autodiff import NumericsError, ShapeError, Tape, Tensor
 from meshmotion.body_graph import DEFAULT_PARTS
 from meshmotion.metrics import PoseError, compute_metrics
 from meshmotion.model import (
@@ -480,3 +482,135 @@ def test_adam_skips_gradless_params():
     opt = Adam({"w": (holder, "w")}, lr=0.1)
     opt.step()
     np.testing.assert_array_equal(holder["w"].data, np.ones(3))
+
+
+def _slot_values(slots):
+    return {name: holder[key].data for name, (holder, key) in slots.items()}
+
+
+@pytest.mark.parametrize("diffusion_on", [False, True], ids=["deterministic", "diffusion"])
+def test_flat_adam_matches_the_per_slot_reference(diffusion_on):
+    # the default slots over six steps: step 2 leaves every third slot
+    # without a gradient (two runs of slots are then updated), step 4 none,
+    # and before step 5 one slot is replaced from outside
+    config = ModelConfig(diffusion_on=diffusion_on)
+    flat_slots, ref_slots = (build_model(config).param_slots() for _ in range(2))
+    flat, ref = Adam(flat_slots, lr=config.learning_rate), SlotAdam(ref_slots, lr=config.learning_rate)
+    names = list(flat_slots)
+    rng = np.random.default_rng(36)
+    for step in range(6):
+        if step == 5:
+            for slots in (flat_slots, ref_slots):
+                holder, key = slots[names[1]]
+                holder[key] = Tensor(np.full(holder[key].shape, 0.25), requires_grad=True)
+        for k, name in enumerate(names):
+            if step == 4 or (step == 2 and k % 3 == 1):
+                continue
+            holder, key = flat_slots[name]
+            g = rng.standard_normal(holder[key].shape) * 10.0 ** rng.integers(-6, 2)
+            holder[key].grad = g
+            ref_slots[name][0][ref_slots[name][1]].grad = g
+        before = _slot_values(flat_slots)
+        flat.step()
+        ref.step()
+        after, want = _slot_values(flat_slots), _slot_values(ref_slots)
+        for k, name in enumerate(names):
+            np.testing.assert_array_equal(after[name], want[name])
+            if step == 4 or (step == 2 and k % 3 == 1):
+                assert after[name] is before[name]
+            else:
+                assert not after[name].flags.writeable
+        np.testing.assert_array_equal(flat.m, np.concatenate([ref.m[n].ravel() for n in names]))
+        np.testing.assert_array_equal(flat.v, np.concatenate([ref.v[n].ravel() for n in names]))
+
+
+def test_adam_rejects_a_slot_whose_shape_changed():
+    holder = {"w": Tensor(np.ones(3), requires_grad=True)}
+    opt = Adam({"w": (holder, "w")}, lr=0.1)
+    holder["w"] = Tensor(np.ones(4), requires_grad=True)
+    holder["w"].grad = np.ones(4)
+    with pytest.raises(ShapeError, match=r"slot 'w' changed shape from \(3,\) to \(4,\)"):
+        opt.step()
+
+
+def test_adam_raises_the_reference_error_on_a_non_finite_update():
+    # an infinite step raises before any slot changes, as the per-slot
+    # update's tensor does
+    messages = []
+    for optimizer in (Adam, SlotAdam):
+        holder = {"a": Tensor(np.ones(2), requires_grad=True),
+                  "b": Tensor(np.ones(3), requires_grad=True)}
+        kept = dict(holder)
+        opt = optimizer({k: (holder, k) for k in holder}, lr=np.inf)
+        holder["a"].grad, holder["b"].grad = np.zeros(2), np.ones(3)
+        with pytest.raises(NumericsError) as exc, np.errstate(invalid="ignore"):
+            opt.step()
+        messages.append(str(exc.value))
+        if optimizer is Adam:
+            assert holder == kept
+    assert messages[0] == messages[1]
+
+
+def _minibatch(config, dataset):
+    """The first step's batch of ``train``, its noise seed and its stacked
+    observations, masks and ground truth."""
+    idx = np.random.default_rng(config.seed).choice(len(dataset), size=config.batch_size,
+                                                    replace=False)
+    noise_seed = config.seed * 1_000_003 + int(zlib.crc32(idx.astype("<i8").tobytes()))
+    stacked = [np.stack([getattr(dataset[i], name) for i in idx])
+               for name in ("observations", "occlusion_mask", "gt_vertices")]
+    return noise_seed, *stacked
+
+
+@pytest.mark.parametrize("diffusion_on", [False, True], ids=["deterministic", "diffusion"])
+def test_train_writes_the_rows_forward_builds(monkeypatch, diffusion_on):
+    cfg = tiny_config(diffusion_on=diffusion_on, train_steps=1, batch_size=3)
+    _, seqs = make_dataset(cfg, 5, frames=4, occlusion=0.4)
+    seen = []
+    core = model_module.Model._forward_rows
+
+    def recording(self, rows, batch, seed, block_loss):
+        seen.append((rows, batch, seed))
+        return core(self, rows, batch, seed, block_loss)
+
+    monkeypatch.setattr(model_module.Model, "_forward_rows", recording)
+    train(cfg, seqs)
+    noise_seed, obs, mask, _ = _minibatch(cfg, seqs)
+    build_model(cfg).forward(obs, mask, seed=noise_seed)
+    (trained, trained_batch, trained_seed), (forward, forward_batch, forward_seed) = seen
+    assert trained_batch == forward_batch == (3, 4)
+    assert trained_seed == forward_seed == noise_seed
+    assert mask.any()
+    # the rows the encoder took before batch assembly was direct
+    want = np.concatenate([obs.reshape(12, 48) * MM_SCALE, mask.reshape(12, 16)], axis=1)
+    np.testing.assert_array_equal(trained, want)
+    np.testing.assert_array_equal(forward, want)
+
+
+@pytest.mark.parametrize("diffusion_on", [False, True], ids=["deterministic", "diffusion"])
+def test_a_train_step_equals_the_reference_step_on_stacked_arrays(diffusion_on):
+    cfg = tiny_config(diffusion_on=diffusion_on, train_steps=1, batch_size=3)
+    _, seqs = make_dataset(cfg, 5, frames=4, occlusion=0.4)
+    trained, losses = train(cfg, seqs)
+
+    noise_seed, obs, mask, gt = _minibatch(cfg, seqs)
+    model = build_model(cfg)
+    slots = model.param_slots()
+    with Tape() as tape:
+        loss = model.loss(model.forward(obs, mask, seed=noise_seed), gt)
+    tape.backward(loss)
+    SlotAdam(slots, lr=cfg.learning_rate).step()
+    assert losses == [loss.item()]
+    got = _slot_values(trained.param_slots())
+    for name, value in _slot_values(slots).items():
+        np.testing.assert_array_equal(got[name], value)
+
+
+def test_train_rejects_sequences_the_model_cannot_take():
+    # checked once, before the first step, with the forward's message
+    cfg = tiny_config(train_steps=1)
+    _, seqs = make_dataset(cfg, 2)
+    short = [type(s)(s.gt_vertices[:, :12], s.observations[:, :12], s.occlusion_mask[:, :12])
+             for s in seqs]
+    with pytest.raises(ConfigError, match=r"must be \(B, T, 16, 3\) and \(B, T, 16\)"):
+        train(cfg, short)

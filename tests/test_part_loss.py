@@ -212,6 +212,32 @@ def test_malformed_part_starts_raise_one_shape_error(starts):
     assert "do not split 96 vertices" in str(weights_error.value)
 
 
+def test_segment_tables_build_once_per_starts_and_cache_no_failure():
+    # part weights and the segmented KL share the tables of one (starts, n)
+    starts, n = default_level()
+    tables = ad._checked_segments
+    rng = np.random.default_rng(17)
+    feats = rng.standard_normal((2, n, 3))
+    before = tables.cache_info()
+    for _ in range(3):
+        hh_loss(feats, feats[::-1], starts, part_weights_from_variance(feats, starts))
+    after = tables.cache_info()
+    assert after.hits - before.hits >= 5
+    assert after.misses - before.misses <= 1
+    checked, sizes, seg = ad._segment_tables(list(starts), n)
+    np.testing.assert_array_equal(checked, starts)
+    np.testing.assert_array_equal(sizes, np.diff(starts, append=n))
+    np.testing.assert_array_equal(seg, np.repeat(np.arange(len(starts)), sizes))
+    assert not any(t.flags.writeable for t in (checked, sizes, seg))
+    size, messages = tables.cache_info().currsize, []
+    for _ in range(2):
+        with pytest.raises(ShapeError) as exc:
+            hh_loss(feats, feats, [0, 50, 40], np.ones(3))
+        messages.append(str(exc.value))
+    assert messages == ["segment starts [0, 50, 40] do not split 96 vertices"] * 2
+    assert tables.cache_info().currsize == size
+
+
 def test_hh_loss_zero_at_identity():
     # the target's scores run the prediction's kernels, so identical features
     # give identical distributions and a loss of exactly 0

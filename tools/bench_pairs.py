@@ -76,8 +76,11 @@ def parse_run(stdout: str) -> dict:
         raise ValueError(f"not a perfbench report and result: {exc!r}") from exc
 
 
-def spread(values) -> dict:
-    """Median and quartiles (linear interpolation) of a side's runs."""
+def spread(values) -> dict | None:
+    """Median and quartiles (linear interpolation) of a side's runs; None
+    when it has none."""
+    if len(values) == 0:
+        return None
     q1, median, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
@@ -92,7 +95,8 @@ def summarize(pairs: list[dict], better: dict[str, str],
     ``bounds`` entry times the base median (None for a metric without a
     bound). Also counts the pairs whose loss and prediction digests match
     and the failed runs, and gives each side's summed failed operations over
-    its summed attempted ones (None when it attempted none)."""
+    its summed attempted ones (None when it attempted none). With no pairs,
+    every spread and comparison is None and every count 0."""
     bounds = bounds or {}
     metrics = {}
     for name, direction in better.items():
@@ -106,6 +110,14 @@ def summarize(pairs: list[dict], better: dict[str, str],
             "change": c,
             "change_wins": sum(sign * (y - x) > 0 for x, y in zip(base, change)),
             "pairs": len(pairs),
+            "median_change_frac": None,
+            "median_pair_ratio": None,
+            "gap_exceeds_base_iqr": None,
+            "worse_beyond_bound": None,
+        }
+        if not pairs:
+            continue
+        metrics[name].update({
             "median_change_frac": (c["median"] - b["median"]) / b["median"]
             if b["median"] else None,
             "median_pair_ratio": float(np.median([y / x for x, y in zip(base, change)]))
@@ -114,7 +126,7 @@ def summarize(pairs: list[dict], better: dict[str, str],
             "worse_beyond_bound": (sign * (b["median"] - c["median"])
                                    > bounds[name] * abs(b["median"]))
             if name in bounds else None,
-        }
+        })
     return {
         "pairs": len(pairs),
         "digests_equal": sum(p["base"]["digests"] == p["change"]["digests"] for p in pairs),
@@ -126,7 +138,9 @@ def summarize(pairs: list[dict], better: dict[str, str],
 
 def census(pairs: list[dict]) -> dict:
     """Per side of traced ``pairs``: the median records per step and, per
-    tape-op category, the median forward calls per step."""
+    tape-op category, the median forward calls per step; empty for no pairs."""
+    if not pairs:
+        return {}
     out = {}
     for side in SIDES:
         runs = [p[side]["metrics"] for p in pairs]
