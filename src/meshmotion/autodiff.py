@@ -793,9 +793,11 @@ def segment_softmax_kl(features, target_features, starts, weights) -> Tensor:
     ``add`` (``tests/oracle_ops.py``) and a square root before the KL, so the
     value and the gradient are bit-identical to it.
     (The tape sums that composite's two h into f's gradient as h + h when
-    the op is the last record that reads f, as in the model.) The backward
-    keeps both softmaxes, the weights, the scores and, when they take a
-    gradient, the features.
+    the op is the last record that reads f, as in the model.) The two
+    sides' scores are softmaxed as one stacked (2S, n) pass, whose rows are
+    independent, so p and q are the bits two passes give. The backward
+    keeps both softmaxes, the weights, the scores (both sides', in the one
+    stacked array) and, when they take a gradient, the features.
     """
     x, t = as_tensor(features), as_tensor(target_features)
     if x.ndim != 3 or t.ndim != 3 or x.shape[:2] != t.shape[:2]:
@@ -806,7 +808,6 @@ def segment_softmax_kl(features, target_features, starts, weights) -> Tensor:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != starts.shape:
         raise ShapeError(f"{w.size} weights for {starts.size} segments")
-    # the prediction's and the target's scores, softmaxed in one stacked pass
     scores = np.empty((2, rows, n))
     score = _row_norms(x.data, scores[0])
     _row_norms(t.data, scores[1])
