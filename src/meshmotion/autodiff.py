@@ -68,10 +68,19 @@ weights and recomputes k and v in backward (the temporal attention).
 from one routine, :func:`_matmul_grads`. ``conv3d`` takes and returns a
 channels-last (B, T, H, W, C) grid and lowers to GEMMs on a spatial-only
 patch matrix, one GEMM per temporal tap, with no transpose of the grid on
-either side. Any op that produces a non-finite value raises
-:class:`NumericsError` immediately instead of letting NaN/Inf spread;
-callers that want that error as the only signal run a whole step under
-``np.errstate`` (see ``model.train``).
+either side.
+
+An op that produces a non-finite value raises :class:`NumericsError`
+immediately, naming itself, instead of letting NaN/Inf spread; callers that
+want that error as the only signal run a whole step under ``np.errstate``
+(see ``model.train``). Every ``Tensor`` holds finite values, so only an op
+whose arithmetic can overflow or make a NaN scans what it makes:
+:func:`_result` scans each op's output, the attention ops their projections
+and scores, ``layer_norm`` its standard deviation, and ``Tape.backward``
+every gradient. Three ops cannot make a NaN/Inf from finite operands and are
+not scanned: ``reshape`` and ``transpose`` move values, and ``relu``
+multiplies them by 0 or 1. ``layer_norm`` scans its output only where its
+bound (√C·max|gamma| plus slack, plus max|beta|) does not prove it finite.
 Operands that do not fit the op raise :class:`ShapeError` naming their
 shapes.
 
@@ -324,9 +333,23 @@ def _check_finite(name: str, what: str, arr: np.ndarray) -> None:
         raise NumericsError(f"op '{name}' produced a non-finite {what}")
 
 
+# ops whose output _result does not scan: a reshape or transpose moves its
+# operand's values, and relu multiplies them by 0 or 1, so from finite operands
+# (every Tensor's) they make no NaN/Inf; layer_norm scans its own output when
+# its bound does not prove it finite
+_UNSCANNED = frozenset({"reshape", "transpose", "relu", "layer_norm"})
+
+
 def _result(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward) -> Tensor:
     """``out_data`` as op ``name``'s read-only output, recorded with
     ``backward`` when a tape is active and some input takes a gradient.
+
+    The output is scanned for NaN/Inf (:class:`NumericsError`, "op 'name'
+    produced a non-finite output") unless ``name`` is in ``_UNSCANNED``:
+    ``reshape``, ``transpose`` and ``relu``, whose outputs are finite because
+    their operands are, and ``layer_norm``, which scans its own output where
+    its bound does not prove it finite. Every other op, whose arithmetic can
+    overflow or make a NaN, is scanned here.
 
     With no tape active an op passes None for ``backward``: it returns its
     value here before it builds its closure or computes what only the
@@ -335,7 +358,8 @@ def _result(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backwar
     arr = out_data
     if type(arr) is not np.ndarray or arr.dtype != np.float64:
         arr = np.asarray(arr, dtype=np.float64)
-    _check_finite(name, "output", arr)
+    if name not in _UNSCANNED:
+        _check_finite(name, "output", arr)
     out = Tensor.__new__(Tensor)
     if arr.ndim > 0 and not arr.flags.c_contiguous:
         arr = np.ascontiguousarray(arr)
@@ -764,6 +788,8 @@ def _checked_segments(starts: tuple[int, ...], n: int):
 PROB_FLOOR = 1e-12  # probabilities are floored here inside a log (segment_softmax_kl)
 _SCORE_EPS = 1e-12  # added to a squared feature-row norm under segment_softmax_kl's root
 _LN_EPS = 1e-5  # added to the variance under layer_norm's square root
+_LN_MARGIN = 1e-6  # relative slack for rounding in layer_norm's output bound
+_LN_SAFE = 1e300  # an output bound below this proves layer_norm's output finite
 
 
 def _row_norms(f: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -840,6 +866,20 @@ def layer_norm(a, gamma, beta) -> Tensor:
     and of ``beta`` its shape: the backward recomputes the normalized input
     from ``a`` with the forward's own operations, so it holds no full-size
     copy.
+
+    The standard deviation is scanned for NaN/Inf: an overflowing squared
+    deviation shows there. Once it is finite, every normalized entry is too,
+    and lies within √C of 0: a squared deviation is at most the sum of its
+    row's, C times the variance. So every output entry lies within
+    B = √C·max|gamma|·(1 + ``_LN_MARGIN``) + max|beta|. The margin of 1e-6
+    covers the relative rounding of the mean, variance, root, division,
+    product and sum, at most about (C + 10)·2⁻⁵³, for up to 1e9 channels; the
+    variance floor ``_LN_EPS`` makes underflow in the squares immaterial. The
+    output is scanned only when B reaches ``_LN_SAFE`` = 1e300, which sits a
+    factor 1.8e8 below the float64 maximum, so even a rounding past the
+    margin cannot overflow an output the bound passed. A scan that finds an
+    overflow raises "op 'layer_norm' produced a non-finite output", as any
+    op's output scan does.
     """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     if a.ndim < 1 or _broadcast_shape(a.shape, gamma.shape, beta.shape) != a.shape:
@@ -861,6 +901,10 @@ def layer_norm(a, gamma, beta) -> Tensor:
     normed /= std
     out = normed * gd
     out += beta.data
+    bound = (math.sqrt(c) * (1.0 + _LN_MARGIN) * float(np.abs(gd).max(initial=0.0))
+             + float(np.abs(beta.data).max(initial=0.0)))
+    if bound >= _LN_SAFE:
+        _check_finite("layer_norm", "output", out)
     if not Tape._stack:
         return _result("layer_norm", (a, gamma, beta), out, None)
     sg, sb = gamma.shape, beta.shape
@@ -1099,6 +1143,18 @@ def self_attention_layer(x, wq, wk, wv, wo) -> Tensor:
     return _result(name, (x, wq, wk, wv, wo), out, backward)
 
 
+@functools.lru_cache(maxsize=_SHAPE_CACHE)
+def _window_cells(h: int, w: int, kh: int, kw: int) -> np.ndarray:
+    """Read-only flat indices, into an (H+kH-1, W+kW-1) padded plane, of the
+    (kH, kW) window that starts at each cell (h, w): H·W·kH·kW entries in
+    (h, w, kH, kW) order."""
+    rows = np.arange(h)[:, None, None, None] + np.arange(kh)[:, None]
+    cols = np.arange(w)[:, None, None] + np.arange(kw)
+    cells = (rows * (w + kw - 1) + cols).reshape(-1)
+    cells.flags.writeable = False
+    return cells
+
+
 def _spatial_patches(x: np.ndarray, kt: int, kh: int, kw: int) -> np.ndarray:
     """Spatial patch matrix of a channels-last grid under 'same' zero padding.
 
@@ -1107,14 +1163,19 @@ def _spatial_patches(x: np.ndarray, kt: int, kh: int, kw: int) -> np.ndarray:
     window that starts there in (kH, kW, C) order. The result is
     (B, T+kT-1, H·W, kH·kW·C): kH·kW·C columns, not kT·kH·kW·C, because
     temporal tap i reads frames i..i+T-1 of it as a view.
+
+    The rows are one ``np.take`` of C-wide cells from each flattened padded
+    plane, through an index table built once per (H, W, kH, kW)
+    (:func:`_window_cells`). It only copies values, so the matrix equals a
+    sliding-window view's, transposed and reshaped, bit for bit.
     """
     b, t, h, w, c = x.shape
     pt, ph, pw = kt // 2, kh // 2, kw // 2
     xp = np.zeros((b, t + 2 * pt, h + 2 * ph, w + 2 * pw, c))
     xp[:, pt:pt + t, ph:ph + h, pw:pw + w] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    # win: (B, T+kT-1, H, W, C, kH, kW)
-    return win.transpose(0, 1, 2, 3, 5, 6, 4).reshape(b, t + 2 * pt, h * w, kh * kw * c)
+    planes = xp.reshape(b, t + 2 * pt, -1, c)
+    return np.take(planes, _window_cells(h, w, kh, kw), axis=2).reshape(
+        b, t + 2 * pt, h * w, kh * kw * c)
 
 
 def _tap_rows(p: np.ndarray, i: int, t: int) -> np.ndarray:

@@ -31,14 +31,22 @@ class SynthError(ValueError):
     """Invalid generation or corruption configuration."""
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise :class:`SynthError` unless ``value``, a count or a seed, is an
+    integer of at least ``minimum``."""
+    if not isinstance(value, (int, np.integer)):
+        raise SynthError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise SynthError(f"{name} must be at least {minimum}, got {value}")
+
+
 @dataclass
 class MotionConfig:
     graph: BodyGraph
     frames: int = 16
 
     def validate(self) -> None:
-        if self.frames < 2:
-            raise SynthError(f"need at least 2 frames, got {self.frames}")
+        _check_int("frames", self.frames, 2)
 
 
 @dataclass
@@ -49,8 +57,9 @@ class CorruptionConfig:
     def validate(self) -> None:
         if not (0.0 <= self.occlusion_prob <= 1.0):
             raise SynthError(f"occlusion_prob {self.occlusion_prob} outside [0, 1]")
-        if self.blur_width < 1 or self.blur_width % 2 == 0:
-            raise SynthError(f"blur width must be odd and >= 1, got {self.blur_width}")
+        _check_int("blur_width", self.blur_width, 1)
+        if self.blur_width % 2 == 0:
+            raise SynthError(f"blur width must be odd, got {self.blur_width}")
 
 
 @dataclass
@@ -109,8 +118,10 @@ def _axis_angle(axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
 def generate_sequence(config: MotionConfig, seed: int) -> MotionSequence:
     """Deterministic kinematic-tree motion with clean observations: (T, n, 3)
     vertices posed for all T frames at once, their motion shrunk until the
-    default regressor's joints move at most ``_MAX_JOINT_STEP`` mm per frame."""
+    default regressor's joints move at most ``_MAX_JOINT_STEP`` mm per frame.
+    A seed that is not a non-negative integer raises ``SynthError``."""
     config.validate()
+    _check_int("seed", seed, 0)
     graph = config.graph
     rest, groups = graph.rest_pose, graph.rigid_groups
     regressor = build_joint_regressor(graph)
@@ -184,10 +195,11 @@ def corrupt_sequence(seq: MotionSequence, graph: BodyGraph,
     frames, drawn in that order. An event zeroes the first
     ceil(severity · part size) vertices of its part and sets their mask
     entries to 1 over the span. Deterministic per seed.
-    A sequence whose vertex count differs from the graph's raises
-    ``SynthError``.
+    A sequence whose vertex count differs from the graph's, or a seed that
+    is not a non-negative integer, raises ``SynthError``.
     """
     config.validate()
+    _check_int("seed", seed, 0)
     if seq.n_vertices != graph.n_vertices:
         raise SynthError(f"sequence has {seq.n_vertices} vertices, graph has {graph.n_vertices}")
     rng = np.random.default_rng(seed)

@@ -6,9 +6,10 @@ composites stay bit-identical; ``add`` is the reference for a unit-weight
 tape drops those of inputs that take none.
 
 Also the gradient checker, :func:`gradcheck`, which the tests run on every op
-and on the model's layers, and :class:`SlotAdam`, the per-slot Adam step that
-``model.Adam``'s one flat pass must match bit for bit; ``__all__`` lists the
-ops only."""
+and on the model's layers; :class:`SlotAdam`, the per-slot Adam step that
+``model.Adam``'s one flat pass must match bit for bit; and
+:func:`spatial_patches`, the sliding-window patch matrix that conv3d's
+gather must match bit for bit. ``__all__`` lists the ops only."""
 
 import math
 
@@ -73,6 +74,19 @@ def mean(a, axis=None, keepdims=False):
     count = math.prod(a.shape[i] for i in axes)
     return ad._result("mean", (a,), a.data.mean(axis=axes, keepdims=keepdims), lambda g: (
         np.broadcast_to((g if keepdims else np.expand_dims(g, axes)) / count, a.shape).copy(),))
+
+
+def spatial_patches(x, kt, kh, kw):
+    """conv3d's spatial patch matrix of the (B, T, H, W, C) ``x`` as a
+    sliding-window view of the padded grid, transposed to (kH, kW, C)
+    columns and reshaped to (B, T+kT-1, H·W, kH·kW·C)."""
+    b, t, h, w, c = x.shape
+    pt, ph, pw = kt // 2, kh // 2, kw // 2
+    xp = np.zeros((b, t + 2 * pt, h + 2 * ph, w + 2 * pw, c))
+    xp[:, pt:pt + t, ph:ph + h, pw:pw + w] = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    # win: (B, T+kT-1, H, W, C, kH, kW)
+    return win.transpose(0, 1, 2, 3, 5, 6, 4).reshape(b, t + 2 * pt, h * w, kh * kw * c)
 
 
 class GradcheckError(AssertionError):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import tracemalloc
 
@@ -639,6 +640,35 @@ def test_conv3d_backward_builds_one_patch_matrix(monkeypatch, grads):
     assert (x.grad is not None, k.grad is not None) == (grads != "kernel", grads != "input")
 
 
+@pytest.mark.parametrize("kernel", [(1, 1, 1), (3, 3, 3), (1, 3, 5), (5, 1, 3)],
+                         ids=lambda k: "x".join(map(str, k)))
+@pytest.mark.parametrize("grid", [(1, 1, 1, 1), (1, 2, 1, 1), (1, 1, 3, 5), (1, 2, 4, 2),
+                                  (2, 3, 2, 3)], ids=lambda g: "x".join(map(str, g)))
+@pytest.mark.parametrize("channels", [1, 3])
+def test_spatial_patches_equal_the_sliding_window_oracle(grid, kernel, channels):
+    # B=1 with T of 1 and 2, a 1x1 grid and H != W, and one B=2 grid
+    x = np.random.default_rng(38).standard_normal(grid + (channels,))
+    got = ad._spatial_patches(x, *kernel)
+    want = oracle.spatial_patches(x, *kernel)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_spatial_patch_windows_are_cached_once_per_key_and_read_only():
+    ad._window_cells.cache_clear()
+    rng = np.random.default_rng(39)
+    # other batch, frame and channel counts and temporal extents share the
+    # (H, W, kH, kW) key
+    for shape, kernel in [((1, 2, 3, 4, 2), (3, 3, 5)), ((2, 5, 3, 4, 1), (1, 3, 5))]:
+        ad._spatial_patches(rng.standard_normal(shape), *kernel)
+    info = ad._window_cells.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    cells = ad._window_cells(3, 4, 3, 5)
+    assert cells.shape == (3 * 4 * 3 * 5,) and not cells.flags.writeable
+    with pytest.raises(ValueError):
+        cells[0] = 0
+
+
 def test_conv3d_holds_no_patch_matrix_on_the_tape():
     # after a taped call only the output (and the record) stays allocated:
     # the backward builds its own patch matrix instead of keeping one
@@ -988,6 +1018,56 @@ def test_layer_norm_raises_when_the_variance_overflows():
     x = np.random.default_rng(32).standard_normal((3, 4)) * 1e160
     with np.errstate(over="ignore"), pytest.raises(NumericsError):
         layer_norm(x, np.ones(4), np.zeros(4))
+
+
+def _count_scans(monkeypatch):
+    # every (op, what) pair _check_finite scans, in call order
+    scans = []
+    check = ad._check_finite
+
+    def counted(name, what, arr):
+        scans.append((name, what))
+        return check(name, what, arr)
+
+    monkeypatch.setattr(ad, "_check_finite", counted)
+    return scans
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_reshape_transpose_and_relu_make_no_scan(monkeypatch, taped):
+    # their outputs are finite because their operands are
+    x = Tensor(np.random.default_rng(42).standard_normal((2, 3, 4)), requires_grad=True)
+    scans = _count_scans(monkeypatch)
+    with Tape() if taped else contextlib.nullcontext():
+        ad.relu(ad.transpose(ad.reshape(x, (6, 4)), (1, 0)))
+    assert scans == []
+
+
+def test_layer_norm_scans_no_output_when_its_bound_holds(monkeypatch):
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((4, 16, 24, 8)) * 1e3
+    scans = _count_scans(monkeypatch)
+    layer_norm(x, rng.standard_normal(8) * 1e10, rng.standard_normal(8) * 1e290)
+    assert scans == [("layer_norm", "standard deviation")]
+
+
+def test_layer_norm_scans_a_finite_output_when_its_bound_fails(monkeypatch):
+    # √8·1e300 reaches the bound's threshold, but the output stays finite
+    x = np.random.default_rng(44).standard_normal((3, 8))
+    scans = _count_scans(monkeypatch)
+    out = layer_norm(x, np.full(8, 1e300), np.zeros(8))
+    assert scans == [("layer_norm", "standard deviation"), ("layer_norm", "output")]
+    np.testing.assert_array_equal(out.data, layer_norm(x, np.ones(8), np.zeros(8)).data * 1e300)
+
+
+@pytest.mark.parametrize("gamma,beta", [(1e300, np.finfo(np.float64).max), (1e308, 0.0)],
+                         ids=["beta_at_the_maximum", "gamma_alone"])
+def test_layer_norm_raises_when_its_output_overflows(gamma, beta):
+    # each row one spike: its normalized entry is √7 ≈ 2.65, the others -1/√7
+    x = np.eye(8)[:3] * 5.0
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericsError, match=r"^op 'layer_norm' produced a non-finite output$"):
+        layer_norm(x, np.full(8, gamma), np.full(8, beta))
 
 
 def test_attention_raises_when_a_score_overflows():

@@ -255,6 +255,31 @@ def test_default_step_census(default_step, workload):
     assert census == DEFAULT_STEP_CENSUS[workload]
 
 
+# NaN/Inf scans (_check_finite calls) of one default predict of a 16-frame
+# sequence and of one default training step's taped forward and loss:
+# reshape, transpose and relu make none, and layer_norm scans only its
+# standard deviation while its bound proves its output finite
+DEFAULT_SCANS = {"diffusion": (974, 1080), "deterministic": (20, 25)}
+
+
+@pytest.mark.parametrize("workload", sorted(DEFAULT_SCANS))
+def test_default_scan_counts(monkeypatch, workload):
+    config = ModelConfig(diffusion_on=workload == "diffusion")
+    model = build_model(config)
+    seq = generate_sequence(MotionConfig(graph=model.graph, frames=16), seed=5)
+    obs = np.random.default_rng(32).standard_normal((config.batch_size, 16,
+                                                     config.n_vertices, 3)) * 100.0
+    scans = []
+    check = ad._check_finite
+    monkeypatch.setattr(ad, "_check_finite", lambda *args: scans.append(args[:2]) or check(*args))
+    model.predict(seq, seed=1)
+    predicted = len(scans)
+    with Tape():
+        model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=0), obs + 1.0)
+    assert (predicted, len(scans) - predicted) == DEFAULT_SCANS[workload]
+    assert not {name for name, _ in scans} & {"reshape", "transpose", "relu"}
+
+
 # the default initial parameters: the sha256 of the sorted per-slot digests
 # (each of a slot's shape and bytes), so slot names and order do not count,
 # but a refactor that moves a draw does

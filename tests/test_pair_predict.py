@@ -1,0 +1,87 @@
+"""tools/pair_predict.py: its summary of synthetic timings, its alternating
+pairs on stand-in predictors, and its import of a source tree under its own
+package name; no revision is exported."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from meshmotion import model as model_module
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("pair_predict", ROOT / "tools" / "pair_predict.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pp = _load()
+
+
+def test_summary_of_synthetic_timings():
+    base = [1.0, 2.0, 4.0, 1.0, 3.0]
+    change = [0.9, 1.6, 4.4, 1.0, 2.7]   # ratios 0.9, 0.8, 1.1, 1.0, 0.9
+    summary = pp.summarize(base, change)
+    assert summary == {"pairs": 5, "median_pair_ratio": pytest.approx(0.9),
+                       "change_wins": 3, "win_share": 0.6,
+                       "base_median_s": 2.0, "change_median_s": 1.6}
+
+
+def test_summary_of_no_pairs():
+    assert pp.summarize([], []) == {"pairs": 0, "median_pair_ratio": None, "change_wins": 0,
+                                    "win_share": None, "base_median_s": None,
+                                    "change_median_s": None}
+
+
+def test_summary_rejects_unpaired_timings():
+    with pytest.raises(ValueError):
+        pp.summarize([1.0, 2.0], [1.0])
+
+
+def _stand_ins(calls, change_offset=0.0):
+    # predictors that log (side, sequence, seed) and return the sequence plus
+    # the offset on the change side
+    def side(name, offset):
+        def predict(seq, seed):
+            calls.append((name, seq, seed))
+            return np.array([seq + offset])
+        return predict
+    return {"base": side("base", 0.0), "change": side("change", change_offset)}
+
+
+def test_pairs_alternate_sides_and_skip_the_warmup():
+    calls = []
+    ticks = iter(range(100))
+    times = pp.time_pairs(_stand_ins(calls), [10, 20, 30], pairs=3, warmup=1,
+                          clock=lambda: float(next(ticks)))
+    assert calls == [("base", 10, 0), ("change", 10, 0), ("change", 20, 1), ("base", 20, 1),
+                     ("base", 30, 2), ("change", 30, 2), ("change", 10, 3), ("base", 10, 3)]
+    # each timed predict reads the clock twice in a row
+    assert times == {"base": [1.0, 1.0, 1.0], "change": [1.0, 1.0, 1.0]}
+
+
+def test_pairs_stop_when_the_predictions_differ():
+    with pytest.raises(AssertionError, match="pair 0"):
+        pp.time_pairs(_stand_ins([], change_offset=1.0), [1.0], pairs=2)
+
+
+def test_a_source_tree_imports_under_its_own_package_name():
+    name = "meshmotion_pair_test"
+    try:
+        package = pp.import_package(ROOT / "src", name)
+        assert package.model is not model_module
+        assert package.model.ad.__name__ == f"{name}.autodiff"
+        config = dict(diffusion_on=False)
+        theirs = package.model.build_model(package.model.ModelConfig(**config))
+        ours = model_module.build_model(model_module.ModelConfig(**config))
+        seq = pp.heldout(package.synth, theirs.graph, seed=3, count=1, frames=4)[0]
+        np.testing.assert_array_equal(theirs.predict(seq, 1), ours.predict(seq, 1))
+    finally:
+        for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+            del sys.modules[key]

@@ -212,3 +212,32 @@ def test_blur_width_must_fit(graph):
         CorruptionConfig(blur_width=2).validate()
     with pytest.raises(SynthError):
         CorruptionConfig(occlusion_prob=1.5).validate()
+
+
+@pytest.mark.parametrize("make", [
+    lambda graph: MotionConfig(graph=graph, frames=2.5).validate(),
+    lambda graph: MotionConfig(graph=graph, frames=1).validate(),
+    lambda graph: CorruptionConfig(blur_width=3.0).validate(),
+    lambda graph: CorruptionConfig(blur_width=0).validate(),
+], ids=["fractional_frames", "one_frame", "float_blur_width", "zero_blur_width"])
+def test_counts_must_be_integers_in_range(graph, make):
+    with pytest.raises(SynthError):
+        make(graph)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_seeds_must_be_non_negative_integers(graph, seed):
+    seq = generate_sequence(MotionConfig(graph=graph, frames=4), seed=0)
+    with pytest.raises(SynthError, match="seed"):
+        generate_sequence(MotionConfig(graph=graph, frames=4), seed=seed)
+    with pytest.raises(SynthError, match="seed"):
+        corrupt_sequence(seq, graph, CorruptionConfig(), seed=seed)
+
+
+def test_numpy_integer_counts_and_seeds_are_accepted(graph):
+    seq = generate_sequence(MotionConfig(graph=graph, frames=np.int64(4)), seed=np.int64(7))
+    np.testing.assert_array_equal(
+        seq.gt_vertices, generate_sequence(MotionConfig(graph=graph, frames=4), seed=7).gt_vertices)
+    out = corrupt_sequence(seq, graph, CorruptionConfig(blur_width=np.int64(3)), seed=np.uint8(2))
+    ref = corrupt_sequence(seq, graph, CorruptionConfig(blur_width=3), seed=2)
+    np.testing.assert_array_equal(out.observations, ref.observations)

@@ -1,0 +1,136 @@
+"""Paired in-process ``Model.predict`` timings of two revisions.
+
+    python3 tools/pair_predict.py --base HEAD~1 --change HEAD \
+        --workload train_deterministic --pairs 960 --scratch /tmp/pairs
+
+Run it from the repository root. Each revision's committed files are
+exported with ``git archive`` into its own directory under ``--scratch``
+(``bench_pairs.export``), and each side's ``meshmotion`` is imported under
+its own package name (``meshmotion_base``, ``meshmotion_change``), so both
+run in this one process, on the same host state, with the same untrained
+model (the default ``ModelConfig``, diffusion on or off as the workload's)
+and the same 16 held-out sequences (16 frames, ``occlusion_prob=0.3``,
+``blur_width=3``, generated by the change's ``synth`` from ``--seed``).
+
+Pair j predicts held-out sequence j mod 16 once on each side, the base
+first when j is even, after 8 untimed pairs. Every pair
+checks that the two predictions are bit-identical and stops with an error
+when they are not. The summary printed as one JSON line holds the median
+over pairs of the change's seconds over the base's, the share of pairs the
+change was faster in, and each side's median seconds. Pairs taken
+back to back cancel most of the host's drift, so this resolves effects of a
+few percent that separate perfbench runs cannot.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import SIDES, export  # noqa: E402
+
+WORKLOADS = {"train_diffusion": True, "train_deterministic": False}   # name -> diffusion_on
+SEQUENCES = 16   # held-out sequences, predicted in turn
+WARMUP = 8   # untimed pairs first: each side's caches fill
+
+
+def import_package(src: Path, name: str):
+    """The ``meshmotion`` package under ``src`` imported as ``name``, with its
+    ``model`` and ``synth`` modules loaded; its modules import each other
+    relatively, so none of them reaches another side's."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "meshmotion" / "__init__.py",
+        submodule_search_locations=[str(src / "meshmotion")])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("model", "synth"):
+        importlib.import_module(f"{name}.{module}")
+    return package
+
+
+def heldout(synth, graph, seed: int, count: int, frames: int = 16) -> list:
+    """``count`` corrupted sequences; sequence i has motion seed
+    ``seed * 1000 + i`` and corruption seed that plus 500."""
+    corruption = synth.CorruptionConfig(occlusion_prob=0.3, blur_width=3)
+    out = []
+    for i in range(count):
+        clean = synth.generate_sequence(synth.MotionConfig(graph=graph, frames=frames),
+                                        seed=seed * 1000 + i)
+        out.append(synth.corrupt_sequence(clean, graph, corruption, seed=seed * 1000 + i + 500))
+    return out
+
+
+def time_pairs(predict: dict, sequences: list, pairs: int, warmup: int = 0,
+               clock=time.perf_counter) -> dict[str, list[float]]:
+    """Seconds per side of ``pairs`` timed pairs, after ``warmup`` untimed
+    ones. ``predict[side](seq, seed)`` returns a prediction; pair j runs
+    sequence j mod len(sequences) with seed j on both sides, the base first
+    when j is even, and raises ``AssertionError`` unless the two
+    predictions are equal bit for bit."""
+    times = {side: [] for side in SIDES}
+    for j in range(warmup + pairs):
+        seq = sequences[j % len(sequences)]
+        out = {}
+        for side in (SIDES if j % 2 == 0 else SIDES[::-1]):
+            t0 = clock()
+            out[side] = predict[side](seq, j)
+            if j >= warmup:
+                times[side].append(clock() - t0)
+        if not np.array_equal(out["base"], out["change"]):
+            raise AssertionError(f"pair {j}: the predictions differ")
+    return times
+
+
+def summarize(base: list[float], change: list[float]) -> dict:
+    """The median over pairs of change / base, the pairs and the share of
+    pairs the change took less time in (ties count for neither side), and
+    each side's median; the medians and share are None for no pairs."""
+    n = len(base)
+    wins = sum(c < b for b, c in zip(base, change, strict=True))
+    return {
+        "pairs": n,
+        "median_pair_ratio": float(np.median(np.divide(change, base))) if n else None,
+        "change_wins": wins,
+        "win_share": wins / n if n else None,
+        "base_median_s": float(np.median(base)) if n else None,
+        "change_median_s": float(np.median(change)) if n else None,
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, help="git revision of the parent")
+    p.add_argument("--change", required=True, help="git revision of the change")
+    p.add_argument("--workload", choices=sorted(WORKLOADS), default="train_deterministic")
+    p.add_argument("--pairs", type=int, default=960)
+    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--scratch", required=True, type=Path,
+                   help="new directory for the two exported trees")
+    args = p.parse_args(argv)
+
+    revs, predict = {}, {}
+    for side, rev in (("base", args.base), ("change", args.change)):
+        revs[side] = export(rev, args.scratch / side)
+        package = import_package(args.scratch / side / "src", f"meshmotion_{side}")
+        model = package.model.build_model(
+            package.model.ModelConfig(diffusion_on=WORKLOADS[args.workload]))
+        predict[side] = model.predict
+    sequences = heldout(package.synth, model.graph, args.seed, SEQUENCES)
+    times = time_pairs(predict, sequences, args.pairs, WARMUP)
+    print(json.dumps({"base": revs["base"], "change": revs["change"],
+                      "workload": args.workload,
+                      **summarize(times["base"], times["change"])}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
