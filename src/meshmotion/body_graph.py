@@ -79,7 +79,7 @@ class RigidGroup:
             a.setflags(write=False)
 
 
-@dataclass
+@dataclass(eq=False)
 class BodyGraph:
     """Vertex/edge structure, part layout, resampling matrices and rig.
 
@@ -89,7 +89,8 @@ class BodyGraph:
     group never crosses a part, so the coarse parts start at
     ``coarse_of[part_starts]``. ``rest_pose`` and ``rigid_groups`` (parents
     first) are built once with the graph and shared, read-only, by every
-    sequence posed on it.
+    sequence posed on it. A graph compares and hashes by identity, so
+    ``synth`` caches the posing tables it derives from them per graph.
     """
 
     n_vertices: int

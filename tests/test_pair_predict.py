@@ -85,3 +85,38 @@ def test_a_source_tree_imports_under_its_own_package_name():
     finally:
         for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
             del sys.modules[key]
+
+
+@pytest.fixture
+def two_trees():
+    """This source tree imported under two package names, as the two sides
+    of a pairing; both are removed from ``sys.modules`` afterwards."""
+    names = ("meshmotion_pair_base", "meshmotion_pair_change")
+    try:
+        yield [pp.import_package(ROOT / "src", name) for name in names]
+    finally:
+        for key in [k for k in sys.modules if k.split(".")[0] in names]:
+            del sys.modules[key]
+
+
+def test_synth_pairs_alternate_and_match_bit_for_bit(two_trees):
+    base, change = two_trees
+    run = {"base": pp.synth_unit(base, seed=3, frames=4),
+           "change": pp.synth_unit(change, seed=3, frames=4)}
+    times = pp.time_pairs(run, [0, 1, 2], pairs=4, warmup=1)
+    assert [len(t) for t in times.values()] == [4, 4]
+    gt, obs, mask = run["change"](2, 0)
+    assert gt.shape == obs.shape == (4, 96, 3) and mask.shape == (4, 96)
+    want = change.synth.generate_sequence(
+        change.synth.MotionConfig(graph=change.body_graph.generate_toy_body(), frames=4),
+        seed=300_002)
+    np.testing.assert_array_equal(gt, want.gt_vertices)
+
+
+def test_synth_pairs_stop_when_the_sequences_differ(two_trees, monkeypatch):
+    base, change = two_trees
+    monkeypatch.setattr(change.synth, "_ROOT_TRAVEL", 260.0)
+    run = {"base": pp.synth_unit(base, seed=3, frames=4),
+           "change": pp.synth_unit(change, seed=3, frames=4)}
+    with pytest.raises(AssertionError, match="pair 0: the outputs differ"):
+        pp.time_pairs(run, [0, 1], pairs=2)

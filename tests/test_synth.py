@@ -1,8 +1,11 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from meshmotion import body_graph, synth
-from meshmotion.body_graph import DEFAULT_PARTS, generate_toy_body
+from meshmotion.body_graph import DEFAULT_PARTS, BodyGraph, generate_toy_body
 from meshmotion.metrics import build_joint_regressor
 from meshmotion.synth import (
     CorruptionConfig,
@@ -87,14 +90,14 @@ def test_velocity_cap(graph, monkeypatch):
     # than once, its motion shrunk until its joints move at most the cap
     reg = build_joint_regressor(graph)
     poses = []
+    pose = synth._pose
 
-    def counting(_):
-        def regress(verts):
-            poses.append(verts)
-            return reg(verts)
-        return regress
+    def counting(*args):
+        verts = pose(*args)
+        poses.append(verts)
+        return verts
 
-    monkeypatch.setattr(synth, "build_joint_regressor", counting)
+    monkeypatch.setattr(synth, "_pose", counting)
     cfg = MotionConfig(graph=graph, frames=12)
     for seed in range(10):
         poses.clear()
@@ -118,9 +121,18 @@ def test_a_reused_graph_poses_as_a_fresh_one(graph):
                                       fresh.gt_vertices)
 
 
+def _cache_misses():
+    return [f.cache_info().misses for f in (synth._rig, synth._spline_tables, synth._blur_taps)]
+
+
 def test_generation_builds_no_rig(graph, monkeypatch):
-    # the rest pose and the group tree are built with the graph, not per call
-    want = generate_sequence(MotionConfig(graph=graph, frames=5), seed=8).gt_vertices
+    # the rest pose and the group tree are built with the graph; after one
+    # warm call, the graph's tables, the spline system and the blur taps
+    # for its frame count and width come from the caches
+    corruption = CorruptionConfig(occlusion_prob=1.0, blur_width=3)
+    want = generate_sequence(MotionConfig(graph=graph, frames=5), seed=8)
+    want = corrupt_sequence(want, graph, corruption, seed=9)
+    misses = _cache_misses()
 
     def refuse(*args, **kwargs):
         raise AssertionError("rig rebuilt during generation")
@@ -128,8 +140,159 @@ def test_generation_builds_no_rig(graph, monkeypatch):
     monkeypatch.setattr(body_graph, "_chain", refuse)
     monkeypatch.setattr(body_graph, "RigidGroup", refuse)
     monkeypatch.setattr(body_graph, "generate_toy_body", refuse)
-    got = generate_sequence(MotionConfig(graph=graph, frames=5), seed=8).gt_vertices
-    np.testing.assert_array_equal(got, want)
+    monkeypatch.setattr(synth, "build_joint_regressor", refuse)
+    monkeypatch.setattr(BodyGraph, "part_vertices", refuse)
+    got = generate_sequence(MotionConfig(graph=graph, frames=5), seed=8)
+    got = corrupt_sequence(got, graph, corruption, seed=9)
+    for name in ("gt_vertices", "observations", "occlusion_mask"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert _cache_misses() == misses
+
+
+def _arrays(table):
+    """Every array in a cached table, looking into dataclasses and tuples."""
+    if isinstance(table, np.ndarray):
+        return [table]
+    if dataclasses.is_dataclass(table):
+        table = tuple(vars(table).values())
+    return [a for item in table for a in _arrays(item)] if isinstance(table, tuple) else []
+
+
+def test_every_cached_table_is_read_only(graph):
+    tables = [synth._rig(graph), synth._spline_tables(synth._SPLINE_CONTROLS, 7),
+              synth._blur_taps(7, 3)]
+    arrays = [a for table in tables for a in _arrays(table)]
+    assert len(arrays) == 24
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
+
+
+def _generate(graph, seed, frames=6):
+    seq = generate_sequence(MotionConfig(graph=graph, frames=frames), seed=seed)
+    return corrupt_sequence(seq, graph, CorruptionConfig(occlusion_prob=0.5, blur_width=3),
+                            seed=seed + 1)
+
+
+def test_interleaved_graphs_generate_as_each_alone():
+    # more graphs than the table cache holds, so entries are also evicted
+    # and rebuilt while the graphs take turns
+    graphs = [generate_toy_body(vpp, 1) for vpp in range(2, 12)]
+    alone = []
+    for g in graphs:
+        synth._rig.cache_clear()
+        alone.append([_generate(g, seed) for seed in range(2)])
+    synth._rig.cache_clear()
+    for seed in range(2):
+        for g, want in zip(graphs, alone):
+            got = _generate(g, seed)
+            for name in ("gt_vertices", "observations", "occlusion_mask"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want[seed], name))
+
+
+def _reference_pose(graph, axes, angles, root):
+    """The group-by-group posing loop: (T, n, 3) vertices; each group's
+    rotation about its 1-D-normalized axis composed onto its parent's."""
+    def axis_angle(axis, theta):
+        axis = axis / np.linalg.norm(axis)
+        k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+        s, c = np.sin(theta)[:, None, None], np.cos(theta)[:, None, None]
+        return np.eye(3) + s * k + (1 - c) * (k @ k)
+
+    groups, rest = graph.rigid_groups, graph.rest_pose
+    verts = np.empty((angles.shape[1], graph.n_vertices, 3))
+    world = []
+    for g, axis, angle in zip(groups, axes, angles):
+        local_r = axis_angle(axis, angle)
+        if g.parent is None:
+            r = axis_angle(np.array(synth._YAW_AXIS), angles[-1]) @ local_r
+            pivot_world = g.pivot + root
+        else:
+            pr, porg = world[g.parent]
+            r = pr @ local_r
+            pivot_world = pr @ (g.pivot - groups[g.parent].pivot) + porg
+        world.append((r, pivot_world))
+        verts[:, g.vertices] = (rest[g.vertices] - g.pivot) @ r.transpose(0, 2, 1) + pivot_world[:, None]
+    return verts
+
+
+@pytest.mark.parametrize("vpp,frames", [(12, 16), (4, 2), (5, 9), (13, 5)])
+def test_pose_equals_the_group_loop_bit_for_bit(vpp, frames):
+    g = generate_toy_body(vpp, 1)
+    rng = np.random.default_rng(vpp * 100 + frames)
+    for _ in range(5):
+        axes = np.stack([gr.axis for gr in g.rigid_groups]) + 0.15 * rng.standard_normal((10, 3))
+        axes = np.stack([a / np.linalg.norm(a) for a in axes])
+        angles = rng.uniform(-1.0, 1.0, size=(len(axes) + 1, frames))
+        root = rng.uniform(-300.0, 300.0, size=(frames, 3))
+        k = synth._skew(np.concatenate([synth._unit_rows(axes), [synth._YAW_AXIS]]))
+        got = synth._pose(synth._rig(g), k, k @ k, angles, root)
+        assert got.tobytes() == _reference_pose(g, axes, angles, root).tobytes()
+
+
+def test_unit_rows_divide_by_the_1d_norm_bit_for_bit():
+    v = np.random.default_rng(0).standard_normal((2000, 3)) * 7.0
+    want = np.stack([row / np.linalg.norm(row) for row in v])
+    assert synth._unit_rows(v).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("frames,width", [(2, 1), (4, 3), (16, 3), (16, 5), (9, 7)])
+def test_blur_equals_the_frame_loop_bit_for_bit(graph, frames, width):
+    seq = generate_sequence(MotionConfig(graph=graph, frames=frames), seed=frames + width)
+    out = corrupt_sequence(seq, graph, CorruptionConfig(occlusion_prob=0.0, blur_width=width),
+                           seed=0)
+    gt, half = seq.gt_vertices, width // 2
+    padded = np.concatenate([np.repeat(gt[:1], half, axis=0), gt,
+                             np.repeat(gt[-1:], half, axis=0)])
+    kernel = np.ones(width) / width
+    want = np.stack([np.tensordot(kernel, padded[f:f + width], axes=(0, 0))
+                     for f in range(frames)])
+    assert out.observations.tobytes() == want.tobytes()
+
+
+def _digest(graph, frames, corruption, motion_seeds, corruption_seeds):
+    """sha256 over each sequence's ground truth, observations and mask, as
+    little-endian float64 bytes, in that order."""
+    h = hashlib.sha256()
+    for ms, cs in zip(motion_seeds, corruption_seeds, strict=True):
+        seq = corrupt_sequence(generate_sequence(MotionConfig(graph=graph, frames=frames), seed=ms),
+                               graph, corruption, seed=cs)
+        for a in (seq.gt_vertices, seq.observations, seq.occlusion_mask):
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# digests computed with the group-by-group, frame-by-frame generator
+_GOLDEN = {
+    # perfbench's seed-11 training set: 64 sequences of 16 frames
+    "perfbench_seed_11": (
+        12, 16, 0.3, 3, range(1_100_000, 1_100_064), range(1_150_000, 1_150_064),
+        "f0e9b7c529846dec34b1009afc1c6d7e729e3981e0e088a89e8ec94b0a374b2b"),
+    "two_frames": (12, 2, 0.3, 1, range(200, 208), range(300, 308),
+                   "062529177521687a27746628e5b0c8d82143a28fc09275b6b977995bd3e8d2ad"),
+    "five_frames": (12, 5, 0.3, 3, range(200, 208), range(300, 308),
+                    "74626029126068de085ed19105a34f4c700907229b7edc7c87b78bb8138eba8a"),
+    "blur_width_1": (12, 16, 0.3, 1, range(200, 208), range(300, 308),
+                     "7a4be824b466f7d30a10a0ac833603379fc1301a516d34907d599d820f3d9884"),
+    "blur_width_5": (12, 16, 0.3, 5, range(200, 208), range(300, 308),
+                     "f0217e80ce9d0d96de56e59c0f5a29aa639eda1501953ee968ae0a3072d30d2b"),
+    "no_occlusion": (12, 16, 0.0, 3, range(200, 208), range(300, 308),
+                     "2ca0fc7e1aba2dba147c6533c7b4d8eb9d5458994d5e1c14f5108f5c1311f904"),
+    "occlusion_every_frame": (12, 16, 1.0, 3, range(200, 208), range(300, 308),
+                              "531c43484902ce70744cb7ef95fb9f28c9493a2a872eba8a697dd5a62a64238f"),
+    "four_vertices_per_part": (4, 16, 0.3, 3, range(200, 208), range(300, 308),
+                               "405b221b80fb08c6e006e0f55e56ea35eeab82906fb6d723e3122a70b31fb0f1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_golden_dataset_digest(case):
+    vpp, frames, occlusion, width, motion_seeds, corruption_seeds, want = _GOLDEN[case]
+    corruption = CorruptionConfig(occlusion_prob=occlusion, blur_width=width)
+    got = _digest(generate_toy_body(vertices_per_part=vpp), frames, corruption,
+                  motion_seeds, corruption_seeds)
+    assert got == want
 
 
 def test_noop_corruption_is_identity(graph):
@@ -223,6 +386,32 @@ def test_blur_width_must_fit(graph):
 def test_counts_must_be_integers_in_range(graph, make):
     with pytest.raises(SynthError):
         make(graph)
+
+
+@pytest.mark.parametrize("make", [
+    lambda graph: CorruptionConfig(occlusion_prob=None).validate(),
+    lambda graph: CorruptionConfig(occlusion_prob="0.3").validate(),
+    lambda graph: CorruptionConfig(occlusion_prob=True).validate(),
+    lambda graph: CorruptionConfig(occlusion_prob=np.bool_(False)).validate(),
+    lambda graph: CorruptionConfig(occlusion_prob=float("nan")).validate(),
+    lambda graph: CorruptionConfig(occlusion_prob=-0.1).validate(),
+    lambda graph: MotionConfig(graph=None).validate(),
+    lambda graph: MotionConfig(graph=graph.rest_pose).validate(),
+    lambda graph: generate_sequence(MotionConfig(graph=None), seed=0),
+], ids=["none_prob", "string_prob", "bool_prob", "numpy_bool_prob", "nan_prob",
+        "negative_prob", "none_graph", "array_graph", "generate_on_none_graph"])
+def test_config_fields_must_have_their_types(graph, make):
+    with pytest.raises(SynthError):
+        make(graph)
+
+
+def test_real_occlusion_probabilities_are_accepted(graph):
+    seq = generate_sequence(MotionConfig(graph=graph, frames=4), seed=0)
+    for p in (0, 1, 0.5, np.float32(0.25), np.float64(0.75)):
+        CorruptionConfig(occlusion_prob=p).validate()
+    ref = corrupt_sequence(seq, graph, CorruptionConfig(occlusion_prob=0.25), seed=3)
+    out = corrupt_sequence(seq, graph, CorruptionConfig(occlusion_prob=np.float64(0.25)), seed=3)
+    np.testing.assert_array_equal(out.occlusion_mask, ref.occlusion_mask)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])

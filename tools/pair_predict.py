@@ -1,25 +1,36 @@
-"""Paired in-process ``Model.predict`` timings of two revisions.
+"""Paired in-process timings of two revisions: ``Model.predict``, or
+sequence synthesis.
 
     python3 tools/pair_predict.py --base HEAD~1 --change HEAD \
         --workload train_deterministic --pairs 960 --scratch /tmp/pairs
+    python3 tools/pair_predict.py --base HEAD~1 --change HEAD \
+        --unit synth --pairs 960 --scratch /tmp/pairs
 
 Run it from the repository root. Each revision's committed files are
 exported with ``git archive`` into its own directory under ``--scratch``
 (``bench_pairs.export``), and each side's ``meshmotion`` is imported under
 its own package name (``meshmotion_base``, ``meshmotion_change``), so both
-run in this one process, on the same host state, with the same untrained
-model (the default ``ModelConfig``, diffusion on or off as the workload's)
-and the same 16 held-out sequences (16 frames, ``occlusion_prob=0.3``,
-``blur_width=3``, generated by the change's ``synth`` from ``--seed``).
+run in this one process, on the same host state.
 
-Pair j predicts held-out sequence j mod 16 once on each side, the base
-first when j is even, after 8 untimed pairs. Every pair
-checks that the two predictions are bit-identical and stops with an error
-when they are not. The summary printed as one JSON line holds the median
-over pairs of the change's seconds over the base's, the share of pairs the
-change was faster in, and each side's median seconds. Pairs taken
-back to back cancel most of the host's drift, so this resolves effects of a
-few percent that separate perfbench runs cannot.
+The default unit, ``predict``, runs the same untrained model (the default
+``ModelConfig``, diffusion on or off as the workload's) on the same 16
+held-out sequences (16 frames, ``occlusion_prob=0.3``, ``blur_width=3``,
+generated by the change's ``synth`` from ``--seed``). The ``synth`` unit
+makes one sequence per call on each side's own default graph:
+``generate_sequence`` (16 frames) then ``corrupt_sequence`` at perfbench's
+corruption (``occlusion_prob=0.3``, ``blur_width=3``), for perfbench's 128
+set-up sequences of ``--seed`` in turn (motion seed ``seed * 100_000 + i``,
+corruption seed that plus 50,000); ``--workload`` does not apply to it.
+
+Pair j runs item j mod the item count once on each side, the base first
+when j is even, after 8 untimed pairs. Every pair checks that the two
+outputs (the prediction, or the ground truth, observations and mask) are
+bit-identical and stops with an error when they are not. The summary
+printed as one JSON line holds the median over pairs of the change's
+seconds over the base's, the share of pairs the change was faster in, and
+each side's median seconds. Pairs taken back to back cancel most of the
+host's drift, so this resolves effects of a few percent that separate
+perfbench runs cannot.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from bench_pairs import SIDES, export  # noqa: E402
 
 WORKLOADS = {"train_diffusion": True, "train_deterministic": False}   # name -> diffusion_on
 SEQUENCES = 16   # held-out sequences, predicted in turn
+SYNTH_SEQUENCES = 128   # perfbench's set-up sequences per seed, made in turn
 WARMUP = 8   # untimed pairs first: each side's caches fill
 
 
@@ -69,24 +81,49 @@ def heldout(synth, graph, seed: int, count: int, frames: int = 16) -> list:
     return out
 
 
-def time_pairs(predict: dict, sequences: list, pairs: int, warmup: int = 0,
+def synth_unit(package, seed: int, frames: int = 16):
+    """``make(i, j)``: the ground truth, observations and mask of one
+    sequence made by ``package``'s ``synth`` on its own default graph, with
+    motion seed ``seed * 100_000 + i`` and corruption seed that plus 50,000
+    (``j`` is unused), as perfbench's set-up makes it."""
+    synth = package.synth
+    graph = package.body_graph.generate_toy_body()
+    motion = synth.MotionConfig(graph=graph, frames=frames)
+    corruption = synth.CorruptionConfig(occlusion_prob=0.3, blur_width=3)
+
+    def make(i, j):
+        clean = synth.generate_sequence(motion, seed=seed * 100_000 + i)
+        seq = synth.corrupt_sequence(clean, graph, corruption, seed=seed * 100_000 + i + 50_000)
+        return seq.gt_vertices, seq.observations, seq.occlusion_mask
+    return make
+
+
+def identical(a, b) -> bool:
+    """Whether two outputs, each an array or a tuple of arrays, hold the
+    same dtypes, shapes and bytes."""
+    a, b = (x if isinstance(x, tuple) else (x,) for x in (a, b))
+    return len(a) == len(b) and all(x.dtype == y.dtype and x.shape == y.shape
+                                    and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def time_pairs(run: dict, items: list, pairs: int, warmup: int = 0,
                clock=time.perf_counter) -> dict[str, list[float]]:
     """Seconds per side of ``pairs`` timed pairs, after ``warmup`` untimed
-    ones. ``predict[side](seq, seed)`` returns a prediction; pair j runs
-    sequence j mod len(sequences) with seed j on both sides, the base first
-    when j is even, and raises ``AssertionError`` unless the two
-    predictions are equal bit for bit."""
+    ones. ``run[side](item, j)`` returns an array or a tuple of arrays; pair
+    j runs item j mod len(items) with j on both sides, the base first when
+    j is even, and raises ``AssertionError`` unless the two outputs are
+    equal bit for bit."""
     times = {side: [] for side in SIDES}
     for j in range(warmup + pairs):
-        seq = sequences[j % len(sequences)]
+        item = items[j % len(items)]
         out = {}
         for side in (SIDES if j % 2 == 0 else SIDES[::-1]):
             t0 = clock()
-            out[side] = predict[side](seq, j)
+            out[side] = run[side](item, j)
             if j >= warmup:
                 times[side].append(clock() - t0)
-        if not np.array_equal(out["base"], out["change"]):
-            raise AssertionError(f"pair {j}: the predictions differ")
+        if not identical(out["base"], out["change"]):
+            raise AssertionError(f"pair {j}: the outputs differ")
     return times
 
 
@@ -110,24 +147,32 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision of the parent")
     p.add_argument("--change", required=True, help="git revision of the change")
-    p.add_argument("--workload", choices=sorted(WORKLOADS), default="train_deterministic")
+    p.add_argument("--unit", choices=("predict", "synth"), default="predict")
+    p.add_argument("--workload", choices=sorted(WORKLOADS), default="train_deterministic",
+                   help="the predict unit's model")
     p.add_argument("--pairs", type=int, default=960)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--scratch", required=True, type=Path,
                    help="new directory for the two exported trees")
     args = p.parse_args(argv)
 
-    revs, predict = {}, {}
+    revs, run = {}, {}
     for side, rev in (("base", args.base), ("change", args.change)):
         revs[side] = export(rev, args.scratch / side)
         package = import_package(args.scratch / side / "src", f"meshmotion_{side}")
-        model = package.model.build_model(
-            package.model.ModelConfig(diffusion_on=WORKLOADS[args.workload]))
-        predict[side] = model.predict
-    sequences = heldout(package.synth, model.graph, args.seed, SEQUENCES)
-    times = time_pairs(predict, sequences, args.pairs, WARMUP)
-    print(json.dumps({"base": revs["base"], "change": revs["change"],
-                      "workload": args.workload,
+        if args.unit == "synth":
+            run[side] = synth_unit(package, args.seed)
+        else:
+            model = package.model.build_model(
+                package.model.ModelConfig(diffusion_on=WORKLOADS[args.workload]))
+            run[side] = model.predict
+    if args.unit == "synth":
+        items, labels = list(range(SYNTH_SEQUENCES)), {"unit": "synth"}
+    else:
+        items = heldout(package.synth, model.graph, args.seed, SEQUENCES)
+        labels = {"unit": "predict", "workload": args.workload}
+    times = time_pairs(run, items, args.pairs, WARMUP)
+    print(json.dumps({"base": revs["base"], "change": revs["change"], **labels,
                       **summarize(times["base"], times["change"])}))
     return 0
 
