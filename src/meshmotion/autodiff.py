@@ -79,10 +79,8 @@ whose arithmetic can overflow or make a NaN scans what it makes:
 and scores, ``layer_norm`` its standard deviation, and ``Tape.backward``
 every gradient. Three ops cannot make a NaN/Inf from finite operands and are
 not scanned: ``reshape`` and ``transpose`` move values, and ``relu``
-multiplies them by 0 or 1. ``layer_norm`` scans its output only where its
-bound (√C·max|gamma| plus slack, plus max|beta|) does not prove it finite.
-Operands that do not fit the op raise :class:`ShapeError` naming their
-shapes.
+multiplies them by 0 or 1. Operands that do not fit the op raise
+:class:`ShapeError` naming their shapes.
 
 Layout rule for the kernels a training step runs (``matmul``,
 ``layer_norm``, the attention ops' :func:`_softmax_rows`, and
@@ -335,9 +333,8 @@ def _check_finite(name: str, what: str, arr: np.ndarray) -> None:
 
 # ops whose output _result does not scan: a reshape or transpose moves its
 # operand's values, and relu multiplies them by 0 or 1, so from finite operands
-# (every Tensor's) they make no NaN/Inf; layer_norm scans its own output when
-# its bound does not prove it finite
-_UNSCANNED = frozenset({"reshape", "transpose", "relu", "layer_norm"})
+# (every Tensor's) they make no NaN/Inf
+_UNSCANNED = frozenset({"reshape", "transpose", "relu"})
 
 
 def _result(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backward) -> Tensor:
@@ -347,9 +344,8 @@ def _result(name: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, backwar
     The output is scanned for NaN/Inf (:class:`NumericsError`, "op 'name'
     produced a non-finite output") unless ``name`` is in ``_UNSCANNED``:
     ``reshape``, ``transpose`` and ``relu``, whose outputs are finite because
-    their operands are, and ``layer_norm``, which scans its own output where
-    its bound does not prove it finite. Every other op, whose arithmetic can
-    overflow or make a NaN, is scanned here.
+    their operands are. Every other op, whose arithmetic can overflow or make
+    a NaN, is scanned here.
 
     With no tape active an op passes None for ``backward``: it returns its
     value here before it builds its closure or computes what only the
@@ -788,8 +784,6 @@ def _checked_segments(starts: tuple[int, ...], n: int):
 PROB_FLOOR = 1e-12  # probabilities are floored here inside a log (segment_softmax_kl)
 _SCORE_EPS = 1e-12  # added to a squared feature-row norm under segment_softmax_kl's root
 _LN_EPS = 1e-5  # added to the variance under layer_norm's square root
-_LN_MARGIN = 1e-6  # relative slack for rounding in layer_norm's output bound
-_LN_SAFE = 1e300  # an output bound below this proves layer_norm's output finite
 
 
 def _row_norms(f: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -867,19 +861,9 @@ def layer_norm(a, gamma, beta) -> Tensor:
     from ``a`` with the forward's own operations, so it holds no full-size
     copy.
 
-    The standard deviation is scanned for NaN/Inf: an overflowing squared
-    deviation shows there. Once it is finite, every normalized entry is too,
-    and lies within √C of 0: a squared deviation is at most the sum of its
-    row's, C times the variance. So every output entry lies within
-    B = √C·max|gamma|·(1 + ``_LN_MARGIN``) + max|beta|. The margin of 1e-6
-    covers the relative rounding of the mean, variance, root, division,
-    product and sum, at most about (C + 10)·2⁻⁵³, for up to 1e9 channels; the
-    variance floor ``_LN_EPS`` makes underflow in the squares immaterial. The
-    output is scanned only when B reaches ``_LN_SAFE`` = 1e300, which sits a
-    factor 1.8e8 below the float64 maximum, so even a rounding past the
-    margin cannot overflow an output the bound passed. A scan that finds an
-    overflow raises "op 'layer_norm' produced a non-finite output", as any
-    op's output scan does.
+    The standard deviation is scanned for NaN/Inf, where an overflowing
+    squared deviation shows, and then :func:`_result` scans the output, as
+    it scans every arithmetic op's.
     """
     a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
     if a.ndim < 1 or _broadcast_shape(a.shape, gamma.shape, beta.shape) != a.shape:
@@ -901,10 +885,6 @@ def layer_norm(a, gamma, beta) -> Tensor:
     normed /= std
     out = normed * gd
     out += beta.data
-    bound = (math.sqrt(c) * (1.0 + _LN_MARGIN) * float(np.abs(gd).max(initial=0.0))
-             + float(np.abs(beta.data).max(initial=0.0)))
-    if bound >= _LN_SAFE:
-        _check_finite("layer_norm", "output", out)
     if not Tape._stack:
         return _result("layer_norm", (a, gamma, beta), out, None)
     sg, sb = gamma.shape, beta.shape

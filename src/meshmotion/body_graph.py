@@ -60,6 +60,12 @@ class GraphError(ValueError):
     """Invalid graph construction input."""
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, as a count or a seed
+    must be; a bool, Python's or numpy's, is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RigidGroup:
     """One rigid piece of the rig; its arrays are read-only.
@@ -209,8 +215,13 @@ def generate_toy_body(vertices_per_part: int = 12, coarse_per_part: int = 3) -> 
     ``_RIG`` then joins each rigid group's first vertex to its parent group
     (the nine attachment edges), lays out the rest pose and builds the
     rigid-group tree. Each part pools into ``coarse_per_part`` consecutive
-    coarse vertices (``coarse_of``).
+    coarse vertices (``coarse_of``). A count that is not an integer raises
+    ``GraphError`` naming it.
     """
+    for name, value in (("vertices_per_part", vertices_per_part),
+                        ("coarse_per_part", coarse_per_part)):
+        if not is_integer(value):
+            raise GraphError(f"{name} must be an integer, got {value!r}")
     vpp = vertices_per_part
     if vpp < 2:
         raise GraphError(f"need at least 2 vertices per part, got {vpp}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .body_graph import GraphConvLayer
+from .body_graph import GraphConvLayer, is_integer
 
 _KERNEL = 3  # every 3D convolution's extent along T, H and W
 _TAIL = 0.05  # the cumulative signal fraction the last noising step keeps
@@ -81,6 +81,10 @@ def _linear_betas(n_steps: int) -> np.ndarray:
 
 
 def make_schedule(n_steps: int) -> DiffusionSchedule:
+    """The linear-beta schedule of ``n_steps`` steps; ``n_steps`` must be an
+    integer of at least 2 (``ScheduleError``)."""
+    if not is_integer(n_steps):
+        raise ScheduleError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 2:
         raise ScheduleError(f"need at least 2 steps, got {n_steps}")
     sched = DiffusionSchedule(alpha=1.0 - _linear_betas(n_steps))

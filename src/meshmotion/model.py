@@ -8,10 +8,10 @@ error plus optional part-distribution and noise-prediction terms with Adam.
 Each layer holds the tables it reads (the block its context, the noise
 predictor its step embeddings); both cores are built from the coarse adjacency.
 
-A training step's fixed costs are kept to one pass each: ``train`` writes its
-batch straight into the encoder's input rows and runs the same forward as
-``Model.forward`` from there, and ``Adam`` updates every parameter slot in
-one pass over flat vectors, bit for bit the per-slot update.
+Training and prediction run one forward, ``Model.forward``: ``train`` stacks
+each minibatch and passes it in, so a traced training step shows the same
+``model.forward`` span a prediction does. ``Adam`` updates every parameter
+slot in one pass over flat vectors, bit for bit the per-slot update.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
-from .body_graph import DEFAULT_PARTS, generate_toy_body
+from .body_graph import DEFAULT_PARTS, generate_toy_body, is_integer
 from .diffusion import DiffusionBlock, FeatureStack, make_schedule
 from .metrics import JointRegressor, PoseError, build_joint_regressor, compute_metrics
 from .part_loss import hh_loss, part_weights_from_variance
@@ -89,7 +89,7 @@ class ModelConfig:
     def validate(self) -> None:
         for name in _INT_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.vertices_per_part < 2:
             raise ConfigError(f"need at least 2 vertices per part, got {self.vertices_per_part}")
@@ -180,34 +180,19 @@ class Model:
         diffusion block loss (``eps_loss`` is None), which :meth:`loss` then
         rejects; the prediction is the same bits either way.
         """
+        cfg = self.config
         obs = np.asarray(observations, dtype=np.float64)
         msk = np.asarray(mask)
-        batch = self._batch_dims(obs.shape, msk.shape)
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
+        B, T = self._batch_dims(obs.shape, msk.shape)
+        if not is_integer(seed) or seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-        return self._forward_rows(_encoder_rows(obs, msk), batch, seed, block_loss)
-
-    def _batch_dims(self, obs_shape: tuple[int, ...], mask_shape: tuple[int, ...]):
-        """(B, T) of (B, T, n, 3) observations and a (B, T, n) mask; any other
-        shapes, or B or T of 0, raise ``ConfigError``."""
-        n = self.graph.n_vertices
-        if len(obs_shape) != 4 or obs_shape[2:] != (n, 3) or mask_shape != obs_shape[:3]:
-            raise ConfigError(f"observations {obs_shape} and mask {mask_shape} must be "
-                              f"(B, T, {n}, 3) and (B, T, {n})")
-        B, T = obs_shape[:2]
-        if B == 0 or T == 0:
-            raise ConfigError(f"observations need B >= 1 sequences of T >= 1 frames, "
-                              f"got B={B} and T={T}")
-        return B, T
-
-    def _forward_rows(self, frame_in: np.ndarray, batch: tuple[int, int], seed: int,
-                      block_loss: bool) -> dict:
-        """The forward from the encoder's (B·T, 4n) input rows
-        (:func:`_encoder_rows`) of the (B, T) ``batch``; what :meth:`forward`
-        and :func:`train` run once they have checked and assembled them."""
-        cfg = self.config
-        B, T = batch
         c, h, w = cfg.channels, cfg.height, cfg.width
+        n = self.graph.n_vertices
+
+        # the encoder's (B·T, 4n) input rows: per frame, its observations
+        # in model units, flattened, then its n mask values
+        frame_in = np.concatenate([obs.reshape(B * T, 3 * n) * MM_SCALE,
+                                   msk.reshape(B * T, n)], axis=1)
         x = self.enc2(ad.relu(self.enc1(frame_in)))
         # enc2's columns are channel-major: read them as (B, T, C, S)
         tokens = ad.transpose(ad.reshape(x, (B, T, c, h * w)), (0, 1, 3, 2))
@@ -228,6 +213,19 @@ class Model:
             "fine_feats": fine_feats,
             "eps_loss": eps_loss,
         }
+
+    def _batch_dims(self, obs_shape: tuple[int, ...], mask_shape: tuple[int, ...]):
+        """(B, T) of (B, T, n, 3) observations and a (B, T, n) mask; any other
+        shapes, or B or T of 0, raise ``ConfigError``."""
+        n = self.graph.n_vertices
+        if len(obs_shape) != 4 or obs_shape[2:] != (n, 3) or mask_shape != obs_shape[:3]:
+            raise ConfigError(f"observations {obs_shape} and mask {mask_shape} must be "
+                              f"(B, T, {n}, 3) and (B, T, {n})")
+        B, T = obs_shape[:2]
+        if B == 0 or T == 0:
+            raise ConfigError(f"observations need B >= 1 sequences of T >= 1 frames, "
+                              f"got B={B} and T={T}")
+        return B, T
 
     def loss(self, out: dict, gt_vertices: np.ndarray,
              part_weights: list[np.ndarray] | None = None) -> Tensor:
@@ -293,21 +291,6 @@ class Model:
 
 def build_model(config: ModelConfig) -> Model:
     return Model(config)
-
-
-def _encoder_rows(observations, masks) -> np.ndarray:
-    """The encoder's (B·T, 4n) input rows of B sequences, written in place:
-    per frame, its (n, 3) mm observations times ``MM_SCALE``, flattened,
-    then its n mask values. ``observations`` and ``masks`` hold the B
-    sequences' (T, n, 3) and (T, n) arrays, stacked or as lists."""
-    T, n = np.shape(masks[0])
-    rows = np.empty((len(masks) * T, 4 * n))
-    for j, (obs, msk) in enumerate(zip(observations, masks, strict=True)):
-        frames = rows[j * T:(j + 1) * T]
-        np.multiply(np.asarray(obs, dtype=np.float64).reshape(T, 3 * n), MM_SCALE,
-                    out=frames[:, :3 * n])
-        frames[:, 3 * n:] = msk
-    return rows
 
 
 class Adam:
@@ -404,11 +387,11 @@ class Adam:
 def train(config: ModelConfig, dataset: list[MotionSequence]) -> tuple[Model, list[float]]:
     """Fixed-step Adam training; deterministic per config seed.
 
-    Each step writes its batch's sequences straight into the encoder's input
-    rows (:func:`_encoder_rows`) and runs the forward that
-    :meth:`Model.forward` runs on the stacked batch, then :meth:`Model.loss`,
-    the tape's backward and one :class:`Adam` step. The sequences must share
-    one shape, which the model's forward takes (``ConfigError`` otherwise).
+    Each step stacks its minibatch and runs :meth:`Model.forward` on it, then
+    :meth:`Model.loss`, the tape's backward and one :class:`Adam` step. The
+    sequences must share one shape, which the model's forward takes; either
+    failing raises ``ConfigError`` before the first step, even with
+    ``train_steps`` 0.
     """
     if not dataset:
         raise ConfigError("empty training dataset")
@@ -428,17 +411,16 @@ def train(config: ModelConfig, dataset: list[MotionSequence]) -> tuple[Model, li
             idx = np.arange(len(dataset))  # full batch, no sampling state
         else:
             idx = rng.choice(len(dataset), size=config.batch_size, replace=False)
-        batch = [dataset[i] for i in idx]
-        rows = _encoder_rows([s.observations for s in batch], [s.occlusion_mask for s in batch])
-        gt = np.stack([s.gt_vertices for s in batch])
+        obs = np.stack([dataset[i].observations for i in idx])
+        mask = np.stack([dataset[i].occlusion_mask for i in idx])
+        gt = np.stack([dataset[i].gt_vertices for i in idx])
         # noise keyed to the batch composition: full-batch training sees a
         # fixed realization (so zero lr gives a flat curve), minibatches vary
         noise_seed = config.seed * 1_000_003 + int(zlib.crc32(idx.astype("<i8").tobytes()))
         try:
             with np.errstate(**_FP_QUIET):
                 with Tape() as tape:
-                    out = model._forward_rows(rows, (len(batch), obs_shape[0]), noise_seed,
-                                              True)
+                    out = model.forward(obs, mask, noise_seed)
                     loss = model.loss(out, gt)
                 value = loss.item()
                 tape.backward(loss)

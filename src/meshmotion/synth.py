@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body_graph import BodyGraph
+from .body_graph import BodyGraph, is_integer
 from .metrics import build_joint_regressor
 
 _SPLINE_CONTROLS = 4  # control values per angle or travel curve
@@ -52,7 +52,7 @@ class SynthError(ValueError):
 def _check_int(name: str, value, minimum: int) -> None:
     """Raise :class:`SynthError` unless ``value``, a count or a seed, is an
     integer of at least ``minimum``."""
-    if not isinstance(value, (int, np.integer)):
+    if not is_integer(value):
         raise SynthError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise SynthError(f"{name} must be at least {minimum}, got {value}")

@@ -166,6 +166,37 @@ def test_summary_flags_a_median_worse_than_its_bound():
     assert summary["metrics"]["setup_s"]["worse_beyond_bound"] is None
 
 
+@pytest.mark.parametrize("name", ["main_step_p50_s", "eval_seq_per_s"])
+def test_summary_flags_a_metric_whose_base_spread_exceeds_its_bound(name):
+    # base runs at 0.8, 1.0, 1.2 and 1.4 times the recorded value: quartiles
+    # 0.95 and 1.25, an IQR of 0.3 against 0.25 times the median of 1.1
+    better, bounds = bp.targets(SPEC, 0)
+    sign = 1.0 if better[name] == "higher" else -1.0
+
+    def summary(base_factors, change_factors):
+        pairs = [{"seed": s, "first": "base", "base": _scaled(BASE, **{name: f}),
+                  "change": _scaled(BASE, **{name: g})}
+                 for s, (f, g) in enumerate(zip(base_factors, change_factors))]
+        return pairs, bp.summarize(pairs, {name: better[name]}, {name: bounds[name]})
+
+    wide = (0.8, 1.0, 1.2, 1.4)
+    pairs, same = summary(wide, wide)
+    assert same["metrics"][name]["unresolved"] is True
+    assert same["metrics"][name]["worse_beyond_bound"] is False
+    assert f"; unresolved: {name}; " in bp.verdict("w", pairs, same)
+    # resolved when every change run beats every base run, not when most do
+    for beyond, unresolved in ((0.1, False), (-0.1, True)):
+        edge = max(wide) if sign > 0 else min(wide)
+        _, m = summary(wide, [edge + sign * beyond] * 4)
+        assert m["metrics"][name]["unresolved"] is unresolved
+    # a base spread within the bound resolves
+    _, narrow = summary((1.0, 1.05, 1.1, 1.15), wide)
+    assert narrow["metrics"][name]["unresolved"] is False
+    # a metric without a bound is neither
+    pairs = [{"seed": 1, "first": "base", "base": BASE, "change": CHANGE}]
+    assert bp.summarize(pairs, {name: better[name]})["metrics"][name]["unresolved"] is None
+
+
 def test_traced_pairs_summarise_the_per_layer_metrics_without_bounds():
     better, bounds = bp.targets(SPEC, 1)
     assert list(better) == [m["name"] for m in SPEC["per_layer"]] and bounds == {}
@@ -173,7 +204,8 @@ def test_traced_pairs_summarise_the_per_layer_metrics_without_bounds():
     summary = bp.summarize(pairs, better, bounds)
     assert summary["digests_equal"] == 1 and summary["metrics"].keys() == better.keys()
     assert summary["failed_share"] == {"base": 0.0, "change": 0.0}
-    assert all(m["worse_beyond_bound"] is None for m in summary["metrics"].values())
+    assert all(m["worse_beyond_bound"] is None and m["unresolved"] is None
+               for m in summary["metrics"].values())
     records = summary["metrics"]["autodiff.records_per_step"]
     assert records["base"]["median"] == records["change"]["median"] == 47.0
     assert records["median_change_frac"] == 0.0
@@ -188,11 +220,12 @@ def test_no_pairs_summarise_to_zero_pairs_and_an_empty_census():
     for name, m in summary["metrics"].items():
         assert m == {"better": better[name], "base": None, "change": None, "change_wins": 0,
                      "pairs": 0, "median_change_frac": None, "median_pair_ratio": None,
-                     "gap_exceeds_base_iqr": None, "worse_beyond_bound": None}
+                     "gap_exceeds_base_iqr": None, "worse_beyond_bound": None,
+                     "unresolved": None}
     assert bp.census([]) == {}
     assert bp.verdict("w", [], summary) == ("w: equal digests in 0 of 0 pairs; worse beyond "
-                                            "bound: none; not correct: none; failed share: "
-                                            "base none, change none")
+                                            "bound: none; unresolved: none; not correct: none; "
+                                            "failed share: base none, change none")
 
 
 def test_census_reads_each_sides_median_records_and_calls_per_category():
@@ -265,7 +298,7 @@ def test_verdict_names_equal_digests_worse_metrics_and_wrong_runs():
     pairs = [{"seed": 1, "first": "base", "base": BASE, "change": CHANGE}]
     line = bp.verdict("train_deterministic", pairs, bp.summarize(pairs, better, bounds))
     assert line == ("train_deterministic: equal digests in 1 of 1 pairs; "
-                    "worse beyond bound: none; not correct: none; "
+                    "worse beyond bound: none; unresolved: none; not correct: none; "
                     "failed share: base 0, change 0")
     # a second pair whose change run is wrong, differs in its digests, has
     # half the base's training throughput and failed 33 of its 659
@@ -276,7 +309,7 @@ def test_verdict_names_equal_digests_worse_metrics_and_wrong_runs():
     pairs.append({"seed": 3, "first": "base", "base": BASE, "change": slow})
     line = bp.verdict("w", pairs, bp.summarize(pairs, better, bounds))
     assert line == ("w: equal digests in 1 of 3 pairs; worse beyond bound: main_seq_per_s; "
-                    "not correct: seed 2 change, seed 3 change; "
+                    "unresolved: none; not correct: seed 2 change, seed 3 change; "
                     "failed share: base 0, change 0.0334 (change higher)")
     # a lower or equal share is not flagged, and a side that attempted
     # nothing has no share
@@ -312,6 +345,6 @@ def test_main_prints_a_verdict_per_workload_and_exits_1_on_a_wrong_run(
                     "--out", str(out)]) == code
     wrong = "none" if correct else "seed 8 change"
     assert capsys.readouterr().err.splitlines() == [
-        f"{w}: equal digests in 2 of 2 pairs; worse beyond bound: none; not correct: {wrong}; "
-        f"failed share: base 0, change 0" for w in ("w1", "w2")]
+        f"{w}: equal digests in 2 of 2 pairs; worse beyond bound: none; unresolved: none; "
+        f"not correct: {wrong}; failed share: base 0, change 0" for w in ("w1", "w2")]
     assert json.loads(out.read_text())["workloads"].keys() == {"w1", "w2"}

@@ -41,6 +41,10 @@ def test_schedule_invariants(n_steps):
 def test_schedule_rejects_tiny():
     with pytest.raises(ScheduleError):
         make_schedule(1)
+    # each failed inside numpy, or would have counted True as 1
+    for n_steps in (2.5, 3.0, True):
+        with pytest.raises(ScheduleError, match="^n_steps must be an integer"):
+            make_schedule(n_steps)
 
 
 # the ids are kept from when each case gave its alpha_bar too

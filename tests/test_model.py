@@ -90,7 +90,12 @@ def test_config_rejects_unbuildable_settings(over):
     dict(seed=1.5), dict(channels=2.5), dict(encoder_hidden=3.5), dict(context_rows=1.5),
     dict(diffusion_steps=2.5),   # each failed inside numpy while building
     dict(train_steps=1.5), dict(batch_size=2.5),   # each built and failed inside train
-], ids=lambda over: next(iter(over)))
+    # a Python bool is an int, but counts and seeds no more than np.True_ does
+    dict(channels=True), dict(seed=False), dict(batch_size=True), dict(train_steps=True),
+    dict(hierarchy_depth=True),
+], ids=["seed", "channels", "encoder_hidden", "context_rows", "diffusion_steps", "train_steps",
+        "batch_size", "bool_channels", "bool_seed", "bool_batch_size", "bool_train_steps",
+        "bool_hierarchy_depth"])
 def test_config_rejects_a_count_that_is_not_an_integer(over):
     cfg = ModelConfig(**over)
     with pytest.raises(ConfigError, match=f"{next(iter(over))} must be an integer"):
@@ -179,7 +184,7 @@ def test_loss_rejects_ground_truth_of_another_shape(gt_shape):
         model.loss(out, np.zeros(gt_shape))
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
 @pytest.mark.parametrize("diffusion_on", [True, False], ids=["diffusion", "deterministic"])
 def test_forward_rejects_a_seed_that_is_not_a_non_negative_integer(diffusion_on, seed):
     # the deterministic core reads no seed, yet rejects the same ones
@@ -257,9 +262,9 @@ def test_default_step_census(default_step, workload):
 
 # NaN/Inf scans (_check_finite calls) of one default predict of a 16-frame
 # sequence and of one default training step's taped forward and loss:
-# reshape, transpose and relu make none, and layer_norm scans only its
-# standard deviation while its bound proves its output finite
-DEFAULT_SCANS = {"diffusion": (974, 1080), "deterministic": (20, 25)}
+# reshape, transpose and relu make none, and each of the 50 layer_norms
+# scans its standard deviation and its output
+DEFAULT_SCANS = {"diffusion": (1024, 1130), "deterministic": (20, 25)}
 
 
 @pytest.mark.parametrize("workload", sorted(DEFAULT_SCANS))
@@ -589,27 +594,35 @@ def _minibatch(config, dataset):
 
 @pytest.mark.parametrize("diffusion_on", [False, True], ids=["deterministic", "diffusion"])
 def test_train_writes_the_rows_forward_builds(monkeypatch, diffusion_on):
+    # a step runs Model.forward on its stacked minibatch, so a traced step
+    # has a model.forward span; the encoder's input rows are the raw array
+    # the first Linear takes
     cfg = tiny_config(diffusion_on=diffusion_on, train_steps=1, batch_size=3)
     _, seqs = make_dataset(cfg, 5, frames=4, occlusion=0.4)
-    seen = []
-    core = model_module.Model._forward_rows
+    calls, rows = [], []
+    forward, linear = model_module.Model.forward, model_module.Linear.__call__
 
-    def recording(self, rows, batch, seed, block_loss):
-        seen.append((rows, batch, seed))
-        return core(self, rows, batch, seed, block_loss)
+    def recording(self, observations, mask, seed, *, block_loss=True):
+        calls.append((observations, mask, seed, block_loss))
+        return forward(self, observations, mask, seed, block_loss=block_loss)
 
-    monkeypatch.setattr(model_module.Model, "_forward_rows", recording)
+    def encoder_input(self, x):
+        if isinstance(x, np.ndarray):
+            rows.append(x)
+        return linear(self, x)
+
+    monkeypatch.setattr(model_module.Model, "forward", recording)
+    monkeypatch.setattr(model_module.Linear, "__call__", encoder_input)
     train(cfg, seqs)
     noise_seed, obs, mask, _ = _minibatch(cfg, seqs)
-    build_model(cfg).forward(obs, mask, seed=noise_seed)
-    (trained, trained_batch, trained_seed), (forward, forward_batch, forward_seed) = seen
-    assert trained_batch == forward_batch == (3, 4)
-    assert trained_seed == forward_seed == noise_seed
+    (got_obs, got_mask, got_seed, block_loss), = calls
+    np.testing.assert_array_equal(got_obs, obs)
+    np.testing.assert_array_equal(got_mask, mask)
+    assert got_seed == noise_seed and block_loss is True
     assert mask.any()
-    # the rows the encoder took before batch assembly was direct
     want = np.concatenate([obs.reshape(12, 48) * MM_SCALE, mask.reshape(12, 16)], axis=1)
+    (trained,) = rows
     np.testing.assert_array_equal(trained, want)
-    np.testing.assert_array_equal(forward, want)
 
 
 @pytest.mark.parametrize("diffusion_on", [False, True], ids=["deterministic", "diffusion"])
@@ -632,10 +645,11 @@ def test_a_train_step_equals_the_reference_step_on_stacked_arrays(diffusion_on):
 
 
 def test_train_rejects_sequences_the_model_cannot_take():
-    # checked once, before the first step, with the forward's message
-    cfg = tiny_config(train_steps=1)
-    _, seqs = make_dataset(cfg, 2)
+    # checked once, before the first step, with the forward's message: so
+    # also when there is no step
+    _, seqs = make_dataset(tiny_config(), 2)
     short = [type(s)(s.gt_vertices[:, :12], s.observations[:, :12], s.occlusion_mask[:, :12])
              for s in seqs]
-    with pytest.raises(ConfigError, match=r"must be \(B, T, 16, 3\) and \(B, T, 16\)"):
-        train(cfg, short)
+    for steps in (1, 0):
+        with pytest.raises(ConfigError, match=r"must be \(B, T, 16, 3\) and \(B, T, 16\)"):
+            train(tiny_config(train_steps=steps), short)

@@ -382,7 +382,9 @@ def test_blur_width_must_fit(graph):
     lambda graph: MotionConfig(graph=graph, frames=1).validate(),
     lambda graph: CorruptionConfig(blur_width=3.0).validate(),
     lambda graph: CorruptionConfig(blur_width=0).validate(),
-], ids=["fractional_frames", "one_frame", "float_blur_width", "zero_blur_width"])
+    lambda graph: CorruptionConfig(blur_width=True).validate(),
+], ids=["fractional_frames", "one_frame", "float_blur_width", "zero_blur_width",
+        "bool_blur_width"])
 def test_counts_must_be_integers_in_range(graph, make):
     with pytest.raises(SynthError):
         make(graph)
@@ -414,7 +416,7 @@ def test_real_occlusion_probabilities_are_accepted(graph):
     np.testing.assert_array_equal(out.occlusion_mask, ref.occlusion_mask)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
 def test_seeds_must_be_non_negative_integers(graph, seed):
     seq = generate_sequence(MotionConfig(graph=graph, frames=4), seed=0)
     with pytest.raises(SynthError, match="seed"):

@@ -59,3 +59,24 @@ def test_tracer_installs_on_the_live_modules_and_undoes():
     after = _attributes()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_training_and_prediction_each_trace_a_model_forward_span():
+    # train runs Model.forward on each step's minibatch, as predict does
+    tracing = _load_tracing()
+    namespace = types.SimpleNamespace(**{m.__name__.rsplit(".", 1)[1]: m for m in MODULES})
+    config = model.ModelConfig(vertices_per_part=2, coarse_per_part=1, channels=4, height=2,
+                               width=4, diffusion_steps=2, encoder_hidden=6, context_rows=2,
+                               train_steps=2, batch_size=2)
+    graph = body_graph.generate_toy_body(2, 1)
+    data = [synth.generate_sequence(synth.MotionConfig(graph=graph, frames=3), seed=s)
+            for s in range(3)]
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    tracing.install(tracer, patches, namespace)
+    try:
+        trained, losses = model.train(config, data)
+        trained.predict(data[0])
+    finally:
+        patches.undo()
+    assert len(losses) == 2
+    assert tracer.names.count("model.forward") == 3

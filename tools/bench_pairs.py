@@ -24,21 +24,24 @@ those instead): each side's median and quartiles, the pairs the change
 won (ties count for neither), the relative change of the medians, the
 median over pairs of the change's value over the base's (a ratio within
 each pair cancels the host's drift between pairs), whether
-the medians differ by more than the base's interquartile range, and whether
+the medians differ by more than the base's interquartile range, whether
 the change's median is worse than the base's by more than the metric's
-``bound`` times the base median (None for the per-layer metrics, which
-have no bound); and each side's share of failed operations
-over all its runs. With ``--trace 1`` each summary also holds a ``census``
-block: per side, the median ``autodiff.records_per_step`` and the median
-``autodiff.fwd.<category>.calls`` of every category, so a bench record reads
-beside the per-op record census the tests pin. It is rewritten after every
-pair, so an interrupted series keeps what it ran.
+``bound`` times the base median, and whether the metric is unresolved: the
+base's interquartile range exceeds that bound, so a change within the bound
+cannot be told from noise, unless every change run beats every base run
+(both None for the per-layer metrics, which have no bound); and each side's
+share of failed operations over all its runs. With ``--trace 1`` each
+summary also holds a ``census`` block: per side, the median
+``autodiff.records_per_step`` and the median
+``autodiff.fwd.<category>.calls`` of every category, so a bench record
+reads beside the per-op record census the tests pin. It is rewritten after
+every pair, so an interrupted series keeps what it ran.
 
 When the series ends, one verdict line per workload goes to standard error:
-the pairs with equal digests, the metrics worse than their bound, the runs
-that were not correct, and each side's failed share, flagged
-"(change higher)" when the change's is higher than the base's. The tool
-exits 1 when any run was not correct.
+the pairs with equal digests, the metrics worse than their bound, the
+unresolved metrics, the runs that were not correct, and each side's failed
+share, flagged "(change higher)" when the change's is higher than the
+base's. The tool exits 1 when any run was not correct.
 """
 
 from __future__ import annotations
@@ -90,13 +93,16 @@ def summarize(pairs: list[dict], better: dict[str, str],
     """Per metric named in ``better`` ("lower" or "higher"): each side's
     spread, the pairs the change won, the relative change of the medians,
     the median over pairs of change / base (None where a base value is 0),
-    whether their gap exceeds the base's interquartile range, and whether the
+    whether their gap exceeds the base's interquartile range, whether the
     change's median is worse, in that direction, by more than the metric's
-    ``bounds`` entry times the base median (None for a metric without a
-    bound). Also counts the pairs whose loss and prediction digests match
-    and the failed runs, and gives each side's summed failed operations over
-    its summed attempted ones (None when it attempted none). With no pairs,
-    every spread and comparison is None and every count 0."""
+    ``bounds`` entry times the base median, and whether the metric is
+    ``unresolved``: the base's interquartile range exceeds that bound times
+    the base median and not every change run beats every base run (both
+    None for a metric without a bound). Also counts the pairs whose loss and
+    prediction digests match and the failed runs, and gives each side's
+    summed failed operations over its summed attempted ones (None when it
+    attempted none). With no pairs, every spread and comparison is None and
+    every count 0."""
     bounds = bounds or {}
     metrics = {}
     for name, direction in better.items():
@@ -114,6 +120,7 @@ def summarize(pairs: list[dict], better: dict[str, str],
             "median_pair_ratio": None,
             "gap_exceeds_base_iqr": None,
             "worse_beyond_bound": None,
+            "unresolved": None,
         }
         if not pairs:
             continue
@@ -123,10 +130,14 @@ def summarize(pairs: list[dict], better: dict[str, str],
             "median_pair_ratio": float(np.median([y / x for x, y in zip(base, change)]))
             if all(base) else None,
             "gap_exceeds_base_iqr": abs(c["median"] - b["median"]) > b["q3"] - b["q1"],
-            "worse_beyond_bound": (sign * (b["median"] - c["median"])
-                                   > bounds[name] * abs(b["median"]))
-            if name in bounds else None,
         })
+        if name in bounds:
+            allowed = bounds[name] * abs(b["median"])
+            metrics[name].update({
+                "worse_beyond_bound": sign * (b["median"] - c["median"]) > allowed,
+                "unresolved": (b["q3"] - b["q1"] > allowed
+                               and min(sign * y for y in change) <= max(sign * x for x in base)),
+            })
     return {
         "pairs": len(pairs),
         "digests_equal": sum(p["base"]["digests"] == p["change"]["digests"] for p in pairs),
@@ -158,12 +169,14 @@ def verdict(workload: str, pairs: list[dict], summary: dict) -> str:
     """One line on a workload's finished series, from its pairs and their
     ``summarize`` output."""
     worse = [name for name, m in summary["metrics"].items() if m["worse_beyond_bound"]]
+    unresolved = [name for name, m in summary["metrics"].items() if m["unresolved"]]
     wrong = [f"seed {p['seed']} {side}" for p in pairs for side in SIDES
              if not p[side]["correct"]]
     base, change = (summary["failed_share"][side] for side in SIDES)
     higher = " (change higher)" if (change or 0.0) > (base or 0.0) else ""
     return (f"{workload}: equal digests in {summary['digests_equal']} of "
             f"{summary['pairs']} pairs; worse beyond bound: {', '.join(worse) or 'none'}; "
+            f"unresolved: {', '.join(unresolved) or 'none'}; "
             f"not correct: {', '.join(wrong) or 'none'}; "
             f"failed share: base {_share(base)}, change {_share(change)}{higher}")
 
