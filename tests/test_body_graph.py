@@ -245,8 +245,8 @@ def test_toy_body_config_errors():
         generate_toy_body(vertices_per_part=1)
     with pytest.raises(GraphError):
         generate_toy_body(4, 5)
-    # 2.5 coarse vertices per part built a graph of 16; 4.0 vertices per
-    # part failed inside numpy
+    # 2.5 coarse vertices per part built 16 coarse vertices; 4.0 vertices
+    # per part failed inside numpy
     for args, name in (((12, 2.5), "coarse_per_part"), ((4.0, 1), "vertices_per_part"),
                        ((True, 1), "vertices_per_part"), ((4, True), "coarse_per_part")):
         with pytest.raises(GraphError, match=f"^{name} must be an integer"):

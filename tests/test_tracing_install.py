@@ -3,7 +3,8 @@
 The tracer wraps meshmotion by name: every op in ``autodiff.__all__``,
 ``diffusion.rearrange``, module functions and layer methods. Installing it
 here makes a source change that removes or renames one of those names fail
-the tests, not only a traced benchmark run.
+the tests, not only a traced benchmark run. Training, like prediction, runs
+through ``Model.forward``, so both show its span.
 """
 
 import importlib.util
