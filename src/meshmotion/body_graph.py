@@ -134,13 +134,17 @@ def build_adjacency(edges, n_vertices: int) -> Tensor:
     """Symmetrically normalized adjacency D^-1/2 (A+I) D^-1/2.
 
     ``edges`` are undirected vertex index pairs; self-loops are added
-    internally and must not appear in the input.
+    internally and must not appear in the input. The count and every vertex
+    index must be integers (:func:`is_integer`): a float or a bool raises
+    ``GraphError`` rather than being read as an index.
     """
-    if n_vertices < 1:
-        raise GraphError(f"n_vertices must be positive, got {n_vertices}")
+    if not is_integer(n_vertices) or n_vertices < 1:
+        raise GraphError(f"n_vertices must be a positive integer, got {n_vertices!r}")
     seen = set()
     a = np.zeros((n_vertices, n_vertices), dtype=np.float64)
     for i, j in edges:
+        if not (is_integer(i) and is_integer(j)):
+            raise GraphError(f"edge ({i!r}, {j!r}) has a vertex index that is not an integer")
         i, j = int(i), int(j)
         if not (0 <= i < n_vertices and 0 <= j < n_vertices):
             raise GraphError(f"edge ({i}, {j}) out of range for {n_vertices} vertices")

@@ -94,8 +94,9 @@ def make_schedule(n_steps: int) -> DiffusionSchedule:
 
 def _check_step(t: int, schedule: DiffusionSchedule) -> int:
     """``t`` as an int, checked to be a whole step in [1, n_steps]: a
-    fractional step such as 1.5 raises rather than run step 1."""
-    if not (1 <= t <= schedule.n_steps) or t != int(t):
+    fractional step such as 1.5, or a bool (Python's or numpy's), raises
+    rather than run step 1; a whole float such as 2.0 is step 2."""
+    if isinstance(t, (bool, np.bool_)) or not (1 <= t <= schedule.n_steps) or t != int(t):
         raise ScheduleError(f"step {t} is not a whole step in [1, {schedule.n_steps}]")
     return int(t)
 

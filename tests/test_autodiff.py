@@ -1317,6 +1317,47 @@ def test_backward_rejects_a_non_finite_seed(root, bad):
     assert x.grad is None
 
 
+def _gradient_scans(monkeypatch, tape, root) -> int:
+    """The NaN/Inf scans (``np.isfinite`` calls) of ``tape.backward(root)``,
+    the seed's included."""
+    isfinite, calls = np.isfinite, []
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "isfinite", lambda x: calls.append(x.shape) or isfinite(x))
+        tape.backward(root)
+    return len(calls)
+
+
+@pytest.mark.parametrize("op", ["reshape", "transpose", "relu"])
+def test_backward_scans_no_gradient_out_of_reshape_transpose_or_relu(monkeypatch, op):
+    # they move or mask a finite upstream gradient, as their forwards move or
+    # mask a finite value: only the seed is scanned, and a mul after one adds
+    # the scan of its own gradient
+    x = Tensor([[1.0, -2.0, 3.0], [-4.0, 5.0, 6.0]], requires_grad=True)
+    run = {"reshape": lambda t: ad.reshape(t, (3, 2)),
+           "transpose": lambda t: ad.transpose(t, (1, 0)),
+           "relu": ad.relu}[op]
+    with Tape() as tape:
+        y = run(x)
+    assert _gradient_scans(monkeypatch, tape, y) == 1
+    x.grad = None
+    with Tape() as tape:
+        y = run(ad.mul(x, 2.0))
+    assert _gradient_scans(monkeypatch, tape, y) == 2
+    np.testing.assert_array_equal(x.grad, 2.0 * (x.data > 0.0 if op == "relu" else 1.0))
+
+
+def test_backward_names_an_arithmetic_op_whose_gradient_overflows():
+    # reshape passes the huge upstream gradient on unscanned; the mul that
+    # reads it overflows and is named
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        y = ad.reshape(ad.mul(x, 1e300), (2, 1))
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericsError, match=r"^non-finite gradient out of op 'mul'$"):
+        tape.backward(y, seed=np.full((2, 1), 1e10))
+    assert x.grad is None
+
+
 def test_second_backward_raises_and_leaves_gradients_alone():
     x = Tensor([2.0, -1.0], requires_grad=True)
     with Tape() as tape:

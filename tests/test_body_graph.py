@@ -55,6 +55,18 @@ def test_adjacency_input_errors():
         build_adjacency([(1, 1)], 3)
     with pytest.raises(GraphError):
         build_adjacency([(0, 1), (1, 0)], 3)
+    # a float or a bool is no vertex id or count, even where int() makes one
+    for edge in [(0, 1.5), (0, True), (np.float64(0.0), 1), (0, np.True_)]:
+        with pytest.raises(GraphError, match=r"^edge .+ has a vertex index that is not an integer$"):
+            build_adjacency([edge], 3)
+    for n in [2.5, 3.0, True, np.True_]:
+        with pytest.raises(GraphError, match=r"^n_vertices must be a positive integer"):
+            build_adjacency([], n)
+
+
+def test_adjacency_takes_numpy_integer_ids_and_count():
+    np.testing.assert_array_equal(build_adjacency([(np.int64(0), np.int32(1))], np.int64(2)).data,
+                                  build_adjacency([(0, 1)], 2).data)
 
 
 def test_graph_conv_identity_composition():

@@ -159,15 +159,24 @@ def test_reverse_step_needs_a_draw_where_it_adds_noise():
                                   reverse_step(z, 1, np.ones(2), sched, np.zeros(2)).data)
 
 
-@pytest.mark.parametrize("t", [6, 1.5])
+@pytest.mark.parametrize("t", [6, 1.5, True, np.True_])
 @pytest.mark.parametrize("step", [
     lambda t, sched: forward_noise_step(np.zeros(2), t, sched, np.zeros(2)),
     lambda t, sched: reverse_step(np.zeros(2), t, np.zeros(2), sched, np.zeros(2)),
 ], ids=["forward_noise_step", "reverse_step"])
 def test_reverse_step_range_error(step, t):
-    # a step past the schedule, or between two steps, is no step to run
+    # a step past the schedule, or between two steps, is no step to run, and
+    # a bool is no step though True == 1
     with pytest.raises(ScheduleError, match=f"step {t} is not a whole step"):
         step(t, make_schedule(5))
+
+
+def test_a_whole_float_step_runs_that_step():
+    sched = make_schedule(5)
+    np.testing.assert_array_equal(forward_noise_step(np.zeros(2), 2.0, sched, np.ones(2)).data,
+                                  forward_noise_step(np.zeros(2), 2, sched, np.ones(2)).data)
+    np.testing.assert_array_equal(reverse_step(np.ones(2), 2.0, np.ones(2), sched, np.ones(2)).data,
+                                  reverse_step(np.ones(2), 2, np.ones(2), sched, np.ones(2)).data)
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,10 @@ def test_default_step_census(default_step, workload):
 # reshape, transpose and relu make none, and each of the 50 layer_norms
 # scans its standard deviation and its output
 DEFAULT_SCANS = {"diffusion": (1024, 1130), "deterministic": (20, 25)}
+# and the gradient scans of that step's backward: the seed's, and one per
+# gradient a record returns unless reshape, transpose or relu returns it
+# (1,645 of the diffusion step's 1,961 gradients, 36 of the deterministic 52)
+DEFAULT_GRADIENT_SCANS = {"diffusion": 1 + 1645, "deterministic": 1 + 36}
 
 
 @pytest.mark.parametrize("workload", sorted(DEFAULT_SCANS))
@@ -279,10 +283,18 @@ def test_default_scan_counts(monkeypatch, workload):
     monkeypatch.setattr(ad, "_check_finite", lambda *args: scans.append(args[:2]) or check(*args))
     model.predict(seq, seed=1)
     predicted = len(scans)
-    with Tape():
-        model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=0), obs + 1.0)
+    with Tape() as tape:
+        loss = model.loss(model.forward(obs, np.zeros(obs.shape[:3]), seed=0), obs + 1.0)
     assert (predicted, len(scans) - predicted) == DEFAULT_SCANS[workload]
     assert not {name for name, _ in scans} & {"reshape", "transpose", "relu"}
+    # each record input takes one gradient in this step
+    scanned = sum(t is not None for r in tape.records
+                  if r.name not in ("reshape", "transpose", "relu") for t in r.inputs)
+    isfinite, grad_scans = np.isfinite, []
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "isfinite", lambda x: grad_scans.append(x.shape) or isfinite(x))
+        tape.backward(loss)
+    assert len(grad_scans) == 1 + scanned == DEFAULT_GRADIENT_SCANS[workload]
 
 
 # the default initial parameters: the sha256 of the sorted per-slot digests

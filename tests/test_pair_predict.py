@@ -1,7 +1,9 @@
 """tools/pair_predict.py: its summary of synthetic timings, its alternating
-pairs on stand-in predictors, and its import of a source tree under its own
-package name; no revision is exported."""
+pairs on stand-in predictors, its import of a source tree under its own
+package name, and its synth and step units on that tree imported twice; no
+revision is exported."""
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from meshmotion import model as model_module
+from meshmotion import synth
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -120,3 +123,43 @@ def test_synth_pairs_stop_when_the_sequences_differ(two_trees, monkeypatch):
            "change": pp.synth_unit(change, seed=3, frames=4)}
     with pytest.raises(AssertionError, match="pair 0: the outputs differ"):
         pp.time_pairs(run, [0, 1], pairs=2)
+
+
+# a tiny model: 16 vertices, 2 diffusion steps, 2 training steps
+TINY = dict(vertices_per_part=2, coarse_per_part=1, channels=4, height=2, width=4,
+            diffusion_steps=2, encoder_hidden=6, context_rows=2, batch_size=2, train_steps=2)
+
+
+def _tiny_set(package, count=3, frames=4):
+    graph = package.body_graph.generate_toy_body(2, 1)
+    return [pp.perfbench_sequence(package.synth, graph, 3, i, frames) for i in range(count)]
+
+
+def test_step_pairs_alternate_and_match_bit_for_bit(two_trees):
+    base, change = two_trees
+    run = {"base": pp.step_unit(base, TINY), "change": pp.step_unit(change, TINY)}
+    dataset = _tiny_set(change)
+    times = pp.time_pairs(run, [dataset], pairs=2, warmup=1)
+    assert [len(t) for t in times.values()] == [2, 2]
+    _, want = change.model.train(change.model.ModelConfig(**TINY), dataset)
+    np.testing.assert_array_equal(run["base"](dataset, 0), want)
+    assert len(want) == 2
+
+
+def test_step_pairs_stop_when_the_losses_differ(two_trees):
+    base, change = two_trees
+    run = {"base": pp.step_unit(base, TINY),
+           "change": pp.step_unit(change, {**TINY, "learning_rate": 1e-2})}
+    with pytest.raises(AssertionError, match="pair 0: the outputs differ"):
+        pp.time_pairs(run, [_tiny_set(change)], pairs=1)
+
+
+def test_step_unit_trains_on_perfbench_sequences(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    graph = model_module.build_model(model_module.ModelConfig(**TINY)).graph
+    want = workloads.make_sequences(graph, 3, 0, 2, 4)
+    for i, seq in enumerate(want):
+        got = pp.perfbench_sequence(synth, graph, 3, i, 4)
+        for name in ("gt_vertices", "observations", "occlusion_mask"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(seq, name))

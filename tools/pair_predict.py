@@ -1,10 +1,12 @@
-"""Paired in-process timings of two revisions: ``Model.predict``, or
-sequence synthesis.
+"""Paired in-process timings of two revisions: ``Model.predict``, sequence
+synthesis, or a ``model.train`` call.
 
     python3 tools/pair_predict.py --base HEAD~1 --change HEAD \
         --workload train_deterministic --pairs 960 --scratch /tmp/pairs
     python3 tools/pair_predict.py --base HEAD~1 --change HEAD \
         --unit synth --pairs 960 --scratch /tmp/pairs
+    python3 tools/pair_predict.py --base HEAD~1 --change HEAD \
+        --unit step --workload train_diffusion --pairs 30 --scratch /tmp/pairs
 
 Run it from the repository root. Each revision's committed files are
 exported with ``git archive`` into its own directory under ``--scratch``
@@ -21,11 +23,16 @@ makes one sequence per call on each side's own default graph:
 corruption (``occlusion_prob=0.3``, ``blur_width=3``), for perfbench's 128
 set-up sequences of ``--seed`` in turn (motion seed ``seed * 100_000 + i``,
 corruption seed that plus 50,000); ``--workload`` does not apply to it.
+The ``step`` unit is one default ``model.train`` call of the workload's
+model, 4 steps with diffusion and 60 without, on perfbench's 64 training
+sequences of ``--seed`` (made as the ``synth`` unit makes them, by the
+change's ``synth``); its default is 30 pairs.
 
 Pair j runs item j mod the item count once on each side, the base first
-when j is even, after 8 untimed pairs. Every pair checks that the two
-outputs (the prediction, or the ground truth, observations and mask) are
-bit-identical and stops with an error when they are not. The summary
+when j is even, after 8 untimed pairs (1 for the ``step`` unit). Every pair
+checks that the two outputs (the prediction, the ground truth, observations
+and mask, or the training losses) are bit-identical and stops with an error
+when they are not. The summary
 printed as one JSON line holds the median over pairs of the change's
 seconds over the base's, the share of pairs the change was faster in, and
 each side's median seconds. Pairs taken back to back cancel most of the
@@ -51,7 +58,10 @@ from bench_pairs import SIDES, export  # noqa: E402
 WORKLOADS = {"train_diffusion": True, "train_deterministic": False}   # name -> diffusion_on
 SEQUENCES = 16   # held-out sequences, predicted in turn
 SYNTH_SEQUENCES = 128   # perfbench's set-up sequences per seed, made in turn
-WARMUP = 8   # untimed pairs first: each side's caches fill
+TRAIN_SEQUENCES = 64   # perfbench's training sequences per seed
+STEPS = {"train_diffusion": 4, "train_deterministic": 60}   # train_steps of one step unit
+WARMUP = {"predict": 8, "synth": 8, "step": 1}   # untimed pairs first: each side's caches fill
+PAIRS = {"predict": 960, "synth": 960, "step": 30}   # timed pairs by default
 
 
 def import_package(src: Path, name: str):
@@ -81,21 +91,38 @@ def heldout(synth, graph, seed: int, count: int, frames: int = 16) -> list:
     return out
 
 
+def perfbench_sequence(synth, graph, seed: int, i: int, frames: int = 16):
+    """Sequence i of perfbench's set-up for ``seed``: motion seed
+    ``seed * 100_000 + i`` and corruption seed that plus 50,000."""
+    clean = synth.generate_sequence(synth.MotionConfig(graph=graph, frames=frames),
+                                    seed=seed * 100_000 + i)
+    return synth.corrupt_sequence(clean, graph,
+                                  synth.CorruptionConfig(occlusion_prob=0.3, blur_width=3),
+                                  seed=seed * 100_000 + i + 50_000)
+
+
 def synth_unit(package, seed: int, frames: int = 16):
-    """``make(i, j)``: the ground truth, observations and mask of one
-    sequence made by ``package``'s ``synth`` on its own default graph, with
-    motion seed ``seed * 100_000 + i`` and corruption seed that plus 50,000
-    (``j`` is unused), as perfbench's set-up makes it."""
-    synth = package.synth
+    """``make(i, j)``: the ground truth, observations and mask of
+    :func:`perfbench_sequence` i, made by ``package``'s ``synth`` on its own
+    default graph (``j`` is unused)."""
     graph = package.body_graph.generate_toy_body()
-    motion = synth.MotionConfig(graph=graph, frames=frames)
-    corruption = synth.CorruptionConfig(occlusion_prob=0.3, blur_width=3)
 
     def make(i, j):
-        clean = synth.generate_sequence(motion, seed=seed * 100_000 + i)
-        seq = synth.corrupt_sequence(clean, graph, corruption, seed=seed * 100_000 + i + 50_000)
+        seq = perfbench_sequence(package.synth, graph, seed, i, frames)
         return seq.gt_vertices, seq.observations, seq.occlusion_mask
     return make
+
+
+def step_unit(package, config: dict):
+    """``run(dataset, j)``: the losses, as an array, of one ``model.train``
+    call of ``package`` at ``ModelConfig(**config)`` on ``dataset`` (``j`` is
+    unused)."""
+    model = package.model
+    cfg = model.ModelConfig(**config)
+
+    def run(dataset, j):
+        return np.array(model.train(cfg, dataset)[1])
+    return run
 
 
 def identical(a, b) -> bool:
@@ -147,10 +174,10 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision of the parent")
     p.add_argument("--change", required=True, help="git revision of the change")
-    p.add_argument("--unit", choices=("predict", "synth"), default="predict")
+    p.add_argument("--unit", choices=sorted(WARMUP), default="predict")
     p.add_argument("--workload", choices=sorted(WORKLOADS), default="train_deterministic",
-                   help="the predict unit's model")
-    p.add_argument("--pairs", type=int, default=960)
+                   help="the predict or step unit's model")
+    p.add_argument("--pairs", type=int, help="timed pairs (default: 960, or 30 for --unit step)")
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--scratch", required=True, type=Path,
                    help="new directory for the two exported trees")
@@ -160,18 +187,27 @@ def main(argv=None) -> int:
     for side, rev in (("base", args.base), ("change", args.change)):
         revs[side] = export(rev, args.scratch / side)
         package = import_package(args.scratch / side / "src", f"meshmotion_{side}")
+        diffusion_on = WORKLOADS[args.workload]
         if args.unit == "synth":
             run[side] = synth_unit(package, args.seed)
+        elif args.unit == "step":
+            run[side] = step_unit(package, {"diffusion_on": diffusion_on,
+                                            "train_steps": STEPS[args.workload]})
         else:
             model = package.model.build_model(
-                package.model.ModelConfig(diffusion_on=WORKLOADS[args.workload]))
+                package.model.ModelConfig(diffusion_on=diffusion_on))
             run[side] = model.predict
+    labels = {"unit": args.unit}
     if args.unit == "synth":
-        items, labels = list(range(SYNTH_SEQUENCES)), {"unit": "synth"}
+        items = list(range(SYNTH_SEQUENCES))
     else:
-        items = heldout(package.synth, model.graph, args.seed, SEQUENCES)
-        labels = {"unit": "predict", "workload": args.workload}
-    times = time_pairs(run, items, args.pairs, WARMUP)
+        labels["workload"] = args.workload
+        graph = package.body_graph.generate_toy_body()
+        items = (heldout(package.synth, graph, args.seed, SEQUENCES) if args.unit == "predict"
+                 else [[perfbench_sequence(package.synth, graph, args.seed, i)
+                        for i in range(TRAIN_SEQUENCES)]])
+    pairs = PAIRS[args.unit] if args.pairs is None else args.pairs
+    times = time_pairs(run, items, pairs, WARMUP[args.unit])
     print(json.dumps({"base": revs["base"], "change": revs["change"], **labels,
                       **summarize(times["base"], times["change"])}))
     return 0
