@@ -31,7 +31,7 @@ docstring states: ``matmul``, ``affine`` and ``mul`` keep an operand only
 when the other operand takes a gradient, ``lincomb`` and ``sum_`` keep
 shapes, ``softmax`` its output, and ``relu`` its one-byte mask. A value
 the model code has dropped is freed during the forward unless a backward
-reads it: the predicted noise (``mse`` keeps the difference, ``lincomb`` the
+reads it: the noise predictor's output (the ``lincomb`` that adds it keeps
 shapes), and a ``relu`` input and output inside the graph+time pass (the
 relu keeps its mask, and the graph convolution's product keeps its constant
 adjacency). An input that takes no gradient is stored as None, so a constant
@@ -44,9 +44,9 @@ with the forward's expressions in the same order, instead of holding them.
 And the model's hot composites are one record each, so an intermediate that
 no backward reads is no record output. Each has an analytic backward that
 runs the same numpy expressions in the same order as the primitives it
-replaces: ``lincomb`` ((a·alpha + b·beta)·scale + shift, a diffusion chain
-step; a + b is a unit-weight lincomb, the one sum op), ``mse`` (the mean
-squared error against a constant target), ``affine`` (x @ w + c, a linear
+replaces: ``lincomb`` ((a·alpha + b·beta)·scale + shift, a noising or
+sampler step; a + b is a unit-weight lincomb, the one sum op), ``mse`` (the
+mean squared error against a constant target), ``affine`` (x @ w + c, a linear
 layer), ``softmax``, ``layer_norm``, ``conv3d``, ``segment_softmax_kl`` (the
 weighted KL between segment-wise softmaxes of (S, n, F) feature-row norms,
 the part loss of one level), ``attention_layer`` and
@@ -58,8 +58,8 @@ x + softmax((x @ wq) kᵀ/√d) v @ wo, and share one core
 takes the keys and values as arguments. Both keep beside their operands only
 each softmax row's max and exp-sum, from which backward rebuilds W bit for
 bit. ``attention_layer`` takes k and v precomputed and keeps them: the
-model's cross-attentions, whose keys and values are projected once and
-shared by 50 calls. ``self_attention_layer`` attends x to itself, with
+model's cross-attentions, whose keys and values are projected once per
+block call and shared by each of its denoiser calls. ``self_attention_layer`` attends x to itself, with
 k = x @ wk and v = x @ wv inside the record: it keeps x and the four
 weights and recomputes k and v in backward (the temporal attention).
 ``attention``, the reference composite, is a ``transpose`` of the keys, a
@@ -81,8 +81,8 @@ serves values and gradients: :func:`_result` scans each op's output and
 and ``layer_norm`` its standard deviation. The three ops in ``_UNSCANNED``
 cannot make a NaN/Inf from finite operands, forward or backward:
 ``reshape`` and ``transpose`` move values or a gradient, and ``relu``
-multiplies them by 0 or 1. That spares 316 of the 1,961 gradient scans of
-a default diffusion step. Operands that do not fit the op raise
+multiplies them by 0 or 1. That spares 16 of the 52 gradient scans of a
+default deterministic step and 22 of the 101 of a diffusion step. Operands that do not fit the op raise
 :class:`ShapeError` naming their shapes.
 
 Layout rule for the kernels a training step runs (``matmul``,
@@ -100,11 +100,10 @@ batch of small products summed afterwards. And numpy's matmul takes a slow
 path when its right operand is a transposed view: a (1536, 8) @ (8, 8)ᵀ
 weight's x-gradient takes 10–12 µs, against 5–6 µs with a contiguous copy of
 wᵀ, so every such operand (:func:`_matmul_grads`, :func:`_scores`) is copied
-first. With the scan rule above, this took a default diffusion step's
-backward from 102.5 to 96.0 ms and the step from 200.2 to 190.7 ms (medians
-of 30 paired 4-step ``model.train`` calls on a 2-core Xeon, OpenBLAS on one
-thread); every loss and gradient of the default configuration is
-bit-identical.
+first. With the scan rule above, this took a default deterministic step's
+backward from 2.69 to 2.47 ms (medians of 30 paired 60-step ``model.train``
+calls on a 2-core Xeon, OpenBLAS on one thread); every loss and gradient of
+the default configuration is bit-identical.
 
 Tolerances are module constants, not arguments: ``PROB_FLOOR`` in
 ``segment_softmax_kl``'s logs, ``_SCORE_EPS`` under its row norms and

@@ -1,9 +1,14 @@
 """Temporally-conditioned latent diffusion over per-frame mesh latents.
 
-Forward noising mixes Gaussian noise into the latent step by step while a
-cross-attention layer injects a learned sequence context; a graph+time
-feature stack summarizes temporal dependencies per spatial site; the reverse
-chain denoises conditioned on those dependencies.
+One denoiser serves training and sampling. It estimates the clean latent x0
+from a noised latent z_t at step t, in the v-form of arXiv 2202.00512:
+x0_hat = sqrt(abar_t) z_t + sqrt(1 - abar_t) F(z_t, t), where F attends to a
+learned sequence context, then to the temporal dependencies a graph+time
+feature stack summarizes from the fully noised latent z_T, and ends in the
+noise predictor. Noising is the closed-form DDPM marginal q(z_t | x0) (arXiv
+2006.11239). Training scores x0_hat at one sampled step; prediction runs a
+deterministic DDIM sampler (arXiv 2010.02502) from z_T in ``_SAMPLER_STEPS``
+steps.
 
 Every layer works on one token layout, (B, T, S, C): frames x sites x
 channels. The S sites are the coarse mesh vertices; only the 3D convolution
@@ -25,6 +30,7 @@ from .body_graph import GraphConvLayer, is_integer
 
 _KERNEL = 3  # every 3D convolution's extent along T, H and W
 _TAIL = 0.05  # the cumulative signal fraction the last noising step keeps
+_SAMPLER_STEPS = 10  # K: the deterministic sampler's steps, at most n_steps
 
 
 class ScheduleError(ValueError):
@@ -101,66 +107,52 @@ def _check_step(t: int, schedule: DiffusionSchedule) -> int:
     return int(t)
 
 
-def forward_noise_step(x_prev, t: int, schedule: DiffusionSchedule, noise) -> Tensor:
-    """One noising step: sqrt(1-alpha_t) * noise + sqrt(alpha_t) * x_prev.
+def forward_noise_step(x0, t: int, schedule: DiffusionSchedule, noise) -> Tensor:
+    """q(z_t | x0) in closed form: sqrt(abar_t) * x0 + sqrt(1-abar_t) * noise.
 
     One ``lincomb`` record. The noise draw is a constant operand: the record
-    does not keep it, so it is freed once this step has used it.
+    does not keep it, so it is freed once the block has used it.
     """
-    x_prev, noise = ad.as_tensor(x_prev), ad.as_tensor(noise)
-    if noise.shape != x_prev.shape:
-        raise ShapeError(f"noise shape {noise.shape} != input shape {x_prev.shape}")
+    x0, noise = ad.as_tensor(x0), ad.as_tensor(noise)
+    if noise.shape != x0.shape:
+        raise ShapeError(f"noise shape {noise.shape} != input shape {x0.shape}")
     t = _check_step(t, schedule)
-    a = float(schedule.alpha[t - 1])
-    return ad.lincomb(noise, math.sqrt(1.0 - a), x_prev, math.sqrt(a))
-
-
-def reverse_step(
-    z_t,
-    t: int,
-    eps_pred,
-    schedule: DiffusionSchedule,
-    noise,
-) -> Tensor:
-    """One denoising step.
-
-    Deterministic part: (z_t - (1-alpha_t)/sqrt(1-alpha_bar_t) * eps_pred)
-    / sqrt(alpha_t). The additive term scales a standard Gaussian draw by
-    sqrt(1-alpha_t) * sqrt(1-alpha_bar_{t-1}) / sqrt(1-alpha_bar_t), which
-    equals the posterior standard deviation. The draw is forced to zero at
-    t = 1, where ``noise`` is not read and may be None; elsewhere a missing
-    or misshapen draw raises ``ShapeError``.
-
-    One record: ``lincomb(z_t, 1, eps_pred, -coef, scale=1/sqrt(alpha_t),
-    shift=sigma * draw)``, with no shift where there is no draw. It evaluates
-    the same expressions in the same order as a ``lincomb`` for the corrected
-    state followed by one that scales it and adds the scaled draw, without
-    keeping the corrected state or the draw on the tape.
-    """
-    z_t, eps_pred = ad.as_tensor(z_t), ad.as_tensor(eps_pred)
-    if eps_pred.shape != z_t.shape:
-        raise ShapeError(f"eps shape {eps_pred.shape} != input shape {z_t.shape}")
-    t = _check_step(t, schedule)
-    a = float(schedule.alpha[t - 1])
     abar = float(schedule.alpha_bar[t - 1])
-    abar_prev = float(schedule.alpha_bar[t - 2]) if t > 1 else 1.0
+    return ad.lincomb(noise, math.sqrt(1.0 - abar), x0, math.sqrt(abar))
 
-    one_m_abar = 1.0 - abar
-    if one_m_abar <= 0.0:
-        eps_coef = 0.0  # alpha_t = 1 collapses both correction terms
-        sigma = 0.0
-    else:
-        eps_coef = (1.0 - a) / math.sqrt(one_m_abar)
-        sigma = math.sqrt(1.0 - a) * math.sqrt(1.0 - abar_prev) / math.sqrt(one_m_abar)
-    shift = None
-    if t > 1 and sigma != 0.0:
-        if noise is None:
-            raise ShapeError(f"step {t} needs a noise draw of shape {z_t.shape}, got None")
-        noise = ad.as_tensor(noise)
-        if noise.shape != z_t.shape:
-            raise ShapeError(f"noise shape {noise.shape} != input shape {z_t.shape}")
-        shift = noise.data * sigma
-    return ad.lincomb(z_t, 1.0, eps_pred, -eps_coef, scale=1.0 / math.sqrt(a), shift=shift)
+
+def reverse_step(z_t, t: int, x0_hat, schedule: DiffusionSchedule, t_prev: int) -> Tensor:
+    """One deterministic DDIM step (eta = 0) from step t to step t_prev < t.
+
+    The noise the estimate implies, eps = (z_t - sqrt(abar_t) x0_hat) /
+    sqrt(1-abar_t), is carried to t_prev: sqrt(abar_prev) x0_hat +
+    sqrt(1-abar_prev) eps. ``t_prev`` 0 is the clean end (abar_0 = 1), where
+    the step returns x0_hat. Where 1 - abar_t is 0, z_t is clean and the
+    step returns sqrt(abar_prev) x0_hat.
+
+    One record: ``lincomb(z_t, c, x0_hat, sqrt(abar_prev) - c sqrt(abar_t))``
+    with c = sqrt(1-abar_prev) / sqrt(1-abar_t).
+    """
+    z_t, x0_hat = ad.as_tensor(z_t), ad.as_tensor(x0_hat)
+    if x0_hat.shape != z_t.shape:
+        raise ShapeError(f"x0_hat shape {x0_hat.shape} != input shape {z_t.shape}")
+    t = _check_step(t, schedule)
+    if isinstance(t_prev, (bool, np.bool_)) or t_prev != 0:
+        t_prev = _check_step(t_prev, schedule)
+    if not t_prev < t:
+        raise ScheduleError(f"step {t} cannot step to {t_prev}: the sampler steps down")
+    abar = float(schedule.alpha_bar[t - 1])
+    abar_prev = float(schedule.alpha_bar[t_prev - 1]) if t_prev else 1.0
+    c = math.sqrt(1.0 - abar_prev) / math.sqrt(1.0 - abar) if abar < 1.0 else 0.0
+    return ad.lincomb(z_t, c, x0_hat, math.sqrt(abar_prev) - c * math.sqrt(abar))
+
+
+def sampler_steps(n_steps: int) -> list[int]:
+    """The sampler's steps: min(``_SAMPLER_STEPS``, n_steps) whole steps,
+    evenly spaced from n_steps down to 1. Any two lie at least one step apart
+    before rounding, so they stay distinct."""
+    k = min(_SAMPLER_STEPS, n_steps)
+    return [int(t) for t in np.round(np.linspace(n_steps, 1, k))]
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +277,14 @@ class FeatureStack:
 
 
 class NoisePredictor:
-    """Estimates the noise component of a latent at a given diffusion step.
+    """The denoiser's last stage: F(z, t), the term that x0_hat adds to
+    sqrt(abar_t) z, scaled by sqrt(1 - abar_t) (see :class:`DiffusionBlock`).
 
     Input normalization -> 3D conv -> per-frame graph conv -> temporal
-    self-attention -> linear head (zero-init). It owns the step embeddings
-    (:func:`step_embeddings`); step t's row joins the normalization's shift,
-    so it adds to the channel axis through a (C,) record, not a full-size one.
+    self-attention -> linear head (zero-init, so a fresh block's x0_hat is
+    sqrt(abar_t) z). It owns the step embeddings (:func:`step_embeddings`);
+    step t's row joins the normalization's shift, so it adds to the channel
+    axis through a (C,) record, not a full-size one.
     """
 
     def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
@@ -313,25 +307,28 @@ class NoisePredictor:
 
 
 class DiffusionBlock:
-    """Full noising/denoising block over (B, T, S, C) latent tokens.
+    """Noising and denoising over (B, T, S, C) latent tokens.
 
     Built from its sublayers' inputs (channels, the (H, W) grid, the coarse
     adjacency), the schedule and the row count of the learned sequence
     context, a (context_rows, C) table it owns as ``p["context"]``.
 
-    Forward: per-step noise mixing, each step followed by cross-attention
-    against the context. A two-pass graph+time stack then summarizes temporal
-    dependencies, which condition every reverse step through cross-attention
-    before the denoising update. Each call projects the context and the
-    dependencies to keys and values once, before the chain that attends to them.
-    Deterministic given the seed; returns the denoised tokens plus the mean
-    squared error between the predicted noise and the noise component of the
-    live state, (z_t - sqrt(alpha_bar_t) x0) / sqrt(1 - alpha_bar_t), averaged
-    over the reverse steps (training signal for the predictor): each step's
-    term joins a running sum, which is scaled by 1 / n_steps at the end.
-    With ``block_loss=False`` (``Model.predict``) the loss is None: no eps
-    target, ``mse`` or running sum is built, and the denoised tokens, which
-    no loss term feeds, are the same bits.
+    A call draws one standard Gaussian eps from ``seed`` and noises the
+    input x0 to the last step in closed form, z_T = q(z_T | x0) through
+    :func:`forward_noise_step`. The two-pass graph+time stack summarizes
+    z_T's temporal dependencies, and :meth:`denoiser` builds the one
+    denoiser both modes use: x0_hat(z, t) = sqrt(abar_t) z + sqrt(1-abar_t)
+    F(z, t), with F the context cross-attention, then the cross-attention
+    against the dependencies, then the noise predictor.
+
+    With ``block_loss`` (training) the call draws one step t in [1, n_steps]
+    from the same generator, forms z_t from the same eps, and returns
+    x0_hat(z_t, t) with the block loss mean((x0_hat - x0)²), all on the
+    tape. With ``block_loss=False`` (``Model.predict``) it runs the
+    deterministic DDIM sampler from z_T over :func:`sampler_steps` and
+    returns its clean end and None. Deterministic given the seed. A
+    sampler's last step from (z_t, t) returns x0_hat(z_t, t), what training
+    returns for that draw.
     """
 
     def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
@@ -351,6 +348,18 @@ class DiffusionBlock:
         return ([self.context_attn, self.cond_attn]
                 + self.stack.layers() + self.predictor.layers() + [self])
 
+    def denoiser(self, z_T: Tensor):
+        """``x0_hat(z, t)`` conditioned on ``z_T``'s dependencies. The context
+        and the dependencies are projected to keys and values once, here."""
+        ctx_kv = self.context_attn.keys_values(self.p["context"])
+        deps_kv = self.cond_attn.keys_values(self.stack(z_T))
+
+        def x0_hat(z: Tensor, t: int) -> Tensor:
+            abar = float(self.schedule.alpha_bar[t - 1])
+            f = self.predictor(self.cond_attn(self.context_attn(z, *ctx_kv), *deps_kv), t)
+            return ad.lincomb(z, math.sqrt(abar), f, math.sqrt(1.0 - abar))
+        return x0_hat
+
     def __call__(self, x0: Tensor, seed: int, *,
                  block_loss: bool = True) -> tuple[Tensor, Tensor | None]:
         if x0.ndim != 4 or x0.shape[2] != self.n_sites:
@@ -360,36 +369,15 @@ class DiffusionBlock:
         b, t, s, c = x0.shape
         rng = np.random.default_rng(seed)
         sched = self.schedule
-
-        def draw() -> np.ndarray:
-            # a channels-first draw keeps each seed's noise on the same elements
-            return np.swapaxes(rng.standard_normal((b, t, c, s)), 2, 3)
-
-        # forward noising with context cross-attention after every step
-        ctx_kv = self.context_attn.keys_values(self.p["context"])
-        x = x0
-        for step in range(1, sched.n_steps + 1):
-            x = self.context_attn(forward_noise_step(x, step, sched, draw()), *ctx_kv)
-
-        # temporal dependency summary from the noised latent
-        deps_kv = self.cond_attn.keys_values(self.stack(x))
-
-        # conditioned reverse chain; the predictor trains toward the noise
-        # component of the live state, (z_t - sqrt(abar_t) x0)/sqrt(1-abar_t),
-        # whose exact prediction recovers x0 at the final step
-        z = x
-        eps_sum = None
-        for step in range(sched.n_steps, 0, -1):
-            z = self.cond_attn(z, *deps_kv)
-            eps_hat = self.predictor(z, step)
-            if block_loss:
-                abar = float(sched.alpha_bar[step - 1])
-                if 1.0 - abar > 0.0:
-                    target = (z.data - math.sqrt(abar) * x0.data) / math.sqrt(1.0 - abar)
-                else:
-                    target = np.zeros_like(x0.data)
-                term = ad.mse(eps_hat, target)
-                eps_sum = term if eps_sum is None else ad.lincomb(eps_sum, 1.0, term, 1.0)
-            z = reverse_step(z, step, eps_hat, sched, draw() if step > 1 else None)
-
-        return z, None if eps_sum is None else ad.mul(eps_sum, 1.0 / sched.n_steps)
+        # a channels-first draw keeps each seed's noise on the same elements
+        eps = np.swapaxes(rng.standard_normal((b, t, c, s)), 2, 3)
+        z = forward_noise_step(x0, sched.n_steps, sched, eps)
+        denoise = self.denoiser(z)
+        if block_loss:
+            step = int(rng.integers(1, sched.n_steps + 1))
+            x0_hat = denoise(forward_noise_step(x0, step, sched, eps), step)
+            return x0_hat, ad.mse(ad.lincomb(x0_hat, 1.0, x0, -1.0), np.zeros(x0.shape))
+        steps = sampler_steps(sched.n_steps)
+        for step, prev in zip(steps, steps[1:] + [0]):
+            z = reverse_step(z, step, denoise(z, step), sched, prev)
+        return z, None

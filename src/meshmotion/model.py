@@ -4,7 +4,7 @@ Pipeline: per-frame MLP encoder over masked vertex observations -> latent
 grid whose spatial sites are coarse mesh vertices -> diffusion block (or the
 deterministic graph+time stack when diffusion is off) -> linear up-projection
 to fine vertices -> per-vertex regression head. Training optimizes vertex
-error plus optional part-distribution and noise-prediction terms with Adam.
+error plus optional part-distribution and diffusion block terms with Adam.
 Each layer holds the tables it reads (the block its context, the noise
 predictor its step embeddings); both cores are built from the coarse adjacency.
 
@@ -31,8 +31,9 @@ from .part_loss import hh_loss, part_weights_from_variance
 from .synth import MotionSequence
 
 MM_SCALE = 1e-3  # mm -> model units
-# weight of the diffusion block's noise-prediction term; the vertex term is
-# the loss's unit, and Adam's step ignores a common scale of all terms
+# weight of the diffusion block's term, the mean squared error of its x0
+# estimate at the sampled step; the vertex term is the loss's unit, and
+# Adam's step ignores a common scale of all terms
 EPS_LOSS_WEIGHT = 0.1
 
 # numpy floating-point errors stay silent over a whole training step or
@@ -176,9 +177,13 @@ class Model:
         """observations (B, T, n, 3) mm and mask (B, T, n) -> prediction dict.
 
         Any other shape, B or T of 0, or a seed that is not a non-negative
-        integer raises ``ConfigError``. ``block_loss=False`` builds no
-        diffusion block loss (``eps_loss`` is None), which :meth:`loss` then
-        rejects; the prediction is the same bits either way.
+        integer raises ``ConfigError``. With diffusion on, ``seed`` draws the
+        block's noise and, with ``block_loss``, its training step: the
+        prediction then decodes the block's x0 estimate at that step, and
+        ``eps_loss`` holds the block's term. ``block_loss=False`` (prediction)
+        decodes the block's sampler output instead and builds no block loss
+        (``eps_loss`` is None), which :meth:`loss` then rejects. Without
+        diffusion ``block_loss`` changes no bit.
         """
         cfg = self.config
         obs = np.asarray(observations, dtype=np.float64)
@@ -231,7 +236,8 @@ class Model:
              part_weights: list[np.ndarray] | None = None) -> Tensor:
         """Composite training objective on one batch: the vertex MSE, plus
         ``part_loss_weight`` times the part term, plus ``EPS_LOSS_WEIGHT``
-        times the diffusion block's noise-prediction term.
+        times the diffusion block's term (the mean squared error of its x0
+        estimate at the step the forward sampled).
 
         The part term sums one :func:`hh_loss` per level of ``part_starts``,
         coarse then fine; a ``part_loss_weight`` of 0 leaves it out.
@@ -246,7 +252,7 @@ class Model:
         cfg = self.config
         if cfg.diffusion_on and out["eps_loss"] is None:
             raise ConfigError("this forward built no diffusion block loss "
-                              "(block_loss=False); the loss needs its eps term")
+                              "(block_loss=False); the loss needs its block term")
         gt = np.asarray(gt_vertices, dtype=np.float64)
         rows, n, _ = out["pred_scaled"].shape
         want = (*out["batch"], n, 3)
@@ -280,8 +286,9 @@ class Model:
     def predict(self, seq: MotionSequence, seed: int = 0) -> np.ndarray:
         """(T, n, 3) mm prediction for one sequence; no tape, no mutation.
 
-        The forward builds no diffusion block loss, and with no tape active
-        each op keeps only its value.
+        The forward builds no diffusion block loss: the block runs its
+        deterministic sampler from the noise ``seed`` draws. With no tape
+        active each op keeps only its value.
         """
         with np.errstate(**_FP_QUIET):
             out = self.forward(seq.observations[None], seq.occlusion_mask[None], seed=seed,

@@ -9,7 +9,9 @@ Also the gradient checker, :func:`gradcheck`, which the tests run on every op
 and on the model's layers; :class:`SlotAdam`, the per-slot Adam step that
 ``model.Adam``'s one flat pass must match bit for bit; and
 :func:`spatial_patches`, the sliding-window patch matrix that conv3d's
-gather must match bit for bit. ``__all__`` lists the ops only."""
+gather must match bit for bit; and :func:`noise_by_steps`, the per-step
+noising loop whose marginal ``diffusion.forward_noise_step`` forms in closed
+form. ``__all__`` lists the ops only."""
 
 import math
 
@@ -87,6 +89,17 @@ def spatial_patches(x, kt, kh, kw):
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     # win: (B, T+kT-1, H, W, C, kH, kW)
     return win.transpose(0, 1, 2, 3, 5, 6, 4).reshape(b, t + 2 * pt, h * w, kh * kw * c)
+
+
+def noise_by_steps(x0, t, schedule, draws):
+    """z_t of the per-step noising recurrence, one draw per step:
+    z_s = sqrt(1 - alpha_s) draw_s + sqrt(alpha_s) z_{s-1} for s = 1..t, from
+    z_0 = ``x0``; its marginal is q(z_t | x0)."""
+    z = np.asarray(x0, dtype=np.float64)
+    for s, draw in zip(range(1, t + 1), draws, strict=True):
+        a = float(schedule.alpha[s - 1])
+        z = draw * math.sqrt(1.0 - a) + z * math.sqrt(a)
+    return z
 
 
 class GradcheckError(AssertionError):

@@ -21,6 +21,7 @@ from meshmotion.diffusion import (
     make_schedule,
     rearrange,
     reverse_step,
+    sampler_steps,
     step_embeddings,
 )
 from meshmotion.model import ModelConfig, build_model
@@ -81,45 +82,58 @@ def test_forward_noise_shape_error():
         forward_noise_step(np.zeros((2, 2)), 1, sched, np.zeros(3))
 
 
-def test_forward_noise_iterated_statistics_monte_carlo():
-    # closed-form q(x_t | x_0): mean sqrt(abar_t) x0, variance 1 - abar_t
+def test_forward_noise_matches_the_per_step_recurrence_monte_carlo():
+    # q(z_t | x0) in closed form against the per-step noising loop it
+    # replaces: both have mean sqrt(abar_t) x0 and variance 1 - abar_t
     sched = make_schedule(10)
     rng = np.random.default_rng(123)
-    n = 100_000
-    x0 = 1.7
-    x = np.full(n, x0)
-    t_check = 4
-    for t in range(1, t_check + 1):
-        x = forward_noise_step(x, t, sched, rng.standard_normal(n)).data
-    abar = sched.alpha_bar[t_check - 1]
-    exp_mean = math.sqrt(abar) * x0
-    exp_var = 1.0 - abar
-    # 3-sigma Monte-Carlo bounds
-    mean_tol = 3.0 * math.sqrt(exp_var / n)
-    var_tol = 3.0 * exp_var * math.sqrt(2.0 / (n - 1))
-    assert abs(x.mean() - exp_mean) < mean_tol
-    assert abs(x.var() - exp_var) < var_tol
+    n, x0 = 100_000, 1.7
+    for t in (1, 4, 10):
+        closed = forward_noise_step(np.full(n, x0), t, sched, rng.standard_normal(n)).data
+        looped = oracle.noise_by_steps(np.full(n, x0), t, sched, rng.standard_normal((t, n)))
+        abar = sched.alpha_bar[t - 1]
+        exp_mean, exp_var = math.sqrt(abar) * x0, 1.0 - abar
+        # 3-sigma Monte-Carlo bounds on each sample's mean and variance
+        mean_tol = 3.0 * math.sqrt(exp_var / n)
+        var_tol = 3.0 * exp_var * math.sqrt(2.0 / (n - 1))
+        for z in (closed, looped):
+            assert abs(z.mean() - exp_mean) < mean_tol
+            assert abs(z.var() - exp_var) < var_tol
+        # and the two samples against each other, at the same 3 sigma
+        assert abs(closed.mean() - looped.mean()) < math.sqrt(2.0) * mean_tol
+        assert abs(closed.var() - looped.var()) < math.sqrt(2.0) * var_tol
 
 
-def _reverse_oracle(z, t, eps, alpha, alpha_bar, alpha_bar_prev, draw):
-    # scalar transcription of the denoising update
-    det = (z - (1.0 - alpha) / math.sqrt(1.0 - alpha_bar) * eps) / math.sqrt(alpha)
-    sig = math.sqrt(1.0 - alpha) * math.sqrt(1.0 - alpha_bar_prev) / math.sqrt(1.0 - alpha_bar)
-    return det + (sig * draw if t > 1 else 0.0)
+def test_forward_noise_is_the_recurrence_with_one_draw_where_alpha_is_one():
+    # with every alpha but the first equal to 1 the recurrence adds its one
+    # draw at step 1, and the closed form is that same expression
+    sched = DiffusionSchedule(alpha=np.array([0.6, 1.0, 1.0]))
+    rng = np.random.default_rng(124)
+    x0, draw = rng.standard_normal((2, 5))
+    closed = forward_noise_step(x0, 3, sched, draw).data
+    looped = oracle.noise_by_steps(x0, 3, sched, [draw, np.zeros(5), np.zeros(5)])
+    np.testing.assert_array_equal(closed, looped)
 
 
-def test_reverse_step_alpha_one_is_identity():
+def _ddim_oracle(z, x0_hat, alpha_bar, alpha_bar_prev):
+    # scalar transcription of the DDIM update through the implied noise
+    eps = (z - math.sqrt(alpha_bar) * x0_hat) / math.sqrt(1.0 - alpha_bar)
+    return math.sqrt(alpha_bar_prev) * x0_hat + math.sqrt(1.0 - alpha_bar_prev) * eps
+
+
+def test_reverse_step_alpha_one_returns_the_estimate():
     sched = DiffusionSchedule(alpha=np.array([1.0, 1.0]))
-    z = np.arange(4, dtype=float)
-    out = reverse_step(z, 2, np.ones(4), sched, np.ones(4))
-    np.testing.assert_array_equal(out.data, z)
+    z, x0_hat = np.arange(4, dtype=float), np.ones(4)
+    for t, t_prev in ((2, 1), (2, 0), (1, 0)):
+        np.testing.assert_array_equal(reverse_step(z, t, x0_hat, sched, t_prev).data, x0_hat)
 
 
-def test_reverse_step_zero_eps_zero_noise():
+def test_reverse_step_to_the_clean_end_returns_the_estimate():
     sched = make_schedule(5)
-    z = np.array([1.0, -2.0])
-    out = reverse_step(z, 3, np.zeros(2), sched, np.zeros(2))
-    np.testing.assert_allclose(out.data, z / math.sqrt(sched.alpha[2]), atol=1e-15)
+    rng = np.random.default_rng(8)
+    z, x0_hat = rng.standard_normal((2, 3, 4))
+    for t in (1, 3, 5):
+        np.testing.assert_array_equal(reverse_step(z, t, x0_hat, sched, 0).data, x0_hat)
 
 
 def test_reverse_step_matches_scalar_oracle():
@@ -127,42 +141,38 @@ def test_reverse_step_matches_scalar_oracle():
     sched = make_schedule(20)
     for _ in range(1000):
         t = int(rng.integers(1, 21))
-        z = float(rng.standard_normal())
-        eps = float(rng.standard_normal())
-        draw = float(rng.standard_normal())
-        a = float(sched.alpha[t - 1])
+        t_prev = int(rng.integers(0, t))
+        z, x0_hat = (float(v) for v in rng.standard_normal(2))
         ab = float(sched.alpha_bar[t - 1])
-        abp = float(sched.alpha_bar[t - 2]) if t > 1 else 1.0
-        got = reverse_step(np.array([z]), t, np.array([eps]), sched, np.array([draw]))
-        want = _reverse_oracle(z, t, eps, a, ab, abp, draw)
-        assert abs(got.data[0] - want) < 1e-12
+        abp = float(sched.alpha_bar[t_prev - 1]) if t_prev else 1.0
+        got = reverse_step(np.array([z]), t, np.array([x0_hat]), sched, t_prev)
+        assert abs(got.data[0] - _ddim_oracle(z, x0_hat, ab, abp)) < 1e-12
 
 
-def test_reverse_recovers_x0_from_single_step():
-    # with the exact injected noise, one reverse step undoes one forward step
-    sched = make_schedule(5)
+def test_reverse_step_with_the_exact_estimate_stays_on_the_noising_path():
+    # from z_t = q(z_t | x0) with noise eps, a step given the true x0 lands on
+    # z_t_prev with the same eps
+    sched = make_schedule(50)
     rng = np.random.default_rng(9)
-    x0 = rng.standard_normal((3, 2))
-    eps = rng.standard_normal((3, 2))
-    x1 = forward_noise_step(x0, 1, sched, eps)
-    back = reverse_step(x1, 1, eps, sched, np.zeros((3, 2)))
-    np.testing.assert_allclose(back.data, x0, atol=1e-9)
+    x0, eps = rng.standard_normal((2, 3, 2))
+    for t, t_prev in ((50, 45), (12, 6), (6, 1), (1, 0)):
+        z = forward_noise_step(x0, t, sched, eps)
+        want = forward_noise_step(x0, t_prev, sched, eps).data if t_prev else x0
+        np.testing.assert_allclose(reverse_step(z, t, x0, sched, t_prev).data, want,
+                                   rtol=0, atol=1e-12)
 
 
-def test_reverse_step_needs_a_draw_where_it_adds_noise():
-    sched = make_schedule(5)
-    z = np.array([1.0, -2.0])
-    with pytest.raises(ShapeError, match=r"^step 3 needs a noise draw of shape \(2,\), got None$"):
-        reverse_step(z, 3, np.zeros(2), sched, None)
-    # step 1 adds no noise, so it reads no draw
-    np.testing.assert_array_equal(reverse_step(z, 1, np.ones(2), sched, None).data,
-                                  reverse_step(z, 1, np.ones(2), sched, np.zeros(2)).data)
+@pytest.mark.parametrize("t_prev", [3, 4, 1.5, -1, False, np.False_])
+def test_reverse_step_steps_down_to_a_whole_step(t_prev):
+    # the target step lies below t: 0 (the clean end) or a whole step
+    with pytest.raises(ScheduleError):
+        reverse_step(np.zeros(2), 3, np.zeros(2), make_schedule(5), t_prev)
 
 
 @pytest.mark.parametrize("t", [6, 1.5, True, np.True_])
 @pytest.mark.parametrize("step", [
     lambda t, sched: forward_noise_step(np.zeros(2), t, sched, np.zeros(2)),
-    lambda t, sched: reverse_step(np.zeros(2), t, np.zeros(2), sched, np.zeros(2)),
+    lambda t, sched: reverse_step(np.zeros(2), t, np.zeros(2), sched, 0),
 ], ids=["forward_noise_step", "reverse_step"])
 def test_reverse_step_range_error(step, t):
     # a step past the schedule, or between two steps, is no step to run, and
@@ -175,8 +185,26 @@ def test_a_whole_float_step_runs_that_step():
     sched = make_schedule(5)
     np.testing.assert_array_equal(forward_noise_step(np.zeros(2), 2.0, sched, np.ones(2)).data,
                                   forward_noise_step(np.zeros(2), 2, sched, np.ones(2)).data)
-    np.testing.assert_array_equal(reverse_step(np.ones(2), 2.0, np.ones(2), sched, np.ones(2)).data,
-                                  reverse_step(np.ones(2), 2, np.ones(2), sched, np.ones(2)).data)
+    np.testing.assert_array_equal(reverse_step(np.ones(2), 2.0, np.ones(2), sched, 1.0).data,
+                                  reverse_step(np.ones(2), 2, np.ones(2), sched, 1).data)
+
+
+@pytest.mark.parametrize("n_steps", [2, 50], ids=["tiny", "default"])
+def test_sampler_steps_descend_from_the_last_step_to_step_one(n_steps):
+    steps = sampler_steps(n_steps)
+    assert len(steps) == min(10, n_steps)
+    assert steps[0] == n_steps and steps[-1] == 1
+    assert all(a > b for a, b in zip(steps, steps[1:]))
+    assert all(type(t) is int for t in steps)
+    if n_steps == 50:
+        assert steps == [50, 45, 39, 34, 28, 23, 17, 12, 6, 1]
+
+
+def test_sampler_steps_stay_distinct_for_every_schedule_length():
+    for n_steps in range(2, 301):
+        steps = sampler_steps(n_steps)
+        assert len(set(steps)) == len(steps) == min(10, n_steps), n_steps
+        assert steps[0] == n_steps and steps[-1] == 1 and steps == sorted(steps, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +347,81 @@ def test_block_same_seed_bitwise_identical():
     assert loss1.item() == loss2.item()
 
 
-def test_block_without_its_loss_denoises_to_the_same_bits():
+def _recording(monkeypatch, name):
+    # diffusion.<name> wrapped to append each call's step argument and output
+    calls, fn = [], getattr(diffusion, name)
+
+    def wrapper(*args):
+        calls.append((args[1], fn(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(diffusion, name, wrapper)
+    return calls
+
+
+def test_training_forward_equals_the_samplers_last_step(monkeypatch):
+    # a training call returns x0_hat(z_t, t) at its sampled step, and a
+    # sampler step from (z_t, t) to the clean end returns the same bits; the
+    # sampler's last step is that step from t = 1
     _, block, _ = _block_setup(n_steps=3)
+    block.predictor.p["head"] = Tensor(np.random.default_rng(21).standard_normal((4, 4)),
+                                       requires_grad=True)
     x = _tokens((1, 2, 8, 4), np.random.default_rng(22))
-    with Tape():
-        out, loss = block(x, seed=6)
-    bare, no_loss = block(x, seed=6, block_loss=False)
-    assert loss.shape == () and no_loss is None
-    np.testing.assert_array_equal(bare.data, out.data)
+    drawn = set()
+    for seed in range(8):
+        with monkeypatch.context() as patch:
+            noised = _recording(patch, "forward_noise_step")
+            with Tape():
+                out, loss = block(x, seed=seed)
+        (n, z_T), (t, z_t) = noised
+        assert n == 3 and loss.shape == ()
+        want = reverse_step(z_t, t, block.denoiser(z_T)(z_t, t), block.schedule, 0)
+        np.testing.assert_array_equal(out.data, want.data)
+        drawn.add(t)
+    assert drawn == {1, 2, 3}
+
+
+def test_prediction_runs_the_sampler_from_the_noised_input():
+    # one draw noises the input to the last step; the sampler then steps
+    # down through sampler_steps with the denoiser that z_T conditions
+    _, block, _ = _block_setup(n_steps=3)
+    block.predictor.p["head"] = Tensor(np.random.default_rng(21).standard_normal((4, 4)),
+                                       requires_grad=True)
+    x = _tokens((1, 2, 8, 4), np.random.default_rng(22))
+    out, loss = block(x, seed=6, block_loss=False)
+    assert loss is None
+    eps = np.swapaxes(np.random.default_rng(6).standard_normal((1, 2, 4, 8)), 2, 3)
+    z = forward_noise_step(x, 3, block.schedule, eps)
+    denoise = block.denoiser(z)
+    for t, t_prev in ((3, 2), (2, 1), (1, 0)):
+        z = reverse_step(z, t, denoise(z, t), block.schedule, t_prev)
+    np.testing.assert_array_equal(out.data, z.data)
+
+
+def test_the_sampler_returns_x0_given_an_exact_estimate(monkeypatch):
+    # with a denoiser that returns the clean input, each DDIM step stays on
+    # the noising path, and the sampler's ten steps end at x0
+    _, block, _ = _block_setup(n_steps=50)
+    x = _tokens((1, 2, 8, 4), np.random.default_rng(27))
+    monkeypatch.setattr(block, "denoiser", lambda z_T: lambda z, t: x)
+    steps = _recording(monkeypatch, "reverse_step")
+    out, _ = block(x, seed=3, block_loss=False)
+    assert [t for t, _ in steps] == sampler_steps(50)
+    np.testing.assert_allclose(out.data, x.data, rtol=0, atol=1e-12)
+
+
+def test_the_trained_step_is_drawn_from_the_seed(monkeypatch):
+    _, block, _ = _block_setup(n_steps=3)
+    x = _tokens((1, 2, 8, 4), np.random.default_rng(24))
+    runs = []
+    for _ in range(2):
+        with monkeypatch.context() as patch:
+            noised = _recording(patch, "forward_noise_step")
+            for seed in range(30):
+                block(x, seed=seed)
+        runs.append([t for t, _ in noised[1::2]])
+    assert [t for t, _ in noised[::2]] == [3] * 30
+    first, again = runs
+    assert first == again and set(first) == {1, 2, 3}
 
 
 def test_block_shape_preserved():
@@ -348,18 +443,22 @@ def test_block_rejects_grid_vertex_mismatch():
         block(_tokens((1, 2, 7, 4), rng), seed=0)
 
 
-def test_block_projects_each_context_once_per_call():
+@pytest.mark.parametrize("block_loss,denoiser_calls", [(True, 1), (False, 3)],
+                         ids=["training", "sampling"])
+def test_block_projects_each_context_once_per_call(block_loss, denoiser_calls):
     # the context and the dependency summary are projected to keys and values
-    # once per call, not once per chain step
+    # once per call, not once per denoiser call: one in training, one per
+    # sampler step
     _, block, ctx = _block_setup(n_steps=3)
     x = _tokens((1, 2, 8, 4), np.random.default_rng(25))
     with Tape() as tape:
-        block(x, seed=4)
+        block(x, seed=4, block_loss=block_loss)
     for layer in (block.context_attn, block.cond_attn):
         for key in ("wk", "wv"):
             w = layer.p[key]
             assert sum(any(t is w for t in rec.inputs) for rec in tape.records) == 1
-        assert sum(any(t is layer.p["wq"] for t in rec.inputs) for rec in tape.records) == 3
+        assert (sum(any(t is layer.p["wq"] for t in rec.inputs) for rec in tape.records)
+                == denoiser_calls)
 
 
 def test_chain_records_one_per_noise_step_and_one_per_reverse_step(monkeypatch):
@@ -378,67 +477,70 @@ def test_chain_records_one_per_noise_step_and_one_per_reverse_step(monkeypatch):
 
     for name, calls in steps.items():
         monkeypatch.setattr(diffusion, name, recording(getattr(diffusion, name), calls))
+    # training noises to z_T and to the sampled z_t, steps no sampler step
+    # and scores one block loss term
     with Tape() as tape:
         block(x, seed=4)
-    assert steps["forward_noise_step"] == [["lincomb"]] * 3
-    # t = 3, 2 add the scaled draw as the shift; t = 1 has none
-    assert steps["reverse_step"] == [["lincomb"]] * 3
-    # one eps term per reverse step
-    assert [r.name for r in tape.records].count("mse") == 3
+    assert steps == {"forward_noise_step": [["lincomb"]] * 2, "reverse_step": []}
+    assert [r.name for r in tape.records].count("mse") == 1
+    # sampling noises to z_T and steps once per sampler step, with no loss
+    steps["forward_noise_step"].clear()
+    with Tape() as tape:
+        block(x, seed=4, block_loss=False)
+    assert steps == {"forward_noise_step": [["lincomb"]], "reverse_step": [["lincomb"]] * 3}
+    assert [r.name for r in tape.records].count("mse") == 0
 
 
 @pytest.mark.parametrize("which", ["miniature", "default"])
 def test_each_attention_layer_call_records_one_attention_layer(
         monkeypatch, record_attention_calls, default_step, which):
     cross, self_ = ("cross", ["attention_layer"]), ("self", ["self_attention_layer"])
+    # one per stack pass, then per denoiser call the context call, the
+    # conditioning call and the predictor's
+    denoiser = [cross, cross, self_]
     if which == "default":
-        # 50 context, 2 stack, then 50 conditioning and 50 predictor calls
+        # a training step calls the denoiser once
         _, calls, _ = default_step("diffusion")
-        assert calls == [cross] * 50 + [self_] * 2 + [cross, self_] * 50
+        assert calls == [self_] * 2 + denoiser
         return
     _, block, ctx = _block_setup(n_steps=3)
     x = Tensor(np.random.default_rng(31).standard_normal((1, 2, 8, 4)), requires_grad=True)
-    with Tape() as tape:
-        calls = record_attention_calls(monkeypatch, tape)
-        block(x, seed=4)
-    # three context calls, one per stack pass, then per reverse step the
-    # conditioning call and the predictor's
-    assert calls == [cross] * 3 + [self_] * 2 + [cross, self_] * 3
+    for block_loss, denoiser_calls in ((True, 1), (False, 3)):
+        with Tape() as tape, monkeypatch.context() as patch:
+            calls = record_attention_calls(patch, tape)
+            block(x, seed=4, block_loss=block_loss)
+        assert calls == [self_] * 2 + denoiser * denoiser_calls
 
 
-def _two_record_reverse_step(z_t, t, eps_pred, schedule, noise):
-    # the reverse step as two records: the corrected state, then its scaling
-    # plus the scaled draw (a mul where there is no draw)
-    a = float(schedule.alpha[t - 1])
+def _eps_form_reverse_step(z_t, t, x0_hat, schedule, t_prev):
+    # the DDIM update through the implied noise, as two records
     abar = float(schedule.alpha_bar[t - 1])
-    abar_prev = float(schedule.alpha_bar[t - 2]) if t > 1 else 1.0
-    eps_coef = (1.0 - a) / math.sqrt(1.0 - abar)
-    sigma = math.sqrt(1.0 - a) * math.sqrt(1.0 - abar_prev) / math.sqrt(1.0 - abar)
-    corrected = ad.lincomb(z_t, 1.0, eps_pred, -eps_coef)
-    if t == 1:
-        return ad.mul(corrected, 1.0 / math.sqrt(a))
-    return ad.lincomb(corrected, 1.0 / math.sqrt(a), noise, sigma)
+    abar_prev = float(schedule.alpha_bar[t_prev - 1]) if t_prev else 1.0
+    r = 1.0 / math.sqrt(1.0 - abar)
+    eps = ad.lincomb(z_t, r, x0_hat, -math.sqrt(abar) * r)
+    return ad.lincomb(x0_hat, math.sqrt(abar_prev), eps, math.sqrt(1.0 - abar_prev))
 
 
-@pytest.mark.parametrize("t", [50, 2, 1])
-def test_one_record_reverse_step_is_bit_identical_to_two_records(t):
-    # the default schedule at the default model's (B, T, S, C) tokens
+@pytest.mark.parametrize("t,t_prev", [(50, 45), (2, 1), (1, 0)])
+def test_one_record_reverse_step_matches_the_eps_form_update(t, t_prev):
+    # the default schedule at the default model's (B, T, S, C) tokens: value
+    # and both gradients agree with the two-record form to rounding
     sched = make_schedule(50)
     rng = np.random.default_rng(28)
     shape = (4, 16, 24, 8)
     arrays = [rng.standard_normal(shape) for _ in range(2)]
-    draw, upstream = rng.standard_normal(shape), rng.standard_normal(shape)
+    upstream = rng.standard_normal(shape)
     results = []
-    for step in (reverse_step, _two_record_reverse_step):
-        z, eps = (Tensor(a, requires_grad=True) for a in arrays)
+    for step in (reverse_step, _eps_form_reverse_step):
+        z, x0_hat = (Tensor(a, requires_grad=True) for a in arrays)
         with Tape() as tape:
-            out = step(z, t, eps, sched, draw)
+            out = step(z, t, x0_hat, sched, t_prev)
         tape.backward(out, seed=upstream)
-        results.append((len(tape.records), out.data, z.grad, eps.grad))
+        results.append((len(tape.records), out.data, z.grad, x0_hat.grad))
     (n_one, *got), (n_two, *want) = results
     assert (n_one, n_two) == (1, 2)
     for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
 
 
 def _closure_arrays(fn):
@@ -457,10 +559,10 @@ def _closure_arrays(fn):
 @pytest.mark.parametrize("which", ["miniature", "default"])
 def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
     constants = []
-    # values no backward reads: the predicted noise and the relu outputs
-    # after conv3d (a 5-D grid) and graph conv (4-D tokens); the encoder's
-    # relu output (2-D) is read by its next layer
-    dead = {"eps_hat": [], "relu": []}
+    # values no backward reads: the noise predictor's output, which x0_hat
+    # adds, and the relu outputs after conv3d (a 5-D grid) and graph conv
+    # (4-D tokens); the encoder's relu output (2-D) is read by its next layer
+    dead = {"predicted": [], "relu": []}
     as_tensor, relu = ad.as_tensor, ad.relu
     predictor = diffusion.NoisePredictor.__call__
 
@@ -473,7 +575,7 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
 
     def tracked_predictor(self, *args):
         out = predictor(self, *args)
-        dead["eps_hat"].append(weakref.ref(out.data))
+        dead["predicted"].append(weakref.ref(out.data))
         return out
 
     def tracked_relu(a):
@@ -488,7 +590,6 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
     if which == "miniature":
         _, block, ctx = _block_setup(n_steps=3)
         x = Tensor(np.random.default_rng(29).standard_normal((1, 2, 8, 4)), requires_grad=True)
-        n_steps = 3
         with Tape() as tape:
             block(x, seed=4)
     else:
@@ -496,7 +597,6 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
         model = build_model(config)
         obs = np.random.default_rng(30).standard_normal((config.batch_size, 16,
                                                          config.n_vertices, 3)) * 100.0
-        n_steps = config.diffusion_steps
         with Tape() as tape:
             model.forward(obs, np.zeros(obs.shape[:3]), seed=0)
     # the records hold gradient slots, never a value tensor: a record's
@@ -506,23 +606,24 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
         assert isinstance(rec.output, ad._Slot)
         for t in rec.inputs:
             assert t is None or isinstance(t, ad._Slot) or (t.requires_grad and t._slot is None)
-    # the 4-D constants, the noise draws and the predictor's targets, are
-    # freed before backward
+    # the 4-D constants, the noise draw (an operand of both closed-form
+    # noisings) and the block loss's zero target, are freed before backward
     draws = [ref for ndim, ref in constants if ndim == 4]
-    assert len(draws) == 3 * n_steps - 1
+    assert len(draws) == 3
     assert all(ref() is None for ref in draws)
-    # so are the values no backward reads: one predicted noise per reverse
-    # step; two relus per graph+time pass
-    assert [len(dead[k]) for k in dead] == [n_steps, 2 * (n_steps + 2)]
+    # so are the values no backward reads: the one denoiser call's predictor
+    # output; two relus per graph+time pass (two in the stack, one in the
+    # predictor)
+    assert [len(dead[k]) for k in dead] == [1, 6]
     for kind, refs in dead.items():
         assert all(ref() is None for ref in refs), kind
     # a cross-attention layer keeps its query, keys, values and both
     # weights, and of its softmax only each row's max and exp-sum, two
     # (rows,) vectors: never an array of the scores' shape (the scores or
-    # the weights W), the projected query or W v. One per noise step and one
-    # per reverse step
+    # the weights W), the projected query or W v. The denoiser's context and
+    # conditioning calls
     layers = [rec for rec in tape.records if rec.name == "attention_layer"]
-    assert len(layers) == 2 * n_steps
+    assert len(layers) == 2
     for rec in layers:
         x, wq, k, v, wo = (t.data for t in rec.inputs)
         held = list(_closure_arrays(rec.backward))
@@ -535,9 +636,9 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
         assert all(a.shape != lead + (x.shape[-2], k.shape[-2]) for a in held)
     # a self-attention layer keeps its input, its four weights and the two
     # row statistics: no array of the keys', values' or scores' shape but x
-    # itself. One per stack pass and one per reverse step
+    # itself. One per stack pass and the predictor's
     layers = [rec for rec in tape.records if rec.name == "self_attention_layer"]
-    assert len(layers) == n_steps + 2
+    assert len(layers) == 3
     for rec in layers:
         x, wq, wk, wv, wo = (t.data for t in rec.inputs)
         held = list(_closure_arrays(rec.backward))
@@ -581,31 +682,29 @@ def test_step_embeddings_are_one_read_only_row_per_step():
 
 def test_a_default_forward_adds_the_step_embedding_to_the_norm_shift(default_step):
     # the embedding joins ln_beta in a (C,) unit-weight lincomb, one per
-    # reverse step, so the sum never grows to the latent's size
+    # denoiser call (one in a training step), so the sum never grows to the
+    # latent's size
     config = ModelConfig()
     _, _, records = default_step("diffusion")
     shifts = [(name, shape) for name, shape, takes_beta in records if takes_beta]
-    assert shifts == [("lincomb", (config.channels,))] * config.diffusion_steps
+    assert shifts == [("lincomb", (config.channels,))]
 
 
-def test_block_alpha_one_equals_deterministic_path():
-    # an all-ones schedule and a zero-init predictor collapse the noising and
-    # denoising arithmetic, leaving only the attention/feature path
+def test_block_alpha_one_returns_its_input():
+    # an all-ones schedule adds no noise, and x0_hat = 1·z + 0·F(z, t) is z:
+    # both modes return the input, whatever the layers compute
     graph, block, ctx = _block_setup()
     block.schedule = DiffusionSchedule(alpha=np.ones(2))
     rng = np.random.default_rng(23)
+    for layer in (block.context_attn, block.cond_attn):
+        layer.p["wo"] = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+    block.predictor.p["head"] = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
     x = _tokens((1, 2, 8, 4), rng)
-    out, _ = block(x, seed=3)
-
-    # manual replay without any noise arithmetic
-    v = x
-    for _ in range(2):
-        v = block.context_attn(v, *block.context_attn.keys_values(ctx))
-    deps = block.stack(v)
-    z = v
-    for _ in range(2):
-        z = block.cond_attn(z, *block.cond_attn.keys_values(deps))
-    np.testing.assert_allclose(out.data, z.data, atol=1e-12)
+    out, loss = block(x, seed=3)
+    np.testing.assert_array_equal(out.data, x.data)
+    assert loss.item() == 0.0
+    out, _ = block(x, seed=3, block_loss=False)
+    np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_block_gradcheck_miniature():
@@ -653,15 +752,13 @@ def test_block_trains_on_sinusoid_latents():
         tape.backward(loss)
         opt.step()
 
-    out, _ = block(tokens, seed=999)
+    # the sampler's output, what prediction returns
+    out, _ = block(tokens, seed=999, block_loss=False)
     final_mse = float(((out.data - x0) ** 2).mean())
 
-    # raw noised input at the last step (no denoising at all)
-    # (noise drawn in the block's (B, T, C, S) order)
-    rng = np.random.default_rng(999)
-    noised = x0.copy()
-    for tt in range(1, block.schedule.n_steps + 1):
-        eps = np.swapaxes(rng.standard_normal((b, t, c, s)), 2, 3)
-        noised = forward_noise_step(noised, tt, block.schedule, eps).data
+    # raw noised input at the last step (no denoising at all): the block's
+    # one draw, in its (B, T, C, S) order
+    eps = np.swapaxes(np.random.default_rng(999).standard_normal((b, t, c, s)), 2, 3)
+    noised = forward_noise_step(x0, block.schedule.n_steps, block.schedule, eps).data
     noised_mse = float(((noised - x0) ** 2).mean())
     assert final_mse < 0.25 * noised_mse

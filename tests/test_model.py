@@ -234,18 +234,19 @@ def test_a_zero_part_loss_weight_leaves_the_part_term_out():
 
 
 # the tape records of one default training step, counted per op; an exact
-# census also pins the step's total (988 with diffusion, 33 without), and a
+# census also pins the step's total (58 with diffusion, 33 without), and a
 # change to it reads per op. Without diffusion: encoder, graph+time stack
 # (two self-attention layers), head, one part-loss record per level, and two
-# lincombs: the levels' sum and the weighted term. With it, the 50-step
-# noising and reverse chains add the lincombs (the steps, the norm shifts and
-# the eps terms' running sum), the predictors' layers, 100 cross-attention
-# and 50 more self-attention layers.
+# lincombs: the levels' sum and the weighted term. With it, the block adds
+# the context and dependency projections, one denoiser call at the sampled
+# step (two cross-attention layers and the predictor's graph+time pass and
+# norm) and six lincombs: the two closed-form noisings, the norm shift,
+# x0_hat, the block loss's difference and its weighted term.
 DEFAULT_STEP_CENSUS = {
     "diffusion": {
-        "lincomb": 202, "matmul": 159, "reshape": 106, "relu": 105, "transpose": 105,
-        "attention_layer": 100, "self_attention_layer": 52, "conv3d": 52,
-        "mse": 51, "layer_norm": 50, "affine": 3, "segment_softmax_kl": 2, "mul": 1,
+        "matmul": 12, "lincomb": 8, "reshape": 8, "relu": 7, "transpose": 7,
+        "affine": 3, "conv3d": 3, "self_attention_layer": 3, "attention_layer": 2,
+        "mse": 2, "segment_softmax_kl": 2, "layer_norm": 1,
     },
     "deterministic": {
         "reshape": 6, "matmul": 5, "relu": 5, "transpose": 5, "affine": 3, "conv3d": 2,
@@ -261,14 +262,14 @@ def test_default_step_census(default_step, workload):
 
 
 # NaN/Inf scans (_check_finite calls) of one default predict of a 16-frame
-# sequence and of one default training step's taped forward and loss:
-# reshape, transpose and relu make none, and each of the 50 layer_norms
-# scans its standard deviation and its output
-DEFAULT_SCANS = {"diffusion": (1024, 1130), "deterministic": (20, 25)}
+# sequence (ten sampler steps) and of one default training step's taped
+# forward and loss (one denoiser call): reshape, transpose and relu make
+# none, and each layer_norm scans its standard deviation and its output
+DEFAULT_SCANS = {"diffusion": (225, 53), "deterministic": (20, 25)}
 # and the gradient scans of that step's backward: the seed's, and one per
 # gradient a record returns unless reshape, transpose or relu returns it
-# (1,645 of the diffusion step's 1,961 gradients, 36 of the deterministic 52)
-DEFAULT_GRADIENT_SCANS = {"diffusion": 1 + 1645, "deterministic": 1 + 36}
+# (79 of the diffusion step's 101 gradients, 36 of the deterministic 52)
+DEFAULT_GRADIENT_SCANS = {"diffusion": 1 + 79, "deterministic": 1 + 36}
 
 
 @pytest.mark.parametrize("workload", sorted(DEFAULT_SCANS))
@@ -316,7 +317,7 @@ def test_default_initial_parameters_are_pinned(workload):
 
 
 def test_predict_builds_no_block_loss(monkeypatch):
-    # the forward of a training step takes one mse per reverse step; a
+    # the forward of a training step takes one mse, at its sampled step; a
     # default predict takes none
     model = build_model(ModelConfig())
     seq = generate_sequence(MotionConfig(graph=model.graph, frames=4), seed=8)
@@ -326,7 +327,7 @@ def test_predict_builds_no_block_loss(monkeypatch):
     model.predict(seq, seed=1)
     assert calls == []
     model.forward(seq.observations[None], seq.occlusion_mask[None], seed=1)
-    assert len(calls) == model.config.diffusion_steps
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("diffusion_on", [False, True], ids=["deterministic", "diffusion"])
@@ -347,13 +348,14 @@ def test_untaped_ops_pass_no_backward(monkeypatch, diffusion_on):
 
 
 @pytest.mark.parametrize("config", [ModelConfig(), tiny_config()], ids=["default", "tiny"])
-def test_predict_equals_the_taped_loss_building_forward(config):
-    # no block loss and no backward closures change no bit of the prediction
+def test_predict_equals_a_taped_forward_without_the_block_loss(config):
+    # backward closures change no bit of the prediction: a taped forward
+    # without the block loss runs the same sampler
     model = build_model(config)
     seq = generate_sequence(MotionConfig(graph=model.graph, frames=5), seed=9)
     with Tape() as tape:
-        out = model.forward(seq.observations[None], seq.occlusion_mask[None], seed=4)
-        model.loss(out, seq.gt_vertices[None])
+        out = model.forward(seq.observations[None], seq.occlusion_mask[None], seed=4,
+                            block_loss=False)
     assert len(tape.records) > 30
     want = (out["pred_scaled"].data * (1.0 / MM_SCALE)).reshape(seq.observations.shape)
     np.testing.assert_array_equal(model.predict(seq, seed=4), want)

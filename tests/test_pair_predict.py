@@ -163,3 +163,21 @@ def test_step_unit_trains_on_perfbench_sequences(monkeypatch):
         got = pp.perfbench_sequence(synth, graph, 3, i, 4)
         for name in ("gt_vertices", "observations", "occlusion_mask"):
             np.testing.assert_array_equal(getattr(got, name), getattr(seq, name))
+
+
+@pytest.mark.parametrize("workload", ["train_diffusion", "train_deterministic"])
+def test_a_step_unit_trains_60_steps_on_either_workload(monkeypatch, workload, capsys):
+    # main with --unit step hands the workload's model and STEPS to the unit
+    import meshmotion
+
+    configs = []
+    monkeypatch.setattr(pp, "export", lambda rev, path: rev)
+    monkeypatch.setattr(pp, "import_package", lambda src, name: meshmotion)
+    monkeypatch.setattr(pp, "step_unit", lambda package, config: configs.append(config))
+    monkeypatch.setattr(pp, "time_pairs", lambda run, items, pairs, warmup: {
+        "base": [1.0] * pairs, "change": [1.0] * pairs})
+    assert pp.main(["--base", "a", "--change", "b", "--unit", "step", "--workload", workload,
+                    "--pairs", "2", "--scratch", "unused"]) == 0
+    want = {"diffusion_on": workload == "train_diffusion", "train_steps": 60}
+    assert configs == [want, want]
+    assert '"pairs": 2' in capsys.readouterr().out

@@ -24,9 +24,11 @@ corruption (``occlusion_prob=0.3``, ``blur_width=3``), for perfbench's 128
 set-up sequences of ``--seed`` in turn (motion seed ``seed * 100_000 + i``,
 corruption seed that plus 50,000); ``--workload`` does not apply to it.
 The ``step`` unit is one default ``model.train`` call of the workload's
-model, 4 steps with diffusion and 60 without, on perfbench's 64 training
-sequences of ``--seed`` (made as the ``synth`` unit makes them, by the
-change's ``synth``); its default is 30 pairs.
+model, 60 steps with diffusion or without (``STEPS``; a diffusion step,
+which scores the block at one sampled step, costs about twice a
+deterministic one), on perfbench's 64 training sequences of ``--seed``
+(made as the ``synth`` unit makes them, by the change's ``synth``); its
+default is 30 pairs.
 
 Pair j runs item j mod the item count once on each side, the base first
 when j is even, after 8 untimed pairs (1 for the ``step`` unit). Every pair
@@ -59,7 +61,7 @@ WORKLOADS = {"train_diffusion": True, "train_deterministic": False}   # name -> 
 SEQUENCES = 16   # held-out sequences, predicted in turn
 SYNTH_SEQUENCES = 128   # perfbench's set-up sequences per seed, made in turn
 TRAIN_SEQUENCES = 64   # perfbench's training sequences per seed
-STEPS = {"train_diffusion": 4, "train_deterministic": 60}   # train_steps of one step unit
+STEPS = {"train_diffusion": 60, "train_deterministic": 60}   # train_steps of one step unit
 WARMUP = {"predict": 8, "synth": 8, "step": 1}   # untimed pairs first: each side's caches fill
 PAIRS = {"predict": 960, "synth": 960, "step": 30}   # timed pairs by default
 
