@@ -59,9 +59,10 @@ takes the keys and values as arguments. Both keep beside their operands only
 each softmax row's max and exp-sum, from which backward rebuilds W bit for
 bit. ``attention_layer`` takes k and v precomputed and keeps them: the
 model's cross-attentions, whose keys and values are projected once per
-block call and shared by each of its denoiser calls. ``self_attention_layer`` attends x to itself, with
-k = x @ wk and v = x @ wv inside the record: it keeps x and the four
-weights and recomputes k and v in backward (the temporal attention).
+block call and shared by each of its denoiser calls.
+``self_attention_layer`` attends x to itself, with k = x @ wk and
+v = x @ wv inside the record: it keeps x and the four weights and
+recomputes k and v in backward (the temporal attention).
 ``attention``, the reference composite, is a ``transpose`` of the keys, a
 ``matmul``, a ``mul`` by 1/√d, a ``softmax`` and a ``matmul``. ``matmul``,
 ``affine`` and every product inside the attention ops take their gradients
@@ -82,8 +83,8 @@ and ``layer_norm`` its standard deviation. The three ops in ``_UNSCANNED``
 cannot make a NaN/Inf from finite operands, forward or backward:
 ``reshape`` and ``transpose`` move values or a gradient, and ``relu``
 multiplies them by 0 or 1. That spares 16 of the 52 gradient scans of a
-default deterministic step and 22 of the 101 of a diffusion step. Operands that do not fit the op raise
-:class:`ShapeError` naming their shapes.
+default deterministic step and 22 of the 101 of a diffusion step. Operands
+that do not fit the op raise :class:`ShapeError` naming their shapes.
 
 Layout rule for the kernels a training step runs (``matmul``,
 ``layer_norm``, the attention ops' :func:`_softmax_rows`, and

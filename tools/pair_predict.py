@@ -25,7 +25,7 @@ set-up sequences of ``--seed`` in turn (motion seed ``seed * 100_000 + i``,
 corruption seed that plus 50,000); ``--workload`` does not apply to it.
 The ``step`` unit is one default ``model.train`` call of the workload's
 model, 60 steps with diffusion or without (``STEPS``; a diffusion step,
-which scores the block at one sampled step, costs about twice a
+which scores the block at one sampled step, costs under twice a
 deterministic one), on perfbench's 64 training sequences of ``--seed``
 (made as the ``synth`` unit makes them, by the change's ``synth``); its
 default is 30 pairs.
