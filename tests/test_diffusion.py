@@ -82,7 +82,7 @@ def test_forward_noise_shape_error():
         forward_noise_step(np.zeros((2, 2)), 1, sched, np.zeros(3))
 
 
-def test_forward_noise_matches_the_per_step_recurrence_monte_carlo():
+def test_forward_noise_iterated_statistics_monte_carlo():
     # q(z_t | x0) in closed form against the per-step noising loop it
     # replaces: both have mean sqrt(abar_t) x0 and variance 1 - abar_t
     sched = make_schedule(10)
@@ -121,11 +121,24 @@ def _ddim_oracle(z, x0_hat, alpha_bar, alpha_bar_prev):
     return math.sqrt(alpha_bar_prev) * x0_hat + math.sqrt(1.0 - alpha_bar_prev) * eps
 
 
-def test_reverse_step_alpha_one_returns_the_estimate():
+def test_reverse_step_alpha_one_is_identity():
+    # with no noise in the schedule z_t is clean, and the step returns the
+    # estimate: z itself where the estimate is z, as an alpha-one denoiser's is
     sched = DiffusionSchedule(alpha=np.array([1.0, 1.0]))
     z, x0_hat = np.arange(4, dtype=float), np.ones(4)
     for t, t_prev in ((2, 1), (2, 0), (1, 0)):
+        np.testing.assert_array_equal(reverse_step(z, t, z, sched, t_prev).data, z)
         np.testing.assert_array_equal(reverse_step(z, t, x0_hat, sched, t_prev).data, x0_hat)
+
+
+def test_reverse_step_zero_eps_zero_noise():
+    # an estimate that implies zero noise, x0_hat = z / sqrt(abar_t), carries
+    # no noise to step t - 1: the step rescales z by 1 / sqrt(alpha_t)
+    sched = make_schedule(5)
+    z = np.array([1.0, -2.0])
+    x0_hat = z / math.sqrt(sched.alpha_bar[2])
+    out = reverse_step(z, 3, x0_hat, sched, 2)
+    np.testing.assert_allclose(out.data, z / math.sqrt(sched.alpha[2]), atol=1e-15)
 
 
 def test_reverse_step_to_the_clean_end_returns_the_estimate():
@@ -149,9 +162,10 @@ def test_reverse_step_matches_scalar_oracle():
         assert abs(got.data[0] - _ddim_oracle(z, x0_hat, ab, abp)) < 1e-12
 
 
-def test_reverse_step_with_the_exact_estimate_stays_on_the_noising_path():
-    # from z_t = q(z_t | x0) with noise eps, a step given the true x0 lands on
-    # z_t_prev with the same eps
+def test_reverse_recovers_x0_from_single_step():
+    # given the true x0, one reverse step from step 1 undoes one forward step;
+    # from any z_t = q(z_t | x0) with noise eps it lands on z_t_prev with the
+    # same eps
     sched = make_schedule(50)
     rng = np.random.default_rng(9)
     x0, eps = rng.standard_normal((2, 3, 2))
@@ -347,6 +361,21 @@ def test_block_same_seed_bitwise_identical():
     assert loss1.item() == loss2.item()
 
 
+def test_block_without_its_loss_denoises_to_the_same_bits():
+    # without its loss the block runs the sampler, taped or not, and a
+    # loss-building call before it changes none of its bits
+    _, block, _ = _block_setup(n_steps=3)
+    block.predictor.p["head"] = Tensor(np.random.default_rng(21).standard_normal((4, 4)),
+                                       requires_grad=True)
+    x = _tokens((1, 2, 8, 4), np.random.default_rng(22))
+    bare, no_loss = block(x, seed=6, block_loss=False)
+    with Tape():
+        _, loss = block(x, seed=6)
+        taped, taped_no_loss = block(x, seed=6, block_loss=False)
+    assert loss.shape == () and no_loss is None and taped_no_loss is None
+    np.testing.assert_array_equal(taped.data, bare.data)
+
+
 def _recording(monkeypatch, name):
     # diffusion.<name> wrapped to append each call's step argument and output
     calls, fn = [], getattr(diffusion, name)
@@ -443,22 +472,21 @@ def test_block_rejects_grid_vertex_mismatch():
         block(_tokens((1, 2, 7, 4), rng), seed=0)
 
 
-@pytest.mark.parametrize("block_loss,denoiser_calls", [(True, 1), (False, 3)],
-                         ids=["training", "sampling"])
-def test_block_projects_each_context_once_per_call(block_loss, denoiser_calls):
+def test_block_projects_each_context_once_per_call():
     # the context and the dependency summary are projected to keys and values
     # once per call, not once per denoiser call: one in training, one per
     # sampler step
     _, block, ctx = _block_setup(n_steps=3)
     x = _tokens((1, 2, 8, 4), np.random.default_rng(25))
-    with Tape() as tape:
-        block(x, seed=4, block_loss=block_loss)
-    for layer in (block.context_attn, block.cond_attn):
-        for key in ("wk", "wv"):
-            w = layer.p[key]
-            assert sum(any(t is w for t in rec.inputs) for rec in tape.records) == 1
-        assert (sum(any(t is layer.p["wq"] for t in rec.inputs) for rec in tape.records)
-                == denoiser_calls)
+    for block_loss, denoiser_calls in ((True, 1), (False, 3)):
+        with Tape() as tape:
+            block(x, seed=4, block_loss=block_loss)
+        for layer in (block.context_attn, block.cond_attn):
+            for key in ("wk", "wv"):
+                w = layer.p[key]
+                assert sum(any(t is w for t in rec.inputs) for rec in tape.records) == 1
+            assert (sum(any(t is layer.p["wq"] for t in rec.inputs) for rec in tape.records)
+                    == denoiser_calls)
 
 
 def test_chain_records_one_per_noise_step_and_one_per_reverse_step(monkeypatch):
@@ -541,6 +569,38 @@ def test_one_record_reverse_step_matches_the_eps_form_update(t, t_prev):
     assert (n_one, n_two) == (1, 2)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
+
+
+def _two_record_reverse_step(z_t, t, x0_hat, schedule, t_prev):
+    # the DDIM update as two records: the scaled state, then the scaled
+    # estimate added to it
+    abar = float(schedule.alpha_bar[t - 1])
+    abar_prev = float(schedule.alpha_bar[t_prev - 1]) if t_prev else 1.0
+    c = math.sqrt(1.0 - abar_prev) / math.sqrt(1.0 - abar)
+    return ad.lincomb(ad.mul(z_t, c), 1.0, x0_hat, math.sqrt(abar_prev) - c * math.sqrt(abar))
+
+
+@pytest.mark.parametrize("t", [50, 2, 1])
+def test_one_record_reverse_step_is_bit_identical_to_two_records(t):
+    # the default schedule at the default model's (B, T, S, C) tokens, from t
+    # to the step the sampler takes next
+    t_prev = {50: 45, 2: 1, 1: 0}[t]
+    sched = make_schedule(50)
+    rng = np.random.default_rng(28)
+    shape = (4, 16, 24, 8)
+    arrays = [rng.standard_normal(shape) for _ in range(2)]
+    upstream = rng.standard_normal(shape)
+    results = []
+    for step in (reverse_step, _two_record_reverse_step):
+        z, x0_hat = (Tensor(a, requires_grad=True) for a in arrays)
+        with Tape() as tape:
+            out = step(z, t, x0_hat, sched, t_prev)
+        tape.backward(out, seed=upstream)
+        results.append((len(tape.records), out.data, z.grad, x0_hat.grad))
+    (n_one, *got), (n_two, *want) = results
+    assert (n_one, n_two) == (1, 2)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 def _closure_arrays(fn):
@@ -690,7 +750,7 @@ def test_a_default_forward_adds_the_step_embedding_to_the_norm_shift(default_ste
     assert shifts == [("lincomb", (config.channels,))]
 
 
-def test_block_alpha_one_returns_its_input():
+def test_block_alpha_one_equals_deterministic_path():
     # an all-ones schedule adds no noise, and x0_hat = 1·z + 0·F(z, t) is z:
     # both modes return the input, whatever the layers compute
     graph, block, ctx = _block_setup()

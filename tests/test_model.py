@@ -348,9 +348,10 @@ def test_untaped_ops_pass_no_backward(monkeypatch, diffusion_on):
 
 
 @pytest.mark.parametrize("config", [ModelConfig(), tiny_config()], ids=["default", "tiny"])
-def test_predict_equals_a_taped_forward_without_the_block_loss(config):
+def test_predict_equals_the_taped_loss_building_forward(config):
     # backward closures change no bit of the prediction: a taped forward
-    # without the block loss runs the same sampler
+    # without the block loss runs the same sampler (with it, the block scores
+    # one sampled step and builds no sample to compare)
     model = build_model(config)
     seq = generate_sequence(MotionConfig(graph=model.graph, frames=5), seed=9)
     with Tape() as tape:
