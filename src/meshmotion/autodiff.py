@@ -44,8 +44,8 @@ with the forward's expressions in the same order, instead of holding them.
 And the model's hot composites are one record each, so an intermediate that
 no backward reads is no record output. Each has an analytic backward that
 runs the same numpy expressions in the same order as the primitives it
-replaces: ``lincomb`` ((a·alpha + b·beta)·scale + shift, a noising or
-sampler step; a + b is a unit-weight lincomb, the one sum op), ``mse`` (the
+replaces: ``lincomb`` (a·alpha + b·beta, a noising step or the v-form
+estimate; a + b is a unit-weight lincomb, the one sum op), ``mse`` (the
 mean squared error against a constant target), ``affine`` (x @ w + c, a linear
 layer), ``softmax``, ``layer_norm``, ``conv3d``, ``segment_softmax_kl`` (the
 weighted KL between segment-wise softmaxes of (S, n, F) feature-row norms,
@@ -58,8 +58,8 @@ x + softmax((x @ wq) kᵀ/√d) v @ wo, and share one core
 takes the keys and values as arguments. Both keep beside their operands only
 each softmax row's max and exp-sum, from which backward rebuilds W bit for
 bit. ``attention_layer`` takes k and v precomputed and keeps them: the
-model's cross-attentions, whose keys and values are projected once per
-block call and shared by each of its denoiser calls.
+model's cross-attentions, whose keys and values the diffusion block
+projects from its context and its dependencies, outside the record.
 ``self_attention_layer`` attends x to itself, with k = x @ wk and
 v = x @ wv inside the record: it keeps x and the four weights and
 recomputes k and v in backward (the temporal attention).
@@ -478,46 +478,32 @@ def _times(x: np.ndarray, c: float) -> np.ndarray:
     return x if c == 1.0 else x * c
 
 
-def lincomb(a, alpha: float, b, beta: float, *, scale: float = 1.0, shift=None) -> Tensor:
-    """(a·alpha + b·beta)·scale + shift for scalar coefficients; one record.
+def lincomb(a, alpha: float, b, beta: float) -> Tensor:
+    """a·alpha + b·beta for scalar coefficients; one record.
 
     The one sum op: a + b is ``lincomb(a, 1.0, b, 1.0)``. A product by a
     coefficient of exactly 1 is skipped in the forward and the backward, so
-    a unit-weight lincomb runs a + b's expressions at its cost.
-
-    ``shift`` is a constant array that broadcasts onto a·alpha + b·beta
-    without growing it. Like ``mse``'s target it is not a record input, and
-    the backward keeps the operands' shapes, not the operands, so a constant
-    operand or shift is freed once the forward has used it.
+    a unit-weight lincomb runs a + b's expressions at its cost. The backward
+    keeps the operands' shapes, not the operands, so a constant operand is
+    freed once the forward has used it.
 
     The value and each gradient are bit-identical to the sum of
     ``mul(a, alpha)`` and ``mul(b, beta)``: the backward reduces a broadcast
     operand's gradient first and then scales it, as that composite does. With
     alpha = 1 and beta = -c it also equals a − b·c bit for bit, since
-    a·1 = a and negation is exact. A ``scale`` and ``shift`` = n·s
-    give what ``lincomb(lincomb(a, alpha, b, beta), scale, n, s)`` gives, and
-    a ``scale`` alone what ``mul(lincomb(a, alpha, b, beta), scale)`` gives.
+    a·1 = a and negation is exact.
     """
     a, b = as_tensor(a), as_tensor(b)
-    alpha, beta, scale = float(alpha), float(beta), float(scale)
+    alpha, beta = float(alpha), float(beta)
     try:
         out = _times(a.data, alpha) + _times(b.data, beta)
     except ValueError:
         raise _no_broadcast("lincomb", a, b) from None
-    if scale != 1.0:
-        out *= scale
-    if shift is not None:
-        shift = np.asarray(shift, dtype=np.float64)
-        if _broadcast_shape(out.shape, shift.shape) != out.shape:
-            raise ShapeError(f"lincomb: shift {shift.shape} does not broadcast onto "
-                             f"a·alpha + b·beta {out.shape} without growing it")
-        out += shift
     if not Tape._stack:
         return _result("lincomb", (a, b), out, None)
     sa, sb = _grad_shape(a), _grad_shape(b)
 
     def backward(g):
-        g = _times(g, scale)
         return (None if sa is None else _times(_unbroadcast(g, sa), alpha),
                 None if sb is None else _times(_unbroadcast(g, sb), beta))
 

@@ -1,14 +1,13 @@
 """Temporally-conditioned latent diffusion over per-frame mesh latents.
 
-One denoiser serves training and sampling. It estimates the clean latent x0
-from a noised latent z_t at step t, in the v-form of arXiv 2202.00512:
+One denoiser serves training and prediction. It estimates the clean latent
+x0 from a noised latent z_t at step t, in the v-form of arXiv 2202.00512:
 x0_hat = sqrt(abar_t) z_t + sqrt(1 - abar_t) F(z_t, t), where F attends to a
 learned sequence context, then to the temporal dependencies a graph+time
 feature stack summarizes from the fully noised latent z_T, and ends in the
 noise predictor. Noising is the closed-form DDPM marginal q(z_t | x0) (arXiv
-2006.11239). Training scores x0_hat at one sampled step; prediction runs a
-deterministic DDIM sampler (arXiv 2010.02502) from z_T in ``_SAMPLER_STEPS``
-steps.
+2006.11239). Training scores x0_hat at one sampled step; prediction returns
+the estimate at the last step, x0_hat(z_T, T).
 
 Every layer works on one token layout, (B, T, S, C): frames x sites x
 channels. The S sites are the coarse mesh vertices; only the 3D convolution
@@ -30,7 +29,6 @@ from .body_graph import GraphConvLayer, is_integer
 
 _KERNEL = 3  # every 3D convolution's extent along T, H and W
 _TAIL = 0.05  # the cumulative signal fraction the last noising step keeps
-_SAMPLER_STEPS = 10  # K: the deterministic sampler's steps, at most n_steps
 
 
 class ScheduleError(ValueError):
@@ -122,7 +120,8 @@ def forward_noise_step(x0, t: int, schedule: DiffusionSchedule, noise) -> Tensor
 
 
 def reverse_step(z_t, t: int, x0_hat, schedule: DiffusionSchedule, t_prev: int) -> Tensor:
-    """One deterministic DDIM step (eta = 0) from step t to step t_prev < t.
+    """One deterministic DDIM step (eta = 0, arXiv 2010.02502) from step t to
+    step t_prev < t.
 
     The noise the estimate implies, eps = (z_t - sqrt(abar_t) x0_hat) /
     sqrt(1-abar_t), is carried to t_prev: sqrt(abar_prev) x0_hat +
@@ -132,6 +131,11 @@ def reverse_step(z_t, t: int, x0_hat, schedule: DiffusionSchedule, t_prev: int) 
 
     One record: ``lincomb(z_t, c, x0_hat, sqrt(abar_prev) - c sqrt(abar_t))``
     with c = sqrt(1-abar_prev) / sqrt(1-abar_t).
+
+    No model code calls it: prediction returns the denoiser's estimate at the
+    last step. It stays because perfbench's tracer wraps
+    ``diffusion.reverse_step`` by name, so deleting it would stop every
+    traced run.
     """
     z_t, x0_hat = ad.as_tensor(z_t), ad.as_tensor(x0_hat)
     if x0_hat.shape != z_t.shape:
@@ -145,14 +149,6 @@ def reverse_step(z_t, t: int, x0_hat, schedule: DiffusionSchedule, t_prev: int) 
     abar_prev = float(schedule.alpha_bar[t_prev - 1]) if t_prev else 1.0
     c = math.sqrt(1.0 - abar_prev) / math.sqrt(1.0 - abar) if abar < 1.0 else 0.0
     return ad.lincomb(z_t, c, x0_hat, math.sqrt(abar_prev) - c * math.sqrt(abar))
-
-
-def sampler_steps(n_steps: int) -> list[int]:
-    """The sampler's steps: min(``_SAMPLER_STEPS``, n_steps) whole steps,
-    evenly spaced from n_steps down to 1. Any two lie at least one step apart
-    before rounding, so they stay distinct."""
-    k = min(_SAMPLER_STEPS, n_steps)
-    return [int(t) for t in np.round(np.linspace(n_steps, 1, k))]
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +320,9 @@ class DiffusionBlock:
     With ``block_loss`` (training) the call draws one step t in [1, n_steps]
     from the same generator, forms z_t from the same eps, and returns
     x0_hat(z_t, t) with the block loss mean((x0_hat - x0)²), all on the
-    tape. With ``block_loss=False`` (``Model.predict``) it runs the
-    deterministic DDIM sampler from z_T over :func:`sampler_steps` and
-    returns its clean end and None. Deterministic given the seed. A
-    sampler's last step from (z_t, t) returns x0_hat(z_t, t), what training
-    returns for that draw.
+    tape. With ``block_loss=False`` (``Model.predict``) it returns
+    x0_hat(z_T, n_steps) and None: what training returns for a draw of
+    t = n_steps. Deterministic given the seed.
     """
 
     def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
@@ -350,11 +344,14 @@ class DiffusionBlock:
 
     def denoiser(self, z_T: Tensor):
         """``x0_hat(z, t)`` conditioned on ``z_T``'s dependencies. The context
-        and the dependencies are projected to keys and values once, here."""
+        and the dependencies are projected to keys and values once, here. A
+        step t that is not a whole step in [1, n_steps] raises
+        ``ScheduleError``."""
         ctx_kv = self.context_attn.keys_values(self.p["context"])
         deps_kv = self.cond_attn.keys_values(self.stack(z_T))
 
         def x0_hat(z: Tensor, t: int) -> Tensor:
+            t = _check_step(t, self.schedule)
             abar = float(self.schedule.alpha_bar[t - 1])
             f = self.predictor(self.cond_attn(self.context_attn(z, *ctx_kv), *deps_kv), t)
             return ad.lincomb(z, math.sqrt(abar), f, math.sqrt(1.0 - abar))
@@ -377,7 +374,4 @@ class DiffusionBlock:
             step = int(rng.integers(1, sched.n_steps + 1))
             x0_hat = denoise(forward_noise_step(x0, step, sched, eps), step)
             return x0_hat, ad.mse(ad.lincomb(x0_hat, 1.0, x0, -1.0), np.zeros(x0.shape))
-        steps = sampler_steps(sched.n_steps)
-        for step, prev in zip(steps, steps[1:] + [0]):
-            z = reverse_step(z, step, denoise(z, step), sched, prev)
-        return z, None
+        return denoise(z, sched.n_steps), None

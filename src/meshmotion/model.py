@@ -181,8 +181,8 @@ class Model:
         block's noise and, with ``block_loss``, its training step: the
         prediction then decodes the block's x0 estimate at that step, and
         ``eps_loss`` holds the block's term. ``block_loss=False`` (prediction)
-        decodes the block's sampler output instead and builds no block loss
-        (``eps_loss`` is None), which :meth:`loss` then rejects. Without
+        decodes the block's estimate at the last step instead and builds no
+        block loss (``eps_loss`` is None), which :meth:`loss` then rejects. Without
         diffusion ``block_loss`` changes no bit.
         """
         cfg = self.config
@@ -286,9 +286,9 @@ class Model:
     def predict(self, seq: MotionSequence, seed: int = 0) -> np.ndarray:
         """(T, n, 3) mm prediction for one sequence; no tape, no mutation.
 
-        The forward builds no diffusion block loss: the block runs its
-        deterministic sampler from the noise ``seed`` draws. With no tape
-        active each op keeps only its value.
+        The forward builds no diffusion block loss: the block returns its
+        denoiser's estimate at the last step, from the input noised by the
+        draw ``seed`` makes. With no tape active each op keeps only its value.
         """
         with np.errstate(**_FP_QUIET):
             out = self.forward(seq.observations[None], seq.occlusion_mask[None], seed=seed,

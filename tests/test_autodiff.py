@@ -730,7 +730,7 @@ def test_lincomb_is_bit_identical_to_its_composites(alpha, beta):
     _assert_bit_identical(fused, lambda a, b: oracle.add(ad.mul(a, alpha), ad.mul(b, beta)),
                           args, 9)
     if alpha == 1.0:
-        # the reverse step's form: z - eps·c
+        # the form a − b·c
         _assert_bit_identical(fused, lambda a, b: oracle.sub(a, ad.mul(b, -beta)), args, 9)
 
 
@@ -821,8 +821,8 @@ def test_elementwise_ops_name_both_shapes_when_operands_do_not_broadcast(op):
     (ad.affine, ((3,), (3, 5), (5,))),        # x has no row axis
     (ad.affine, ((2, 3), (3, 5), (4,))),      # c does not broadcast
     (ad.affine, ((2, 3), (3, 5), (7, 2, 5))), # c would grow the product
-    (lambda a, b, s: ad.lincomb(a, 1.0, b, 1.0, shift=s),
-     ((2, 3), (2, 3), (4, 2, 3))),            # the shift would grow the sum
+    (lambda a, b: ad.lincomb(a, 1.0, b, 1.0),
+     ((2, 3), (4, 2, 2))),                    # the operands do not broadcast
     # attention_layer (x, wq, k, v, wo)
     (ad.attention_layer, ((2, 3), (4, 3), (5, 3), (5, 3), (3, 3))),     # wq does not take x
     (ad.attention_layer, ((2, 3), (3, 3), (5, 4), (5, 3), (3, 3))),     # keys of another width

@@ -82,12 +82,14 @@ def test_summary_counts_wins_by_direction_and_reports_spreads():
     pairs = [{"seed": s, "first": "base", "base": BASE,
               "change": _scaled(BASE, eval_seq_per_s=f, main_step_p50_s=g)}
              for s, f, g in ((1, 1.5, 1.1), (2, 1.2, 0.9), (3, 0.9, 0.8), (4, 1.0, 1.0))]
+    # the third pair's change moves its predictions only, the fourth's both
+    pairs[2]["change"] = dict(pairs[2]["change"], digests=dict(BASE["digests"], predictions="y"))
     pairs[3]["change"] = dict(pairs[3]["change"], digests={"losses": "x", "predictions": "y"},
                               correct=False)
     better = {"eval_seq_per_s": "higher", "main_step_p50_s": "lower"}
     summary = bp.summarize(pairs, better)
     assert summary["pairs"] == 4
-    assert summary["digests_equal"] == 3
+    assert summary["digests_equal"] == {"losses": 3, "predictions": 2}
     assert summary["runs_not_correct"] == 1
     ev = summary["metrics"]["eval_seq_per_s"]
     assert ev["better"] == "higher"
@@ -202,7 +204,8 @@ def test_traced_pairs_summarise_the_per_layer_metrics_without_bounds():
     assert list(better) == [m["name"] for m in SPEC["per_layer"]] and bounds == {}
     pairs = [{"seed": 5, "first": "base", **{s: bp.parse_run(TRACE_TEXT[s]) for s in bp.SIDES}}]
     summary = bp.summarize(pairs, better, bounds)
-    assert summary["digests_equal"] == 1 and summary["metrics"].keys() == better.keys()
+    assert summary["digests_equal"] == {"losses": 1, "predictions": 1}
+    assert summary["metrics"].keys() == better.keys()
     assert summary["failed_share"] == {"base": 0.0, "change": 0.0}
     assert all(m["worse_beyond_bound"] is None and m["unresolved"] is None
                for m in summary["metrics"].values())
@@ -214,7 +217,8 @@ def test_traced_pairs_summarise_the_per_layer_metrics_without_bounds():
 def test_no_pairs_summarise_to_zero_pairs_and_an_empty_census():
     better, bounds = bp.targets(SPEC, 0)
     summary = bp.summarize([], better, bounds)
-    assert (summary["pairs"], summary["digests_equal"], summary["runs_not_correct"]) == (0, 0, 0)
+    assert (summary["pairs"], summary["runs_not_correct"]) == (0, 0)
+    assert summary["digests_equal"] == {"losses": 0, "predictions": 0}
     assert summary["failed_share"] == {"base": None, "change": None}
     assert set(summary["metrics"]) == set(better)
     for name, m in summary["metrics"].items():
@@ -223,7 +227,8 @@ def test_no_pairs_summarise_to_zero_pairs_and_an_empty_census():
                      "gap_exceeds_base_iqr": None, "worse_beyond_bound": None,
                      "unresolved": None}
     assert bp.census([]) == {}
-    assert bp.verdict("w", [], summary) == ("w: equal digests in 0 of 0 pairs; worse beyond "
+    assert bp.verdict("w", [], summary) == ("w: equal loss digests in 0 of 0 pairs, equal "
+                                            "prediction digests in 0 of 0; worse beyond "
                                             "bound: none; unresolved: none; not correct: none; "
                                             "failed share: base none, change none")
 
@@ -297,8 +302,8 @@ def test_verdict_names_equal_digests_worse_metrics_and_wrong_runs():
     better, bounds = bp.targets(SPEC, 0)
     pairs = [{"seed": 1, "first": "base", "base": BASE, "change": CHANGE}]
     line = bp.verdict("train_deterministic", pairs, bp.summarize(pairs, better, bounds))
-    assert line == ("train_deterministic: equal digests in 1 of 1 pairs; "
-                    "worse beyond bound: none; unresolved: none; not correct: none; "
+    assert line == ("train_deterministic: equal loss digests in 1 of 1 pairs, "
+                    "equal prediction digests in 1 of 1; worse beyond bound: none; unresolved: none; not correct: none; "
                     "failed share: base 0, change 0")
     # a second pair whose change run is wrong, differs in its digests, has
     # half the base's training throughput and failed 33 of its 659
@@ -308,7 +313,8 @@ def test_verdict_names_equal_digests_worse_metrics_and_wrong_runs():
     pairs.append({"seed": 2, "first": "change", "base": BASE, "change": slow})
     pairs.append({"seed": 3, "first": "base", "base": BASE, "change": slow})
     line = bp.verdict("w", pairs, bp.summarize(pairs, better, bounds))
-    assert line == ("w: equal digests in 1 of 3 pairs; worse beyond bound: main_seq_per_s; "
+    assert line == ("w: equal loss digests in 1 of 3 pairs, equal prediction digests in 1 "
+                    "of 3; worse beyond bound: main_seq_per_s; "
                     "unresolved: none; not correct: seed 2 change, seed 3 change; "
                     "failed share: base 0, change 0.0334 (change higher)")
     # a lower or equal share is not flagged, and a side that attempted
@@ -345,6 +351,7 @@ def test_main_prints_a_verdict_per_workload_and_exits_1_on_a_wrong_run(
                     "--out", str(out)]) == code
     wrong = "none" if correct else "seed 8 change"
     assert capsys.readouterr().err.splitlines() == [
-        f"{w}: equal digests in 2 of 2 pairs; worse beyond bound: none; unresolved: none; "
+        f"{w}: equal loss digests in 2 of 2 pairs, equal prediction digests in 2 of 2; "
+        f"worse beyond bound: none; unresolved: none; "
         f"not correct: {wrong}; failed share: base 0, change 0" for w in ("w1", "w2")]
     assert json.loads(out.read_text())["workloads"].keys() == {"w1", "w2"}

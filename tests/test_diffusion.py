@@ -21,7 +21,6 @@ from meshmotion.diffusion import (
     make_schedule,
     rearrange,
     reverse_step,
-    sampler_steps,
     step_embeddings,
 )
 from meshmotion.model import ModelConfig, build_model
@@ -183,14 +182,23 @@ def test_reverse_step_steps_down_to_a_whole_step(t_prev):
         reverse_step(np.zeros(2), 3, np.zeros(2), make_schedule(5), t_prev)
 
 
-@pytest.mark.parametrize("t", [6, 1.5, True, np.True_])
+def _denoise(t, sched):
+    # a fresh block's denoiser at step t, on the block's (1, 2, 8, 4) tokens
+    _, block, _ = _block_setup(n_steps=sched.n_steps)
+    z = _tokens((1, 2, 8, 4), np.random.default_rng(32))
+    return block.denoiser(z)(z, t)
+
+
+@pytest.mark.parametrize("t", [6, 1.5, True, np.True_, 0])
 @pytest.mark.parametrize("step", [
     lambda t, sched: forward_noise_step(np.zeros(2), t, sched, np.zeros(2)),
     lambda t, sched: reverse_step(np.zeros(2), t, np.zeros(2), sched, 0),
-], ids=["forward_noise_step", "reverse_step"])
+    _denoise,
+], ids=["forward_noise_step", "reverse_step", "x0_hat"])
 def test_reverse_step_range_error(step, t):
     # a step past the schedule, or between two steps, is no step to run, and
-    # a bool is no step though True == 1
+    # a bool is no step though True == 1; step 0 would read the last step's
+    # coefficient and embedding, wrapped around
     with pytest.raises(ScheduleError, match=f"step {t} is not a whole step"):
         step(t, make_schedule(5))
 
@@ -201,24 +209,6 @@ def test_a_whole_float_step_runs_that_step():
                                   forward_noise_step(np.zeros(2), 2, sched, np.ones(2)).data)
     np.testing.assert_array_equal(reverse_step(np.ones(2), 2.0, np.ones(2), sched, 1.0).data,
                                   reverse_step(np.ones(2), 2, np.ones(2), sched, 1).data)
-
-
-@pytest.mark.parametrize("n_steps", [2, 50], ids=["tiny", "default"])
-def test_sampler_steps_descend_from_the_last_step_to_step_one(n_steps):
-    steps = sampler_steps(n_steps)
-    assert len(steps) == min(10, n_steps)
-    assert steps[0] == n_steps and steps[-1] == 1
-    assert all(a > b for a, b in zip(steps, steps[1:]))
-    assert all(type(t) is int for t in steps)
-    if n_steps == 50:
-        assert steps == [50, 45, 39, 34, 28, 23, 17, 12, 6, 1]
-
-
-def test_sampler_steps_stay_distinct_for_every_schedule_length():
-    for n_steps in range(2, 301):
-        steps = sampler_steps(n_steps)
-        assert len(set(steps)) == len(steps) == min(10, n_steps), n_steps
-        assert steps[0] == n_steps and steps[-1] == 1 and steps == sorted(steps, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +352,8 @@ def test_block_same_seed_bitwise_identical():
 
 
 def test_block_without_its_loss_denoises_to_the_same_bits():
-    # without its loss the block runs the sampler, taped or not, and a
-    # loss-building call before it changes none of its bits
+    # without its loss the block returns its estimate at the last step, taped
+    # or not, and a loss-building call before it changes none of its bits
     _, block, _ = _block_setup(n_steps=3)
     block.predictor.p["head"] = Tensor(np.random.default_rng(21).standard_normal((4, 4)),
                                        requires_grad=True)
@@ -388,9 +378,8 @@ def _recording(monkeypatch, name):
 
 
 def test_training_forward_equals_the_samplers_last_step(monkeypatch):
-    # a training call returns x0_hat(z_t, t) at its sampled step, and a
-    # sampler step from (z_t, t) to the clean end returns the same bits; the
-    # sampler's last step is that step from t = 1
+    # a training call returns x0_hat(z_t, t) at its sampled step, and a DDIM
+    # step from (z_t, t) to the clean end returns the same bits
     _, block, _ = _block_setup(n_steps=3)
     block.predictor.p["head"] = Tensor(np.random.default_rng(21).standard_normal((4, 4)),
                                        requires_grad=True)
@@ -410,8 +399,8 @@ def test_training_forward_equals_the_samplers_last_step(monkeypatch):
 
 
 def test_prediction_runs_the_sampler_from_the_noised_input():
-    # one draw noises the input to the last step; the sampler then steps
-    # down through sampler_steps with the denoiser that z_T conditions
+    # one draw noises the input to the last step, and prediction returns the
+    # estimate there, of the denoiser that z_T conditions
     _, block, _ = _block_setup(n_steps=3)
     block.predictor.p["head"] = Tensor(np.random.default_rng(21).standard_normal((4, 4)),
                                        requires_grad=True)
@@ -419,23 +408,27 @@ def test_prediction_runs_the_sampler_from_the_noised_input():
     out, loss = block(x, seed=6, block_loss=False)
     assert loss is None
     eps = np.swapaxes(np.random.default_rng(6).standard_normal((1, 2, 4, 8)), 2, 3)
-    z = forward_noise_step(x, 3, block.schedule, eps)
-    denoise = block.denoiser(z)
-    for t, t_prev in ((3, 2), (2, 1), (1, 0)):
-        z = reverse_step(z, t, denoise(z, t), block.schedule, t_prev)
-    np.testing.assert_array_equal(out.data, z.data)
+    z_T = forward_noise_step(x, 3, block.schedule, eps)
+    np.testing.assert_array_equal(out.data, block.denoiser(z_T)(z_T, 3).data)
 
 
-def test_the_sampler_returns_x0_given_an_exact_estimate(monkeypatch):
-    # with a denoiser that returns the clean input, each DDIM step stays on
-    # the noising path, and the sampler's ten steps end at x0
-    _, block, _ = _block_setup(n_steps=50)
-    x = _tokens((1, 2, 8, 4), np.random.default_rng(27))
-    monkeypatch.setattr(block, "denoiser", lambda z_T: lambda z, t: x)
-    steps = _recording(monkeypatch, "reverse_step")
-    out, _ = block(x, seed=3, block_loss=False)
-    assert [t for t, _ in steps] == sampler_steps(50)
-    np.testing.assert_allclose(out.data, x.data, rtol=0, atol=1e-12)
+def test_a_training_call_that_draws_the_last_step_returns_the_prediction(monkeypatch):
+    # the two modes score one estimate: a training call whose step draw is
+    # t = n returns, bit for bit, what a prediction with its seed returns
+    _, block, _ = _block_setup(n_steps=3)
+    block.predictor.p["head"] = Tensor(np.random.default_rng(21).standard_normal((4, 4)),
+                                       requires_grad=True)
+    x = _tokens((1, 2, 8, 4), np.random.default_rng(22))
+    for seed in range(30):
+        with monkeypatch.context() as patch:
+            noised = _recording(patch, "forward_noise_step")
+            with Tape():
+                out, _ = block(x, seed=seed)
+        if noised[1][0] == 3:
+            break
+    assert noised[1][0] == 3
+    predicted, _ = block(x, seed=seed, block_loss=False)
+    np.testing.assert_array_equal(out.data, predicted.data)
 
 
 def test_the_trained_step_is_drawn_from_the_seed(monkeypatch):
@@ -474,19 +467,16 @@ def test_block_rejects_grid_vertex_mismatch():
 
 def test_block_projects_each_context_once_per_call():
     # the context and the dependency summary are projected to keys and values
-    # once per call, not once per denoiser call: one in training, one per
-    # sampler step
+    # once per call, and each mode calls the denoiser once
     _, block, ctx = _block_setup(n_steps=3)
     x = _tokens((1, 2, 8, 4), np.random.default_rng(25))
-    for block_loss, denoiser_calls in ((True, 1), (False, 3)):
+    for block_loss in (True, False):
         with Tape() as tape:
             block(x, seed=4, block_loss=block_loss)
         for layer in (block.context_attn, block.cond_attn):
-            for key in ("wk", "wv"):
+            for key in ("wq", "wk", "wv"):
                 w = layer.p[key]
                 assert sum(any(t is w for t in rec.inputs) for rec in tape.records) == 1
-            assert (sum(any(t is layer.p["wq"] for t in rec.inputs) for rec in tape.records)
-                    == denoiser_calls)
 
 
 def test_chain_records_one_per_noise_step_and_one_per_reverse_step(monkeypatch):
@@ -511,11 +501,11 @@ def test_chain_records_one_per_noise_step_and_one_per_reverse_step(monkeypatch):
         block(x, seed=4)
     assert steps == {"forward_noise_step": [["lincomb"]] * 2, "reverse_step": []}
     assert [r.name for r in tape.records].count("mse") == 1
-    # sampling noises to z_T and steps once per sampler step, with no loss
+    # prediction noises to z_T only and steps no reverse step, with no loss
     steps["forward_noise_step"].clear()
     with Tape() as tape:
         block(x, seed=4, block_loss=False)
-    assert steps == {"forward_noise_step": [["lincomb"]], "reverse_step": [["lincomb"]] * 3}
+    assert steps == {"forward_noise_step": [["lincomb"]], "reverse_step": []}
     assert [r.name for r in tape.records].count("mse") == 0
 
 
@@ -523,21 +513,20 @@ def test_chain_records_one_per_noise_step_and_one_per_reverse_step(monkeypatch):
 def test_each_attention_layer_call_records_one_attention_layer(
         monkeypatch, record_attention_calls, default_step, which):
     cross, self_ = ("cross", ["attention_layer"]), ("self", ["self_attention_layer"])
-    # one per stack pass, then per denoiser call the context call, the
-    # conditioning call and the predictor's
-    denoiser = [cross, cross, self_]
+    # one per stack pass, then the one denoiser call's context call,
+    # conditioning call and predictor's, in training and in prediction
+    want = [self_] * 2 + [cross, cross, self_]
     if which == "default":
-        # a training step calls the denoiser once
         _, calls, _ = default_step("diffusion")
-        assert calls == [self_] * 2 + denoiser
+        assert calls == want
         return
     _, block, ctx = _block_setup(n_steps=3)
     x = Tensor(np.random.default_rng(31).standard_normal((1, 2, 8, 4)), requires_grad=True)
-    for block_loss, denoiser_calls in ((True, 1), (False, 3)):
+    for block_loss in (True, False):
         with Tape() as tape, monkeypatch.context() as patch:
             calls = record_attention_calls(patch, tape)
             block(x, seed=4, block_loss=block_loss)
-        assert calls == [self_] * 2 + denoiser * denoiser_calls
+        assert calls == want
 
 
 def _eps_form_reverse_step(z_t, t, x0_hat, schedule, t_prev):
@@ -812,7 +801,7 @@ def test_block_trains_on_sinusoid_latents():
         tape.backward(loss)
         opt.step()
 
-    # the sampler's output, what prediction returns
+    # the estimate at the last step, what prediction returns
     out, _ = block(tokens, seed=999, block_loss=False)
     final_mse = float(((out.data - x0) ** 2).mean())
 

@@ -38,7 +38,8 @@ reads beside the per-op record census the tests pin. It is rewritten after
 every pair, so an interrupted series keeps what it ran.
 
 When the series ends, one verdict line per workload goes to standard error:
-the pairs with equal digests, the metrics worse than their bound, the
+the pairs with equal loss digests and those with equal prediction digests,
+counted apart, the metrics worse than their bound, the
 unresolved metrics, the runs that were not correct, and each side's failed
 share, flagged "(change higher)" when the change's is higher than the
 base's. The tool exits 1 when any run was not correct.
@@ -56,6 +57,7 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("base", "change")
+DIGESTS = ("losses", "predictions")  # perfbench's output digests, counted apart
 
 
 def parse_run(stdout: str) -> dict:
@@ -98,8 +100,9 @@ def summarize(pairs: list[dict], better: dict[str, str],
     ``bounds`` entry times the base median, and whether the metric is
     ``unresolved``: the base's interquartile range exceeds that bound times
     the base median and not every change run beats every base run (both
-    None for a metric without a bound). Also counts the pairs whose loss and
-    prediction digests match and the failed runs, and gives each side's
+    None for a metric without a bound). Also counts, per digest in
+    ``DIGESTS``, the pairs whose digests match, so a change that moves only
+    its predictions shows as such, and the failed runs, and gives each side's
     summed failed operations over its summed attempted ones (None when it
     attempted none). With no pairs, every spread and comparison is None and
     every count 0."""
@@ -140,7 +143,8 @@ def summarize(pairs: list[dict], better: dict[str, str],
             })
     return {
         "pairs": len(pairs),
-        "digests_equal": sum(p["base"]["digests"] == p["change"]["digests"] for p in pairs),
+        "digests_equal": {d: sum(p["base"]["digests"][d] == p["change"]["digests"][d]
+                                 for p in pairs) for d in DIGESTS},
         "runs_not_correct": sum(not p[side]["correct"] for p in pairs for side in SIDES),
         "failed_share": {side: _failed_share([p[side] for p in pairs]) for side in SIDES},
         "metrics": metrics,
@@ -174,8 +178,10 @@ def verdict(workload: str, pairs: list[dict], summary: dict) -> str:
              if not p[side]["correct"]]
     base, change = (summary["failed_share"][side] for side in SIDES)
     higher = " (change higher)" if (change or 0.0) > (base or 0.0) else ""
-    return (f"{workload}: equal digests in {summary['digests_equal']} of "
-            f"{summary['pairs']} pairs; worse beyond bound: {', '.join(worse) or 'none'}; "
+    n, equal = summary["pairs"], summary["digests_equal"]
+    return (f"{workload}: equal loss digests in {equal['losses']} of {n} pairs, "
+            f"equal prediction digests in {equal['predictions']} of {n}; "
+            f"worse beyond bound: {', '.join(worse) or 'none'}; "
             f"unresolved: {', '.join(unresolved) or 'none'}; "
             f"not correct: {', '.join(wrong) or 'none'}; "
             f"failed share: base {_share(base)}, change {_share(change)}{higher}")
