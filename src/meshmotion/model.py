@@ -182,8 +182,8 @@ class Model:
         prediction then decodes the block's x0 estimate at that step, and
         ``eps_loss`` holds the block's term. ``block_loss=False`` (prediction)
         decodes the block's estimate at the last step instead and builds no
-        block loss (``eps_loss`` is None), which :meth:`loss` then rejects. Without
-        diffusion ``block_loss`` changes no bit.
+        block loss (``eps_loss`` is None), which :meth:`loss` then rejects.
+        Without diffusion ``block_loss`` changes no bit.
         """
         cfg = self.config
         obs = np.asarray(observations, dtype=np.float64)

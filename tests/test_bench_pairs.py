@@ -303,8 +303,8 @@ def test_verdict_names_equal_digests_worse_metrics_and_wrong_runs():
     pairs = [{"seed": 1, "first": "base", "base": BASE, "change": CHANGE}]
     line = bp.verdict("train_deterministic", pairs, bp.summarize(pairs, better, bounds))
     assert line == ("train_deterministic: equal loss digests in 1 of 1 pairs, "
-                    "equal prediction digests in 1 of 1; worse beyond bound: none; unresolved: none; not correct: none; "
-                    "failed share: base 0, change 0")
+                    "equal prediction digests in 1 of 1; worse beyond bound: none; "
+                    "unresolved: none; not correct: none; failed share: base 0, change 0")
     # a second pair whose change run is wrong, differs in its digests, has
     # half the base's training throughput and failed 33 of its 659
     # operations
