@@ -14,9 +14,9 @@ check's finite differences) keeps its value only: it returns through
 :func:`_result` before it builds its backward closure or computes what only
 that closure reads (gradient shapes, kept operands), so untaped ops run the
 same value expressions at less fixed cost. The shape checks that are pure
-functions of shapes (:func:`_broadcast_shape`, :func:`_check_attention`,
-:func:`_check_attention_layer`, :func:`_check_self_attention_layer`) are
-cached once per shape signature, and the segment tables that
+functions of shapes (:func:`_broadcast_shape`, :func:`_check_attention` and
+:func:`_check_attention_layer`) are cached once per shape signature, and the
+segment tables that
 ``segment_softmax_kl`` and ``part_loss.part_weights_from_variance`` read
 (the checked starts, the segment sizes and each column's segment) once per
 (starts, n) (:func:`_segment_tables`); a check that fails caches nothing and
@@ -38,9 +38,10 @@ adjacency). An input that takes no gradient is stored as None, so a constant
 such as a noise draw is freed once the forward has used it. A constant needs
 no op of its own: it passes as a raw array, which each op wraps
 (:func:`as_tensor`) as a tensor that takes no gradient. ``layer_norm``
-recomputes its full-size intermediates from the input in backward, and the
-two attention ops their query projection, scores, softmax weights W and W v,
-with the forward's expressions in the same order, instead of holding them.
+recomputes its full-size intermediates from the input in backward, and
+``attention_layer`` its key, value and query projections, scores, softmax
+weights W and W v, with the forward's expressions in the same order, instead
+of holding them.
 And the model's hot composites are one record each, so an intermediate that
 no backward reads is no record output. Each has an analytic backward that
 runs the same numpy expressions in the same order as the primitives it
@@ -49,24 +50,20 @@ estimate; a + b is a unit-weight lincomb, the one sum op), ``mse`` (the
 mean squared error against a constant target), ``affine`` (x @ w + c, a linear
 layer), ``softmax``, ``layer_norm``, ``conv3d``, ``segment_softmax_kl`` (the
 weighted KL between segment-wise softmaxes of (S, n, F) feature-row norms,
-the part loss of one level), ``attention_layer`` and
-``self_attention_layer``.
+the part loss of one level) and ``attention_layer``.
 
-The two attention ops are one residual layer,
-x + softmax((x @ wq) kᵀ/√d) v @ wo, and share one core
-(:func:`_attention_forward`, :func:`_attention_backward`), whose backward
-takes the keys and values as arguments. Both keep beside their operands only
-each softmax row's max and exp-sum, from which backward rebuilds W bit for
-bit. ``attention_layer`` takes k and v precomputed and keeps them: the
-model's cross-attentions, whose keys and values the diffusion block
-projects from its context and its dependencies, outside the record.
-``self_attention_layer`` attends x to itself, with k = x @ wk and
-v = x @ wv inside the record: it keeps x and the four weights and
-recomputes k and v in backward (the temporal attention).
-``attention``, the reference composite, is a ``transpose`` of the keys, a
-``matmul``, a ``mul`` by 1/√d, a ``softmax`` and a ``matmul``. ``matmul``,
-``affine`` and every product inside the attention ops take their gradients
-from one routine, :func:`_matmul_grads`. ``conv3d`` takes and returns a
+``attention_layer`` is the one attention op, the residual layer
+x + softmax((x @ wq) kᵀ/√d) v @ wo of arXiv 1706.03762 with
+k = context @ wk and v = context @ wv projected inside the record. It serves
+the model's cross-attentions, whose context is the diffusion block's learned
+table or its dependencies, and its temporal attention, whose context is x
+itself. It keeps x, the context and the four weights and, of the softmax,
+only each row's max and exp-sum, from which backward rebuilds W bit for
+bit; it recomputes the keys and values. ``attention``, the reference
+composite, is a ``transpose`` of the keys, a ``matmul``, a ``mul`` by 1/√d,
+a ``softmax`` and a ``matmul``. ``matmul``, ``affine`` and every product
+inside ``attention_layer`` take their gradients from one routine,
+:func:`_matmul_grads`. ``conv3d`` takes and returns a
 channels-last (B, T, H, W, C) grid and lowers to GEMMs on a spatial-only
 patch matrix, one GEMM per temporal tap, with no transpose of the grid on
 either side.
@@ -78,16 +75,16 @@ want that error as the only signal run a whole step under ``np.errstate``
 whose arithmetic can overflow or make a NaN scans what it makes. One rule
 serves values and gradients: :func:`_result` scans each op's output and
 ``Tape.backward`` each gradient a record returns, unless the op is in
-``_UNSCANNED``; the attention ops also scan their projections and scores,
+``_UNSCANNED``; ``attention_layer`` also scans its projections and scores,
 and ``layer_norm`` its standard deviation. The three ops in ``_UNSCANNED``
 cannot make a NaN/Inf from finite operands, forward or backward:
 ``reshape`` and ``transpose`` move values or a gradient, and ``relu``
-multiplies them by 0 or 1. That spares 16 of the 52 gradient scans of a
-default deterministic step and 22 of the 101 of a diffusion step. Operands
+multiplies them by 0 or 1. That spares 16 of the 56 gradient scans of a
+default deterministic step and 22 of the 103 of a diffusion step. Operands
 that do not fit the op raise :class:`ShapeError` naming their shapes.
 
 Layout rule for the kernels a training step runs (``matmul``,
-``layer_norm``, the attention ops' :func:`_softmax_rows`, and
+``layer_norm``, ``attention_layer``'s :func:`_softmax_rows`, and
 :func:`_unbroadcast`, which sums every bias and shift gradient over the axes
 broadcasting added): no numpy reduction over a short last axis, one GEMM
 for a shared operand's gradient, and no product that reads a transposed
@@ -142,7 +139,6 @@ __all__ = [
     "conv3d",
     "attention",
     "attention_layer",
-    "self_attention_layer",
 ]
 
 
@@ -619,7 +615,7 @@ def _matmul_grads(g, a, b, sa, sb, shared: bool):
     products after.
 
     It serves every product on the tape: ``matmul``, ``affine`` and those
-    inside the attention ops, whose scores pass kᵀ as ``b``. The ``a``
+    inside ``attention_layer``, whose scores pass kᵀ as ``b``. The ``a``
     gradient g bᵀ reads a contiguous copy of bᵀ (for a kᵀ view, k itself),
     never the transposed view, on which numpy's matmul takes a slow path
     (see the module docstring's layout rule).
@@ -962,181 +958,126 @@ def attention(query, key, value) -> Tensor:
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE)
-def _check_attention_layer(name: str, x_shape: tuple[int, ...], wq_shape: tuple[int, ...],
-                           k_shape: tuple[int, ...], v_shape: tuple[int, ...],
-                           wo_shape: tuple[int, ...]) -> None:
+def _check_attention_layer(x_shape: tuple[int, ...], c_shape: tuple[int, ...],
+                           wq_shape: tuple[int, ...], wk_shape: tuple[int, ...],
+                           wv_shape: tuple[int, ...], wo_shape: tuple[int, ...]) -> None:
     """Raise :class:`ShapeError` unless an ``x_shape`` input projected by a
-    ``wq_shape`` weight can attend to keys of ``k_shape`` and values of
-    ``v_shape`` whose leading axes broadcast onto ``x_shape``'s without
-    growing them, and a ``wo_shape`` weight maps the attended values back to
-    ``x_shape``'s width."""
+    ``wq_shape`` weight can attend to a ``c_shape`` context that ``wk_shape``
+    and ``wv_shape`` weights project to keys and values, the context's
+    leading axes broadcast onto ``x_shape``'s without growing them, and a
+    ``wo_shape`` weight maps the attended values back to ``x_shape``'s
+    width."""
+    name = "attention_layer"
     if len(x_shape) < 2 or len(wq_shape) != 2 or wq_shape[0] != x_shape[-1]:
         raise ShapeError(f"{name} needs x (..., n, C) and wq (C, d), "
                          f"got {x_shape} and {wq_shape}")
+    if len(c_shape) < 2 or any(len(w) != 2 or w[0] != c_shape[-1] for w in (wk_shape, wv_shape)):
+        raise ShapeError(f"{name} needs a context (..., L, D) and wk, wv (D, ·), "
+                         f"got {c_shape}, {wk_shape} and {wv_shape}")
+    k_shape, v_shape = c_shape[:-1] + wk_shape[1:], c_shape[:-1] + wv_shape[1:]
     _check_attention(name, x_shape[:-1] + wq_shape[1:], k_shape, v_shape)
     if wo_shape != (v_shape[-1], x_shape[-1]):
         raise ShapeError(f"{name} needs wo (e, C) for values (..., L, e) "
                          f"and x (..., n, C), got {wo_shape}, {v_shape} and {x_shape}")
-    if _broadcast_shape(x_shape[:-2], k_shape[:-2], v_shape[:-2]) != x_shape[:-2]:
-        raise ShapeError(f"{name}: keys {k_shape} and values {v_shape} "
+    if _broadcast_shape(x_shape[:-2], c_shape[:-2]) != x_shape[:-2]:
+        raise ShapeError(f"{name}: a context {c_shape} "
                          f"would grow the query's leading axes {x_shape[:-2]}")
 
 
-@functools.lru_cache(maxsize=_SHAPE_CACHE)
-def _check_self_attention_layer(x_shape: tuple[int, ...], wq_shape: tuple[int, ...],
-                                wk_shape: tuple[int, ...], wv_shape: tuple[int, ...],
-                                wo_shape: tuple[int, ...]) -> None:
-    """Raise :class:`ShapeError` unless ``wk_shape`` and ``wv_shape`` weights
-    project an ``x_shape`` input to keys and values that the attention layer
-    of :func:`_check_attention_layer` takes."""
-    name = "self_attention_layer"
-    if len(x_shape) < 2 or any(len(w) != 2 or w[0] != x_shape[-1] for w in (wk_shape, wv_shape)):
-        raise ShapeError(f"{name} needs x (..., n, C) and wk, wv (C, ·), "
-                         f"got {x_shape}, {wk_shape} and {wv_shape}")
-    _check_attention_layer(name, x_shape, wq_shape, x_shape[:-1] + wk_shape[1:],
-                           x_shape[:-1] + wv_shape[1:], wo_shape)
+def attention_layer(x, context, wq, wk, wv, wo) -> Tensor:
+    """One residual attention layer, x + softmax((x @ wq) kᵀ / √d) v @ wo
+    with k = context @ wk and v = context @ wv; one record.
 
+    ``x`` is the (..., n, C) query, ``wq`` its (C, d) projection and ``wo``
+    the (e, C) output projection. ``wk`` (D, d) and ``wv`` (D, e) project
+    the (..., L, D) ``context``, whose leading axes broadcast onto ``x``'s
+    without growing them, so one (L, D) table can serve every query.
+    Self-attention passes ``x`` as its own context.
 
-def _attention_forward(name: str, x: np.ndarray, wq: np.ndarray, k: np.ndarray,
-                       v: np.ndarray, wo: np.ndarray):
-    """x + softmax((x @ wq) kᵀ / √d) v @ wo, with each softmax row's max m
-    and exp-sum s (two (rows,) vectors); the forward of both attention ops.
+    The forward runs the expressions of the composite
+    ``affine(attention(matmul(x, wq), k, v), wo, x)`` with k and v the
+    products ``matmul(context, wk)`` and ``matmul(context, wv)``, recorded
+    before the query's, and the backward runs theirs in reverse. The
+    key, value and query projections and the scores are checked to be
+    finite, named after the op. W and W v need no check: with finite scores
+    each row of W lies in [0, 1] and sums to 1, so W v, a convex combination
+    of the rows of the finite v, is finite too.
 
-    The q projection and the scores are checked to be finite, named after
-    op ``name`` (its record checks the output). W and W v need no check:
-    with finite scores each row of W lies in [0, 1] and sums to 1, so W v, a
-    convex combination of the rows of the finite ``v``, is finite too.
+    The record's inputs are (x, wq, context, wv, context, wk, wo): the
+    context is listed once per projection, so the tape adds its value
+    gradient and then its key gradient, and, when the context is ``x``,
+    both after the residual's plus the query projection's. That is the
+    order in which the tape sums the composite's records, so the value and
+    every gradient are bit-identical to it when this layer is the last
+    record that reads ``x``, as in the model.
+
+    The record keeps ``x``, the context, the four weights and, of the
+    softmax, only each row's max and exp-sum: two (rows,) vectors, where W
+    and the scores grow with the square of the sequence length. Backward
+    recomputes k, v, q and the scores with the forward's own expressions
+    and rebuilds W = exp(scores − m) / s (:func:`_softmax_rebuild`) bit for
+    bit: the forward's max and sum are the only reductions, and they are
+    kept, while the subtraction, exp and division act on one element at a
+    time and give the same bits in either layout. (A log-sum-exp would not:
+    exp(x − lse) is not exp(x − m) / s bit for bit.)
     """
-    q = np.matmul(x, wq)
+    x, context, wq, wk, wv, wo = (as_tensor(t) for t in (x, context, wq, wk, wv, wo))
+    name = "attention_layer"
+    _check_attention_layer(x.shape, context.shape, wq.shape, wk.shape, wv.shape, wo.shape)
+    xx, cx, wqx, wkx, wvx, wox = x.data, context.data, wq.data, wk.data, wv.data, wo.data
+    k = np.matmul(cx, wkx)
+    _check_finite(name, "key projection", k)
+    v = np.matmul(cx, wvx)
+    _check_finite(name, "value projection", v)
+    q = np.matmul(xx, wqx)
     _check_finite(name, "query projection", q)
-    scores = _scores(q, k, 1.0 / math.sqrt(wq.shape[1]))
+    scale = 1.0 / math.sqrt(wqx.shape[1])
+    scores = _scores(q, k, scale)
     _check_finite(name, "score", scores)
     w, m, s = _softmax_rows(scores)
-    out = np.matmul(np.matmul(w, v), wo)
-    out += x
-    return out, m, s
-
-
-def _attention_backward(g, x, wq, k, v, wo, m, s, shapes):
-    """The gradients of :func:`_attention_forward`'s output for the upstream
-    ``g``, in (x, wq, k, v, wo) order: None for an operand whose entry of
-    ``shapes`` is None (it takes no gradient).
-
-    The caller passes the keys ``k`` and values ``v``: kept, or recomputed
-    from what it kept. Backward recomputes q = x @ wq and the scores with
-    the forward's own expressions, rebuilds W = exp(scores − m) / s
-    (:func:`_softmax_rebuild`) and, for the ``wo`` gradient, recomputes
-    o = W v. The rebuild is bit-identical to the forward's W: the forward's
-    max and sum are the only reductions, and they are kept, while the
-    subtraction, exp and division act on one element at a time and give the
-    same bits in either layout. (A log-sum-exp would not: exp(x − lse) is
-    not exp(x − m) / s bit for bit.) The x gradient is the residual's plus
-    the q projection's.
-    """
-    sx, swq, sk, sv, swo = shapes
-    scale = 1.0 / math.sqrt(wq.shape[1])
-    q = np.matmul(x, wq)
-    w = _softmax_rebuild(_scores(q, k, scale), m, s)
+    out = np.matmul(np.matmul(w, v), wox)
+    out += xx
+    inputs = (x, wq, context, wv, context, wk, wo)
+    if not Tape._stack:
+        return _result(name, inputs, out, None)
+    sx, sc, swq, swk, swv, swo = (_grad_shape(t) for t in (x, context, wq, wk, wv, wo))
     # each intermediate's shape where its gradient is needed, else None
+    sk = k.shape if sc is not None or swk is not None else None
+    sv = v.shape if sc is not None or swv is not None else None
     sq = q.shape if sx is not None or swq is not None else None
     sw = w.shape if sq is not None or sk is not None else None
     so = x.shape[:-1] + v.shape[-1:] if sw is not None or sv is not None else None
     sk_t = None if sk is None else sk[:-2] + (sk[-1], sk[-2])
-    o = None if swo is None else np.matmul(w, v)
-    go, gwo = _matmul_grads(g, o, wo, so, swo, True)
-    gx = gwq = gk = gv = None
-    if so is not None:
-        gw, gv = _matmul_grads(go, w, v, sw, sv, v.ndim == 2)
-        if sw is not None:
-            gs = _softmax_grad(gw, w)
-            gs *= scale
-            gq, gk = _matmul_grads(gs, q, np.swapaxes(k, -1, -2), sq, sk_t, k.ndim == 2)
-            gk = None if gk is None else np.swapaxes(gk, -1, -2)
-            if sq is not None:
-                gx, gwq = _matmul_grads(gq, x, wq, sx, swq, True)
-    if sx is not None:
-        gx = g + gx
-    return gx, gwq, gk, gv, gwo
 
-
-def attention_layer(x, wq, k, v, wo) -> Tensor:
-    """One residual attention layer, x + softmax((x @ wq) kᵀ / √d) v @ wo; one record.
-
-    ``x`` is the (..., n, C) query, ``wq`` its (C, d) projection and ``wo``
-    the (e, C) output projection; ``k`` (..., L, d) and ``v`` (..., L, e)
-    are keys and values whose leading axes broadcast onto ``x``'s without
-    growing them, so one (L, d) table can serve every query.
-
-    Forward and backward run the expressions of the composite
-    ``affine(attention(matmul(x, wq), k, v), wo, x)`` in its order
-    (:func:`_attention_forward`, :func:`_attention_backward`), so the value
-    and every gradient are bit-identical to it. The ``x`` gradient is the
-    residual's plus the q projection's, the sum the tape forms for the
-    composite when this layer is the last record that reads ``x``, as in
-    the model.
-
-    The record keeps ``x``, ``wq``, ``k``, ``v``, ``wo`` and, of the
-    softmax, only each row's max and exp-sum: two (rows,) vectors, where W
-    and the scores grow with the square of the sequence length.
-    """
-    x, wq, k, v, wo = (as_tensor(t) for t in (x, wq, k, v, wo))
-    _check_attention_layer("attention_layer", x.shape, wq.shape, k.shape, v.shape, wo.shape)
-    xx, wqx, kx, vx, wox = x.data, wq.data, k.data, v.data, wo.data
-    out, m, s = _attention_forward("attention_layer", xx, wqx, kx, vx, wox)
-    if not Tape._stack:
-        return _result("attention_layer", (x, wq, k, v, wo), out, None)
-    shapes = tuple(_grad_shape(t) for t in (x, wq, k, v, wo))
-    return _result("attention_layer", (x, wq, k, v, wo), out,
-                   lambda g: _attention_backward(g, xx, wqx, kx, vx, wox, m, s, shapes))
-
-
-def self_attention_layer(x, wq, wk, wv, wo) -> Tensor:
-    """One residual self-attention layer, ``attention_layer(x, wq, x @ wk,
-    x @ wv, wo)``; one record.
-
-    ``x`` is (..., n, C), ``wq`` and ``wk`` are (C, d), ``wv`` is (C, e)
-    and ``wo`` (e, C). The value and every gradient are bit-identical to the
-    three-record composite ``attention_layer(x, wq, matmul(x, wk),
-    matmul(x, wv), wo)``: the keys and values are the same products, the
-    attention runs the same core (:func:`_attention_forward`,
-    :func:`_attention_backward`), and the ``wk`` and ``wv`` gradients are
-    the products' own (:func:`_matmul_grads`). The ``x`` gradient is
-    (attention's + the values' + the keys') in that order, the order in
-    which the tape sums the composite's three records into ``x``.
-
-    The record keeps ``x`` and the four weights and, of the softmax, each
-    row's max and exp-sum; backward recomputes the keys and values from
-    ``x``, so no array of their shape is held. The key and value
-    projections are checked to be finite, as the two products' records
-    would be.
-    """
-    x, wq, wk, wv, wo = (as_tensor(t) for t in (x, wq, wk, wv, wo))
-    name = "self_attention_layer"
-    _check_self_attention_layer(x.shape, wq.shape, wk.shape, wv.shape, wo.shape)
-    xx, wqx, wkx, wvx, wox = x.data, wq.data, wk.data, wv.data, wo.data
-    k = np.matmul(xx, wkx)
-    _check_finite(name, "key projection", k)
-    v = np.matmul(xx, wvx)
-    _check_finite(name, "value projection", v)
-    out, m, s = _attention_forward(name, xx, wqx, k, v, wox)
-    if not Tape._stack:
-        return _result(name, (x, wq, wk, wv, wo), out, None)
-    sx, swq, swk, swv, swo = (_grad_shape(t) for t in (x, wq, wk, wv, wo))
-    # the keys and values take a gradient where x or their weight does
-    sk = k.shape if sx is not None or swk is not None else None
-    sv = v.shape if sx is not None or swv is not None else None
+    def attention_grads(g):
+        # the gradients of x, wq, the keys, the values and wo; a function of
+        # its own, so that W and the other scratch arrays are freed before
+        # the context's two products run
+        k, v, q = np.matmul(cx, wkx), np.matmul(cx, wvx), np.matmul(xx, wqx)
+        w = _softmax_rebuild(_scores(q, k, scale), m, s)
+        o = None if swo is None else np.matmul(w, v)
+        go, gwo = _matmul_grads(g, o, wox, so, swo, True)
+        gx = gwq = gk = gv = None
+        if so is not None:
+            gw, gv = _matmul_grads(go, w, v, sw, sv, v.ndim == 2)
+            if sw is not None:
+                gs = _softmax_grad(gw, w)
+                gs *= scale
+                gq, gk = _matmul_grads(gs, q, np.swapaxes(k, -1, -2), sq, sk_t, k.ndim == 2)
+                gk = None if gk is None else np.swapaxes(gk, -1, -2)
+                if sq is not None:
+                    gx, gwq = _matmul_grads(gq, xx, wqx, sx, swq, True)
+        if sx is not None:
+            gx = g + gx
+        return gx, gwq, gk, gv, gwo
 
     def backward(g):
-        k, v = np.matmul(xx, wkx), np.matmul(xx, wvx)
-        gx, gwq, gk, gv, gwo = _attention_backward(g, xx, wqx, k, v, wox, m, s,
-                                                   (sx, swq, sk, sv, swo))
-        gx_v, gwv = (None, None) if gv is None else _matmul_grads(gv, xx, wvx, sx, swv, True)
-        gx_k, gwk = (None, None) if gk is None else _matmul_grads(gk, xx, wkx, sx, swk, True)
-        if sx is not None:
-            gx = (gx + gx_v) + gx_k
-        return gx, gwq, gwk, gwv, gwo
+        gx, gwq, gk, gv, gwo = attention_grads(g)
+        gc_v, gwv = (None, None) if gv is None else _matmul_grads(gv, cx, wvx, sc, swv, True)
+        gc_k, gwk = (None, None) if gk is None else _matmul_grads(gk, cx, wkx, sc, swk, True)
+        return gx, gwq, gc_v, gwv, gc_k, gwk, gwo
 
-    return _result(name, (x, wq, wk, wv, wo), out, backward)
+    return _result(name, inputs, out, backward)
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE)

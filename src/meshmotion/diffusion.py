@@ -164,19 +164,12 @@ def _init(rng: np.random.Generator, shape, scale=None) -> Tensor:
 class AttentionLayer:
     """Residual scaled dot-product attention with learned projections.
 
-    Cross-attention: ``keys_values`` projects a context to keys and values,
-    and the call attends a query to them. A caller that attends to the same
-    context many times (the context table, the dependencies) projects it
-    once and passes the pair to every call; a call is one
-    ``attention_layer`` record: the query projection, the attention, the
-    output projection and the residual. Beside x, wq, k, v and wo the tape
-    keeps only each softmax row's max and exp-sum.
-
-    Self-attention: ``self_attend`` attends x to itself as one
-    ``self_attention_layer`` record, which keeps x and the four weights
-    instead of keys and values and recomputes them in backward; it uses no
-    ``keys_values``. Output projection starts at zero so a fresh layer is
-    the identity map.
+    A call attends a query to a context, which is the query itself for
+    self-attention, as one ``attention_layer`` record: the key, value and
+    query projections, the attention, the output projection and the
+    residual. Beside the query, the context and the four weights the tape
+    keeps only each softmax row's max and exp-sum. Output projection starts
+    at zero so a fresh layer is the identity map.
     """
 
     def __init__(self, width: int, rng: np.random.Generator):
@@ -187,15 +180,9 @@ class AttentionLayer:
             "wo": Tensor(np.zeros((width, width)), requires_grad=True),
         }
 
-    def keys_values(self, context: Tensor) -> tuple[Tensor, Tensor]:
-        return ad.matmul(context, self.p["wk"]), ad.matmul(context, self.p["wv"])
-
-    def __call__(self, query: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        return ad.attention_layer(query, self.p["wq"], k, v, self.p["wo"])
-
-    def self_attend(self, x: Tensor) -> Tensor:
+    def __call__(self, query: Tensor, context: Tensor) -> Tensor:
         p = self.p
-        return ad.self_attention_layer(x, p["wq"], p["wk"], p["wv"], p["wo"])
+        return ad.attention_layer(query, context, p["wq"], p["wk"], p["wv"], p["wo"])
 
 
 def step_embeddings(n_steps: int, channels: int) -> np.ndarray:
@@ -233,10 +220,9 @@ class GraphTimePass:
     (T, H, W) grid, per-frame graph conv over ``coarse_adj`` (the coarse
     mesh), then temporal self-attention across frames, independently per site.
 
-    The time attention attends the tokens to themselves
-    (:meth:`AttentionLayer.self_attend`), one record that keeps its input
-    rather than its keys and values; ``keys_values`` serves only the block's
-    cross-attentions."""
+    The time attention passes the tokens as their own context, one
+    ``attention_layer`` record that keeps its input rather than its keys and
+    values."""
 
     def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
                  rng: np.random.Generator):
@@ -253,7 +239,7 @@ class GraphTimePass:
         x = rearrange(ad.relu(ad.conv3d(rearrange(x, self.grid), self.p["conv_kernel"])))
         x = self.graph.apply(x)
         x = ad.transpose(x, (0, 2, 1, 3))                     # (B, S, T, C)
-        return ad.transpose(self.time_attn.self_attend(x), (0, 2, 1, 3))
+        return ad.transpose(self.time_attn(x, x), (0, 2, 1, 3))
 
 
 class FeatureStack:
@@ -343,17 +329,18 @@ class DiffusionBlock:
                 + self.stack.layers() + self.predictor.layers() + [self])
 
     def denoiser(self, z_T: Tensor):
-        """``x0_hat(z, t)`` conditioned on ``z_T``'s dependencies. The context
-        and the dependencies are projected to keys and values once, here. A
-        step t that is not a whole step in [1, n_steps] raises
+        """``x0_hat(z, t)`` conditioned on ``z_T``'s dependencies, which the
+        feature stack summarizes once, here. Each call attends z to the
+        learned context and then to the dependencies, each attention layer
+        projecting its context to keys and values inside its record. A step
+        t that is not a whole step in [1, n_steps] raises
         ``ScheduleError``."""
-        ctx_kv = self.context_attn.keys_values(self.p["context"])
-        deps_kv = self.cond_attn.keys_values(self.stack(z_T))
+        context, deps = self.p["context"], self.stack(z_T)
 
         def x0_hat(z: Tensor, t: int) -> Tensor:
             t = _check_step(t, self.schedule)
             abar = float(self.schedule.alpha_bar[t - 1])
-            f = self.predictor(self.cond_attn(self.context_attn(z, *ctx_kv), *deps_kv), t)
+            f = self.predictor(self.cond_attn(self.context_attn(z, context), deps), t)
             return ad.lincomb(z, math.sqrt(abar), f, math.sqrt(1.0 - abar))
         return x0_hat
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body_graph import DEFAULT_PARTS, BodyGraph
+from .body_graph import DEFAULT_PARTS, BodyGraph, is_integer
 
 
 class MetricsError(ValueError):
@@ -65,9 +65,12 @@ class JointRegressor:
     root_joint: int = 0
 
     def __post_init__(self):
-        if self.matrix.ndim != 2 or not 0 <= self.root_joint < self.matrix.shape[0]:
+        # a bool root passes the range check as joint 0 or 1, and a float
+        # one fails as a slice index inside compute_metrics
+        if (self.matrix.ndim != 2 or not is_integer(self.root_joint)
+                or not 0 <= self.root_joint < self.matrix.shape[0]):
             raise MetricsError(f"regressor needs a 2-D matrix and a root joint among its rows, "
-                               f"got {self.matrix.shape} and {self.root_joint}")
+                               f"got {self.matrix.shape} and {self.root_joint!r}")
         if np.any(self.matrix < 0):
             raise MetricsError("regressor rows must be nonnegative")
         if not np.allclose(self.matrix.sum(axis=1), 1.0, atol=1e-12):

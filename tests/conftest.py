@@ -12,24 +12,20 @@ from meshmotion.model import ModelConfig, build_model
 
 @pytest.fixture(scope="session")
 def record_attention_calls():
-    """``record(patch, tape)`` wraps ``AttentionLayer``'s two calls through
-    the ``MonkeyPatch`` ``patch`` and returns the list they append to, in
-    call order: ("cross", names) per ``__call__`` and ("self", names) per
-    ``self_attend``, with the names of the records each call wrote on
-    ``tape``."""
+    """``record(patch, tape)`` wraps ``AttentionLayer.__call__`` through the
+    ``MonkeyPatch`` ``patch`` and returns the list it appends to, in call
+    order: per call, the names of the records it wrote on ``tape``."""
     def record(patch, tape):
         calls = []
+        call = AttentionLayer.__call__
 
-        def recording(method, kind):
-            def wrapper(self, *args):
-                n0 = len(tape.records)
-                out = method(self, *args)
-                calls.append((kind, [r.name for r in tape.records[n0:]]))
-                return out
-            return wrapper
+        def recording(self, *args):
+            n0 = len(tape.records)
+            out = call(self, *args)
+            calls.append([r.name for r in tape.records[n0:]])
+            return out
 
-        for name, kind in (("__call__", "cross"), ("self_attend", "self")):
-            patch.setattr(AttentionLayer, name, recording(getattr(AttentionLayer, name), kind))
+        patch.setattr(AttentionLayer, "__call__", recording)
         return calls
 
     return record

@@ -257,6 +257,11 @@ def test_gradcheck_reports_nonfinite():
 NOT_OPS = {"as_tensor"}
 
 
+def self_attention_layer(x, wq, wk, wv, wo):
+    # the attention layer with x as its own context: the temporal attention
+    return ad.attention_layer(x, x, wq, wk, wv, wo)
+
+
 def _gradcheck_table(rng):
     """Gradcheck cases (op, inputs) keyed by the differentiable op, of ``ad.__all__``
     or ``oracle_ops``, they check; a second case of an op is keyed ``name[case]``."""
@@ -300,11 +305,11 @@ def _gradcheck_table(rng):
         "conv3d": (conv3d, [conv_x, conv_k]),
         "attention": (attention, [x, rng.standard_normal((n + 1, m)), value]),
         "attention_layer": (ad.attention_layer,
-                            [x, w, rng.standard_normal((n + 1, 3)), value,
-                             rng.standard_normal((3, m))]),
-        "self_attention_layer": (ad.self_attention_layer,
-                                 [x, w, rng.standard_normal((m, 3)),
-                                  rng.standard_normal((m, 2)), rng.standard_normal((2, m))]),
+                            [x, value, w, rng.standard_normal((3, 3)),
+                             rng.standard_normal((3, 2)), rng.standard_normal((2, m))]),
+        "attention_layer[self]": (self_attention_layer,
+                                  [x, w, rng.standard_normal((m, 3)),
+                                   rng.standard_normal((m, 2)), rng.standard_normal((2, m))]),
     }
 
 
@@ -823,23 +828,24 @@ def test_elementwise_ops_name_both_shapes_when_operands_do_not_broadcast(op):
     (ad.affine, ((2, 3), (3, 5), (7, 2, 5))), # c would grow the product
     (lambda a, b: ad.lincomb(a, 1.0, b, 1.0),
      ((2, 3), (4, 2, 2))),                    # the operands do not broadcast
-    # attention_layer (x, wq, k, v, wo)
-    (ad.attention_layer, ((2, 3), (4, 3), (5, 3), (5, 3), (3, 3))),     # wq does not take x
-    (ad.attention_layer, ((2, 3), (3, 3), (5, 4), (5, 3), (3, 3))),     # keys of another width
-    (ad.attention_layer, ((2, 3), (3, 3), (5, 3), (4, 3), (3, 3))),     # 5 keys, 4 values
-    (ad.attention_layer, ((2, 3), (3, 3), (5, 3), (5, 2), (3, 3))),     # wo does not take o
-    (ad.attention_layer, ((2, 3), (3, 3), (5, 3), (5, 3), (3, 4))),     # wo would widen x
-    (ad.attention_layer, ((2, 3), (3, 3), (4, 5, 3), (4, 5, 3), (3, 3))),  # keys grow x
-    # self_attention_layer (x, wq, wk, wv, wo)
-    (ad.self_attention_layer, ((3,), (3, 3), (3, 3), (3, 3), (3, 3))),       # x has no row axis
-    (ad.self_attention_layer, ((2, 3), (4, 3), (3, 3), (3, 3), (3, 3))),     # wq does not take x
-    (ad.self_attention_layer, ((2, 3), (3, 3), (4, 3), (3, 3), (3, 3))),     # wk does not take x
-    (ad.self_attention_layer, ((2, 3), (3, 3), (3, 3), (4, 3), (3, 3))),     # wv does not take x
-    (ad.self_attention_layer, ((2, 3), (3, 3), (2, 3, 3), (3, 3), (3, 3))),  # wk is no matrix
-    (ad.self_attention_layer, ((2, 3), (3, 3), (3, 4), (3, 3), (3, 3))),     # keys of another width
-    (ad.self_attention_layer, ((2, 3), (3, 3), (3, 3), (3, 2), (3, 3))),     # wo does not take v
-    (ad.self_attention_layer, ((2, 3), (3, 3), (3, 3), (3, 3), (3, 4))),     # wo would widen x
-    (ad.self_attention_layer, ((0, 3), (3, 3), (3, 3), (3, 3), (3, 3))),     # no key to attend to
+    # attention_layer (x, context, wq, wk, wv, wo)
+    (ad.attention_layer, ((2, 3), (5, 4), (4, 3), (4, 3), (4, 3), (3, 3))),     # wq does not take x
+    (ad.attention_layer, ((2, 3), (5, 4), (3, 3), (4, 2), (4, 3), (3, 3))),     # keys of another width
+    (ad.attention_layer, ((2, 3), (5, 4), (3, 3), (3, 3), (4, 3), (3, 3))),     # wk does not take it
+    (ad.attention_layer, ((2, 3), (5, 4), (3, 3), (4, 3), (4, 2), (3, 3))),     # wo does not take o
+    (ad.attention_layer, ((2, 3), (5, 4), (3, 3), (4, 3), (4, 3), (3, 4))),     # wo would widen x
+    (ad.attention_layer, ((2, 3), (4, 5, 4), (3, 3), (4, 3), (4, 3), (3, 3))),  # it would grow x
+    # the same op with x as its own context (x, wq, wk, wv, wo)
+    (self_attention_layer, ((3,), (3, 3), (3, 3), (3, 3), (3, 3))),       # x has no row axis
+    (self_attention_layer, ((2, 3), (4, 3), (3, 3), (3, 3), (3, 3))),     # wq does not take x
+    (self_attention_layer, ((2, 3), (3, 3), (4, 3), (3, 3), (3, 3))),     # wk does not take x
+    (self_attention_layer, ((2, 3), (3, 3), (3, 3), (4, 3), (3, 3))),     # wv does not take x
+    (self_attention_layer, ((2, 3), (3, 3), (2, 3, 3), (3, 3), (3, 3))),  # wk is no matrix
+    (self_attention_layer, ((2, 3), (3, 3), (3, 4), (3, 3), (3, 3))),     # keys of another width
+    (self_attention_layer, ((2, 3), (3, 3), (3, 3), (3, 2), (3, 3))),     # wo does not take v
+    (self_attention_layer, ((2, 3), (3, 3), (3, 3), (3, 3), (3, 4))),     # wo would widen x
+    (self_attention_layer, ((0, 3), (3, 3), (3, 3), (3, 3), (3, 3))),     # no key to attend to
+    (ad.attention_layer, ((2, 3), (4,), (3, 3), (4, 3), (4, 3), (3, 3))),  # a context of no rows
 ])
 def test_fused_ops_reject_bad_shapes(op, shapes):
     # the shape checks are cached per shape signature and a failed check is
@@ -853,29 +859,31 @@ def test_fused_ops_reject_bad_shapes(op, shapes):
 
 
 def test_a_failed_self_attention_check_caches_nothing():
-    # a wk that does not take x fails the one cached check, which keeps
-    # nothing of it and raises the same message again
-    check = ad._check_self_attention_layer
+    # a wk that does not take x, the layer's own context, fails the one
+    # cached check, which keeps nothing of it and raises the same message
+    # again
+    check = ad._check_attention_layer
     size = check.cache_info().currsize
     x, w = np.ones((2, 3)), np.ones((3, 3))
     messages = []
     for _ in range(2):
         with pytest.raises(ShapeError) as exc:
-            ad.self_attention_layer(x, w, np.ones((4, 3)), w, w)
+            ad.attention_layer(x, x, w, np.ones((4, 3)), w, w)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
-    assert "wk, wv (C, ·), got (2, 3), (4, 3) and (3, 3)" in messages[0]
+    assert "wk, wv (D, ·), got (2, 3), (4, 3) and (3, 3)" in messages[0]
     assert check.cache_info().currsize == size
 
 
 def test_shape_checks_run_once_per_shape_signature():
-    # each attention op runs one cached check: its wk and wv too, for the
-    # self-attention layer
+    # the attention op runs one cached check, its context's and wk's and
+    # wv's too, with x as its own context and with another context
     rng = np.random.default_rng(44)
     x, w = rng.standard_normal((2, 5, 3)), rng.standard_normal((3, 3))
-    for op, check in ((lambda: ad.self_attention_layer(x, w, w, w, w),
-                       ad._check_self_attention_layer),
-                      (lambda: ad.attention_layer(x, w, x, x, w), ad._check_attention_layer)):
+    context = rng.standard_normal((4, 3))
+    check = ad._check_attention_layer
+    for op in (lambda: ad.attention_layer(x, x, w, w, w, w),
+               lambda: ad.attention_layer(x, context, w, w, w, w)):
         before = check.cache_info()
         for _ in range(3):
             op()
@@ -918,9 +926,9 @@ def test_conv3d_composite_oracle_matches_tap_loop():
     ("lincomb", lambda a, b: ad.lincomb(a, 0.5, b, -2.0), ((3, 4), (3, 4))),
     ("mse", lambda a: ad.mse(a, np.ones((3, 4))), ((3, 4),)),
     ("affine", ad.affine, ((2, 3, 4), (4, 5), (2, 3, 5))),
-    ("attention_layer", ad.attention_layer, ((2, 3, 4), (4, 5), (6, 5), (6, 2), (2, 4))),
-    ("self_attention_layer", ad.self_attention_layer,
-     ((2, 3, 4), (4, 5), (4, 5), (4, 2), (2, 4))),
+    ("attention_layer", ad.attention_layer,
+     ((2, 3, 4), (6, 3), (4, 5), (3, 5), (3, 2), (2, 4))),
+    ("attention_layer", self_attention_layer, ((2, 3, 4), (4, 5), (4, 5), (4, 2), (2, 4))),
 ], ids=["conv3d-conv3d-shapes0", "softmax-<lambda>-shapes1",
         # the id is kept from when a log_softmax case came before it
         "layer_norm-layer_norm-shapes3", "segment_softmax_kl-<lambda>-shapes4",
@@ -1072,12 +1080,13 @@ def test_attention_raises_when_a_score_overflows():
 
 
 def test_attention_layer_raises_when_a_score_overflows():
-    # as above, with the query projected by the identity
+    # as above, with the context projected to keys, values and the query by
+    # the identity
     x = np.array([[1e160, 0.0]])
-    k = np.array([[-1e160, 0.0], [1.0, 0.0]])
+    context = np.array([[-1e160, 0.0], [1.0, 0.0]])
     with np.errstate(over="ignore"), pytest.raises(NumericsError,
                                                    match="'attention_layer'.* score"):
-        ad.attention_layer(x, np.eye(2), k, np.ones((2, 2)), np.eye(2))
+        ad.attention_layer(x, context, np.eye(2), np.eye(2), np.eye(2), np.eye(2))
 
 
 @pytest.mark.parametrize("stage,wq,wo", [
@@ -1085,13 +1094,14 @@ def test_attention_layer_raises_when_a_score_overflows():
     ("output", 1.0, 1e200),
 ], ids=["query_projection", "output"])
 def test_attention_layer_names_the_stage_that_overflows(stage, wq, wo):
-    # finite scores and values make the weights and W v finite; only the q
-    # projection and the output projection can overflow
+    # finite scores and values make the weights and W v finite; past the
+    # finite key and value projections only the q projection and the output
+    # projection can overflow
     x = np.array([[1e200, 1.0]])
-    k, v = np.array([[0.0, 1.0], [0.0, -1.0]]), np.full((2, 2), 1e200)
+    context, wv = np.array([[0.0, 1.0], [0.0, -1.0]]), np.full((2, 2), 1e200)
     with np.errstate(over="ignore"), pytest.raises(NumericsError,
                                                    match=f"'attention_layer'.* {stage}"):
-        ad.attention_layer(x, np.eye(2) * wq, k, v, np.eye(2) * wo)
+        ad.attention_layer(x, context, np.eye(2) * wq, np.eye(2), wv, np.eye(2) * wo)
 
 
 @pytest.mark.parametrize("stage,wq,wk,wv", [
@@ -1100,31 +1110,33 @@ def test_attention_layer_names_the_stage_that_overflows(stage, wq, wo):
     ("query projection", 1e200, 1.0, 1.0),
 ], ids=["key_projection", "value_projection", "query_projection"])
 def test_self_attention_layer_names_the_stage_that_overflows(stage, wq, wk, wv):
-    # the keys and values are checked as the two products' records were
+    # the keys and values are checked as the two products' records would be,
+    # before the query
     x = np.array([[1e200, 1.0], [1.0, 1.0]])
     with np.errstate(over="ignore"), pytest.raises(NumericsError,
-                                                   match=f"'self_attention_layer'.* {stage}"):
-        ad.self_attention_layer(x, np.eye(2) * wq, np.eye(2) * wk, np.eye(2) * wv, np.eye(2))
+                                                   match=f"'attention_layer'.* {stage}"):
+        self_attention_layer(x, np.eye(2) * wq, np.eye(2) * wk, np.eye(2) * wv, np.eye(2))
 
 
-def _attention_layer_composite(x, wq, k, v, wo):
+def _attention_layer_composite(x, context, wq, wk, wv, wo):
+    # the keys' and values' products are recorded before the query's, so
+    # the tape sums the query's gradient into x before theirs
+    k, v = ad.matmul(context, wk), ad.matmul(context, wv)
     return ad.affine(attention(ad.matmul(x, wq), k, v), wo, x)
 
 
 def _self_attention_layer_composite(x, wq, wk, wv, wo):
-    # keys_values(x) and the call, as three records
-    return ad.attention_layer(x, wq, ad.matmul(x, wk), ad.matmul(x, wv), wo)
+    return _attention_layer_composite(x, x, wq, wk, wv, wo)
 
 
-# the default model's three attention layouts: the context table's shared
-# (4, C) keys, the dependency keys of each frame (B, T, S, C) and temporal
-# attention over (B, S, T, C) tokens; and a shared table of one key, whose
-# softmax is 1 everywhere
+# (x, context): the default model's context table (4, C), the dependencies
+# of each frame (B, T, S, C) and a context of temporal (B, S, T, C) tokens;
+# and a table of one row, whose softmax is 1 everywhere
 ATTENTION_LAYER_SHAPES = {
-    "context": ((4, 16, 24, 8), (4, 8), (4, 8)),
-    "dependency": ((4, 16, 24, 8), (4, 16, 24, 8), (4, 16, 24, 8)),
-    "temporal": ((4, 24, 16, 8), (4, 24, 16, 8), (4, 24, 16, 8)),
-    "one_key": ((4, 16, 24, 8), (1, 8), (1, 8)),
+    "context": ((4, 16, 24, 8), (4, 8)),
+    "dependency": ((4, 16, 24, 8), (4, 16, 24, 8)),
+    "temporal": ((4, 24, 16, 8), (4, 24, 16, 8)),
+    "one_key": ((4, 16, 24, 8), (1, 8)),
 }
 
 
@@ -1162,20 +1174,23 @@ def test_the_rebuilt_softmax_equals_the_forwards_bit_for_bit(shape, scale):
 @pytest.mark.parametrize("layout", list(ATTENTION_LAYER_SHAPES))
 def test_attention_layer_is_bit_identical_to_its_composite(layout):
     rng = np.random.default_rng(45)
-    x, k, v = (rng.standard_normal(s) for s in ATTENTION_LAYER_SHAPES[layout])
-    wq, wo = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
+    x, context = (rng.standard_normal(s) for s in ATTENTION_LAYER_SHAPES[layout])
+    weights = [rng.standard_normal((8, 8)) for _ in range(4)]
     _assert_bit_identical(ad.attention_layer, _attention_layer_composite,
-                          [x, wq, k, v, wo], 12)
+                          [x, context, *weights], 12)
 
 
-# which of (x, wq, k, v, wo) take a gradient; the first is the sinusoid
-# test's block, whose first query is a constant
+# which of (x, wq, wk, wv, wo) take a gradient, each with a constant context
+# and with one that takes a gradient; the first is the sinusoid test's
+# block, whose first query is a constant
 @pytest.mark.parametrize("wants", ["-qkvo", "x----", "-q--o", "--k--", "---v-", "----o"])
 def test_attention_layer_skips_the_gradients_no_input_takes(wants):
     rng = np.random.default_rng(46)
-    arrays = [rng.standard_normal(s) for s in ((2, 3, 4), (4, 4), (5, 4), (5, 4), (4, 4))]
-    _assert_same_gradients_skipped(ad.attention_layer, _attention_layer_composite, arrays,
-                                   wants, rng.standard_normal((2, 3, 4)))
+    arrays = [rng.standard_normal(s) for s in ((2, 3, 4), (5, 3), (4, 4), (3, 4), (3, 4), (4, 4))]
+    upstream = rng.standard_normal((2, 3, 4))
+    for context in "-c":
+        _assert_same_gradients_skipped(ad.attention_layer, _attention_layer_composite, arrays,
+                                       wants[0] + context + wants[1:], upstream)
 
 
 def _assert_same_gradients_skipped(fused, composite, arrays, wants, upstream):
@@ -1211,7 +1226,7 @@ SELF_ATTENTION_SHAPES = {
 def test_self_attention_layer_is_bit_identical_to_its_composite(layout):
     rng = np.random.default_rng(48)
     arrays = [rng.standard_normal(s) for s in SELF_ATTENTION_SHAPES[layout]]
-    _assert_bit_identical(ad.self_attention_layer, _self_attention_layer_composite, arrays, 13)
+    _assert_bit_identical(self_attention_layer, _self_attention_layer_composite, arrays, 13)
 
 
 # which of (x, wq, wk, wv, wo) take a gradient: a constant x, constant key
@@ -1221,7 +1236,7 @@ def test_self_attention_layer_is_bit_identical_to_its_composite(layout):
 def test_self_attention_layer_skips_the_gradients_no_input_takes(wants):
     rng = np.random.default_rng(49)
     arrays = [rng.standard_normal(s) for s in SELF_ATTENTION_SHAPES["miniature"]]
-    _assert_same_gradients_skipped(ad.self_attention_layer, _self_attention_layer_composite,
+    _assert_same_gradients_skipped(self_attention_layer, _self_attention_layer_composite,
                                    arrays, wants, rng.standard_normal(arrays[0].shape))
 
 
@@ -1490,8 +1505,8 @@ def test_freeing_values_during_the_forward_changes_no_number(monkeypatch):
                 tape.backward(loss)
         runs.append((freed, loss.data, _leaf_grads(model)))
     (freed, loss, grads), (freed_kept, loss_kept, grads_kept) = runs
-    # 31 of the step's 58 values are freed, among them the 6 relu outputs
-    # of the three graph+time passes and the 3 self-attention outputs no
+    # 31 of the step's 54 values are freed, among them the 6 relu outputs
+    # of the three graph+time passes and the 3 temporal attention outputs no
     # backward reads
     assert freed == 31 and freed_kept == 0
     np.testing.assert_array_equal(loss, loss_kept)
@@ -1517,18 +1532,15 @@ def _traced_step_peak(frames):
     return peak
 
 
-def test_a_default_diffusion_step_peaks_under_55_mb():
-    # it peaks at about 47.5 MB. With every record output alive until
-    # backward ends the same step peaked at 167.6 MB, with five records per
-    # attention layer (the scores, q and W v among their values) at 108.7 MB,
-    # with each attention layer keeping its softmax weights W at 80 MB, and
-    # with the temporal attention keeping its keys and values at 57.4 MB
-    assert _traced_step_peak(16) <= 55 * 2**20
+def test_a_default_diffusion_step_peaks_under_6_mb():
+    # it peaks at 4.98 MB, as it did with the cross-attentions keeping their
+    # keys and values; with the context's products run in backward before
+    # the attention's scratch arrays are freed it peaked at 5.17 MB
+    assert _traced_step_peak(16) <= 6 * 2**20
 
 
-def test_a_32_frame_diffusion_step_peaks_under_108_mb():
-    # temporal attention's scores grow with the square of the frames: with
-    # each attention layer keeping its softmax weights W this step peaked at
-    # 179 MB, with only their row max and sum at 114.2 MB, and with the
-    # temporal attention recomputing its keys and values at about 95 MB
-    assert _traced_step_peak(32) <= 108 * 2**20
+def test_a_32_frame_diffusion_step_peaks_under_12_5_mb():
+    # temporal attention's scores grow with the square of the frames: this
+    # step peaks at 10.44 MB, and peaked at 10.81 MB with the cross-attentions
+    # keeping their keys and values
+    assert _traced_step_peak(32) <= 12.5 * 2**20

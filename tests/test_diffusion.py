@@ -264,7 +264,7 @@ def test_temporal_attention_single_step_is_linear_map():
     rng = np.random.default_rng(12)
     layer = AttentionLayer(4, rng=rng)
     x = Tensor(rng.standard_normal((1, 6, 1, 4)))
-    out = layer.self_attend(x).data
+    out = layer(x, x).data
     # attention over one time step weights its single value by 1
     wv, wo = layer.p["wv"].data, layer.p["wo"].data
     np.testing.assert_allclose(out, x.data + (x.data @ wv) @ wo, atol=1e-12)
@@ -276,7 +276,7 @@ def test_temporal_attention_identical_steps_identical_rows():
     layer.p["wo"] = Tensor(rng.standard_normal((3, 3)) * 0.3, requires_grad=True)
     row = rng.standard_normal((1, 5, 1, 3))
     x = Tensor(np.repeat(row, 2, axis=2))
-    out = layer.self_attend(x).data
+    out = layer(x, x).data
     np.testing.assert_allclose(out[:, :, 0, :], out[:, :, 1, :], atol=1e-12)
 
 
@@ -285,10 +285,10 @@ def test_temporal_attention_matches_per_site_loop():
     layer = AttentionLayer(3, rng=rng)
     layer.p["wo"] = Tensor(rng.standard_normal((3, 3)) * 0.3, requires_grad=True)
     x = Tensor(rng.standard_normal((1, 4, 3, 3)))
-    out = layer.self_attend(x).data
+    out = layer(x, x).data
     for site in range(4):
         frames = Tensor(x.data[0, site])
-        per_site = layer.self_attend(frames).data
+        per_site = layer(frames, frames).data
         np.testing.assert_allclose(out[0, site], per_site, atol=1e-12)
 
 
@@ -310,7 +310,7 @@ def test_graph_time_pass_matches_per_site_replay():
     for b in range(2):
         for site in range(8):
             frames = Tensor(feats[b, :, site])
-            want = layer.time_attn.self_attend(frames).data
+            want = layer.time_attn(frames, frames).data
             np.testing.assert_allclose(out[b, :, site], want, atol=1e-12)
 
 
@@ -512,10 +512,10 @@ def test_chain_records_one_per_noise_step_and_one_per_reverse_step(monkeypatch):
 @pytest.mark.parametrize("which", ["miniature", "default"])
 def test_each_attention_layer_call_records_one_attention_layer(
         monkeypatch, record_attention_calls, default_step, which):
-    cross, self_ = ("cross", ["attention_layer"]), ("self", ["self_attention_layer"])
     # one per stack pass, then the one denoiser call's context call,
-    # conditioning call and predictor's, in training and in prediction
-    want = [self_] * 2 + [cross, cross, self_]
+    # conditioning call and predictor's, in training and in prediction:
+    # temporal or cross, each call is one record
+    want = [["attention_layer"]] * 5
     if which == "default":
         _, calls, _ = default_step("diffusion")
         assert calls == want
@@ -666,39 +666,32 @@ def test_the_tape_keeps_only_what_backward_reads(monkeypatch, which):
     assert [len(dead[k]) for k in dead] == [1, 6]
     for kind, refs in dead.items():
         assert all(ref() is None for ref in refs), kind
-    # a cross-attention layer keeps its query, keys, values and both
-    # weights, and of its softmax only each row's max and exp-sum, two
-    # (rows,) vectors: never an array of the scores' shape (the scores or
-    # the weights W), the projected query or W v. The denoiser's context and
-    # conditioning calls
+    # an attention layer keeps its query, its context, its four weights
+    # and, of its softmax, only each row's max and exp-sum, two (rows,)
+    # vectors: never an array of the keys', the values' or the scores' shape
+    # (the scores or the weights W), the projected query or W v, unless it
+    # is the query or the context itself. The denoiser's context and
+    # conditioning calls, one per stack pass and the predictor's, whose
+    # context is the query
     layers = [rec for rec in tape.records if rec.name == "attention_layer"]
-    assert len(layers) == 2
+    assert len(layers) == 5
+    assert [rec.inputs[2] is rec.inputs[0] for rec in layers] == [True] * 2 + [False] * 2 + [True]
     for rec in layers:
-        x, wq, k, v, wo = (t.data for t in rec.inputs)
-        held = list(_closure_arrays(rec.backward))
-        assert len(held) == 7
-        assert all(any(a is t for a in held) for t in (x, wq, k, v, wo))
-        stats = [a for a in held if not any(a is t for t in (x, wq, k, v, wo))]
-        lead = np.broadcast_shapes(x.shape[:-2], k.shape[:-2])
+        inputs = [t.data for t in rec.inputs]
+        x, wq, c, wv, _, wk, wo = inputs
+        assert inputs[4] is c
+        kept = (x, c, wq, wk, wv, wo)
+        # each array once, though nested closures may share it
+        held = list({id(a): a for a in _closure_arrays(rec.backward)}.values())
+        assert len(held) == len({id(t) for t in kept}) + 2
+        assert all(any(a is t for a in held) for t in kept)
+        stats = [a for a in held if not any(a is t for t in kept)]
+        lead = np.broadcast_shapes(x.shape[:-2], c.shape[:-2])
         rows = math.prod(lead) * x.shape[-2]
         assert [(a.dtype, a.shape) for a in stats] == [(np.float64, (rows,))] * 2
-        assert all(a.shape != lead + (x.shape[-2], k.shape[-2]) for a in held)
-    # a self-attention layer keeps its input, its four weights and the two
-    # row statistics: no array of the keys', values' or scores' shape but x
-    # itself. One per stack pass and the predictor's
-    layers = [rec for rec in tape.records if rec.name == "self_attention_layer"]
-    assert len(layers) == 3
-    for rec in layers:
-        x, wq, wk, wv, wo = (t.data for t in rec.inputs)
-        held = list(_closure_arrays(rec.backward))
-        assert len(held) == 7
-        assert all(any(a is t for a in held) for t in (x, wq, wk, wv, wo))
-        stats = [a for a in held if not any(a is t for t in (x, wq, wk, wv, wo))]
-        rows = math.prod(x.shape[:-1])
-        assert [(a.dtype, a.shape) for a in stats] == [(np.float64, (rows,))] * 2
-        derived = {x.shape[:-1] + (wk.shape[1],), x.shape[:-1] + (wv.shape[1],),
-                   x.shape[:-1] + (x.shape[-2],)}
-        assert all(a is x or a.shape not in derived for a in held)
+        derived = {c.shape[:-1] + (wk.shape[1],), c.shape[:-1] + (wv.shape[1],),
+                   x.shape[:-1] + (wq.shape[1],), lead + (x.shape[-2], c.shape[-2])}
+        assert all(a is x or a is c or a.shape not in derived for a in held)
     # a product with a constant left operand (the graph conv's adjacency,
     # the up matrix) keeps that 2-D matrix only, never the right operand
     products = [rec for rec in tape.records if rec.name == "matmul" and rec.inputs[0] is None]

@@ -181,6 +181,19 @@ def test_regressor_rejects_a_bad_root_or_rank(matrix, root):
         JointRegressor(matrix, root_joint=root)
 
 
+@pytest.mark.parametrize("root", [True, np.True_, 0.5, 1.0],
+                         ids=["true", "numpy_true", "half", "whole_float"])
+def test_regressor_rejects_a_root_that_is_not_an_integer(root):
+    # True ran as joint 1, and a float passed construction to fail inside
+    # compute_metrics with a bare TypeError
+    with pytest.raises(MetricsError, match="2-D matrix and a root joint"):
+        JointRegressor(np.full((14, 4), 0.25), root_joint=root)
+
+
+def test_regressor_accepts_a_numpy_integer_root():
+    assert JointRegressor(np.full((14, 4), 0.25), root_joint=np.int64(0)).root_joint == 0
+
+
 def test_pelvis_and_chest_sit_where_the_rest_pose_puts_them():
     # the torso chain runs from the pelvis up to the neck: the MPJPE root is
     # its lowest joint, and the chest is the torso joint next to the neck

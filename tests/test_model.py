@@ -234,23 +234,23 @@ def test_a_zero_part_loss_weight_leaves_the_part_term_out():
 
 
 # the tape records of one default training step, counted per op; an exact
-# census also pins the step's total (58 with diffusion, 33 without), and a
+# census also pins the step's total (54 with diffusion, 33 without), and a
 # change to it reads per op. Without diffusion: encoder, graph+time stack
-# (two self-attention layers), head, one part-loss record per level, and two
-# lincombs: the levels' sum and the weighted term. With it, the block adds
-# the context and dependency projections, one denoiser call at the sampled
-# step (two cross-attention layers and the predictor's graph+time pass and
-# norm) and six lincombs: the two closed-form noisings, the norm shift,
-# x0_hat, the block loss's difference and its weighted term.
+# (two temporal attention layers), head, one part-loss record per level, and
+# two lincombs: the levels' sum and the weighted term. With it, the block
+# adds one denoiser call at the sampled step (two cross-attention layers,
+# each projecting its context inside its record, and the predictor's
+# graph+time pass and norm) and six lincombs: the two closed-form noisings,
+# the norm shift, x0_hat, the block loss's difference and its weighted term.
 DEFAULT_STEP_CENSUS = {
     "diffusion": {
-        "matmul": 12, "lincomb": 8, "reshape": 8, "relu": 7, "transpose": 7,
-        "affine": 3, "conv3d": 3, "self_attention_layer": 3, "attention_layer": 2,
-        "mse": 2, "segment_softmax_kl": 2, "layer_norm": 1,
+        "matmul": 8, "lincomb": 8, "reshape": 8, "relu": 7, "transpose": 7,
+        "attention_layer": 5, "affine": 3, "conv3d": 3, "mse": 2, "segment_softmax_kl": 2,
+        "layer_norm": 1,
     },
     "deterministic": {
         "reshape": 6, "matmul": 5, "relu": 5, "transpose": 5, "affine": 3, "conv3d": 2,
-        "self_attention_layer": 2, "segment_softmax_kl": 2, "lincomb": 2, "mse": 1,
+        "attention_layer": 2, "segment_softmax_kl": 2, "lincomb": 2, "mse": 1,
     },
 }
 
@@ -268,8 +268,9 @@ def test_default_step_census(default_step, workload):
 DEFAULT_SCANS = {"diffusion": (44, 53), "deterministic": (20, 25)}
 # and the gradient scans of that step's backward: the seed's, and one per
 # gradient a record returns unless reshape, transpose or relu returns it
-# (79 of the diffusion step's 101 gradients, 36 of the deterministic 52)
-DEFAULT_GRADIENT_SCANS = {"diffusion": 1 + 79, "deterministic": 1 + 36}
+# (81 of the diffusion step's 103 gradients, 40 of the deterministic 56; an
+# attention layer returns two context gradients, its keys' and its values')
+DEFAULT_GRADIENT_SCANS = {"diffusion": 1 + 81, "deterministic": 1 + 40}
 
 
 @pytest.mark.parametrize("workload", sorted(DEFAULT_SCANS))

@@ -81,3 +81,9 @@ def test_training_and_prediction_each_trace_a_model_forward_span():
         patches.undo()
     assert len(losses) == 2
     assert tracer.names.count("model.forward") == 3
+    # the tracer wraps each block attention layer's __call__(query, context)
+    # by instance: one span per denoiser call, and five attention layer
+    # records per forward
+    assert tracer.names.count("diffusion.context_attn") == 3
+    assert tracer.names.count("diffusion.cond_attn") == 3
+    assert tracer.names.count("autodiff.fwd.attention_layer") == 5 * 3
