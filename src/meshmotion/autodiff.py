@@ -41,9 +41,8 @@ no op of its own: it passes as a raw array, which each op wraps
 recomputes its full-size intermediates from the input in backward, and
 ``attention_layer`` its key, value and query projections, scores, softmax
 weights W and W v, with the forward's expressions in the same order, instead
-of holding them.
-And the model's hot composites are one record each, so an intermediate that
-no backward reads is no record output. Each has an analytic backward that
+of holding them. And the model's hot composites are one record each, so an
+intermediate that no backward reads is no record output. Each has an analytic backward that
 runs the same numpy expressions in the same order as the primitives it
 replaces: ``lincomb`` (a·alpha + b·beta, a noising step or the v-form
 estimate; a + b is a unit-weight lincomb, the one sum op), ``mse`` (the
@@ -63,10 +62,9 @@ bit; it recomputes the keys and values. ``attention``, the reference
 composite, is a ``transpose`` of the keys, a ``matmul``, a ``mul`` by 1/√d,
 a ``softmax`` and a ``matmul``. ``matmul``, ``affine`` and every product
 inside ``attention_layer`` take their gradients from one routine,
-:func:`_matmul_grads`. ``conv3d`` takes and returns a
-channels-last (B, T, H, W, C) grid and lowers to GEMMs on a spatial-only
-patch matrix, one GEMM per temporal tap, with no transpose of the grid on
-either side.
+:func:`_matmul_grads`. ``conv3d`` takes and returns a channels-last
+(B, T, H, W, C) grid and lowers to GEMMs on a spatial-only patch matrix, one
+GEMM per temporal tap, with no transpose of the grid on either side.
 
 An op that produces a non-finite value raises :class:`NumericsError`
 immediately, naming itself, instead of letting NaN/Inf spread; callers that
@@ -994,11 +992,10 @@ def attention_layer(x, context, wq, wk, wv, wo) -> Tensor:
     without growing them, so one (L, D) table can serve every query.
     Self-attention passes ``x`` as its own context.
 
-    The forward runs the expressions of the composite
-    ``affine(attention(matmul(x, wq), k, v), wo, x)`` with k and v the
-    products ``matmul(context, wk)`` and ``matmul(context, wv)``, recorded
-    before the query's, and the backward runs theirs in reverse. The
-    key, value and query projections and the scores are checked to be
+    Forward and backward run the numpy expressions of the composite
+    ``affine(attention(matmul(x, wq), k, v), wo, x)``, with
+    k = ``matmul(context, wk)`` and v = ``matmul(context, wv)`` recorded
+    before it, in its order. The key, value and query projections and the scores are checked to be
     finite, named after the op. W and W v need no check: with finite scores
     each row of W lies in [0, 1] and sums to 1, so W v, a convex combination
     of the rows of the finite v, is finite too.

@@ -828,10 +828,10 @@ def test_elementwise_ops_name_both_shapes_when_operands_do_not_broadcast(op):
     (ad.affine, ((2, 3), (3, 5), (7, 2, 5))), # c would grow the product
     (lambda a, b: ad.lincomb(a, 1.0, b, 1.0),
      ((2, 3), (4, 2, 2))),                    # the operands do not broadcast
-    # attention_layer (x, context, wq, wk, wv, wo)
+    # attention_layer (x, context c, wq, wk, wv, wo)
     (ad.attention_layer, ((2, 3), (5, 4), (4, 3), (4, 3), (4, 3), (3, 3))),     # wq does not take x
     (ad.attention_layer, ((2, 3), (5, 4), (3, 3), (4, 2), (4, 3), (3, 3))),     # keys of another width
-    (ad.attention_layer, ((2, 3), (5, 4), (3, 3), (3, 3), (4, 3), (3, 3))),     # wk does not take it
+    (ad.attention_layer, ((2, 3), (5, 4), (3, 3), (3, 3), (4, 3), (3, 3))),     # wk does not take c
     (ad.attention_layer, ((2, 3), (5, 4), (3, 3), (4, 3), (4, 2), (3, 3))),     # wo does not take o
     (ad.attention_layer, ((2, 3), (5, 4), (3, 3), (4, 3), (4, 3), (3, 4))),     # wo would widen x
     (ad.attention_layer, ((2, 3), (4, 5, 4), (3, 3), (4, 3), (4, 3), (3, 3))),  # it would grow x
@@ -845,7 +845,7 @@ def test_elementwise_ops_name_both_shapes_when_operands_do_not_broadcast(op):
     (self_attention_layer, ((2, 3), (3, 3), (3, 3), (3, 2), (3, 3))),     # wo does not take v
     (self_attention_layer, ((2, 3), (3, 3), (3, 3), (3, 3), (3, 4))),     # wo would widen x
     (self_attention_layer, ((0, 3), (3, 3), (3, 3), (3, 3), (3, 3))),     # no key to attend to
-    (ad.attention_layer, ((2, 3), (4,), (3, 3), (4, 3), (4, 3), (3, 3))),  # a context of no rows
+    (ad.attention_layer, ((2, 3), (4,), (3, 3), (4, 3), (4, 3), (3, 3))),  # context has no row axis
 ])
 def test_fused_ops_reject_bad_shapes(op, shapes):
     # the shape checks are cached per shape signature and a failed check is
@@ -1080,8 +1080,7 @@ def test_attention_raises_when_a_score_overflows():
 
 
 def test_attention_layer_raises_when_a_score_overflows():
-    # as above, with the context projected to keys, values and the query by
-    # the identity
+    # as above, with the query and the context projected by the identity
     x = np.array([[1e160, 0.0]])
     context = np.array([[-1e160, 0.0], [1.0, 0.0]])
     with np.errstate(over="ignore"), pytest.raises(NumericsError,
