@@ -17,6 +17,7 @@ slot in one pass over flat vectors, bit for bit the per-slot update.
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass
 
@@ -92,6 +93,9 @@ class ModelConfig:
             value = getattr(self, name)
             if not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        # "no" and 2 are truthy and would train a diffusion model
+        if not isinstance(self.diffusion_on, (bool, np.bool_)):
+            raise ConfigError(f"diffusion_on must be a bool, got {self.diffusion_on!r}")
         if self.vertices_per_part < 2:
             raise ConfigError(f"need at least 2 vertices per part, got {self.vertices_per_part}")
         if not (1 <= self.coarse_per_part <= self.vertices_per_part):
@@ -112,6 +116,9 @@ class ModelConfig:
             raise ConfigError(f"diffusion needs context_rows >= 1, got {self.context_rows}")
         for name in ("learning_rate", "part_loss_weight"):
             value = getattr(self, name)
+            # True trains at rate 1.0; a string or None fails inside math.isfinite
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
             if not (math.isfinite(value) and value >= 0.0):
                 raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         for name in ("train_steps", "seed"):

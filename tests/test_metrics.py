@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from meshmotion.metrics import (
     MetricsError,
     PoseError,
     _JOINT_SPECS,
+    _centroids,
     _lengths,
     apply_similarity,
     build_joint_regressor,
@@ -349,28 +351,38 @@ def test_stacked_procrustes_equals_per_set_calls():
         assert np.linalg.det(ri) > 0.99
 
 
-def test_svd_count_does_not_grow_with_frames(monkeypatch):
-    # one batched alignment per sequence: a per-frame loop would call the
-    # SVD once per frame
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """A Counter of the calls made to each ``numpy.linalg`` routine while the
+    test runs."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counting(name, fn))
+    return calls
+
+
+def test_svd_count_does_not_grow_with_frames(linalg_calls):
+    # every frame's alignment is certified in closed form: a per-frame loop
+    # would call LAPACK once per frame, and the SVD path once per pass
     graph = generate_toy_body()
     reg = build_joint_regressor(graph)
     gt = generate_sequence(MotionConfig(graph=graph, frames=16), seed=1).gt_vertices
     pred = gt + np.random.default_rng(14).standard_normal(gt.shape) * 10
-    svd = np.linalg.svd
-    calls = []
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     counts = []
     for frames in (1, 16):
-        calls.clear()
+        linalg_calls.clear()
         compute_metrics([pred[:frames]], [gt[:frames]], reg)
-        counts.append(len(calls))
-    assert counts[0] >= 1
-    assert counts[0] == counts[1]
+        counts.append(dict(linalg_calls))
+    assert counts == [{}, {}]
 
 
 def _noisy_set(graph, frames, seed):
@@ -415,27 +427,36 @@ def test_row_lengths_equal_numpy_norm_bit_for_bit():
     np.testing.assert_array_equal(got, want)
 
 
-def test_svd_count_does_not_grow_with_sequences(monkeypatch):
+def test_svd_count_does_not_grow_with_sequences(linalg_calls):
     # the list form aligns every frame of every sequence in one batched
-    # pass: a per-sequence loop would call the SVDs once per sequence
+    # pass, here without one LAPACK call: a per-sequence loop would call the
+    # fallback once per sequence
     graph = generate_toy_body()
     reg = build_joint_regressor(graph)
     preds, gts = _noisy_set(graph, (16, 3, 5, 16, 16, 5, 3, 16), seed=42)
-    svd = np.linalg.svd
-    calls = []
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     counts = []
     for count in (1, 8):
-        calls.clear()
+        linalg_calls.clear()
         assert len(compute_metrics(preds[:count], gts[:count], reg)) == count
-        counts.append(len(calls))
-    assert counts[0] >= 1
-    assert counts[0] == counts[1]
+        counts.append(dict(linalg_calls))
+    assert counts == [{}, {}]
+
+
+def test_one_uncertified_frame_calls_each_routine_once(linalg_calls):
+    # a nearly collinear frame (sigma_2 / sigma_1 ~ 1e-6) passes neither
+    # certificate, but has rank 2, so the pass scores it by the LAPACK path:
+    # one call per routine, whatever the frame count
+    graph = generate_toy_body()
+    reg = build_joint_regressor(graph)
+    preds, gts = _noisy_set(graph, (16, 16, 16, 16), seed=44)
+    rng = np.random.default_rng(45)
+    line = np.outer(np.arange(graph.n_vertices, dtype=float), [1.0, 2.0, -1.0])
+    preds[2][7] = line + rng.standard_normal(line.shape) * 1e-3
+    linalg_calls.clear()
+    rows = compute_metrics(preds, gts, reg)
+    assert dict(linalg_calls) == {"matrix_rank": 1, "svd": 1, "det": 1}
+    for row, pred, gt in zip(rows, preds, gts):
+        np.testing.assert_allclose(row.as_tuple(), _oracle_metrics(pred, gt, reg), rtol=1e-12)
 
 
 def test_list_form_errors_name_the_sequence_and_its_frame():
@@ -531,3 +552,156 @@ def test_overflowing_errors_raise_metrics_error():
 def test_pose_error_rejects_non_finite(bad):
     with pytest.raises(MetricsError, match="finite"):
         PoseError(mpvpe=1.0, mpjpe=bad, pa_mpjpe=0.5)
+
+
+def _lapack_align(p, q):
+    # the LAPACK alignment compute_metrics ran before its closed forms,
+    # line for line: (s, R, t), or the AlignmentError message of the first
+    # degenerate set
+    mu_p = p.mean(axis=-2, keepdims=True)
+    mu_q = q.mean(axis=-2, keepdims=True)
+    x = p - mu_p
+    y = q - mu_q
+    var_p = (x**2).sum(axis=(-2, -1))
+    h = np.swapaxes(x, -1, -2) @ y
+    coincident = var_p < 1e-18
+    degenerate = coincident | (np.linalg.matrix_rank(x, tol=1e-12) < 2)
+    if degenerate.any():
+        i = np.unravel_index(np.argmax(degenerate), degenerate.shape)
+        return ("coincident" if coincident[i] else "collinear"), i
+    u, s, vt = np.linalg.svd(h)
+    v, ut = np.swapaxes(vt, -1, -2), np.swapaxes(u, -1, -2)
+    d = np.ones(s.shape)
+    d[..., -1] = np.where(np.linalg.det(v @ ut) < 0, -1.0, 1.0)
+    rot = (v * d[..., None, :]) @ ut
+    scale = (s * d).sum(axis=-1) / var_p
+    t = mu_q[..., 0, :] - ((scale[..., None, None] * rot) @ np.swapaxes(mu_p, -1, -2))[..., 0]
+    return scale, rot, t
+
+
+def _centred_orthonormal(rng, k):
+    # (k, 3) points with zero mean and orthonormal columns
+    x = rng.standard_normal((k, 3))
+    return np.linalg.qr(x - x.mean(axis=0))[0]
+
+
+def _with_singular_values(rng, k, values):
+    # (k, 3) centred points whose singular values are ``values``, turned by
+    # a random rotation and offset from the origin
+    return (_centred_orthonormal(rng, k) * values) @ _random_rotation(rng).T \
+        + rng.standard_normal(3) * max(values)
+
+
+def test_centroids_equal_numpy_mean_bit_for_bit():
+    rng = np.random.default_rng(46)
+    for sets, k in [(1, 3), (1, 14), (7, 5), (1024, 14), (3, 96)]:
+        p = rng.standard_normal((sets, k, 3)) * np.exp(rng.uniform(-20, 20, (sets, 1, 1)))
+        np.testing.assert_array_equal(_centroids(p), p.mean(axis=-2, keepdims=True))
+
+
+def test_rank_certificate_never_passes_a_rank_deficient_set(monkeypatch):
+    # sets whose sigma_2 sits at the rank threshold, 1e-13 to 1e-11, at
+    # scales of 1 mm to 1e4 mm, exactly collinear and coincident sets, and
+    # sets just inside the certificate (sigma_2 / sigma_1 = 2e-3): the
+    # closed form must leave every set with matrix_rank < 2 to LAPACK
+    rng = np.random.default_rng(47)
+    sets = []
+    for scale in (1.0, 1e2, 1e4):
+        for sigma_2 in (1e-13, 1e-12, 1e-11, 2e-3 * scale):
+            for sigma_3 in (0.0, sigma_2 / 2):
+                sets.append(_with_singular_values(rng, 14, [scale, sigma_2, sigma_3]))
+        direction = rng.standard_normal(3)
+        sets.append(np.outer(rng.standard_normal(14), direction) * scale + direction)
+        sets.append(np.tile(rng.standard_normal(3) * scale, (14, 1)))
+    p = np.array(sets)
+    q = rng.standard_normal(p.shape) * 100
+    passed = []
+    rank = np.linalg.matrix_rank
+
+    def recording_rank(x, *args, **kwargs):
+        passed.extend(x)
+        return rank(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", recording_rank)
+    with pytest.raises(AlignmentError):
+        procrustes_align(p, q)
+    x = p - p.mean(axis=-2, keepdims=True)
+    deficient = rank(x, tol=1e-12) < 2
+    assert 10 <= deficient.sum() < len(p)   # rounding while centring lifts some sigma_2
+    for xi in x[deficient]:
+        assert any(np.array_equal(xi, seen) for seen in passed)
+    assert len(passed) < len(p)   # the sets inside the certificate skip LAPACK
+    for pi, qi in zip(p, q):
+        want = _lapack_align(pi, qi)
+        if isinstance(want[0], str):
+            with pytest.raises(AlignmentError, match=want[0]):
+                procrustes_align(pi, qi)
+        else:
+            procrustes_align(pi, qi)
+
+
+def _agreement(p, q):
+    # (s, R, t) of procrustes_align against the LAPACK path, relative to
+    # each quantity's size
+    s, r, t = procrustes_align(p, q)
+    s0, r0, t0 = _lapack_align(p, q)
+    size_t = np.abs(q.mean(axis=-2)).max(axis=-1) + s0 * np.abs(p.mean(axis=-2)).max(axis=-1)
+    return (np.abs(s / s0 - 1).max(), np.abs(r - r0).max(),
+            (np.abs(t - t0).max(axis=-1) / size_t).max())
+
+
+@pytest.mark.parametrize("kind", ["random", "mirrored", "planar", "half_turn"])
+def test_closed_form_alignment_matches_the_lapack_path(kind, linalg_calls):
+    rng = np.random.default_rng(["random", "mirrored", "planar", "half_turn"].index(kind) + 48)
+    p = rng.standard_normal((500, 14, 3)) * 300 + rng.standard_normal((500, 1, 3)) * 200
+    if kind == "planar":
+        p[..., 2] = 0.0
+        p = p @ _random_rotation(rng).T
+    q = np.empty_like(p)
+    for f in range(len(p)):
+        if kind == "half_turn":
+            axis = rng.standard_normal(3)
+            axis /= np.linalg.norm(axis)
+            rot = 2.0 * np.outer(axis, axis) - np.eye(3)   # 180 degrees
+        else:
+            rot = _random_rotation(rng)
+        q[f] = rng.uniform(0.7, 1.4) * p[f] @ rot.T + rng.standard_normal(3) * 80
+    q += rng.standard_normal(q.shape) * rng.uniform(1, 60, (len(p), 1, 1))
+    if kind == "mirrored":
+        q[..., 0] *= -1.0
+    linalg_calls.clear()
+    s, r, t = procrustes_align(p, q)
+    assert dict(linalg_calls) == {}   # every set took the closed form
+    if kind == "mirrored":
+        assert (np.linalg.det(np.swapaxes(p - p.mean(1, keepdims=True), 1, 2)
+                              @ (q - q.mean(1, keepdims=True))) < 0).all()
+    if kind == "half_turn":
+        # the quaternion's first component, cos(theta / 2), nearly vanishes
+        assert np.abs(1.0 + np.trace(r, axis1=1, axis2=2)).max() < 0.2
+    assert max(_agreement(p, q)) < 1e-12
+
+
+def test_a_near_double_root_takes_the_lapack_path_bit_for_bit(linalg_calls):
+    # mirrored sets with sigma_2 = sigma_3: Horn's two top eigenvalues meet,
+    # so their rotation is not certified and comes from the SVD, exactly as
+    # the LAPACK path gives it
+    rng = np.random.default_rng(52)
+    p = rng.standard_normal((40, 14, 3)) * 300
+    q = p @ _random_rotation(rng).T + rng.standard_normal(p.shape) * 20
+    double = [3, 17, 18, 33]
+    for f in double:
+        x = _centred_orthonormal(rng, 14)
+        u, v = _random_rotation(rng), _random_rotation(rng)
+        h = u @ np.diag([1.0, 0.5, -0.5]) @ v.T * 1e4   # det h < 0
+        p[f] = x * 100.0 + rng.standard_normal(3)
+        q[f] = x @ h + rng.standard_normal(3)
+    linalg_calls.clear()
+    s, r, t = procrustes_align(p, q)
+    assert dict(linalg_calls) == {"svd": 1, "det": 1}
+    s0, r0, t0 = _lapack_align(p, q)
+    for f in double:
+        assert s[f] == s0[f]
+        np.testing.assert_array_equal(r[f], r0[f])
+        np.testing.assert_array_equal(t[f], t0[f])
+    np.testing.assert_allclose(r, r0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(s, s0, rtol=1e-12)

@@ -106,6 +106,26 @@ def test_config_rejects_a_count_that_is_not_an_integer(over):
     ModelConfig(**{name: np.int64(round(v + 0.5)) for name, v in over.items()}).validate()
 
 
+@pytest.mark.parametrize("over, field", [
+    (dict(diffusion_on="no"), "diffusion_on"),       # truthy: trained a diffusion model
+    (dict(diffusion_on=2), "diffusion_on"),
+    (dict(learning_rate=True), "learning_rate"),     # ran at rate 1.0
+    (dict(learning_rate="0.1"), "learning_rate"),    # a bare TypeError from math.isfinite
+    (dict(part_loss_weight=None), "part_loss_weight"),
+], ids=["diffusion_on_str", "diffusion_on_int", "bool_rate", "str_rate", "none_weight"])
+def test_config_rejects_a_setting_of_the_wrong_type(over, field):
+    cfg = ModelConfig(**over)
+    with pytest.raises(ConfigError, match=f"^{field} must be a "):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=f"^{field} must be a "):
+        build_model(cfg)
+
+
+def test_config_accepts_numpy_bools_and_reals():
+    ModelConfig(diffusion_on=np.False_, learning_rate=np.float32(1e-3),
+                part_loss_weight=1).validate()
+
+
 def test_config_accepts_zero_training_settings():
     # zero is a valid rate, weight and step count: only NaN, Inf and
     # negatives are rejected

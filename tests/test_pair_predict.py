@@ -1,7 +1,7 @@
 """tools/pair_predict.py: its summary of synthetic timings, its alternating
 pairs on stand-in predictors, its import of a source tree under its own
-package name, and its synth and step units on that tree imported twice; no
-revision is exported."""
+package name, and its synth, step and metrics units on that tree imported
+twice; no revision is exported."""
 
 import importlib
 import importlib.util
@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from meshmotion import metrics
 from meshmotion import model as model_module
 from meshmotion import synth
 
@@ -181,3 +182,77 @@ def test_a_step_unit_trains_60_steps_on_either_workload(monkeypatch, workload, c
     want = {"diffusion_on": workload == "train_diffusion", "train_steps": 60}
     assert configs == [want, want]
     assert '"pairs": 2' in capsys.readouterr().out
+
+
+def _rows(values):
+    return [metrics.PoseError(*row) for row in values]
+
+
+def test_metrics_rows_match_in_bits_and_pa_within_its_tolerance():
+    base = _rows([[10.0, 5.0, 3.0], [12.0, 6.0, 4.0]])
+    assert pp.metrics_match(base, _rows([[10.0, 5.0, 3.0 * (1 + 9e-13)], [12.0, 6.0, 4.0]]))
+    assert not pp.metrics_match(base, _rows([[10.0, 5.0, 3.0 * (1 + 2e-12)], [12.0, 6.0, 4.0]]))
+    assert not pp.metrics_match(base, _rows([[10.0, np.nextafter(5.0, 6.0), 3.0],
+                                             [12.0, 6.0, 4.0]]))
+    assert not pp.metrics_match(base, _rows([[np.nextafter(10.0, 9.0), 5.0, 3.0],
+                                             [12.0, 6.0, 4.0]]))
+    assert not pp.metrics_match(base, base[:1])
+
+
+def test_metrics_pairs_alternate_and_match(two_trees):
+    base, change = two_trees
+    run = {"base": pp.metrics_unit(base), "change": pp.metrics_unit(change)}
+    scored = pp.scored_heldout(change, False, seed=3, count=3, frames=4)
+    times = pp.time_pairs(run, [scored], pairs=3, warmup=1, same=pp.metrics_match)
+    assert [len(t) for t in times.values()] == [3, 3]
+    rows = run["change"](scored, 0)
+    assert [r.as_tuple() for r in rows] == [
+        r.as_tuple() for r in change.metrics.compute_metrics(
+            *scored, change.metrics.build_joint_regressor(change.body_graph.generate_toy_body()))]
+
+
+def test_metrics_pairs_stop_when_an_mpjpe_differs(two_trees, monkeypatch):
+    base, change = two_trees
+    compute = change.metrics.compute_metrics
+
+    def one_ulp_off(*args):
+        rows = compute(*args)
+        rows[0].mpjpe = np.nextafter(rows[0].mpjpe, np.inf)
+        return rows
+
+    monkeypatch.setattr(change.metrics, "compute_metrics", one_ulp_off)
+    run = {"base": pp.metrics_unit(base), "change": pp.metrics_unit(change)}
+    scored = pp.scored_heldout(change, False, seed=3, count=2, frames=4)
+    with pytest.raises(AssertionError, match="pair 0: the outputs differ"):
+        pp.time_pairs(run, [scored], pairs=1, same=pp.metrics_match)
+
+
+def test_metrics_unit_scores_perfbench_heldout_sequences(monkeypatch):
+    import meshmotion
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    preds, gts = pp.scored_heldout(meshmotion, False, seed=3, count=2, frames=4)
+    model = model_module.build_model(model_module.ModelConfig(diffusion_on=False))
+    want = workloads.make_sequences(model.graph, 3, workloads.TRAIN_SEQS, 2, 4)
+    assert workloads.TRAIN_SEQS == pp.TRAIN_SEQUENCES
+    for i, seq in enumerate(want):
+        np.testing.assert_array_equal(gts[i], seq.gt_vertices)
+        np.testing.assert_array_equal(preds[i], model.predict(seq, seed=i))
+
+
+def test_a_metrics_unit_scores_64_sequences_of_the_workloads_model(monkeypatch, capsys):
+    import meshmotion
+
+    calls = []
+    monkeypatch.setattr(pp, "export", lambda rev, path: rev)
+    monkeypatch.setattr(pp, "import_package", lambda src, name: meshmotion)
+    monkeypatch.setattr(pp, "scored_heldout",
+                        lambda package, diffusion_on, seed: calls.append((diffusion_on, seed)))
+    monkeypatch.setattr(pp, "time_pairs", lambda run, items, pairs, warmup, same: calls.append(
+        (pairs, warmup, same)) or {"base": [1.0] * pairs, "change": [1.0] * pairs})
+    assert pp.main(["--base", "a", "--change", "b", "--unit", "metrics", "--seed", "12",
+                    "--scratch", "unused"]) == 0
+    assert calls == [(False, 12), (300, 8, pp.metrics_match)]
+    assert pp.HELDOUT_SEQUENCES == 64
+    assert '"unit": "metrics"' in capsys.readouterr().out

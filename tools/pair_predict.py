@@ -1,5 +1,5 @@
 """Paired in-process timings of two revisions: ``Model.predict``, sequence
-synthesis, or a ``model.train`` call.
+synthesis, a ``model.train`` call, or one ``compute_metrics`` call.
 
     python3 tools/pair_predict.py --base HEAD~1 --change HEAD \
         --workload train_deterministic --pairs 960 --scratch /tmp/pairs
@@ -7,6 +7,8 @@ synthesis, or a ``model.train`` call.
         --unit synth --pairs 960 --scratch /tmp/pairs
     python3 tools/pair_predict.py --base HEAD~1 --change HEAD \
         --unit step --workload train_diffusion --pairs 30 --scratch /tmp/pairs
+    python3 tools/pair_predict.py --base HEAD~1 --change HEAD \
+        --unit metrics --pairs 300 --scratch /tmp/pairs
 
 Run it from the repository root. Each revision's committed files are
 exported with ``git archive`` into its own directory under ``--scratch``
@@ -28,13 +30,19 @@ model, 60 steps with diffusion or without (``STEPS``; a diffusion step,
 which scores the block at one sampled step, costs under twice a
 deterministic one), on perfbench's 64 training sequences of ``--seed``
 (made as the ``synth`` unit makes them, by the change's ``synth``); its
-default is 30 pairs.
+default is 30 pairs. The ``metrics`` unit is one ``compute_metrics`` call,
+with each side's own joint regressor, over perfbench's 64 held-out
+sequences of ``--seed`` (motion seeds ``seed * 100_000 + 64`` on, made as the
+``synth`` unit makes them), predicted once, before any pair, by the change's
+untrained model of the workload; its default is 300 pairs.
 
 Pair j runs item j mod the item count once on each side, the base first
 when j is even, after 8 untimed pairs (1 for the ``step`` unit). Every pair
 checks that the two outputs (the prediction, the ground truth, observations
 and mask, or the training losses) are bit-identical and stops with an error
-when they are not. The summary
+when they are not; rows of metrics must match in MPVPE and MPJPE bit for
+bit and in PA-MPJPE within a relative 1e-12 (``metrics_match``), since
+the two revisions may align frames by different exact methods. The summary
 printed as one JSON line holds the median over pairs of the change's
 seconds over the base's, the share of pairs the change was faster in, and
 each side's median seconds. Pairs taken back to back cancel most of the
@@ -60,15 +68,17 @@ from bench_pairs import SIDES, export  # noqa: E402
 WORKLOADS = {"train_diffusion": True, "train_deterministic": False}   # name -> diffusion_on
 SEQUENCES = 16   # held-out sequences, predicted in turn
 SYNTH_SEQUENCES = 128   # perfbench's set-up sequences per seed, made in turn
-TRAIN_SEQUENCES = 64   # perfbench's training sequences per seed
+TRAIN_SEQUENCES = 64   # perfbench's training sequences per seed, then its held-out ones
 STEPS = {"train_diffusion": 60, "train_deterministic": 60}   # train_steps of one step unit
-WARMUP = {"predict": 8, "synth": 8, "step": 1}   # untimed pairs first: each side's caches fill
-PAIRS = {"predict": 960, "synth": 960, "step": 30}   # timed pairs by default
+HELDOUT_SEQUENCES = 64   # the metrics unit's: perfbench's train_deterministic held-out set
+WARMUP = {"predict": 8, "synth": 8, "step": 1, "metrics": 8}   # untimed pairs: caches fill
+PAIRS = {"predict": 960, "synth": 960, "step": 30, "metrics": 300}   # timed pairs by default
+PA_RTOL = 1e-12   # of the metrics unit's PA-MPJPE
 
 
 def import_package(src: Path, name: str):
     """The ``meshmotion`` package under ``src`` imported as ``name``, with its
-    ``model`` and ``synth`` modules loaded; its modules import each other
+    ``model``, ``synth`` and ``metrics`` modules loaded; its modules import each other
     relatively, so none of them reaches another side's."""
     spec = importlib.util.spec_from_file_location(
         name, src / "meshmotion" / "__init__.py",
@@ -76,7 +86,7 @@ def import_package(src: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("model", "synth"):
+    for module in ("model", "synth", "metrics"):
         importlib.import_module(f"{name}.{module}")
     return package
 
@@ -103,6 +113,18 @@ def perfbench_sequence(synth, graph, seed: int, i: int, frames: int = 16):
                                   seed=seed * 100_000 + i + 50_000)
 
 
+def scored_heldout(package, diffusion_on: bool, seed: int, count: int = HELDOUT_SEQUENCES,
+                   frames: int = 16) -> tuple[list, list]:
+    """The predictions and ground truths of perfbench's first ``count``
+    held-out sequences of ``seed`` (:func:`perfbench_sequence` from 64 on),
+    predicted in turn (sequence i with seed i) by ``package``'s untrained
+    default model, diffusion on or off."""
+    model = package.model.build_model(package.model.ModelConfig(diffusion_on=diffusion_on))
+    seqs = [perfbench_sequence(package.synth, model.graph, seed, TRAIN_SEQUENCES + i, frames)
+            for i in range(count)]
+    return [model.predict(seq, seed=i) for i, seq in enumerate(seqs)], [s.gt_vertices for s in seqs]
+
+
 def synth_unit(package, seed: int, frames: int = 16):
     """``make(i, j)``: the ground truth, observations and mask of
     :func:`perfbench_sequence` i, made by ``package``'s ``synth`` on its own
@@ -127,6 +149,26 @@ def step_unit(package, config: dict):
     return run
 
 
+def metrics_unit(package):
+    """``run(scored, j)``: ``package``'s ``compute_metrics`` rows for the
+    (predictions, ground truths) pair ``scored``, with its own joint
+    regressor on its own default graph (``j`` is unused)."""
+    metrics = package.metrics
+    regressor = metrics.build_joint_regressor(package.body_graph.generate_toy_body())
+
+    def run(scored, j):
+        return metrics.compute_metrics(*scored, regressor)
+    return run
+
+
+def metrics_match(a, b) -> bool:
+    """Whether two lists of ``PoseError`` rows hold the same MPVPE and MPJPE
+    bit for bit and PA-MPJPE within ``PA_RTOL``."""
+    a, b = (np.array([row.as_tuple() for row in rows]) for rows in (a, b))
+    return (a.shape == b.shape and identical(a[:, :2].copy(), b[:, :2].copy())
+            and bool(np.all(np.abs(a[:, 2] - b[:, 2]) <= PA_RTOL * np.abs(b[:, 2]))))
+
+
 def identical(a, b) -> bool:
     """Whether two outputs, each an array or a tuple of arrays, hold the
     same dtypes, shapes and bytes."""
@@ -136,12 +178,12 @@ def identical(a, b) -> bool:
 
 
 def time_pairs(run: dict, items: list, pairs: int, warmup: int = 0,
-               clock=time.perf_counter) -> dict[str, list[float]]:
+               clock=time.perf_counter, same=identical) -> dict[str, list[float]]:
     """Seconds per side of ``pairs`` timed pairs, after ``warmup`` untimed
     ones. ``run[side](item, j)`` returns an array or a tuple of arrays; pair
     j runs item j mod len(items) with j on both sides, the base first when
-    j is even, and raises ``AssertionError`` unless the two outputs are
-    equal bit for bit."""
+    j is even, and raises ``AssertionError`` unless ``same`` holds for the
+    two outputs (by default, they are equal bit for bit)."""
     times = {side: [] for side in SIDES}
     for j in range(warmup + pairs):
         item = items[j % len(items)]
@@ -151,7 +193,7 @@ def time_pairs(run: dict, items: list, pairs: int, warmup: int = 0,
             out[side] = run[side](item, j)
             if j >= warmup:
                 times[side].append(clock() - t0)
-        if not identical(out["base"], out["change"]):
+        if not same(out["base"], out["change"]):
             raise AssertionError(f"pair {j}: the outputs differ")
     return times
 
@@ -178,8 +220,9 @@ def main(argv=None) -> int:
     p.add_argument("--change", required=True, help="git revision of the change")
     p.add_argument("--unit", choices=sorted(WARMUP), default="predict")
     p.add_argument("--workload", choices=sorted(WORKLOADS), default="train_deterministic",
-                   help="the predict or step unit's model")
-    p.add_argument("--pairs", type=int, help="timed pairs (default: 960, or 30 for --unit step)")
+                   help="the predict, step or metrics unit's model")
+    p.add_argument("--pairs", type=int,
+                   help="timed pairs (default: 960, 30 for --unit step, 300 for --unit metrics)")
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--scratch", required=True, type=Path,
                    help="new directory for the two exported trees")
@@ -195,6 +238,8 @@ def main(argv=None) -> int:
         elif args.unit == "step":
             run[side] = step_unit(package, {"diffusion_on": diffusion_on,
                                             "train_steps": STEPS[args.workload]})
+        elif args.unit == "metrics":
+            run[side] = metrics_unit(package)
         else:
             model = package.model.build_model(
                 package.model.ModelConfig(diffusion_on=diffusion_on))
@@ -205,11 +250,16 @@ def main(argv=None) -> int:
     else:
         labels["workload"] = args.workload
         graph = package.body_graph.generate_toy_body()
-        items = (heldout(package.synth, graph, args.seed, SEQUENCES) if args.unit == "predict"
-                 else [[perfbench_sequence(package.synth, graph, args.seed, i)
-                        for i in range(TRAIN_SEQUENCES)]])
+        if args.unit == "predict":
+            items = heldout(package.synth, graph, args.seed, SEQUENCES)
+        elif args.unit == "step":
+            items = [[perfbench_sequence(package.synth, graph, args.seed, i)
+                      for i in range(TRAIN_SEQUENCES)]]
+        else:
+            items = [scored_heldout(package, diffusion_on, args.seed)]
     pairs = PAIRS[args.unit] if args.pairs is None else args.pairs
-    times = time_pairs(run, items, pairs, WARMUP[args.unit])
+    compare = {"same": metrics_match} if args.unit == "metrics" else {}
+    times = time_pairs(run, items, pairs, WARMUP[args.unit], **compare)
     print(json.dumps({"base": revs["base"], "change": revs["change"], **labels,
                       **summarize(times["base"], times["change"])}))
     return 0
