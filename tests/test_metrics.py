@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from meshmotion.body_graph import DEFAULT_PARTS, generate_toy_body
-from meshmotion.synth import MotionConfig, generate_sequence
+from meshmotion.model import ModelConfig, build_model
+from meshmotion.synth import CorruptionConfig, MotionConfig, corrupt_sequence, generate_sequence
 from meshmotion.metrics import (
     AlignmentError,
     JointRegressor,
@@ -705,3 +706,21 @@ def test_a_near_double_root_takes_the_lapack_path_bit_for_bit(linalg_calls):
         np.testing.assert_array_equal(t[f], t0[f])
     np.testing.assert_allclose(r, r0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(s, s0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_perfbench_heldout_frames_are_all_certified(seed, linalg_calls):
+    # perfbench's held-out sets (64 and 16 sequences after its 64 training
+    # ones), predicted by each workload's untrained model: every frame of
+    # both takes the closed forms
+    corruption = CorruptionConfig(occlusion_prob=0.3, blur_width=3)
+    for diffusion_on, count in ((False, 64), (True, 16)):
+        model = build_model(ModelConfig(diffusion_on=diffusion_on))
+        seqs = [corrupt_sequence(generate_sequence(MotionConfig(graph=model.graph, frames=16),
+                                                   seed=seed * 100_000 + 64 + i),
+                                 model.graph, corruption, seed=seed * 100_000 + 64 + i + 50_000)
+                for i in range(count)]
+        preds = [model.predict(seq, seed=i) for i, seq in enumerate(seqs)]
+        linalg_calls.clear()
+        compute_metrics(preds, [seq.gt_vertices for seq in seqs], model.regressor)
+        assert dict(linalg_calls) == {}
