@@ -180,8 +180,8 @@ def _align(p, q, name):
     p = p.reshape(-1, *p.shape[-2:])
     q = q.reshape(p.shape)
     with np.errstate(all="ignore"):
-        mu_p = _centroids(p)
-        mu_q = _centroids(q)
+        mu_p = p.mean(axis=-2, keepdims=True)
+        mu_q = q.mean(axis=-2, keepdims=True)
         x = p - mu_p
         y = q - mu_q
         sq = x * x
@@ -216,16 +216,6 @@ def _align(p, q, name):
                                + "similarity transform is not finite")
     scale, rot, t = scale.reshape(lead), rot.reshape(*lead, 3, 3), t.reshape(*lead, 3)
     return (float(scale) if not lead else scale), rot, t, x, y
-
-
-def _centroids(p: np.ndarray) -> np.ndarray:
-    """``p.mean(axis=-2, keepdims=True)`` of (sets, k, 3) points, bit for
-    bit: numpy sums that axis point by point in order, as this does, but
-    pays its reduction loop once per 3-wide row."""
-    total = p[:, 0] + p[:, 1]
-    for i in range(2, p.shape[1]):
-        total += p[:, i]
-    return (total / p.shape[1])[:, None, :]
 
 
 def _rank_certified(g: np.ndarray, var_p: np.ndarray, k: int) -> np.ndarray:
@@ -459,15 +449,12 @@ def compute_metrics(pred_vertices: list, gt_vertices: list,
         finite = np.isfinite(vals).all(axis=1)
         if not finite.all():
             raise MetricsError(_first(~finite, name)[1] + "pose error is not finite")
-        if len(set(lengths)) == 1:
-            means = vals.reshape(len(lengths), lengths[0], 3).mean(axis=1)
-        else:
-            ends = np.cumsum(lengths)
-            means = np.array([vals[end - count:end].mean(axis=0)
-                              for count, end in zip(lengths, ends)])
-    # each row is its frames' mean, summed in frame order either way, so it
-    # equals the row of a list of one bit for bit
-    return [PoseError(*row) for row in means.tolist()]
+        ends = np.cumsum(lengths)
+        means = [vals[end - count:end].mean(axis=0).tolist()
+                 for count, end in zip(lengths, ends)]
+    # each row is the mean of its own frames' slice, so it equals the row of
+    # a list of one bit for bit
+    return [PoseError(*row) for row in means]
 
 
 def _per_sequence(pred_vertices, gt_vertices, regressor: JointRegressor, seq: int):

@@ -1,20 +1,21 @@
+import importlib
 import math
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from meshmotion.body_graph import DEFAULT_PARTS, generate_toy_body
-from meshmotion.model import ModelConfig, build_model
-from meshmotion.synth import CorruptionConfig, MotionConfig, corrupt_sequence, generate_sequence
+from meshmotion.model import build_model
+from meshmotion.synth import MotionConfig, generate_sequence
 from meshmotion.metrics import (
     AlignmentError,
     JointRegressor,
     MetricsError,
     PoseError,
     _JOINT_SPECS,
-    _centroids,
     _lengths,
     apply_similarity,
     build_joint_regressor,
@@ -593,13 +594,6 @@ def _with_singular_values(rng, k, values):
         + rng.standard_normal(3) * max(values)
 
 
-def test_centroids_equal_numpy_mean_bit_for_bit():
-    rng = np.random.default_rng(46)
-    for sets, k in [(1, 3), (1, 14), (7, 5), (1024, 14), (3, 96)]:
-        p = rng.standard_normal((sets, k, 3)) * np.exp(rng.uniform(-20, 20, (sets, 1, 1)))
-        np.testing.assert_array_equal(_centroids(p), p.mean(axis=-2, keepdims=True))
-
-
 def test_rank_certificate_never_passes_a_rank_deficient_set(monkeypatch):
     # sets whose sigma_2 sits at the rank threshold, 1e-13 to 1e-11, at
     # scales of 1 mm to 1e4 mm, exactly collinear and coincident sets, and
@@ -709,17 +703,16 @@ def test_a_near_double_root_takes_the_lapack_path_bit_for_bit(linalg_calls):
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
-def test_perfbench_heldout_frames_are_all_certified(seed, linalg_calls):
-    # perfbench's held-out sets (64 and 16 sequences after its 64 training
-    # ones), predicted by each workload's untrained model: every frame of
-    # both takes the closed forms
-    corruption = CorruptionConfig(occlusion_prob=0.3, blur_width=3)
-    for diffusion_on, count in ((False, 64), (True, 16)):
-        model = build_model(ModelConfig(diffusion_on=diffusion_on))
-        seqs = [corrupt_sequence(generate_sequence(MotionConfig(graph=model.graph, frames=16),
-                                                   seed=seed * 100_000 + 64 + i),
-                                 model.graph, corruption, seed=seed * 100_000 + 64 + i + 50_000)
-                for i in range(count)]
+def test_perfbench_heldout_frames_of_untrained_models_are_all_certified(
+        seed, linalg_calls, monkeypatch):
+    # perfbench's held-out sets of both workloads, predicted by each
+    # workload's untrained model: every frame takes the closed forms
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for w in workloads.WORKLOADS.values():
+        model = build_model(w.config())
+        seqs = workloads.make_sequences(model.graph, seed, workloads.TRAIN_SEQS, w.heldout,
+                                        workloads.FRAMES)
         preds = [model.predict(seq, seed=i) for i, seq in enumerate(seqs)]
         linalg_calls.clear()
         compute_metrics(preds, [seq.gt_vertices for seq in seqs], model.regressor)
