@@ -7,7 +7,9 @@ learned sequence context, then to the temporal dependencies a graph+time
 feature stack summarizes from the fully noised latent z_T, and ends in the
 noise predictor. Noising is the closed-form DDPM marginal q(z_t | x0) (arXiv
 2006.11239). Training scores x0_hat at one sampled step; prediction returns
-the estimate at the last step, x0_hat(z_T, T).
+the estimate at the last step, x0_hat(z_T, T). Both read the schedule only
+through its cumulative signal fractions abar_1..abar_T, the read-only array
+:func:`make_schedule` returns, and call the denoiser once per forward.
 
 Every layer works on one token layout, (B, T, S, C): frames x sites x
 channels. The S sites are the coarse mesh vertices; only the 3D convolution
@@ -19,7 +21,6 @@ sees them as an H x W grid, and it takes that grid channels-last,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,32 +34,6 @@ _TAIL = 0.05  # the cumulative signal fraction the last noising step keeps
 
 class ScheduleError(ValueError):
     """Invalid diffusion schedule parameters."""
-
-
-@dataclass
-class DiffusionSchedule:
-    """Per-step signal-keep coefficients and their cumulative products.
-
-    ``alpha[t-1]`` is the step-t coefficient; ``alpha_bar``, the running
-    products, is computed from it at construction. Steps are 1-indexed in
-    the step functions.
-    """
-
-    alpha: np.ndarray
-    alpha_bar: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.alpha_bar = np.cumprod(self.alpha)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.alpha)
-
-    def validate(self) -> None:
-        if self.alpha.ndim != 1 or self.n_steps < 2:
-            raise ScheduleError(f"need a 1-D alpha of at least 2 steps, got {self.alpha.shape}")
-        if not np.all((self.alpha > 0.0) & (self.alpha <= 1.0)):  # NaN fails both
-            raise ScheduleError("alpha values must lie in (0, 1]")
 
 
 def _linear_betas(n_steps: int) -> np.ndarray:
@@ -84,29 +59,32 @@ def _linear_betas(n_steps: int) -> np.ndarray:
     return np.clip(base * hi, 1e-8, 0.999)
 
 
-def make_schedule(n_steps: int) -> DiffusionSchedule:
-    """The linear-beta schedule of ``n_steps`` steps; ``n_steps`` must be an
-    integer of at least 2 (``ScheduleError``)."""
+def make_schedule(n_steps: int) -> np.ndarray:
+    """The cumulative signal fractions abar_1..abar_n of the linear-beta
+    schedule of ``n_steps`` steps, read-only; entry t - 1 is step t's.
+    ``n_steps`` must be an integer of at least 2 (``ScheduleError``)."""
     if not is_integer(n_steps):
         raise ScheduleError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 2:
         raise ScheduleError(f"need at least 2 steps, got {n_steps}")
-    sched = DiffusionSchedule(alpha=1.0 - _linear_betas(n_steps))
-    sched.validate()
-    return sched
+    alpha_bar = np.cumprod(1.0 - _linear_betas(n_steps))
+    alpha_bar.flags.writeable = False
+    return alpha_bar
 
 
-def _check_step(t: int, schedule: DiffusionSchedule) -> int:
-    """``t`` as an int, checked to be a whole step in [1, n_steps]: a
+def _check_step(t: int, alpha_bar: np.ndarray) -> int:
+    """``t`` as an int, checked to be a whole step in [1, len(alpha_bar)]: a
     fractional step such as 1.5, or a bool (Python's or numpy's), raises
     rather than run step 1; a whole float such as 2.0 is step 2."""
-    if isinstance(t, (bool, np.bool_)) or not (1 <= t <= schedule.n_steps) or t != int(t):
-        raise ScheduleError(f"step {t} is not a whole step in [1, {schedule.n_steps}]")
+    n = len(alpha_bar)
+    if isinstance(t, (bool, np.bool_)) or not (1 <= t <= n) or t != int(t):
+        raise ScheduleError(f"step {t} is not a whole step in [1, {n}]")
     return int(t)
 
 
-def forward_noise_step(x0, t: int, schedule: DiffusionSchedule, noise) -> Tensor:
-    """q(z_t | x0) in closed form: sqrt(abar_t) * x0 + sqrt(1-abar_t) * noise.
+def forward_noise_step(x0, t: int, alpha_bar: np.ndarray, noise) -> Tensor:
+    """q(z_t | x0) in closed form: sqrt(abar_t) * x0 + sqrt(1-abar_t) * noise,
+    with abar_t = ``alpha_bar[t - 1]``.
 
     One ``lincomb`` record. The noise draw is a constant operand: the record
     does not keep it, so it is freed once the block has used it.
@@ -114,14 +92,14 @@ def forward_noise_step(x0, t: int, schedule: DiffusionSchedule, noise) -> Tensor
     x0, noise = ad.as_tensor(x0), ad.as_tensor(noise)
     if noise.shape != x0.shape:
         raise ShapeError(f"noise shape {noise.shape} != input shape {x0.shape}")
-    t = _check_step(t, schedule)
-    abar = float(schedule.alpha_bar[t - 1])
+    t = _check_step(t, alpha_bar)
+    abar = float(alpha_bar[t - 1])
     return ad.lincomb(noise, math.sqrt(1.0 - abar), x0, math.sqrt(abar))
 
 
-def reverse_step(z_t, t: int, x0_hat, schedule: DiffusionSchedule, t_prev: int) -> Tensor:
+def reverse_step(z_t, t: int, x0_hat, alpha_bar: np.ndarray, t_prev: int) -> Tensor:
     """One deterministic DDIM step (eta = 0, arXiv 2010.02502) from step t to
-    step t_prev < t.
+    step t_prev < t, over the cumulative fractions ``alpha_bar``.
 
     The noise the estimate implies, eps = (z_t - sqrt(abar_t) x0_hat) /
     sqrt(1-abar_t), is carried to t_prev: sqrt(abar_prev) x0_hat +
@@ -140,13 +118,13 @@ def reverse_step(z_t, t: int, x0_hat, schedule: DiffusionSchedule, t_prev: int) 
     z_t, x0_hat = ad.as_tensor(z_t), ad.as_tensor(x0_hat)
     if x0_hat.shape != z_t.shape:
         raise ShapeError(f"x0_hat shape {x0_hat.shape} != input shape {z_t.shape}")
-    t = _check_step(t, schedule)
+    t = _check_step(t, alpha_bar)
     if isinstance(t_prev, (bool, np.bool_)) or t_prev != 0:
-        t_prev = _check_step(t_prev, schedule)
+        t_prev = _check_step(t_prev, alpha_bar)
     if not t_prev < t:
         raise ScheduleError(f"step {t} cannot step to {t_prev}: the sampler steps down")
-    abar = float(schedule.alpha_bar[t - 1])
-    abar_prev = float(schedule.alpha_bar[t_prev - 1]) if t_prev else 1.0
+    abar = float(alpha_bar[t - 1])
+    abar_prev = float(alpha_bar[t_prev - 1]) if t_prev else 1.0
     c = math.sqrt(1.0 - abar_prev) / math.sqrt(1.0 - abar) if abar < 1.0 else 0.0
     return ad.lincomb(z_t, c, x0_hat, math.sqrt(abar_prev) - c * math.sqrt(abar))
 
@@ -292,16 +270,15 @@ class DiffusionBlock:
     """Noising and denoising over (B, T, S, C) latent tokens.
 
     Built from its sublayers' inputs (channels, the (H, W) grid, the coarse
-    adjacency), the schedule and the row count of the learned sequence
+    adjacency), the schedule's cumulative fractions ``alpha_bar`` (see
+    :func:`make_schedule`) and the row count of the learned sequence
     context, a (context_rows, C) table it owns as ``p["context"]``.
 
     A call draws one standard Gaussian eps from ``seed`` and noises the
     input x0 to the last step in closed form, z_T = q(z_T | x0) through
     :func:`forward_noise_step`. The two-pass graph+time stack summarizes
-    z_T's temporal dependencies, and :meth:`denoiser` builds the one
-    denoiser both modes use: x0_hat(z, t) = sqrt(abar_t) z + sqrt(1-abar_t)
-    F(z, t), with F the context cross-attention, then the cross-attention
-    against the dependencies, then the noise predictor.
+    z_T's temporal dependencies, and :meth:`x0_hat`, the one denoiser both
+    modes use, estimates x0 from a noised z conditioned on them.
 
     With ``block_loss`` (training) the call draws one step t in [1, n_steps]
     from the same generator, forms z_t from the same eps, and returns
@@ -312,37 +289,33 @@ class DiffusionBlock:
     """
 
     def __init__(self, channels: int, grid: tuple[int, int], coarse_adj: Tensor,
-                 schedule: DiffusionSchedule, context_rows: int, *, rng: np.random.Generator):
+                 alpha_bar: np.ndarray, context_rows: int, *, rng: np.random.Generator):
         h, w = grid
         self.n_sites = coarse_adj.shape[0]
         if h * w != self.n_sites:
             raise ShapeError(f"latent grid {h}x{w} must match coarse vertex count {self.n_sites}")
-        self.schedule = schedule
+        self.alpha_bar = alpha_bar
         self.context_attn = AttentionLayer(channels, rng=rng)
         self.stack = FeatureStack(channels, grid, coarse_adj, rng)
         self.cond_attn = AttentionLayer(channels, rng=rng)
-        self.predictor = NoisePredictor(channels, grid, coarse_adj, schedule.n_steps, rng)
+        self.predictor = NoisePredictor(channels, grid, coarse_adj, len(alpha_bar), rng)
         self.p = {"context": _init(rng, (context_rows, channels), scale=0.3)}
 
     def layers(self):
         return ([self.context_attn, self.cond_attn]
                 + self.stack.layers() + self.predictor.layers() + [self])
 
-    def denoiser(self, z_T: Tensor):
-        """``x0_hat(z, t)`` conditioned on ``z_T``'s dependencies, which the
-        feature stack summarizes once, here. Each call attends z to the
-        learned context and then to the dependencies, each attention layer
-        projecting its context to keys and values inside its record. A step
-        t that is not a whole step in [1, n_steps] raises
+    def x0_hat(self, z: Tensor, t: int, deps: Tensor) -> Tensor:
+        """The estimate of x0 from z at step t: sqrt(abar_t) z + sqrt(1-abar_t)
+        F(z, t), with F attending z to the learned context, then to ``deps``
+        (the feature stack's summary of z_T), then the noise predictor; each
+        attention layer projects its context to keys and values inside its
+        record. A step t that is not a whole step in [1, n_steps] raises
         ``ScheduleError``."""
-        context, deps = self.p["context"], self.stack(z_T)
-
-        def x0_hat(z: Tensor, t: int) -> Tensor:
-            t = _check_step(t, self.schedule)
-            abar = float(self.schedule.alpha_bar[t - 1])
-            f = self.predictor(self.cond_attn(self.context_attn(z, context), deps), t)
-            return ad.lincomb(z, math.sqrt(abar), f, math.sqrt(1.0 - abar))
-        return x0_hat
+        t = _check_step(t, self.alpha_bar)
+        abar = float(self.alpha_bar[t - 1])
+        f = self.predictor(self.cond_attn(self.context_attn(z, self.p["context"]), deps), t)
+        return ad.lincomb(z, math.sqrt(abar), f, math.sqrt(1.0 - abar))
 
     def __call__(self, x0: Tensor, seed: int, *,
                  block_loss: bool = True) -> tuple[Tensor, Tensor | None]:
@@ -351,14 +324,14 @@ class DiffusionBlock:
                 f"block input must be (B, T, {self.n_sites}, C) tokens, got {x0.shape}"
             )
         b, t, s, c = x0.shape
+        n = len(self.alpha_bar)
         rng = np.random.default_rng(seed)
-        sched = self.schedule
         # a channels-first draw keeps each seed's noise on the same elements
         eps = np.swapaxes(rng.standard_normal((b, t, c, s)), 2, 3)
-        z = forward_noise_step(x0, sched.n_steps, sched, eps)
-        denoise = self.denoiser(z)
-        if block_loss:
-            step = int(rng.integers(1, sched.n_steps + 1))
-            x0_hat = denoise(forward_noise_step(x0, step, sched, eps), step)
-            return x0_hat, ad.mse(ad.lincomb(x0_hat, 1.0, x0, -1.0), np.zeros(x0.shape))
-        return denoise(z, sched.n_steps), None
+        z_T = forward_noise_step(x0, n, self.alpha_bar, eps)
+        deps = self.stack(z_T)
+        if not block_loss:
+            return self.x0_hat(z_T, n, deps), None
+        step = int(rng.integers(1, n + 1))
+        x0_hat = self.x0_hat(forward_noise_step(x0, step, self.alpha_bar, eps), step, deps)
+        return x0_hat, ad.mse(ad.lincomb(x0_hat, 1.0, x0, -1.0), np.zeros(x0.shape))

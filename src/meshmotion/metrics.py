@@ -390,12 +390,6 @@ def _svd_rotations(h: np.ndarray, var_p: np.ndarray):
     return (v * d[..., None, :]) @ ut, (s * d).sum(axis=-1) / var_p
 
 
-def apply_similarity(p: np.ndarray, scale, rot: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """s R p_i + t for (..., k, 3) points; (s, R, t) carry the leading axes."""
-    scale = np.asarray(scale)[..., None, None]
-    return scale * p @ np.swapaxes(rot, -1, -2) + np.asarray(t)[..., None, :]
-
-
 def _lengths(d: np.ndarray) -> np.ndarray:
     """Euclidean lengths of (..., 3) rows: bit for bit
     ``np.linalg.norm(d, axis=-1)``, without numpy's slow reduction over a

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tape, Tensor
+from .autodiff import Tape, Tensor
 from .body_graph import DEFAULT_PARTS, generate_toy_body, is_integer
 from .diffusion import DiffusionBlock, FeatureStack, make_schedule
 from .metrics import JointRegressor, PoseError, build_joint_regressor, compute_metrics
@@ -163,9 +163,9 @@ class Model:
 
         coarse_adj = graph.coarse_adjacency()
         if config.diffusion_on:
-            schedule = make_schedule(config.diffusion_steps)
-            self.core = DiffusionBlock(c, (h, w), coarse_adj, schedule, config.context_rows,
-                                       rng=rng)
+            self.core = DiffusionBlock(c, (h, w), coarse_adj,
+                                       make_schedule(config.diffusion_steps),
+                                       config.context_rows, rng=rng)
         else:
             self.core = FeatureStack(c, (h, w), coarse_adj, rng)
 
@@ -311,17 +311,17 @@ class Adam:
     """Adam (arXiv 1412.6980) over named parameter slots, in one flat pass.
 
     The parameters and the two moments ``m`` and ``v`` are flat vectors laid
-    out slot after slot, in slot order. A step gathers the gradients of the
-    slots that have one into a flat vector, once, and updates the moments in
-    place with the per-slot update's per-element expressions, in its order,
-    so each value is the same bits as a per-slot loop's. A slot without a
-    gradient keeps its value and its moments. The new parameters are a fresh
-    flat vector, checked once for finiteness (``NumericsError``, before any
-    slot changes) and made read-only; each slot with a gradient then gets a
-    new tensor over its reshaped view, so a tensor once handed out is never
-    written. A slot whose tensor was replaced from outside counts with its
-    new value, or raises ``ShapeError`` if its shape changed. The moment
-    decays and the denominator floor are the usual 0.9, 0.999 and 1e-8.
+    out slot after slot, in slot order. A step gathers every slot's gradient
+    into a flat vector and updates the moments in place with the per-slot
+    update's per-element expressions, in its order, so each value is the
+    same bits as a per-slot loop's. A slot with no gradient, or whose tensor
+    was replaced since Adam last set it, raises ``ConfigError`` naming the
+    slot, before the step count, the moments or any slot changes. The new
+    parameters are a fresh flat vector, checked once for finiteness
+    (``NumericsError``, before any slot changes) and made read-only; each
+    slot then gets a new tensor over its reshaped view, so a tensor once
+    handed out is never written. The moment decays and the denominator floor
+    are the usual 0.9, 0.999 and 1e-8.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -330,7 +330,7 @@ class Adam:
         self.slots = slots
         self.lr = lr
         self.t = 0
-        # the tensor each slot held when ``flat`` last took its value
+        # the tensor Adam last put in each slot
         self._tensors = [holder[key] for holder, key in slots.values()]
         self._bounds = [0, *np.cumsum([t.size for t in self._tensors]).tolist()]
         # (the leading zeros(0) gives no slots an empty vector)
@@ -340,59 +340,39 @@ class Adam:
         self.v = np.zeros(self.flat.size)
 
     def step(self) -> None:
-        self.t += 1
-        b1, b2 = self.BETA1, self.BETA2
         bounds = self._bounds
-        grads = np.empty(self.flat.size)
-        live = []  # (index, holder, key) of each slot with a gradient
-        runs = []  # [lo, hi) of each run of adjacent slots with a gradient
+        g = np.empty(self.flat.size)
         for i, (name, (holder, key)) in enumerate(self.slots.items()):
-            t, lo, hi = holder[key], bounds[i], bounds[i + 1]
+            t = holder[key]
             if t is not self._tensors[i]:
-                if t.shape != self._tensors[i].shape:
-                    raise ShapeError(f"parameter slot {name!r} changed shape from "
-                                     f"{self._tensors[i].shape} to {t.shape}")
-                if not self.flat.flags.writeable:
-                    self.flat = self.flat.copy()
-                self.flat[lo:hi] = t.data.reshape(-1)
-                self._tensors[i] = t
-            if t.grad is not None:
-                grads[lo:hi] = t.grad.reshape(-1)
-                live.append((i, holder, key))
-                if runs and runs[-1][1] == lo:
-                    runs[-1][1] = hi
-                else:
-                    runs.append([lo, hi])
-        if not live:
-            return
-        flat, new = self.flat, np.empty(self.flat.size)
+                raise ConfigError(f"parameter slot {name!r} was replaced since the last step")
+            if t.grad is None:
+                raise ConfigError(f"parameter slot {name!r} has no gradient")
+            g[bounds[i]:bounds[i + 1]] = t.grad.reshape(-1)
+        self.t += 1
+        b1, b2, m, v = self.BETA1, self.BETA2, self.m, self.v
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
-        done = 0
-        for lo, hi in runs:
-            new[done:lo] = flat[done:lo]
-            g, m, v, out = grads[lo:hi], self.m[lo:hi], self.v[lo:hi], new[lo:hi]
-            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, with out as scratch
-            np.multiply(g, 1 - b1, out=out)
-            m *= b1
-            m += out
-            np.multiply(g, 1 - b2, out=out)
-            out *= g
-            v *= b2
-            v += out
-            # flat - lr (m / c1) / (sqrt(v / c2) + EPS), the step formed in g
-            np.divide(m, c1, out=g)
-            g *= self.lr
-            np.divide(v, c2, out=out)
-            np.sqrt(out, out=out)
-            out += self.EPS
-            g /= out
-            np.subtract(flat[lo:hi], g, out=out)
-            done = hi
-        new[done:] = flat[done:]
+        new = np.empty(self.flat.size)
+        # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, with new as scratch
+        np.multiply(g, 1 - b1, out=new)
+        m *= b1
+        m += new
+        np.multiply(g, 1 - b2, out=new)
+        new *= g
+        v *= b2
+        v += new
+        # flat - lr (m / c1) / (sqrt(v / c2) + EPS), the step formed in g
+        np.divide(m, c1, out=g)
+        g *= self.lr
+        np.divide(v, c2, out=new)
+        np.sqrt(new, out=new)
+        new += self.EPS
+        g /= new
+        np.subtract(self.flat, g, out=new)
         if not np.isfinite(new).all():
             raise ad.NumericsError("tensor constructed with non-finite values")
         new.flags.writeable = False
-        for i, holder, key in live:
+        for i, (holder, key) in enumerate(self.slots.values()):
             view = new[bounds[i]:bounds[i + 1]].reshape(self._tensors[i].shape)
             holder[key] = self._tensors[i] = ad._leaf_view(view)
         self.flat = new

@@ -10,8 +10,9 @@ and on the model's layers; :class:`SlotAdam`, the per-slot Adam step that
 ``model.Adam``'s one flat pass must match bit for bit; and
 :func:`spatial_patches`, the sliding-window patch matrix that conv3d's
 gather must match bit for bit; and :func:`noise_by_steps`, the per-step
-noising loop whose marginal ``diffusion.forward_noise_step`` forms in closed
-form. ``__all__`` lists the ops only."""
+noising loop over explicitly given per-step factors, whose marginal
+``diffusion.forward_noise_step`` forms in closed form from their running
+products, the schedule's abar. ``__all__`` lists the ops only."""
 
 import math
 
@@ -91,13 +92,14 @@ def spatial_patches(x, kt, kh, kw):
     return win.transpose(0, 1, 2, 3, 5, 6, 4).reshape(b, t + 2 * pt, h * w, kh * kw * c)
 
 
-def noise_by_steps(x0, t, schedule, draws):
-    """z_t of the per-step noising recurrence, one draw per step:
-    z_s = sqrt(1 - alpha_s) draw_s + sqrt(alpha_s) z_{s-1} for s = 1..t, from
-    z_0 = ``x0``; its marginal is q(z_t | x0)."""
+def noise_by_steps(x0, alphas, draws):
+    """z_t of the per-step noising recurrence over the per-step factors
+    ``alphas`` (alpha_s = abar_s / abar_(s-1)), one draw per step:
+    z_s = sqrt(1 - alpha_s) draw_s + sqrt(alpha_s) z_{s-1} for s = 1..t, with
+    t = len(alphas), from z_0 = ``x0``; its marginal is q(z_t | x0), with
+    abar_t the product of ``alphas``."""
     z = np.asarray(x0, dtype=np.float64)
-    for s, draw in zip(range(1, t + 1), draws, strict=True):
-        a = float(schedule.alpha[s - 1])
+    for a, draw in zip(alphas, draws, strict=True):
         z = draw * math.sqrt(1.0 - a) + z * math.sqrt(a)
     return z
 
@@ -156,7 +158,7 @@ def gradcheck(op, inputs, max_coords=None):
 
 class SlotAdam:
     """Adam one parameter slot at a time: moments keyed by slot name, and
-    each slot with a gradient replaced by a fresh tensor of its new value.
+    each slot replaced by a fresh tensor of its new value.
     The textbook per-element expressions, in the order ``model.Adam`` must
     reproduce."""
 
@@ -175,8 +177,6 @@ class SlotAdam:
         for name, (holder, key) in self.slots.items():
             t = holder[key]
             g = t.grad
-            if g is None:
-                continue
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             m_hat = self.m[name] / (1 - b1**self.t)

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py parses recorded perfbench output and summarises
 alternating pairs; no perfbench run is started."""
 
+import argparse
 import importlib.util
 import json
 from pathlib import Path
@@ -296,6 +297,38 @@ def test_runner_passes_the_trace_flag(monkeypatch, tmp_path):
 def test_seed_lists_and_ranges():
     assert bp.parse_seeds("3,5,9-11") == [3, 5, 9, 10, 11]
     assert bp.parse_seeds("2101-2103") == [2101, 2102, 2103]
+    # "5-3" named no seed, and ran a series of no pairs that wrote no --out;
+    # "3,3" and "2-4,4" ran one pair twice
+    with pytest.raises(argparse.ArgumentTypeError, match="^descending seed range '5-3'$"):
+        bp.parse_seeds("5-3")
+    for text in ("3,3", "2-4,4"):
+        with pytest.raises(argparse.ArgumentTypeError, match=r"^seeds named more than once: \["):
+            bp.parse_seeds(text)
+
+
+@pytest.mark.parametrize("text", ["5-3", "3,3"])
+def test_main_rejects_a_seed_list_with_an_argparse_error(monkeypatch, capsys, tmp_path, text):
+    monkeypatch.setattr(bp, "export", lambda rev, dest: pytest.fail("exported"))
+    with pytest.raises(SystemExit) as exc:
+        bp.main(["--base", "a", "--change", "b", "--workload", "w", "--seeds", text,
+                 "--seconds", "1", "--scratch", str(tmp_path / "s"),
+                 "--out", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    assert "argument --seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", bp.SIDES)
+def test_main_stops_before_any_export_when_a_side_directory_exists(monkeypatch, tmp_path, side):
+    # an earlier series' scratch directory: neither side is exported, and the
+    # message names the directory to remove
+    (tmp_path / side).mkdir()
+    monkeypatch.setattr(bp, "export", lambda rev, dest: pytest.fail(f"exported {dest}"))
+    with pytest.raises(SystemExit) as exc:
+        bp.main(["--base", "a", "--change", "b", "--workload", "w", "--seeds", "7",
+                 "--seconds", "1", "--scratch", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert exc.value.code == (f"{tmp_path / side} already exists: "
+                              "remove it or pass a new --scratch")
+    assert not (tmp_path / "o").exists()
 
 
 def test_verdict_names_equal_digests_worse_metrics_and_wrong_runs():

@@ -17,7 +17,6 @@ from meshmotion.metrics import (
     PoseError,
     _JOINT_SPECS,
     _lengths,
-    apply_similarity,
     build_joint_regressor,
     compute_metrics,
     procrustes_align,
@@ -31,6 +30,12 @@ def _rotation(axis, angle):
                   [axis[2], 0, -axis[0]],
                   [-axis[1], axis[0], 0]])
     return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
+
+
+def apply_similarity(p, scale, rot, t):
+    """s R p_i + t for (..., k, 3) points; (s, R, t) carry the leading axes."""
+    scale = np.asarray(scale)[..., None, None]
+    return scale * p @ np.swapaxes(rot, -1, -2) + np.asarray(t)[..., None, :]
 
 
 def _random_rotation(rng):

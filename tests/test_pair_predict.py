@@ -184,6 +184,13 @@ def test_a_step_unit_trains_60_steps_on_either_workload(monkeypatch, workload, c
     assert '"pairs": 2' in capsys.readouterr().out
 
 
+def test_main_stops_before_any_export_when_a_side_directory_exists(monkeypatch, tmp_path):
+    (tmp_path / "change").mkdir()
+    monkeypatch.setattr(pp, "export", lambda rev, path: pytest.fail(f"exported {path}"))
+    with pytest.raises(SystemExit, match=f"^{tmp_path / 'change'} already exists"):
+        pp.main(["--base", "a", "--change", "b", "--scratch", str(tmp_path)])
+
+
 def _rows(values):
     return [metrics.PoseError(*row) for row in values]
 

@@ -5,8 +5,8 @@
         --seeds 2101-2110 --seconds 40 --scratch /tmp/bench --out BENCH_21.json
 
 Run it from the repository root. Each revision's committed files are
-exported with ``git archive`` into its own directory under ``--scratch``
-(an export, unlike a worktree, leaves nothing registered in the repository),
+exported with ``git archive`` into its own directory under ``--scratch``,
+``base/`` and ``change/``, which must not exist yet (an export, unlike a worktree, leaves nothing registered in the repository),
 so each side runs its own sources and its own copy of perfbench. A run is
 
     python3 perfbench/run.py --workload W --seed S --seconds N --trace T
@@ -211,6 +211,16 @@ def run_pairs(workloads, seeds, run, on_pair) -> dict[str, list[dict]]:
     return results
 
 
+def scratch_dirs(scratch: Path) -> dict[str, Path]:
+    """Each side's export directory under ``scratch``. Stops, before either
+    side is exported, with a message naming the first that already exists."""
+    dirs = {side: scratch / side for side in SIDES}
+    for d in dirs.values():
+        if d.exists():
+            raise SystemExit(f"{d} already exists: remove it or pass a new --scratch")
+    return dirs
+
+
 def export(rev: str, dest: Path) -> dict:
     """The committed files of ``rev`` in ``dest``; returns the commit and the
     hash of its ``src`` tree."""
@@ -255,11 +265,19 @@ def perfbench_runner(dirs: dict[str, Path], seconds: int, trace: int):
 
 
 def parse_seeds(text: str) -> list[int]:
-    """"3,5,9-11" -> [3, 5, 9, 10, 11]."""
+    """"3,5,9-11" -> [3, 5, 9, 10, 11]. A descending range, which names no
+    seed, or a seed named twice, which would run one pair twice, raises
+    ``argparse.ArgumentTypeError``."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"descending seed range {part!r}")
+        seeds.extend(range(lo, hi + 1))
+    if len(set(seeds)) < len(seeds):
+        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+        raise argparse.ArgumentTypeError(f"seeds named more than once: {repeated}")
     return seeds
 
 
@@ -277,7 +295,7 @@ def main(argv=None) -> int:
                    help="1: traced runs, summarised on the per-layer metrics")
     args = p.parse_args(argv)
 
-    dirs = {side: args.scratch / side for side in SIDES}
+    dirs = scratch_dirs(args.scratch)
     revs = {side: export(rev, dirs[side])
             for side, rev in (("base", args.base), ("change", args.change))}
     spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text())

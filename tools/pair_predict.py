@@ -63,13 +63,13 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_pairs import SIDES, export  # noqa: E402
+from bench_pairs import SIDES, export, scratch_dirs  # noqa: E402
 
 WORKLOADS = {"train_diffusion": True, "train_deterministic": False}   # name -> diffusion_on
 SEQUENCES = 16   # held-out sequences, predicted in turn
 SYNTH_SEQUENCES = 128   # perfbench's set-up sequences per seed, made in turn
 TRAIN_SEQUENCES = 64   # perfbench's training sequences per seed, then its held-out ones
-STEPS = {"train_diffusion": 60, "train_deterministic": 60}   # train_steps of one step unit
+STEPS = 60   # train_steps of one step unit, on either workload
 HELDOUT_SEQUENCES = 64   # the metrics unit's: perfbench's train_deterministic held-out set
 WARMUP = {"predict": 8, "synth": 8, "step": 1, "metrics": 8}   # untimed pairs: caches fill
 PAIRS = {"predict": 960, "synth": 960, "step": 30, "metrics": 300}   # timed pairs by default
@@ -228,16 +228,17 @@ def main(argv=None) -> int:
                    help="new directory for the two exported trees")
     args = p.parse_args(argv)
 
+    dirs = scratch_dirs(args.scratch)
     revs, run = {}, {}
     for side, rev in (("base", args.base), ("change", args.change)):
-        revs[side] = export(rev, args.scratch / side)
-        package = import_package(args.scratch / side / "src", f"meshmotion_{side}")
+        revs[side] = export(rev, dirs[side])
+        package = import_package(dirs[side] / "src", f"meshmotion_{side}")
         diffusion_on = WORKLOADS[args.workload]
         if args.unit == "synth":
             run[side] = synth_unit(package, args.seed)
         elif args.unit == "step":
             run[side] = step_unit(package, {"diffusion_on": diffusion_on,
-                                            "train_steps": STEPS[args.workload]})
+                                            "train_steps": STEPS})
         elif args.unit == "metrics":
             run[side] = metrics_unit(package)
         else:
